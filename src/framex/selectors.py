@@ -297,23 +297,42 @@ def _selector_count(size: int, depth: int, limit: int) -> int:
     return min(total, limit + 1)
 
 
-def _hermitian_opnorm(mat: np.ndarray) -> float:
-    vals = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
-    return float(np.max(np.abs(vals))) if vals.size else 0.0
-
-
 def _deviation(mats, ids, target, scale) -> float:
     acc = -target
     for i in sorted(i for i in ids if i >= 0):
         acc = acc + scale * mats[i]
-    return _hermitian_opnorm(acc)
+    vals = np.linalg.eigvalsh((acc + acc.conj().T) / 2.0)
+    return float(np.max(np.abs(vals))) if vals.size else 0.0
+
+
+def _batched_deviations(stack, rows, target, scale) -> np.ndarray:
+    """_deviation of every row of ids at once, bit for bit.
+
+    rows is an integer (m, width) array; negative entries are pads.  Each
+    row adds its real ids in ascending order onto -target, exactly the
+    additions _deviation makes, so only the eigensolve is shared: one
+    eigvalsh call on the (m, d, d) stack.
+    """
+    n = len(stack)
+    ids = np.sort(np.where(rows < 0, n, rows), axis=1)  # pads sort last
+    scaled = scale * stack
+    acc = np.empty((len(ids),) + target.shape, dtype=np.result_type(target, stack))
+    acc[:] = -target
+    for col in ids.T:
+        live = col < n
+        if live.all():
+            acc += scaled[col]
+        else:
+            acc[live] += scaled[col[live]]
+    vals = np.linalg.eigvalsh((acc + acc.conj().swapaxes(-1, -2)) / 2.0)
+    return np.max(np.abs(vals), axis=-1)
 
 
 class _TreeBuilder:
-    """Shared state for building selector trees over a fixed operator list."""
+    """Shared state for building selector trees over a fixed operator stack."""
 
-    def __init__(self, mats, traces, target, order):
-        self.mats = mats
+    def __init__(self, stack, traces, target, order):
+        self.stack = stack
         self.traces = traces
         self.target = target
         self.order = order
@@ -322,58 +341,44 @@ class _TreeBuilder:
     def pairing(self, ids) -> PairPartition:
         return descending_trace_pairs(ids, self.traces, self.pad_ids)
 
-    def child_sets(self, partition, sides):
-        left, right = [], []
-        for (a, b), s in zip(partition.pairs, sides):
-            if s == 0:
-                left.append(a)
-                right.append(b)
-            else:
-                left.append(b)
-                right.append(a)
-        return tuple(left), tuple(right)
-
 
 def _greedy_cell(builder: _TreeBuilder, ids, remaining, rng) -> SelectorCell:
     if remaining == 0:
         return SelectorCell(indices=tuple(sorted(ids)))
     part = builder.pairing(ids)
-    pairs = part.pairs
-    flippable = [k for k, (a, b) in enumerate(pairs) if a >= 0 or b >= 0]
-    sides = [0] * len(pairs)
+    pairs = np.array(part.pairs, dtype=np.int64).reshape(-1, 2)
+    slots = np.arange(len(pairs))
+    flips = np.array([k for k, (a, b) in enumerate(part.pairs) if a >= 0 or b >= 0], dtype=np.int64)
+    sides = np.zeros(len(pairs), dtype=np.int64)
     if rng is not None:
-        for k in flippable:
+        for k in flips:
             sides[k] = int(rng.integers(0, 2))
 
     level_scale = float(2 ** (builder.order - remaining + 1))
 
-    def objective(side_vec):
-        left, right = builder.child_sets(part, side_vec)
-        return max(
-            _deviation(builder.mats, left, builder.target, level_scale),
-            _deviation(builder.mats, right, builder.target, level_scale),
-        )
+    def objective(side_rows):
+        # max over both children of every side vector, in one eigensolve
+        rows = np.concatenate([pairs[slots, side_rows], pairs[slots, 1 - side_rows]])
+        devs = _batched_deviations(builder.stack, rows, builder.target, level_scale)
+        return np.maximum(devs[: len(side_rows)], devs[len(side_rows):])
 
-    current = objective(sides)
-    improving = True
-    while improving:
-        improving = False
-        best_k, best_val = None, current
-        for k in flippable:
-            sides[k] ^= 1
-            val = objective(sides)
-            sides[k] ^= 1
-            if val < best_val:
-                best_k, best_val = k, val
-        if best_k is not None:
-            sides[best_k] ^= 1
-            current = best_val
-            improving = True
-    left, right = builder.child_sets(part, sides)
+    # Each sweep scores every single flip and takes the first strict best.
+    current = objective(sides[None])[0]
+    while len(flips):
+        trial = np.repeat(sides[None], len(flips), axis=0)
+        trial[np.arange(len(flips)), flips] ^= 1
+        vals = objective(trial)
+        best = int(np.argmin(vals))
+        if not vals[best] < current:
+            break
+        sides[flips[best]] ^= 1
+        current = vals[best]
+    left = tuple(pairs[slots, sides].tolist())
+    right = tuple(pairs[slots, 1 - sides].tolist())
     return SelectorCell(
         indices=tuple(sorted(ids)),
         partition=part,
-        sides=tuple(sides),
+        sides=tuple(sides.tolist()),
         children=(
             _greedy_cell(builder, left, remaining - 1, rng),
             _greedy_cell(builder, right, remaining - 1, rng),
@@ -484,12 +489,13 @@ def _exhaustive_tree(mats, traces, target, order) -> SelectorTree:
     return SelectorTree(order=order, root=materialize(full_mask, 0, (), order))
 
 
-def _achieved(tree: SelectorTree, mats, target) -> dict[str, float]:
-    scale = float(2**tree.order)
-    return {
-        path: _deviation(mats, ids, target, scale)
-        for path, ids in tree.raw_leaves().items()
-    }
+def _leaf_deviations(tree: SelectorTree, stack, target) -> dict[str, float]:
+    raw = tree.raw_leaves()
+    rows = np.full((len(raw), max(map(len, raw.values()))), -1, dtype=np.int64)
+    for row, ids in zip(rows, raw.values()):
+        row[: len(ids)] = ids
+    devs = _batched_deviations(stack, rows, target, float(2**tree.order))
+    return dict(zip(raw, devs.tolist()))
 
 
 def best_selector(
@@ -507,7 +513,9 @@ def best_selector(
     strategy: "auto" picks exhaustive below EXHAUSTIVE_LIMIT total selector
     count and falls back to randomized restarts; "exhaustive" raises a
     budget error above the limit; "greedy" is a single deterministic
-    descent; "randomized" runs seeded restarts of the descent.
+    descent; "randomized" runs `restarts` (at least 1) seeded descents from
+    random starting sides and keeps the first tree with the lowest worst
+    leaf deviation.
     """
     psd = [op if isinstance(op, PsdOperator) else PsdOperator(op) for op in ops]
     if not psd:
@@ -517,7 +525,10 @@ def best_selector(
         raise PreconditionError("operators live in different dimensions")
     if not isinstance(order, int) or order < 0:
         raise PreconditionError(f"order must be a nonnegative integer, got {order!r}")
+    if not isinstance(restarts, int) or restarts < 1:
+        raise PreconditionError(f"restarts must be a positive integer, got {restarts!r}")
     mats = [p.matrix for p in psd]
+    stack = np.stack(mats)
     traces = {i: p.trace for i, p in enumerate(psd)}
     total = sum(mats)
     if target is None:
@@ -534,8 +545,9 @@ def best_selector(
         raise PreconditionError(
             f"operators {bad} exceed the trace cap {trace_cap:.6g}"
         )
-    top = _hermitian_opnorm(total) if len(mats) else 0.0
-    top_eig = float(np.max(np.linalg.eigvalsh((total + total.conj().T) / 2.0)))
+    total_eigs = np.linalg.eigvalsh((total + total.conj().T) / 2.0)
+    top = float(np.max(np.abs(total_eigs)))
+    top_eig = float(np.max(total_eigs))
     if top_eig > 1.0 + NUMERIC_TOL * max(top, 1.0):
         raise PreconditionError(f"operator sum has top eigenvalue {top_eig:.6g} > 1")
 
@@ -550,24 +562,25 @@ def best_selector(
             )
         tree = _exhaustive_tree(mats, traces, target_m, order)
     elif chosen == "greedy":
-        builder = _TreeBuilder(mats, traces, target_m, order)
+        builder = _TreeBuilder(stack, traces, target_m, order)
         tree = SelectorTree(order=order, root=_greedy_cell(builder, tuple(range(len(mats))), order, None))
     elif chosen == "randomized":
         rng = np.random.default_rng(seed)
-        best_tree, best_worst = None, math.inf
-        for _ in range(max(1, restarts)):
-            builder = _TreeBuilder(mats, traces, target_m, order)
+        tree, achieved, best_worst = None, None, math.inf
+        for _ in range(restarts):
+            builder = _TreeBuilder(stack, traces, target_m, order)
             cand = SelectorTree(order=order, root=_greedy_cell(builder, tuple(range(len(mats))), order, rng))
-            worst = max(_achieved(cand, mats, target_m).values())
+            cand_achieved = _leaf_deviations(cand, stack, target_m)
+            worst = max(cand_achieved.values())
             if worst < best_worst:
-                best_tree, best_worst = cand, worst
-        tree = best_tree
+                tree, achieved, best_worst = cand, cand_achieved, worst
     else:
         raise PreconditionError(f"unknown strategy {strategy!r}")
+    if chosen != "randomized":
+        achieved = _leaf_deviations(tree, stack, target_m)
 
     constant = certificate_constant(trace_cap, order)
     bound = constant * math.sqrt(2**order * trace_cap)
-    achieved = _achieved(tree, mats, target_m)
     worst = max(achieved.values())
     certificate = SelectorCertificate(
         trace_cap=float(trace_cap),
@@ -599,7 +612,11 @@ def verify_certificate(certificate: SelectorCertificate, tree: SelectorTree, ops
         raise PreconditionError("selector tree partitions are inconsistent")
     if tree.order != certificate.order:
         raise PreconditionError("tree order does not match the certificate")
-    fresh = _achieved(tree, mats, target_m)
+    scale = float(2**tree.order)
+    fresh = {
+        path: _deviation(mats, ids, target_m, scale)
+        for path, ids in tree.raw_leaves().items()
+    }
     if set(fresh) != set(certificate.achieved):
         return False
     tol = NUMERIC_TOL * max(1.0, certificate.bound, max(fresh.values()))

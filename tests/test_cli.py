@@ -153,6 +153,22 @@ def test_selector_command_and_budget_override(tmp_path):
     assert selectors.EXHAUSTIVE_LIMIT == before
 
 
+def test_selector_rejects_zero_restarts(tmp_path):
+    code, report, _ = run_cli(
+        tmp_path,
+        "selector",
+        scaled_basis_payload(),
+        "--param",
+        "strategy=randomized",
+        "--param",
+        "restarts=0",
+    )
+    assert code == 2
+    assert report["error"]["type"] == "PreconditionError"
+    assert "restarts" in report["error"]["message"]
+    assert "results" not in report
+
+
 def test_density_command(tmp_path):
     payload = {
         "ambient_dim": 1,

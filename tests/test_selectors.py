@@ -1,6 +1,7 @@
 """Selector constants, exponent windows, pair partitions, tree search."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -24,6 +25,8 @@ from framex import (
     selector_constant,
     verify_certificate,
 )
+from framex import selectors
+from framex.selectors import _batched_deviations, _deviation
 from helpers import bounded_rank_ones
 
 
@@ -163,6 +166,116 @@ def test_verify_rejects_tampered_bound(rng):
         pytest.skip("degenerate instance with exact split")
     fake = dataclasses.replace(cert, bound=cert.worst / 2.0, satisfied=True)
     assert not verify_certificate(fake, tree, ops)
+
+
+def test_randomized_rejects_no_restarts(rng):
+    ops = bounded_rank_ones(rng, 3, 6, trace_cap=0.1)
+    for bad in (0, -3, 2.0):
+        with pytest.raises(PreconditionError):
+            best_selector(ops, 2, strategy="randomized", restarts=bad)
+
+
+def complex_rank_ones(rng, dim, count, trace_cap):
+    units = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
+    units /= np.linalg.norm(units, axis=1, keepdims=True)
+    traces = rng.uniform(0.2, 1.0, size=count) * min(trace_cap, 0.99 / count)
+    return [rank_one(np.sqrt(t) * u) for t, u in zip(traces, units)]
+
+
+def test_batched_deviations_match_scalar(rng):
+    """Same additions in the same order: equal to the last bit, pads skipped."""
+    for make, count in ((bounded_rank_ones, 8), (complex_rank_ones, 8), (bounded_rank_ones, 7)):
+        ops = make(rng, 4, count, trace_cap=0.1)
+        mats = [op.matrix for op in ops]
+        target = sum(mats)
+        rows = np.array([rng.permutation(count + 1)[: (count + 1) // 2] for _ in range(6)]) - 1
+        rows[0] = -1  # a row of pads alone leaves -target
+        for scale in (2.0, 8.0):
+            batched = _batched_deviations(np.stack(mats), rows, target, scale)
+            assert batched.tolist() == [_deviation(mats, row, target, scale) for row in rows]
+
+
+def reference_search(ops, order, seed=None, restarts=1):
+    """Scalar descent the batched search must reproduce: (raw leaves, achieved)."""
+    mats = [op.matrix for op in ops]
+    traces = [op.trace for op in ops]
+    target = sum(mats)
+    rng = None if seed is None else np.random.default_rng(seed)
+
+    def descend(ids, remaining, pad_ids, path, out):
+        if remaining == 0:
+            out[path] = tuple(sorted(ids))
+            return
+        pairs = descending_trace_pairs(ids, traces, pad_ids).pairs
+        flippable = [k for k, (a, b) in enumerate(pairs) if a >= 0 or b >= 0]
+        sides = [0] * len(pairs)
+        if rng is not None:
+            for k in flippable:
+                sides[k] = int(rng.integers(0, 2))
+        scale = float(2 ** (order - remaining + 1))
+
+        def split(s):
+            return [p[x] for p, x in zip(pairs, s)], [p[1 - x] for p, x in zip(pairs, s)]
+
+        def objective(s):
+            return max(_deviation(mats, child, target, scale) for child in split(s))
+
+        current = objective(sides)
+        while True:
+            best_k, best_val = None, current
+            for k in flippable:
+                sides[k] ^= 1
+                val = objective(sides)
+                sides[k] ^= 1
+                if val < best_val:
+                    best_k, best_val = k, val
+            if best_k is None:
+                break
+            sides[best_k] ^= 1
+            current = best_val
+        left, right = split(sides)
+        descend(left, remaining - 1, pad_ids, path + "0", out)
+        descend(right, remaining - 1, pad_ids, path + "1", out)
+
+    best = None
+    for _ in range(restarts):
+        leaves = {}
+        descend(tuple(range(len(mats))), order, itertools.count(-1, -1), "", leaves)
+        achieved = {p: _deviation(mats, ids, target, float(2**order)) for p, ids in leaves.items()}
+        if best is None or max(achieved.values()) < max(best[1].values()):
+            best = (leaves, achieved)
+    return best
+
+
+@pytest.mark.parametrize(
+    "make,dim,count,order",
+    [
+        (bounded_rank_ones, 3, 7, 2),
+        (bounded_rank_ones, 5, 12, 3),
+        (bounded_rank_ones, 4, 9, 3),
+        (complex_rank_ones, 3, 8, 2),
+        (complex_rank_ones, 4, 11, 3),
+        (complex_rank_ones, 2, 5, 1),
+    ],
+)
+def test_batched_descent_matches_scalar_reference(rng, make, dim, count, order):
+    ops = make(rng, dim, count, trace_cap=0.1)
+    for strategy, kwargs in (("greedy", {}), ("randomized", {"seed": 7, "restarts": 6})):
+        tree, cert = best_selector(ops, order, strategy=strategy, **kwargs)
+        leaves, achieved = reference_search(ops, order, **kwargs)
+        assert tree.raw_leaves() == leaves
+        assert cert.achieved == achieved
+
+
+def test_verify_does_not_use_batched_helper(rng, monkeypatch):
+    ops = bounded_rank_ones(rng, 3, 7, trace_cap=0.1)
+    tree, cert = best_selector(ops, 2, strategy="greedy")
+
+    def boom(*args, **kwargs):
+        raise AssertionError("verify_certificate must recompute leaves on its own")
+
+    monkeypatch.setattr(selectors, "_batched_deviations", boom)
+    assert verify_certificate(cert, tree, ops)
 
 
 def test_exhaustive_budget():
