@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import platform
 import sys
 import time
@@ -128,7 +129,10 @@ def _entry(value, complex_field, what):
         return complex(re, im)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InputFormatError(f"{what}: entries must be real numbers")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise InputFormatError(f"{what}: an integer entry exceeds the float range") from exc
 
 
 def parse_family(payload) -> VectorFamily:
@@ -180,6 +184,9 @@ def parse_pointset(payload) -> PointSet:
     extent = payload["extent"]
     if isinstance(extent, bool) or not isinstance(extent, (int, float)):
         raise InputFormatError("'extent' must be a number")
+    extent = _entry(extent, False, "'extent'")
+    if not math.isfinite(extent):
+        raise InputFormatError("'extent' must be a finite number")
     raw = payload["points"]
     if not isinstance(raw, list):
         raise InputFormatError("'points' must be a list")
@@ -187,9 +194,12 @@ def parse_pointset(payload) -> PointSet:
     for i, row in enumerate(raw):
         if not isinstance(row, list) or len(row) != dim:
             raise InputFormatError(f"point {i} does not have {dim} coordinates")
-        rows.append([_entry(v, False, f"point {i}") for v in row])
+        coords = [_entry(v, False, f"point {i}") for v in row]
+        if not all(math.isfinite(v) for v in coords):
+            raise InputFormatError(f"point {i} has a non-finite coordinate")
+        rows.append(coords)
     points = np.array(rows, dtype=float) if rows else np.empty((0, dim))
-    return PointSet(points, float(extent), ambient_dim=dim)
+    return PointSet(points, extent, ambient_dim=dim)
 
 
 def _param_bool(params, key, default):

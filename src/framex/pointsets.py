@@ -10,8 +10,6 @@ full curve stays in the result for convergence inspection.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,18 +30,8 @@ __all__ = [
 STEP_DIVISOR = 20
 
 _EDGE_TOL = 1e-12
-_CENTER_BATCH = 2048
-
-
-def _thread_cap(tasks: int) -> int:
-    raw = os.environ.get("FRAMEX_THREADS", "")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = os.cpu_count() or 1
-    if cap < 1:
-        cap = 1
-    return max(1, min(cap, tasks))
+# (centre row, point) pairs expanded at once; bounds the scan's scratch memory
+_PAIR_BATCH = 1 << 16
 
 
 class PointSet:
@@ -65,13 +53,15 @@ class PointSet:
             p = p[:, None]
         if p.ndim != 2:
             raise PreconditionError(f"expected (count, dim) coordinates, got shape {p.shape}")
+        if not np.all(np.isfinite(p)):
+            raise PreconditionError("point coordinates must be finite")
         if ambient_dim is not None and p.shape[1] != int(ambient_dim):
             raise DimensionMismatchError(
                 f"points live in dim {p.shape[1]}, declared {ambient_dim}"
             )
         extent = float(declared_extent)
-        if extent <= 0:
-            raise PreconditionError(f"declared extent must be positive, got {extent}")
+        if not math.isfinite(extent) or extent <= 0:
+            raise PreconditionError(f"declared extent must be positive and finite, got {extent}")
         if p.shape[0]:
             worst = float(np.max(np.linalg.norm(p, axis=1)))
             if worst > extent * (1.0 + _EDGE_TOL):
@@ -139,30 +129,100 @@ def ball_volume(dim: int, radius: float) -> float:
     return math.pi ** (k / 2.0) / math.gamma(k / 2.0 + 1.0) * r**k
 
 
-def _center_grid(half: float, step: float, dim: int) -> np.ndarray:
+def _center_axis(half: float, step: float) -> np.ndarray:
+    """Centre coordinates along one axis; the centre grid is their d-fold product."""
     axis = np.arange(-half, half + step / 2.0, step)
-    if axis.size == 0:
-        axis = np.zeros(1)
-    grids = np.meshgrid(*([axis] * dim), indexing="ij")
-    return np.stack(grids, axis=-1).reshape(-1, dim)
+    return axis if axis.size else np.zeros(1)
+
+
+def _walk(end, bound, offset, want, delta, inside):
+    """Step end[i] by delta while end[i] != bound[i] and inside(end[i] + offset, i) == want."""
+    sel = np.flatnonzero(end != bound)
+    while sel.size:
+        sel = sel[inside(end[sel] + offset, sel) == want]
+        end[sel] += delta
+        sel = sel[end[sel] != bound[sel]]
+
+
+def _runs(axis, x, partial, cap):
+    """Per pair, the index run [lo, hi) of grid points a with partial + (a - x)**2 <= cap.
+
+    Every rounded operation is monotone, so along the sorted axis the sum
+    falls up to the first grid point >= x (the split) and rises after it:
+    below the split the predicate turns true once, above it turns false
+    once.  searchsorted on the square root guesses both ends and each end
+    then steps with the exact predicate until it is fixed.  partial <= cap.
+    """
+    split = np.searchsorted(axis, x)
+    reach = np.sqrt(cap - partial)
+    lo = np.minimum(np.searchsorted(axis, x - reach), split)
+    hi = np.maximum(np.searchsorted(axis, x + reach, side="right"), split)
+
+    def inside(j, sel):
+        return partial[sel] + (axis[j] - x[sel]) ** 2 <= cap
+
+    _walk(lo, np.zeros_like(lo), -1, True, -1, inside)
+    _walk(lo, split, 0, False, 1, inside)
+    _walk(hi, np.full_like(hi, axis.size), 0, True, 1, inside)
+    _walk(hi, split, -1, False, -1, inside)
+    return lo, hi
+
+
+def _expand(lo, hi):
+    """(pair index, grid index) for every grid index of every run [lo, hi)."""
+    width = hi - lo
+    pick = np.repeat(np.arange(width.size), width)
+    j = np.arange(pick.size) - np.repeat(np.cumsum(width) - width - lo, width)
+    return pick, j
+
+
+def _window_counts(points: np.ndarray, axis: np.ndarray, cap: float) -> np.ndarray:
+    """Point count of every window of squared radius cap centred on the grid axis^d.
+
+    A point is counted when fl((c_0 - p_0)^2) + ... + fl((c_{d-1} - p_{d-1})^2),
+    added left to right in axis order, is at most cap; for d <= 7 this is
+    exactly the sum np.sum(..., axis=-1) forms.  Fixing the leading centre
+    coordinates one axis at a time keeps only the (row, point) pairs whose
+    partial sum stays within cap; along the last axis each pair then covers
+    one run of centres, added into a difference array.  Work is about
+    n * (2r / step)^(d-1) pairs and memory is O(n + centres).
+    """
+    m = axis.size
+    dim = points.shape[1]
+    size = m ** (dim - 1) * (m + 1)
+    diff = np.zeros(size, dtype=np.int64)
+
+    def descend(k, row, owner, partial):
+        x = points[owner, k]
+        lo, hi = _runs(axis, x, partial, cap)
+        if k == dim - 1:
+            base = row * (m + 1)
+            diff[:] += np.bincount(base + lo, minlength=size)
+            diff[:] -= np.bincount(base + hi, minlength=size)
+            return
+        ends = np.cumsum(hi - lo)
+        start = 0
+        while start < ends.size:
+            prior = int(ends[start - 1]) if start else 0
+            stop = max(start + 1, int(np.searchsorted(ends, prior + _PAIR_BATCH, side="right")))
+            pick, j = _expand(lo[start:stop], hi[start:stop])
+            pick += start
+            nxt = partial[pick] + (axis[j] - x[pick]) ** 2
+            descend(k + 1, row[pick] * m + j, owner[pick], nxt)
+            start = stop
+
+    n = points.shape[0]
+    descend(0, np.zeros(n, dtype=np.intp), np.arange(n), np.zeros(n))
+    return np.cumsum(diff.reshape(-1, m + 1)[:, :m], axis=1)
 
 
 def _window_extrema(ps: PointSet, radius: float, step: float):
     vol = ball_volume(ps.ambient_dim, radius)
-    centers = _center_grid(ps.declared_extent - radius, step, ps.ambient_dim)
+    axis = _center_axis(ps.declared_extent - radius, step)
     if len(ps) == 0:
         return radius, 0.0, 0.0
-    pts = ps.points
-    cap = radius * radius * (1.0 + _EDGE_TOL)
-    lo = math.inf
-    hi = 0.0
-    for start in range(0, centers.shape[0], _CENTER_BATCH):
-        chunk = centers[start : start + _CENTER_BATCH]
-        d2 = np.sum((chunk[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-        counts = np.count_nonzero(d2 <= cap, axis=1)
-        lo = min(lo, int(counts.min()))
-        hi = max(hi, int(counts.max()))
-    return radius, lo / vol, hi / vol
+    counts = _window_counts(ps.points, axis, radius * radius * (1.0 + _EDGE_TOL))
+    return radius, int(counts.min()) / vol, int(counts.max()) / vol
 
 
 def density(ps: PointSet, radii, center_grid_step: float | None = None) -> DensityEstimate:
@@ -188,8 +248,7 @@ def density(ps: PointSet, radii, center_grid_step: float | None = None) -> Densi
             raise PreconditionError(f"grid step must be positive, got {step}")
         return _window_extrema(ps, r, step)
 
-    with ThreadPoolExecutor(max_workers=_thread_cap(len(rads))) as pool:
-        curve = list(pool.map(scan, rads))
+    curve = [scan(r) for r in rads]
     return DensityEstimate(
         lower=curve[-1][1],
         upper=curve[-1][2],
@@ -201,21 +260,36 @@ def density(ps: PointSet, radii, center_grid_step: float | None = None) -> Densi
 def uniformly_discrete(ps: PointSet):
     """Minimum pairwise separation; zero or fewer than two points count as discrete.
 
-    Returns (separated, delta) where delta is the brute-force minimum
-    distance (infinite for at most one point) and separated says delta > 0.
-    A duplicated point yields (False, 0.0).
+    Returns (separated, delta) where delta is the minimum distance
+    (infinite for at most one point) and separated says delta > 0.  A
+    duplicated point yields (False, 0.0).  Lexicographic neighbours give an
+    upper bound; a sweep over the points sorted along the axis with the
+    most distinct coordinates then evaluates only pairs whose term on that
+    axis alone stays within the bound.  A sum of non-negative floats is
+    never below one of its terms, so the pruning is exact and delta equals
+    the all-pairs minimum.
     """
     n = len(ps)
     if n <= 1:
         return True, math.inf
     pts = ps.points
-    best = math.inf
-    for start in range(0, n, _CENTER_BATCH):
-        chunk = pts[start : start + _CENTER_BATCH]
-        d2 = np.sum((chunk[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-        offset = start + np.arange(chunk.shape[0])
-        d2[np.arange(chunk.shape[0]), offset] = math.inf
-        best = min(best, float(d2.min()))
+
+    def dist2(a, b):
+        return np.sum((pts[a] - pts[b]) ** 2, axis=-1)
+
+    lex = np.lexsort(pts.T[::-1])
+    best = float(dist2(lex[1:], lex[:-1]).min())
+    sweep = int(np.argmax([np.unique(column).size for column in pts.T]))
+    order = np.argsort(pts[:, sweep], kind="stable")
+    x = pts[order, sweep]
+    starts = np.arange(n)
+    k = 1
+    while best > 0.0 and starts.size:
+        starts = starts[: np.searchsorted(starts, n - k)]
+        starts = starts[(x[starts + k] - x[starts]) ** 2 <= best]
+        if starts.size:
+            best = min(best, float(dist2(order[starts + k], order[starts]).min()))
+        k += 1
     delta = math.sqrt(max(best, 0.0))
     return delta > 0.0, delta
 

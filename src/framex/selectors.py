@@ -523,6 +523,8 @@ def best_selector(
     dim = psd[0].dim
     if any(p.dim != dim for p in psd):
         raise PreconditionError("operators live in different dimensions")
+    if dim == 0:
+        raise PreconditionError("operators must act on a space of positive dimension")
     if not isinstance(order, int) or order < 0:
         raise PreconditionError(f"order must be a nonnegative integer, got {order!r}")
     if not isinstance(restarts, int) or restarts < 1:

@@ -1,4 +1,6 @@
-"""Shared generators for the test suite."""
+"""Shared generators and reference oracles for the test suite."""
+
+import math
 
 import numpy as np
 
@@ -52,3 +54,60 @@ def bounded_rank_ones(rng, dim, count, trace_cap):
         scale = 0.99 / top
         ops = [op * scale for op in ops]
     return ops
+
+
+# Brute-force point-set scans, kept as the oracles of the sweeps in
+# framex.pointsets: every centre against every point, every pair of points.
+_CENTER_BATCH = 2048
+_EDGE_TOL = 1e-12
+
+
+def _center_grid(half: float, step: float, dim: int) -> np.ndarray:
+    axis = np.arange(-half, half + step / 2.0, step)
+    if axis.size == 0:
+        axis = np.zeros(1)
+    grids = np.meshgrid(*([axis] * dim), indexing="ij")
+    return np.stack(grids, axis=-1).reshape(-1, dim)
+
+
+def brute_window_extrema(ps, radius: float, step: float):
+    from framex import ball_volume
+
+    vol = ball_volume(ps.ambient_dim, radius)
+    centers = _center_grid(ps.declared_extent - radius, step, ps.ambient_dim)
+    if len(ps) == 0:
+        return radius, 0.0, 0.0
+    pts = ps.points
+    cap = radius * radius * (1.0 + _EDGE_TOL)
+    lo = math.inf
+    hi = 0.0
+    for start in range(0, centers.shape[0], _CENTER_BATCH):
+        chunk = centers[start : start + _CENTER_BATCH]
+        d2 = np.sum((chunk[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+        counts = np.count_nonzero(d2 <= cap, axis=1)
+        lo = min(lo, int(counts.min()))
+        hi = max(hi, int(counts.max()))
+    return radius, lo / vol, hi / vol
+
+
+def brute_uniformly_discrete(ps):
+    n = len(ps)
+    if n <= 1:
+        return True, math.inf
+    pts = ps.points
+    best = math.inf
+    for start in range(0, n, _CENTER_BATCH):
+        chunk = pts[start : start + _CENTER_BATCH]
+        d2 = np.sum((chunk[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+        offset = start + np.arange(chunk.shape[0])
+        d2[np.arange(chunk.shape[0]), offset] = math.inf
+        best = min(best, float(d2.min()))
+    delta = math.sqrt(max(best, 0.0))
+    return delta > 0.0, delta
+
+
+def brute_window_counts(points, half: float, step: float, cap: float) -> np.ndarray:
+    """Count of every window of the centre grid, in the grid's flat (ij) order."""
+    centers = _center_grid(half, step, points.shape[1])
+    d2 = np.sum((centers[:, None, :] - points[None, :, :]) ** 2, axis=-1)
+    return np.count_nonzero(d2 <= cap, axis=1)

@@ -169,6 +169,25 @@ def test_selector_rejects_zero_restarts(tmp_path):
     assert "results" not in report
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"ambient_dim": 2, "points": [[0.0, 0.0]], "extent": math.inf},
+        {"ambient_dim": 2, "points": [[0.0, 0.0], [math.nan, 1.0]], "extent": 4.0},
+        {"ambient_dim": 1, "points": [[-math.inf]], "extent": 4.0},
+        {"ambient_dim": 1, "points": [[0.0]], "extent": 10**400},
+        {"ambient_dim": 1, "points": [[-(10**400)]], "extent": 4.0},
+    ],
+    ids=["inf-extent", "nan-point", "inf-point", "huge-int-extent", "huge-int-point"],
+)
+def test_density_rejects_non_finite_input(tmp_path, payload):
+    code, report, _ = run_cli(tmp_path, "density", payload)
+    assert code == 3
+    assert report["error"]["type"] == "InputFormatError"
+    assert "finite" in report["error"]["message"] or "float range" in report["error"]["message"]
+    assert "results" not in report
+
+
 def test_density_command(tmp_path):
     payload = {
         "ambient_dim": 1,

@@ -14,6 +14,7 @@ from framex import (
     NoAdmissibleExponentError,
     PreconditionError,
     PairPartition,
+    PsdOperator,
     ScaleExponent,
     best_selector,
     certificate_constant,
@@ -173,6 +174,11 @@ def test_randomized_rejects_no_restarts(rng):
     for bad in (0, -3, 2.0):
         with pytest.raises(PreconditionError):
             best_selector(ops, 2, strategy="randomized", restarts=bad)
+
+
+def test_best_selector_rejects_zero_dimension():
+    with pytest.raises(PreconditionError):
+        best_selector([PsdOperator(np.zeros((0, 0)))], 1, strategy="greedy")
 
 
 def complex_rank_ones(rng, dim, count, trace_cap):
