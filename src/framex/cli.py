@@ -20,6 +20,8 @@ flattened result table next to the report.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import cmath
+import functools
 import json
 import math
 import platform
@@ -28,6 +30,8 @@ import time
 from dataclasses import dataclass, fields, is_dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +53,7 @@ from .selectors import best_selector, natural_max_order
 from .timefreq import (
     CyclicSignal,
     GaborSpec,
+    _base_frame,
     densify_gabor_frame,
     full_lattice_shifts,
     gabor_family,
@@ -74,36 +79,82 @@ class Job:
     timestamp: bool = True
 
 
-def _jsonable(obj):
-    """Recursively convert report content to JSON-safe structures."""
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
+_PLAIN_NUMBERS = {int, float}
+
+
+def _encode(obj, level=0):
+    """Report content as the text json.dumps(..., sort_keys=True, indent=2) gives.
+
+    Non-finite floats become the strings "nan", "inf" and "-inf"; complex
+    numbers become [re, im], Fractions "n/d", dataclasses objects of their
+    fields, sets sorted lists and tuples lists; numpy scalars and arrays
+    encode as their Python values.  Keys go through str() and are sorted.
+    """
+    cls = type(obj)
+    # plain containers first: they are most of a report, and no branch
+    # below them could claim an object of exactly these types
+    if cls is list or cls is tuple:
+        return _encode_list(obj, level)
+    if cls is dict:
+        return _encode_dict(obj, level)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
     if isinstance(obj, float):
-        if np.isfinite(obj):
-            return obj
-        return repr(obj)
+        if math.isfinite(obj):
+            return float.__repr__(obj)
+        return encode_basestring_ascii(repr(obj))
     if isinstance(obj, complex):
-        return [_jsonable(obj.real), _jsonable(obj.imag)]
+        return _encode_list([obj.real, obj.imag], level)
     if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
+        return encode_basestring_ascii(f"{obj.numerator}/{obj.denominator}")
     if isinstance(obj, np.bool_):
-        return bool(obj)
+        return "true" if obj else "false"
     if isinstance(obj, np.integer):
-        return int(obj)
+        return int.__repr__(int(obj))
     if isinstance(obj, np.floating):
-        return _jsonable(float(obj))
+        return _encode(float(obj), level)
     if isinstance(obj, np.complexfloating):
-        return [_jsonable(float(obj.real)), _jsonable(float(obj.imag))]
+        return _encode_list([float(obj.real), float(obj.imag)], level)
     if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
+        return _encode(obj.tolist(), level)
     if is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
+        return _encode_dict({f.name: getattr(obj, f.name) for f in fields(obj)}, level)
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        seq = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
-        return [_jsonable(v) for v in seq]
+        return _encode_dict(obj, level)
+    if isinstance(obj, (set, frozenset)):
+        return _encode_list(sorted(obj), level)
+    if isinstance(obj, (list, tuple)):
+        return _encode_list(obj, level)
     raise InputFormatError(f"cannot serialize {type(obj).__name__} into a report")
+
+
+def _encode_dict(obj, level):
+    if not obj:
+        return "{}"
+    obj = {str(k): v for k, v in obj.items()}
+    pad = "\n" + "  " * (level + 1)
+    items = [f"{encode_basestring_ascii(k)}: {_encode(obj[k], level + 1)}" for k in sorted(obj)]
+    return "{" + pad + ("," + pad).join(items) + "\n" + "  " * level + "}"
+
+
+def _encode_list(seq, level):
+    if not seq:
+        return "[]"
+    pad = "\n" + "  " * (level + 1)
+    if set(map(type, seq)) <= _PLAIN_NUMBERS:
+        # one join of reprs; only "nan" and "inf" spell an n, and those
+        # must go through _encode to become strings
+        text = ("," + pad).join(map(repr, seq))
+        if "n" not in text:
+            return "[" + pad + text + "\n" + "  " * level + "]"
+    text = ("," + pad).join([_encode(v, level + 1) for v in seq])
+    return "[" + pad + text + "\n" + "  " * level + "]"
 
 
 def _load_json(path):
@@ -126,13 +177,59 @@ def _entry(value, complex_field, what):
             raise InputFormatError(f"{what}: complex entries must be numbers")
         if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
             raise InputFormatError(f"{what}: complex entries must be numbers")
-        return complex(re, im)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InputFormatError(f"{what}: entries must be real numbers")
     try:
-        return float(value)
+        return complex(*value) if complex_field else float(value)
     except OverflowError as exc:  # an integer beyond the float range
         raise InputFormatError(f"{what}: an integer entry exceeds the float range") from exc
+
+
+def _bulk_array(raw, entries, complex_field):
+    """np.array(raw) when every entry is a plain JSON number, else None.
+
+    For a complex field every entry must be a [re, im] list of plain
+    numbers; the (..., 2) float array is viewed as complex128, which keeps
+    the bits complex(re, im) gives, -0.0 real parts included.  None sends
+    the caller to the entry-by-entry path, which names the first bad entry.
+    """
+    if complex_field:
+        entries = list(entries)
+        if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
+            return None
+        entries = chain.from_iterable(entries)
+    if not set(map(type, entries)) <= _PLAIN_NUMBERS:
+        return None
+    try:
+        arr = np.array(raw, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return arr.view(np.complex128)[..., 0] if complex_field else arr
+
+
+def _number_rows(raw, width, complex_field, noun, units, unit):
+    """The nonempty list `raw` of rows of `width` numbers as one array.
+
+    Errors name the first bad row as a row-by-row reading meets it: its
+    length, then an entry's type or float range, then finiteness.
+    """
+    arr = None
+    if set(map(type, raw)) == {list} and set(map(len, raw)) == {width}:
+        arr = _bulk_array(raw, chain.from_iterable(raw), complex_field)
+    if arr is not None:
+        bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
+        if bad.size:
+            raise InputFormatError(f"{noun} {bad[0]} has a non-finite {unit}")
+        return arr
+    rows = []
+    for i, row in enumerate(raw):
+        if not isinstance(row, list) or len(row) != width:
+            raise InputFormatError(f"{noun} {i} does not have {width} {units}")
+        values = [_entry(v, complex_field, f"{noun} {i}") for v in row]
+        if not all(map(cmath.isfinite, values)):
+            raise InputFormatError(f"{noun} {i} has a non-finite {unit}")
+        rows.append(values)
+    return np.array(rows, dtype=complex if complex_field else float)
 
 
 def parse_family(payload) -> VectorFamily:
@@ -151,22 +248,20 @@ def parse_family(payload) -> VectorFamily:
     raw = payload["vectors"]
     if not isinstance(raw, list) or not raw:
         raise InputFormatError("'vectors' must be a nonempty list")
-    rows = []
-    for i, row in enumerate(raw):
-        if not isinstance(row, list) or len(row) != dim:
-            raise InputFormatError(f"vector {i} does not have {dim} entries")
-        rows.append([_entry(v, complex_field, f"vector {i}") for v in row])
-    dtype = complex if complex_field else float
-    vectors = np.array(rows, dtype=dtype)
+    vectors = _number_rows(raw, dim, complex_field, "vector", "entries", "entry")
     scalars = None
     if payload.get("scalars") is not None:
         raw_s = payload["scalars"]
-        if not isinstance(raw_s, list) or len(raw_s) != len(rows):
+        if not isinstance(raw_s, list) or len(raw_s) != len(raw):
             raise InputFormatError("'scalars' must list one entry per vector")
-        scalars = [_entry(v, complex_field, "scalars") for v in raw_s]
+        scalars = _bulk_array(raw_s, raw_s, complex_field)
+        if scalars is None:
+            scalars = np.array([_entry(v, complex_field, "scalars") for v in raw_s])
+        if not np.isfinite(scalars).all():
+            raise InputFormatError("scalars: entries must be finite numbers")
     labels = None
     if payload.get("labels") is not None:
-        if not isinstance(payload["labels"], list) or len(payload["labels"]) != len(rows):
+        if not isinstance(payload["labels"], list) or len(payload["labels"]) != len(raw):
             raise InputFormatError("'labels' must list one entry per vector")
         labels = [str(v) for v in payload["labels"]]
     return VectorFamily(vectors, scalars=scalars, labels=labels)
@@ -190,15 +285,10 @@ def parse_pointset(payload) -> PointSet:
     raw = payload["points"]
     if not isinstance(raw, list):
         raise InputFormatError("'points' must be a list")
-    rows = []
-    for i, row in enumerate(raw):
-        if not isinstance(row, list) or len(row) != dim:
-            raise InputFormatError(f"point {i} does not have {dim} coordinates")
-        coords = [_entry(v, False, f"point {i}") for v in row]
-        if not all(math.isfinite(v) for v in coords):
-            raise InputFormatError(f"point {i} has a non-finite coordinate")
-        rows.append(coords)
-    points = np.array(rows, dtype=float) if rows else np.empty((0, dim))
+    if raw:
+        points = _number_rows(raw, dim, False, "point", "coordinates", "coordinate")
+    else:
+        points = np.empty((0, dim))
     return PointSet(points, extent, ambient_dim=dim)
 
 
@@ -451,7 +541,7 @@ def _cmd_construct45(payload, params, seed):
     lead_set = set(leads)
     rest = [p for p in lattice if p not in lead_set]
     spec = GaborSpec(window, leads + rest + lattice * (copies - 1))
-    base_report = frame_bounds(gabor_family(spec))
+    _, base_report = _base_frame(spec)  # densify_gabor_frame reuses it
     family, report = densify_gabor_frame(spec, counts, seed=seed)
     return {
         "length": length,
@@ -538,12 +628,12 @@ def run(job: Job) -> int:
     if job.timestamp:
         report["timestamp"] = stamp
         report["wall_time_s"] = round(time.perf_counter() - started, 6)
-    body = json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
+    body = _encode(report) + "\n"
     out = Path(job.output_path)
     try:
         out.write_text(body, encoding="utf-8")
         if job.csv and code == 0:
-            _write_csv(out.with_suffix(".csv"), _jsonable(report["results"]))
+            _write_csv(out.with_suffix(".csv"), json.loads(body)["results"])
     except OSError as exc:
         print(f"framex: cannot write report: {exc}", file=sys.stderr)
         return 3
@@ -563,7 +653,8 @@ def _parse_params(pairs):
     return params
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser():
     parser = argparse.ArgumentParser(
         prog="framex",
         description="Frame analysis toolbox: one batch job per invocation.",
@@ -579,7 +670,11 @@ def main(argv=None) -> int:
         action="store_true",
         help="omit timestamp and wall time for byte-reproducible reports",
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         params = _parse_params(args.param)
     except InputFormatError as exc:

@@ -125,7 +125,7 @@ class GaborSpec:
     repeated elements in the generated family.
     """
 
-    __slots__ = ("_window", "_shifts")
+    __slots__ = ("_window", "_shifts", "_frame")
 
     def __init__(self, window, shifts):
         self._window = _as_signal(window)
@@ -137,6 +137,7 @@ class GaborSpec:
         if not pairs:
             raise PreconditionError("a Gabor spec needs at least one shift pair")
         self._shifts = tuple(pairs)
+        self._frame = None
 
     @property
     def window(self):
@@ -204,14 +205,22 @@ def gabor_family(spec):
     if window.norm == 0.0:
         raise PreconditionError("the Gabor window must be nonzero")
     length = window.length
-    table = _character_table(length)
-    base = window.samples
-    rows = np.empty((len(spec.shifts), length), dtype=complex)
-    for k, (a, b) in enumerate(spec.shifts):
-        idx = (np.arange(length) * b) % length
-        rows[k] = np.roll(base, a) * table[idx]
+    shifts = np.array(spec.shifts)
+    t = np.arange(length)
+    # row k is base[(t - a_k) % L] * table[(t * b_k) % L], i.e. np.roll(base, a_k)
+    # times the characters, with all shift pairs gathered at once
+    rows = window.samples[(t - shifts[:, :1]) % length]
+    rows *= _character_table(length)[(t * shifts[:, 1:]) % length]
     labels = [f"{a},{b}" for a, b in spec.shifts]
     return VectorFamily(rows, labels=labels)
+
+
+def _base_frame(spec):
+    """The Gabor family of spec and its frame bounds, built once per spec."""
+    if spec._frame is None:
+        family = gabor_family(spec)
+        spec._frame = (family, frame_bounds(family))
+    return spec._frame
 
 
 def stft(f, window):
@@ -340,8 +349,7 @@ def densify_gabor_frame(base, counts, perturbation_budget=None, *, seed=0):
     caps.  Returns the emitted family and a report with the worst
     distances actually realized.
     """
-    fam = gabor_family(base)
-    bounds = frame_bounds(fam)
+    fam, bounds = _base_frame(base)
     if not bounds.is_frame:
         raise NotAFrameError("the base Gabor system must be a frame")
     sizes = [int(k) for k in counts]

@@ -1,10 +1,14 @@
 """Shared generators and reference oracles for the test suite."""
 
+import json
 import math
+from dataclasses import fields, is_dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from framex import VectorFamily
+from framex.errors import InputFormatError
 
 
 def random_family(rng, dim, count, complex_field=False, spread=1.0):
@@ -111,3 +115,54 @@ def brute_window_counts(points, half: float, step: float, cap: float) -> np.ndar
     centers = _center_grid(half, step, points.shape[1])
     d2 = np.sum((centers[:, None, :] - points[None, :, :]) ** 2, axis=-1)
     return np.count_nonzero(d2 <= cap, axis=1)
+
+
+# The report serializer framex.cli used before its one-pass encoder: convert
+# to JSON-safe structures, then json.dumps.  Kept as the encoder's oracle.
+def jsonable(obj):
+    """Recursively convert report content to JSON-safe structures."""
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return obj
+    if isinstance(obj, float):
+        if np.isfinite(obj):
+            return obj
+        return repr(obj)
+    if isinstance(obj, complex):
+        return [jsonable(obj.real), jsonable(obj.imag)]
+    if isinstance(obj, Fraction):
+        return f"{obj.numerator}/{obj.denominator}"
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return jsonable(float(obj))
+    if isinstance(obj, np.complexfloating):
+        return [jsonable(float(obj.real)), jsonable(float(obj.imag))]
+    if isinstance(obj, np.ndarray):
+        return jsonable(obj.tolist())
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: jsonable(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, dict):
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        seq = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
+        return [jsonable(v) for v in seq]
+    raise InputFormatError(f"cannot serialize {type(obj).__name__} into a report")
+
+
+def oracle_report_text(obj):
+    """The report body the two-pass serializer wrote for obj."""
+    return json.dumps(jsonable(obj), sort_keys=True, indent=2) + "\n"
+
+
+def roll_gabor_rows(spec):
+    """Gabor family rows built one shift pair at a time with np.roll."""
+    length = spec.length
+    table = np.exp(2j * np.pi * np.arange(length) / length)
+    base = spec.window.samples
+    rows = np.empty((len(spec.shifts), length), dtype=complex)
+    for k, (a, b) in enumerate(spec.shifts):
+        idx = (np.arange(length) * b) % length
+        rows[k] = np.roll(base, a) * table[idx]
+    return rows

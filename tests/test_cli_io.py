@@ -1,0 +1,377 @@
+"""The CLI boundary: report encoder, bulk payload parse, CSV table, parser reuse."""
+
+import json
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from helpers import jsonable, oracle_report_text
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from framex import cli, gaussian_window, timefreq
+from framex.errors import InputFormatError
+
+from test_cli import mercedes_payload, run_cli, scaled_basis_payload, window_payload, write_json
+
+
+@dataclass(frozen=True)
+class Pair:
+    left: object
+    right: object
+
+
+@dataclass
+class Empty:
+    pass
+
+
+def _encoded(obj):
+    return cli._encode(obj) + "\n"
+
+
+# --- report encoder -------------------------------------------------------
+
+_floats = st.floats(allow_nan=True, allow_infinity=True)
+_huge_ints = st.integers(min_value=-(10**400), max_value=10**400)
+_numpy_scalars = st.one_of(
+    _floats.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.floats(width=16).map(np.float16),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    st.booleans().map(np.bool_),
+    st.complex_numbers(allow_nan=True, allow_infinity=True).map(np.complex128),
+    st.complex_numbers(allow_nan=True, allow_infinity=True, width=64).map(np.complex64),
+)
+_arrays = hnp.arrays(
+    st.sampled_from([np.float64, np.float32, np.complex128, np.int64, np.bool_]),
+    hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+)
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    _huge_ints,
+    _floats,
+    st.just(-0.0),
+    st.text(),
+    st.complex_numbers(allow_nan=True, allow_infinity=True),
+    st.fractions(),
+    _numpy_scalars,
+    _arrays,
+    st.sets(st.integers()),
+    st.frozensets(st.text(max_size=3)),
+    st.sets(st.floats(allow_nan=False)),
+    st.builds(Empty),
+)
+_keys = st.one_of(
+    st.text(),
+    st.integers(),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.fractions(),
+    st.integers(-5, 5).map(np.int64),
+)
+_reports = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_keys, inner, max_size=5),
+        st.builds(Pair, inner, inner),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_reports)
+def test_encoder_matches_two_pass_serializer(obj):
+    assert _encoded(obj) == oracle_report_text(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        -0.0,
+        [0.0, -0.0, 1e-310, 5e-324, 1.7976931348623157e308, 1e16, 0.1],
+        [math.nan, math.inf, -math.inf, 1.0],
+        [np.float64(math.nan), np.float64(-math.inf), np.float32(math.inf)],
+        [10**400, -(10**400), 2**63, 2**64 + 1],
+        np.array(2.5),
+        np.array([], dtype=float),
+        np.zeros((2, 0)),
+        np.array([[1 + 2j, -0.0 - 1j], [math.nan + 0j, complex(math.inf, 1)]]),
+        np.array([[True, False]]),
+        np.arange(6, dtype=np.int32).reshape(2, 3),
+        {1: "one", "1": "uno", None: [], (1, 2): {}, 2.5: set(), True: frozenset()},
+        {np.int64(3): "x", Fraction(1, 2): [], np.float64(0.5): {}, "0.5": -1},
+        {"é": "naïve ☃ \U0001f600", "\x00": "\n\t\"\\"},
+        {"s": {3, 1, 2}, "t": (1, (2.0, [3])), "u": frozenset()},
+        [Fraction(3, 4), Fraction(-6, 4), Pair(1, [Empty()])],
+        [[], {}, (), "", [[]], [{}]],
+        [True, 1, 1.0, None, "1"],
+    ],
+)
+def test_encoder_edge_cases(obj):
+    assert _encoded(obj) == oracle_report_text(obj)
+
+
+def test_encoder_rejects_what_the_serializer_rejected():
+    for obj in (object(), {"x": [1, object()]}, Pair):
+        with pytest.raises(InputFormatError):
+            jsonable(obj)
+        with pytest.raises(InputFormatError):
+            cli._encode(obj)
+
+
+def _density_payload():
+    return {"ambient_dim": 1, "points": [[float(k)] for k in range(-8, 9)], "extent": 8.0}
+
+
+def _complex_payload():
+    return {
+        "dim": 2,
+        "field": "complex",
+        "vectors": [[[1.0, 0.0], [0.0, -0.0]], [[-0.0, 1.0], [2.0, 0.5]], [[0.5, -0.5], [1, 1]]],
+        "scalars": [[1.0, 0.0], [0.5, 0.5], [2, -1]],
+    }
+
+
+# (command, payload, params) covering every CLI command
+_JOBS = [
+    ("analyze", mercedes_payload(), []),
+    ("analyze", _complex_payload(), []),
+    ("classify", mercedes_payload(), []),
+    ("dual", _complex_payload(), []),
+    ("extract", mercedes_payload(), []),
+    ("sample", scaled_basis_payload(), ["epsilon=0.25"]),
+    ("selector", scaled_basis_payload(), ["strategy=greedy"]),
+    ("density", _density_payload(), ["radii=2,4"]),
+    ("gabor", window_payload(8), ["a_step=2"]),
+    ("construct45", window_payload(16), ["counts=1,2", "copies=2"]),
+]
+
+
+@pytest.mark.parametrize("command,payload,params", _JOBS, ids=[j[0] for j in _JOBS])
+def test_reports_and_csv_match_the_two_pass_path(tmp_path, monkeypatch, command, payload, params):
+    argv = [a for p in params for a in ("--param", p)] + ["--seed", "3", "--no-timestamp"]
+    src = write_json(tmp_path / "in.json", payload)
+    new = tmp_path / "new.json"
+    assert cli.main([command, "--in", src, "--out", str(new), "--csv", *argv]) == 0
+
+    # the report body: the encoder against the two-pass serializer
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_encode", lambda obj: oracle_report_text(obj)[:-1])
+        old = tmp_path / "old.json"
+        assert cli.main([command, "--in", src, "--out", str(old), *argv]) == 0
+    assert new.read_bytes() == old.read_bytes()
+
+    # the CSV table: flattened from the parsed body against the converted results
+    results = cli._HANDLERS[command](json.loads(json.dumps(payload)), cli._parse_params(params), 3)
+    cli._write_csv(tmp_path / "old.csv", jsonable(results))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+# --- bulk payload parse ---------------------------------------------------
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+_json_numbers = st.one_of(
+    st.floats(min_value=-1e100, max_value=1e100),
+    st.integers(-(2**80), 2**80),
+    st.just(-0.0),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda dim: st.tuples(
+            st.just(dim),
+            st.booleans(),
+            st.lists(st.lists(st.tuples(_json_numbers, _json_numbers), min_size=dim, max_size=dim),
+                     min_size=1, max_size=6),
+        )
+    )
+)
+def test_bulk_parse_equals_entry_by_entry(case):
+    dim, complex_field, cells = case
+    if complex_field:
+        vectors = [[list(c) for c in row] for row in cells]
+        scalars = [list(row[0]) for row in cells]
+    else:
+        vectors = [[c[0] for c in row] for row in cells]
+        scalars = [row[0][1] for row in cells]
+    payload = {"dim": dim, "field": "complex" if complex_field else "real",
+               "vectors": vectors, "scalars": scalars}
+    points = {"ambient_dim": dim, "extent": 1e300, "points": [[c[0] for c in row] for row in cells]}
+    fast, fast_points = cli.parse_family(payload), cli.parse_pointset(points)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cli, "_bulk_array", lambda *args: None)
+        slow, slow_points = cli.parse_family(payload), cli.parse_pointset(points)
+    assert _same_bits(fast.vectors, slow.vectors)
+    assert _same_bits(fast.scalars, slow.scalars)
+    assert _same_bits(fast_points.points, slow_points.points)
+
+
+def test_bulk_parse_takes_json_payloads_without_the_entry_loop(monkeypatch):
+    seen = []
+    entry = cli._entry
+
+    def noted(value, complex_field, what):
+        seen.append(what)
+        return entry(value, complex_field, what)
+
+    monkeypatch.setattr(cli, "_entry", noted)
+    fam = cli.parse_family(_complex_payload())
+    assert np.signbit(fam.vectors[1, 0].real) and np.signbit(fam.vectors[0, 1].imag)
+    assert fam.scalars.dtype == np.complex128
+    assert len(cli.parse_pointset(_density_payload())) == 17
+    assert seen == ["'extent'"]
+
+
+def test_entry_loop_still_takes_python_payloads():
+    payload = {"dim": 2, "field": "complex", "vectors": [[(1, 2), (3.0, -0.0)]],
+               "scalars": [(np.float64(2.0), 0)]}
+    fam = cli.parse_family(payload)
+    assert fam.vectors.tolist() == [[1 + 2j, 3 + 0j]]
+    assert fam.scalars.tolist() == [2 + 0j]
+
+
+_HUGE = 10**400
+
+
+@pytest.mark.parametrize(
+    "payload,message",
+    [
+        ({"dim": 2, "field": "real", "vectors": [[1.0, True], [1.0]]},
+         "vector 0: entries must be real numbers"),
+        ({"dim": 2, "field": "real", "vectors": [[1.0, 2.0], [1.0]]},
+         "vector 1 does not have 2 entries"),
+        ({"dim": 1, "field": "real", "vectors": [[1.0], ["2"]]},
+         "vector 1: entries must be real numbers"),
+        ({"dim": 1, "field": "real", "vectors": [[1.0], [_HUGE]]},
+         "vector 1: an integer entry exceeds the float range"),
+        ({"dim": 2, "field": "complex", "vectors": [[[1, 2], [3]]]},
+         "vector 0: complex entries must be [re, im] pairs"),
+        ({"dim": 1, "field": "complex", "vectors": [[[1, 2]], [[1, "x"]]]},
+         "vector 1: complex entries must be numbers"),
+        ({"dim": 1, "field": "complex", "vectors": [[[False, 2]]]},
+         "vector 0: complex entries must be numbers"),
+        ({"dim": 1, "field": "complex", "vectors": [[[1, 0]], [[0, _HUGE]]]},
+         "vector 1: an integer entry exceeds the float range"),
+        ({"dim": 1, "field": "real", "vectors": [[1.0], [2.0]], "scalars": [1.0, None]},
+         "scalars: entries must be real numbers"),
+        ({"dim": 1, "field": "complex", "vectors": [[[1, 0]]], "scalars": [1.0]},
+         "scalars: complex entries must be [re, im] pairs"),
+        ({"dim": 1, "field": "real", "vectors": [[1.0], [math.nan]]},
+         "vector 1 has a non-finite entry"),
+        ({"dim": 1, "field": "real", "vectors": [[1.0]], "scalars": [-math.inf]},
+         "scalars: entries must be finite numbers"),
+    ],
+)
+def test_family_parse_errors_name_the_first_bad_entry(payload, message):
+    with pytest.raises(InputFormatError) as err:
+        cli.parse_family(payload)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "points,message",
+    [
+        ([[math.nan], ["x"]], "point 0 has a non-finite coordinate"),
+        ([[0.0], ["x"], [math.nan]], "point 1: entries must be real numbers"),
+        ([[0.0], [1.0, 2.0]], "point 1 does not have 1 coordinates"),
+        ([[0.0], [-_HUGE]], "point 1: an integer entry exceeds the float range"),
+        ([[0.0], [math.inf]], "point 1 has a non-finite coordinate"),
+    ],
+)
+def test_pointset_parse_errors_name_the_first_bad_entry(points, message):
+    with pytest.raises(InputFormatError) as err:
+        cli.parse_pointset({"ambient_dim": 1, "points": points, "extent": 4.0})
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"dim": 2, "field": "real", "vectors": [[1, math.nan], [0, 1]]},
+        {"dim": 2, "field": "complex", "vectors": [[[1, 0], [0, math.inf]], [[0, 0], [1, 0]]]},
+        {"dim": 2, "field": "real", "vectors": [[1, 0], [0, 1]], "scalars": [1.0, math.nan]},
+    ],
+    ids=["real", "complex", "scalars"],
+)
+def test_analyze_rejects_non_finite_family(tmp_path, payload):
+    code, report, _ = run_cli(tmp_path, "analyze", payload)
+    assert code == 3
+    assert report["error"]["type"] == "InputFormatError"
+    assert "finite" in report["error"]["message"]
+    assert "results" not in report
+
+
+def test_analyze_rejects_complex_entry_beyond_float_range(tmp_path):
+    payload = {"dim": 1, "field": "complex", "vectors": [[[_HUGE, 0.0]]]}
+    code, report, _ = run_cli(tmp_path, "analyze", payload)
+    assert code == 3
+    assert report["error"] == {
+        "type": "InputFormatError",
+        "message": "vector 0: an integer entry exceeds the float range",
+    }
+
+
+# --- construct45 and the parser -------------------------------------------
+
+
+def test_construct45_builds_the_base_family_once(tmp_path, monkeypatch):
+    calls = {"gabor_family": 0, "frame_bounds": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(timefreq, "gabor_family", counted("gabor_family", timefreq.gabor_family))
+    monkeypatch.setattr(timefreq, "frame_bounds", counted("frame_bounds", timefreq.frame_bounds))
+    code, report, _ = run_cli(tmp_path, "construct45", window_payload(8), "--param", "counts=1,2")
+    assert code == 0
+    assert calls == {"gabor_family": 1, "frame_bounds": 1}
+    assert report["results"]["base_count"] == 128
+
+
+def test_densify_reuses_the_spec_base_frame():
+    spec = timefreq.GaborSpec(gaussian_window(16), timefreq.full_lattice_shifts(16))
+    family, bounds = timefreq._base_frame(spec)
+    assert timefreq._base_frame(spec)[0] is family
+    emitted, report = timefreq.densify_gabor_frame(spec, [1, 2])
+    assert report.base_count == len(family) == 256
+    assert timefreq._base_frame(spec)[1] is bounds
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    assert cli._parser() is cli._parser()
+    src = write_json(tmp_path / "in.json", mercedes_payload())
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    assert cli.main(["analyze", "--in", src, "--out", str(first), "--param", "probes=3"]) == 0
+    assert cli.main(["analyze", "--in", src, "--out", str(second)]) == 0
+    assert json.loads(first.read_text())["params"] == {"probes": "3"}
+    assert json.loads(second.read_text())["params"] == {}
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    help_text = capsys.readouterr().out
+    assert help_text.startswith("usage: framex [-h] --in INPUT_PATH --out OUTPUT_PATH")
+    assert "--no-timestamp" in help_text and "omit timestamp and wall time" in help_text
+    with pytest.raises(SystemExit):
+        cli.main(["analyze", "--in", src])
+    assert "the following arguments are required: --out" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import roll_gabor_rows
 
 from framex import (
     CyclicSignal,
@@ -97,6 +98,20 @@ def test_gabor_spec_reduces_shifts():
         GaborSpec(gaussian_window(8), [])
     with pytest.raises(PreconditionError):
         gabor_family(GaborSpec(np.zeros(8), [(0, 0)]))
+
+
+@pytest.mark.parametrize("length", [1, 2, 7, 16, 33, 64])
+def test_gabor_family_equals_per_row_roll_oracle(rng, length):
+    window = rng.normal(size=length) + 1j * rng.normal(size=length)
+    lattice = list(full_lattice_shifts(length))
+    # duplicates, and pairs that only land on the grid after reduction mod L
+    extra = [(0, 0), (0, 0), (-1, length), (3 * length + 2, -5), (-(10**12), 10**12 + 1)]
+    spec = GaborSpec(window, extra + lattice + lattice[::-3])
+    fam = gabor_family(spec)
+    oracle = roll_gabor_rows(spec)
+    assert fam.vectors.shape == oracle.shape
+    assert fam.vectors.tobytes() == oracle.tobytes()
+    assert fam.labels == tuple(f"{a},{b}" for a, b in spec.shifts)
 
 
 def test_full_lattice_is_tight(rng):
