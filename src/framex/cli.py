@@ -59,15 +59,6 @@ from .timefreq import (
     gabor_family,
 )
 
-# module globals that honor runtime overrides; everything else is either a
-# function argument (wired below) or frozen into compiled defaults
-_TUNABLES = {
-    "replica_budget": (sampling, "REPLICA_BUDGET"),
-    "exhaustive_limit": (selectors, "EXHAUSTIVE_LIMIT"),
-    "step_divisor": (pointsets, "STEP_DIVISOR"),
-}
-
-
 @dataclass(frozen=True)
 class Job:
     command: str
@@ -400,7 +391,9 @@ def _cmd_dual(payload, params, seed):
 
 def _cmd_extract(payload, params, seed):
     family = parse_family(payload)
-    result = extract(family, seed=seed)
+    result = extract(
+        family, replica_budget=_param_int(params, "replica_budget", sampling.REPLICA_BUDGET)
+    )
     plan = result.plan
     return {
         "multiplicity": {str(n): c for n, c in result.sigma.multiplicity.items()},
@@ -453,7 +446,7 @@ def _cmd_sample(payload, params, seed):
         trace_cap=_param_float(params, "trace_cap", None),
         total_cap=_param_float(params, "total_cap", 0.5),
         depth=_param_int(params, "depth", sampling.MAX_DYADIC_DEPTH),
-        seed=seed,
+        replica_budget=_param_int(params, "replica_budget", sampling.REPLICA_BUDGET),
     )
     return {
         "multiplicity": {str(n): c for n, c in fn.multiplicity.items()},
@@ -476,6 +469,7 @@ def _cmd_selector(payload, params, seed):
         strategy=params.get("strategy", "auto"),
         seed=seed,
         restarts=_param_int(params, "restarts", selectors.RANDOM_RESTARTS),
+        exhaustive_limit=_param_int(params, "exhaustive_limit", selectors.EXHAUSTIVE_LIMIT),
     )
     return {
         "certificate": cert,
@@ -488,7 +482,8 @@ def _cmd_density(payload, params, seed):
     ps = parse_pointset(payload)
     radii = _param_list(params, "radii", [ps.declared_extent / 2.0], kind=float)
     step = _param_float(params, "step", None)
-    est = density(ps, radii, center_grid_step=step)
+    divisor = _param_int(params, "step_divisor", pointsets.STEP_DIVISOR)
+    est = density(ps, radii, center_grid_step=step, step_divisor=divisor)
     discrete, separation = uniformly_discrete(ps)
     return {
         "estimate": est,
@@ -591,11 +586,6 @@ def _write_csv(path, results):
 
 def run(job: Job) -> int:
     """Execute one job and write its report; returns the exit code."""
-    overrides = []
-    for key, (module, attr) in _TUNABLES.items():
-        if key in job.params:
-            overrides.append((module, attr, getattr(module, attr)))
-            setattr(module, attr, _param_int({key: job.params[key]}, key, None))
     started = time.perf_counter()
     stamp = datetime.now(timezone.utc).isoformat()
     report = {
@@ -622,9 +612,6 @@ def run(job: Job) -> int:
     except PreconditionError as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         code = 2
-    finally:
-        for module, attr, value in overrides:
-            setattr(module, attr, value)
     if job.timestamp:
         report["timestamp"] = stamp
         report["wall_time_s"] = round(time.perf_counter() - started, 6)

@@ -52,6 +52,8 @@ class VectorFamily:
             raise PreconditionError("a vector family must hold at least one vector in dim >= 1")
         dtype = np.complex128 if np.iscomplexobj(v) else np.float64
         v = v.astype(dtype, copy=True)
+        if not np.isfinite(v).all():
+            raise PreconditionError("vectors must have finite entries")
         v.setflags(write=False)
         self._vectors = v
         if scalars is not None:
@@ -65,6 +67,8 @@ class VectorFamily:
                     raise PreconditionError("complex scalars over a real family")
                 s = s.real
             s = s.astype(dtype, copy=True)
+            if not np.isfinite(s).all():
+                raise PreconditionError("scalars must be finite")
             s.setflags(write=False)
             self._scalars = s
         else:
@@ -162,9 +166,15 @@ def _family_matrix(family, use_scalars: bool) -> np.ndarray:
 
 
 def frame_operator(family, use_scalars: bool = False) -> PsdOperator:
-    """S = sum of rank-one operators of the (optionally rescaled) vectors."""
+    """S = sum of rank-one operators of the (optionally rescaled) vectors.
+
+    Raises PreconditionError when S overflows the float range.
+    """
     w = _family_matrix(family, use_scalars)
-    s = w.T @ w.conj()
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = w.T @ w.conj()
+    if not np.isfinite(s).all():
+        raise PreconditionError("frame operator is not finite: entries overflow the float range")
     return PsdOperator(s, _prevalidated=True)
 
 

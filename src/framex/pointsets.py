@@ -225,12 +225,20 @@ def _window_extrema(ps: PointSet, radius: float, step: float):
     return radius, int(counts.min()) / vol, int(counts.max()) / vol
 
 
-def density(ps: PointSet, radii, center_grid_step: float | None = None) -> DensityEstimate:
+def density(
+    ps: PointSet,
+    radii,
+    center_grid_step: float | None = None,
+    *,
+    step_divisor: int = STEP_DIVISOR,
+) -> DensityEstimate:
     """Scan window centers inside the faithful region at each radius.
 
     Windows must fit twice into the declared extent so that the center grid
-    retains room to move.  The default grid step is radius / STEP_DIVISOR.
+    retains room to move.  The default grid step is radius / step_divisor.
     """
+    if step_divisor < 1:
+        raise PreconditionError(f"step divisor must be at least 1, got {step_divisor}")
     rads = sorted(float(r) for r in radii)
     if not rads:
         raise PreconditionError("need at least one window radius")
@@ -243,7 +251,7 @@ def density(ps: PointSet, radii, center_grid_step: float | None = None) -> Densi
         )
 
     def scan(r: float):
-        step = center_grid_step if center_grid_step is not None else r / STEP_DIVISOR
+        step = center_grid_step if center_grid_step is not None else r / step_divisor
         if step <= 0:
             raise PreconditionError(f"grid step must be positive, got {step}")
         return _window_extrema(ps, r, step)

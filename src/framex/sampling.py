@@ -12,8 +12,8 @@ with gamma the compressed trace of T on M, together with the exact
 multiplicity certificate  #sigma^{-1}(n) <= 2^{beta+1} c_n.
 
 Stages: exact dyadic decomposition of the weights, ceiling padding with
-auxiliary operators, replication into index multisets, the same-first-index
-pairing discipline, a collapsed selector search over replica counts, and a
+auxiliary operators, replica counts per index, the same-first-index pairing
+discipline, a collapsed selector search over replica counts, and a
 trace-pigeonhole leaf choice.  All count arithmetic is rational-exact;
 floats only enter through eigenvalue computations.
 """
@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, PreconditionError
 from .linalg import NUMERIC_TOL, RANK_DROP_TOL, Projection, PsdOperator
-from .selectors import ScaleExponent, natural_max_order, scale_exponent, selector_constant, PairPartition
+from .selectors import ScaleExponent, natural_max_order, scale_exponent, selector_constant
 
 __all__ = [
     "MAX_DYADIC_DEPTH",
@@ -41,16 +41,14 @@ __all__ = [
     "SamplingCertificate",
     "dyadic_decompose",
     "ceiling_pad",
-    "build_index_sets",
-    "paired_partition",
     "make_paddings",
     "padding_report",
     "sample",
 ]
 
 MAX_DYADIC_DEPTH = 48
-# Materialized replica multisets and search frontiers are capped here; the
-# 2^eta growth is the pipeline's real cost and must fail loudly.
+# Replica totals, search frontiers and materialized mappings are capped
+# here; the 2^eta growth is the pipeline's real cost and must fail loudly.
 REPLICA_BUDGET = 2**22
 SANDWICH_TOL = 1e-8
 
@@ -182,96 +180,7 @@ def ceiling_pad(decomposition: DyadicDecomposition) -> PaddingSet:
     return PaddingSet(exponents=tuple(exponents), base_sum=s)
 
 
-def build_index_sets(weights, decomps, pads, eta: int):
-    """Replicated index multisets (I1, I2) at scale 2^(-eta).
-
-    Each kept term 2^(-e) of weight n becomes 2^(eta-e) replicas (n, i) in
-    I1; padding exponents populate I2 the same way.  Indices n and copy
-    numbers i are 0-based.
-    """
-    if len(weights) != len(decomps) or len(decomps) != len(pads):
-        raise PreconditionError("weights, decompositions and paddings differ in length")
-    exps = [e for d in decomps for e in d.exponents] + [e for p in pads for e in p.exponents]
-    if exps and eta < max(exps):
-        raise PreconditionError(
-            f"eta={eta} is smaller than the finest exponent {max(exps)}"
-        )
-    op_counts = [sum(2 ** (eta - e) for e in d.exponents) for d in decomps]
-    pad_counts = [sum(2 ** (eta - e) for e in p.exponents) for p in pads]
-    for n, (count, c) in enumerate(zip(op_counts, weights)):
-        if count > 2**eta * _as_fraction(c):
-            raise PreconditionError(f"replica count for index {n} exceeds 2^eta c_n")
-    total = sum(op_counts) + sum(pad_counts)
-    if total > REPLICA_BUDGET:
-        raise BudgetExceededError(
-            f"{total} replicas exceed the budget {REPLICA_BUDGET}; eta={eta} is too deep"
-        )
-    ones = [(n, i) for n, count in enumerate(op_counts) for i in range(count)]
-    twos = [(n, i) for n, count in enumerate(pad_counts) for i in range(count)]
-    return ones, twos
-
-
-def paired_partition(ones, twos, seed: int = 0) -> PairPartition:
-    """Pair replicas by the same-first-index discipline.
-
-    I1 replicas sharing an index pair among themselves first; each leftover
-    joins a padding replica (same index preferred, then seeded); leftover
-    padding replicas pair same-index first and the rest adjacently after a
-    seeded shuffle.  Elements are tagged ("op", n, i) / ("pad", n, i) so the
-    two multisets stay distinguishable inside one partition.
-    """
-    if (len(ones) + len(twos)) % 2:
-        raise PreconditionError("total replica count must be even")
-    rng = np.random.default_rng(seed)
-    by_index: dict[int, list] = {}
-    for n, i in sorted(ones):
-        by_index.setdefault(n, []).append(("op", n, i))
-    pad_pool: dict[int, list] = {}
-    for n, i in sorted(twos):
-        pad_pool.setdefault(n, []).append(("pad", n, i))
-
-    pairs = []
-    leftover_ops = []
-    for n in sorted(by_index):
-        group = by_index[n]
-        for k in range(0, len(group) - 1, 2):
-            pairs.append((group[k], group[k + 1]))
-        if len(group) % 2:
-            leftover_ops.append(group[-1])
-
-    unmatched = []
-    for elem in leftover_ops:
-        n = elem[1]
-        if pad_pool.get(n):
-            pairs.append((elem, pad_pool[n].pop(0)))
-            continue
-        candidates = sorted(k for k, v in pad_pool.items() if v)
-        if candidates:
-            pick = candidates[int(rng.integers(len(candidates)))]
-            pairs.append((elem, pad_pool[pick].pop(0)))
-        else:
-            unmatched.append(elem)
-    # no padding left: remaining odd-index replicas pair among themselves
-    for k in range(0, len(unmatched), 2):
-        pairs.append((unmatched[k], unmatched[k + 1]))
-
-    tail = []
-    for n in sorted(pad_pool):
-        group = pad_pool[n]
-        for k in range(0, len(group) - 1, 2):
-            pairs.append((group[k], group[k + 1]))
-        if len(group) % 2:
-            tail.append(group[-1])
-    order = rng.permutation(len(tail))
-    shuffled = [tail[int(j)] for j in order]
-    for k in range(0, len(shuffled), 2):
-        pairs.append((shuffled[k], shuffled[k + 1]))
-
-    indices = tuple(i for pair in pairs for i in pair)
-    return PairPartition(indices=indices, pairs=tuple(pairs))
-
-
-def make_paddings(ops, subspace: Projection, epsilon: float, beta: int):
+def make_paddings(ops, epsilon: float, beta: int):
     """Default padding operators: scaled projections onto each span(T_n).
 
     Traces are capped at min(2^(-beta+2) * epsilon, max operator trace) and
@@ -307,14 +216,12 @@ def make_paddings(ops, subspace: Projection, epsilon: float, beta: int):
     return [PsdOperator(factor * m) for m in mats]
 
 
-def padding_report(ops, paddings, subspace: Projection, epsilon: float, beta: int, pad_weights=None):
+def padding_report(ops, paddings, epsilon: float, beta: int):
     """Post-hoc check of the three padding conditions; returns diagnostics."""
     psd = [op if isinstance(op, PsdOperator) else PsdOperator(op) for op in ops]
     pads = [p if isinstance(p, PsdOperator) else PsdOperator(p) for p in paddings]
     if len(psd) != len(pads):
         raise PreconditionError("one padding operator per input operator is required")
-    if pad_weights is None:
-        pad_weights = [1.0] * len(pads)
     span_defect = 0.0
     for op, pad in zip(psd, pads):
         vals, vecs = np.linalg.eigh(op.matrix)
@@ -323,8 +230,8 @@ def padding_report(ops, paddings, subspace: Projection, epsilon: float, beta: in
         basis = vecs[:, keep]
         residual = pad.matrix - basis @ (basis.conj().T @ pad.matrix)
         span_defect = max(span_defect, float(np.linalg.norm(residual)))
-    weighted = sum(float(w) * p.matrix for w, p in zip(pad_weights, pads))
-    top = float(np.max(np.linalg.eigvalsh((weighted + weighted.conj().T) / 2.0))) if len(pads) else 0.0
+    plain = sum(p.matrix for p in pads)
+    top = float(np.max(np.linalg.eigvalsh((plain + plain.conj().T) / 2.0))) if len(pads) else 0.0
     trace_cap = 2.0 ** (-beta + 2) * epsilon
     worst_trace = max((p.trace for p in pads), default=0.0)
     tol = NUMERIC_TOL * max(1.0, trace_cap)
@@ -430,10 +337,15 @@ def _eig_range(mat: np.ndarray) -> tuple[float, float]:
     return float(vals[0]), float(vals[-1])
 
 
-def _split_choices(state: dict, seed_unused=None):
+def _split_choices(state: dict):
     """One level of the pairing discipline on replica counts.
 
     state maps (kind, n) -> count with kind 0 for operators, 1 for pads.
+    Replicas of one type pair among themselves first.  Each operator index
+    left with an odd replica, in increasing order, takes a pad of the same
+    index if one remains, else the pad with the largest remaining count
+    (lowest index on ties).  Operators left without any pad pair with each
+    other in index order, and so do the pads left with an odd count.
     Returns (base, crosses): base counts go to both children; each cross
     pair contributes exactly one of its two types per child.
     """
@@ -483,21 +395,22 @@ def sample(
     weights,
     subspace: Projection,
     epsilon: float,
-    paddings=None,
     *,
     trace_cap: float | None = None,
     total_cap: float = 0.5,
     constant: float | None = None,
     exponent: ScaleExponent | int | None = None,
     depth: int = MAX_DYADIC_DEPTH,
-    seed: int = 0,
+    replica_budget: int = REPLICA_BUDGET,
 ):
     """Run the full pipeline; returns (SamplingFunction, SamplingCertificate).
 
     The weighted sum must stay below total_cap * I (1/2 by default) and the
     compressed trace gamma on the subspace must not exceed 1.  Exponent and
     constant may be pinned by callers coordinating several runs; otherwise
-    the selector-constant machinery picks them from the trace cap.
+    the selector-constant machinery picks them from the trace cap.  The
+    split search raises BudgetExceededError when the replica total or a
+    search frontier exceeds replica_budget.
     """
     psd = [op if isinstance(op, PsdOperator) else PsdOperator(op) for op in ops]
     if not psd:
@@ -571,12 +484,7 @@ def sample(
         )
 
     pad_specs = [ceiling_pad(d) for d in truncated]
-    if paddings is None:
-        pad_ops = make_paddings(psd, subspace, epsilon, beta)
-    else:
-        pad_ops = [p if isinstance(p, PsdOperator) else PsdOperator(p) for p in paddings]
-        if len(pad_ops) != len(psd):
-            raise PreconditionError("one padding operator per input operator is required")
+    pad_ops = make_paddings(psd, epsilon, beta)
 
     # uniform shrink so pads respect the trace cap, the I/2 sum condition,
     # and a compressed-trace budget of gamma (keeps the pigeonhole honest)
@@ -630,9 +538,9 @@ def sample(
     if levels == 0 or q0 == 0:
         chosen_ops, chosen_pads = op_counts, pad_counts
     else:
-        if q0 > REPLICA_BUDGET:
+        if q0 > replica_budget:
             raise BudgetExceededError(
-                f"{q0} replicas exceed the budget {REPLICA_BUDGET}; "
+                f"{q0} replicas exceed the budget {replica_budget}; "
                 f"eta={eta} with beta={beta} is too deep"
             )
         start = tuple(
@@ -648,7 +556,7 @@ def sample(
                 base, crosses = _split_choices(dict(state))
                 for mask in range(2 ** len(crosses)):
                     nxt.add(_child_state(base, crosses, mask))
-                if len(nxt) > REPLICA_BUDGET:
+                if len(nxt) > replica_budget:
                     raise BudgetExceededError(
                         "selector state frontier exceeds the search budget"
                     )

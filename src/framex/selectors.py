@@ -507,10 +507,11 @@ def best_selector(
     strategy: str = "auto",
     seed: int = 0,
     restarts: int = RANDOM_RESTARTS,
+    exhaustive_limit: int = EXHAUSTIVE_LIMIT,
 ) -> tuple[SelectorTree, SelectorCertificate]:
     """Search for a selector tree minimizing the worst leaf deviation.
 
-    strategy: "auto" picks exhaustive below EXHAUSTIVE_LIMIT total selector
+    strategy: "auto" picks exhaustive up to exhaustive_limit total selector
     count and falls back to randomized restarts; "exhaustive" raises a
     budget error above the limit; "greedy" is a single deterministic
     descent; "randomized" runs `restarts` (at least 1) seeded descents from
@@ -553,12 +554,12 @@ def best_selector(
     if top_eig > 1.0 + NUMERIC_TOL * max(top, 1.0):
         raise PreconditionError(f"operator sum has top eigenvalue {top_eig:.6g} > 1")
 
-    count = _selector_count(len(mats), order, EXHAUSTIVE_LIMIT)
+    count = _selector_count(len(mats), order, exhaustive_limit)
     chosen = strategy
     if strategy == "auto":
-        chosen = "exhaustive" if count <= EXHAUSTIVE_LIMIT else "randomized"
+        chosen = "exhaustive" if count <= exhaustive_limit else "randomized"
     if chosen == "exhaustive":
-        if count > EXHAUSTIVE_LIMIT:
+        if count > exhaustive_limit:
             raise BudgetExceededError(
                 f"selector count exceeds the exhaustive budget 2^20; use randomized search"
             )

@@ -153,13 +153,13 @@ def _sampling_instances(count=100):
         rank = int(rng.integers(1, dim + 1))
         q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
         subspace = Projection(q[:, :rank], dim=dim)
-        out.append((ops, weights, subspace, trial))
+        out.append((ops, weights, subspace))
     return out
 
 
 def test_sampling_multiplicity_battery():
-    for ops, weights, subspace, seed in _sampling_instances():
-        fn, cert = sample(ops, weights, subspace, 0.25, seed=seed)
+    for ops, weights, subspace in _sampling_instances():
+        fn, cert = sample(ops, weights, subspace, 0.25)
         assert cert.mult_ok
         cap = Fraction(2) ** (cert.beta + 1)
         for n, times in fn.multiplicity.items():
@@ -167,8 +167,8 @@ def test_sampling_multiplicity_battery():
 
 
 def test_sampling_sandwich_battery():
-    for ops, weights, subspace, seed in _sampling_instances():
-        fn, cert = sample(ops, weights, subspace, 0.25, seed=seed)
+    for ops, weights, subspace in _sampling_instances():
+        fn, cert = sample(ops, weights, subspace, 0.25)
         assert cert.sandwich_ok
 
         target = sum(float(c) * op.matrix for c, op in zip(weights, ops))
@@ -192,7 +192,7 @@ def test_extraction_battery():
         dim = int(rng.integers(2, 9))
         extras = int(rng.integers(1, 4))
         fam = rescalable_fixture(rng, dim, extras=extras)
-        res = extract(fam, seed=trial)
+        res = extract(fam)
         rep_in = frame_bounds(fam, use_scalars=True)
 
         assert res.report.is_frame and res.report.lower > 0

@@ -69,6 +69,16 @@ def test_classify_and_dual(tmp_path):
     assert report["results"]["max_relative_residual"] < 1e-9
 
 
+@pytest.mark.parametrize("command", ["analyze", "classify"])
+def test_overflowing_frame_operator_writes_an_error_report(tmp_path, command):
+    payload = {"dim": 2, "field": "real", "vectors": [[1e308, 0.0], [0.0, 1e308]]}
+    code, report, _ = run_cli(tmp_path, command, payload)
+    assert code == 2
+    assert report["error"]["type"] == "PreconditionError"
+    assert "overflow" in report["error"]["message"]
+    assert "results" not in report
+
+
 def test_extract_reports_are_byte_identical(tmp_path):
     payload = mercedes_payload()
     bodies = []
@@ -149,8 +159,34 @@ def test_selector_command_and_budget_override(tmp_path):
     )
     assert code == 4
     assert report["error"]["type"] == "BudgetExceededError"
-    # the tunable override is restored once the job finishes
+    # the limit is an argument of this job; no module global is touched
     assert selectors.EXHAUSTIVE_LIMIT == before
+
+
+@pytest.mark.parametrize(
+    "command,payload,extra",
+    [
+        ("selector", scaled_basis_payload(), ["--param", "exhaustive_limit=abc"]),
+        ("sample", scaled_basis_payload(), ["--param", "epsilon=0.25", "--param", "replica_budget=abc"]),
+        ("extract", mercedes_payload(), ["--param", "replica_budget=abc"]),
+        ("density", {"ambient_dim": 1, "points": [[0.0]], "extent": 4.0}, ["--param", "step_divisor=abc"]),
+    ],
+    ids=["exhaustive_limit", "sample-replica_budget", "extract-replica_budget", "step_divisor"],
+)
+def test_malformed_tunable_writes_an_error_report(tmp_path, command, payload, extra):
+    code, report, _ = run_cli(tmp_path, command, payload, *extra)
+    assert code == 3
+    assert report["error"]["type"] == "InputFormatError"
+    assert "must be an integer" in report["error"]["message"]
+    assert "results" not in report
+
+
+def test_extract_replica_budget_param(tmp_path):
+    # the non-dyadic weight 0.49 leaves split levels, where the budget is checked
+    payload = {"dim": 2, "field": "real", "vectors": [[1.0, 0.0], [0.0, 1.0]], "scalars": [1.0, 0.7]}
+    code, report, _ = run_cli(tmp_path, "extract", payload, "--param", "replica_budget=7")
+    assert code == 4
+    assert "exceed the budget 7;" in report["error"]["message"]
 
 
 def test_selector_rejects_zero_restarts(tmp_path):
@@ -202,6 +238,16 @@ def test_density_command(tmp_path):
     assert res["uniformly_discrete"] is True
     assert res["separation"] == pytest.approx(1.0)
     assert pointsets.STEP_DIVISOR == 20
+
+
+def test_density_rejects_zero_step_divisor(tmp_path):
+    payload = {"ambient_dim": 1, "points": [[0.0]], "extent": 4.0}
+    code, report, _ = run_cli(tmp_path, "density", payload, "--param", "step_divisor=0")
+    assert code == 2
+    assert report["error"] == {
+        "type": "PreconditionError",
+        "message": "step divisor must be at least 1, got 0",
+    }
 
 
 def test_gabor_command(tmp_path):

@@ -17,7 +17,7 @@ from framex import (
     paired_rescaling_diagnostic,
     rank_one,
 )
-from framex.errors import NotAFrameError, PreconditionError
+from framex.errors import BudgetExceededError, NotAFrameError, PreconditionError
 from framex.extraction import ENVELOPE_SLACK, _snap_weight, plan
 
 from helpers import rescalable_fixture
@@ -65,7 +65,7 @@ def test_plan_rejects_bad_bounds():
 
 
 def test_extract_orthonormal_basis():
-    res = extract(VectorFamily(np.eye(4)), seed=0)
+    res = extract(VectorFamily(np.eye(4)))
     assert res.sigma.multiplicity == {0: 4, 1: 4, 2: 4, 3: 4}
     assert res.report.lower == pytest.approx(4.0)
     assert res.report.upper == pytest.approx(4.0)
@@ -78,7 +78,7 @@ def test_extract_orthonormal_basis():
 
 def test_extract_rescalable_family(rng):
     fam = rescalable_fixture(rng, 5)
-    res = extract(fam, seed=3)
+    res = extract(fam)
     rep_in = frame_bounds(fam, use_scalars=True)
 
     out = res.report
@@ -112,7 +112,7 @@ def test_extract_rescalable_family(rng):
 
 def test_extract_complex_family(rng):
     fam = complex_integer_weight_family(rng, 4)
-    res = extract(fam, seed=5)
+    res = extract(fam)
     assert res.report.is_frame
     assert res.normalized.field == "complex"
     assert res.total_deviation <= 2.0 * res.plan.epsilon + 1e-8
@@ -121,10 +121,17 @@ def test_extract_complex_family(rng):
 
 def test_extract_is_deterministic(rng):
     fam = rescalable_fixture(rng, 4)
-    first = extract(fam, seed=9)
-    second = extract(fam, seed=9)
+    first = extract(fam)
+    second = extract(fam)
     assert first.sigma.multiplicity == second.sigma.multiplicity
     assert first.report.lower == second.report.lower
+
+
+def test_extract_forwards_the_replica_budget():
+    # the non-dyadic weight 0.49 leaves split levels, where the budget is checked
+    fam = VectorFamily(np.eye(2), scalars=[1.0, 0.7])
+    with pytest.raises(BudgetExceededError, match="exceed the budget 7;"):
+        extract(fam, replica_budget=7)
 
 
 def test_extract_rejects_non_spanning():
@@ -154,7 +161,7 @@ def test_equivalence_c_check():
 
 def test_equivalence_a_to_d_collinear_classes():
     fam = VectorFamily([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-    sel = equivalence_a_to_d(fam, seed=0)
+    sel = equivalence_a_to_d(fam)
     assert sel.representatives == (0, 2)
     assert sel.classes == ((0, 1, 3), (2,))
     assert sel.class_weights == (3.0, 1.0)

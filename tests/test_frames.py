@@ -76,6 +76,26 @@ def test_family_guards():
     assert sub.labels == ("20",)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_family_rejects_non_finite_entries(bad):
+    with pytest.raises(PreconditionError, match="finite"):
+        VectorFamily([[bad, 1.0]])
+    with pytest.raises(PreconditionError, match="finite"):
+        VectorFamily([[1.0 + 0j, complex(0.0, bad)]])
+    with pytest.raises(PreconditionError, match="finite"):
+        VectorFamily(np.eye(2), scalars=[1.0, bad])
+
+
+def test_overflowing_frame_operator_is_rejected():
+    huge = VectorFamily([[1e308, 0.0], [0.0, 1e308]])
+    for fn in (frame_operator, frame_bounds, classify, canonical_dual):
+        with pytest.raises(PreconditionError, match="overflow"):
+            fn(huge)
+    # scalars alone can carry the overflow
+    with pytest.raises(PreconditionError, match="overflow"):
+        frame_bounds(VectorFamily(np.eye(2), scalars=[1e200, 1.0]), use_scalars=True)
+
+
 def test_weighted_vectors():
     fam = VectorFamily(np.eye(2), scalars=[3.0, -1.0])
     np.testing.assert_allclose(fam.weighted_vectors(), np.diag([3.0, -1.0]))

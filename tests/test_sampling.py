@@ -11,17 +11,16 @@ from framex import (
     PsdOperator,
     Projection,
     SamplingFunction,
-    build_index_sets,
     ceiling_pad,
     dyadic_decompose,
     make_paddings,
     padding_report,
-    paired_partition,
     rank_one,
     sample,
 )
+from framex import sampling
 from framex.errors import BudgetExceededError, PreconditionError
-from framex.sampling import REPLICA_BUDGET
+from framex.sampling import REPLICA_BUDGET, _child_state, _split_choices
 
 
 def scaled_basis_ops(dim, trace=0.2):
@@ -86,54 +85,46 @@ def test_ceiling_pad_exact_values():
     assert ceiling_pad(dyadic_decompose(0.8125)).exponents == (3, 4)
 
 
-def test_build_index_sets_counts():
-    weights = [Fraction(3, 4), Fraction(5, 8)]
-    decomps = [dyadic_decompose(c) for c in weights]
-    pads = [ceiling_pad(d) for d in decomps]
-    ones, twos = build_index_sets(weights, decomps, pads, eta=3)
-    # 2^3 * 3/4 = 6 and 2^3 * 5/8 = 5 operator replicas
-    assert sorted(ones) == [(0, i) for i in range(6)] + [(1, i) for i in range(5)]
-    # gaps 1/4 and 3/8 give 2 and 3 pad replicas at scale 2^-3
-    assert sorted(twos) == [(0, i) for i in range(2)] + [(1, i) for i in range(3)]
-    assert len(ones) + len(twos) == 2**3 * sum(p.total for p in pads)
+def test_split_choices_marries_same_index_first():
+    base, crosses = _split_choices({(0, 0): 3, (0, 1): 1, (1, 0): 1, (1, 1): 1})
+    assert base == {(0, 0): 1}
+    assert crosses == [((0, 0), (1, 0)), ((0, 1), (1, 1))]
 
 
-def test_build_index_sets_guards():
-    d = dyadic_decompose(0.75)
-    p = ceiling_pad(d)
-    with pytest.raises(PreconditionError):
-        build_index_sets([0.75], [d], [p], eta=1)  # finest exponent is 2
-    with pytest.raises(PreconditionError):
-        build_index_sets([0.75, 0.5], [d], [p], eta=3)
-    tiny = dyadic_decompose(Fraction(1, 2**30))
-    with pytest.raises(BudgetExceededError):
-        build_index_sets([tiny.target], [tiny], [ceiling_pad(tiny)], eta=30)
+def test_split_choices_takes_the_largest_pad():
+    base, crosses = _split_choices({(0, 0): 1, (0, 1): 1, (1, 2): 3, (1, 3): 1})
+    # pad 2 keeps the largest count after each pick, so both operators take it
+    assert base == {}
+    assert crosses == [((0, 0), (1, 2)), ((0, 1), (1, 2)), ((1, 2), (1, 3))]
 
 
-def test_paired_partition_discipline():
-    ones = [(0, 0), (0, 1), (0, 2), (1, 0)]
-    twos = [(0, 0), (1, 0)]
-    part = paired_partition(ones, twos, seed=3)
-    assert len(part.pairs) == 3
-    flat = sorted(part.indices)
-    assert flat == sorted([("op", *t) for t in ones] + [("pad", *t) for t in twos])
-    # same-index op pairs come first, leftovers marry same-index pads
-    assert (("op", 0, 0), ("op", 0, 1)) in part.pairs
-    assert (("op", 0, 2), ("pad", 0, 0)) in part.pairs
-    assert (("op", 1, 0), ("pad", 1, 0)) in part.pairs
+def test_split_choices_pairs_operators_without_pads():
+    assert _split_choices({(0, 0): 1, (0, 1): 1}) == ({}, [((0, 0), (0, 1))])
 
 
-def test_paired_partition_rejects_odd_total():
-    with pytest.raises(PreconditionError):
-        paired_partition([(0, 0)], [])
+@given(
+    state=st.dictionaries(
+        st.tuples(st.integers(0, 1), st.integers(0, 4)), st.integers(0, 6), max_size=8
+    ).filter(lambda d: sum(d.values()) % 2 == 0),
+    data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_split_choices_halves_and_conserves_counts(state, data):
+    base, crosses = _split_choices(state)
+    conserved = {key: 2 * count for key, count in base.items()}
+    for a, b in crosses:
+        conserved[a] = conserved.get(a, 0) + 1
+        conserved[b] = conserved.get(b, 0) + 1
+    assert conserved == {key: count for key, count in state.items() if count}
+    mask = data.draw(st.integers(0, 2 ** len(crosses) - 1))
+    assert sum(count for _, count in _child_state(base, crosses, mask)) * 2 == sum(state.values())
 
 
 def test_make_paddings_conditions():
     rng = np.random.default_rng(5)
     ops = [rank_one(0.7 * rng.normal(size=4)) for _ in range(3)]
-    subspace = Projection(np.eye(4)[:, :2], dim=4)
-    pads = make_paddings(ops, subspace, epsilon=0.5, beta=2)
-    report = padding_report(ops, pads, subspace, epsilon=0.5, beta=2)
+    pads = make_paddings(ops, epsilon=0.5, beta=2)
+    report = padding_report(ops, pads, epsilon=0.5, beta=2)
     assert report["span_ok"]
     assert report["sum_ok"]
     assert report["trace_ok"]
@@ -142,14 +133,14 @@ def test_make_paddings_conditions():
 
 def test_make_paddings_zero_for_zero_ops():
     zero = PsdOperator.zero(3)
-    pads = make_paddings([zero], Projection.full(3), epsilon=0.5, beta=1)
+    pads = make_paddings([zero], epsilon=0.5, beta=1)
     assert pads[0].trace == 0.0
 
 
 def test_sample_uniform_weights(rng):
     ops = scaled_basis_ops(3)
     subspace = Projection(np.eye(3)[:, :1], dim=3)
-    fn, cert = sample(ops, [1, 1, 1], subspace, 0.25, seed=7)
+    fn, cert = sample(ops, [1, 1, 1], subspace, 0.25)
     # unit weights are a single dyadic term, so the leaf is forced
     assert fn.multiplicity == {0: 128, 1: 128, 2: 128}
     assert cert.beta == 7
@@ -165,7 +156,7 @@ def test_sample_truncates_fine_tails():
     ops = scaled_basis_ops(3)
     subspace = Projection(np.eye(3)[:, :2], dim=3)
     weights = [Fraction(3, 4), Fraction(5, 8), Fraction(1, 2)]
-    fn, cert = sample(ops, weights, subspace, 0.25, seed=7)
+    fn, cert = sample(ops, weights, subspace, 0.25)
     # tails below eps/2 are dropped, so every weight flattens to 1/2
     assert fn.multiplicity == {0: 64, 1: 64, 2: 64}
     assert cert.tail_norm <= 0.25 / 2
@@ -176,7 +167,7 @@ def test_sample_pinned_exponent_runs_split_levels():
     ops = scaled_basis_ops(3)
     subspace = Projection(np.eye(3)[:, :1], dim=3)
     weights = [Fraction(3, 4), Fraction(5, 8), Fraction(1, 2)]
-    fn, cert = sample(ops, weights, subspace, 0.25, exponent=0, seed=7)
+    fn, cert = sample(ops, weights, subspace, 0.25, exponent=0)
     assert cert.beta == 0
     assert cert.window_empty
     assert cert.levels == 1
@@ -189,11 +180,22 @@ def test_sample_pinned_exponent_runs_split_levels():
         assert Fraction(count) <= 2 * weights[n]
 
 
+def test_sample_replica_budget_is_an_argument():
+    ops = scaled_basis_ops(3)
+    subspace = Projection(np.eye(3)[:, :1], dim=3)
+    weights = [Fraction(3, 4), Fraction(5, 8), Fraction(1, 2)]
+    before = {name: getattr(sampling, name) for name in dir(sampling) if name.isupper()}
+    # the pinned case splits 6 replicas over one level
+    with pytest.raises(BudgetExceededError, match="6 replicas exceed the budget 1"):
+        sample(ops, weights, subspace, 0.25, exponent=0, replica_budget=1)
+    assert {name: getattr(sampling, name) for name in dir(sampling) if name.isupper()} == before
+
+
 def test_sample_is_deterministic():
     ops = scaled_basis_ops(4)
     subspace = Projection(np.eye(4)[:, :2], dim=4)
     runs = [
-        sample(ops, [1, 1, 1, 1], subspace, 0.25, seed=11)
+        sample(ops, [1, 1, 1, 1], subspace, 0.25)
         for _ in range(2)
     ]
     assert runs[0][0].multiplicity == runs[1][0].multiplicity
