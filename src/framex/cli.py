@@ -391,9 +391,7 @@ def _cmd_dual(payload, params, seed):
 
 def _cmd_extract(payload, params, seed):
     family = parse_family(payload)
-    result = extract(
-        family, replica_budget=_param_int(params, "replica_budget", sampling.REPLICA_BUDGET)
-    )
+    result = extract(family)
     plan = result.plan
     return {
         "multiplicity": {str(n): c for n, c in result.sigma.multiplicity.items()},
@@ -446,7 +444,6 @@ def _cmd_sample(payload, params, seed):
         trace_cap=_param_float(params, "trace_cap", None),
         total_cap=_param_float(params, "total_cap", 0.5),
         depth=_param_int(params, "depth", sampling.MAX_DYADIC_DEPTH),
-        replica_budget=_param_int(params, "replica_budget", sampling.REPLICA_BUDGET),
     )
     return {
         "multiplicity": {str(n): c for n, c in fn.multiplicity.items()},

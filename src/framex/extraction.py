@@ -29,7 +29,7 @@ from .errors import (
 )
 from .frames import VectorFamily, FrameReport, canonical_dual, frame_bounds
 from .linalg import NUMERIC_TOL, RANK_DROP_TOL, Projection, rank_one
-from .sampling import REPLICA_BUDGET, SANDWICH_TOL, SamplingCertificate, SamplingFunction, sample
+from .sampling import SANDWICH_TOL, SamplingCertificate, SamplingFunction, sample
 from .selectors import (
     ScaleExponent,
     natural_max_order,
@@ -313,14 +313,13 @@ def plan(family, lower: float, upper: float) -> ExtractionPlan:
     raise PreconditionError("block thresholds kept failing after boundary advancement")
 
 
-def extract(family, *, replica_budget: int = REPLICA_BUDGET) -> ExtractionResult:
+def extract(family) -> ExtractionResult:
     """Select a multiset of indices whose normalized vectors form a frame.
 
     Output frame bounds land inside [2^beta A/3, 3 2^beta B] up to
     ENVELOPE_SLACK, and each index n repeats at most
     max(144 C^2 B/A^2, 64 C^4/B^2) |c_n|^2 ||x_n||^2 times; the comparison
-    is exact in rational arithmetic.  replica_budget goes to every block's
-    sample call.
+    is exact in rational arithmetic.
     """
     fam, weights, units, active = _family_data(family)
     use_scalars = fam.scalars is not None
@@ -349,7 +348,6 @@ def extract(family, *, replica_budget: int = REPLICA_BUDGET) -> ExtractionResult
             total_cap=1.0,
             constant=layout.constant,
             exponent=ScaleExponent(value=layout.beta, window_empty=layout.window_empty),
-            replica_budget=replica_budget,
         )
         if not cert.sandwich_ok:
             raise PreconditionError(

@@ -44,6 +44,9 @@ def _as_square_matrix(matrix) -> np.ndarray:
 
 
 def _check_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> None:
+    # NaN fails every comparison below, so it must be caught first
+    if not np.isfinite(a).all():
+        raise PreconditionError("matrix has non-finite entries")
     scale = max(float(np.max(np.abs(a))) if a.size else 0.0, 1.0)
     skew = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
     if skew > tol * scale:
@@ -55,9 +58,10 @@ def _check_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> None:
 class PsdOperator:
     """A validated positive-semidefinite Hermitian operator on C^d or R^d.
 
-    Construction symmetrizes the input after checking Hermitian symmetry and
-    rejects matrices whose smallest eigenvalue is below -PSD_TOL relative to
-    the operator norm.  Trace and operator norm are cached.
+    Construction symmetrizes the input after checking that it is finite and
+    Hermitian, and rejects matrices whose smallest eigenvalue is below
+    -PSD_TOL relative to the operator norm.  Trace and operator norm are
+    cached.
     """
 
     __slots__ = ("_matrix", "_eigenvalues", "_trace", "_opnorm")

@@ -12,9 +12,10 @@ with gamma the compressed trace of T on M, together with the exact
 multiplicity certificate  #sigma^{-1}(n) <= 2^{beta+1} c_n.
 
 Stages: exact dyadic decomposition of the weights, ceiling padding with
-auxiliary operators, replica counts per index, the same-first-index pairing
-discipline, a collapsed selector search over replica counts, and a
-trace-pigeonhole leaf choice.  All count arithmetic is rational-exact;
+auxiliary operators, replica counts per index, then one halving per level by
+the same-first-index pairing discipline, keeping the child found by a greedy
+single-flip descent (the stand-in for the non-constructive selector; the
+certificate records what holds).  All count arithmetic is rational-exact;
 floats only enter through eigenvalue computations.
 """
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, PreconditionError
 from .linalg import NUMERIC_TOL, RANK_DROP_TOL, Projection, PsdOperator
-from .selectors import ScaleExponent, natural_max_order, scale_exponent, selector_constant
+from .selectors import ScaleExponent, _descend, natural_max_order, scale_exponent, selector_constant
 
 __all__ = [
     "MAX_DYADIC_DEPTH",
@@ -47,8 +48,8 @@ __all__ = [
 ]
 
 MAX_DYADIC_DEPTH = 48
-# Replica totals, search frontiers and materialized mappings are capped
-# here; the 2^eta growth is the pipeline's real cost and must fail loudly.
+# Cap on materialized SamplingFunction mappings; counts themselves are
+# plain ints and are never materialized.
 REPLICA_BUDGET = 2**22
 SANDWICH_TOL = 1e-8
 
@@ -401,16 +402,15 @@ def sample(
     constant: float | None = None,
     exponent: ScaleExponent | int | None = None,
     depth: int = MAX_DYADIC_DEPTH,
-    replica_budget: int = REPLICA_BUDGET,
 ):
     """Run the full pipeline; returns (SamplingFunction, SamplingCertificate).
 
     The weighted sum must stay below total_cap * I (1/2 by default) and the
     compressed trace gamma on the subspace must not exceed 1.  Exponent and
     constant may be pinned by callers coordinating several runs; otherwise
-    the selector-constant machinery picks them from the trace cap.  The
-    split search raises BudgetExceededError when the replica total or a
-    search frontier exceeds replica_budget.
+    the selector-constant machinery picks them from the trace cap.  Each of
+    the eta - beta split levels keeps one child, found by a greedy descent;
+    PreconditionError is raised if the leaf fails the trace pigeonhole.
     """
     psd = [op if isinstance(op, PsdOperator) else PsdOperator(op) for op in ops]
     if not psd:
@@ -513,79 +513,63 @@ def sample(
     q0 = sum(op_counts) + sum(pad_counts)
     assert q0 == 2**eta * sum(spec.total for spec in pad_specs)
 
-    def leaf_stats(leaf_ops, leaf_pads):
-        scale = 2.0**-beta
-        dev = -target
-        for n, count in enumerate(leaf_ops):
-            if count:
-                dev = dev + (scale * count) * mats[n]
-        pig = dev + target  # scaled operator part
-        pig_mat = pig + sum(
-            (scale * count) * pad_mats[n] for n, count in enumerate(leaf_pads) if count
+    pig_cap = 2.0 * gamma + NUMERIC_TOL * max(1.0, 2.0 * gamma)
+    leaf_caps = [math.floor(2 ** (beta + 1) * c) for c in fracs]  # exact for integer counts
+    chosen_ops, chosen_pads = op_counts, pad_counts
+    if levels:
+        # one greedy descent per level over the cross sides, from mask 0; a
+        # child's key is (pigeonhole violated, count above the caps, sandwich
+        # excess) at the level's scale 2^-(eta - level)
+        n_ops = len(psd)
+        state = {(k, n): c for k, counts in enumerate((op_counts, pad_counts)) for n, c in enumerate(counts)}
+        stack = np.stack(mats + pad_mats)
+        press = np.real(np.einsum("ij,kji->k", proj, stack))  # trace(P X P) per column
+        half_perp = (epsilon / 2.0) * proj_perp
+        for level in range(1, levels + 1):
+            base, crosses = _split_choices(state)
+            scale = 2.0 ** -(eta - level)
+            base_counts = np.array([float(base.get((k, n), 0)) for k in (0, 1) for n in range(n_ops)])
+            # counts within 2^(levels - level) leaf caps keep the caps whatever
+            # later levels pick; clipping the slack to [0, crosses] shifts
+            # every child's count above them by one constant
+            slack = np.array([
+                min(max(cap * 2 ** (levels - level) - base.get((0, n), 0), 0), len(crosses))
+                for n, cap in enumerate(leaf_caps)
+            ])
+            picks = np.array([[k * n_ops + n for k, n in p] for p in crosses], dtype=np.int64).reshape(-1, 2)
+
+            def score(rows):
+                hits = np.zeros((len(rows), 2 * n_ops), dtype=np.int64)
+                taken = np.where(rows, picks[:, 1], picks[:, 0])  # column of each cross's pick
+                np.add.at(hits, (np.arange(len(rows))[:, None], taken), 1)
+                coeff = scale * (base_counts + hits)
+                dev = np.tensordot(coeff[:, :n_ops], stack[:n_ops], axes=1) - target
+                lo = np.linalg.eigvalsh(dev + half_perp)[:, 0]
+                hi = np.linalg.eigvalsh(dev - half_perp)[:, -1]
+                over_cap = np.maximum(hits[:, :n_ops] - slack, 0).sum(axis=1)
+                excess = np.maximum(np.maximum(hi, -lo), 0.0)
+                return np.column_stack([coeff @ press > pig_cap, over_cap, excess])
+
+            sides = _descend(np.zeros(len(crosses), dtype=np.int64), np.arange(len(crosses)), score)
+            state = dict(_child_state(base, crosses, sum(1 << int(i) for i in np.flatnonzero(sides))))
+        chosen_ops, chosen_pads = ([state.get((k, n), 0) for n in range(n_ops)] for k in (0, 1))
+
+    scale = 2.0**-beta
+    dev = -target
+    for n, count in enumerate(chosen_ops):
+        if count:
+            dev = dev + (scale * count) * mats[n]
+    pig_mat = dev + target + sum(
+        (scale * count) * pad_mats[n] for n, count in enumerate(chosen_pads) if count
+    )
+    pig_trace = float(np.real(np.trace(proj @ pig_mat @ proj)))
+    if levels and pig_trace > pig_cap:
+        raise PreconditionError(
+            "no leaf satisfies the trace pigeonhole; inputs violate the "
+            "average-trace argument"
         )
-        pig_trace = float(np.real(np.trace(proj @ pig_mat @ proj)))
-        lo, _ = _eig_range(dev + (epsilon / 2.0) * proj_perp)
-        _, hi = _eig_range(dev - (epsilon / 2.0) * proj_perp)
-        return lo, hi, pig_trace
-
-    mult_bound = 2 ** (beta + 1)
-
-    def mult_check(leaf_ops) -> bool:
-        return all(
-            Fraction(count) <= mult_bound * c for count, c in zip(leaf_ops, fracs)
-        )
-
-    if levels == 0 or q0 == 0:
-        chosen_ops, chosen_pads = op_counts, pad_counts
-    else:
-        if q0 > replica_budget:
-            raise BudgetExceededError(
-                f"{q0} replicas exceed the budget {replica_budget}; "
-                f"eta={eta} with beta={beta} is too deep"
-            )
-        start = tuple(
-            sorted(
-                [((0, n), c) for n, c in enumerate(op_counts) if c]
-                + [((1, n), c) for n, c in enumerate(pad_counts) if c]
-            )
-        )
-        frontier = {start}
-        for _ in range(levels):
-            nxt = set()
-            for state in frontier:
-                base, crosses = _split_choices(dict(state))
-                for mask in range(2 ** len(crosses)):
-                    nxt.add(_child_state(base, crosses, mask))
-                if len(nxt) > replica_budget:
-                    raise BudgetExceededError(
-                        "selector state frontier exceeds the search budget"
-                    )
-            frontier = nxt
-        pig_cap = 2.0 * gamma + NUMERIC_TOL * max(1.0, 2.0 * gamma)
-        best = None
-        for state in sorted(frontier):
-            leaf_ops = [0] * len(psd)
-            leaf_pads = [0] * len(psd)
-            for (kind, n), count in state:
-                if kind == 0:
-                    leaf_ops[n] = count
-                else:
-                    leaf_pads[n] = count
-            lo, hi, pig = leaf_stats(leaf_ops, leaf_pads)
-            if pig > pig_cap:
-                continue
-            excess = max(hi, -lo, 0.0)
-            key = (not mult_check(leaf_ops), excess)
-            if best is None or key < best[0]:
-                best = (key, leaf_ops, leaf_pads)
-        if best is None:
-            raise PreconditionError(
-                "no leaf satisfies the trace pigeonhole; inputs violate the "
-                "average-trace argument"
-            )
-        chosen_ops, chosen_pads = best[1], best[2]
-
-    lo, hi, pig_trace = leaf_stats(chosen_ops, chosen_pads)
+    lo, _ = _eig_range(dev + (epsilon / 2.0) * proj_perp)
+    _, hi = _eig_range(dev - (epsilon / 2.0) * proj_perp)
     bound = 6.0 * math.sqrt(gamma)
     ok_tol = SANDWICH_TOL + NUMERIC_TOL * max(1.0, bound)
     sigma = SamplingFunction(
@@ -603,7 +587,7 @@ def sample(
         sandwich_hi=hi,
         sandwich_bound=bound,
         sandwich_ok=(lo >= -(bound + ok_tol)) and (hi <= bound + ok_tol),
-        mult_ok=mult_check(chosen_ops),
+        mult_ok=all(count <= cap for count, cap in zip(chosen_ops, leaf_caps)),
         pigeonhole_trace=pig_trace,
         pigeonhole_cap=2.0 * gamma,
         levels=levels,

@@ -328,6 +328,28 @@ def _batched_deviations(stack, rows, target, scale) -> np.ndarray:
     return np.max(np.abs(vals), axis=-1)
 
 
+def _descend(sides: np.ndarray, flips: np.ndarray, score) -> np.ndarray:
+    """Greedy single-flip descent on a 0/1 side vector, in place.
+
+    score maps an (m, len(sides)) array of side rows to an (m, k) array of
+    keys, compared lexicographically (column 0 first).  Each sweep scores
+    every single flip of the positions in flips with one score call and
+    takes the first strictly smaller key; with k = 1 that is the first
+    argmin.  Stops when no flip improves; returns sides.
+    """
+    current = score(sides[None])[0].tolist()
+    while len(flips):
+        trial = np.repeat(sides[None], len(flips), axis=0)
+        trial[np.arange(len(flips)), flips] ^= 1
+        keys = score(trial)
+        best = int(np.lexsort(keys.T[::-1])[0])
+        if not keys[best].tolist() < current:
+            break
+        sides[flips[best]] ^= 1
+        current = keys[best].tolist()
+    return sides
+
+
 class _TreeBuilder:
     """Shared state for building selector trees over a fixed operator stack."""
 
@@ -357,22 +379,13 @@ def _greedy_cell(builder: _TreeBuilder, ids, remaining, rng) -> SelectorCell:
     level_scale = float(2 ** (builder.order - remaining + 1))
 
     def objective(side_rows):
-        # max over both children of every side vector, in one eigensolve
+        # max over both children of every side vector, in one eigensolve,
+        # as one-column keys
         rows = np.concatenate([pairs[slots, side_rows], pairs[slots, 1 - side_rows]])
         devs = _batched_deviations(builder.stack, rows, builder.target, level_scale)
-        return np.maximum(devs[: len(side_rows)], devs[len(side_rows):])
+        return np.maximum(devs[: len(side_rows)], devs[len(side_rows):])[:, None]
 
-    # Each sweep scores every single flip and takes the first strict best.
-    current = objective(sides[None])[0]
-    while len(flips):
-        trial = np.repeat(sides[None], len(flips), axis=0)
-        trial[np.arange(len(flips)), flips] ^= 1
-        vals = objective(trial)
-        best = int(np.argmin(vals))
-        if not vals[best] < current:
-            break
-        sides[flips[best]] ^= 1
-        current = vals[best]
+    _descend(sides, flips, objective)
     left = tuple(pairs[slots, sides].tolist())
     right = tuple(pairs[slots, 1 - sides].tolist())
     return SelectorCell(
@@ -561,7 +574,8 @@ def best_selector(
     if chosen == "exhaustive":
         if count > exhaustive_limit:
             raise BudgetExceededError(
-                f"selector count exceeds the exhaustive budget 2^20; use randomized search"
+                f"selector count exceeds the exhaustive budget {exhaustive_limit}; "
+                "use randomized search"
             )
         tree = _exhaustive_tree(mats, traces, target_m, order)
     elif chosen == "greedy":

@@ -56,6 +56,8 @@ class CyclicSignal:
         arr = np.asarray(samples, dtype=complex)
         if arr.ndim != 1 or arr.size == 0:
             raise PreconditionError("a cyclic signal needs a nonempty 1-d sample vector")
+        if not np.isfinite(arr).all():
+            raise PreconditionError("signal samples must be finite")
         self._samples = arr.copy()
         self._samples.flags.writeable = False
 

@@ -119,9 +119,9 @@ def test_sample_requires_epsilon_and_scalars(tmp_path):
     assert code == 2
 
 
-def test_sample_budget_exhaustion(tmp_path):
-    # a subspace orthogonal to the operator zeroes gamma, forcing the
-    # dyadic expansion of 1/3 to stay symbolic far past the budget
+def test_sample_splits_a_non_dyadic_weight(tmp_path):
+    # a subspace orthogonal to the operator zeroes gamma, so the dyadic
+    # expansion of 1/3 is kept to 2^-26 and split over 19 levels
     payload = {
         "dim": 2,
         "field": "real",
@@ -137,8 +137,12 @@ def test_sample_budget_exhaustion(tmp_path):
         "--param",
         "subspace_cols=1",
     )
-    assert code == 4
-    assert report["error"]["type"] == "BudgetExceededError"
+    assert code == 0
+    cert = report["results"]["certificate"]
+    assert cert["levels"] == 19
+    assert cert["replica_total"] == 2**26
+    assert cert["sandwich_ok"] and cert["mult_ok"]
+    assert report["results"]["multiplicity"] == {"0": 43}
 
 
 def test_selector_command_and_budget_override(tmp_path):
@@ -159,6 +163,7 @@ def test_selector_command_and_budget_override(tmp_path):
     )
     assert code == 4
     assert report["error"]["type"] == "BudgetExceededError"
+    assert "exhaustive budget 1;" in report["error"]["message"]
     # the limit is an argument of this job; no module global is touched
     assert selectors.EXHAUSTIVE_LIMIT == before
 
@@ -167,11 +172,9 @@ def test_selector_command_and_budget_override(tmp_path):
     "command,payload,extra",
     [
         ("selector", scaled_basis_payload(), ["--param", "exhaustive_limit=abc"]),
-        ("sample", scaled_basis_payload(), ["--param", "epsilon=0.25", "--param", "replica_budget=abc"]),
-        ("extract", mercedes_payload(), ["--param", "replica_budget=abc"]),
         ("density", {"ambient_dim": 1, "points": [[0.0]], "extent": 4.0}, ["--param", "step_divisor=abc"]),
     ],
-    ids=["exhaustive_limit", "sample-replica_budget", "extract-replica_budget", "step_divisor"],
+    ids=["exhaustive_limit", "step_divisor"],
 )
 def test_malformed_tunable_writes_an_error_report(tmp_path, command, payload, extra):
     code, report, _ = run_cli(tmp_path, command, payload, *extra)
@@ -181,12 +184,14 @@ def test_malformed_tunable_writes_an_error_report(tmp_path, command, payload, ex
     assert "results" not in report
 
 
-def test_extract_replica_budget_param(tmp_path):
-    # the non-dyadic weight 0.49 leaves split levels, where the budget is checked
+def test_extract_generic_weights(tmp_path):
     payload = {"dim": 2, "field": "real", "vectors": [[1.0, 0.0], [0.0, 1.0]], "scalars": [1.0, 0.7]}
-    code, report, _ = run_cli(tmp_path, "extract", payload, "--param", "replica_budget=7")
-    assert code == 4
-    assert "exceed the budget 7;" in report["error"]["message"]
+    code, report, _ = run_cli(tmp_path, "extract", payload)
+    assert code == 0
+    results = report["results"]
+    assert results["mult_ok"]
+    assert all(cert is None or cert["sandwich_ok"] for cert in results["certificates"])
+    assert max(cert["levels"] for cert in results["certificates"] if cert) == 26
 
 
 def test_selector_rejects_zero_restarts(tmp_path):

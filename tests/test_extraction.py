@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framex import (
     VectorFamily,
@@ -17,7 +19,7 @@ from framex import (
     paired_rescaling_diagnostic,
     rank_one,
 )
-from framex.errors import BudgetExceededError, NotAFrameError, PreconditionError
+from framex.errors import NotAFrameError, PreconditionError
 from framex.extraction import ENVELOPE_SLACK, _snap_weight, plan
 
 from helpers import rescalable_fixture
@@ -127,11 +129,43 @@ def test_extract_is_deterministic(rng):
     assert first.report.lower == second.report.lower
 
 
-def test_extract_forwards_the_replica_budget():
-    # the non-dyadic weight 0.49 leaves split levels, where the budget is checked
-    fam = VectorFamily(np.eye(2), scalars=[1.0, 0.7])
-    with pytest.raises(BudgetExceededError, match="exceed the budget 7;"):
-        extract(fam, replica_budget=7)
+def assert_certified(fam, res):
+    """mult_ok, every block sandwich and the output bounds inside the envelope."""
+    assert res.mult_ok
+    assert all(cert is None or (cert.sandwich_ok and cert.mult_ok) for cert in res.certificates)
+    lo, hi = res.envelope
+    assert res.report.lower >= lo * (1 - ENVELOPE_SLACK)
+    assert res.report.upper <= hi * (1 + ENVELOPE_SLACK)
+    assert res.total_deviation <= res.deviation_cap + 1e-8
+    rep_in = frame_bounds(fam, use_scalars=True)
+    scale = 2.0**res.plan.beta
+    assert res.envelope == pytest.approx((scale * rep_in.lower / 3.0, 3.0 * scale * rep_in.upper))
+
+
+@pytest.mark.parametrize("scalars,levels", [([1.0, 0.7], 26), ([1.0, 0.9], 28)])
+def test_extract_generic_two_vector_weights(scalars, levels):
+    # the second block's reference subspace has rank 0, so gamma = 0 keeps
+    # the dyadic expansion of c^2 deep and the split runs over many levels
+    fam = VectorFamily(np.eye(2), scalars=scalars)
+    res = extract(fam)
+    assert_certified(fam, res)
+    assert max(cert.levels for cert in res.certificates if cert) == levels
+    assert set(res.sigma.multiplicity) == {0, 1}
+
+
+@given(
+    dim=st.integers(2, 6),
+    extra=st.integers(0, 14),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+@settings(max_examples=30, deadline=None)
+def test_extract_random_real_weights(dim, extra, seed, data):
+    count = min(dim + extra, 16)
+    vectors = np.random.default_rng(seed).normal(size=(count, dim))
+    scalars = data.draw(st.lists(st.floats(0.3, 1.5), min_size=count, max_size=count))
+    fam = VectorFamily(vectors, scalars=scalars)
+    assert_certified(fam, extract(fam))
 
 
 def test_extract_rejects_non_spanning():

@@ -32,6 +32,13 @@ def test_psd_rejects_non_hermitian():
         PsdOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.nan, 0.0)])
+def test_psd_rejects_non_finite(bad):
+    # NaN passes every Hermitian and PSD comparison, so it is checked first
+    with pytest.raises(PreconditionError, match="non-finite"):
+        PsdOperator(np.array([[bad, 0], [0, 1]]))
+
+
 def test_psd_rejects_negative():
     with pytest.raises(PreconditionError):
         PsdOperator(np.diag([1.0, -0.5]))

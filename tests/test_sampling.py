@@ -18,7 +18,6 @@ from framex import (
     rank_one,
     sample,
 )
-from framex import sampling
 from framex.errors import BudgetExceededError, PreconditionError
 from framex.sampling import REPLICA_BUDGET, _child_state, _split_choices
 
@@ -180,15 +179,33 @@ def test_sample_pinned_exponent_runs_split_levels():
         assert Fraction(count) <= 2 * weights[n]
 
 
-def test_sample_replica_budget_is_an_argument():
-    ops = scaled_basis_ops(3)
-    subspace = Projection(np.eye(3)[:, :1], dim=3)
-    weights = [Fraction(3, 4), Fraction(5, 8), Fraction(1, 2)]
-    before = {name: getattr(sampling, name) for name in dir(sampling) if name.isupper()}
-    # the pinned case splits 6 replicas over one level
-    with pytest.raises(BudgetExceededError, match="6 replicas exceed the budget 1"):
-        sample(ops, weights, subspace, 0.25, exponent=0, replica_budget=1)
-    assert {name: getattr(sampling, name) for name in dir(sampling) if name.isupper()} == before
+def test_sample_descent_keeps_the_multiplicity_cap():
+    # random weights over a proper subspace, split over six levels: the
+    # leaf keeps the exact cap and certifies its sandwich
+    rng = np.random.default_rng(3)
+    ops = [rank_one(0.3 * v / np.linalg.norm(v)) for v in rng.normal(size=(9, 4))]
+    weights = [Fraction(float(w)) for w in rng.uniform(0.05, 0.2, size=9)]
+    subspace = Projection(np.eye(4)[:, :2], dim=4)
+    fn, cert = sample(ops, weights, subspace, 1e-3, exponent=3)
+    assert (cert.levels, cert.replica_total) == (6, 4608)
+    assert cert.sandwich_ok and cert.mult_ok
+    for n, count in fn.multiplicity.items():
+        assert Fraction(count) <= 2 ** (cert.beta + 1) * weights[n]
+    assert cert.pigeonhole_trace <= cert.pigeonhole_cap + 1e-9
+
+
+def test_sample_descent_drops_indices_the_leaf_cap_excludes():
+    # 2^(beta+1) c_n < 1 for indices 0 and 1, so the leaf must drop both.
+    # Capping each level only at 2^(eta-level+1) c_n leaves both with one
+    # replica at the last level, paired with each other, and one survives.
+    angles = [-0.086, 1.422, -1.335, 1.326, 0.864, -2.357]
+    ops = [rank_one(0.25 * np.array([np.cos(t), np.sin(t)])) for t in angles]
+    weights = [0.484, 0.429, 1.519, 2.298, 2.012, 1.965]
+    subspace = Projection(np.array([[np.cos(2.733)], [np.sin(2.733)]]), dim=2)
+    fn, cert = sample(ops, weights, subspace, 0.05, exponent=0)
+    assert cert.levels == 3
+    assert cert.mult_ok and cert.sandwich_ok
+    assert set(fn.multiplicity) == {2, 3, 4, 5}
 
 
 def test_sample_is_deterministic():

@@ -27,7 +27,7 @@ from framex import (
     verify_certificate,
 )
 from framex import selectors
-from framex.selectors import _batched_deviations, _deviation
+from framex.selectors import _batched_deviations, _descend, _deviation
 from helpers import bounded_rank_ones
 
 
@@ -284,10 +284,68 @@ def test_verify_does_not_use_batched_helper(rng, monkeypatch):
     assert verify_certificate(cert, tree, ops)
 
 
+def argmin_descent(sides, flips, objective):
+    """The single-flip loop _greedy_cell ran before _descend was shared."""
+    current = objective(sides[None])[0]
+    while len(flips):
+        trial = np.repeat(sides[None], len(flips), axis=0)
+        trial[np.arange(len(flips)), flips] ^= 1
+        vals = objective(trial)
+        best = int(np.argmin(vals))
+        if not vals[best] < current:
+            break
+        sides[flips[best]] ^= 1
+        current = vals[best]
+    return sides
+
+
+@given(seed=st.integers(0, 2**32 - 1), width=st.integers(0, 9), modulus=st.integers(1, 5))
+@settings(max_examples=80, deadline=None)
+def test_descend_with_one_column_keys_is_the_argmin_loop(seed, width, modulus):
+    rng = np.random.default_rng(seed)
+    weights = rng.integers(-3, 4, size=(width, 3))
+    flips = np.flatnonzero(rng.integers(0, 2, size=width))
+    start = rng.integers(0, 2, size=width)
+
+    def objective(rows):
+        # few distinct values, so ties between flips are common
+        return ((rows @ weights) ** 2).sum(axis=1) % modulus + 0.5 * rows[:, :1].sum(axis=1)
+
+    seen = {"old": [], "new": []}
+
+    def traced(name, wrap):
+        def score(rows):
+            seen[name].append(rows.copy())
+            return wrap(objective(rows))
+        return score
+
+    old = argmin_descent(start.copy(), flips, traced("old", lambda v: v))
+    new = _descend(start.copy(), flips, traced("new", lambda v: v[:, None]))
+    assert new.tolist() == old.tolist()
+    assert len(seen["new"]) == len(seen["old"])
+    assert all((a == b).all() for a, b in zip(seen["new"], seen["old"]))
+
+
+def test_descend_compares_keys_lexicographically():
+    def score(rows):
+        # column 0 flags side 0 as forbidden; column 1 prefers more ones
+        return np.column_stack([rows[:, 0], -rows.sum(axis=1)]).astype(float)
+
+    sides = _descend(np.zeros(3, dtype=np.int64), np.arange(3), score)
+    # an argmin on column 1 alone would flip position 0 first
+    assert sides.tolist() == [0, 1, 1]
+
+
 def test_exhaustive_budget():
     ops = [rank_one(0.1 * np.eye(42)[i]) for i in range(42)]
     with pytest.raises(BudgetExceededError):
         best_selector(ops, 3, strategy="exhaustive")
+
+
+def test_exhaustive_budget_message_names_the_limit(rng):
+    ops = bounded_rank_ones(rng, 3, 3, trace_cap=0.1)
+    with pytest.raises(BudgetExceededError, match="exceeds the exhaustive budget 1; "):
+        best_selector(ops, 1, strategy="exhaustive", exhaustive_limit=1)
 
 
 def test_pads_hidden_from_leaves(rng):

@@ -57,6 +57,12 @@ def test_cyclic_signal_basics():
         CyclicSignal([[1.0, 2.0]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_cyclic_signal_rejects_non_finite(bad):
+    with pytest.raises(PreconditionError, match="finite"):
+        CyclicSignal([1.0, bad, 0.0])
+
+
 def test_translate_modulate_unitary(rng):
     f = rng.normal(size=L) + 1j * rng.normal(size=L)
     norm = float(np.linalg.norm(f))
