@@ -8,175 +8,21 @@ subfamilies, estimating point-set densities, and exercising the same
 machinery on cyclic time-frequency models.
 """
 
-from .errors import (
-    BudgetExceededError,
-    DimensionMismatchError,
-    FramexError,
-    GridTooCoarseError,
-    InputFormatError,
-    NoAdmissibleExponentError,
-    NotAFrameError,
-    PreconditionError,
-)
-from .frames import (
-    Classification,
-    FrameReport,
-    ReconstructionResult,
-    VectorFamily,
-    canonical_dual,
-    classify,
-    frame_bounds,
-    frame_operator,
-    reconstruct,
-    spanning_projection,
-)
-from .linalg import (
-    Projection,
-    PsdOperator,
-    SandwichCheck,
-    gram,
-    project_onto,
-    rank_one,
-    sandwich_bound,
-    spectrum,
-)
-from .selectors import (
-    PairPartition,
-    ScaleExponent,
-    SelectorCertificate,
-    SelectorTree,
-    best_selector,
-    certificate_constant,
-    descending_trace_pairs,
-    enumerate_selectors,
-    natural_max_order,
-    scale_exponent,
-    selector_constant,
-    verify_certificate,
-)
-from .sampling import (
-    DyadicDecomposition,
-    PaddingSet,
-    SamplingCertificate,
-    SamplingFunction,
-    ceiling_pad,
-    dyadic_decompose,
-    make_paddings,
-    padding_report,
-    sample,
-)
-from .extraction import (
-    ExtractionPlan,
-    ExtractionResult,
-    SpanDistinctSelection,
-    equivalence_a_to_d,
-    equivalence_b_to_a,
-    equivalence_c_check,
-    extract,
-    paired_rescaling_diagnostic,
-)
-from .pointsets import (
-    DensityEstimate,
-    PointSet,
-    ball_volume,
-    density,
-    uniformly_discrete,
-    union_density,
-)
-from .timefreq import (
-    CyclicSignal,
-    DensificationReport,
-    ExponentialSpec,
-    GaborSpec,
-    commutation_phase,
-    densify_gabor_frame,
-    exponential_family,
-    full_lattice_shifts,
-    gabor_family,
-    gaussian_window,
-    modulate,
-    mp_proxy,
-    stft,
-    translate,
-)
+from . import errors, extraction, frames, linalg, pointsets, sampling, selectors, timefreq
+from .errors import *
+from .extraction import *
+from .frames import *
+from .linalg import *
+from .pointsets import *
+from .sampling import *
+from .selectors import *
+from .timefreq import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "FramexError",
-    "PreconditionError",
-    "DimensionMismatchError",
-    "NotAFrameError",
-    "NoAdmissibleExponentError",
-    "GridTooCoarseError",
-    "BudgetExceededError",
-    "InputFormatError",
-    "VectorFamily",
-    "FrameReport",
-    "Classification",
-    "ReconstructionResult",
-    "frame_operator",
-    "frame_bounds",
-    "canonical_dual",
-    "reconstruct",
-    "classify",
-    "spanning_projection",
-    "PsdOperator",
-    "Projection",
-    "SandwichCheck",
-    "rank_one",
-    "gram",
-    "spectrum",
-    "project_onto",
-    "sandwich_bound",
-    "selector_constant",
-    "natural_max_order",
-    "certificate_constant",
-    "ScaleExponent",
-    "scale_exponent",
-    "PairPartition",
-    "descending_trace_pairs",
-    "enumerate_selectors",
-    "SelectorTree",
-    "SelectorCertificate",
-    "best_selector",
-    "verify_certificate",
-    "DyadicDecomposition",
-    "dyadic_decompose",
-    "PaddingSet",
-    "ceiling_pad",
-    "make_paddings",
-    "padding_report",
-    "SamplingFunction",
-    "SamplingCertificate",
-    "sample",
-    "ExtractionPlan",
-    "ExtractionResult",
-    "SpanDistinctSelection",
-    "extract",
-    "equivalence_b_to_a",
-    "equivalence_a_to_d",
-    "equivalence_c_check",
-    "paired_rescaling_diagnostic",
-    "PointSet",
-    "DensityEstimate",
-    "ball_volume",
-    "density",
-    "uniformly_discrete",
-    "union_density",
-    "CyclicSignal",
-    "GaborSpec",
-    "ExponentialSpec",
-    "DensificationReport",
-    "translate",
-    "modulate",
-    "commutation_phase",
-    "gabor_family",
-    "full_lattice_shifts",
-    "stft",
-    "mp_proxy",
-    "exponential_family",
-    "gaussian_window",
-    "densify_gabor_frame",
+# each module's __all__ is the one list of what it exports
+__all__ = ["__version__"] + [
+    name
+    for module in (errors, linalg, frames, selectors, sampling, extraction, pointsets, timefreq)
+    for name in module.__all__
 ]

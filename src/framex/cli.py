@@ -13,8 +13,10 @@ gabor, construct45.  Families arrive as JSON objects with fields "dim",
 Reports are JSON with sorted keys so identical jobs produce identical
 bytes; --no-timestamp drops the timestamp and wall time fields, which
 are the only run-dependent content.  --csv additionally writes the
-flattened result table next to the report.  Exit codes: 0 success,
-2 precondition violation, 3 unreadable input, 4 budget exhausted.
+flattened result table next to the report.  Each command reads a fixed
+set of --param keys; any other key is malformed input.  Exit codes:
+0 success, 2 precondition violation, 3 malformed or unreadable input,
+4 budget exhausted.
 """
 
 from __future__ import annotations
@@ -557,6 +559,19 @@ _HANDLERS = {
     "construct45": _cmd_construct45,
 }
 
+# the --param keys each command reads; any other key is malformed input
+_PARAMS = {
+    "analyze": ("use_scalars",),
+    "classify": ("use_scalars",),
+    "dual": ("use_scalars", "probes"),
+    "extract": (),
+    "sample": ("epsilon", "subspace_cols", "trace_cap", "total_cap", "depth"),
+    "selector": ("order", "trace_cap", "strategy", "restarts", "exhaustive_limit"),
+    "density": ("radii", "step", "step_divisor"),
+    "gabor": ("a_step", "b_step"),
+    "construct45": ("counts", "copies"),
+}
+
 
 def _flatten(prefix, obj, rows):
     if isinstance(obj, dict):
@@ -599,6 +614,12 @@ def run(job: Job) -> int:
     try:
         payload = _load_json(job.input_path)
         report["input"] = payload
+        unknown = sorted(set(job.params) - set(_PARAMS[job.command]))
+        if unknown:
+            known = ", ".join(_PARAMS[job.command]) or "none"
+            raise InputFormatError(
+                f"{job.command} reads no param {', '.join(map(repr, unknown))}; it reads: {known}"
+            )
         report["results"] = _HANDLERS[job.command](payload, job.params, job.seed)
     except InputFormatError as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}

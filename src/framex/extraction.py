@@ -8,9 +8,9 @@ frame with explicit bounds, and the number of times any index is repeated is
 capped by an explicit multiple of its rescaled energy |c_n|^2 ||x_n||^2.
 
 The module also carries the equivalence operations between the different
-ways of presenting a rescalable family (coefficient duals, collinearity
-reduction, transposed reconstruction) plus a diagnostic for the rescaled
-dual pairing whose lower bound is deliberately left unclaimed.
+ways of presenting a rescalable family: coefficient duals, the transposed
+reconstruction check, and the collinearity reduction to pairwise
+non-collinear representatives.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import (
 )
 from .frames import VectorFamily, FrameReport, canonical_dual, frame_bounds
 from .linalg import NUMERIC_TOL, RANK_DROP_TOL, Projection, rank_one
-from .sampling import SANDWICH_TOL, SamplingCertificate, SamplingFunction, sample
+from .sampling import SANDWICH_TOL, SamplingFunction, sample
 from .selectors import (
     ScaleExponent,
     natural_max_order,
@@ -48,7 +48,6 @@ __all__ = [
     "equivalence_b_to_a",
     "equivalence_a_to_d",
     "equivalence_c_check",
-    "paired_rescaling_diagnostic",
 ]
 
 # two unit vectors with |<u, v>| above 1 - COLLINEARITY_TOL count as one ray
@@ -538,36 +537,3 @@ def equivalence_a_to_d(family) -> SpanDistinctSelection:
         class_weights=tuple(class_weights),
         extraction=result,
     )
-
-
-def paired_rescaling_diagnostic(family, scalars=None, indices=None) -> dict:
-    """Bounds of {||x_n|| y_n} over a subset, with only the upper one claimed.
-
-    y_n is the canonical dual of the rescaled family.  The upper bound is a
-    certified Bessel constant; the lower value is reported as observed data
-    and no frame claim is attached to it.
-    """
-    fam = family if isinstance(family, VectorFamily) else VectorFamily(family)
-    if scalars is not None:
-        fam = VectorFamily(fam.vectors, scalars=scalars, labels=fam.labels)
-    duals = canonical_dual(fam, use_scalars=True)
-    norms = fam.norms()
-    if indices is None:
-        subset = [n for n in range(len(fam)) if norms[n] > 0]
-    else:
-        subset = [int(n) for n in indices]
-        for n in subset:
-            if not 0 <= n < len(fam):
-                raise PreconditionError(f"index {n} outside the family")
-            if norms[n] <= 0:
-                raise PreconditionError(f"index {n} has a zero vector")
-    if not subset:
-        raise PreconditionError("empty subset")
-    paired = VectorFamily(norms[subset][:, None] * duals.vectors[subset], labels=subset)
-    report = frame_bounds(paired)
-    return {
-        "indices": tuple(subset),
-        "bessel_bound": report.upper,
-        "observed_lower": report.lower,
-        "lower_bound_claimed": False,
-    }

@@ -14,18 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NotAFrameError, PreconditionError
-from .linalg import NUMERIC_TOL, Projection, PsdOperator, project_onto
+from .linalg import NUMERIC_TOL, PsdOperator, project_onto
 
 __all__ = [
     "FRAME_TOL_FACTOR",
     "VectorFamily",
     "FrameReport",
     "Classification",
-    "ReconstructionResult",
     "frame_operator",
     "frame_bounds",
     "canonical_dual",
-    "reconstruct",
     "classify",
 ]
 
@@ -148,14 +146,6 @@ class Classification:
     note: str
 
 
-@dataclass(frozen=True)
-class ReconstructionResult:
-    """Full reconstruction plus the worst partial-sum deviation on the way."""
-
-    value: np.ndarray
-    max_partial_deviation: float
-
-
 def _family_matrix(family, use_scalars: bool) -> np.ndarray:
     if isinstance(family, VectorFamily):
         return family.weighted_vectors() if use_scalars else family.vectors
@@ -231,35 +221,6 @@ def canonical_dual(family: VectorFamily, use_scalars: bool = False) -> VectorFam
     return VectorFamily(duals, labels=labels)
 
 
-def reconstruct(family, duals, x, order=None) -> ReconstructionResult:
-    """Sum <x, y_n> x_n in the given order and track partial-sum drift.
-
-    The maximum deviation of the partial sums from the full sum is the finite
-    stand-in for an unconditionality diagnostic: for a frame and its
-    canonical dual it stays bounded by B * ||x|| level quantities under any
-    reordering.
-    """
-    w = _family_matrix(family, False)
-    y = _family_matrix(duals, False)
-    if w.shape != y.shape:
-        raise DimensionMismatchError(f"family shape {w.shape} vs duals shape {y.shape}")
-    xv = np.asarray(x)
-    if xv.shape != (w.shape[1],):
-        raise DimensionMismatchError(f"vector shape {xv.shape} in dim {w.shape[1]}")
-    n = w.shape[0]
-    if order is None:
-        order = range(n)
-    order = list(order)
-    if sorted(order) != list(range(n)):
-        raise PreconditionError("order must be a permutation of range(count)")
-    coeffs = y.conj() @ xv  # <x, y_n>
-    terms = coeffs[order, None] * w[order]
-    partials = np.cumsum(terms, axis=0)
-    total = partials[-1]
-    deviation = float(np.max(np.linalg.norm(partials - total[None, :], axis=1)))
-    return ReconstructionResult(value=total, max_partial_deviation=deviation)
-
-
 def classify(family: VectorFamily, use_scalars: bool = False) -> Classification:
     """Place a family in the hierarchy riesz_basis > frame > rescalable > non_spanning.
 
@@ -289,8 +250,3 @@ def classify(family: VectorFamily, use_scalars: bool = False) -> Classification:
         rescaling_recommended=spanning and not report.is_frame,
         note=note,
     )
-
-
-def spanning_projection(family: VectorFamily) -> Projection:
-    """Projection onto the span of the family's vectors."""
-    return project_onto(list(family.vectors))

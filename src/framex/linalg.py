@@ -18,12 +18,9 @@ __all__ = [
     "RANK_DROP_TOL",
     "PsdOperator",
     "Projection",
-    "SandwichCheck",
-    "gram",
     "rank_one",
     "spectrum",
     "project_onto",
-    "sandwich_bound",
 ]
 
 # Validation thresholds, relative to the operator norm of the input.
@@ -162,17 +159,6 @@ def rank_one(vector) -> PsdOperator:
     return PsdOperator(np.outer(v, v.conj()), _prevalidated=True)
 
 
-def gram(vectors) -> np.ndarray:
-    """Pairwise inner products <x_i, x_j>, linear in the first argument."""
-    if hasattr(vectors, "vectors"):
-        vectors = vectors.vectors
-    x = np.asarray(vectors)
-    if x.ndim != 2:
-        raise PreconditionError(f"expected a stack of vectors, got shape {x.shape}")
-    g = x @ x.conj().T
-    return (g + g.conj().T) / 2.0
-
-
 def spectrum(op) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian operator.
 
@@ -297,46 +283,3 @@ def project_onto(vectors, dim: int | None = None) -> Projection:
             cols.append(w / nw)
     basis = np.stack(cols, axis=1) if cols else np.zeros((dim, 0), dtype=dtype)
     return Projection(basis)
-
-
-class SandwichCheck:
-    """Result of comparing T against its block-diagonal compression.
-
-    bound is (||P T P|| * ||P' T P'||)^(1/2) for the complementary projections
-    P, P'; deviation is the largest absolute eigenvalue of
-    T - P T P - P' T P'.  In exact arithmetic deviation <= bound.
-    """
-
-    __slots__ = ("bound", "deviation", "ok")
-
-    def __init__(self, bound: float, deviation: float, ok: bool):
-        self.bound = bound
-        self.deviation = deviation
-        self.ok = ok
-
-    def __repr__(self):
-        return f"SandwichCheck(bound={self.bound:.6g}, deviation={self.deviation:.6g}, ok={self.ok})"
-
-
-def sandwich_bound(op: PsdOperator, projection: Projection) -> SandwichCheck:
-    """Bound the off-diagonal part of a PSD operator by its compressions."""
-    if not isinstance(op, PsdOperator):
-        op = PsdOperator(op)
-    if projection.dim != op.dim:
-        raise DimensionMismatchError(
-            f"projection dim {projection.dim} does not match operator dim {op.dim}"
-        )
-    p = projection.matrix
-    q = projection.complement().matrix
-    inside = p @ op.matrix @ p
-    outside = q @ op.matrix @ q
-    bound = float(
-        np.sqrt(
-            max(np.max(np.abs(np.linalg.eigvalsh(inside))), 0.0)
-            * max(np.max(np.abs(np.linalg.eigvalsh(outside))), 0.0)
-        )
-    )
-    dev_matrix = op.matrix - inside - outside
-    deviation = float(np.max(np.abs(np.linalg.eigvalsh((dev_matrix + dev_matrix.conj().T) / 2.0))))
-    tol = NUMERIC_TOL * max(op.opnorm, 1.0)
-    return SandwichCheck(bound, deviation, deviation <= bound + tol)

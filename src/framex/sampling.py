@@ -43,7 +43,6 @@ __all__ = [
     "dyadic_decompose",
     "ceiling_pad",
     "make_paddings",
-    "padding_report",
     "sample",
 ]
 
@@ -215,36 +214,6 @@ def make_paddings(ops, epsilon: float, beta: int):
     if top > 0.5:
         factor = 0.5 / top * (1.0 - 1e-12)
     return [PsdOperator(factor * m) for m in mats]
-
-
-def padding_report(ops, paddings, epsilon: float, beta: int):
-    """Post-hoc check of the three padding conditions; returns diagnostics."""
-    psd = [op if isinstance(op, PsdOperator) else PsdOperator(op) for op in ops]
-    pads = [p if isinstance(p, PsdOperator) else PsdOperator(p) for p in paddings]
-    if len(psd) != len(pads):
-        raise PreconditionError("one padding operator per input operator is required")
-    span_defect = 0.0
-    for op, pad in zip(psd, pads):
-        vals, vecs = np.linalg.eigh(op.matrix)
-        scale = float(vals[-1]) if vals.size else 0.0
-        keep = vals > RANK_DROP_TOL * max(scale, 1e-300)
-        basis = vecs[:, keep]
-        residual = pad.matrix - basis @ (basis.conj().T @ pad.matrix)
-        span_defect = max(span_defect, float(np.linalg.norm(residual)))
-    plain = sum(p.matrix for p in pads)
-    top = float(np.max(np.linalg.eigvalsh((plain + plain.conj().T) / 2.0))) if len(pads) else 0.0
-    trace_cap = 2.0 ** (-beta + 2) * epsilon
-    worst_trace = max((p.trace for p in pads), default=0.0)
-    tol = NUMERIC_TOL * max(1.0, trace_cap)
-    return {
-        "span_defect": span_defect,
-        "span_ok": span_defect <= RANK_DROP_TOL,
-        "weighted_sum_top": top,
-        "sum_ok": top <= 0.5 + NUMERIC_TOL,
-        "worst_trace": worst_trace,
-        "trace_cap": trace_cap,
-        "trace_ok": worst_trace <= trace_cap + tol,
-    }
 
 
 class SamplingFunction:

@@ -39,7 +39,6 @@ __all__ = [
     "certificate_constant",
     "scale_exponent",
     "descending_trace_pairs",
-    "enumerate_selectors",
     "best_selector",
     "verify_certificate",
 ]
@@ -184,19 +183,6 @@ def descending_trace_pairs(ids, traces, pad_ids=None) -> PairPartition:
     ordered = sorted(ids, key=lambda i: (-trace_of(i), i < 0, i))
     pairs = tuple((ordered[k], ordered[k + 1]) for k in range(0, len(ordered), 2))
     return PairPartition(indices=tuple(ordered), pairs=pairs)
-
-
-def enumerate_selectors(partition: PairPartition):
-    """Yield every (I_0, I_1) selector of a pair partition, deterministically.
-
-    Selector k's bit i decides which element of pair i lands in I_0; I_1
-    always receives the complementary elements.
-    """
-    pairs = partition.pairs
-    for mask in range(2 ** len(pairs)):
-        left = tuple(pair[(mask >> i) & 1] for i, pair in enumerate(pairs))
-        right = tuple(pair[1 - ((mask >> i) & 1)] for i, pair in enumerate(pairs))
-        yield left, right
 
 
 @dataclass

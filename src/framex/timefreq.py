@@ -4,8 +4,8 @@ A signal is a length-L complex sample vector indexed by t = 0..L-1.
 Translation rolls the index and modulation multiplies by a
 root-of-unity character; both are exactly unitary.  Gabor systems
 collect the modulated translates of one window over a list of shift
-pairs, and the short-time transform tabulates inner products against
-all L^2 shifts at once.
+pairs, and exponential systems restrict characters of arbitrary real
+frequency to a subset of the grid.
 
 The density amplifier at the bottom replaces the leading elements of a
 Gabor frame by clusters of nearby time-frequency copies while keeping
@@ -21,12 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    GridTooCoarseError,
-    NotAFrameError,
-    PreconditionError,
-)
+from .errors import GridTooCoarseError, NotAFrameError, PreconditionError
 from .frames import VectorFamily, canonical_dual, frame_bounds
 
 __all__ = [
@@ -36,11 +31,8 @@ __all__ = [
     "DensificationReport",
     "translate",
     "modulate",
-    "commutation_phase",
     "gabor_family",
     "full_lattice_shifts",
-    "stft",
-    "mp_proxy",
     "exponential_family",
     "gaussian_window",
     "densify_gabor_frame",
@@ -104,20 +96,6 @@ def modulate(f, b):
     length = f.length
     idx = (np.arange(length) * (int(b) % length)) % length
     return CyclicSignal(f.samples * _character_table(length)[idx])
-
-
-def commutation_phase(length, a, b):
-    """The unimodular scalar with M_b T_a = phase * T_a M_b.
-
-    Equals e^{2 pi i a b / L}; the exponent a*b is reduced mod L as an
-    integer so the phase is the exact root of unity, with no angle
-    drift for large parameters.
-    """
-    length = int(length)
-    if length < 1:
-        raise PreconditionError("length must be at least 1")
-    k = (int(a) % length) * (int(b) % length) % length
-    return complex(_character_table(length)[k])
 
 
 class GaborSpec:
@@ -223,41 +201,6 @@ def _base_frame(spec):
         family = gabor_family(spec)
         spec._frame = (family, frame_bounds(family))
     return spec._frame
-
-
-def stft(f, window):
-    """Short-time transform grid V[x, w] = <f, M_w T_x window>.
-
-    Rows are time shifts x, columns frequencies w.  The total energy
-    satisfies sum |V|^2 = L ||f||^2 ||window||^2.
-    """
-    f = _as_signal(f)
-    window = _as_signal(window)
-    if f.length != window.length:
-        raise DimensionMismatchError("signal and window lengths differ")
-    if window.norm == 0.0:
-        raise PreconditionError("the analysis window must be nonzero")
-    length = f.length
-    # W[x, t] = window(t - x); one FFT per row computes all frequencies
-    idx = (np.arange(length)[None, :] - np.arange(length)[:, None]) % length
-    shifted = window.samples[idx]
-    return np.fft.fft(f.samples[None, :] * np.conj(shifted), axis=1)
-
-
-def mp_proxy(f, window, p):
-    """p-norm of the STFT grid scaled by the grid cell measure.
-
-    This is a qualitative stand-in for a modulation-space norm on the
-    finite model; nothing about genuine continuum membership can be
-    decided from L samples, so treat the value as a heuristic size
-    only.  Each grid cell carries measure 1/L.
-    """
-    p = float(p)
-    if not 1.0 <= p <= 2.0:
-        raise PreconditionError("the exponent p must lie in [1, 2]")
-    grid = stft(f, window)
-    length = _as_signal(f).length
-    return float((np.abs(grid) ** p).sum() / length) ** (1.0 / p)
 
 
 def exponential_family(spec):

@@ -32,10 +32,8 @@ from framex import (
     modulate,
     rank_one,
     sample,
-    stft,
     translate,
     union_density,
-    commutation_phase,
 )
 from helpers import bounded_rank_ones, rescalable_fixture
 
@@ -250,20 +248,16 @@ def test_gabor_identity_battery():
             target = length * norm_sq * np.eye(length)
             assert opnorm(op - target) <= 1e-8 * length * norm_sq
 
-            f = rng.normal(size=length) + 1j * rng.normal(size=length)
-            grid = stft(f, w)
-            energy = float((np.abs(grid) ** 2).sum())
-            expect = length * float(np.linalg.norm(f)) ** 2 * norm_sq
-            assert energy == pytest.approx(expect, rel=1e-8)
-
         f = rng.normal(size=length) + 1j * rng.normal(size=length)
         for a, b in [(1, 1), (3, 7), (length - 1, 5)]:
+            # M_b T_a = e^{2 pi i ab / L} T_a M_b, exponent reduced mod L
             left = modulate(translate(f, a), b).samples
-            phase = commutation_phase(length, a, b)
+            phase = np.exp(2j * np.pi * ((a * b) % length) / length)
             right = phase * translate(modulate(f, b), a).samples
             assert np.max(np.abs(left - right)) <= 1e-12
-            # the phase index reduces mod L exactly, so huge shifts agree
-            assert phase == commutation_phase(length, a + 5 * length, b - 2 * length)
+            # shifts reduce mod L exactly, so huge parameters give the same signal
+            huge = modulate(translate(f, a + 5 * length), b - 2 * length).samples
+            assert np.array_equal(huge, left)
 
 
 def test_densified_construction_witness():

@@ -1,7 +1,9 @@
 """End-to-end tests for the batch CLI: exit codes, report shape, determinism."""
 
+import inspect
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -182,6 +184,43 @@ def test_malformed_tunable_writes_an_error_report(tmp_path, command, payload, ex
     assert report["error"]["type"] == "InputFormatError"
     assert "must be an integer" in report["error"]["message"]
     assert "results" not in report
+
+
+_POINTS = {"ambient_dim": 1, "points": [[0.0], [1.0]], "extent": 4.0}
+
+
+# one unread key per command, some next to keys the command does read
+_UNKNOWN_PARAMS = [
+    ("analyze", mercedes_payload(), ["--param", "probes=3"]),
+    ("classify", mercedes_payload(), ["--param", "use_scalar=1"]),
+    ("dual", mercedes_payload(), ["--param", "probes=3", "--param", "seed=2"]),
+    ("extract", scaled_basis_payload(), ["--param", "replica_budget=abc"]),
+    ("sample", scaled_basis_payload(), ["--param", "epsilon=0.25", "--param", "replica_budget=9"]),
+    ("selector", scaled_basis_payload(), ["--param", "order=1", "--param", "limit=5"]),
+    ("density", _POINTS, ["--param", "radius=1"]),
+    ("gabor", window_payload(8), ["--param", "a_step=1", "--param", "step=1"]),
+    ("construct45", window_payload(8), ["--param", "count=1"]),
+]
+
+
+@pytest.mark.parametrize("command,payload,extra", _UNKNOWN_PARAMS, ids=[case[0] for case in _UNKNOWN_PARAMS])
+def test_unknown_param_key_writes_an_error_report(tmp_path, command, payload, extra):
+    code, report, _ = run_cli(tmp_path, command, payload, *extra)
+    assert code == 3
+    assert report["error"]["type"] == "InputFormatError"
+    unknown = extra[-1].split("=")[0]
+    assert f"reads no param {unknown!r}" in report["error"]["message"]
+    assert "results" not in report
+
+
+def test_param_table_names_the_keys_each_handler_reads():
+    assert set(cli._PARAMS) == set(cli._HANDLERS)
+    for command, handler in cli._HANDLERS.items():
+        source = inspect.getsource(handler)
+        read = set(re.findall(r'params(?:, |\.get\()"(\w+)"', source))
+        if "_use_scalars(family, params)" in source:
+            read.add("use_scalars")
+        assert read == set(cli._PARAMS[command]), command
 
 
 def test_extract_generic_weights(tmp_path):

@@ -363,9 +363,9 @@ def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
     assert cli._parser() is cli._parser()
     src = write_json(tmp_path / "in.json", mercedes_payload())
     first, second = tmp_path / "a.json", tmp_path / "b.json"
-    assert cli.main(["analyze", "--in", src, "--out", str(first), "--param", "probes=3"]) == 0
+    assert cli.main(["analyze", "--in", src, "--out", str(first), "--param", "use_scalars=0"]) == 0
     assert cli.main(["analyze", "--in", src, "--out", str(second)]) == 0
-    assert json.loads(first.read_text())["params"] == {"probes": "3"}
+    assert json.loads(first.read_text())["params"] == {"use_scalars": "0"}
     assert json.loads(second.read_text())["params"] == {}
     with pytest.raises(SystemExit):
         cli.main(["--help"])

@@ -16,15 +16,12 @@ from framex import (
     equivalence_c_check,
     extract,
     frame_bounds,
-    paired_rescaling_diagnostic,
     rank_one,
 )
-from framex.errors import NotAFrameError, PreconditionError
+from framex.errors import NotAFrameError
 from framex.extraction import ENVELOPE_SLACK, _snap_weight, plan
 
 from helpers import rescalable_fixture
-
-MERCEDES = np.array([[0.0, 1.0], [-math.sqrt(3) / 2, -0.5], [math.sqrt(3) / 2, -0.5]])
 
 
 def complex_integer_weight_family(rng, dim, extras=3, kmax=4):
@@ -193,6 +190,71 @@ def test_equivalence_c_check():
         equivalence_c_check(fam, VectorFamily(np.eye(3)))
 
 
+@given(
+    dim=st.integers(1, 5),
+    extra=st.integers(0, 4),
+    complex_field=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_equivalence_b_to_a_and_c_oracle(dim, extra, complex_field, seed):
+    """Coefficient duals reproduce x = sum <x, out_n> x_n and x = sum <x, x_n> out_n."""
+    rng = np.random.default_rng(seed)
+    vecs = rng.normal(size=(dim + extra, dim))
+    scalars = rng.uniform(0.3, 2.0, size=dim + extra) * rng.choice([-1.0, 1.0], size=dim + extra)
+    if complex_field:
+        vecs = vecs + 1j * rng.normal(size=vecs.shape)
+        scalars = scalars * np.exp(2j * np.pi * rng.uniform(size=dim + extra))
+    vecs[:dim] += 3.0 * np.eye(dim)  # keeps the family spanning with tame bounds
+    fam = VectorFamily(vecs, scalars=scalars)
+    out = equivalence_b_to_a(fam)
+    # closed form: out_n = |c_n|^2 S_c^{-1} x_n with S_c the rescaled frame operator
+    s_c = (np.abs(scalars) ** 2 * vecs.T) @ vecs.conj()
+    expect = (np.abs(scalars) ** 2)[:, None] * np.linalg.solve(s_c, vecs.T).T
+    np.testing.assert_allclose(out.vectors, expect, atol=1e-9)
+    for _ in range(5):
+        x = rng.normal(size=dim) + (1j * rng.normal(size=dim) if complex_field else 0.0)
+        np.testing.assert_allclose(vecs.T @ (out.vectors.conj() @ x), x, atol=1e-9)
+        np.testing.assert_allclose(out.vectors.T @ (vecs.conj() @ x), x, atol=1e-9)
+    assert equivalence_c_check(fam, out)
+    assert equivalence_c_check(fam, canonical_dual(fam))
+    # a dual family that misses one direction fails the transposed reconstruction
+    assert not equivalence_c_check(fam, VectorFamily(0.5 * out.vectors))
+
+
+@given(
+    dim=st.integers(1, 4),
+    extra_rays=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=15, deadline=None)
+def test_equivalence_a_to_d_oracle(dim, extra_rays, seed):
+    """Rays are grouped exactly by collinearity; the chosen representatives span."""
+    rng = np.random.default_rng(seed)
+    if dim == 1:
+        extra_rays = 0  # the line has one ray only
+    rays = np.vstack([np.eye(dim) + 0.2 * rng.normal(size=(dim, dim)), rng.normal(size=(extra_rays, dim))])
+    members = [(r, rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)) for r in range(len(rays))
+               for _ in range(int(rng.integers(1, 4)))]
+    order = rng.permutation(len(members))
+    vecs = np.vstack([members[k][1] * rays[members[k][0]] for k in order] + [np.zeros(dim)])
+    ray_of = [members[k][0] for k in order]
+    sel = equivalence_a_to_d(VectorFamily(vecs))
+
+    expected = {}
+    for n, r in enumerate(ray_of):
+        expected.setdefault(r, []).append(n)
+    expected = sorted(tuple(cls) for cls in expected.values())
+    assert sel.classes == tuple(expected)
+    assert sel.representatives == tuple(cls[0] for cls in expected)
+    assert sel.class_weights == tuple(float(len(cls)) for cls in expected)
+    assert set(sel.indices) <= set(sel.representatives)
+    assert len({ray_of[n] for n in sel.indices}) == len(sel.indices)
+    units = vecs[list(sel.indices)] / np.linalg.norm(vecs[list(sel.indices)], axis=1)[:, None]
+    assert np.linalg.matrix_rank(units) == dim
+    assert sel.extraction.report.is_frame
+
+
 def test_equivalence_a_to_d_collinear_classes():
     fam = VectorFamily([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
     sel = equivalence_a_to_d(fam)
@@ -212,23 +274,3 @@ def test_equivalence_a_to_d_rejects_non_spanning():
         equivalence_a_to_d(VectorFamily([[1.0, 0.0], [2.0, 0.0]]))
     with pytest.raises(NotAFrameError):
         equivalence_a_to_d(VectorFamily([[0.0, 0.0]]))
-
-
-def test_paired_rescaling_diagnostic():
-    diag = paired_rescaling_diagnostic(VectorFamily(MERCEDES))
-    assert diag["indices"] == (0, 1, 2)
-    assert diag["bessel_bound"] == pytest.approx(2.0 / 3.0)
-    assert diag["observed_lower"] == pytest.approx(2.0 / 3.0)
-    assert diag["lower_bound_claimed"] is False
-
-    two = paired_rescaling_diagnostic(VectorFamily(MERCEDES), indices=[0, 1])
-    assert two["bessel_bound"] == pytest.approx(2.0 / 3.0)
-    assert two["observed_lower"] == pytest.approx(2.0 / 9.0)
-
-
-def test_paired_rescaling_diagnostic_guards():
-    fam = VectorFamily(MERCEDES)
-    with pytest.raises(PreconditionError):
-        paired_rescaling_diagnostic(fam, indices=[5])
-    with pytest.raises(PreconditionError):
-        paired_rescaling_diagnostic(fam, indices=[])

@@ -10,10 +10,8 @@ from framex import (
     PreconditionError,
     Projection,
     PsdOperator,
-    gram,
     project_onto,
     rank_one,
-    sandwich_bound,
     spectrum,
 )
 
@@ -81,11 +79,6 @@ def test_rank_one_complex():
     np.testing.assert_allclose(op.apply(x), np.vdot(v, x) * v)
 
 
-def test_gram_oracle():
-    vecs = [np.array([1.0, 0.0]), np.array([1.0, 1.0])]
-    np.testing.assert_allclose(gram(vecs), [[1.0, 1.0], [1.0, 2.0]])
-
-
 def test_spectrum_sorted(rng):
     a = rng.normal(size=(5, 5))
     op = PsdOperator(a @ a.T)
@@ -131,23 +124,6 @@ def test_compress():
     p = project_onto([np.array([1.0, 0.0])])
     small = op.compress(p)
     assert small.trace == pytest.approx(2.0)
-
-
-def test_sandwich_block_diagonal_is_tight():
-    op = PsdOperator(np.diag([1.0, 2.0, 3.0]))
-    p = project_onto([np.eye(3)[0], np.eye(3)[1]])
-    check = sandwich_bound(op, p)
-    assert check.deviation <= 1e-10
-    assert check.ok
-
-
-def test_sandwich_random(rng):
-    a = rng.normal(size=(4, 4))
-    op = PsdOperator(a @ a.T)
-    p = project_onto([rng.normal(size=4), rng.normal(size=4)])
-    check = sandwich_bound(op, p)
-    assert check.deviation <= check.bound + 1e-9
-    assert check.ok
 
 
 @settings(max_examples=40, deadline=None)

@@ -14,7 +14,6 @@ from framex import (
     ceiling_pad,
     dyadic_decompose,
     make_paddings,
-    padding_report,
     rank_one,
     sample,
 )
@@ -120,14 +119,20 @@ def test_split_choices_halves_and_conserves_counts(state, data):
 
 
 def test_make_paddings_conditions():
+    """Each pad's range lies in span(T_n), the sum stays below I/2, traces obey the cap."""
     rng = np.random.default_rng(5)
-    ops = [rank_one(0.7 * rng.normal(size=4)) for _ in range(3)]
-    pads = make_paddings(ops, epsilon=0.5, beta=2)
-    report = padding_report(ops, pads, epsilon=0.5, beta=2)
-    assert report["span_ok"]
-    assert report["sum_ok"]
-    assert report["trace_ok"]
-    assert report["worst_trace"] <= report["trace_cap"] + 1e-9
+    vecs = [0.7 * rng.normal(size=4) for _ in range(3)]
+    ops = [rank_one(v) for v in vecs]
+    # at (0.9, 0) the trace cap exceeds the operator traces and the I/2 rescale binds
+    for epsilon, beta in [(0.5, 2), (0.9, 0), (0.05, 3)]:
+        pads = make_paddings(ops, epsilon=epsilon, beta=beta)
+        assert len(pads) == len(ops)
+        for v, pad in zip(vecs, pads):
+            line = np.outer(v, v) / (v @ v)
+            np.testing.assert_allclose(line @ pad.matrix, pad.matrix, atol=1e-12)
+            assert pad.trace <= 2.0 ** (-beta + 2) * epsilon * (1 + 1e-12)
+        total = sum(pad.matrix for pad in pads)
+        assert np.linalg.eigvalsh(total)[-1] <= 0.5 + 1e-12
 
 
 def test_make_paddings_zero_for_zero_ops():

@@ -19,7 +19,6 @@ from framex import (
     best_selector,
     certificate_constant,
     descending_trace_pairs,
-    enumerate_selectors,
     natural_max_order,
     rank_one,
     scale_exponent,
@@ -110,15 +109,6 @@ def test_pair_partition_guards():
         PairPartition(indices=(0, 1, 2), pairs=((0, 1),))
     with pytest.raises(PreconditionError):
         PairPartition(indices=(0, 1, 2, 3), pairs=((0, 1), (1, 2)))
-
-
-def test_enumerate_selectors():
-    part = descending_trace_pairs([0, 1, 2, 3], [4.0, 3.0, 2.0, 1.0])
-    selectors = list(enumerate_selectors(part))
-    assert len(selectors) == 4
-    for left, right in selectors:
-        assert sorted(left + right) == [0, 1, 2, 3]
-        assert len(set(left) & set(right)) == 0
 
 
 def test_identical_pair_splits_perfectly():

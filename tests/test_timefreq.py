@@ -10,7 +10,6 @@ from framex import (
     CyclicSignal,
     ExponentialSpec,
     GaborSpec,
-    commutation_phase,
     densify_gabor_frame,
     exponential_family,
     frame_bounds,
@@ -18,12 +17,9 @@ from framex import (
     gabor_family,
     gaussian_window,
     modulate,
-    mp_proxy,
-    stft,
     translate,
 )
 from framex.errors import (
-    DimensionMismatchError,
     GridTooCoarseError,
     NotAFrameError,
     PreconditionError,
@@ -76,20 +72,26 @@ def test_translate_modulate_unitary(rng):
 
 
 def test_commutation_relation(rng):
+    """M_b T_a = e^{2 pi i ab / L} T_a M_b, with the exponent ab reduced mod L."""
     f = rng.normal(size=L) + 1j * rng.normal(size=L)
     for a, b in [(1, 1), (3, 7), (10, 13)]:
         left = modulate(translate(f, a), b).samples
-        right = commutation_phase(L, a, b) * translate(modulate(f, b), a).samples
+        right = np.exp(2j * np.pi * ((a * b) % L) / L) * translate(modulate(f, b), a).samples
         assert np.allclose(left, right, atol=1e-12)
 
 
-def test_commutation_phase_is_exact_root():
-    # the exponent reduces mod L as an integer, so huge arguments cannot drift
-    assert commutation_phase(12, 5 + 7 * 12, 9 - 3 * 12) == commutation_phase(12, 5, 9)
-    assert commutation_phase(8, 2, 2) == pytest.approx(-1.0)
-    assert commutation_phase(8, 0, 5) == 1.0
-    with pytest.raises(PreconditionError):
-        commutation_phase(0, 1, 1)
+def test_commutation_phase_is_exact_root(rng):
+    # shifts reduce mod L as integers, so huge parameters cannot drift
+    f = rng.normal(size=12) + 1j * rng.normal(size=12)
+    a, b = 5 + 7 * 12, 9 - 3 * 12
+    left = modulate(translate(f, a), b).samples
+    assert np.array_equal(left, modulate(translate(f, 5), 9).samples)
+    phase = np.exp(2j * np.pi * ((a * b) % 12) / 12)
+    assert np.allclose(left, phase * translate(modulate(f, b), a).samples, atol=1e-12)
+    # ab = 4 on Z_8 gives the root of unity -1
+    g = rng.normal(size=8)
+    left = modulate(translate(g, 2), 2).samples
+    assert np.allclose(left, -translate(modulate(g, 2), 2).samples, atol=1e-12)
 
 
 def test_gabor_spec_reduces_shifts():
@@ -148,53 +150,6 @@ def test_critical_lattice_degenerates():
     assert not rep.is_frame
 
 
-def test_stft_energy_and_entries(rng):
-    f = rng.normal(size=L) + 1j * rng.normal(size=L)
-    w = gaussian_window(L)
-    grid = stft(f, w)
-    assert grid.shape == (L, L)
-    energy = float((np.abs(grid) ** 2).sum())
-    assert energy == pytest.approx(L * np.linalg.norm(f) ** 2 * w.norm**2, rel=1e-12)
-    for x, freq in [(0, 0), (3, 5), (11, 2)]:
-        ref = np.vdot(modulate(translate(w, x), freq).samples, f)
-        assert grid[x, freq] == pytest.approx(ref, abs=1e-10)
-
-
-def test_stft_impulse_rows():
-    w = gaussian_window(L)
-    grid = stft(impulse(L), w)
-    expect = np.abs(w.samples[(-np.arange(L)) % L])
-    assert np.allclose(np.abs(grid), expect[:, None], atol=1e-12)
-
-
-def test_stft_guards():
-    with pytest.raises(DimensionMismatchError):
-        stft(impulse(8), gaussian_window(16))
-    with pytest.raises(PreconditionError):
-        stft(impulse(8), np.zeros(8))
-
-
-def test_mp_proxy_oracles():
-    g = gaussian_window(L)
-    imp = impulse(L)
-    assert mp_proxy(imp, g, 1.0) == pytest.approx(2.3784120055407074)
-    assert mp_proxy(imp, g, 1.5) == pytest.approx(1.308891790759189)
-    assert mp_proxy(imp, g, 2.0) == pytest.approx(1.0)
-
-
-def test_mp_proxy_properties(rng):
-    g = gaussian_window(L)
-    f = rng.normal(size=L)
-    values = [mp_proxy(f, g, p) for p in (1.0, 1.25, 1.5, 2.0)]
-    assert all(x >= y - 1e-12 for x, y in zip(values, values[1:]))
-    assert mp_proxy(2.0 * f, g, 1.5) == pytest.approx(2.0 * values[2])
-    assert mp_proxy(np.zeros(L), g, 1.0) == 0.0
-    with pytest.raises(PreconditionError):
-        mp_proxy(f, g, 0.5)
-    with pytest.raises(PreconditionError):
-        mp_proxy(f, g, 3.0)
-
-
 def test_exponential_family_full_and_half_mask():
     full = exponential_family(ExponentialSpec(L, range(L), range(L)))
     rep = frame_bounds(full)
@@ -212,6 +167,17 @@ def test_exponential_family_fractional_frequency():
     assert fam.vectors.shape == (1, 8)
     assert np.linalg.norm(fam.vectors[0]) == pytest.approx(math.sqrt(8.0))
     assert not frame_bounds(fam).is_frame
+
+
+def test_exponential_family_entries_oracle(rng):
+    """Row k is e^{2 pi i lambda_k t / L} on the mask, deduplicated and sorted."""
+    freqs = rng.uniform(-20.0, 20.0, size=5)
+    spec = ExponentialSpec(L, [9, 2, 9, 14, 0], freqs)
+    fam = exponential_family(spec)
+    assert spec.mask == (0, 2, 9, 14)
+    t = np.array(spec.mask, dtype=float)
+    np.testing.assert_allclose(fam.vectors, np.exp(2j * np.pi * np.outer(freqs, t) / L), atol=1e-12)
+    assert fam.labels == tuple(repr(float(lam)) for lam in freqs)
 
 
 def test_exponential_spec_guards():
