@@ -99,9 +99,11 @@ def _encode(obj, level=0):
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if isinstance(obj, float):
+        # float.__repr__, not repr: np.float64 is a float whose repr is
+        # "np.float64(nan)"
         if math.isfinite(obj):
             return float.__repr__(obj)
-        return encode_basestring_ascii(repr(obj))
+        return encode_basestring_ascii(float.__repr__(obj))
     if isinstance(obj, complex):
         return _encode_list([obj.real, obj.imag], level)
     if isinstance(obj, Fraction):

@@ -9,6 +9,8 @@ S = sum of <., x_n> x_n.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,29 +157,78 @@ def _family_matrix(family, use_scalars: bool) -> np.ndarray:
     return w
 
 
+def _gram(w: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore", invalid="ignore"):
+        return w.T @ w.conj()
+
+
 def frame_operator(family, use_scalars: bool = False) -> PsdOperator:
     """S = sum of rank-one operators of the (optionally rescaled) vectors.
 
     Raises PreconditionError when S overflows the float range.
     """
-    w = _family_matrix(family, use_scalars)
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = w.T @ w.conj()
+    s = _gram(_family_matrix(family, use_scalars))
     if not np.isfinite(s).all():
         raise PreconditionError("frame operator is not finite: entries overflow the float range")
     return PsdOperator(s, _prevalidated=True)
 
 
+# Frame operators whose largest diagonal entry lies in [2^-900, 2^900] are
+# formed from the vectors as given; the squares of other families overflow
+# or leave the normal float range, so those are scaled first.
+_SQUARES_RANGE = 2.0**900
+
+
+def _normalized(w: np.ndarray) -> tuple[np.ndarray, int]:
+    """(w * 2^-e, e) for the e that puts the largest |entry| in [0.5, 1).
+
+    Complex entries count by their larger part.
+    """
+    top = max(float(np.max(np.abs(w.real))), float(np.max(np.abs(w.imag))))
+    e = math.frexp(top)[1]
+    # two steps, since 2^-e alone leaves the float range for subnormal tops
+    return w * 2.0 ** (-e // 2) * 2.0 ** (-e - (-e // 2)), e
+
+
+def _rescaled(bound: float, e: int) -> float:
+    """bound * 4^e; a nonzero result outside the normal float range raises."""
+    try:
+        out = math.ldexp(bound, 2 * e)
+    except OverflowError:
+        raise PreconditionError(
+            f"frame bound {bound:.6g} * 4^{e} overflows the float range"
+        ) from None
+    if bound and out < sys.float_info.min:
+        raise PreconditionError(
+            f"frame bound {bound:.6g} * 4^{e} underflows the normal float range"
+        )
+    return out
+
+
 def frame_bounds(family, use_scalars: bool = False) -> FrameReport:
     """Frame bounds as extreme eigenvalues of the frame operator.
 
+    Bounds and predicates come from S / 4^e, the frame operator scaled by
+    the power of four that puts its largest diagonal entry in [0.25, 1).
+    Power-of-two scaling is exact, so bounds are scale-equivariant and
+    labels scale-invariant; the bounds are scaled back by 4^e, and a frame
+    bound that leaves the normal float range raises PreconditionError.
     Runs a seeded probe self-check: for random unit x the analysis energy
     sum |<x, x_n>|^2 must fall inside [A - tol, B + tol].
     """
     w = _family_matrix(family, use_scalars)
     count, dim = w.shape
-    op = frame_operator(w)
-    ev = op.eigenvalues
+    s, e = _gram(w), 0
+    top = float(np.max(s.diagonal().real))
+    if not 1.0 / _SQUARES_RANGE <= top <= _SQUARES_RANGE and w.any():
+        w, e = _normalized(w)
+        s = _gram(w)
+        top = float(np.max(s.diagonal().real))
+    if not np.isfinite(s).all():
+        raise PreconditionError("frame operator is not finite: the vectors are not finite")
+    k = (math.frexp(top)[1] + 1) // 2
+    ev = PsdOperator(s * 4.0**-k, _prevalidated=True).eigenvalues
+    e += k
     lower = float(max(ev[0], 0.0))
     upper = float(max(ev[-1], 0.0))
     tol = NUMERIC_TOL * max(upper, 1.0)
@@ -186,13 +237,15 @@ def frame_bounds(family, use_scalars: bool = False) -> FrameReport:
     if np.iscomplexobj(w):
         probes = probes + 1j * rng.standard_normal((_SELF_CHECK_PROBES, dim))
     probes /= np.linalg.norm(probes, axis=1)[:, None]
-    energies = np.sum(np.abs(probes @ w.conj().T) ** 2, axis=1)
+    energies = np.sum(np.abs(probes @ w.conj().T) ** 2, axis=1) * 4.0**-k
     if np.any(energies < lower - tol) or np.any(energies > upper + tol):
         raise PreconditionError(
             "internal probe check failed: analysis energy escaped the eigenvalue range"
         )
     is_frame = lower > FRAME_TOL_FACTOR * upper
     is_tight = is_frame and (upper - lower) <= NUMERIC_TOL * max(upper, 1.0)
+    upper = _rescaled(upper, e)
+    lower = _rescaled(lower, e) if is_frame else math.ldexp(lower, 2 * e)
     return FrameReport(
         lower=lower,
         upper=upper,

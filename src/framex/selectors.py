@@ -291,27 +291,39 @@ def _deviation(mats, ids, target, scale) -> float:
     return float(np.max(np.abs(vals))) if vals.size else 0.0
 
 
-def _batched_deviations(stack, rows, target, scale) -> np.ndarray:
-    """_deviation of every row of ids at once, bit for bit.
+def _fold(stack, rows, target, scale) -> np.ndarray:
+    """The Hermitian parts of -target + scale * (sum of each row's ids).
 
     rows is an integer (m, width) array; negative entries are pads.  Each
     row adds its real ids in ascending order onto -target, exactly the
-    additions _deviation makes, so only the eigensolve is shared: one
-    eigvalsh call on the (m, d, d) stack.
+    additions _deviation makes; returns the (m, d, d) stack.
     """
     n = len(stack)
     ids = np.sort(np.where(rows < 0, n, rows), axis=1)  # pads sort last
     scaled = scale * stack
     acc = np.empty((len(ids),) + target.shape, dtype=np.result_type(target, stack))
     acc[:] = -target
-    for col in ids.T:
-        live = col < n
-        if live.all():
+    for col, whole in zip(ids.T, (ids < n).all(axis=0)):
+        if whole:
             acc += scaled[col]
         else:
+            live = col < n
             acc[live] += scaled[col[live]]
-    vals = np.linalg.eigvalsh((acc + acc.conj().swapaxes(-1, -2)) / 2.0)
-    return np.max(np.abs(vals), axis=-1)
+    return (acc + acc.conj().swapaxes(-1, -2)) / 2.0
+
+
+def _radii(mats) -> np.ndarray:
+    """Spectral radius of each Hermitian matrix of an (m, d, d) stack."""
+    return np.max(np.abs(np.linalg.eigvalsh(mats)), axis=-1)
+
+
+def _batched_deviations(stack, rows, target, scale) -> np.ndarray:
+    """_deviation of every row of ids at once, bit for bit.
+
+    The same additions as _deviation (see _fold), so only the eigensolve is
+    shared: one eigvalsh call on the (m, d, d) stack.
+    """
+    return _radii(_fold(stack, rows, target, scale))
 
 
 def _descend(sides: np.ndarray, flips: np.ndarray, score) -> np.ndarray:
@@ -322,6 +334,10 @@ def _descend(sides: np.ndarray, flips: np.ndarray, score) -> np.ndarray:
     every single flip of the positions in flips with one score call and
     takes the first strictly smaller key; with k = 1 that is the first
     argmin.  Stops when no flip improves; returns sides.
+
+    Only the first minimal key of a sweep and the current key need to be
+    exact.  The key of a trial proven unable to win may be any value on the
+    losing side: >= the current key, or > the sweep's exact minimum.
     """
     current = score(sides[None])[0].tolist()
     while len(flips):
@@ -337,17 +353,40 @@ def _descend(sides: np.ndarray, flips: np.ndarray, score) -> np.ndarray:
 
 
 class _TreeBuilder:
-    """Shared state for building selector trees over a fixed operator stack."""
+    """Shared state for building selector trees over a fixed operator stack.
+
+    padded is the stack with a zero matrix appended at index n, the
+    operator of every pad; call restart() before each tree.
+    """
 
     def __init__(self, stack, traces, target, order):
         self.stack = stack
+        self.padded = np.concatenate([stack, np.zeros_like(stack[:1])])
         self.traces = traces
         self.target = target
         self.order = order
+        self.target_trace = float(np.real(np.trace(target)))
+        self.trace_sum = sum(traces.values())
+        self.restart()
+
+    def restart(self):
         self.pad_ids = itertools.count(-1, -1)
 
     def pairing(self, ids) -> PairPartition:
         return descending_trace_pairs(ids, self.traces, self.pad_ids)
+
+    def tolerance(self, scale) -> float:
+        """Bound on the gap between two computed deviations of one child.
+
+        A child is -target + scale * (sum of its T_i), every addend PSD up
+        to sign, so each partial sum has Frobenius norm at most
+        tr target + scale * sum_n tr T_n.  A fold, a fold plus one rank
+        update, an eigensolve or a Rayleigh quotient perturbs the matrix by
+        a small multiple of the unit roundoff times that (times the count
+        and the dimension), and by Weyl the deviation moves no further.
+        NUMERIC_TOL leaves a margin of about 10^7 over the unit roundoff.
+        """
+        return NUMERIC_TOL * (1.0 + self.target_trace + scale * self.trace_sum)
 
 
 def _greedy_cell(builder: _TreeBuilder, ids, remaining, rng) -> SelectorCell:
@@ -363,13 +402,66 @@ def _greedy_cell(builder: _TreeBuilder, ids, remaining, rng) -> SelectorCell:
             sides[k] = int(rng.integers(0, 2))
 
     level_scale = float(2 ** (builder.order - remaining + 1))
+    eps = builder.tolerance(level_scale)
+    padded_pairs = np.where(pairs < 0, len(builder.stack), pairs)
+
+    def fold(side_rows):
+        # exact (m, 2, d, d) child sums of each side row and their deviations
+        rows = np.concatenate([pairs[slots, side_rows], pairs[slots, 1 - side_rows]])
+        sums = _fold(builder.stack, rows, builder.target, level_scale)
+        sums = sums.reshape((2, len(side_rows)) + sums.shape[1:]).swapaxes(0, 1)
+        return sums, _radii(sums)
+
+    # the exact fold of the current sides, carried over from the sweep that
+    # chose them
+    known = {}
 
     def objective(side_rows):
-        # max over both children of every side vector, in one eigensolve,
-        # as one-column keys
-        rows = np.concatenate([pairs[slots, side_rows], pairs[slots, 1 - side_rows]])
-        devs = _batched_deviations(builder.stack, rows, builder.target, level_scale)
-        return np.maximum(devs[: len(side_rows)], devs[len(side_rows):])[:, None]
+        # side_rows are sides itself or single flips of it, as _descend
+        # scores them.  A flip moves one element between the children, a
+        # rank update of the current sums.  Each stage keeps the trials whose
+        # computed lower bound is below value + 2 eps; a dropped trial keeps
+        # that bound as its key.  The exact fold re-scores the trials within
+        # 2 eps of the sweep minimum.  Computed values are within eps of the
+        # exact ones (_TreeBuilder.tolerance), so _descend decides as it
+        # would on exact keys alone.
+        key = sides.tobytes()
+        if key not in known:
+            sums, exact = fold(sides[None])
+            known[key] = sums[0], exact[0]
+        current, devs = known[key]
+        value = devs.max()
+        keys = np.full(len(side_rows), value)
+        moved = side_rows != sides
+        trials = np.flatnonzero(moved.any(axis=1))
+        if not len(trials):
+            return keys[:, None]
+        k = moved[trials].argmax(axis=1)
+        s = sides[k]
+        # trial t's children are current[0] + step[t] and current[1] - step[t]
+        step = level_scale * (
+            builder.padded[padded_pairs[k, 1 - s]] - builder.padded[padded_pairs[k, s]]
+        )
+        bind = int(devs[1] > devs[0])  # the child that sets the value
+        sign = 1.0 - 2.0 * bind
+        bar = value + 2 * eps
+        # |v* M v| <= dev(M) for unit v: on the binding child's eigenvectors
+        # v_j that is |lam_j + sign * v_j* step v_j|
+        lam, vecs = np.linalg.eigh(current[bind])
+        score = np.abs(lam + sign * (vecs.conj() * (step @ vecs)).sum(axis=1).real).max(axis=1)
+        pos = np.flatnonzero(score < bar)
+        score[pos] = _radii(current[bind] + sign * step[pos])
+        pos = pos[score[pos] < bar]
+        score[pos] = np.maximum(score[pos], _radii(current[1 - bind] - sign * step[pos]))
+        pos = pos[(score[pos] < bar) & (score[pos] <= score[pos].min(initial=np.inf) + 2 * eps)]
+        if len(pos):
+            sums, exact = fold(side_rows[trials[pos]])
+            score[pos] = exact.max(axis=1)
+            w = int(np.argmin(score[pos]))  # the first exact minimum
+            known.clear()
+            known[side_rows[trials[pos[w]]].tobytes()] = sums[w], exact[w]
+        keys[trials] = score
+        return keys[:, None]
 
     _descend(sides, flips, objective)
     left = tuple(pairs[slots, sides].tolist())
@@ -569,9 +661,10 @@ def best_selector(
         tree = SelectorTree(order=order, root=_greedy_cell(builder, tuple(range(len(mats))), order, None))
     elif chosen == "randomized":
         rng = np.random.default_rng(seed)
+        builder = _TreeBuilder(stack, traces, target_m, order)
         tree, achieved, best_worst = None, None, math.inf
         for _ in range(restarts):
-            builder = _TreeBuilder(stack, traces, target_m, order)
+            builder.restart()
             cand = SelectorTree(order=order, root=_greedy_cell(builder, tuple(range(len(mats))), order, rng))
             cand_achieved = _leaf_deviations(cand, stack, target_m)
             worst = max(cand_achieved.values())

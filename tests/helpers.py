@@ -126,7 +126,7 @@ def jsonable(obj):
     if isinstance(obj, float):
         if np.isfinite(obj):
             return obj
-        return repr(obj)
+        return repr(float(obj))
     if isinstance(obj, complex):
         return [jsonable(obj.real), jsonable(obj.imag)]
     if isinstance(obj, Fraction):

@@ -81,6 +81,16 @@ def test_overflowing_frame_operator_writes_an_error_report(tmp_path, command):
     assert "results" not in report
 
 
+@pytest.mark.parametrize("command", ["analyze", "classify"])
+def test_underflowing_frame_bounds_write_an_error_report(tmp_path, command):
+    payload = {"dim": 2, "field": "real", "vectors": [[1e-200, 0.0], [0.0, 1e-200]]}
+    code, report, _ = run_cli(tmp_path, command, payload)
+    assert code == 2
+    assert report["error"]["type"] == "PreconditionError"
+    assert "underflows" in report["error"]["message"]
+    assert "results" not in report
+
+
 def test_extract_reports_are_byte_identical(tmp_path):
     payload = mercedes_payload()
     bodies = []

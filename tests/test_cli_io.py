@@ -122,6 +122,12 @@ def test_encoder_edge_cases(obj):
     assert _encoded(obj) == oracle_report_text(obj)
 
 
+def test_encoder_writes_non_finite_numpy_floats_as_plain_floats():
+    values = [np.float64(math.nan), np.float64(math.inf), np.float64(-math.inf)]
+    assert cli._encode(values) == cli._encode([math.nan, math.inf, -math.inf])
+    assert json.loads(cli._encode(values)) == ["nan", "inf", "-inf"]
+
+
 def test_encoder_rejects_what_the_serializer_rejected():
     for obj in (object(), {"x": [1, object()]}, Pair):
         with pytest.raises(InputFormatError):

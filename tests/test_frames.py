@@ -1,5 +1,7 @@
 """Frame bounds, duals, reconstruction, and the spanning hierarchy."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -91,6 +93,62 @@ def test_overflowing_frame_operator_is_rejected():
     # scalars alone can carry the overflow
     with pytest.raises(PreconditionError, match="overflow"):
         frame_bounds(VectorFamily(np.eye(2), scalars=[1e200, 1.0]), use_scalars=True)
+
+
+def _family_of_kind(rng, kind):
+    dim = int(rng.integers(2, 5))
+    if kind == "riesz_basis":
+        vecs = rng.normal(size=(dim, dim))
+    elif kind == "frame":
+        vecs = rng.normal(size=(dim + 2, dim))
+    elif kind == "rescalable":
+        vecs = np.eye(dim)
+        vecs[-1] *= 1e-7  # lower bound 1e-14, below the frame tolerance
+    else:
+        vecs = rng.normal(size=(dim + 1, dim))
+        vecs[:, -1] = 0.0
+    if rng.integers(0, 2):
+        vecs = vecs * np.exp(1j * rng.uniform(0, 2 * np.pi, size=vecs.shape))
+    return vecs
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["riesz_basis", "frame", "rescalable", "non_spanning"]),
+    k=st.integers(-250, 250),
+)
+def test_bounds_and_labels_are_scale_equivariant(seed, kind, k):
+    """Scaling a family by 2^k scales both bounds by exactly 4^k."""
+    vecs = _family_of_kind(np.random.default_rng(seed), kind)
+    base = classify(VectorFamily(vecs))
+    scaled = classify(VectorFamily(vecs * 2.0**k))
+    assert base.label == kind
+    assert scaled.label == base.label
+    assert scaled.spanning == base.spanning
+    assert scaled.report.lower == math.ldexp(base.report.lower, 2 * k)
+    assert scaled.report.upper == math.ldexp(base.report.upper, 2 * k)
+    for name in ("is_frame", "is_tight", "is_riesz_basis"):
+        assert getattr(scaled.report, name) == getattr(base.report, name)
+
+
+@pytest.mark.parametrize("k", [-500, 460])
+def test_extreme_family_is_scaled_before_its_squares(k):
+    # squares near 2^-1000 or 2^920 lie outside the range where the frame
+    # operator is formed from the vectors as given
+    verdict = classify(VectorFamily(2.0**k * MERCEDES))
+    plain = frame_bounds(VectorFamily(MERCEDES))
+    assert verdict.label == "frame"
+    assert verdict.report.is_tight
+    assert verdict.report.lower == math.ldexp(plain.lower, 2 * k)
+    assert verdict.report.upper == math.ldexp(plain.upper, 2 * k)
+
+
+def test_bounds_below_the_normal_range_are_rejected():
+    tiny = VectorFamily(1e-200 * np.eye(2))
+    for fn in (frame_bounds, classify, canonical_dual):
+        with pytest.raises(PreconditionError, match="underflow"):
+            fn(tiny)
 
 
 def test_weighted_vectors():

@@ -263,6 +263,54 @@ def test_batched_descent_matches_scalar_reference(rng, make, dim, count, order):
         assert cert.achieved == achieved
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    complex_field=st.booleans(),
+    count=st.integers(3, 12),
+    order=st.integers(1, 4),
+    duplicates=st.integers(0, 4),
+)
+def test_rank_update_sweeps_decide_as_the_exact_fold(seed, complex_field, count, order, duplicates):
+    """Ties stay ties: odd counts give pads, duplicated operators exact ties,
+    and two-pair cells a trial whose children are another trial's swapped."""
+    rng = np.random.default_rng(seed)
+    make = complex_rank_ones if complex_field else bounded_rank_ones
+    ops = make(rng, int(rng.integers(2, 5)), count, trace_cap=0.08)
+    for a, b in rng.integers(0, count, size=(duplicates, 2)):
+        ops[a] = ops[b]
+    for strategy, kwargs in (("greedy", {}), ("randomized", {"seed": seed, "restarts": 3})):
+        tree, cert = best_selector(ops, order, strategy=strategy, **kwargs)
+        leaves, achieved = reference_search(ops, order, **kwargs)
+        assert tree.raw_leaves() == leaves
+        assert cert.achieved == achieved
+
+
+def test_greedy_sweeps_eigensolve_fewer_than_two_matrices_per_trial(monkeypatch):
+    ops = bounded_rank_ones(np.random.default_rng(3), 16, 64, trace_cap=16 / 64)
+    counts = {"trials": 0, "matrices": 0}
+    descend = selectors._descend
+
+    def counted_descend(sides, flips, score):
+        def counted(rows):
+            counts["trials"] += len(rows)
+            return score(rows)
+        return descend(sides, flips, counted)
+
+    def counting(solver):
+        def solve(a, *args, **kwargs):
+            counts["matrices"] += math.prod(np.shape(a)[:-2])
+            return solver(a, *args, **kwargs)
+        return solve
+
+    monkeypatch.setattr(selectors, "_descend", counted_descend)
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+    best_selector(ops, 3, strategy="greedy")
+    assert counts["trials"] > 100
+    assert counts["matrices"] < 2 * counts["trials"]
+
+
 def test_verify_does_not_use_batched_helper(rng, monkeypatch):
     ops = bounded_rank_ones(rng, 3, 7, trace_cap=0.1)
     tree, cert = best_selector(ops, 2, strategy="greedy")
