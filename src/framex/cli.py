@@ -43,7 +43,7 @@ from .errors import BudgetExceededError, InputFormatError, PreconditionError
 from .extraction import extract
 from .frames import (
     VectorFamily,
-    canonical_dual,
+    _canonical_dual,
     classify,
     frame_bounds,
     frame_operator,
@@ -373,7 +373,7 @@ def _cmd_dual(payload, params, seed):
     family = parse_family(payload)
     use_scalars = _use_scalars(family, params)
     report = frame_bounds(family, use_scalars)
-    duals = canonical_dual(family, use_scalars)
+    duals = _canonical_dual(family, use_scalars, report)
     probes = _param_int(params, "probes", 25)
     rng = np.random.default_rng(seed)
     fam_m = family.weighted_vectors() if use_scalars else family.vectors
@@ -438,6 +438,13 @@ def _cmd_sample(payload, params, seed):
     if cols is None:
         subspace = Projection.full(family.dim)
     else:
+        for k, col in enumerate(cols):
+            if not 0 <= col < family.dim:
+                raise InputFormatError(
+                    f"param 'subspace_cols': column {col} is outside [0, {family.dim})"
+                )
+            if col in cols[:k]:
+                raise InputFormatError(f"param 'subspace_cols': column {col} is repeated")
         basis = np.eye(family.dim)[:, cols]
         subspace = Projection(basis, dim=family.dim)
     fn, cert = sample(

@@ -27,7 +27,7 @@ from .errors import (
     NotAFrameError,
     PreconditionError,
 )
-from .frames import VectorFamily, FrameReport, canonical_dual, frame_bounds
+from .frames import VectorFamily, FrameReport, _canonical_dual, frame_bounds
 from .linalg import NUMERIC_TOL, RANK_DROP_TOL, Projection, rank_one
 from .sampling import SANDWICH_TOL, SamplingFunction, sample
 from .selectors import (
@@ -235,9 +235,10 @@ def plan(family, lower: float, upper: float) -> ExtractionPlan:
         chain = [Projection.zero(dim)]
         while True:
             top = boundaries[-1]
-            members = [units[n] for n in range(top) if active[n]]
-            added = _extend_span(cols, members, dtype)
-            chain.append(_as_projection(added, dim, dtype))
+            # each member is orthogonalized once, on entering the chain: its
+            # residual against the growing span can only shrink afterwards
+            fresh = [units[n] for n in range(boundaries[-2], top) if active[n]]
+            chain.append(_as_projection(_extend_span(cols, fresh, dtype), dim, dtype))
             if top >= count:
                 break
             level = len(boundaries)
@@ -252,10 +253,8 @@ def plan(family, lower: float, upper: float) -> ExtractionPlan:
                     break
             nxt = min(max(nxt, forced.get(level, 0)), count)
             boundaries.append(nxt)
-        # one empty block re-counts the last chain subspace; afterwards the
-        # residual span must be exhausted
-        leftovers = _extend_span(cols, [units[n] for n in range(count) if active[n]], dtype)
-        chain.append(_as_projection(leftovers, dim, dtype))
+        # one empty block re-counts the last chain subspace and adds nothing
+        chain.append(_as_projection([], dim, dtype))
         boundaries.append(count)
 
         blocks = [(boundaries[j], boundaries[j + 1]) for j in range(len(boundaries) - 1)]
@@ -428,14 +427,14 @@ def equivalence_b_to_a(family, scalars=None, *, probes: int = _PROBE_COUNT, seed
     fam = family if isinstance(family, VectorFamily) else VectorFamily(family)
     if scalars is not None:
         fam = VectorFamily(fam.vectors, scalars=scalars, labels=fam.labels)
-    duals = canonical_dual(fam, use_scalars=True)
+    report = frame_bounds(fam, use_scalars=True)
+    duals = _canonical_dual(fam, True, report)
     if fam.scalars is None:
         scal = np.ones(len(fam), dtype=fam.vectors.dtype)
     else:
         scal = fam.scalars
     out = VectorFamily(np.conj(scal)[:, None] * duals.vectors, labels=fam.labels)
 
-    report = frame_bounds(fam, use_scalars=True)
     tol = NUMERIC_TOL * (1.0 + report.upper / report.lower)
     rng = np.random.default_rng(seed)
     w, o = fam.vectors, out.vectors

@@ -261,15 +261,18 @@ def canonical_dual(family: VectorFamily, use_scalars: bool = False) -> VectorFam
 
     With use_scalars the dual of the rescaled family {c_n x_n} is returned.
     """
-    w = _family_matrix(family, use_scalars)
-    report = frame_bounds(w)
+    return _canonical_dual(family, use_scalars, frame_bounds(family, use_scalars))
+
+
+def _canonical_dual(family, use_scalars: bool, report: FrameReport) -> VectorFamily:
+    """canonical_dual for a caller already holding frame_bounds(family, use_scalars)."""
     if not report.is_frame:
         raise NotAFrameError(
             f"canonical dual needs a frame; lower bound {report.lower:.3e} "
             f"is below {FRAME_TOL_FACTOR:.0e} * {report.upper:.3e}"
         )
-    s = frame_operator(w).matrix
-    duals = np.linalg.solve(s, w.T).T
+    w = _family_matrix(family, use_scalars)
+    duals = np.linalg.solve(frame_operator(w).matrix, w.T).T
     labels = family.labels if isinstance(family, VectorFamily) else None
     return VectorFamily(duals, labels=labels)
 

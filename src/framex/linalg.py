@@ -40,16 +40,41 @@ def _as_square_matrix(matrix) -> np.ndarray:
     return a.astype(np.float64, copy=False)
 
 
-def _check_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> None:
+def _checked_stack(stack: np.ndarray, psd: bool = True):
+    """(Symmetrized stack, ascending eigenvalues or None) of validated matrices.
+
+    Every member of the (n, d, d) stack must be finite, Hermitian within
+    HERMITIAN_TOL times max(max |entry|, 1) and, with psd, have smallest
+    eigenvalue at least -PSD_TOL * max(opnorm, 1).  Each check runs on the
+    whole stack in that order and the first member failing it raises
+    PreconditionError, so a stack of one is one matrix's validation.
+    """
+    adjoint = stack.conj().swapaxes(1, 2)
+    if not stack.shape[1]:
+        return (stack + adjoint) / 2.0, (np.empty((len(stack), 0)) if psd else None)
     # NaN fails every comparison below, so it must be caught first
-    if not np.isfinite(a).all():
+    if not np.isfinite(stack).all():
         raise PreconditionError("matrix has non-finite entries")
-    scale = max(float(np.max(np.abs(a))) if a.size else 0.0, 1.0)
-    skew = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    if skew > tol * scale:
+    scale = np.maximum(np.abs(stack).max(axis=(1, 2)), 1.0)
+    skew = np.abs(stack - adjoint).max(axis=(1, 2))
+    bad = np.flatnonzero(skew > HERMITIAN_TOL * scale)
+    if bad.size:
         raise PreconditionError(
-            f"matrix is not Hermitian: max asymmetry {skew:.3e} exceeds {tol:.1e} * {scale:.3e}"
+            f"matrix is not Hermitian: max asymmetry {skew[bad[0]]:.3e} exceeds "
+            f"{HERMITIAN_TOL:.1e} * {scale[bad[0]]:.3e}"
         )
+    sym = (stack + adjoint) / 2.0
+    if not psd:
+        return sym, None
+    vals = np.linalg.eigvalsh(sym)
+    floor = -PSD_TOL * np.maximum(np.abs(vals).max(axis=1), 1.0)
+    bad = np.flatnonzero(vals[:, 0] < floor)
+    if bad.size:
+        raise PreconditionError(
+            "matrix is not positive semidefinite: "
+            f"min eigenvalue {vals[bad[0], 0]:.3e} < {floor[bad[0]]:.3e}"
+        )
+    return sym, vals
 
 
 class PsdOperator:
@@ -65,21 +90,18 @@ class PsdOperator:
 
     def __init__(self, matrix, *, _prevalidated: bool = False):
         a = _as_square_matrix(matrix)
-        if not _prevalidated:
-            _check_hermitian(a)
-        a = (a + a.conj().T) / 2.0
+        vals = None
+        if _prevalidated:
+            a = (a + a.conj().T) / 2.0
+        else:
+            sym, vals = _checked_stack(a[None])
+            a, vals = sym[0], vals[0]
+            vals.setflags(write=False)
         a.setflags(write=False)
         self._matrix = a
-        self._eigenvalues = None
+        self._eigenvalues = vals
         self._trace = float(np.real(np.trace(a)))
         self._opnorm = None
-        if not _prevalidated:
-            lo = float(self.eigenvalues[0]) if self.dim else 0.0
-            floor = -PSD_TOL * max(self.opnorm, 1.0)
-            if lo < floor:
-                raise PreconditionError(
-                    f"matrix is not positive semidefinite: min eigenvalue {lo:.3e} < {floor:.3e}"
-                )
 
     @property
     def matrix(self) -> np.ndarray:
@@ -151,6 +173,22 @@ class PsdOperator:
         return cls(np.eye(dim), _prevalidated=True)
 
 
+def _psd_operators(stack: np.ndarray) -> list:
+    """PsdOperators of the members of an (n, d, d) stack, validated at once.
+
+    The checks and messages are PsdOperator's, and each operator holds the
+    matrix and eigenvalues its own construction would.
+    """
+    sym, vals = _checked_stack(stack)
+    vals.setflags(write=False)
+    ops = []
+    for a, ev in zip(sym, vals):
+        op = PsdOperator(a, _prevalidated=True)
+        op._eigenvalues = ev
+        ops.append(op)
+    return ops
+
+
 def rank_one(vector) -> PsdOperator:
     """The operator x -> <x, v> v; its trace is ||v||^2."""
     v = np.asarray(vector)
@@ -167,9 +205,7 @@ def spectrum(op) -> np.ndarray:
     """
     if isinstance(op, PsdOperator):
         return op.eigenvalues.copy()
-    a = _as_square_matrix(op)
-    _check_hermitian(a)
-    a = (a + a.conj().T) / 2.0
+    a = _checked_stack(_as_square_matrix(op)[None], psd=False)[0][0]
     vals, vecs = np.linalg.eigh(a)
     resid = float(np.max(np.abs((vecs * vals) @ vecs.conj().T - a))) if a.size else 0.0
     scale = max(float(np.max(np.abs(vals))) if vals.size else 0.0, 1.0)

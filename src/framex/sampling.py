@@ -22,6 +22,7 @@ floats only enter through eigenvalue computations.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetExceededError, PreconditionError
-from .linalg import NUMERIC_TOL, RANK_DROP_TOL, Projection, PsdOperator
+from .linalg import NUMERIC_TOL, RANK_DROP_TOL, Projection, PsdOperator, _psd_operators
 from .selectors import ScaleExponent, _descend, natural_max_order, scale_exponent, selector_constant
 
 __all__ = [
@@ -68,16 +69,29 @@ def _pow2(k: int) -> Fraction:
     return Fraction(2**k) if k >= 0 else Fraction(1, 2**-k)
 
 
-def _floor_log2(fr: Fraction) -> int:
-    """Largest k with 2^k <= fr, exact."""
-    if fr <= 0:
-        raise PreconditionError("log of a nonpositive rational")
-    k = fr.numerator.bit_length() - fr.denominator.bit_length()
-    while _pow2(k) > fr:
-        k -= 1
-    while _pow2(k + 1) <= fr:
-        k += 1
-    return k
+def _binary_expansion(value: Fraction, depth: int | None) -> tuple[tuple[int, ...], Fraction]:
+    """Exponents e of the first depth one-bits 2^-e of value > 0, and the rest.
+
+    Long division on the numerator and denominator: with value * 2^e0 in
+    [1, 2), the bit at 2^-(e0 + i) is set when a >= b, for the invariant
+    remainder = (a / b) 2^-(e0 + i).  Exact for every positive rational;
+    depth None expands to the end, which only a dyadic value reaches.
+    """
+    a, b = value.numerator, value.denominator
+    e0 = b.bit_length() - a.bit_length()
+    if (a << max(e0, 0)) < (b << max(-e0, 0)):
+        e0 += 1
+    a, b = a << max(e0, 0), b << max(-e0, 0)
+    exponents = []
+    e = e0
+    while a and (depth is None or len(exponents) < depth):
+        if a >= b:
+            exponents.append(e)
+            a -= b
+        a <<= 1
+        e += 1
+    rest = Fraction(a, b << e) if e >= 0 else Fraction(a << -e, b)
+    return tuple(exponents), rest
 
 
 @dataclass(frozen=True)
@@ -126,14 +140,9 @@ def dyadic_decompose(value, depth: int = MAX_DYADIC_DEPTH) -> DyadicDecompositio
         raise PreconditionError(f"value must be positive, got {c}")
     if depth < 1:
         raise PreconditionError(f"depth must be at least 1, got {depth}")
-    exponents = []
-    residual = c
-    while residual > 0 and len(exponents) < depth:
-        e = -_floor_log2(residual)
-        exponents.append(e)
-        residual -= _pow2(-e)
+    exponents, remainder = _binary_expansion(c, depth)
     return DyadicDecomposition(
-        target=c, exponents=tuple(exponents), remainder=residual, depth=len(exponents)
+        target=c, exponents=exponents, remainder=remainder, depth=len(exponents)
     )
 
 
@@ -171,13 +180,7 @@ def ceiling_pad(decomposition: DyadicDecomposition) -> PaddingSet:
         return PaddingSet(exponents=(), base_sum=s)
     if gap.denominator & (gap.denominator - 1):
         raise PreconditionError("truncated sum is not dyadic; cannot pad exactly")
-    exponents = []
-    residual = gap
-    while residual > 0:
-        e = -_floor_log2(residual)
-        exponents.append(e)
-        residual -= _pow2(-e)
-    return PaddingSet(exponents=tuple(exponents), base_sum=s)
+    return PaddingSet(exponents=_binary_expansion(gap, None)[0], base_sum=s)
 
 
 def make_paddings(ops, epsilon: float, beta: int):
@@ -187,6 +190,8 @@ def make_paddings(ops, epsilon: float, beta: int):
     the family is rescaled uniformly so its plain sum stays below I/2.  The
     caps have no lower bounds, so shrinking (even to zero) is always safe;
     the caller may rescale further against its compressed-trace budget.
+    The operators are eigensolved, and the pads validated, as one stack;
+    a list mixing real and complex operators is handled as complex.
     """
     psd = [op if isinstance(op, PsdOperator) else PsdOperator(op) for op in ops]
     if not psd:
@@ -198,13 +203,11 @@ def make_paddings(ops, epsilon: float, beta: int):
     if target <= 0:
         return [PsdOperator.zero(psd[0].dim) for _ in psd]
     mats = []
-    for p in psd:
-        vals, vecs = np.linalg.eigh(p.matrix)
-        scale = float(vals[-1]) if vals.size else 0.0
-        keep = vals > RANK_DROP_TOL * max(scale, 1e-300)
+    for vals, vecs in zip(*np.linalg.eigh(np.stack([p.matrix for p in psd]))):
+        keep = vals > RANK_DROP_TOL * max(float(vals[-1]) if vals.size else 0.0, 1e-300)
         rank = int(np.count_nonzero(keep))
         if rank == 0:
-            mats.append(np.zeros_like(p.matrix))
+            mats.append(np.zeros_like(vecs))
             continue
         basis = vecs[:, keep]
         mats.append((target / rank) * (basis @ basis.conj().T))
@@ -213,7 +216,7 @@ def make_paddings(ops, epsilon: float, beta: int):
     factor = 1.0
     if top > 0.5:
         factor = 0.5 / top * (1.0 - 1e-12)
-    return [PsdOperator(factor * m) for m in mats]
+    return _psd_operators(factor * np.stack(mats))
 
 
 class SamplingFunction:
@@ -432,18 +435,27 @@ def sample(
     beta = se.value
 
     # truncation: coarsest uniform exponent cutoff whose discarded tail
-    # stays below min(eps/2, gamma); cost scales with the finest kept level
+    # stays below min(eps/2, gamma); cost scales with the finest kept level.
+    # The remainder c - K 2^-L of c = p/q at a cut is the integer ratio
+    # (p 2^L - q K) / (q 2^L), and int division rounds it exactly as
+    # float(Fraction) does; only the chosen cut is truncated for real
     full = [dyadic_decompose(c, depth) for c in fracs]
     tail_cap = min(epsilon / 2.0, gamma)
-    cut_candidates = sorted({e for d in full for e in d.exponents})
+    cuts = sorted({e for d in full for e in d.exponents})
+    fine = max(cuts[-1], 0)
+    kept = [list(itertools.accumulate((1 << (fine - e) for e in d.exponents), initial=0)) for d in full]
     truncated = None
     tail_norm = 0.0
-    for cut in cut_candidates or [0]:
-        cand = [d.truncate(cut) for d in full]
-        residual = sum(float(d.remainder) * m for d, m in zip(cand, mats))
+    for cut in cuts:
+        remainders = [
+            ((c.numerator << fine) - c.denominator * k[bisect.bisect_right(d.exponents, cut)])
+            / (c.denominator << fine)
+            for c, d, k in zip(fracs, full, kept)
+        ]
+        residual = sum(r * m for r, m in zip(remainders, mats))
         _, worst = _eig_range(residual)
         if worst <= tail_cap + NUMERIC_TOL:
-            truncated = cand
+            truncated = [d.truncate(cut) for d in full]
             tail_norm = max(worst, 0.0)
             break
     if truncated is None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridTooCoarseError, NotAFrameError, PreconditionError
-from .frames import VectorFamily, canonical_dual, frame_bounds
+from .frames import VectorFamily, _canonical_dual, frame_bounds
 
 __all__ = [
     "CyclicSignal",
@@ -315,7 +315,7 @@ def densify_gabor_frame(base, counts, perturbation_budget=None, *, seed=0):
     else:
         budget = None
 
-    duals = canonical_dual(fam)
+    duals = _canonical_dual(fam, False, bounds)
     dual_norms = np.linalg.norm(duals.vectors, axis=1)
     sup_dual = float(dual_norms.max())
     length = base.length

@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from framex import VectorFamily
-from framex.errors import InputFormatError
+from framex import PsdOperator, VectorFamily
+from framex.errors import InputFormatError, PreconditionError
+from framex.linalg import RANK_DROP_TOL, Projection
 
 
 def random_family(rng, dim, count, complex_field=False, spread=1.0):
@@ -166,3 +167,120 @@ def roll_gabor_rows(spec):
         idx = (np.arange(length) * b) % length
         rows[k] = np.roll(base, a) * table[idx]
     return rows
+
+
+# The block planner framex.extraction.plan used before each chain member was
+# orthogonalized once: every boundary step re-scans all earlier members, and
+# a final pass re-scans every member.  Kept as plan's oracle.
+def reference_plan(family, lower: float, upper: float) -> dict:
+    from framex.extraction import (
+        _as_projection,
+        _extend_span,
+        _family_data,
+        _resolve_constants,
+        _threshold,
+    )
+
+    b = float(upper)
+    fam, weights, units, active = _family_data(family)
+    count, dim = len(fam), fam.dim
+    dtype = units.dtype
+    _, epsilon, _ = _resolve_constants(float(lower), b)
+    forced = {}
+    for _ in range(max(16, 2 * count)):
+        boundaries = [0, 1]
+        cols = []
+        chain = [Projection.zero(dim)]
+        while True:
+            top = boundaries[-1]
+            members = [units[n] for n in range(top) if active[n]]
+            chain.append(_as_projection(_extend_span(cols, members, dtype), dim, dtype))
+            if top >= count:
+                break
+            level = len(boundaries)
+            cap = _threshold(level, epsilon)
+            basis = np.stack(cols, axis=1) if cols else np.zeros((dim, 0), dtype=dtype)
+            tail_terms = weights * (np.abs(units @ basis.conj()) ** 2).sum(axis=1) / b
+            nxt = count
+            for k in range(top + 1, count + 1):
+                if float(tail_terms[k:].sum()) <= cap:
+                    nxt = k
+                    break
+            boundaries.append(min(max(nxt, forced.get(level, 0)), count))
+        leftovers = _extend_span(cols, [units[n] for n in range(count) if active[n]], dtype)
+        chain.append(_as_projection(leftovers, dim, dtype))
+        boundaries.append(count)
+        blocks = [(boundaries[j], boundaries[j + 1]) for j in range(len(boundaries) - 1)]
+        references = []
+        for j in range(len(blocks)):
+            pair_cols = [chain[j].basis[:, i] for i in range(chain[j].rank)]
+            pair_cols += [chain[j + 1].basis[:, i] for i in range(chain[j + 1].rank)]
+            references.append(_as_projection(pair_cols, dim, dtype).complement())
+        gammas = []
+        violation = None
+        for j, (start, end) in enumerate(blocks):
+            ref = references[j].matrix
+            total = 0.0
+            for n in range(start, end):
+                if active[n]:
+                    press = float(np.real(np.vdot(units[n], ref @ units[n])))
+                    total += weights[n] * max(press, 0.0) / b
+            gammas.append(total)
+            if total > _threshold(j, epsilon) * (1.0 + 1e-9) + 1e-12 and violation is None:
+                violation = j
+        if violation is not None:
+            level = violation + 1
+            if level < 2 or boundaries[level] >= count:
+                raise PreconditionError("block energy exceeds its threshold")
+            forced[level] = boundaries[level] + 1
+            continue
+        return {
+            "blocks": tuple(blocks),
+            "thresholds": tuple(_threshold(j, epsilon) for j in range(len(blocks))),
+            "gammas": tuple(gammas),
+            "subspaces": tuple(chain),
+            "block_subspaces": tuple(references),
+        }
+    raise AssertionError("reference planner kept failing")
+
+
+def _floor_log2(fr: Fraction) -> int:
+    k = fr.numerator.bit_length() - fr.denominator.bit_length()
+    while Fraction(2) ** k > fr:
+        k -= 1
+    while Fraction(2) ** (k + 1) <= fr:
+        k += 1
+    return k
+
+
+# The greedy Fraction loop framex.sampling used for dyadic expansions and
+# ceiling pads before its integer long division.  Kept as the oracle.
+def reference_binary_expansion(value: Fraction, depth=None):
+    """(exponents of the first depth one-bits, remainder); depth None runs to the end."""
+    exponents = []
+    residual = value
+    while residual > 0 and (depth is None or len(exponents) < depth):
+        e = -_floor_log2(residual)
+        exponents.append(e)
+        residual -= Fraction(2) ** -e
+    return tuple(exponents), residual
+
+
+# The padding operators framex.sampling.make_paddings built one at a time:
+# one eigh and one validated PsdOperator per operator.  Kept as the oracle.
+def reference_paddings(psd, epsilon: float, beta: int):
+    target = min(2.0 ** (-beta + 2) * epsilon, max(p.trace for p in psd))
+    mats = []
+    for p in psd:
+        vals, vecs = np.linalg.eigh(p.matrix)
+        keep = vals > RANK_DROP_TOL * max(float(vals[-1]), 1e-300)
+        rank = int(np.count_nonzero(keep))
+        if rank == 0:
+            mats.append(np.zeros_like(p.matrix))
+            continue
+        basis = vecs[:, keep]
+        mats.append((target / rank) * (basis @ basis.conj().T))
+    total = sum(mats)
+    top = float(np.max(np.linalg.eigvalsh((total + total.conj().T) / 2.0)))
+    factor = 0.5 / top * (1.0 - 1e-12) if top > 0.5 else 1.0
+    return [PsdOperator(factor * m) for m in mats]

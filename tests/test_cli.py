@@ -157,6 +157,39 @@ def test_sample_splits_a_non_dyadic_weight(tmp_path):
     assert report["results"]["multiplicity"] == {"0": 43}
 
 
+@pytest.mark.parametrize(
+    "cols,message",
+    [
+        ("5", "column 5 is outside [0, 2)"),
+        ("-1", "column -1 is outside [0, 2)"),
+        ("0,0", "column 0 is repeated"),
+    ],
+)
+def test_sample_rejects_bad_subspace_columns(tmp_path, cols, message):
+    payload = scaled_basis_payload(dim=2)
+    code, report, _ = run_cli(
+        tmp_path, "sample", payload, "--param", "epsilon=0.25", "--param", f"subspace_cols={cols}"
+    )
+    assert code == 3
+    assert report["error"]["type"] == "InputFormatError"
+    assert message in report["error"]["message"]
+    assert "results" not in report
+
+
+def test_dual_bounds_its_frame_once(tmp_path, monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    code, report, _ = run_cli(tmp_path, "dual", mercedes_payload())
+    assert code == 0
+    assert calls == [(2, 2)]
+
+
 def test_selector_command_and_budget_override(tmp_path):
     code, report, _ = run_cli(tmp_path, "selector", scaled_basis_payload())
     assert code == 0

@@ -18,10 +18,11 @@ from framex import (
     frame_bounds,
     rank_one,
 )
-from framex.errors import NotAFrameError
+import framex.extraction as extraction
+from framex.errors import NotAFrameError, PreconditionError
 from framex.extraction import ENVELOPE_SLACK, _snap_weight, plan
 
-from helpers import rescalable_fixture
+from helpers import reference_plan, rescalable_fixture
 
 
 def complex_integer_weight_family(rng, dim, extras=3, kmax=4):
@@ -61,6 +62,75 @@ def test_plan_rejects_bad_bounds():
         plan(fam, 0.0, 1.0)
     with pytest.raises(NotAFrameError):
         plan(fam, 2.0, 1.0)
+
+
+def near_duplicate_family(rng, dim, extras, complex_field, offsets):
+    """Rescalable family plus, per offset t, a copy of an earlier member moved by t."""
+    vecs = np.vstack([np.eye(dim), rng.normal(size=(extras, dim))])
+    if complex_field:
+        vecs = vecs + 1j * np.vstack([np.zeros((dim, dim)), rng.normal(size=(extras, dim))])
+    vecs = vecs @ np.linalg.qr(rng.normal(size=(dim, dim)))[0].T
+    for t in offsets:
+        v = vecs[int(rng.integers(len(vecs)))]
+        step = rng.normal(size=dim)
+        vecs = np.vstack([vecs, v + t * np.linalg.norm(v) * step / np.linalg.norm(step)])
+    ks = rng.integers(1, 5, size=len(vecs))
+    return VectorFamily(vecs, scalars=np.sqrt(ks) / np.linalg.norm(vecs, axis=1))
+
+
+def assert_same_bits(got, want):
+    assert got.basis.dtype == want.basis.dtype
+    assert got.basis.shape == want.basis.shape
+    assert got.basis.tobytes() == want.basis.tobytes()
+
+
+@given(
+    dim=st.integers(2, 8),
+    extras=st.integers(0, 4),
+    complex_field=st.booleans(),
+    offsets=st.lists(st.sampled_from([0.0, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10]), max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_plan_equals_the_rescanning_planner(dim, extras, complex_field, offsets, seed):
+    fam = near_duplicate_family(np.random.default_rng(seed), dim, extras, complex_field, offsets)
+    rep = frame_bounds(fam, use_scalars=True)
+    try:
+        want = reference_plan(fam, rep.lower, rep.upper)
+    except PreconditionError:
+        with pytest.raises(PreconditionError):
+            plan(fam, rep.lower, rep.upper)
+        return
+    got = plan(fam, rep.lower, rep.upper)
+    assert got.blocks == want["blocks"]
+    assert got.thresholds == want["thresholds"]
+    assert got.gammas == want["gammas"]
+    for mine, theirs in zip(got.block_subspaces, want["block_subspaces"]):
+        assert_same_bits(mine, theirs)
+    assert len(got.subspaces) == len(want["subspaces"])
+    for mine, theirs in zip(got.subspaces, want["subspaces"]):
+        assert_same_bits(mine, theirs)
+
+
+def test_plan_orthogonalizes_each_member_once(rng, monkeypatch):
+    fed = {}  # the span under construction (one per plan build) -> members fed
+    extend = extraction._extend_span
+
+    def counted(cols, candidates, dtype):
+        fed.setdefault(id(cols), [cols, 0])[1] += len(candidates)
+        return extend(cols, candidates, dtype)
+
+    monkeypatch.setattr(extraction, "_extend_span", counted)
+    for fam in (
+        rescalable_fixture(rng, 6, extras=3),
+        near_duplicate_family(rng, 5, 2, True, [0.0, 1e-8]),
+        VectorFamily(np.vstack([np.eye(3), np.zeros((1, 3)), np.ones((1, 3))])),
+    ):
+        fed.clear()
+        rep = frame_bounds(fam, use_scalars=fam.scalars is not None)
+        plan(fam, rep.lower, rep.upper)
+        active = int(np.count_nonzero(fam.norms()))
+        assert fed and all(count == active for _, count in fed.values())
 
 
 def test_extract_orthonormal_basis():

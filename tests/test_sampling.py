@@ -1,5 +1,6 @@
 """Tests for the dyadic replication and subfamily sampling pipeline."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,10 @@ from framex import (
     sample,
 )
 from framex.errors import BudgetExceededError, PreconditionError
+from framex.linalg import _psd_operators
 from framex.sampling import REPLICA_BUDGET, _child_state, _split_choices
+
+from helpers import reference_binary_expansion, reference_paddings
 
 
 def scaled_basis_ops(dim, trace=0.2):
@@ -77,6 +81,24 @@ def test_dyadic_decompose_is_exact(num, den, depth):
     assert d.truncated_sum + pad.gap == pad.total
 
 
+@given(
+    value=st.one_of(
+        st.floats(min_value=2.0**-60, max_value=2.0**60),
+        st.sampled_from([Fraction(1, 3), "5/7", Fraction(2**70 + 1, 3**40)]),
+        st.fractions(min_value=Fraction(1, 10**6), max_value=10**6).filter(lambda f: f > 0),
+    ),
+    depth=st.integers(min_value=1, max_value=48),
+)
+@settings(max_examples=200, deadline=None)
+def test_binary_expansion_equals_the_greedy_loop(value, depth):
+    d = dyadic_decompose(value, depth)
+    assert (d.exponents, d.remainder) == reference_binary_expansion(Fraction(value), depth)
+    s = d.truncated_sum
+    gap = Fraction(math.ceil(s)) - s
+    want = reference_binary_expansion(gap)[0] if gap else ()
+    assert ceiling_pad(d).exponents == want
+
+
 def test_ceiling_pad_exact_values():
     assert ceiling_pad(dyadic_decompose(0.75)).exponents == (2,)
     assert ceiling_pad(dyadic_decompose(1)).exponents == ()
@@ -133,6 +155,41 @@ def test_make_paddings_conditions():
             assert pad.trace <= 2.0 ** (-beta + 2) * epsilon * (1 + 1e-12)
         total = sum(pad.matrix for pad in pads)
         assert np.linalg.eigvalsh(total)[-1] <= 0.5 + 1e-12
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_make_paddings_equals_one_operator_at_a_time(complex_field):
+    rng = np.random.default_rng(11)
+    vecs = rng.normal(size=(5, 4))
+    if complex_field:
+        vecs = vecs + 1j * rng.normal(size=(5, 4))
+    ops = [rank_one(0.6 * v / np.linalg.norm(v)) for v in vecs]
+    zero = PsdOperator(np.zeros((4, 4), dtype=vecs.dtype))
+    ops += [ops[0] + ops[1], zero, ops[2]]
+    for epsilon, beta in [(0.5, 2), (0.9, 0), (0.05, 3), (0.3, -2)]:
+        pads = make_paddings(ops, epsilon=epsilon, beta=beta)
+        want = reference_paddings(ops, epsilon, beta)
+        assert len(pads) == len(want)
+        for got, ref in zip(pads, want):
+            assert got.matrix.dtype == ref.matrix.dtype
+            assert got.matrix.tobytes() == ref.matrix.tobytes()
+            assert got.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+            assert got.trace == ref.trace
+
+
+@pytest.mark.parametrize("kind", ["nan", "non-hermitian", "indefinite"])
+def test_stack_validation_rejects_like_psd_operator(kind):
+    bad = np.diag([1.0, 0.5, -1e-3]) if kind == "indefinite" else np.eye(3)
+    if kind == "nan":
+        bad[1, 2] = np.nan
+    if kind == "non-hermitian":
+        bad[0, 2] = 1e-3
+    with pytest.raises(PreconditionError) as single:
+        PsdOperator(bad)
+    good = 0.5 * np.eye(3)
+    with pytest.raises(PreconditionError) as stacked:
+        _psd_operators(np.stack([good, bad, good]))
+    assert str(stacked.value) == str(single.value)
 
 
 def test_make_paddings_zero_for_zero_ops():
