@@ -28,7 +28,7 @@ from .errors import (
     PreconditionError,
 )
 from .frames import VectorFamily, FrameReport, _canonical_dual, frame_bounds
-from .linalg import NUMERIC_TOL, RANK_DROP_TOL, Projection, rank_one
+from .linalg import NUMERIC_TOL, RANK_DROP_TOL, Projection, _extend_span, rank_one
 from .sampling import SANDWICH_TOL, SamplingFunction, sample
 from .selectors import (
     ScaleExponent,
@@ -89,26 +89,6 @@ def _resolve_constants(lower: float, upper: float):
         except NoAdmissibleExponentError:
             c *= 2.0
     raise PreconditionError("no self-consistent selector constant found")
-
-
-def _extend_span(cols: list, candidates, dtype) -> list:
-    """Orthonormal residuals of candidates against cols, appended in place.
-
-    Two orthogonalization passes per vector; residuals below RANK_DROP_TOL
-    are dropped (candidates are unit vectors, so the threshold is absolute).
-    """
-    added = []
-    for v in candidates:
-        w = np.array(v, dtype=dtype)
-        for _ in range(2):
-            for q in cols:
-                w = w - q * np.vdot(q, w)
-        size = float(np.linalg.norm(w))
-        if size > RANK_DROP_TOL:
-            w = w / size
-            cols.append(w)
-            added.append(w)
-    return added
 
 
 def _as_projection(cols: list, dim: int, dtype) -> Projection:
@@ -236,9 +216,10 @@ def plan(family, lower: float, upper: float) -> ExtractionPlan:
         while True:
             top = boundaries[-1]
             # each member is orthogonalized once, on entering the chain: its
-            # residual against the growing span can only shrink afterwards
+            # residual against the growing span can only shrink afterwards;
+            # members are unit vectors, so the drop threshold is absolute
             fresh = [units[n] for n in range(boundaries[-2], top) if active[n]]
-            chain.append(_as_projection(_extend_span(cols, fresh, dtype), dim, dtype))
+            chain.append(_as_projection(_extend_span(cols, fresh, dtype, RANK_DROP_TOL), dim, dtype))
             if top >= count:
                 break
             level = len(boundaries)
@@ -479,9 +460,7 @@ def equivalence_a_to_d(family) -> SpanDistinctSelection:
     """Reduce collinear rays to representatives, then extract among them.
 
     Members of one ray are rescaled to unit length, so a ray's combined
-    weight is its cardinality; that weight never exceeds the upper bound of
-    the normalized family (checked), which keeps the per-index multiplicity
-    cap meaningful after extraction.
+    weight is its cardinality.
     """
     fam = family if isinstance(family, VectorFamily) else VectorFamily(family)
     norms = fam.norms()
@@ -489,7 +468,7 @@ def equivalence_a_to_d(family) -> SpanDistinctSelection:
     if not alive:
         raise NotAFrameError("all vectors vanish; the family cannot span")
     units = {n: fam.vectors[n] / norms[n] for n in alive}
-    span_rank = len(_extend_span([], [units[n] for n in alive], fam.vectors.dtype))
+    span_rank = len(_extend_span([], [units[n] for n in alive], fam.vectors.dtype, RANK_DROP_TOL))
     if span_rank < fam.dim:
         raise NotAFrameError(
             f"family spans only {span_rank} of {fam.dim} dimensions; no rescaling helps"
@@ -507,13 +486,6 @@ def equivalence_a_to_d(family) -> SpanDistinctSelection:
             classes.append([n])
 
     class_weights = [float(len(cls)) for cls in classes]
-    normalized_all = VectorFamily(np.stack([units[n] for n in alive]))
-    upper = frame_bounds(normalized_all).upper
-    for k, g in enumerate(class_weights):
-        if g > upper * (1.0 + NUMERIC_TOL):
-            raise PreconditionError(
-                f"ray {k} carries weight {g} above the Bessel bound {upper:.6g}"
-            )
 
     rep_family = VectorFamily(
         np.stack([fam.vectors[n] for n in representatives]),

@@ -131,46 +131,12 @@ class PsdOperator:
             self._opnorm = float(np.max(np.abs(ev))) if ev.size else 0.0
         return self._opnorm
 
-    def apply(self, x) -> np.ndarray:
-        return self._matrix @ np.asarray(x)
-
-    def compress(self, projection: "Projection") -> "PsdOperator":
-        """Return P A P for an orthogonal projection P."""
-        p = projection.matrix
-        return PsdOperator(p @ self._matrix @ p, _prevalidated=True)
-
-    def __add__(self, other):
-        if isinstance(other, PsdOperator):
-            other = other.matrix
-        elif isinstance(other, (int, float)) and other == 0:
-            return self
-        other = np.asarray(other)
-        if other.shape != self._matrix.shape:
-            raise DimensionMismatchError(
-                f"cannot add operators of shapes {self._matrix.shape} and {other.shape}"
-            )
-        return PsdOperator(self._matrix + other, _prevalidated=True)
-
-    __radd__ = __add__
-
-    def __mul__(self, scalar):
-        s = float(scalar)
-        if s < 0:
-            raise PreconditionError("scaling a PSD operator by a negative factor")
-        return PsdOperator(s * self._matrix, _prevalidated=True)
-
-    __rmul__ = __mul__
-
     def __repr__(self):
         return f"PsdOperator(dim={self.dim}, trace={self.trace:.6g}, opnorm={self.opnorm:.6g})"
 
     @classmethod
     def zero(cls, dim: int) -> "PsdOperator":
         return cls(np.zeros((dim, dim)), _prevalidated=True)
-
-    @classmethod
-    def identity(cls, dim: int) -> "PsdOperator":
-        return cls(np.eye(dim), _prevalidated=True)
 
 
 def _psd_operators(stack: np.ndarray) -> list:
@@ -257,10 +223,6 @@ class Projection:
             self._matrix = m
         return self._matrix
 
-    def apply(self, x) -> np.ndarray:
-        q = self._basis
-        return q @ (q.conj().T @ np.asarray(x))
-
     def complement(self) -> "Projection":
         """Projection onto the orthogonal complement of the range."""
         d, r = self.dim, self.rank
@@ -286,6 +248,27 @@ class Projection:
         return cls(np.eye(dim))
 
 
+def _extend_span(cols: list, candidates, dtype, threshold: float) -> list:
+    """Orthonormal residuals of candidates against cols, appended in place.
+
+    Repeated Gram-Schmidt: two orthogonalization passes per vector, in
+    order; a residual whose norm is at or below threshold is dropped.
+    Returns the vectors appended.
+    """
+    added = []
+    for v in candidates:
+        w = np.array(v, dtype=dtype)
+        for _ in range(2):
+            for q in cols:
+                w = w - q * np.vdot(q, w)
+        size = float(np.linalg.norm(w))
+        if size > threshold:
+            w = w / size
+            cols.append(w)
+            added.append(w)
+    return added
+
+
 def project_onto(vectors, dim: int | None = None) -> Projection:
     """Orthonormalize a spanning list into a Projection onto its span.
 
@@ -304,18 +287,11 @@ def project_onto(vectors, dim: int | None = None) -> Projection:
     dtype = np.complex128 if complex_input else np.float64
     if not vs:
         return Projection(np.zeros((dim, 0), dtype=dtype))
-    norms = [float(np.linalg.norm(v)) for v in vs]
-    threshold = RANK_DROP_TOL * max(max(norms), 1e-300)
-    cols: list[np.ndarray] = []
     for v in vs:
         if v.shape != (dim,):
             raise DimensionMismatchError(f"vector of shape {v.shape} in dim {dim}")
-        w = v.astype(dtype)
-        for _ in range(2):
-            for q in cols:
-                w = w - q * np.vdot(q, w)
-        nw = float(np.linalg.norm(w))
-        if nw > threshold:
-            cols.append(w / nw)
+    norms = [float(np.linalg.norm(v)) for v in vs]
+    cols: list[np.ndarray] = []
+    _extend_span(cols, vs, dtype, RANK_DROP_TOL * max(max(norms), 1e-300))
     basis = np.stack(cols, axis=1) if cols else np.zeros((dim, 0), dtype=dtype)
     return Projection(basis)

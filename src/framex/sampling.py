@@ -11,12 +11,14 @@ sampling function sigma (a multiset of original indices) such that
 with gamma the compressed trace of T on M, together with the exact
 multiplicity certificate  #sigma^{-1}(n) <= 2^{beta+1} c_n.
 
-Stages: exact dyadic decomposition of the weights, ceiling padding with
-auxiliary operators, replica counts per index, then one halving per level by
-the same-first-index pairing discipline, keeping the child found by a greedy
-single-flip descent (the stand-in for the non-constructive selector; the
-certificate records what holds).  All count arithmetic is rational-exact;
-floats only enter through eigenvalue computations.
+Stages: binary expansion of the weights, truncation at the coarsest cut
+whose tail is small, integer replica counts per index for the operators and
+for the auxiliary pads that fill each weight up to its ceiling, then one
+halving per level by the same-first-index pairing discipline, keeping the
+child found by a greedy single-flip descent (the stand-in for the
+non-constructive selector; the certificate records what holds).  All count
+arithmetic is integer-exact; floats only enter through eigenvalue
+computations.
 """
 
 from __future__ import annotations
@@ -37,12 +39,8 @@ __all__ = [
     "MAX_DYADIC_DEPTH",
     "REPLICA_BUDGET",
     "SANDWICH_TOL",
-    "DyadicDecomposition",
-    "PaddingSet",
     "SamplingFunction",
     "SamplingCertificate",
-    "dyadic_decompose",
-    "ceiling_pad",
     "make_paddings",
     "sample",
 ]
@@ -65,17 +63,12 @@ def _as_fraction(value) -> Fraction:
     return Fraction(float(value))
 
 
-def _pow2(k: int) -> Fraction:
-    return Fraction(2**k) if k >= 0 else Fraction(1, 2**-k)
-
-
-def _binary_expansion(value: Fraction, depth: int | None) -> tuple[tuple[int, ...], Fraction]:
-    """Exponents e of the first depth one-bits 2^-e of value > 0, and the rest.
+def _binary_expansion(value: Fraction, depth: int) -> tuple[int, ...]:
+    """Exponents e of the first depth one-bits 2^-e of value > 0.
 
     Long division on the numerator and denominator: with value * 2^e0 in
     [1, 2), the bit at 2^-(e0 + i) is set when a >= b, for the invariant
-    remainder = (a / b) 2^-(e0 + i).  Exact for every positive rational;
-    depth None expands to the end, which only a dyadic value reaches.
+    remainder = (a / b) 2^-(e0 + i).  Exact for every positive rational.
     """
     a, b = value.numerator, value.denominator
     e0 = b.bit_length() - a.bit_length()
@@ -84,103 +77,29 @@ def _binary_expansion(value: Fraction, depth: int | None) -> tuple[tuple[int, ..
     a, b = a << max(e0, 0), b << max(-e0, 0)
     exponents = []
     e = e0
-    while a and (depth is None or len(exponents) < depth):
+    while a and len(exponents) < depth:
         if a >= b:
             exponents.append(e)
             a -= b
         a <<= 1
         e += 1
-    rest = Fraction(a, b << e) if e >= 0 else Fraction(a << -e, b)
-    return tuple(exponents), rest
+    return tuple(exponents)
 
 
-@dataclass(frozen=True)
-class DyadicDecomposition:
-    """Greedy truncated binary expansion c = sum_j 2^(-e_j) + remainder."""
+def _replica_counts(exponents, cut: int, beta: int):
+    """(eta, operator counts, pad counts) of the expansions truncated at cut.
 
-    target: Fraction
-    exponents: tuple[int, ...]
-    remainder: Fraction
-    depth: int
-
-    def __post_init__(self):
-        if any(b <= a for a, b in zip(self.exponents, self.exponents[1:])):
-            raise PreconditionError("exponents must be strictly increasing")
-        if self.remainder < 0:
-            raise PreconditionError("negative remainder")
-        if self.exponents and self.remainder >= _pow2(-self.exponents[-1]):
-            raise PreconditionError("remainder not smaller than the last kept term")
-        if self.truncated_sum + self.remainder != self.target:
-            raise PreconditionError("terms and remainder do not sum to the target")
-
-    @property
-    def truncated_sum(self) -> Fraction:
-        return sum((_pow2(-e) for e in self.exponents), Fraction(0))
-
-    @property
-    def terms(self) -> tuple[Fraction, ...]:
-        return tuple(_pow2(-e) for e in self.exponents)
-
-    def truncate(self, max_exponent: int) -> "DyadicDecomposition":
-        """Drop terms finer than 2^(-max_exponent), folding them into the remainder."""
-        kept = tuple(e for e in self.exponents if e <= max_exponent)
-        dropped = sum((_pow2(-e) for e in self.exponents if e > max_exponent), Fraction(0))
-        return DyadicDecomposition(
-            target=self.target,
-            exponents=kept,
-            remainder=self.remainder + dropped,
-            depth=len(kept),
-        )
-
-
-def dyadic_decompose(value, depth: int = MAX_DYADIC_DEPTH) -> DyadicDecomposition:
-    """Exact greedy binary expansion of a positive rational, truncated at depth terms."""
-    c = _as_fraction(value)
-    if c <= 0:
-        raise PreconditionError(f"value must be positive, got {c}")
-    if depth < 1:
-        raise PreconditionError(f"depth must be at least 1, got {depth}")
-    exponents, remainder = _binary_expansion(c, depth)
-    return DyadicDecomposition(
-        target=c, exponents=exponents, remainder=remainder, depth=len(exponents)
-    )
-
-
-@dataclass(frozen=True)
-class PaddingSet:
-    """Exponents m_j filling a truncated sum up to its ceiling.
-
-    base_sum + sum_j 2^(-m_j) equals ceil(base_sum) exactly; dyadic
-    rationals make the identity checkable in exact arithmetic.
+    Each weight keeps its bits 2^-e with e <= cut, and its operator count is
+    their sum in units of 2^-eta; its pad count fills that sum up to the
+    next integer.  Every kept bit lies at or above 2^-cut, and so does every
+    pad bit, because the kept sum is a multiple of 2^-cut; the weight owning
+    the cut keeps the bit 2^-cut itself.  So eta = max(cut, beta), beta >= 0,
+    is the finest scale in play and every count is an integer.
     """
-
-    exponents: tuple[int, ...]
-    base_sum: Fraction
-
-    def __post_init__(self):
-        if any(b <= a for a, b in zip(self.exponents, self.exponents[1:])):
-            raise PreconditionError("pad exponents must be strictly increasing")
-        if self.base_sum + self.gap != math.ceil(self.base_sum):
-            raise PreconditionError("padding does not reach the ceiling exactly")
-
-    @property
-    def gap(self) -> Fraction:
-        return sum((_pow2(-e) for e in self.exponents), Fraction(0))
-
-    @property
-    def total(self) -> int:
-        return math.ceil(self.base_sum)
-
-
-def ceiling_pad(decomposition: DyadicDecomposition) -> PaddingSet:
-    """Binary expansion of ceil(s) - s for the truncated sum s."""
-    s = decomposition.truncated_sum
-    gap = Fraction(math.ceil(s)) - s
-    if gap == 0:
-        return PaddingSet(exponents=(), base_sum=s)
-    if gap.denominator & (gap.denominator - 1):
-        raise PreconditionError("truncated sum is not dyadic; cannot pad exactly")
-    return PaddingSet(exponents=_binary_expansion(gap, None)[0], base_sum=s)
+    eta = max(cut, beta)
+    op_counts = [sum(1 << (eta - e) for e in exps if e <= cut) for exps in exponents]
+    pad_counts = [(-(-count >> eta) << eta) - count for count in op_counts]
+    return eta, op_counts, pad_counts
 
 
 def make_paddings(ops, epsilon: float, beta: int):
@@ -380,7 +299,9 @@ def sample(
     The weighted sum must stay below total_cap * I (1/2 by default) and the
     compressed trace gamma on the subspace must not exceed 1.  Exponent and
     constant may be pinned by callers coordinating several runs; otherwise
-    the selector-constant machinery picks them from the trace cap.  Each of
+    the selector-constant machinery picks them from the trace cap.  A pinned
+    exponent must be nonnegative, and each weight is expanded to its first
+    depth >= 1 binary digits.  Each of
     the eta - beta split levels keeps one child, found by a greedy descent;
     PreconditionError is raised if the leaf fails the trace pigeonhole.
     """
@@ -433,38 +354,41 @@ def sample(
     else:
         se = ScaleExponent(value=int(exponent), window_empty=(int(exponent) == 0))
     beta = se.value
+    if beta < 0:
+        raise PreconditionError(f"negative exponent {beta}")
+    if depth < 1:
+        raise PreconditionError(f"depth must be at least 1, got {depth}")
 
     # truncation: coarsest uniform exponent cutoff whose discarded tail
     # stays below min(eps/2, gamma); cost scales with the finest kept level.
     # The remainder c - K 2^-L of c = p/q at a cut is the integer ratio
     # (p 2^L - q K) / (q 2^L), and int division rounds it exactly as
-    # float(Fraction) does; only the chosen cut is truncated for real
-    full = [dyadic_decompose(c, depth) for c in fracs]
+    # float(Fraction) does
+    expansions = [_binary_expansion(c, depth) for c in fracs]
     tail_cap = min(epsilon / 2.0, gamma)
-    cuts = sorted({e for d in full for e in d.exponents})
+    cuts = sorted({e for exps in expansions for e in exps})
     fine = max(cuts[-1], 0)
-    kept = [list(itertools.accumulate((1 << (fine - e) for e in d.exponents), initial=0)) for d in full]
-    truncated = None
-    tail_norm = 0.0
+    kept = [list(itertools.accumulate((1 << (fine - e) for e in exps), initial=0)) for exps in expansions]
     for cut in cuts:
         remainders = [
-            ((c.numerator << fine) - c.denominator * k[bisect.bisect_right(d.exponents, cut)])
+            ((c.numerator << fine) - c.denominator * k[bisect.bisect_right(exps, cut)])
             / (c.denominator << fine)
-            for c, d, k in zip(fracs, full, kept)
+            for c, exps, k in zip(fracs, expansions, kept)
         ]
         residual = sum(r * m for r, m in zip(remainders, mats))
         _, worst = _eig_range(residual)
         if worst <= tail_cap + NUMERIC_TOL:
-            truncated = [d.truncate(cut) for d in full]
             tail_norm = max(worst, 0.0)
             break
-    if truncated is None:
+    else:
         raise PreconditionError(
             "discarded dyadic tail exceeds min(epsilon/2, gamma) at every depth; "
             "weights are too fine for this subspace"
         )
+    eta, op_counts, pad_counts = _replica_counts(expansions, cut, beta)
+    levels = eta - beta
+    q0 = sum(op_counts) + sum(pad_counts)
 
-    pad_specs = [ceiling_pad(d) for d in truncated]
     pad_ops = make_paddings(psd, epsilon, beta)
 
     # uniform shrink so pads respect the trace cap, the I/2 sum condition,
@@ -473,7 +397,7 @@ def sample(
     worst_pad_trace = max((p.trace for p in pad_ops), default=0.0)
     if worst_pad_trace > delta:
         factor = min(factor, delta / worst_pad_trace * (1.0 - 1e-12))
-    gaps = [float(spec.gap) for spec in pad_specs]
+    gaps = [count / 2**eta for count in pad_counts]  # rounds as float(Fraction) does
     weighted_pad = sum(g * p.matrix for g, p in zip(gaps, pad_ops))
     if len(pad_ops):
         _, pad_top = _eig_range(weighted_pad)
@@ -484,18 +408,8 @@ def sample(
             factor = 0.0 if gamma <= 0 else min(factor, gamma / compressed * (1.0 - 1e-12))
     pad_mats = [factor * p.matrix for p in pad_ops]
 
-    exps = [e for d in truncated for e in d.exponents] + [
-        e for spec in pad_specs for e in spec.exponents
-    ]
-    eta = max(exps + [beta]) if exps else beta
-    levels = eta - beta
-    op_counts = [sum(2 ** (eta - e) for e in d.exponents) for d in truncated]
-    pad_counts = [sum(2 ** (eta - e) for e in spec.exponents) for spec in pad_specs]
-    q0 = sum(op_counts) + sum(pad_counts)
-    assert q0 == 2**eta * sum(spec.total for spec in pad_specs)
-
     pig_cap = 2.0 * gamma + NUMERIC_TOL * max(1.0, 2.0 * gamma)
-    leaf_caps = [math.floor(2 ** (beta + 1) * c) for c in fracs]  # exact for integer counts
+    leaf_caps = [(c.numerator << (beta + 1)) // c.denominator for c in fracs]  # floor(2^(beta+1) c)
     chosen_ops, chosen_pads = op_counts, pad_counts
     if levels:
         # one greedy descent per level over the cross sides, from mask 0; a

@@ -250,11 +250,11 @@ class DensificationReport:
 
     def __post_init__(self):
         if len(self.shifts) != self.emitted_count:
-            raise ValueError("one shift pair per emitted vector")
+            raise PreconditionError("one shift pair per emitted vector")
         if len(self.weights) != self.emitted_count:
-            raise ValueError("one weight per emitted vector")
+            raise PreconditionError("one weight per emitted vector")
         if self.operator_deviation < 0:
-            raise ValueError("operator deviation cannot be negative")
+            raise PreconditionError("operator deviation cannot be negative")
 
 
 def _spiral_offsets(limit_sq_num, limit_sq_den, seed, tag):
@@ -277,7 +277,7 @@ def _spiral_offsets(limit_sq_num, limit_sq_den, seed, tag):
     return [(da, db) for _, _, da, db in offsets]
 
 
-def densify_gabor_frame(base, counts, perturbation_budget=None, *, seed=0):
+def densify_gabor_frame(base, counts, *, seed=0):
     """Replace leading frame elements by clusters of perturbed copies.
 
     The n-th base element (1-based, n up to len(counts)) is replaced
@@ -290,9 +290,8 @@ def densify_gabor_frame(base, counts, perturbation_budget=None, *, seed=0):
     distance 1 of the identity, which the caps guarantee whenever the
     grid is fine enough to honor them.
 
-    perturbation_budget optionally overrides the per-cluster vector
-    caps.  Returns the emitted family and a report with the worst
-    distances actually realized.
+    Returns the emitted family and a report with the worst distances
+    actually realized.
     """
     fam, bounds = _base_frame(base)
     if not bounds.is_frame:
@@ -306,14 +305,6 @@ def densify_gabor_frame(base, counts, perturbation_budget=None, *, seed=0):
         raise PreconditionError("cluster sizes must be non-decreasing")
     if len(sizes) > len(base):
         raise PreconditionError("more cluster sizes than base elements")
-    if perturbation_budget is not None:
-        budget = [float(c) for c in perturbation_budget]
-        if len(budget) != len(sizes):
-            raise PreconditionError("one budget entry per cluster")
-        if any(c <= 0 for c in budget):
-            raise PreconditionError("budget entries must be positive")
-    else:
-        budget = None
 
     duals = _canonical_dual(fam, False, bounds)
     dual_norms = np.linalg.norm(duals.vectors, axis=1)
@@ -334,7 +325,7 @@ def densify_gabor_frame(base, counts, perturbation_budget=None, *, seed=0):
     for n, k_n in enumerate(sizes, start=1):
         a0, b0 = base.shifts[n - 1]
         base_vec = fam.vectors[n - 1]
-        cap_vec = budget[n - 1] if budget is not None else 1.0 / (4**n * sup_dual)
+        cap_vec = 1.0 / (4**n * sup_dual)
         param_caps.append(root_length / n)
         vector_caps.append(cap_vec)
         chosen = []

@@ -9,7 +9,7 @@ import numpy as np
 
 from framex import PsdOperator, VectorFamily
 from framex.errors import InputFormatError, PreconditionError
-from framex.linalg import RANK_DROP_TOL, Projection
+from framex.linalg import RANK_DROP_TOL, Projection, _extend_span
 
 
 def random_family(rng, dim, count, complex_field=False, spread=1.0):
@@ -57,7 +57,7 @@ def bounded_rank_ones(rng, dim, count, trace_cap):
     top = float(np.max(np.linalg.eigvalsh(total)))
     if top >= 1.0:
         scale = 0.99 / top
-        ops = [op * scale for op in ops]
+        ops = [PsdOperator(scale * op.matrix) for op in ops]
     return ops
 
 
@@ -175,7 +175,6 @@ def roll_gabor_rows(spec):
 def reference_plan(family, lower: float, upper: float) -> dict:
     from framex.extraction import (
         _as_projection,
-        _extend_span,
         _family_data,
         _resolve_constants,
         _threshold,
@@ -194,7 +193,7 @@ def reference_plan(family, lower: float, upper: float) -> dict:
         while True:
             top = boundaries[-1]
             members = [units[n] for n in range(top) if active[n]]
-            chain.append(_as_projection(_extend_span(cols, members, dtype), dim, dtype))
+            chain.append(_as_projection(_extend_span(cols, members, dtype, RANK_DROP_TOL), dim, dtype))
             if top >= count:
                 break
             level = len(boundaries)
@@ -207,7 +206,7 @@ def reference_plan(family, lower: float, upper: float) -> dict:
                     nxt = k
                     break
             boundaries.append(min(max(nxt, forced.get(level, 0)), count))
-        leftovers = _extend_span(cols, [units[n] for n in range(count) if active[n]], dtype)
+        leftovers = _extend_span(cols, [units[n] for n in range(count) if active[n]], dtype, RANK_DROP_TOL)
         chain.append(_as_projection(leftovers, dim, dtype))
         boundaries.append(count)
         blocks = [(boundaries[j], boundaries[j + 1]) for j in range(len(boundaries) - 1)]
@@ -264,6 +263,31 @@ def reference_binary_expansion(value: Fraction, depth=None):
         exponents.append(e)
         residual -= Fraction(2) ** -e
     return tuple(exponents), residual
+
+
+# The replica counts framex.sampling derived from Fraction-valued dyadic
+# decompositions and ceiling pads before it counted in integers.  Kept as
+# the oracle of _replica_counts.
+def reference_replica_counts(values, depth: int, beta: int) -> dict:
+    """cut -> (eta, operator counts, pad counts), for every cut in the expansions.
+
+    Each value is expanded to depth, truncated at the cut and padded up to
+    its ceiling; eta is the finest exponent among the kept and pad terms and
+    beta, and each count is sum 2^(eta - e) over a weight's terms.
+    """
+    expansions = [reference_binary_expansion(Fraction(value), depth)[0] for value in values]
+    out = {}
+    for cut in sorted({e for exponents in expansions for e in exponents}):
+        kept = [tuple(e for e in exponents if e <= cut) for exponents in expansions]
+        pads = []
+        for exponents in kept:
+            total = sum((Fraction(2) ** -e for e in exponents), Fraction(0))
+            gap = math.ceil(total) - total
+            pads.append(reference_binary_expansion(gap)[0] if gap else ())
+        eta = max([e for exponents in kept + pads for e in exponents] + [beta])
+        counts = [sum(2 ** (eta - e) for e in exponents) for exponents in kept + pads]
+        out[cut] = (eta, counts[: len(values)], counts[len(values) :])
+    return out
 
 
 # The padding operators framex.sampling.make_paddings built one at a time:

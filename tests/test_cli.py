@@ -176,6 +176,18 @@ def test_sample_rejects_bad_subspace_columns(tmp_path, cols, message):
     assert "results" not in report
 
 
+def test_sample_rejects_zero_depth(tmp_path):
+    code, report, _ = run_cli(
+        tmp_path, "sample", scaled_basis_payload(), "--param", "epsilon=0.25", "--param", "depth=0"
+    )
+    assert code == 2
+    assert report["error"] == {
+        "type": "PreconditionError",
+        "message": "depth must be at least 1, got 0",
+    }
+    assert "results" not in report
+
+
 def test_dual_bounds_its_frame_once(tmp_path, monkeypatch):
     calls = []
     eigvalsh = np.linalg.eigvalsh

@@ -116,9 +116,9 @@ def test_plan_orthogonalizes_each_member_once(rng, monkeypatch):
     fed = {}  # the span under construction (one per plan build) -> members fed
     extend = extraction._extend_span
 
-    def counted(cols, candidates, dtype):
+    def counted(cols, candidates, dtype, threshold):
         fed.setdefault(id(cols), [cols, 0])[1] += len(candidates)
-        return extend(cols, candidates, dtype)
+        return extend(cols, candidates, dtype, threshold)
 
     monkeypatch.setattr(extraction, "_extend_span", counted)
     for fam in (

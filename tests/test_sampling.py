@@ -12,97 +12,83 @@ from framex import (
     PsdOperator,
     Projection,
     SamplingFunction,
-    ceiling_pad,
-    dyadic_decompose,
     make_paddings,
     rank_one,
     sample,
 )
 from framex.errors import BudgetExceededError, PreconditionError
 from framex.linalg import _psd_operators
-from framex.sampling import REPLICA_BUDGET, _child_state, _split_choices
+from framex.sampling import (
+    REPLICA_BUDGET,
+    _as_fraction,
+    _binary_expansion,
+    _child_state,
+    _replica_counts,
+    _split_choices,
+)
+from framex.selectors import ScaleExponent
 
-from helpers import reference_binary_expansion, reference_paddings
+from helpers import reference_binary_expansion, reference_paddings, reference_replica_counts
 
 
 def scaled_basis_ops(dim, trace=0.2):
     return [rank_one(np.sqrt(trace) * v) for v in np.eye(dim)]
 
 
-def test_dyadic_decompose_exact_values():
-    d = dyadic_decompose(0.75)
-    assert d.exponents == (1, 2)
-    assert d.remainder == 0
-    assert d.truncated_sum == Fraction(3, 4)
-
-    d = dyadic_decompose(0.625)
-    assert d.exponents == (1, 3)
-    assert d.remainder == 0
-
-    d = dyadic_decompose(Fraction(1, 3), depth=4)
-    assert d.exponents == (2, 4, 6, 8)
-    assert d.remainder == Fraction(1, 768)
-    assert d.truncated_sum + d.remainder == Fraction(1, 3)
-
-
-def test_dyadic_decompose_rejects_bad_input():
-    with pytest.raises(PreconditionError):
-        dyadic_decompose(0)
-    with pytest.raises(PreconditionError):
-        dyadic_decompose(-0.5)
-    with pytest.raises(PreconditionError):
-        dyadic_decompose(0.75, depth=0)
-
-
-def test_dyadic_truncate_folds_into_remainder():
-    d = dyadic_decompose(Fraction(1, 3), depth=4)
-    t = d.truncate(4)
-    assert t.exponents == (2, 4)
-    # dropped 2^-6 + 2^-8 joins the old remainder 1/768
-    assert t.remainder == Fraction(1, 768) + Fraction(1, 64) + Fraction(1, 256)
-    assert t.truncated_sum + t.remainder == Fraction(1, 3)
-
-
-@given(
-    num=st.integers(min_value=1, max_value=1000),
-    den=st.integers(min_value=1, max_value=1000),
-    depth=st.integers(min_value=1, max_value=48),
-)
-@settings(max_examples=60, deadline=None)
-def test_dyadic_decompose_is_exact(num, den, depth):
-    target = Fraction(num, den)
-    d = dyadic_decompose(target, depth=depth)
-    assert d.truncated_sum + d.remainder == target
-    assert all(b > a for a, b in zip(d.exponents, d.exponents[1:]))
-    if d.exponents:
-        assert d.remainder < Fraction(1, 2) ** d.exponents[-1]
-    # the pad always closes the ceiling gap exactly
-    pad = ceiling_pad(d)
-    assert d.truncated_sum + pad.gap == pad.total
-
-
-@given(
-    value=st.one_of(
-        st.floats(min_value=2.0**-60, max_value=2.0**60),
-        st.sampled_from([Fraction(1, 3), "5/7", Fraction(2**70 + 1, 3**40)]),
-        st.fractions(min_value=Fraction(1, 10**6), max_value=10**6).filter(lambda f: f > 0),
-    ),
-    depth=st.integers(min_value=1, max_value=48),
-)
-@settings(max_examples=200, deadline=None)
-def test_binary_expansion_equals_the_greedy_loop(value, depth):
-    d = dyadic_decompose(value, depth)
-    assert (d.exponents, d.remainder) == reference_binary_expansion(Fraction(value), depth)
-    s = d.truncated_sum
-    gap = Fraction(math.ceil(s)) - s
-    want = reference_binary_expansion(gap)[0] if gap else ()
-    assert ceiling_pad(d).exponents == want
+def test_binary_expansion_exact_values():
+    assert _binary_expansion(Fraction(3, 4), 48) == (1, 2)
+    assert _binary_expansion(Fraction(5, 8), 48) == (1, 3)
+    assert _binary_expansion(Fraction(5, 2), 48) == (-1, 1)
+    assert _binary_expansion(Fraction(1, 3), 4) == (2, 4, 6, 8)
 
 
 def test_ceiling_pad_exact_values():
-    assert ceiling_pad(dyadic_decompose(0.75)).exponents == (2,)
-    assert ceiling_pad(dyadic_decompose(1)).exponents == ()
-    assert ceiling_pad(dyadic_decompose(0.8125)).exponents == (3, 4)
+    # 3/4 = 2^-1 + 2^-2 pads with 2^-2: three replicas and one pad at eta 2
+    assert _replica_counts([(1, 2)], 2, 0) == (2, [3], [1])
+    # 1 needs no pad; beta above the cut sets the scale
+    assert _replica_counts([(0,)], 0, 3) == (3, [8], [0])
+    # 13/16 pads with 2^-3 + 2^-4: three pad replicas at eta 4
+    assert _replica_counts([_binary_expansion(Fraction(13, 16), 48)], 4, 0) == (4, [13], [3])
+    # weights above 1 keep their integer bits: 5/2 pads up to 3
+    assert _replica_counts([(-1, 1), (1,)], 1, 0) == (1, [5, 1], [1, 1])
+
+
+def test_replica_counts_drop_the_bits_finer_than_the_cut():
+    # 1/3 to depth 4 is 2^-2 + 2^-4 + 2^-6 + 2^-8; the cut at 4 keeps
+    # 5/16, which pads with 11/16, and 1/2 pads with 1/2
+    expansions = [_binary_expansion(Fraction(1, 3), 4), (1,)]
+    assert _replica_counts(expansions, 4, 2) == (4, [5, 8], [11, 8])
+
+
+WEIGHTS = st.one_of(
+    st.floats(min_value=2.0**-60, max_value=2.0**60),
+    st.sampled_from([Fraction(1, 3), "5/7", Fraction(2**70 + 1, 3**40)]),
+    st.fractions(min_value=Fraction(1, 10**6), max_value=10**6).filter(lambda f: f > 0),
+)
+
+
+@given(
+    weights=st.lists(WEIGHTS, min_size=1, max_size=4),
+    depth=st.integers(min_value=1, max_value=48),
+    beta=st.integers(min_value=0, max_value=8),
+)
+@settings(max_examples=80, deadline=None)
+def test_replica_counts_equal_the_fraction_arithmetic(weights, depth, beta):
+    expansions = [_binary_expansion(_as_fraction(w), depth) for w in weights]
+    want = reference_replica_counts(weights, depth, beta)
+    assert sorted(want) == sorted({e for exps in expansions for e in exps})
+    for cut, (eta, ops, pads) in want.items():
+        assert _replica_counts(expansions, cut, beta) == (eta, ops, pads)
+        assert eta == max(cut, beta)
+        # each weight's operator and pad replicas fill whole units of 2^eta
+        assert all((op + pad) % 2**eta == 0 for op, pad in zip(ops, pads))
+
+
+@given(value=WEIGHTS, depth=st.integers(min_value=1, max_value=48))
+@settings(max_examples=200, deadline=None)
+def test_binary_expansion_equals_the_greedy_loop(value, depth):
+    want = reference_binary_expansion(Fraction(value), depth)[0]
+    assert _binary_expansion(_as_fraction(value), depth) == want
 
 
 def test_split_choices_marries_same_index_first():
@@ -165,7 +151,7 @@ def test_make_paddings_equals_one_operator_at_a_time(complex_field):
         vecs = vecs + 1j * rng.normal(size=(5, 4))
     ops = [rank_one(0.6 * v / np.linalg.norm(v)) for v in vecs]
     zero = PsdOperator(np.zeros((4, 4), dtype=vecs.dtype))
-    ops += [ops[0] + ops[1], zero, ops[2]]
+    ops += [PsdOperator(ops[0].matrix + ops[1].matrix), zero, ops[2]]
     for epsilon, beta in [(0.5, 2), (0.9, 0), (0.05, 3), (0.3, -2)]:
         pads = make_paddings(ops, epsilon=epsilon, beta=beta)
         want = reference_paddings(ops, epsilon, beta)
@@ -297,6 +283,20 @@ def test_sample_rejects_bad_inputs():
     # weighted sum above I/2 violates the plain-sum cap
     with pytest.raises(PreconditionError):
         sample(ops, [3, 3, 3], subspace, 0.25)
+
+
+def test_sample_rejects_zero_depth():
+    ops = scaled_basis_ops(3)
+    with pytest.raises(PreconditionError, match="depth must be at least 1, got 0"):
+        sample(ops, [1, 1, 1], Projection.full(3), 0.25, depth=0)
+
+
+@pytest.mark.parametrize("exponent", [-1, ScaleExponent(value=-1, window_empty=False)])
+def test_sample_rejects_a_negative_exponent(exponent):
+    ops = scaled_basis_ops(3)
+    subspace = Projection(np.eye(3)[:, :1], dim=3)
+    with pytest.raises(PreconditionError, match="negative exponent -1"):
+        sample(ops, [0.25, 0.5, 1.0], subspace, 0.25, exponent=exponent)
 
 
 def test_sample_rejects_unbounded_tail():

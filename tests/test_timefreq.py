@@ -1,5 +1,6 @@
 """Tests for cyclic-group time-frequency systems and the density amplifier."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -245,10 +246,10 @@ def test_densify_is_deterministic():
     assert other.operator_deviation < 1.0
 
 
-def test_densify_budget_override_too_tight():
-    spec = quadrupled_spec()
+def test_densify_grid_too_coarse_for_the_default_caps():
+    spec = GaborSpec(gaussian_window(4), full_lattice_shifts(4))
     with pytest.raises(GridTooCoarseError):
-        densify_gabor_frame(spec, (1, 2, 4), perturbation_budget=[1e-9, 1e-9, 1e-9])
+        densify_gabor_frame(spec, (1, 2))
 
 
 def test_densify_validation():
@@ -259,13 +260,23 @@ def test_densify_validation():
         densify_gabor_frame(spec, (2, 1))
     with pytest.raises(PreconditionError):
         densify_gabor_frame(spec, (0, 1))
-    with pytest.raises(PreconditionError):
-        densify_gabor_frame(spec, (1, 2), perturbation_budget=[1.0])
-    with pytest.raises(PreconditionError):
-        densify_gabor_frame(spec, (1, 2), perturbation_budget=[1.0, -1.0])
     small = GaborSpec(gaussian_window(4), [(0, 0), (1, 1)])
     with pytest.raises(PreconditionError):
         densify_gabor_frame(small, (1, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        ({"shifts": ()}, "one shift pair per emitted vector"),
+        ({"weights": (1.0,)}, "one weight per emitted vector"),
+        ({"operator_deviation": -1.0}, "operator deviation cannot be negative"),
+    ],
+)
+def test_densification_report_rejects_inconsistent_fields(change, message):
+    _, rep = densify_gabor_frame(quadrupled_spec(), (1, 2))
+    with pytest.raises(PreconditionError, match=message):
+        dataclasses.replace(rep, **change)
 
 
 def test_densify_requires_frame_base():
