@@ -29,6 +29,7 @@ import math
 import platform
 import sys
 import time
+import traceback
 from dataclasses import dataclass, fields, is_dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -605,6 +606,11 @@ def _write_csv(path, results):
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+# exit codes of framex's own errors; any other exception (numpy's
+# LinAlgError, a bug) exits 5
+_EXIT_CODES = ((InputFormatError, 3), (BudgetExceededError, 4), (PreconditionError, 2))
+
+
 def run(job: Job) -> int:
     """Execute one job and write its report; returns the exit code."""
     started = time.perf_counter()
@@ -630,15 +636,11 @@ def run(job: Job) -> int:
                 f"{job.command} reads no param {', '.join(map(repr, unknown))}; it reads: {known}"
             )
         report["results"] = _HANDLERS[job.command](payload, job.params, job.seed)
-    except InputFormatError as exc:
+    except Exception as exc:  # any failure still writes a report
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        code = 3
-    except BudgetExceededError as exc:
-        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        code = 4
-    except PreconditionError as exc:
-        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        code = 2
+        code = next((c for kind, c in _EXIT_CODES if isinstance(exc, kind)), 5)
+        if code == 5:
+            traceback.print_exc()
     if job.timestamp:
         report["timestamp"] = stamp
         report["wall_time_s"] = round(time.perf_counter() - started, 6)

@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: precondition violations exit with 2,
-input parsing problems with 3, exceeded search or replication budgets with 4.
+input parsing problems with 3, exceeded search budgets with 4.  Any other
+exception, such as numpy's LinAlgError, exits with 5.  Every failed run
+still writes a report with an error object.
 """
 
 __all__ = [

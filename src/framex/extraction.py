@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -70,7 +69,7 @@ def _threshold(j: int, epsilon: float) -> float:
     """Block threshold: 0 at j = 0, then (epsilon^2 / 36) 4^-j."""
     if j <= 0:
         return 0.0
-    return float(Fraction(1, 36 * 4**j)) * epsilon * epsilon
+    return 1 / (36 * 4**j) * epsilon * epsilon  # int / int rounds once
 
 
 def _resolve_constants(lower: float, upper: float):
@@ -170,7 +169,7 @@ def _family_data(family):
     return fam, weights, units, active
 
 
-def _snap_weight(value: float, beta: int) -> Fraction:
+def _snap_weight(value: float, beta: int) -> float:
     """Dyadic rational for a sampling weight.
 
     Rescaled energies are often integers or coarse dyadics up to float
@@ -178,14 +177,27 @@ def _snap_weight(value: float, beta: int) -> Fraction:
     deep binary expansion whose replica count explodes.  Snapping to the
     grid 2^-beta (when the value sits within _SNAP_TOL of it) keeps the
     finest exponent at beta and the replica count at its natural size.
-    Values genuinely off the grid pass through exactly.
+    Values genuinely off the grid pass through exactly.  The comparison is
+    exact: value = num / den with den a power of two, in integers over
+    q * den; the snapped value n / q is a float exactly, since n < 2^53 or
+    n / q = value.
     """
-    exact = Fraction(value)
+    num, den = value.as_integer_ratio()
     q = 2 ** min(max(beta, 0), 40)
-    cand = Fraction(round(exact * q), q)
-    if cand > 0 and abs(cand - exact) <= _SNAP_TOL * max(1.0, value):
-        return cand
-    return exact
+    n, rem = divmod(num * q, den)
+    if 2 * rem > den or (2 * rem == den and n % 2):  # round half to even
+        n += 1
+    tol_num, tol_den = (_SNAP_TOL * max(1.0, value)).as_integer_ratio()
+    if n > 0 and abs(n * den - num * q) * tol_den <= tol_num * q * den:
+        return n / q
+    return value
+
+
+def _within_cap(times: int, cap: float, weight: float) -> bool:
+    """times <= cap * weight, exactly: both floats as integers over powers of two."""
+    cap_num, cap_den = cap.as_integer_ratio()
+    weight_num, weight_den = weight.as_integer_ratio()
+    return times * cap_den * weight_den <= cap_num * weight_num
 
 
 def plan(family, lower: float, upper: float) -> ExtractionPlan:
@@ -373,10 +385,8 @@ def extract(family) -> ExtractionResult:
 
     c = layout.constant
     bound_l = max(144.0 * c * c * b / (a * a), 64.0 * c**4 / (b * b))
-    frac_l = Fraction(bound_l)
     mult_ok = all(
-        Fraction(times) <= frac_l * Fraction(float(weights[n]))
-        for n, times in sigma.multiplicity.items()
+        _within_cap(times, bound_l, float(weights[n])) for n, times in sigma.multiplicity.items()
     )
     return ExtractionResult(
         sigma=sigma,

@@ -31,13 +31,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetExceededError, PreconditionError
+from .errors import PreconditionError
 from .linalg import NUMERIC_TOL, RANK_DROP_TOL, Projection, PsdOperator, _psd_operators
 from .selectors import ScaleExponent, _descend, natural_max_order, scale_exponent, selector_constant
 
 __all__ = [
     "MAX_DYADIC_DEPTH",
-    "REPLICA_BUDGET",
     "SANDWICH_TOL",
     "SamplingFunction",
     "SamplingCertificate",
@@ -46,9 +45,6 @@ __all__ = [
 ]
 
 MAX_DYADIC_DEPTH = 48
-# Cap on materialized SamplingFunction mappings; counts themselves are
-# plain ints and are never materialized.
-REPLICA_BUDGET = 2**22
 SANDWICH_TOL = 1e-8
 
 
@@ -141,8 +137,8 @@ def make_paddings(ops, epsilon: float, beta: int):
 class SamplingFunction:
     """Finite multiset of selected indices, held as exact multiplicities.
 
-    The domain I' and the map are materialized lazily; multiplicity is the
-    authoritative representation (symbolic runs can be astronomically large).
+    sigma maps a domain of len(sigma) points onto the indices, index n hit
+    multiplicity[n] times; the counts are the whole representation.
     """
 
     def __init__(self, multiplicity: dict[int, int], source_count: int | None = None):
@@ -157,7 +153,6 @@ class SamplingFunction:
                 clean[n] = count
         self._multiplicity = dict(sorted(clean.items()))
         self._total = sum(self._multiplicity.values())
-        self._bounds = None
 
     @property
     def multiplicity(self) -> dict[int, int]:
@@ -165,32 +160,6 @@ class SamplingFunction:
 
     def __len__(self) -> int:
         return self._total
-
-    @property
-    def domain(self) -> range:
-        return range(self._total)
-
-    @property
-    def mapping(self) -> tuple[int, ...]:
-        if self._total > REPLICA_BUDGET:
-            raise BudgetExceededError(
-                f"mapping with {self._total} entries exceeds the materialization budget"
-            )
-        return tuple(n for n, count in self._multiplicity.items() for _ in range(count))
-
-    def __call__(self, k: int) -> int:
-        if not 0 <= k < self._total:
-            raise PreconditionError(f"index {k} outside the domain of size {self._total}")
-        if self._bounds is None:
-            edges, order = [], []
-            acc = 0
-            for n, count in self._multiplicity.items():
-                acc += count
-                edges.append(acc)
-                order.append(n)
-            self._bounds = (edges, order)
-        edges, order = self._bounds
-        return order[bisect.bisect_right(edges, k)]
 
     def __repr__(self):
         return f"SamplingFunction(total={self._total}, indices={len(self._multiplicity)})"

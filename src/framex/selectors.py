@@ -352,16 +352,36 @@ def _descend(sides: np.ndarray, flips: np.ndarray, score) -> np.ndarray:
     return sides
 
 
+def _rank_one_factors(mats) -> np.ndarray | None:
+    """Rows f with f f* = T for an (m, d, d) stack, or None if some T fails.
+
+    f is T's column at its largest diagonal entry over that entry's square
+    root, and T passes when every entry of T - f f* is within 16 eps tr T
+    (an outer product stays within 2 eps tr T).  A zero T gives a zero row.
+    """
+    diag = np.real(np.diagonal(mats, axis1=-2, axis2=-1))
+    top = diag.argmax(axis=1)[:, None]
+    root = np.sqrt(np.maximum(np.take_along_axis(diag, top, axis=1), 0.0))
+    cols = np.take_along_axis(mats, top[:, None], axis=2)[..., 0]
+    factors = np.divide(cols, root, out=np.zeros_like(cols), where=root > 0)
+    resid = np.abs(mats - factors[:, :, None] * factors[:, None, :].conj()).max(axis=(1, 2))
+    if np.all(resid <= 16 * np.finfo(float).eps * diag.sum(axis=1)):
+        return factors
+    return None
+
+
 class _TreeBuilder:
     """Shared state for building selector trees over a fixed operator stack.
 
     padded is the stack with a zero matrix appended at index n, the
-    operator of every pad; call restart() before each tree.
+    operator of every pad; factors is its (n + 1, d) rank-one factor stack,
+    or None when some member has rank > 1.  Call restart() before each tree.
     """
 
     def __init__(self, stack, traces, target, order):
         self.stack = stack
         self.padded = np.concatenate([stack, np.zeros_like(stack[:1])])
+        self.factors = _rank_one_factors(self.padded)
         self.traces = traces
         self.target = target
         self.order = order
@@ -387,6 +407,61 @@ class _TreeBuilder:
         NUMERIC_TOL leaves a margin of about 10^7 over the unit roundoff.
         """
         return NUMERIC_TOL * (1.0 + self.target_trace + scale * self.trace_sum)
+
+    def screen(self, current, gain, lose, scale, bar) -> np.ndarray:
+        """Mask of the trials whose children may both stay inside (-bar, bar).
+
+        current is the (2, d, d) pair of exact folds of the current sides,
+        both of deviation <= value; trial t moves gain[t] into child 0 and
+        lose[t] out of it (padded indices).  At bar = value + 2 eps, eps =
+        tolerance(scale), a dropped trial's exact fold deviation is > value.
+
+        Rank-one stacks: an inertia count.  A trial child is C + U S U*,
+        U = [f_+, f_-] and S = diag(scale, -scale), where f_+ is the factor
+        it gains and C = V Lam V* has Lam inside (-bar, bar).  Haynsworth's
+        inertia additivity on [[C - x, U], [U*, -S^-1]] gives: it has an
+        eigenvalue above x = bar iff G = -S^-1 - U*(C - x)^-1 U is positive
+        definite.  G_{--} > 0 already, so iff det G > 0; with p = V* f and
+        w = scale / (bar - Lam) > 0, scale^2 det G = (a - 1)(b + 1) - |z|^2,
+        a = sum w |p_+|^2, b = sum w |p_-|^2, z = sum w conj(p_+) p_-.  An
+        eigenvalue below -bar: the same with f_+, f_- swapped and
+        w = scale / (bar + Lam).
+
+        Rounding.  The signs are exact for D = Lam^ + P^ S P^*, built from
+        the computed eigenvalues and projections.  D is unitarily similar to
+        a matrix within a small multiple of u d^1.5 (|C| + scale sum tr T_n)
+        of the exact trial child: the fold of C and eigh are backward
+        stable (so Lam^ < bar still), each factor has |T - f f*| <=
+        16 d eps tr T (_rank_one_factors), and P^ = V^* f + O(d u)|f|.
+        NUMERIC_TOL is about 10^7 u, so that distance plus the trial's own
+        fold error stays below 2 eps, and a drop is sound.  Near a pole the
+        2x2 sums are no small backward perturbation, so they are taken as
+        forward errors: a and b sum terms of one sign, each within
+        gamma_{d+4} relative, and |z| <= sqrt(ab), so the computed det is
+        within 4 (d + 8) eps (a + 1)(b + 1) of D's.  A trial is dropped only
+        when det clears twice that, so its sign is D's.
+
+        Other stacks: the Rayleigh bound |lam_j +- v_j* step v_j| <= dev on
+        each child's eigenvectors, within a Rayleigh quotient's error.
+        """
+        lam, vecs = np.linalg.eigh(current)
+        if self.factors is None:
+            step = scale * (self.padded[gain] - self.padded[lose])
+            quad = (vecs.conj()[:, None] * (step @ vecs[:, None])).sum(axis=-2).real
+            quad[1] *= -1.0
+            return np.abs(lam[:, None] + quad).max(axis=(0, 2)) < bar
+        # each child's (f_+, f_-): child 0 gains `gain`, child 1 gains `lose`.
+        # einsum keeps these small products off BLAS: a BLAS call here, in a
+        # small early job, raised a later large job's peak RSS by up to 10 MB
+        ends = np.stack([[gain, lose], [lose, gain]]).swapaxes(1, 2)
+        p = np.einsum("ctfk,ckj->ctfj", self.factors[ends], vecs.conj())
+        weights = scale / np.stack([bar - lam, bar + lam], axis=-1)  # (child, d, bound)
+        sums = (p.real**2 + p.imag**2) @ weights[:, None]  # (child, trial, factor, bound)
+        cross = (p[:, :, 0].conj() * p[:, :, 1]) @ weights  # (child, trial, bound)
+        # at bound +bar the factor f_+ pushes past it, at -bar f_-
+        det = (sums + 1.0 - 2.0 * np.eye(2)).prod(axis=2) - (cross.real**2 + cross.imag**2)
+        margin = 8 * (lam.shape[-1] + 8) * np.finfo(float).eps
+        return ~(det > margin * (sums + 1.0).prod(axis=2)).any(axis=(0, 2))
 
 
 def _greedy_cell(builder: _TreeBuilder, ids, remaining, rng) -> SelectorCell:
@@ -419,12 +494,10 @@ def _greedy_cell(builder: _TreeBuilder, ids, remaining, rng) -> SelectorCell:
     def objective(side_rows):
         # side_rows are sides itself or single flips of it, as _descend
         # scores them.  A flip moves one element between the children, a
-        # rank update of the current sums.  Each stage keeps the trials whose
-        # computed lower bound is below value + 2 eps; a dropped trial keeps
-        # that bound as its key.  The exact fold re-scores the trials within
-        # 2 eps of the sweep minimum.  Computed values are within eps of the
-        # exact ones (_TreeBuilder.tolerance), so _descend decides as it
-        # would on exact keys alone.
+        # rank update of the current sums.  The screen drops the trials
+        # that cannot beat the current value, with that value as their
+        # (losing) key; the exact fold scores the rest, so _descend decides
+        # as it would on exact keys alone.
         key = sides.tobytes()
         if key not in known:
             sums, exact = fold(sides[None])
@@ -438,29 +511,13 @@ def _greedy_cell(builder: _TreeBuilder, ids, remaining, rng) -> SelectorCell:
             return keys[:, None]
         k = moved[trials].argmax(axis=1)
         s = sides[k]
-        # trial t's children are current[0] + step[t] and current[1] - step[t]
-        step = level_scale * (
-            builder.padded[padded_pairs[k, 1 - s]] - builder.padded[padded_pairs[k, s]]
-        )
-        bind = int(devs[1] > devs[0])  # the child that sets the value
-        sign = 1.0 - 2.0 * bind
-        bar = value + 2 * eps
-        # |v* M v| <= dev(M) for unit v: on the binding child's eigenvectors
-        # v_j that is |lam_j + sign * v_j* step v_j|
-        lam, vecs = np.linalg.eigh(current[bind])
-        score = np.abs(lam + sign * (vecs.conj() * (step @ vecs)).sum(axis=1).real).max(axis=1)
-        pos = np.flatnonzero(score < bar)
-        score[pos] = _radii(current[bind] + sign * step[pos])
-        pos = pos[score[pos] < bar]
-        score[pos] = np.maximum(score[pos], _radii(current[1 - bind] - sign * step[pos]))
-        pos = pos[(score[pos] < bar) & (score[pos] <= score[pos].min(initial=np.inf) + 2 * eps)]
-        if len(pos):
-            sums, exact = fold(side_rows[trials[pos]])
-            score[pos] = exact.max(axis=1)
-            w = int(np.argmin(score[pos]))  # the first exact minimum
+        kept = trials[builder.screen(current, padded_pairs[k, 1 - s], padded_pairs[k, s], level_scale, value + 2 * eps)]
+        if len(kept):
+            sums, exact = fold(side_rows[kept])
+            keys[kept] = exact.max(axis=1)
+            w = int(np.argmin(keys[kept]))  # the first exact minimum
             known.clear()
-            known[side_rows[trials[pos[w]]].tobytes()] = sums[w], exact[w]
-        keys[trials] = score
+            known[side_rows[kept[w]].tobytes()] = sums[w], exact[w]
         return keys[:, None]
 
     _descend(sides, flips, objective)

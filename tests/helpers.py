@@ -308,3 +308,25 @@ def reference_paddings(psd, epsilon: float, beta: int):
     top = float(np.max(np.linalg.eigvalsh((total + total.conj().T) / 2.0)))
     factor = 0.5 / top * (1.0 - 1e-12) if top > 0.5 else 1.0
     return [PsdOperator(factor * m) for m in mats]
+
+
+# The Fraction arithmetic framex.extraction used for its weight snapping,
+# block thresholds and multiplicity check before it compared integers over
+# powers of two.  Kept as the oracle.
+def reference_snap_weight(value: float, beta: int, snap_tol: float) -> Fraction:
+    exact = Fraction(value)
+    q = 2 ** min(max(beta, 0), 40)
+    cand = Fraction(round(exact * q), q)
+    if cand > 0 and abs(cand - exact) <= snap_tol * max(1.0, value):
+        return cand
+    return exact
+
+
+def reference_threshold(j: int, epsilon: float) -> float:
+    if j <= 0:
+        return 0.0
+    return float(Fraction(1, 36 * 4**j)) * epsilon * epsilon
+
+
+def reference_within_cap(times: int, cap: float, weight: float) -> bool:
+    return Fraction(times) <= Fraction(cap) * Fraction(weight)

@@ -81,6 +81,19 @@ def test_overflowing_frame_operator_writes_an_error_report(tmp_path, command):
     assert "results" not in report
 
 
+def test_any_other_failure_writes_an_error_report(tmp_path, monkeypatch, capsys):
+    def fails(payload, params, seed):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setitem(cli._HANDLERS, "analyze", fails)
+    code, report, _ = run_cli(tmp_path, "analyze", mercedes_payload(), "--no-timestamp")
+    assert code == 5
+    assert report["error"] == {"type": "LinAlgError", "message": "Eigenvalues did not converge"}
+    assert "results" not in report
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "framex: LinAlgError: Eigenvalues did not converge" in err
+
+
 @pytest.mark.parametrize("command", ["analyze", "classify"])
 def test_underflowing_frame_bounds_write_an_error_report(tmp_path, command):
     payload = {"dim": 2, "field": "real", "vectors": [[1e-200, 0.0], [0.0, 1e-200]]}

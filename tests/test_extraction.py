@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from framex import (
@@ -20,9 +20,15 @@ from framex import (
 )
 import framex.extraction as extraction
 from framex.errors import NotAFrameError, PreconditionError
-from framex.extraction import ENVELOPE_SLACK, _snap_weight, plan
+from framex.extraction import _SNAP_TOL, ENVELOPE_SLACK, _snap_weight, _threshold, _within_cap, plan
 
-from helpers import reference_plan, rescalable_fixture
+from helpers import (
+    reference_plan,
+    reference_snap_weight,
+    reference_threshold,
+    reference_within_cap,
+    rescalable_fixture,
+)
 
 
 def complex_integer_weight_family(rng, dim, extras=3, kmax=4):
@@ -40,6 +46,33 @@ def test_snap_weight():
     # off-grid values pass through as the exact binary float
     assert _snap_weight(0.3, beta=3) == Fraction(0.3)
     assert _snap_weight(1e-20, beta=5) == Fraction(1e-20)
+
+
+# positive weights, some on or within rounding of a coarse dyadic grid
+_weights = st.one_of(
+    st.floats(min_value=1e-30, max_value=1e30, allow_nan=False, allow_infinity=False),
+    st.builds(
+        lambda k, e, ulps: math.ldexp(k, -e) * (1.0 + ulps * 2.0**-52),
+        st.integers(1, 2**20),
+        st.integers(0, 45),
+        st.integers(-8, 8),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example(value=3 * 2.0**-41, beta=45, j=0, times=0)  # halfway: rounds up to even
+@example(value=5 * 2.0**-41, beta=45, j=1, times=0)  # halfway: rounds down to even
+@given(value=_weights, beta=st.integers(-3, 60), j=st.integers(0, 40), times=st.integers(0, 2**70))
+def test_integer_comparisons_match_the_fraction_oracle(value, beta, j, times):
+    snapped = _snap_weight(value, beta)
+    assert type(snapped) is float
+    assert Fraction(snapped) == reference_snap_weight(value, beta, _SNAP_TOL)
+    epsilon = min(value, 0.99)
+    assert _threshold(j, epsilon) == reference_threshold(j, epsilon)
+    for t in (times, math.floor(value * 37.5), math.floor(value * 37.5) + 1):
+        assert _within_cap(t, 37.5, value) == reference_within_cap(t, 37.5, value)
+        assert _within_cap(t, value, value) == reference_within_cap(t, value, value)
 
 
 def test_plan_orthonormal_basis():

@@ -59,6 +59,12 @@ def test_package_all_is_the_union_of_module_lists():
         assert hasattr(framex, name), name
 
 
+def test_public_surface_size():
+    # a name added or removed moves this count on purpose
+    assert len(framex.__all__) == 74
+    assert "REPLICA_BUDGET" not in framex.__all__
+
+
 def test_every_export_is_used_in_src_or_named_in_readme():
     exports = _module_exports()
     names = {name for names in exports.values() for name in names}

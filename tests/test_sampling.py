@@ -16,10 +16,9 @@ from framex import (
     rank_one,
     sample,
 )
-from framex.errors import BudgetExceededError, PreconditionError
+from framex.errors import PreconditionError
 from framex.linalg import _psd_operators
 from framex.sampling import (
-    REPLICA_BUDGET,
     _as_fraction,
     _binary_expansion,
     _child_state,
@@ -309,15 +308,12 @@ def test_sample_rejects_unbounded_tail():
 
 
 def test_sampling_function_basics():
-    fn = SamplingFunction({0: 2, 2: 1}, source_count=4)
+    fn = SamplingFunction({2: 1, 0: 2}, source_count=4)
     assert len(fn) == 3
-    assert fn.domain == range(3)
-    assert fn.mapping == (0, 0, 2)
-    assert [fn(k) for k in range(3)] == [0, 0, 2]
-    with pytest.raises(PreconditionError):
-        fn(3)
-    with pytest.raises(PreconditionError):
-        fn(-1)
+    assert fn.multiplicity == {0: 2, 2: 1}
+    assert list(fn.multiplicity) == [0, 2]  # ascending indices
+    fn.multiplicity[1] = 5  # a copy: the multiset stays as built
+    assert fn.multiplicity == {0: 2, 2: 1}
 
 
 def test_sampling_function_guards():
@@ -329,9 +325,8 @@ def test_sampling_function_guards():
     assert SamplingFunction({0: 0, 1: 2}).multiplicity == {1: 2}
 
 
-def test_sampling_function_mapping_budget():
-    fn = SamplingFunction({0: REPLICA_BUDGET + 1})
-    assert len(fn) == REPLICA_BUDGET + 1
-    assert fn(REPLICA_BUDGET) == 0
-    with pytest.raises(BudgetExceededError):
-        fn.mapping
+def test_sampling_function_counts_are_never_materialized():
+    huge = 2**40
+    fn = SamplingFunction({0: huge, 3: 1})
+    assert len(fn) == huge + 1
+    assert fn.multiplicity == {0: huge, 3: 1}
