@@ -242,6 +242,8 @@ def density(
     rads = sorted(float(r) for r in radii)
     if not rads:
         raise PreconditionError("need at least one window radius")
+    if not all(math.isfinite(r) for r in rads):
+        raise PreconditionError(f"window radii must be finite, got {rads}")
     if rads[0] <= 0:
         raise PreconditionError(f"window radii must be positive, got {rads[0]}")
     if rads[-1] > ps.declared_extent / 2.0 * (1.0 + _EDGE_TOL):
@@ -252,8 +254,8 @@ def density(
 
     def scan(r: float):
         step = center_grid_step if center_grid_step is not None else r / step_divisor
-        if step <= 0:
-            raise PreconditionError(f"grid step must be positive, got {step}")
+        if not (math.isfinite(step) and step > 0):
+            raise PreconditionError(f"grid step must be finite and positive, got {step}")
         return _window_extrema(ps, r, step)
 
     curve = [scan(r) for r in rads]

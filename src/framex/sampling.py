@@ -265,8 +265,9 @@ def sample(
 ):
     """Run the full pipeline; returns (SamplingFunction, SamplingCertificate).
 
-    The weighted sum must stay below total_cap * I (1/2 by default) and the
-    compressed trace gamma on the subspace must not exceed 1.  Exponent and
+    The weighted sum must stay below total_cap * I (1/2 by default; a cap
+    that is not finite raises PreconditionError) and the compressed trace
+    gamma on the subspace must not exceed 1.  Exponent and
     constant may be pinned by callers coordinating several runs; otherwise
     the selector-constant machinery picks them from the trace cap.  A pinned
     exponent must be nonnegative, and each weight is expanded to its first
@@ -291,6 +292,8 @@ def sample(
         raise PreconditionError("subspace dimension mismatch")
     if not 0 < epsilon < 1:
         raise PreconditionError(f"epsilon must lie in (0, 1), got {epsilon}")
+    if not math.isfinite(total_cap):
+        raise PreconditionError(f"total cap must be finite, got {total_cap}")
 
     mats = [p.matrix for p in psd]
     traces = [p.trace for p in psd]

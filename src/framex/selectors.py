@@ -17,6 +17,7 @@ and randomized descent trade quality for speed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -161,28 +162,31 @@ class PairPartition:
                 raise PreconditionError(f"degenerate pair ({a}, {b})")
 
 
+def _cell_pairs(reals, pads, traces) -> list[tuple[int, int]]:
+    """A cell's pairs: real ids by descending trace (ties by id), then pads.
+
+    Adjacent entries of that order are paired; pads come in the order
+    given, and the cell (reals plus pads) must have even size.
+    """
+    ordered = sorted(reals, key=lambda i: (-traces[i], i)) + list(pads)
+    return list(zip(ordered[::2], ordered[1::2]))
+
+
 def descending_trace_pairs(ids, traces, pad_ids=None) -> PairPartition:
     """Pair adjacent elements after sorting by descending trace.
 
-    Synthetic pad indices (negative) carry zero trace and sort last.  When
-    the cell is odd a fresh pad id is appended; pass pad_ids, an iterator of
-    unused negative ints, to control the labels.
+    traces[i] is the trace of id i.  Synthetic pad indices (negative) sort
+    last, in ascending order.  When the cell is odd a fresh pad id is
+    appended; pass pad_ids, an iterator of unused negative ints, to control
+    the labels.
     """
     ids = list(ids)
     if pad_ids is None:
-        floor = min([0] + [i for i in ids if i < 0])
-        pad_ids = itertools.count(floor - 1, -1)
+        pad_ids = itertools.count(min([0] + ids) - 1, -1)
     if len(ids) % 2:
         ids.append(next(pad_ids))
-
-    def trace_of(i):
-        if i < 0:
-            return 0.0
-        return traces[i] if not isinstance(traces, dict) else traces.get(i, 0.0)
-
-    ordered = sorted(ids, key=lambda i: (-trace_of(i), i < 0, i))
-    pairs = tuple((ordered[k], ordered[k + 1]) for k in range(0, len(ordered), 2))
-    return PairPartition(indices=tuple(ordered), pairs=pairs)
+    pairs = _cell_pairs([i for i in ids if i >= 0], sorted(i for i in ids if i < 0), traces)
+    return PairPartition(indices=tuple(i for pair in pairs for i in pair), pairs=tuple(pairs))
 
 
 @dataclass
@@ -284,6 +288,7 @@ def _selector_count(size: int, depth: int, limit: int) -> int:
 
 
 def _deviation(mats, ids, target, scale) -> float:
+    """One leaf's deviation, alone: verify_certificate's recheck, used by no search."""
     acc = -target
     for i in sorted(i for i in ids if i >= 0):
         acc = acc + scale * mats[i]
@@ -315,15 +320,6 @@ def _fold(stack, rows, target, scale) -> np.ndarray:
 def _radii(mats) -> np.ndarray:
     """Spectral radius of each Hermitian matrix of an (m, d, d) stack."""
     return np.max(np.abs(np.linalg.eigvalsh(mats)), axis=-1)
-
-
-def _batched_deviations(stack, rows, target, scale) -> np.ndarray:
-    """_deviation of every row of ids at once, bit for bit.
-
-    The same additions as _deviation (see _fold), so only the eigensolve is
-    shared: one eigvalsh call on the (m, d, d) stack.
-    """
-    return _radii(_fold(stack, rows, target, scale))
 
 
 def _descend(sides: np.ndarray, flips: np.ndarray, score) -> np.ndarray:
@@ -373,27 +369,57 @@ def _rank_one_factors(mats) -> np.ndarray | None:
 class _TreeBuilder:
     """Shared state for building selector trees over a fixed operator stack.
 
-    padded is the stack with a zero matrix appended at index n, the
-    operator of every pad; factors is its (n + 1, d) rank-one factor stack,
-    or None when some member has rank > 1.  Call restart() before each tree.
+    padded, built on first use, is the stack with a zero matrix appended at
+    index n, the operator of every pad; factors is its (n + 1, d) rank-one
+    factor stack, or None when some member has rank > 1.  traces[i] is the
+    trace of operator i.
     """
 
     def __init__(self, stack, traces, target, order):
         self.stack = stack
-        self.padded = np.concatenate([stack, np.zeros_like(stack[:1])])
-        self.factors = _rank_one_factors(self.padded)
         self.traces = traces
         self.target = target
         self.order = order
         self.target_trace = float(np.real(np.trace(target)))
-        self.trace_sum = sum(traces.values())
-        self.restart()
-
-    def restart(self):
+        self.trace_sum = sum(traces)
         self.pad_ids = itertools.count(-1, -1)
+
+    @functools.cached_property
+    def padded(self) -> np.ndarray:
+        return np.concatenate([self.stack, np.zeros_like(self.stack[:1])])
+
+    @functools.cached_property
+    def factors(self) -> np.ndarray | None:
+        return _rank_one_factors(self.padded)
 
     def pairing(self, ids) -> PairPartition:
         return descending_trace_pairs(ids, self.traces, self.pad_ids)
+
+    def tree(self, choose) -> SelectorTree:
+        """A tree over every operator, with fresh pad labels; see cell()."""
+        self.pad_ids = itertools.count(-1, -1)
+        return SelectorTree(order=self.order, root=self.cell(tuple(range(len(self.stack))), self.order, choose))
+
+    def cell(self, ids, remaining, choose) -> SelectorCell:
+        """The subtree over ids with `remaining` levels below it.
+
+        Pairs the cell, takes its sides from choose(pairs, remaining), pairs
+        being the (k, 2) id array of the pairing, then builds the left child
+        and after it the right one.
+        """
+        if remaining == 0:
+            return SelectorCell(indices=tuple(sorted(ids)))
+        part = self.pairing(ids)
+        pairs = np.array(part.pairs, dtype=np.int64).reshape(-1, 2)
+        sides = choose(pairs, remaining)
+        slots = np.arange(len(pairs))
+        left, right = (tuple(pairs[slots, s].tolist()) for s in (sides, 1 - sides))
+        return SelectorCell(
+            indices=tuple(sorted(ids)),
+            partition=part,
+            sides=tuple(sides.tolist()),
+            children=(self.cell(left, remaining - 1, choose), self.cell(right, remaining - 1, choose)),
+        )
 
     def tolerance(self, scale) -> float:
         """Bound on the gap between two computed deviations of one child.
@@ -464,13 +490,14 @@ class _TreeBuilder:
         return ~(det > margin * (sums + 1.0).prod(axis=2)).any(axis=(0, 2))
 
 
-def _greedy_cell(builder: _TreeBuilder, ids, remaining, rng) -> SelectorCell:
-    if remaining == 0:
-        return SelectorCell(indices=tuple(sorted(ids)))
-    part = builder.pairing(ids)
-    pairs = np.array(part.pairs, dtype=np.int64).reshape(-1, 2)
+def _greedy_sides(builder: _TreeBuilder, rng, pairs, remaining) -> np.ndarray:
+    """Choose step of greedy and randomized search: a single-flip descent.
+
+    Starts from all zeros (rng None) or from sides drawn from rng, one per
+    pair that holds a real id, and descends on the worse child's deviation.
+    """
     slots = np.arange(len(pairs))
-    flips = np.array([k for k, (a, b) in enumerate(part.pairs) if a >= 0 or b >= 0], dtype=np.int64)
+    flips = np.flatnonzero((pairs >= 0).any(axis=1))
     sides = np.zeros(len(pairs), dtype=np.int64)
     if rng is not None:
         for k in flips:
@@ -520,121 +547,74 @@ def _greedy_cell(builder: _TreeBuilder, ids, remaining, rng) -> SelectorCell:
             known[side_rows[kept[w]].tobytes()] = sums[w], exact[w]
         return keys[:, None]
 
-    _descend(sides, flips, objective)
-    left = tuple(pairs[slots, sides].tolist())
-    right = tuple(pairs[slots, 1 - sides].tolist())
-    return SelectorCell(
-        indices=tuple(sorted(ids)),
-        partition=part,
-        sides=tuple(sides.tolist()),
-        children=(
-            _greedy_cell(builder, left, remaining - 1, rng),
-            _greedy_cell(builder, right, remaining - 1, rng),
-        ),
-    )
+    return _descend(sides, flips, objective)
 
 
-def _exhaustive_tree(mats, traces, target, order) -> SelectorTree:
-    """Depth-first optimum of the max leaf deviation over the induced pairing.
+def _optimal_sides(builder: _TreeBuilder):
+    """Choose step of exhaustive search: the depth-first optimum.
 
-    Cells are canonicalized to (bitmask of real ids, pad count); identical
-    pad elements collapse, which keeps the memo small.
+    Minimizes the worst leaf deviation over every side choice below a cell.
+    A cell is keyed by (bitmask of its real ids, pad count once paired,
+    remaining levels), since pads are interchangeable, and laid out by
+    _cell_pairs as the builder's pairing lays it out.  Side choices are
+    enumerated with bit t flipping the t-th pair that holds a real id, and
+    the first one that reaches the minimum wins.  Leaves are scored by the
+    descent's fold, each distinct leaf once and the fresh leaves of a cell
+    in one batch.
     """
-    scale = float(2**order)
-    m = len(mats)
-    trace_arr = [traces[i] for i in range(m)]
+    n = len(builder.stack)
+    scale = float(2**builder.order)
+    leaf: dict[int, float] = {}
+    memo: dict[tuple[int, int, int], tuple[float, list[int]]] = {}
 
-    leaf_cache: dict[int, float] = {}
-
-    def leaf_value(mask: int) -> float:
-        if mask not in leaf_cache:
-            ids = [i for i in range(m) if (mask >> i) & 1]
-            leaf_cache[mask] = _deviation(mats, ids, target, scale)
-        return leaf_cache[mask]
-
-    def cell_layout(mask: int, pads: int):
-        reals = sorted(
-            (i for i in range(m) if (mask >> i) & 1),
-            key=lambda i: (-trace_arr[i], i),
-        )
-        elems: list[int | None] = list(reals) + [None] * pads
-        if len(elems) % 2:
-            elems.append(None)
-        pairs = [(elems[k], elems[k + 1]) for k in range(0, len(elems), 2)]
-        return pairs
-
-    memo: dict[tuple[int, int, int], tuple[float, tuple[int, ...]]] = {}
-
-    def solve(mask: int, pads: int, remaining: int) -> float:
-        if remaining == 0:
-            return leaf_value(mask)
+    def solve(mask, pads, remaining) -> tuple[float, list[int]]:
         key = (mask, pads, remaining)
         if key in memo:
-            return memo[key][0]
-        pairs = cell_layout(mask, pads)
-        flippable = [k for k, (a, b) in enumerate(pairs) if a is not None or b is not None]
-        best_val, best_sides = math.inf, (0,) * len(pairs)
-        for cmask in range(2 ** len(flippable)):
-            sides = [0] * len(pairs)
-            for t, k in enumerate(flippable):
-                sides[k] = (cmask >> t) & 1
-            lm = rm = 0
-            lp = rp = 0
-            for (a, b), s in zip(pairs, sides):
-                first, second = (a, b) if s == 0 else (b, a)
-                if first is None:
-                    lp += 1
-                else:
-                    lm |= 1 << first
-                if second is None:
-                    rp += 1
-                else:
-                    rm |= 1 << second
-            val = max(solve(lm, lp, remaining - 1), solve(rm, rp, remaining - 1))
-            if val < best_val:
-                best_val, best_sides = val, tuple(sides)
-        memo[key] = (best_val, best_sides)
-        return best_val
+            return memo[key]
+        pairs = _cell_pairs([i for i in range(n) if mask >> i & 1], [-1] * pads, builder.traces)
+        flips = [k for k, (a, b) in enumerate(pairs) if a >= 0]
+        size = len(pairs)  # each child's size; odd children gain a pad
+        # the left child of every side choice; flipping pair k swaps a for b
+        lefts = [sum(1 << pairs[k][0] for k in flips)]
+        for k in flips:
+            a, b = pairs[k]
+            swap = 1 << a | (1 << b if b >= 0 else 0)
+            lefts += [left ^ swap for left in lefts]
+        if remaining == 1:
+            fresh = list(dict.fromkeys(child for left in lefts for child in (left, mask ^ left) if child not in leaf))
+            if fresh:
+                rows = np.full((len(fresh), size), -1, dtype=np.int64)
+                for row, child in zip(rows, fresh):
+                    ids = [i for i in range(n) if child >> i & 1]
+                    row[: len(ids)] = ids
+                leaf.update(zip(fresh, _radii(_fold(builder.stack, rows, builder.target, scale)).tolist()))
+            value = leaf.__getitem__
+        else:
+            def value(child):
+                return solve(child, size - child.bit_count() + size % 2, remaining - 1)[0]
+        best, choice = math.inf, 0
+        for c, left in enumerate(lefts):
+            val = max(value(left), value(mask ^ left))
+            if val < best:
+                best, choice = val, c
+        sides = [0] * size
+        for t, k in enumerate(flips):
+            sides[k] = choice >> t & 1
+        memo[key] = best, sides
+        return memo[key]
 
-    full_mask = (1 << m) - 1
-    solve(full_mask, 0, order)
+    def choose(pairs, remaining) -> np.ndarray:
+        ids = pairs.ravel().tolist()
+        return np.array(solve(sum(1 << i for i in ids if i >= 0), sum(i < 0 for i in ids), remaining)[1])
 
-    pad_ids = itertools.count(-1, -1)
+    return choose
 
-    def materialize(mask: int, pads: int, pad_labels: tuple[int, ...], remaining: int) -> SelectorCell:
-        indices = tuple(sorted([i for i in range(m) if (mask >> i) & 1] + list(pad_labels)))
-        if remaining == 0:
-            return SelectorCell(indices=indices)
-        pairs = cell_layout(mask, pads)
-        _, sides = memo[(mask, pads, remaining)]
-        labels = list(pad_labels)
-        concrete_pairs = []
-        for a, b in pairs:
-            ca = a if a is not None else (labels.pop() if labels else next(pad_ids))
-            cb = b if b is not None else (labels.pop() if labels else next(pad_ids))
-            concrete_pairs.append((ca, cb))
-        all_ids = tuple(i for pair in concrete_pairs for i in pair)
-        part = PairPartition(indices=all_ids, pairs=tuple(concrete_pairs))
-        left_ids, right_ids = [], []
-        for (ca, cb), s in zip(concrete_pairs, sides):
-            first, second = (ca, cb) if s == 0 else (cb, ca)
-            left_ids.append(first)
-            right_ids.append(second)
-        lm = sum(1 << i for i in left_ids if i >= 0)
-        rm = sum(1 << i for i in right_ids if i >= 0)
-        lpl = tuple(i for i in left_ids if i < 0)
-        rpl = tuple(i for i in right_ids if i < 0)
-        return SelectorCell(
-            indices=indices,
-            partition=part,
-            sides=tuple(sides),
-            children=(
-                materialize(lm, len(lpl), lpl, remaining - 1),
-                materialize(rm, len(rpl), rpl, remaining - 1),
-            ),
-        )
 
-    return SelectorTree(order=order, root=materialize(full_mask, 0, (), order))
+def _target_matrix(target, total) -> np.ndarray:
+    """The matrix of target, or total (the operator sum) when target is None."""
+    if target is None:
+        return total
+    return (target if isinstance(target, PsdOperator) else PsdOperator(target)).matrix
 
 
 def _leaf_deviations(tree: SelectorTree, stack, target) -> dict[str, float]:
@@ -642,7 +622,7 @@ def _leaf_deviations(tree: SelectorTree, stack, target) -> dict[str, float]:
     rows = np.full((len(raw), max(map(len, raw.values()))), -1, dtype=np.int64)
     for row, ids in zip(rows, raw.values()):
         row[: len(ids)] = ids
-    devs = _batched_deviations(stack, rows, target, float(2**tree.order))
+    devs = _radii(_fold(stack, rows, target, float(2**tree.order)))
     return dict(zip(raw, devs.tolist()))
 
 
@@ -680,18 +660,15 @@ def best_selector(
         raise PreconditionError(f"restarts must be a positive integer, got {restarts!r}")
     mats = [p.matrix for p in psd]
     stack = np.stack(mats)
-    traces = {i: p.trace for i, p in enumerate(psd)}
+    traces = [p.trace for p in psd]
     total = sum(mats)
-    if target is None:
-        target_m = total
-    elif isinstance(target, PsdOperator):
-        target_m = target.matrix
-    else:
-        target_m = PsdOperator(target).matrix
+    target_m = _target_matrix(target, total)
     if trace_cap is None:
-        trace_cap = max(traces.values())
-    tol = NUMERIC_TOL * max(1.0, max(traces.values()))
-    bad = [i for i, t in traces.items() if t > trace_cap + tol]
+        trace_cap = max(traces)
+    if not (math.isfinite(trace_cap) and trace_cap > 0):
+        raise PreconditionError(f"trace cap must be finite and positive, got {trace_cap}")
+    tol = NUMERIC_TOL * max(1.0, max(traces))
+    bad = [i for i, t in enumerate(traces) if t > trace_cap + tol]
     if bad:
         raise PreconditionError(
             f"operators {bad} exceed the trace cap {trace_cap:.6g}"
@@ -706,23 +683,21 @@ def best_selector(
     chosen = strategy
     if strategy == "auto":
         chosen = "exhaustive" if count <= exhaustive_limit else "randomized"
+    builder = _TreeBuilder(stack, traces, target_m, order)
     if chosen == "exhaustive":
         if count > exhaustive_limit:
             raise BudgetExceededError(
                 f"selector count exceeds the exhaustive budget {exhaustive_limit}; "
                 "use randomized search"
             )
-        tree = _exhaustive_tree(mats, traces, target_m, order)
+        tree = builder.tree(_optimal_sides(builder))
     elif chosen == "greedy":
-        builder = _TreeBuilder(stack, traces, target_m, order)
-        tree = SelectorTree(order=order, root=_greedy_cell(builder, tuple(range(len(mats))), order, None))
+        tree = builder.tree(functools.partial(_greedy_sides, builder, None))
     elif chosen == "randomized":
-        rng = np.random.default_rng(seed)
-        builder = _TreeBuilder(stack, traces, target_m, order)
+        choose = functools.partial(_greedy_sides, builder, np.random.default_rng(seed))
         tree, achieved, best_worst = None, None, math.inf
         for _ in range(restarts):
-            builder.restart()
-            cand = SelectorTree(order=order, root=_greedy_cell(builder, tuple(range(len(mats))), order, rng))
+            cand = builder.tree(choose)
             cand_achieved = _leaf_deviations(cand, stack, target_m)
             worst = max(cand_achieved.values())
             if worst < best_worst:
@@ -755,12 +730,7 @@ def verify_certificate(certificate: SelectorCertificate, tree: SelectorTree, ops
     """
     psd = [op if isinstance(op, PsdOperator) else PsdOperator(op) for op in ops]
     mats = [p.matrix for p in psd]
-    if target is None:
-        target_m = sum(mats)
-    elif isinstance(target, PsdOperator):
-        target_m = target.matrix
-    else:
-        target_m = PsdOperator(target).matrix
+    target_m = _target_matrix(target, sum(mats))
     if not tree.check_partitions():
         raise PreconditionError("selector tree partitions are inconsistent")
     if tree.order != certificate.order:

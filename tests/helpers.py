@@ -1,5 +1,6 @@
 """Shared generators and reference oracles for the test suite."""
 
+import itertools
 import json
 import math
 from dataclasses import fields, is_dataclass
@@ -10,6 +11,7 @@ import numpy as np
 from framex import PsdOperator, VectorFamily
 from framex.errors import InputFormatError, PreconditionError
 from framex.linalg import RANK_DROP_TOL, Projection, _extend_span
+from framex.selectors import PairPartition, SelectorCell, SelectorTree, _deviation
 
 
 def random_family(rng, dim, count, complex_field=False, spread=1.0):
@@ -330,3 +332,109 @@ def reference_threshold(j: int, epsilon: float) -> float:
 
 def reference_within_cap(times: int, cap: float, weight: float) -> bool:
     return Fraction(times) <= Fraction(cap) * Fraction(weight)
+
+
+# The exhaustive selector search framex.selectors ran before every strategy
+# shared one tree builder: its own cell layout, a scalar eigensolve per leaf
+# and its own pad labels.  Kept as the oracle of strategy="exhaustive".
+def reference_exhaustive_tree(mats, traces, target, order) -> SelectorTree:
+    """Depth-first optimum of the max leaf deviation over the induced pairing.
+
+    Cells are canonicalized to (bitmask of real ids, pad count); identical
+    pad elements collapse, which keeps the memo small.
+    """
+    scale = float(2**order)
+    m = len(mats)
+    trace_arr = [traces[i] for i in range(m)]
+
+    leaf_cache: dict[int, float] = {}
+
+    def leaf_value(mask: int) -> float:
+        if mask not in leaf_cache:
+            ids = [i for i in range(m) if (mask >> i) & 1]
+            leaf_cache[mask] = _deviation(mats, ids, target, scale)
+        return leaf_cache[mask]
+
+    def cell_layout(mask: int, pads: int):
+        reals = sorted(
+            (i for i in range(m) if (mask >> i) & 1),
+            key=lambda i: (-trace_arr[i], i),
+        )
+        elems: list[int | None] = list(reals) + [None] * pads
+        if len(elems) % 2:
+            elems.append(None)
+        pairs = [(elems[k], elems[k + 1]) for k in range(0, len(elems), 2)]
+        return pairs
+
+    memo: dict[tuple[int, int, int], tuple[float, tuple[int, ...]]] = {}
+
+    def solve(mask: int, pads: int, remaining: int) -> float:
+        if remaining == 0:
+            return leaf_value(mask)
+        key = (mask, pads, remaining)
+        if key in memo:
+            return memo[key][0]
+        pairs = cell_layout(mask, pads)
+        flippable = [k for k, (a, b) in enumerate(pairs) if a is not None or b is not None]
+        best_val, best_sides = math.inf, (0,) * len(pairs)
+        for cmask in range(2 ** len(flippable)):
+            sides = [0] * len(pairs)
+            for t, k in enumerate(flippable):
+                sides[k] = (cmask >> t) & 1
+            lm = rm = 0
+            lp = rp = 0
+            for (a, b), s in zip(pairs, sides):
+                first, second = (a, b) if s == 0 else (b, a)
+                if first is None:
+                    lp += 1
+                else:
+                    lm |= 1 << first
+                if second is None:
+                    rp += 1
+                else:
+                    rm |= 1 << second
+            val = max(solve(lm, lp, remaining - 1), solve(rm, rp, remaining - 1))
+            if val < best_val:
+                best_val, best_sides = val, tuple(sides)
+        memo[key] = (best_val, best_sides)
+        return best_val
+
+    full_mask = (1 << m) - 1
+    solve(full_mask, 0, order)
+
+    pad_ids = itertools.count(-1, -1)
+
+    def materialize(mask: int, pads: int, pad_labels: tuple[int, ...], remaining: int) -> SelectorCell:
+        indices = tuple(sorted([i for i in range(m) if (mask >> i) & 1] + list(pad_labels)))
+        if remaining == 0:
+            return SelectorCell(indices=indices)
+        pairs = cell_layout(mask, pads)
+        _, sides = memo[(mask, pads, remaining)]
+        labels = list(pad_labels)
+        concrete_pairs = []
+        for a, b in pairs:
+            ca = a if a is not None else (labels.pop() if labels else next(pad_ids))
+            cb = b if b is not None else (labels.pop() if labels else next(pad_ids))
+            concrete_pairs.append((ca, cb))
+        all_ids = tuple(i for pair in concrete_pairs for i in pair)
+        part = PairPartition(indices=all_ids, pairs=tuple(concrete_pairs))
+        left_ids, right_ids = [], []
+        for (ca, cb), s in zip(concrete_pairs, sides):
+            first, second = (ca, cb) if s == 0 else (cb, ca)
+            left_ids.append(first)
+            right_ids.append(second)
+        lm = sum(1 << i for i in left_ids if i >= 0)
+        rm = sum(1 << i for i in right_ids if i >= 0)
+        lpl = tuple(i for i in left_ids if i < 0)
+        rpl = tuple(i for i in right_ids if i < 0)
+        return SelectorCell(
+            indices=indices,
+            partition=part,
+            sides=tuple(sides),
+            children=(
+                materialize(lm, len(lpl), lpl, remaining - 1),
+                materialize(rm, len(rpl), rpl, remaining - 1),
+            ),
+        )
+
+    return SelectorTree(order=order, root=materialize(full_mask, 0, (), order))

@@ -317,6 +317,44 @@ def test_selector_rejects_zero_restarts(tmp_path):
     assert "results" not in report
 
 
+@pytest.mark.parametrize("cap", ["nan", "inf", "-inf"])
+def test_selector_rejects_a_non_finite_trace_cap(tmp_path, cap):
+    code, report, _ = run_cli(tmp_path, "selector", scaled_basis_payload(), "--param", f"trace_cap={cap}")
+    assert code == 2
+    assert report["error"]["type"] == "PreconditionError"
+    assert "trace cap must be" in report["error"]["message"]
+    assert "results" not in report
+
+
+@pytest.mark.parametrize("cap", ["nan", "inf"])
+def test_sample_rejects_a_non_finite_total_cap(tmp_path, cap):
+    code, report, _ = run_cli(
+        tmp_path, "sample", scaled_basis_payload(), "--param", "epsilon=0.25", "--param", f"total_cap={cap}"
+    )
+    assert code == 2
+    assert report["error"] == {
+        "type": "PreconditionError",
+        "message": f"total cap must be finite, got {cap}",
+    }
+
+
+@pytest.mark.parametrize(
+    "param,message",
+    [
+        ("step=nan", "grid step must be finite and positive"),
+        ("step=inf", "grid step must be finite and positive"),
+        ("radii=nan", "window radii must be finite"),
+        ("radii=2,inf", "window radii must be finite"),
+    ],
+)
+def test_density_rejects_a_non_finite_radius_or_step(tmp_path, param, message):
+    code, report, _ = run_cli(tmp_path, "density", _POINTS, "--param", param)
+    assert code == 2
+    assert report["error"]["type"] == "PreconditionError"
+    assert message in report["error"]["message"]
+    assert "results" not in report
+
+
 @pytest.mark.parametrize(
     "payload",
     [

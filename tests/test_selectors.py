@@ -26,8 +26,8 @@ from framex import (
     verify_certificate,
 )
 from framex import selectors
-from framex.selectors import _batched_deviations, _descend, _deviation
-from helpers import bounded_rank_ones
+from framex.selectors import _descend, _deviation, _fold, _radii
+from helpers import bounded_rank_ones, reference_exhaustive_tree
 
 
 def recursion_oracle(delta, max_order):
@@ -130,6 +130,78 @@ def test_exhaustive_beats_greedy(rng):
         assert exh.satisfied
 
 
+def exhaustive_instance(seed, complex_field, count, duplicates):
+    """Operators with sum <= 0.99 I whatever the duplicates (every trace <= 0.99 / count)."""
+    rng = np.random.default_rng(seed)
+    make = complex_rank_ones if complex_field else bounded_rank_ones
+    ops = make(rng, int(rng.integers(1, 5)), count, trace_cap=0.99 / count)
+    for a, b in rng.integers(0, count, size=(duplicates, 2)):
+        ops[a] = ops[b]
+    return ops
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    complex_field=st.booleans(),
+    count=st.integers(1, 10),
+    order=st.integers(1, 3),
+    duplicates=st.integers(0, 3),
+)
+def test_exhaustive_search_matches_the_reference_tree(seed, complex_field, count, order, duplicates):
+    """The shared tree builder finds the former exhaustive search's tree: the
+    same leaves and the same leaf deviations, to the last bit.  Odd counts
+    give pads, duplicated operators exact ties between side choices."""
+    ops = exhaustive_instance(seed, complex_field, count, duplicates)
+    tree, cert = best_selector(ops, order, strategy="exhaustive")
+    mats = [op.matrix for op in ops]
+    target = sum(mats)
+    reference = reference_exhaustive_tree(mats, [op.trace for op in ops], target, order)
+    assert tree.check_partitions()
+    assert tree.leaves() == reference.leaves()
+    assert cert.achieved == {
+        path: _deviation(mats, ids, target, float(2**order))
+        for path, ids in reference.raw_leaves().items()
+    }
+
+
+def every_tree(ids, remaining, traces):
+    """The leaf id tuples of every tree over ids: each side of each pair of each cell."""
+    if remaining == 0:
+        yield [ids]
+        return
+    pairs = descending_trace_pairs(ids, traces).pairs
+    for sides in itertools.product((0, 1), repeat=len(pairs)):
+        left = tuple(pair[s] for pair, s in zip(pairs, sides))
+        right = tuple(pair[1 - s] for pair, s in zip(pairs, sides))
+        rights = list(every_tree(right, remaining - 1, traces))
+        for lower in every_tree(left, remaining - 1, traces):
+            for upper in rights:
+                yield lower + upper
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    complex_field=st.booleans(),
+    count=st.integers(1, 6),
+    order=st.integers(1, 2),
+    duplicates=st.integers(0, 2),
+)
+def test_exhaustive_search_is_optimal_over_every_tree(seed, complex_field, count, order, duplicates):
+    """No tree the pairing allows has a smaller worst leaf deviation."""
+    ops = exhaustive_instance(seed, complex_field, count, duplicates)
+    _, cert = best_selector(ops, order, strategy="exhaustive")
+    mats = [op.matrix for op in ops]
+    target = sum(mats)
+    scale = float(2**order)
+    worst = [
+        max(_deviation(mats, leaf, target, scale) for leaf in leaves)
+        for leaves in every_tree(tuple(range(count)), order, [op.trace for op in ops])
+    ]
+    assert cert.worst == min(worst)
+
+
 def test_leaf_bound_holds(rng):
     """Every leaf deviation stays within C sqrt(2^N delta)."""
     for _ in range(10):
@@ -187,7 +259,7 @@ def test_batched_deviations_match_scalar(rng):
         rows = np.array([rng.permutation(count + 1)[: (count + 1) // 2] for _ in range(6)]) - 1
         rows[0] = -1  # a row of pads alone leaves -target
         for scale in (2.0, 8.0):
-            batched = _batched_deviations(np.stack(mats), rows, target, scale)
+            batched = _radii(_fold(np.stack(mats), rows, target, scale))
             assert batched.tolist() == [_deviation(mats, row, target, scale) for row in rows]
 
 
@@ -339,7 +411,7 @@ def test_screen_never_drops_a_trial_that_could_win(seed, complex_field, shape, s
     ops = adversarial_ops(rng, shape, int(rng.integers(2, 6)), count, complex_field)
     stack = size * np.stack([op.matrix for op in ops])
     target = stack.sum(axis=0)
-    builder = selectors._TreeBuilder(stack, dict(enumerate(np.trace(stack).real)), target, level)
+    builder = selectors._TreeBuilder(stack, np.trace(stack, axis1=1, axis2=2).real.tolist(), target, level)
     scale = float(2**level)  # the cell's level scale
     pairs = np.array(builder.pairing(range(count)).pairs)
     padded = np.where(pairs < 0, count, pairs)
@@ -394,12 +466,12 @@ def test_verify_does_not_use_batched_helper(rng, monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("verify_certificate must recompute leaves on its own")
 
-    monkeypatch.setattr(selectors, "_batched_deviations", boom)
+    monkeypatch.setattr(selectors, "_fold", boom)
     assert verify_certificate(cert, tree, ops)
 
 
 def argmin_descent(sides, flips, objective):
-    """The single-flip loop _greedy_cell ran before _descend was shared."""
+    """The single-flip loop the greedy search ran before _descend was shared."""
     current = objective(sides[None])[0]
     while len(flips):
         trial = np.repeat(sides[None], len(flips), axis=0)
