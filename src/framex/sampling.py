@@ -266,7 +266,8 @@ def sample(
     """Run the full pipeline; returns (SamplingFunction, SamplingCertificate).
 
     The weighted sum must stay below total_cap * I (1/2 by default; a cap
-    that is not finite raises PreconditionError) and the compressed trace
+    that is not finite raises PreconditionError, as does a trace_cap that
+    is not finite and positive) and the compressed trace
     gamma on the subspace must not exceed 1.  Exponent and
     constant may be pinned by callers coordinating several runs; otherwise
     the selector-constant machinery picks them from the trace cap.  A pinned
@@ -294,6 +295,8 @@ def sample(
         raise PreconditionError(f"epsilon must lie in (0, 1), got {epsilon}")
     if not math.isfinite(total_cap):
         raise PreconditionError(f"total cap must be finite, got {total_cap}")
+    if trace_cap is not None and not (math.isfinite(trace_cap) and trace_cap > 0):
+        raise PreconditionError(f"trace cap must be finite and positive, got {trace_cap}")
 
     mats = [p.matrix for p in psd]
     traces = [p.trace for p in psd]
@@ -405,7 +408,7 @@ def sample(
             ])
             picks = np.array([[k * n_ops + n for k, n in p] for p in crosses], dtype=np.int64).reshape(-1, 2)
 
-            def score(rows):
+            def score(_, rows):
                 hits = np.zeros((len(rows), 2 * n_ops), dtype=np.int64)
                 taken = np.where(rows, picks[:, 1], picks[:, 0])  # column of each cross's pick
                 np.add.at(hits, (np.arange(len(rows))[:, None], taken), 1)
@@ -417,7 +420,7 @@ def sample(
                 excess = np.maximum(np.maximum(hi, -lo), 0.0)
                 return np.column_stack([coeff @ press > pig_cap, over_cap, excess])
 
-            sides = _descend(np.zeros(len(crosses), dtype=np.int64), np.arange(len(crosses)), score)
+            sides = _descend(np.zeros((1, len(crosses)), dtype=np.int64), np.ones((1, len(crosses)), dtype=bool), score)[0]
             state = dict(_child_state(base, crosses, sum(1 << int(i) for i in np.flatnonzero(sides))))
         chosen_ops, chosen_pads = ([state.get((k, n), 0) for n in range(n_ops)] for k in (0, 1))
 

@@ -323,28 +323,42 @@ def _radii(mats) -> np.ndarray:
 
 
 def _descend(sides: np.ndarray, flips: np.ndarray, score) -> np.ndarray:
-    """Greedy single-flip descent on a 0/1 side vector, in place.
+    """Greedy single-flip descents of many 0/1 side rows in lockstep, in place.
 
-    score maps an (m, len(sides)) array of side rows to an (m, k) array of
-    keys, compared lexicographically (column 0 first).  Each sweep scores
-    every single flip of the positions in flips with one score call and
-    takes the first strictly smaller key; with k = 1 that is the first
-    argmin.  Stops when no flip improves; returns sides.
+    sides is a (cells, width) array and flips a (cells, width) mask of the
+    positions each row may flip.  score(cells, rows) maps an (m, width)
+    array of side rows, row i belonging to row cells[i] of sides, to an
+    (m, k) array of keys, compared lexicographically (column 0 first).  The
+    first call scores sides itself.  Each sweep then scores every single
+    flip of every active row with one score call, and each row takes its
+    own first strictly smaller key (with k = 1, its first argmin); a row
+    drops out when no flip improves it.  So each row descends as it would
+    alone: the score calls, split by cell, are its own descent's.  Returns
+    sides.
 
-    Only the first minimal key of a sweep and the current key need to be
-    exact.  The key of a trial proven unable to win may be any value on the
-    losing side: >= the current key, or > the sweep's exact minimum.
+    Only the first minimal key of a row's sweep and its current key need to
+    be exact.  The key of a trial proven unable to win may be any value on
+    the losing side: >= the current key, or > the sweep's exact minimum.
     """
-    current = score(sides[None])[0].tolist()
-    while len(flips):
-        trial = np.repeat(sides[None], len(flips), axis=0)
-        trial[np.arange(len(flips)), flips] ^= 1
-        keys = score(trial)
-        best = int(np.lexsort(keys.T[::-1])[0])
-        if not keys[best].tolist() < current:
-            break
-        sides[flips[best]] ^= 1
-        current = keys[best].tolist()
+    current = score(np.arange(len(sides)), sides)
+    active = np.flatnonzero(flips.any(axis=1))
+    while len(active):
+        cells, pos = np.nonzero(flips[active])
+        cells = active[cells]
+        trial = sides[cells]
+        trial[np.arange(len(cells)), pos] ^= 1
+        keys = score(cells, trial)
+        # each cell's first minimal key: trials sorted by cell, then by key
+        order = np.lexsort(tuple(keys.T[::-1]) + (cells,))
+        first = order[np.r_[True, np.diff(cells[order]) != 0]]
+        less, tied = np.zeros(len(first), dtype=bool), np.ones(len(first), dtype=bool)
+        for new, old in zip(keys[first].T, current[cells[first]].T):
+            less |= tied & (new < old)
+            tied &= new == old
+        won = first[less]
+        sides[cells[won], pos[won]] ^= 1
+        current[cells[won]] = keys[won]
+        active = cells[won]
     return sides
 
 
@@ -366,6 +380,14 @@ def _rank_one_factors(mats) -> np.ndarray | None:
     return None
 
 
+@functools.lru_cache(maxsize=4096)
+def _draw_count(real, remaining) -> int:
+    """Side draws of a randomized subtree over `real` real ids, `remaining` levels deep."""
+    if remaining == 0:
+        return 0
+    return (real + 1) // 2 + _draw_count(real // 2, remaining - 1) + _draw_count((real + 1) // 2, remaining - 1)
+
+
 class _TreeBuilder:
     """Shared state for building selector trees over a fixed operator stack.
 
@@ -382,7 +404,6 @@ class _TreeBuilder:
         self.order = order
         self.target_trace = float(np.real(np.trace(target)))
         self.trace_sum = sum(traces)
-        self.pad_ids = itertools.count(-1, -1)
 
     @functools.cached_property
     def padded(self) -> np.ndarray:
@@ -392,34 +413,59 @@ class _TreeBuilder:
     def factors(self) -> np.ndarray | None:
         return _rank_one_factors(self.padded)
 
-    def pairing(self, ids) -> PairPartition:
-        return descending_trace_pairs(ids, self.traces, self.pad_ids)
+    def pairing(self, ids, pads_before=0) -> PairPartition:
+        """The cell's pairing; a fresh pad is labelled -1 - pads_before."""
+        return descending_trace_pairs(ids, self.traces, itertools.count(-1 - pads_before, -1))
 
-    def tree(self, choose) -> SelectorTree:
-        """A tree over every operator, with fresh pad labels; see cell()."""
-        self.pad_ids = itertools.count(-1, -1)
-        return SelectorTree(order=self.order, root=self.cell(tuple(range(len(self.stack))), self.order, choose))
+    def trees(self, choose, count=1, rng=None) -> list[SelectorTree]:
+        """count trees over every operator, built breadth-first, level by level.
 
-    def cell(self, ids, remaining, choose) -> SelectorCell:
-        """The subtree over ids with `remaining` levels below it.
+        Every cell of a level is paired, and one call choose(pairs,
+        remaining, starts) returns the (cells, k) sides of them all: pairs
+        is their (cells, k, 2) id array, remaining the levels below them and
+        starts their starting sides, 0 or, with rng, one rng.integers(0, 2)
+        per pair that holds a real id.  Cells come tree by tree, each tree's
+        left to right.
 
-        Pairs the cell, takes its sides from choose(pairs, remaining), pairs
-        being the (k, 2) id array of the pairing, then builds the left child
-        and after it the right one.
+        A seed gives the trees a depth-first build would: the draws of all
+        count trees are taken up front, and each cell reads its own at its
+        depth-first offset.  A cell with r real ids draws ceil(r/2), and its
+        children hold floor(r/2) and ceil(r/2) of them, so a subtree's draw
+        count depends only on (r, levels left).  Fresh pad labels -1, -2, ...
+        follow the same order: every cell of a level has the same size, and
+        each cell of odd size takes one.
         """
-        if remaining == 0:
-            return SelectorCell(indices=tuple(sorted(ids)))
-        part = self.pairing(ids)
-        pairs = np.array(part.pairs, dtype=np.int64).reshape(-1, 2)
-        sides = choose(pairs, remaining)
-        slots = np.arange(len(pairs))
-        left, right = (tuple(pairs[slots, s].tolist()) for s in (sides, 1 - sides))
-        return SelectorCell(
-            indices=tuple(sorted(ids)),
-            partition=part,
-            sides=tuple(sides.tolist()),
-            children=(self.cell(left, remaining - 1, choose), self.cell(right, remaining - 1, choose)),
-        )
+        n, order = len(self.stack), self.order
+        sizes = [n]
+        for _ in range(order):
+            sizes.append((sizes[-1] + 1) // 2)
+        pads_below = [0] * (order + 1)  # fresh pads in a subtree rooted at each level
+        for j in reversed(range(order)):
+            pads_below[j] = sizes[j] % 2 + 2 * pads_below[j + 1]
+        per_tree = _draw_count(n, order) if rng is not None else 0
+        draws = np.array([rng.integers(0, 2) for _ in range(count * per_tree)], dtype=np.int64)
+        roots = [SelectorCell(indices=tuple(range(n))) for _ in range(count)]
+        level = [(root, t * per_tree, 0) for t, root in enumerate(roots)]  # (cell, draws before, pads before)
+        for j, size in enumerate(sizes[:-1]):
+            parts = [self.pairing(cell.indices, pads) for cell, _, pads in level]
+            pairs = np.array([part.pairs for part in parts], dtype=np.int64)
+            taken = (pairs >= 0).any(axis=2).sum(axis=1)  # each cell's draws
+            starts = np.zeros(pairs.shape[:2], dtype=np.int64)
+            if rng is not None:
+                for row, f, (_, offset, _) in zip(starts, taken, level):
+                    row[:f] = draws[offset : offset + f]
+            sides = choose(pairs, order - j, starts)
+            slots = np.arange(pairs.shape[1])
+            below = []
+            for (cell, offset, pads), part, cell_pairs, s, f in zip(level, parts, pairs, sides, taken):
+                left, right = cell_pairs[slots, s], cell_pairs[slots, 1 - s]
+                cell.partition, cell.sides = part, tuple(s.tolist())
+                cell.children = tuple(SelectorCell(indices=tuple(sorted(ids.tolist()))) for ids in (left, right))
+                offset, pads = offset + f, pads + size % 2
+                right_offset = offset + _draw_count(int((left >= 0).sum()), order - j - 1)
+                below += [(cell.children[0], offset, pads), (cell.children[1], right_offset, pads + pads_below[j + 1])]
+            level = below
+        return [SelectorTree(order=order, root=root) for root in roots]
 
     def tolerance(self, scale) -> float:
         """Bound on the gap between two computed deviations of one child.
@@ -434,13 +480,15 @@ class _TreeBuilder:
         """
         return NUMERIC_TOL * (1.0 + self.target_trace + scale * self.trace_sum)
 
-    def screen(self, current, gain, lose, scale, bar) -> np.ndarray:
+    def screen(self, current, cell, gain, lose, scale, bar) -> np.ndarray:
         """Mask of the trials whose children may both stay inside (-bar, bar).
 
-        current is the (2, d, d) pair of exact folds of the current sides,
-        both of deviation <= value; trial t moves gain[t] into child 0 and
-        lose[t] out of it (padded indices).  At bar = value + 2 eps, eps =
-        tolerance(scale), a dropped trial's exact fold deviation is > value.
+        current is the (cells, 2, d, d) stack of each cell's exact folds of
+        its current sides, both of deviation <= value; trial t, of cell
+        cell[t], moves gain[t] into child 0 and lose[t] out of it (padded
+        indices), and is held to that cell's bar.  At bar = value + 2 eps,
+        eps = tolerance(scale), a dropped trial's exact fold deviation is >
+        value.  One eigh of current serves every cell.
 
         Rank-one stacks: an inertia count.  A trial child is C + U S U*,
         U = [f_+, f_-] and S = diag(scale, -scale), where f_+ is the factor
@@ -471,83 +519,94 @@ class _TreeBuilder:
         each child's eigenvectors, within a Rayleigh quotient's error.
         """
         lam, vecs = np.linalg.eigh(current)
+        # each trial's cell's eigensystem, as (child, trial, ...)
+        lam, vecs, bar = lam[cell].swapaxes(0, 1), vecs[cell].swapaxes(0, 1), bar[cell]
         if self.factors is None:
             step = scale * (self.padded[gain] - self.padded[lose])
-            quad = (vecs.conj()[:, None] * (step @ vecs[:, None])).sum(axis=-2).real
+            quad = (vecs.conj() * (step @ vecs)).sum(axis=-2).real
             quad[1] *= -1.0
-            return np.abs(lam[:, None] + quad).max(axis=(0, 2)) < bar
+            return np.abs(lam + quad).max(axis=(0, 2)) < bar
         # each child's (f_+, f_-): child 0 gains `gain`, child 1 gains `lose`.
         # einsum keeps these small products off BLAS: a BLAS call here, in a
         # small early job, raised a later large job's peak RSS by up to 10 MB
         ends = np.stack([[gain, lose], [lose, gain]]).swapaxes(1, 2)
-        p = np.einsum("ctfk,ckj->ctfj", self.factors[ends], vecs.conj())
-        weights = scale / np.stack([bar - lam, bar + lam], axis=-1)  # (child, d, bound)
-        sums = (p.real**2 + p.imag**2) @ weights[:, None]  # (child, trial, factor, bound)
-        cross = (p[:, :, 0].conj() * p[:, :, 1]) @ weights  # (child, trial, bound)
+        p = np.einsum("ctfk,ctkj->ctfj", self.factors[ends], vecs.conj())
+        weights = scale / np.stack([bar[:, None] - lam, bar[:, None] + lam], axis=-1)  # (child, trial, d, bound)
+        sums = (p.real**2 + p.imag**2) @ weights  # (child, trial, factor, bound)
+        cross = np.einsum("ctj,ctjb->ctb", p[:, :, 0].conj() * p[:, :, 1], weights)
         # at bound +bar the factor f_+ pushes past it, at -bar f_-
         det = (sums + 1.0 - 2.0 * np.eye(2)).prod(axis=2) - (cross.real**2 + cross.imag**2)
         margin = 8 * (lam.shape[-1] + 8) * np.finfo(float).eps
         return ~(det > margin * (sums + 1.0).prod(axis=2)).any(axis=(0, 2))
 
 
-def _greedy_sides(builder: _TreeBuilder, rng, pairs, remaining) -> np.ndarray:
-    """Choose step of greedy and randomized search: a single-flip descent.
+def _greedy_sides(builder: _TreeBuilder, pairs, remaining, starts) -> np.ndarray:
+    """Choose step of greedy and randomized search: lockstep single-flip descents.
 
-    Starts from all zeros (rng None) or from sides drawn from rng, one per
-    pair that holds a real id, and descends on the worse child's deviation.
+    pairs is the (cells, k, 2) id array of a level's cells and starts their
+    starting sides.  Each cell descends on its worse child's deviation,
+    flipping the pairs that hold a real id, and every sweep serves all
+    cells still descending with one screen and one exact fold.
     """
-    slots = np.arange(len(pairs))
-    flips = np.flatnonzero((pairs >= 0).any(axis=1))
-    sides = np.zeros(len(pairs), dtype=np.int64)
-    if rng is not None:
-        for k in flips:
-            sides[k] = int(rng.integers(0, 2))
-
+    cells, width = starts.shape
+    slots = np.arange(width)
     level_scale = float(2 ** (builder.order - remaining + 1))
     eps = builder.tolerance(level_scale)
     padded_pairs = np.where(pairs < 0, len(builder.stack), pairs)
+    sides = starts.copy()
 
-    def fold(side_rows):
-        # exact (m, 2, d, d) child sums of each side row and their deviations
-        rows = np.concatenate([pairs[slots, side_rows], pairs[slots, 1 - side_rows]])
+    def fold(owner, side_rows):
+        # exact (m, 2, d, d) child sums of each side row, of cell owner[i],
+        # and their deviations
+        own = owner[:, None]
+        rows = np.concatenate([pairs[own, slots, side_rows], pairs[own, slots, 1 - side_rows]])
         sums = _fold(builder.stack, rows, builder.target, level_scale)
         sums = sums.reshape((2, len(side_rows)) + sums.shape[1:]).swapaxes(0, 1)
         return sums, _radii(sums)
 
-    # the exact fold of the current sides, carried over from the sweep that
-    # chose them
-    known = {}
+    # each cell's exact fold of the side row held[c]: the current sides,
+    # carried over from the sweep that chose them
+    held = np.full_like(sides, -1)
+    held_sums = np.empty((cells, 2) + builder.target.shape, dtype=np.result_type(builder.target, builder.stack))
+    held_devs = np.empty((cells, 2))
 
-    def objective(side_rows):
-        # side_rows are sides itself or single flips of it, as _descend
-        # scores them.  A flip moves one element between the children, a
-        # rank update of the current sums.  The screen drops the trials
-        # that cannot beat the current value, with that value as their
-        # (losing) key; the exact fold scores the rest, so _descend decides
-        # as it would on exact keys alone.
-        key = sides.tobytes()
-        if key not in known:
-            sums, exact = fold(sides[None])
-            known[key] = sums[0], exact[0]
-        current, devs = known[key]
-        value = devs.max()
-        keys = np.full(len(side_rows), value)
-        moved = side_rows != sides
+    def objective(owner, side_rows):
+        # side_rows are each cell's sides or single flips of them, as
+        # _descend scores them.  A flip moves one element between the
+        # children, a rank update of the current sums.  The screen drops the
+        # trials that cannot beat their cell's current value, with that
+        # value as their (losing) key; the exact fold scores the rest, so
+        # _descend decides as it would on exact keys alone.
+        live = np.unique(owner)
+        stale = live[(held[live] != sides[live]).any(axis=1)]
+        if len(stale):
+            held[stale] = sides[stale]
+            held_sums[stale], held_devs[stale] = fold(stale, sides[stale])
+        value = held_devs.max(axis=1)
+        keys = value[owner]
+        moved = side_rows != sides[owner]
         trials = np.flatnonzero(moved.any(axis=1))
         if not len(trials):
             return keys[:, None]
         k = moved[trials].argmax(axis=1)
-        s = sides[k]
-        kept = trials[builder.screen(current, padded_pairs[k, 1 - s], padded_pairs[k, s], level_scale, value + 2 * eps)]
+        c = owner[trials]
+        s = sides[c, k]
+        at = np.searchsorted(live, c)
+        kept = trials[builder.screen(
+            held_sums[live], at, padded_pairs[c, k, 1 - s], padded_pairs[c, k, s], level_scale, value[live] + 2 * eps
+        )]
         if len(kept):
-            sums, exact = fold(side_rows[kept])
+            sums, exact = fold(owner[kept], side_rows[kept])
             keys[kept] = exact.max(axis=1)
-            w = int(np.argmin(keys[kept]))  # the first exact minimum
-            known.clear()
-            known[side_rows[kept[w]].tobytes()] = sums[w], exact[w]
+            # each cell's first exact minimum
+            c = owner[kept]
+            order = np.lexsort((keys[kept], c))
+            first = order[np.r_[True, np.diff(c[order]) != 0]]
+            held[c[first]] = side_rows[kept[first]]
+            held_sums[c[first]], held_devs[c[first]] = sums[first], exact[first]
         return keys[:, None]
 
-    return _descend(sides, flips, objective)
+    return _descend(sides, (pairs >= 0).any(axis=2), objective)
 
 
 def _optimal_sides(builder: _TreeBuilder):
@@ -558,7 +617,9 @@ def _optimal_sides(builder: _TreeBuilder):
     remaining levels), since pads are interchangeable, and laid out by
     _cell_pairs as the builder's pairing lays it out.  Side choices are
     enumerated with bit t flipping the t-th pair that holds a real id, and
-    the first one that reaches the minimum wins.  Leaves are scored by the
+    the first one that reaches the minimum wins.  A choice and its
+    complement only swap the children, and the first of the two has the
+    last bit 0, so only those are enumerated.  Leaves are scored by the
     descent's fold, each distinct leaf once and the fresh leaves of a cell
     in one batch.
     """
@@ -574,9 +635,10 @@ def _optimal_sides(builder: _TreeBuilder):
         pairs = _cell_pairs([i for i in range(n) if mask >> i & 1], [-1] * pads, builder.traces)
         flips = [k for k, (a, b) in enumerate(pairs) if a >= 0]
         size = len(pairs)  # each child's size; odd children gain a pad
-        # the left child of every side choice; flipping pair k swaps a for b
+        # the left child of every side choice with the last bit 0; flipping
+        # pair k swaps a for b
         lefts = [sum(1 << pairs[k][0] for k in flips)]
-        for k in flips:
+        for k in flips[:-1]:
             a, b = pairs[k]
             swap = 1 << a | (1 << b if b >= 0 else 0)
             lefts += [left ^ swap for left in lefts]
@@ -603,9 +665,9 @@ def _optimal_sides(builder: _TreeBuilder):
         memo[key] = best, sides
         return memo[key]
 
-    def choose(pairs, remaining) -> np.ndarray:
-        ids = pairs.ravel().tolist()
-        return np.array(solve(sum(1 << i for i in ids if i >= 0), sum(i < 0 for i in ids), remaining)[1])
+    def choose(pairs, remaining, starts) -> np.ndarray:
+        cells = [cell.ravel().tolist() for cell in pairs]
+        return np.array([solve(sum(1 << i for i in ids if i >= 0), sum(i < 0 for i in ids), remaining)[1] for ids in cells])
 
     return choose
 
@@ -617,13 +679,15 @@ def _target_matrix(target, total) -> np.ndarray:
     return (target if isinstance(target, PsdOperator) else PsdOperator(target)).matrix
 
 
-def _leaf_deviations(tree: SelectorTree, stack, target) -> dict[str, float]:
-    raw = tree.raw_leaves()
-    rows = np.full((len(raw), max(map(len, raw.values()))), -1, dtype=np.int64)
-    for row, ids in zip(rows, raw.values()):
+def _leaf_deviations(trees: list[SelectorTree], stack, target) -> list[dict[str, float]]:
+    """Each tree's leaf deviations, all leaves of one order in one eigensolve call."""
+    raws = [tree.raw_leaves() for tree in trees]
+    leaves = [ids for raw in raws for ids in raw.values()]
+    rows = np.full((len(leaves), max(map(len, leaves))), -1, dtype=np.int64)
+    for row, ids in zip(rows, leaves):
         row[: len(ids)] = ids
-    devs = _radii(_fold(stack, rows, target, float(2**tree.order)))
-    return dict(zip(raw, devs.tolist()))
+    devs = iter(_radii(_fold(stack, rows, target, float(2 ** trees[0].order))).tolist())
+    return [{path: next(devs) for path in raw} for raw in raws]
 
 
 def best_selector(
@@ -684,28 +748,31 @@ def best_selector(
     if strategy == "auto":
         chosen = "exhaustive" if count <= exhaustive_limit else "randomized"
     builder = _TreeBuilder(stack, traces, target_m, order)
+    choose, groups, rng = functools.partial(_greedy_sides, builder), [1], None
     if chosen == "exhaustive":
         if count > exhaustive_limit:
             raise BudgetExceededError(
                 f"selector count exceeds the exhaustive budget {exhaustive_limit}; "
                 "use randomized search"
             )
-        tree = builder.tree(_optimal_sides(builder))
-    elif chosen == "greedy":
-        tree = builder.tree(functools.partial(_greedy_sides, builder, None))
+        choose = _optimal_sides(builder)
     elif chosen == "randomized":
-        choose = functools.partial(_greedy_sides, builder, np.random.default_rng(seed))
-        tree, achieved, best_worst = None, None, math.inf
-        for _ in range(restarts):
-            cand = builder.tree(choose)
-            cand_achieved = _leaf_deviations(cand, stack, target_m)
-            worst = max(cand_achieved.values())
-            if worst < best_worst:
-                tree, achieved, best_worst = cand, cand_achieved, worst
-    else:
+        # restarts build in groups whose lockstep arrays, 2^order d^2 + 2 n d
+        # entries a restart, stay within about the stack's n d^2
+        n = len(mats)
+        group = max(1, n * dim * dim // (2**order * dim * dim + 2 * n * dim))
+        groups = [min(group, restarts - done) for done in range(0, restarts, group)]
+        rng = np.random.default_rng(seed)
+    elif chosen != "greedy":
         raise PreconditionError(f"unknown strategy {strategy!r}")
-    if chosen != "randomized":
-        achieved = _leaf_deviations(tree, stack, target_m)
+    # the first tree with the lowest worst leaf deviation; only it is kept
+    tree, achieved, best_worst = None, None, math.inf
+    for size in groups:
+        cands = builder.trees(choose, size, rng)
+        for cand, cand_achieved in zip(cands, _leaf_deviations(cands, stack, target_m)):
+            worst = max(cand_achieved.values())
+            if tree is None or worst < best_worst:
+                tree, achieved, best_worst = cand, cand_achieved, worst
 
     constant = certificate_constant(trace_cap, order)
     bound = constant * math.sqrt(2**order * trace_cap)

@@ -338,6 +338,19 @@ def test_sample_rejects_a_non_finite_total_cap(tmp_path, cap):
     }
 
 
+@pytest.mark.parametrize("cap", ["nan", "inf"])
+def test_sample_rejects_a_non_finite_trace_cap(tmp_path, cap):
+    """Not the selector constant's "zero" error, which names the wrong cause."""
+    code, report, _ = run_cli(
+        tmp_path, "sample", scaled_basis_payload(), "--param", "epsilon=0.25", "--param", f"trace_cap={cap}"
+    )
+    assert code == 2
+    assert report["error"] == {
+        "type": "PreconditionError",
+        "message": f"trace cap must be finite and positive, got {cap}",
+    }
+
+
 @pytest.mark.parametrize(
     "param,message",
     [

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -335,6 +336,33 @@ def test_batched_descent_matches_scalar_reference(rng, make, dim, count, order):
         assert cert.achieved == achieved
 
 
+@pytest.mark.parametrize("count", [64, 63])
+def test_grouped_restarts_match_scalar_reference(count):
+    """At d 16 and order 3 the restarts build in groups (4 at n 64, the last
+    one partial; 3 at n 63, with pads), so draw offsets and pad labels cross
+    group boundaries."""
+    ops = bounded_rank_ones(np.random.default_rng(count), 16, count, trace_cap=16 / count)
+    tree, cert = best_selector(ops, 3, strategy="randomized", seed=5, restarts=6)
+    leaves, achieved = reference_search(ops, 3, seed=5, restarts=6)
+    assert tree.raw_leaves() == leaves
+    assert cert.achieved == achieved
+
+
+def test_randomized_peak_memory_does_not_grow_with_restarts():
+    """Restarts build in groups (5 here) and only the best tree is kept."""
+    ops = bounded_rank_ones(np.random.default_rng(11), 16, 32, trace_cap=0.5)
+    best_selector(ops, 1, strategy="randomized", restarts=1)  # one-time allocations
+    peaks = []
+    for restarts in (64, 512):
+        tracemalloc.start()
+        try:
+            best_selector(ops, 1, strategy="randomized", seed=2, restarts=restarts)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0]
+
+
 def adversarial_ops(rng, shape, dim, count, complex_field):
     """Stacks that stress the sweeps' screen; every sum stays below I."""
     if shape == "repeated_top":
@@ -427,10 +455,16 @@ def test_screen_never_drops_a_trial_that_could_win(seed, complex_field, shape, s
     eps = builder.tolerance(scale)
     gain, lose = padded[slots, 1 - sides], padded[slots, sides]
     bars = [value + 2 * eps] + [bar for bar in keys + offset * eps if bar >= value + 2 * eps]
+
+    def screen(bar):
+        # the cell is the second of the screen's stack, after an empty one
+        cells = np.stack([np.zeros_like(current), current])
+        return builder.screen(cells, np.ones(len(gain), dtype=np.int64), gain, lose, scale, np.array([eps, bar]))
+
     for bar in bars:
-        kept = builder.screen(current, gain, lose, scale, bar)
+        kept = screen(bar)
         assert np.all(kept | (keys >= bar - 2 * eps))
-    kept = builder.screen(current, gain, lose, scale, value + 2 * eps)
+    kept = screen(value + 2 * eps)
     assert np.all(kept[keys < value])
 
 
@@ -440,9 +474,9 @@ def test_greedy_sweeps_eigensolve_fewer_than_one_matrix_per_trial(monkeypatch):
     descend = selectors._descend
 
     def counted_descend(sides, flips, score):
-        def counted(rows):
+        def counted(cells, rows):
             counts["trials"] += len(rows)
-            return score(rows)
+            return score(cells, rows)
         return descend(sides, flips, counted)
 
     def counting(solver):
@@ -490,7 +524,8 @@ def argmin_descent(sides, flips, objective):
 def test_descend_with_one_column_keys_is_the_argmin_loop(seed, width, modulus):
     rng = np.random.default_rng(seed)
     weights = rng.integers(-3, 4, size=(width, 3))
-    flips = np.flatnonzero(rng.integers(0, 2, size=width))
+    mask = rng.integers(0, 2, size=width).astype(bool)
+    flips = np.flatnonzero(mask)
     start = rng.integers(0, 2, size=width)
 
     def objective(rows):
@@ -506,20 +541,82 @@ def test_descend_with_one_column_keys_is_the_argmin_loop(seed, width, modulus):
         return score
 
     old = argmin_descent(start.copy(), flips, traced("old", lambda v: v))
-    new = _descend(start.copy(), flips, traced("new", lambda v: v[:, None]))
+    score = traced("new", lambda v: v[:, None])
+    new = _descend(start[None].copy(), mask[None], lambda cells, rows: score(rows))[0]
     assert new.tolist() == old.tolist()
     assert len(seen["new"]) == len(seen["old"])
     assert all((a == b).all() for a, b in zip(seen["new"], seen["old"]))
 
 
 def test_descend_compares_keys_lexicographically():
-    def score(rows):
+    def score(cells, rows):
         # column 0 flags side 0 as forbidden; column 1 prefers more ones
         return np.column_stack([rows[:, 0], -rows.sum(axis=1)]).astype(float)
 
-    sides = _descend(np.zeros(3, dtype=np.int64), np.arange(3), score)
+    sides = _descend(np.zeros((1, 3), dtype=np.int64), np.ones((1, 3), dtype=bool), score)
     # an argmin on column 1 alone would flip position 0 first
-    assert sides.tolist() == [0, 1, 1]
+    assert sides.tolist() == [[0, 1, 1]]
+
+
+def lexicographic_descent(sides, flips, objective):
+    """One row's single-flip descent on list-compared keys, as _descend ran
+    before rows descended in lockstep."""
+    current = objective(sides[None])[0].tolist()
+    while len(flips):
+        trial = np.repeat(sides[None], len(flips), axis=0)
+        trial[np.arange(len(flips)), flips] ^= 1
+        keys = objective(trial).tolist()
+        best = min(range(len(flips)), key=keys.__getitem__)  # the first minimum
+        if not keys[best] < current:
+            break
+        sides[flips[best]] ^= 1
+        current = keys[best]
+    return sides
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    cells=st.integers(1, 6),
+    width=st.integers(0, 7),
+    columns=st.integers(1, 3),
+    modulus=st.integers(1, 4),
+)
+@settings(max_examples=80, deadline=None)
+def test_lockstep_descent_is_each_row_descending_alone(seed, cells, width, columns, modulus):
+    """Rows with their own keys, lexicographic over several columns, with
+    frequent ties and some rows without flips, descend in lockstep exactly
+    as each descends alone: the same sides and the same rows scored, call
+    by call."""
+    rng = np.random.default_rng(seed)
+    weights = rng.integers(-2, 3, size=(cells, columns, width))
+    flips = rng.random((cells, width)) < rng.random((cells, 1))
+    flips[rng.random(cells) < 0.25] = False
+    start = rng.integers(0, 2, size=(cells, width))
+
+    def keys(cell_ids, rows):
+        # few distinct values per column, so ties between flips are common
+        return ((weights[cell_ids] @ rows[:, :, None])[..., 0] ** 2 % modulus).astype(float)
+
+    seen = [[] for _ in range(cells)]
+
+    def lockstep(cell_ids, rows):
+        for c in range(cells):
+            if (cell_ids == c).any():
+                seen[c].append(rows[cell_ids == c].copy())
+        return keys(cell_ids, rows)
+
+    together = _descend(start.copy(), flips, lockstep)
+    for c in range(cells):
+        alone_seen = []
+
+        def alone(rows):
+            alone_seen.append(rows.copy())
+            return keys(np.full(len(rows), c), rows)
+
+        sides = lexicographic_descent(start[c].copy(), np.flatnonzero(flips[c]), alone)
+        assert together[c].tolist() == sides.tolist()
+        assert len(seen[c]) == len(alone_seen)
+        assert all((a == b).all() for a, b in zip(seen[c], alone_seen))
 
 
 def test_exhaustive_budget():
