@@ -49,6 +49,10 @@ __all__ = [
 EXHAUSTIVE_LIMIT = 2**20
 RANDOM_RESTARTS = 1024
 _EXPONENT_SCAN = 64
+# the sweeps' second inertia count puts a cell's bars at these fractions of
+# the way from its survivors' best Rayleigh bound to its bar, chosen by
+# measurement: the best flip's key sits at a median 0.6 of that way
+_GRID = np.arange(5, 10) / 10
 
 
 def selector_constant(trace_cap: float, max_order: int) -> float:
@@ -380,6 +384,75 @@ def _rank_one_factors(mats) -> np.ndarray | None:
     return None
 
 
+def _inertia_pass(lam, terms, cell, scale, bars) -> np.ndarray:
+    """(trials, bars) mask of the trials whose children may both stay inside (-x, x).
+
+    lam is the (cells, 2, d) spectrum of each cell's current children
+    C = V Lam V*, ascending as eigh gives it, and bars the (cells, bars)
+    values x of each cell.  Trial t, of cell cell[t], moves a factor f_+
+    into each child and f_- out of it; with p = V* f, terms is the
+    (k, trials, 2, d) stack of |p_+|^2, |p_-|^2 and conj(p_+) p_- (its real
+    part, and its imaginary part when complex).  A trial child is
+    C + U S U*, U = [f_+, f_-] and S = diag(scale, -scale).  Haynsworth's
+    inertia additivity on [[C - x, U], [U*, -S^-1]] counts its eigenvalues
+    above x: pi(trial - x) = pi(C - x) + pi(G) - 1, with
+    G = -S^-1 - U*(C - x)^-1 U.  With w = scale / (x - Lam),
+    scale G = [[a - 1, z], [conj z, b + 1]], a = sum w |p_+|^2,
+    b = sum w |p_-|^2 and z = sum w conj(p_+) p_-: pi(G) is 1 when
+    det G < 0, and else 0 or 2 by the sign of a diagonal entry (det G > 0
+    gives both entries one sign).  The trial may stay below x only while
+    pi(C - x) + pi(G) can equal 1, so it is dropped when pi(C - x) plus a
+    lower bound on pi(G) is at least 2.  Below -x: the same count for -C
+    with f_+, f_- swapped, w = scale / (x + Lam).
+
+    Rounding.  The signs are exact for D = Lam^ + P^ S P^*, built from the
+    computed eigenvalues and projections.  D is unitarily similar to a
+    matrix within a small multiple of u d^1.5 (|C| + scale sum tr T_n) of
+    the exact trial child: the fold of C and eigh are backward stable, each
+    factor has |T - f f*| <= 16 d eps tr T (_rank_one_factors), and
+    P^ = V^* f + O(d u)|f|.  NUMERIC_TOL is about 10^7 u, so that distance
+    plus the trial's own fold error stays below 2 eps: a trial dropped at x
+    has an exact fold deviation >= x - 2 eps.  pi(C - x) is exact for D,
+    and x - Lam^_j is exact wherever it is small (Sterbenz).  The 2x2 sums
+    are taken as forward errors, since near a pole they are no small
+    backward perturbation.  Once x is inside C's spectrum the weights have
+    mixed signs, so a and b are only within gamma_{d+5} of the sums a', b'
+    of |w| |p|^2, and |z| <= sqrt(a'b'): the computed diagonal entries are
+    within 4 (d + 8) eps (a' + 1), (b' + 1) of D's and the computed det
+    within 4 (d + 8) eps (a' + 1)(b' + 1).  A sign counts only when it
+    clears twice its bound.  At a pole, x equal to an eigenvalue of C, or
+    where the sums overflow, a' or b' is inf or nan, so no sign clears and
+    the trial is dropped only when two eigenvalues of C exceed x: by
+    interlacing, pi(trial - x) >= pi(C - x) - 1.
+    """
+    gap = bars.T[:, None, :, None, None] - np.array([lam, -lam])  # (bar, bound, cell, child, d)
+    above = (gap < 0).sum(axis=-1)  # pi(C - x)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # np.take, not [:, :, cell]: einsum is three times faster on its contiguous result
+        weights = np.take(scale / gap, cell, axis=2)
+        sums = np.einsum("ktcj,xbtcj->kxbtc", terms, weights)
+        mags = np.einsum("ktcj,xbtcj->kxbtc", terms[:2], np.abs(weights))
+        # at +x the gained factor pushes past the bar, at -x the lost one
+        shift = np.array([-1.0, 1.0])[:, None, None]
+        diag = sums[1] - shift  # b + 1 at +x, a - 1 at -x
+        det = (sums[0] + shift) * diag - (sums[2:] ** 2).sum(axis=0)
+        diag_tol = 8 * (lam.shape[-1] + 8) * np.finfo(float).eps * (mags[1] + 1.0)
+        det_tol = diag_tol * (mags[0] + 1.0)
+        low = (det < -det_tol) + 2 * ((det > det_tol) & (diag > diag_tol))  # a lower bound on pi(G)
+    return ~(np.take(above, cell, axis=2) + low >= 2).any(axis=(1, 3)).T
+
+
+def _rayleigh_bounds(lam, terms, scale) -> np.ndarray:
+    """Each trial's largest |Rayleigh quotient|, a lower bound on its key.
+
+    lam is the (trials, 2, d) spectrum of each trial's current children and
+    terms as in _inertia_pass.  On C's j-th eigenvector the trial child
+    C + scale (f_+ f_+* - f_- f_-*) has the quotient
+    lam_j + scale (|p_+j|^2 - |p_-j|^2).
+    """
+    return np.abs(lam + scale * (terms[0] - terms[1])).max(axis=(1, 2))
+
+
 @functools.lru_cache(maxsize=4096)
 def _draw_count(real, remaining) -> int:
     """Side draws of a randomized subtree over `real` real ids, `remaining` levels deep."""
@@ -481,63 +554,60 @@ class _TreeBuilder:
         return NUMERIC_TOL * (1.0 + self.target_trace + scale * self.trace_sum)
 
     def screen(self, current, cell, gain, lose, scale, bar) -> np.ndarray:
-        """Mask of the trials whose children may both stay inside (-bar, bar).
+        """Each trial's floor: the lowest bar at which it may beat its cell.
 
         current is the (cells, 2, d, d) stack of each cell's exact folds of
-        its current sides, both of deviation <= value; trial t, of cell
-        cell[t], moves gain[t] into child 0 and lose[t] out of it (padded
-        indices), and is held to that cell's bar.  At bar = value + 2 eps,
-        eps = tolerance(scale), a dropped trial's exact fold deviation is >
-        value.  One eigh of current serves every cell.
+        its current sides; trial t, of cell cell[t], moves gain[t] into
+        child 0 and lose[t] out of it (padded indices), and is held to that
+        cell's bar.  A trial dropped at a bar x has an exact fold deviation
+        >= x - 2 eps, eps = tolerance(scale); at bar = value + 2 eps that is
+        the current value, and such a trial's floor is inf.  The others have
+        floor bar, or the lowest bar of their cell's grid that they pass:
+        the bars at the fractions _GRID of the way from the best Rayleigh
+        lower bound of the cell's survivors to bar.  A cell with one
+        survivor has no grid, as that survivor is folded at any bar.  One
+        eigh of current serves every cell and both passes.
 
-        Rank-one stacks: an inertia count.  A trial child is C + U S U*,
-        U = [f_+, f_-] and S = diag(scale, -scale), where f_+ is the factor
-        it gains and C = V Lam V* has Lam inside (-bar, bar).  Haynsworth's
-        inertia additivity on [[C - x, U], [U*, -S^-1]] gives: it has an
-        eigenvalue above x = bar iff G = -S^-1 - U*(C - x)^-1 U is positive
-        definite.  G_{--} > 0 already, so iff det G > 0; with p = V* f and
-        w = scale / (bar - Lam) > 0, scale^2 det G = (a - 1)(b + 1) - |z|^2,
-        a = sum w |p_+|^2, b = sum w |p_-|^2, z = sum w conj(p_+) p_-.  An
-        eigenvalue below -bar: the same with f_+, f_- swapped and
-        w = scale / (bar + Lam).
+        Rank-one stacks: _inertia_pass at bar on every trial, then at the
+        grid on the survivors, from the eigensystem of the trial's current
+        children and the projections of the factors it moves.  The Rayleigh
+        bounds (_rayleigh_bounds) only place the grid; soundness does not
+        rest on them.
 
-        Rounding.  The signs are exact for D = Lam^ + P^ S P^*, built from
-        the computed eigenvalues and projections.  D is unitarily similar to
-        a matrix within a small multiple of u d^1.5 (|C| + scale sum tr T_n)
-        of the exact trial child: the fold of C and eigh are backward
-        stable (so Lam^ < bar still), each factor has |T - f f*| <=
-        16 d eps tr T (_rank_one_factors), and P^ = V^* f + O(d u)|f|.
-        NUMERIC_TOL is about 10^7 u, so that distance plus the trial's own
-        fold error stays below 2 eps, and a drop is sound.  Near a pole the
-        2x2 sums are no small backward perturbation, so they are taken as
-        forward errors: a and b sum terms of one sign, each within
-        gamma_{d+4} relative, and |z| <= sqrt(ab), so the computed det is
-        within 4 (d + 8) eps (a + 1)(b + 1) of D's.  A trial is dropped only
-        when det clears twice that, so its sign is D's.
-
-        Other stacks: the Rayleigh bound |lam_j +- v_j* step v_j| <= dev on
-        each child's eigenvectors, within a Rayleigh quotient's error.
+        Other stacks: the Rayleigh bound |lam_j +- v_j* step v_j| < bar on
+        each child's eigenvectors, within a Rayleigh quotient's error; every
+        survivor's floor is bar.
         """
         lam, vecs = np.linalg.eigh(current)
-        # each trial's cell's eigensystem, as (child, trial, ...)
-        lam, vecs, bar = lam[cell].swapaxes(0, 1), vecs[cell].swapaxes(0, 1), bar[cell]
         if self.factors is None:
+            # each trial's cell's eigensystem, as (child, trial, ...)
+            lam, vecs, top = lam[cell].swapaxes(0, 1), vecs[cell].swapaxes(0, 1), bar[cell]
             step = scale * (self.padded[gain] - self.padded[lose])
             quad = (vecs.conj() * (step @ vecs)).sum(axis=-2).real
             quad[1] *= -1.0
-            return np.abs(lam + quad).max(axis=(0, 2)) < bar
-        # each child's (f_+, f_-): child 0 gains `gain`, child 1 gains `lose`.
-        # einsum keeps these small products off BLAS: a BLAS call here, in a
-        # small early job, raised a later large job's peak RSS by up to 10 MB
-        ends = np.stack([[gain, lose], [lose, gain]]).swapaxes(1, 2)
-        p = np.einsum("ctfk,ctkj->ctfj", self.factors[ends], vecs.conj())
-        weights = scale / np.stack([bar[:, None] - lam, bar[:, None] + lam], axis=-1)  # (child, trial, d, bound)
-        sums = (p.real**2 + p.imag**2) @ weights  # (child, trial, factor, bound)
-        cross = np.einsum("ctj,ctjb->ctb", p[:, :, 0].conj() * p[:, :, 1], weights)
-        # at bound +bar the factor f_+ pushes past it, at -bar f_-
-        det = (sums + 1.0 - 2.0 * np.eye(2)).prod(axis=2) - (cross.real**2 + cross.imag**2)
-        margin = 8 * (lam.shape[-1] + 8) * np.finfo(float).eps
-        return ~(det > margin * (sums + 1.0).prod(axis=2)).any(axis=(0, 2))
+            return np.where(np.abs(lam + quad).max(axis=(0, 2)) < top, top, np.inf)
+        # each child's (f_+, f_-), as (factor, trial, child): child 0 gains
+        # `gain`, child 1 gains `lose`.  einsum keeps these small products
+        # off BLAS: a BLAS call here, in a small early job, raised a later
+        # large job's peak RSS by up to 10 MB
+        ends = np.array([[gain, lose], [lose, gain]]).swapaxes(1, 2)
+        p = np.einsum("ftck,tckj->ftcj", self.factors[ends], vecs[cell].conj())
+        terms = p[[0, 1, 0]].conj() * p[[0, 1, 1]]  # |p_+|^2, |p_-|^2, conj(p_+) p_-
+        if np.iscomplexobj(terms):
+            terms = np.concatenate([terms.real, terms[2:].imag])
+        floor = np.where(_inertia_pass(lam, terms, cell, scale, bar[:, None])[:, 0], bar[cell], np.inf)
+        alive = np.flatnonzero(floor < np.inf)
+        alive = alive[np.bincount(cell[alive], minlength=len(bar))[cell[alive]] > 1]
+        if not len(alive):
+            return floor
+        terms, owner = terms[:, alive], cell[alive]
+        low = np.full(len(bar), np.inf)
+        np.minimum.at(low, owner, _rayleigh_bounds(lam[owner], terms, scale))
+        low = np.minimum(low, bar)
+        grid = low[:, None] + (bar - low)[:, None] * _GRID
+        passed = _inertia_pass(lam, terms, owner, scale, grid)
+        floor[alive] = np.where(passed.any(axis=1), grid[owner, passed.argmax(axis=1)], floor[alive])
+        return floor
 
 
 def _greedy_sides(builder: _TreeBuilder, pairs, remaining, starts) -> np.ndarray:
@@ -574,9 +644,13 @@ def _greedy_sides(builder: _TreeBuilder, pairs, remaining, starts) -> np.ndarray
         # side_rows are each cell's sides or single flips of them, as
         # _descend scores them.  A flip moves one element between the
         # children, a rank update of the current sums.  The screen drops the
-        # trials that cannot beat their cell's current value, with that
-        # value as their (losing) key; the exact fold scores the rest, so
-        # _descend decides as it would on exact keys alone.
+        # trials that cannot beat their cell's current value, and the exact
+        # fold scores those that pass their cell's lowest passed bar.  The
+        # others are >= that bar - 2 eps: when the cell's exact minimum is
+        # below bar - 2 eps they cannot tie or beat it, and otherwise the
+        # fallback folds them too.  Unfolded trials keep the cell's value as
+        # their (losing) key, so _descend decides as it would on exact keys
+        # alone.
         live = np.unique(owner)
         stale = live[(held[live] != sides[live]).any(axis=1)]
         if len(stale):
@@ -592,17 +666,29 @@ def _greedy_sides(builder: _TreeBuilder, pairs, remaining, starts) -> np.ndarray
         c = owner[trials]
         s = sides[c, k]
         at = np.searchsorted(live, c)
-        kept = trials[builder.screen(
+        floor = builder.screen(
             held_sums[live], at, padded_pairs[c, k, 1 - s], padded_pairs[c, k, s], level_scale, value[live] + 2 * eps
-        )]
-        if len(kept):
-            sums, exact = fold(owner[kept], side_rows[kept])
-            keys[kept] = exact.max(axis=1)
+        )
+        chosen = np.full(len(live), np.inf)
+        np.minimum.at(chosen, at, floor)
+        rest, pick = floor < np.inf, floor == chosen[at]
+        best = np.full(len(live), np.inf)
+        batches = []
+        while (pick := pick & rest).any():
+            rest &= ~pick
+            sel = trials[pick]
+            sums, exact = fold(owner[sel], side_rows[sel])
+            keys[sel] = exact.max(axis=1)
+            np.minimum.at(best, at[pick], keys[sel])
+            batches.append((sel, sums, exact))
+            pick = (best >= chosen - 2 * eps)[at]  # the fallback
+        if batches:
+            sel, sums, exact = map(np.concatenate, zip(*batches))
             # each cell's first exact minimum
-            c = owner[kept]
-            order = np.lexsort((keys[kept], c))
+            c = owner[sel]
+            order = np.lexsort((sel, keys[sel], c))
             first = order[np.r_[True, np.diff(c[order]) != 0]]
-            held[c[first]] = side_rows[kept[first]]
+            held[c[first]] = side_rows[sel[first]]
             held_sums[c[first]], held_devs[c[first]] = sums[first], exact[first]
         return keys[:, None]
 
@@ -718,9 +804,10 @@ def best_selector(
         raise PreconditionError("operators live in different dimensions")
     if dim == 0:
         raise PreconditionError("operators must act on a space of positive dimension")
-    if not isinstance(order, int) or order < 0:
+    # bool is an int, but True is no order or restart count
+    if not isinstance(order, int) or isinstance(order, bool) or order < 0:
         raise PreconditionError(f"order must be a nonnegative integer, got {order!r}")
-    if not isinstance(restarts, int) or restarts < 1:
+    if not isinstance(restarts, int) or isinstance(restarts, bool) or restarts < 1:
         raise PreconditionError(f"restarts must be a positive integer, got {restarts!r}")
     mats = [p.matrix for p in psd]
     stack = np.stack(mats)

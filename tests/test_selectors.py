@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -239,6 +240,15 @@ def test_randomized_rejects_no_restarts(rng):
             best_selector(ops, 2, strategy="randomized", restarts=bad)
 
 
+def test_best_selector_rejects_bool_order_and_restarts(rng):
+    ops = bounded_rank_ones(rng, 3, 6, trace_cap=0.1)
+    for flag in (True, False):
+        with pytest.raises(PreconditionError, match="order"):
+            best_selector(ops, flag, strategy="greedy")
+        with pytest.raises(PreconditionError, match="restarts"):
+            best_selector(ops, 2, strategy="randomized", restarts=flag)
+
+
 def test_best_selector_rejects_zero_dimension():
     with pytest.raises(PreconditionError):
         best_selector([PsdOperator(np.zeros((0, 0)))], 1, strategy="greedy")
@@ -417,22 +427,13 @@ def test_rank_update_sweeps_decide_as_the_exact_fold(
         assert cert.achieved == achieved
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    complex_field=st.booleans(),
-    shape=st.sampled_from(["random", "near_parallel", "repeated_top", "rank_two"]),
-    size=st.sampled_from([1.0, 1e-9]),
-    level=st.integers(0, 3),
-    offset=st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 3.0]),
-)
-def test_screen_never_drops_a_trial_that_could_win(seed, complex_field, shape, size, level, offset):
-    """A trial the screen drops has an exact fold deviation of at least bar - 2 eps.
+def screened_cell(seed, complex_field, shape, size, level):
+    """One cell of random current sides and every single flip of them.
 
-    At bar = value + 2 eps that is the current value, so a dropped trial
-    cannot beat the current sides.  The bar is also placed at some trial's
-    exact deviation, offset by a multiple of eps, so that trials land on and
-    around it.
+    Returns the cell's exact value, each flip's exact key, eps, the cell's
+    two current children and screen(bar), which screens every flip against
+    bar with the cell as the second of the screen's stack, after an empty
+    one.
     """
     rng = np.random.default_rng(seed)
     count = int(rng.integers(4, 13))
@@ -450,25 +451,149 @@ def test_screen_never_drops_a_trial_that_could_win(seed, complex_field, shape, s
     children = np.concatenate([pairs[slots, rows], pairs[slots, 1 - rows]])
     devs = selectors._radii(selectors._fold(stack, children, target, scale))
     exact = devs.reshape(2, -1).max(axis=0)
-    value, keys = exact[0], exact[1:]
     current = selectors._fold(stack, children[[0, len(rows)]], target, scale)
     eps = builder.tolerance(scale)
     gain, lose = padded[slots, 1 - sides], padded[slots, sides]
-    bars = [value + 2 * eps] + [bar for bar in keys + offset * eps if bar >= value + 2 * eps]
 
     def screen(bar):
-        # the cell is the second of the screen's stack, after an empty one
         cells = np.stack([np.zeros_like(current), current])
         return builder.screen(cells, np.ones(len(gain), dtype=np.int64), gain, lose, scale, np.array([eps, bar]))
 
-    for bar in bars:
-        kept = screen(bar)
-        assert np.all(kept | (keys >= bar - 2 * eps))
-    kept = screen(value + 2 * eps)
-    assert np.all(kept[keys < value])
+    return exact[0], exact[1:], eps, current, screen
 
 
-def test_greedy_sweeps_eigensolve_fewer_than_one_matrix_per_trial(monkeypatch):
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    complex_field=st.booleans(),
+    shape=st.sampled_from(["random", "near_parallel", "repeated_top", "rank_two"]),
+    size=st.sampled_from([1.0, 1e-9]),
+    level=st.integers(0, 3),
+    offset=st.sampled_from([-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0]),
+)
+def test_screen_never_drops_a_trial_that_could_win(seed, complex_field, shape, size, level, offset):
+    """A trial the screen drops at a bar has an exact fold deviation of at least bar - 2 eps.
+
+    At bar = value + 2 eps that is the current value, so a dropped trial
+    cannot beat the current sides.  Lower bars hold the count to the same
+    bound where the current children's spectrum straddles the bar: bars
+    are placed at every trial's exact deviation and at every eigenvalue of
+    the current children, where the count has its poles (offset 0 hits
+    them exactly), offset by a multiple of eps.  Within the grid, a trial
+    whose floor is above the cell's lowest floor was dropped at that bar,
+    so it too is at least that bar - 2 eps.
+    """
+    value, keys, eps, current, screen = screened_cell(seed, complex_field, shape, size, level)
+    poles = np.abs(np.linalg.eigh(current)[0]).ravel()  # the screen's own eigenvalues, so offset 0 hits them
+    bars = np.concatenate([[value + 2 * eps], keys + offset * eps, poles + offset * eps])
+    for bar in bars[bars > 0]:
+        floor = screen(bar)
+        assert np.all((floor < np.inf) | (keys >= bar - 2 * eps))
+        lowest = floor.min()
+        assert np.all((floor <= lowest) | (keys >= lowest - 2 * eps))
+    floor = screen(value + 2 * eps)
+    assert np.all(floor[keys < value] < np.inf)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    complex_field=st.booleans(),
+    shape=st.sampled_from(["random", "near_parallel", "repeated_top"]),
+    size=st.sampled_from([1.0, 1e-9]),
+    level=st.integers(0, 3),
+)
+def test_rayleigh_bounds_stay_below_the_exact_keys(seed, complex_field, shape, size, level):
+    """Each trial's Rayleigh lower bound, which places the grid, is at most its key + 2 eps.
+
+    The bar is above every key, so every trial survives the first count and
+    the grid is placed from all of them."""
+    _, keys, eps, _, screen = screened_cell(seed, complex_field, shape, size, level)
+    bounds = []
+    rayleigh = selectors._rayleigh_bounds
+
+    def recorded(*args):
+        bounds.append(rayleigh(*args))
+        return bounds[-1]
+
+    with mock.patch.object(selectors, "_rayleigh_bounds", recorded):
+        floor = screen(keys.max() + 1.0)
+    assert np.all(floor < np.inf)
+    assert np.all(bounds[0] <= keys + 2 * eps)
+
+
+def count_fallbacks(monkeypatch) -> dict:
+    """Count the sweeps that fold twice: once at each cell's lowest passed
+    bar and once more for the cells whose exact minimum did not clear it.
+    Only a descent's first call folds its starting sides."""
+    counts = {"folds": 0, "fallbacks": 0}
+    fold, descend = selectors._fold, selectors._descend
+
+    def counted_fold(*args):
+        counts["folds"] += 1
+        return fold(*args)
+
+    def watched_descend(sides, flips, score):
+        sweeps = itertools.count()
+
+        def watched(cells, rows):
+            before = counts["folds"]
+            keys = score(cells, rows)
+            if next(sweeps) and counts["folds"] - before > 1:
+                counts["fallbacks"] += 1
+            return keys
+
+        return descend(sides, flips, watched)
+
+    monkeypatch.setattr(selectors, "_fold", counted_fold)
+    monkeypatch.setattr(selectors, "_descend", watched_descend)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "make,dim,count,order,duplicates",
+    [
+        (bounded_rank_ones, 5, 12, 3, 0),
+        (complex_rank_ones, 4, 11, 3, 0),
+        (bounded_rank_ones, 3, 13, 3, 4),
+        (bounded_rank_ones, 16, 64, 3, 0),
+    ],
+)
+def test_fallback_folds_the_trials_a_pinned_bar_leaves_out(monkeypatch, rng, make, dim, count, order, duplicates):
+    """Each cell's lowest floor is pinned eps below its best trial's key,
+    and that trial is moved up to the cell's top bar, as a grid bar landing
+    on the key could leave it: the trials at the pinned bar cannot beat it
+    by 2 eps, so only the fallback folds it.  Trees must still be the
+    scalar reference's."""
+    ops = make(rng, dim, count, trace_cap=min(0.1, dim / count))
+    for a, b in rng.integers(0, count, size=(duplicates, 2)):
+        ops[a] = ops[b]
+    screen = selectors._TreeBuilder.screen
+
+    def pinned(self, current, cell, gain, lose, scale, bar):
+        floor = screen(self, current, cell, gain, lose, scale, bar)
+        step = scale * (self.padded[gain] - self.padded[lose])
+        children = current[cell] + np.stack([step, -step], axis=1)
+        near = np.abs(np.linalg.eigvalsh(children)).max(axis=(1, 2))  # each trial's key, to rounding
+        for c in np.unique(cell):
+            alive = np.flatnonzero((cell == c) & (floor < np.inf))
+            if len(alive) > 1:
+                best = alive[np.argmin(near[alive])]
+                floor[alive] = min(near[best] - self.tolerance(scale), bar[c])
+                floor[best] = bar[c]
+        return floor
+
+    monkeypatch.setattr(selectors._TreeBuilder, "screen", pinned)
+    counts = count_fallbacks(monkeypatch)
+    for strategy, kwargs in (("greedy", {}), ("randomized", {"seed": 7, "restarts": 3})):
+        tree, cert = best_selector(ops, order, strategy=strategy, **kwargs)
+        leaves, achieved = reference_search(ops, order, **kwargs)
+        assert tree.raw_leaves() == leaves
+        assert cert.achieved == achieved
+    assert counts["fallbacks"] > 0
+
+
+def test_greedy_sweeps_eigensolve_fewer_than_half_a_matrix_per_trial(monkeypatch):
     ops = bounded_rank_ones(np.random.default_rng(3), 16, 64, trace_cap=16 / 64)
     counts = {"trials": 0, "matrices": 0}
     descend = selectors._descend
@@ -490,7 +615,7 @@ def test_greedy_sweeps_eigensolve_fewer_than_one_matrix_per_trial(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
     best_selector(ops, 3, strategy="greedy")
     assert counts["trials"] > 100
-    assert counts["matrices"] < counts["trials"]
+    assert 2 * counts["matrices"] < counts["trials"]
 
 
 def test_verify_does_not_use_batched_helper(rng, monkeypatch):
