@@ -49,7 +49,7 @@ from .frames import (
     frame_bounds,
     frame_operator,
 )
-from .linalg import Projection, rank_one, spectrum
+from .linalg import Projection, rank_one
 from .pointsets import PointSet, density, uniformly_discrete
 from .sampling import sample
 from .selectors import best_selector, natural_max_order
@@ -353,7 +353,7 @@ def _cmd_analyze(payload, params, seed):
         "dim": family.dim,
         "use_scalars": use_scalars,
         "frame": report,
-        "spectrum": spectrum(op),
+        "spectrum": op.eigenvalues,
     }
 
 

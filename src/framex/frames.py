@@ -205,6 +205,15 @@ def _rescaled(bound: float, e: int) -> float:
     return out
 
 
+def _unit_probes(count: int, dim: int, complex_field: bool) -> np.ndarray:
+    """count random unit vectors of R^dim or C^dim, the same on every call (seed 0)."""
+    rng = np.random.default_rng(0)
+    p = rng.standard_normal((count, dim))
+    if complex_field:
+        p = p + 1j * rng.standard_normal((count, dim))
+    return p / np.linalg.norm(p, axis=1)[:, None]
+
+
 def frame_bounds(family, use_scalars: bool = False) -> FrameReport:
     """Frame bounds as extreme eigenvalues of the frame operator.
 
@@ -232,11 +241,7 @@ def frame_bounds(family, use_scalars: bool = False) -> FrameReport:
     lower = float(max(ev[0], 0.0))
     upper = float(max(ev[-1], 0.0))
     tol = NUMERIC_TOL * max(upper, 1.0)
-    rng = np.random.default_rng(0)
-    probes = rng.standard_normal((_SELF_CHECK_PROBES, dim))
-    if np.iscomplexobj(w):
-        probes = probes + 1j * rng.standard_normal((_SELF_CHECK_PROBES, dim))
-    probes /= np.linalg.norm(probes, axis=1)[:, None]
+    probes = _unit_probes(_SELF_CHECK_PROBES, dim, np.iscomplexobj(w))
     energies = np.sum(np.abs(probes @ w.conj().T) ** 2, axis=1) * 4.0**-k
     if np.any(energies < lower - tol) or np.any(energies > upper + tol):
         raise PreconditionError(

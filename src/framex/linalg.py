@@ -19,7 +19,6 @@ __all__ = [
     "PsdOperator",
     "Projection",
     "rank_one",
-    "spectrum",
     "project_onto",
 ]
 
@@ -40,18 +39,18 @@ def _as_square_matrix(matrix) -> np.ndarray:
     return a.astype(np.float64, copy=False)
 
 
-def _checked_stack(stack: np.ndarray, psd: bool = True):
-    """(Symmetrized stack, ascending eigenvalues or None) of validated matrices.
+def _checked_stack(stack: np.ndarray):
+    """(Symmetrized stack, ascending eigenvalues) of validated PSD matrices.
 
     Every member of the (n, d, d) stack must be finite, Hermitian within
-    HERMITIAN_TOL times max(max |entry|, 1) and, with psd, have smallest
-    eigenvalue at least -PSD_TOL * max(opnorm, 1).  Each check runs on the
+    HERMITIAN_TOL times max(max |entry|, 1) and have smallest eigenvalue at
+    least -PSD_TOL * max(opnorm, 1).  Each check runs on the
     whole stack in that order and the first member failing it raises
     PreconditionError, so a stack of one is one matrix's validation.
     """
     adjoint = stack.conj().swapaxes(1, 2)
     if not stack.shape[1]:
-        return (stack + adjoint) / 2.0, (np.empty((len(stack), 0)) if psd else None)
+        return (stack + adjoint) / 2.0, np.empty((len(stack), 0))
     # NaN fails every comparison below, so it must be caught first
     if not np.isfinite(stack).all():
         raise PreconditionError("matrix has non-finite entries")
@@ -64,8 +63,6 @@ def _checked_stack(stack: np.ndarray, psd: bool = True):
             f"{HERMITIAN_TOL:.1e} * {scale[bad[0]]:.3e}"
         )
     sym = (stack + adjoint) / 2.0
-    if not psd:
-        return sym, None
     vals = np.linalg.eigvalsh(sym)
     floor = -PSD_TOL * np.maximum(np.abs(vals).max(axis=1), 1.0)
     bad = np.flatnonzero(vals[:, 0] < floor)
@@ -161,23 +158,6 @@ def rank_one(vector) -> PsdOperator:
     if v.ndim != 1:
         raise PreconditionError(f"expected a vector, got shape {v.shape}")
     return PsdOperator(np.outer(v, v.conj()), _prevalidated=True)
-
-
-def spectrum(op) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian operator.
-
-    Accepts a PsdOperator or a raw Hermitian matrix.  The eigendecomposition
-    is checked by reconstruction to NUMERIC_TOL relative to the norm.
-    """
-    if isinstance(op, PsdOperator):
-        return op.eigenvalues.copy()
-    a = _checked_stack(_as_square_matrix(op)[None], psd=False)[0][0]
-    vals, vecs = np.linalg.eigh(a)
-    resid = float(np.max(np.abs((vecs * vals) @ vecs.conj().T - a))) if a.size else 0.0
-    scale = max(float(np.max(np.abs(vals))) if vals.size else 0.0, 1.0)
-    if resid > NUMERIC_TOL * scale * 10:
-        raise PreconditionError(f"eigendecomposition failed to reconstruct: residual {resid:.3e}")
-    return vals
 
 
 class Projection:

@@ -291,27 +291,27 @@ def _selector_count(size: int, depth: int, limit: int) -> int:
     return min(total, limit + 1)
 
 
-def _deviation(mats, ids, target, scale) -> float:
+def _deviation(mats, ids, total, scale) -> float:
     """One leaf's deviation, alone: verify_certificate's recheck, used by no search."""
-    acc = -target
+    acc = -total
     for i in sorted(i for i in ids if i >= 0):
         acc = acc + scale * mats[i]
     vals = np.linalg.eigvalsh((acc + acc.conj().T) / 2.0)
     return float(np.max(np.abs(vals))) if vals.size else 0.0
 
 
-def _fold(stack, rows, target, scale) -> np.ndarray:
-    """The Hermitian parts of -target + scale * (sum of each row's ids).
+def _fold(stack, rows, total, scale) -> np.ndarray:
+    """The Hermitian parts of -total + scale * (sum of each row's ids).
 
     rows is an integer (m, width) array; negative entries are pads.  Each
-    row adds its real ids in ascending order onto -target, exactly the
+    row adds its real ids in ascending order onto -total, exactly the
     additions _deviation makes; returns the (m, d, d) stack.
     """
     n = len(stack)
     ids = np.sort(np.where(rows < 0, n, rows), axis=1)  # pads sort last
     scaled = scale * stack
-    acc = np.empty((len(ids),) + target.shape, dtype=np.result_type(target, stack))
-    acc[:] = -target
+    acc = np.empty((len(ids),) + total.shape, dtype=np.result_type(total, stack))
+    acc[:] = -total
     for col, whole in zip(ids.T, (ids < n).all(axis=0)):
         if whole:
             acc += scaled[col]
@@ -467,15 +467,16 @@ class _TreeBuilder:
     padded, built on first use, is the stack with a zero matrix appended at
     index n, the operator of every pad; factors is its (n + 1, d) rank-one
     factor stack, or None when some member has rank > 1.  traces[i] is the
-    trace of operator i.
+    trace of operator i, and total is the operator sum T that every leaf's
+    rescaled sum is compared with.
     """
 
-    def __init__(self, stack, traces, target, order):
+    def __init__(self, stack, traces, total, order):
         self.stack = stack
         self.traces = traces
-        self.target = target
+        self.total = total
         self.order = order
-        self.target_trace = float(np.real(np.trace(target)))
+        self.total_trace = float(np.real(np.trace(total)))
         self.trace_sum = sum(traces)
 
     @functools.cached_property
@@ -543,15 +544,15 @@ class _TreeBuilder:
     def tolerance(self, scale) -> float:
         """Bound on the gap between two computed deviations of one child.
 
-        A child is -target + scale * (sum of its T_i), every addend PSD up
+        A child is -T + scale * (sum of its T_i), every addend PSD up
         to sign, so each partial sum has Frobenius norm at most
-        tr target + scale * sum_n tr T_n.  A fold, a fold plus one rank
+        tr T + scale * sum_n tr T_n.  A fold, a fold plus one rank
         update, an eigensolve or a Rayleigh quotient perturbs the matrix by
         a small multiple of the unit roundoff times that (times the count
         and the dimension), and by Weyl the deviation moves no further.
         NUMERIC_TOL leaves a margin of about 10^7 over the unit roundoff.
         """
-        return NUMERIC_TOL * (1.0 + self.target_trace + scale * self.trace_sum)
+        return NUMERIC_TOL * (1.0 + self.total_trace + scale * self.trace_sum)
 
     def screen(self, current, cell, gain, lose, scale, bar) -> np.ndarray:
         """Each trial's floor: the lowest bar at which it may beat its cell.
@@ -630,14 +631,14 @@ def _greedy_sides(builder: _TreeBuilder, pairs, remaining, starts) -> np.ndarray
         # and their deviations
         own = owner[:, None]
         rows = np.concatenate([pairs[own, slots, side_rows], pairs[own, slots, 1 - side_rows]])
-        sums = _fold(builder.stack, rows, builder.target, level_scale)
+        sums = _fold(builder.stack, rows, builder.total, level_scale)
         sums = sums.reshape((2, len(side_rows)) + sums.shape[1:]).swapaxes(0, 1)
         return sums, _radii(sums)
 
     # each cell's exact fold of the side row held[c]: the current sides,
     # carried over from the sweep that chose them
     held = np.full_like(sides, -1)
-    held_sums = np.empty((cells, 2) + builder.target.shape, dtype=np.result_type(builder.target, builder.stack))
+    held_sums = np.empty((cells, 2) + builder.total.shape, dtype=np.result_type(builder.total, builder.stack))
     held_devs = np.empty((cells, 2))
 
     def objective(owner, side_rows):
@@ -735,7 +736,7 @@ def _optimal_sides(builder: _TreeBuilder):
                 for row, child in zip(rows, fresh):
                     ids = [i for i in range(n) if child >> i & 1]
                     row[: len(ids)] = ids
-                leaf.update(zip(fresh, _radii(_fold(builder.stack, rows, builder.target, scale)).tolist()))
+                leaf.update(zip(fresh, _radii(_fold(builder.stack, rows, builder.total, scale)).tolist()))
             value = leaf.__getitem__
         else:
             def value(child):
@@ -758,21 +759,14 @@ def _optimal_sides(builder: _TreeBuilder):
     return choose
 
 
-def _target_matrix(target, total) -> np.ndarray:
-    """The matrix of target, or total (the operator sum) when target is None."""
-    if target is None:
-        return total
-    return (target if isinstance(target, PsdOperator) else PsdOperator(target)).matrix
-
-
-def _leaf_deviations(trees: list[SelectorTree], stack, target) -> list[dict[str, float]]:
+def _leaf_deviations(trees: list[SelectorTree], stack, total) -> list[dict[str, float]]:
     """Each tree's leaf deviations, all leaves of one order in one eigensolve call."""
     raws = [tree.raw_leaves() for tree in trees]
     leaves = [ids for raw in raws for ids in raw.values()]
     rows = np.full((len(leaves), max(map(len, leaves))), -1, dtype=np.int64)
     for row, ids in zip(rows, leaves):
         row[: len(ids)] = ids
-    devs = iter(_radii(_fold(stack, rows, target, float(2 ** trees[0].order))).tolist())
+    devs = iter(_radii(_fold(stack, rows, total, float(2 ** trees[0].order))).tolist())
     return [{path: next(devs) for path in raw} for raw in raws]
 
 
@@ -780,7 +774,6 @@ def best_selector(
     ops,
     order: int,
     *,
-    target=None,
     trace_cap: float | None = None,
     strategy: str = "auto",
     seed: int = 0,
@@ -789,12 +782,13 @@ def best_selector(
 ) -> tuple[SelectorTree, SelectorCertificate]:
     """Search for a selector tree minimizing the worst leaf deviation.
 
-    strategy: "auto" picks exhaustive up to exhaustive_limit total selector
-    count and falls back to randomized restarts; "exhaustive" raises a
-    budget error above the limit; "greedy" is a single deterministic
-    descent; "randomized" runs `restarts` (at least 1) seeded descents from
-    random starting sides and keeps the first tree with the lowest worst
-    leaf deviation.
+    A leaf's deviation is ||2^order * (its operators' sum) - T||, T the sum
+    of all the operators.  strategy: "auto" picks exhaustive up to
+    exhaustive_limit (at least 1) total selector count and falls back to
+    randomized restarts; "exhaustive" raises a budget error above the
+    limit; "greedy" is a single deterministic descent; "randomized" runs
+    `restarts` (at least 1) seeded descents from random starting sides and
+    keeps the first tree with the lowest worst leaf deviation.
     """
     psd = [op if isinstance(op, PsdOperator) else PsdOperator(op) for op in ops]
     if not psd:
@@ -804,16 +798,16 @@ def best_selector(
         raise PreconditionError("operators live in different dimensions")
     if dim == 0:
         raise PreconditionError("operators must act on a space of positive dimension")
-    # bool is an int, but True is no order or restart count
-    if not isinstance(order, int) or isinstance(order, bool) or order < 0:
-        raise PreconditionError(f"order must be a nonnegative integer, got {order!r}")
-    if not isinstance(restarts, int) or isinstance(restarts, bool) or restarts < 1:
-        raise PreconditionError(f"restarts must be a positive integer, got {restarts!r}")
+    # bool is an int, but True is no order, restart count or budget
+    counts = (("order", order, 0), ("restarts", restarts, 1), ("exhaustive_limit", exhaustive_limit, 1))
+    for name, value, least in counts:
+        if not isinstance(value, int) or isinstance(value, bool) or value < least:
+            kind = "nonnegative" if least == 0 else "positive"
+            raise PreconditionError(f"{name} must be a {kind} integer, got {value!r}")
     mats = [p.matrix for p in psd]
     stack = np.stack(mats)
     traces = [p.trace for p in psd]
     total = sum(mats)
-    target_m = _target_matrix(target, total)
     if trace_cap is None:
         trace_cap = max(traces)
     if not (math.isfinite(trace_cap) and trace_cap > 0):
@@ -834,7 +828,7 @@ def best_selector(
     chosen = strategy
     if strategy == "auto":
         chosen = "exhaustive" if count <= exhaustive_limit else "randomized"
-    builder = _TreeBuilder(stack, traces, target_m, order)
+    builder = _TreeBuilder(stack, traces, total, order)
     choose, groups, rng = functools.partial(_greedy_sides, builder), [1], None
     if chosen == "exhaustive":
         if count > exhaustive_limit:
@@ -856,7 +850,7 @@ def best_selector(
     tree, achieved, best_worst = None, None, math.inf
     for size in groups:
         cands = builder.trees(choose, size, rng)
-        for cand, cand_achieved in zip(cands, _leaf_deviations(cands, stack, target_m)):
+        for cand, cand_achieved in zip(cands, _leaf_deviations(cands, stack, total)):
             worst = max(cand_achieved.values())
             if tree is None or worst < best_worst:
                 tree, achieved, best_worst = cand, cand_achieved, worst
@@ -876,7 +870,7 @@ def best_selector(
     return tree, certificate
 
 
-def verify_certificate(certificate: SelectorCertificate, tree: SelectorTree, ops, target=None) -> bool:
+def verify_certificate(certificate: SelectorCertificate, tree: SelectorTree, ops) -> bool:
     """Recompute every leaf deviation from scratch and compare.
 
     Raises on an inconsistent tree; returns whether the recomputed worst
@@ -884,14 +878,14 @@ def verify_certificate(certificate: SelectorCertificate, tree: SelectorTree, ops
     """
     psd = [op if isinstance(op, PsdOperator) else PsdOperator(op) for op in ops]
     mats = [p.matrix for p in psd]
-    target_m = _target_matrix(target, sum(mats))
+    total = sum(mats)
     if not tree.check_partitions():
         raise PreconditionError("selector tree partitions are inconsistent")
     if tree.order != certificate.order:
         raise PreconditionError("tree order does not match the certificate")
     scale = float(2**tree.order)
     fresh = {
-        path: _deviation(mats, ids, target_m, scale)
+        path: _deviation(mats, ids, total, scale)
         for path, ids in tree.raw_leaves().items()
     }
     if set(fresh) != set(certificate.achieved):

@@ -317,6 +317,14 @@ def test_selector_rejects_zero_restarts(tmp_path):
     assert "results" not in report
 
 
+def test_selector_rejects_a_negative_exhaustive_limit(tmp_path):
+    code, report, _ = run_cli(tmp_path, "selector", scaled_basis_payload(), "--param", "exhaustive_limit=-5")
+    assert code == 2
+    assert report["error"]["type"] == "PreconditionError"
+    assert "exhaustive_limit" in report["error"]["message"]
+    assert "results" not in report
+
+
 @pytest.mark.parametrize("cap", ["nan", "inf", "-inf"])
 def test_selector_rejects_a_non_finite_trace_cap(tmp_path, cap):
     code, report, _ = run_cli(tmp_path, "selector", scaled_basis_payload(), "--param", f"trace_cap={cap}")

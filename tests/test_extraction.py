@@ -166,6 +166,23 @@ def test_plan_orthogonalizes_each_member_once(rng, monkeypatch):
         assert fed and all(count == active for _, count in fed.values())
 
 
+def test_plan_raises_naming_a_block_over_its_threshold(monkeypatch):
+    # a chain that loses x_0 leaves block 0's member outside the pair of
+    # subspaces it is compressed against, so its energy exceeds threshold 0
+    extend = extraction._extend_span
+    calls = []
+
+    def drop_x0(cols, candidates, dtype, threshold):
+        calls.append(len(candidates))
+        if len(calls) == 1:  # the chain's first step feeds x_0 alone
+            candidates = candidates[1:]
+        return extend(cols, candidates, dtype, threshold)
+
+    monkeypatch.setattr(extraction, "_extend_span", drop_x0)
+    with pytest.raises(PreconditionError, match="block 0 energy"):
+        plan(VectorFamily(np.eye(3)), 1.0, 1.0)
+
+
 def test_extract_orthonormal_basis():
     res = extract(VectorFamily(np.eye(4)))
     assert res.sigma.multiplicity == {0: 4, 1: 4, 2: 4, 3: 4}
@@ -265,6 +282,18 @@ def test_extract_random_real_weights(dim, extra, seed, data):
     vectors = np.random.default_rng(seed).normal(size=(count, dim))
     scalars = data.draw(st.lists(st.floats(0.3, 1.5), min_size=count, max_size=count))
     fam = VectorFamily(vectors, scalars=scalars)
+    assert_certified(fam, extract(fam))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=PreconditionError,
+    reason="the selector certificate constant is 0 at order 1, so a block's sandwich bound is 0",
+)
+def test_extract_order_one_block_certificate():
+    # a family test_extract_random_real_weights can draw
+    vectors = np.random.default_rng(362073).normal(size=(4, 2))
+    fam = VectorFamily(vectors, scalars=[1.0, 0.3046875, 1.0, 1.0])
     assert_certified(fam, extract(fam))
 
 

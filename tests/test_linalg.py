@@ -12,7 +12,6 @@ from framex import (
     PsdOperator,
     project_onto,
     rank_one,
-    spectrum,
 )
 
 
@@ -76,10 +75,10 @@ def test_rank_one_complex():
     np.testing.assert_allclose(op.matrix @ x, np.vdot(v, x) * v)
 
 
-def test_spectrum_sorted(rng):
+def test_eigenvalues_sorted(rng):
     a = rng.normal(size=(5, 5))
     op = PsdOperator(a @ a.T)
-    vals = spectrum(op)
+    vals = op.eigenvalues
     assert np.all(np.diff(vals) >= 0)
     assert vals[-1] == pytest.approx(op.opnorm)
 

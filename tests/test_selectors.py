@@ -249,6 +249,13 @@ def test_best_selector_rejects_bool_order_and_restarts(rng):
             best_selector(ops, 2, strategy="randomized", restarts=flag)
 
 
+@pytest.mark.parametrize("limit", [True, -5, 2.5, 0])
+def test_best_selector_rejects_a_bad_exhaustive_limit(rng, limit):
+    ops = bounded_rank_ones(rng, 3, 6, trace_cap=0.1)
+    with pytest.raises(PreconditionError, match="exhaustive_limit"):
+        best_selector(ops, 2, strategy="auto", exhaustive_limit=limit)
+
+
 def test_best_selector_rejects_zero_dimension():
     with pytest.raises(PreconditionError):
         best_selector([PsdOperator(np.zeros((0, 0)))], 1, strategy="greedy")
