@@ -33,7 +33,7 @@ import traceback
 from dataclasses import dataclass, fields, is_dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, cycle
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -67,13 +67,14 @@ class Job:
     command: str
     input_path: str
     output_path: str
-    params: dict
+    params: tuple  # the raw "k=v" strings of --param
     seed: int = 0
     csv: bool = False
     timestamp: bool = True
 
 
 _PLAIN_NUMBERS = {int, float}
+_SEQUENCES = {list, tuple}
 
 
 def _encode(obj, level=0):
@@ -118,6 +119,10 @@ def _encode(obj, level=0):
     if isinstance(obj, np.complexfloating):
         return _encode_list([float(obj.real), float(obj.imag)], level)
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "c":
+            # [re, im] float rows, which encode as one block; a .view
+            # would need a contiguous last axis
+            obj = np.stack((obj.real, obj.imag), axis=-1)
         return _encode(obj.tolist(), level)
     if is_dataclass(obj) and not isinstance(obj, type):
         return _encode_dict({f.name: getattr(obj, f.name) for f in fields(obj)}, level)
@@ -142,15 +147,52 @@ def _encode_dict(obj, level):
 def _encode_list(seq, level):
     if not seq:
         return "[]"
+    text = _encode_block(seq, level)
+    if text is not None:
+        return text
     pad = "\n" + "  " * (level + 1)
-    if set(map(type, seq)) <= _PLAIN_NUMBERS:
-        # one join of reprs; only "nan" and "inf" spell an n, and those
-        # must go through _encode to become strings
-        text = ("," + pad).join(map(repr, seq))
-        if "n" not in text:
-            return "[" + pad + text + "\n" + "  " * level + "]"
     text = ("," + pad).join([_encode(v, level + 1) for v in seq])
     return "[" + pad + text + "\n" + "  " * level + "]"
+
+
+def _encode_block(seq, level):
+    """The nonempty seq as one block of plain numbers, or None if it is not one.
+
+    A block is a list or tuple whose leaves are all ints and floats at one
+    depth, every row at a depth of one nonzero length.  Its leaf reprs are
+    joined in one pass, with the separators that follow the leaves of one
+    outermost row built once and repeated for every row.  Only "nan" and
+    "inf" spell an n; a block holding one is left to _encode, which makes
+    those leaves strings.
+    """
+    shape = [len(seq)]
+    leaves = seq
+    while True:
+        kinds = set(map(type, leaves))
+        if kinds <= _PLAIN_NUMBERS:
+            break
+        if not kinds <= _SEQUENCES:
+            return None
+        widths = set(map(len, leaves))
+        if len(widths) != 1 or 0 in widths:
+            return None
+        shape.append(widths.pop())
+        leaves = list(chain.from_iterable(leaves))
+    depth = len(shape)
+    pads = ["\n" + "  " * (level + t) for t in range(depth + 1)]
+    opens = ["[" + pads[t + 1] for t in range(depth)]  # outermost first
+    closes = [pads[t] + "]" for t in reversed(range(depth))]  # innermost first
+    # after a leaf that ends r innermost rows: close them, then open r anew
+    breaks = ["".join(closes[:r]) + "," + pads[depth - r] + "".join(opens[depth - r :]) for r in range(depth)]
+    ends = [0]  # rows each leaf of one outermost row ends
+    for width in reversed(shape[1:]):
+        ends *= width
+        ends[-1] += 1
+    seps = [breaks[r] for r in ends]
+    text = "".join(chain.from_iterable(zip(map(repr, leaves), cycle(seps))))
+    if "n" in text:
+        return None
+    return "".join(opens) + text[: -len(seps[-1])] + "".join(closes)
 
 
 def _load_json(path):
@@ -376,6 +418,8 @@ def _cmd_dual(payload, params, seed):
     report = frame_bounds(family, use_scalars)
     duals = _canonical_dual(family, use_scalars, report)
     probes = _param_int(params, "probes", 25)
+    if probes < 1:
+        raise PreconditionError(f"probes must be at least 1, got {probes}")
     rng = np.random.default_rng(seed)
     fam_m = family.weighted_vectors() if use_scalars else family.vectors
     dual_m = duals.weighted_vectors() if use_scalars else duals.vectors
@@ -618,7 +662,6 @@ def run(job: Job) -> int:
     report = {
         "command": job.command,
         "seed": job.seed,
-        "params": dict(job.params),
         "versions": {
             "framex": __version__,
             "numpy": np.__version__,
@@ -627,15 +670,18 @@ def run(job: Job) -> int:
     }
     code = 0
     try:
+        params = report["params"] = _parse_params(job.params)
+        if job.seed < 0:
+            raise InputFormatError(f"--seed must be a non-negative integer, got {job.seed}")
         payload = _load_json(job.input_path)
         report["input"] = payload
-        unknown = sorted(set(job.params) - set(_PARAMS[job.command]))
+        unknown = sorted(set(params) - set(_PARAMS[job.command]))
         if unknown:
             known = ", ".join(_PARAMS[job.command]) or "none"
             raise InputFormatError(
                 f"{job.command} reads no param {', '.join(map(repr, unknown))}; it reads: {known}"
             )
-        report["results"] = _HANDLERS[job.command](payload, job.params, job.seed)
+        report["results"] = _HANDLERS[job.command](payload, params, job.seed)
     except Exception as exc:  # any failure still writes a report
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         code = next((c for kind, c in _EXIT_CODES if isinstance(exc, kind)), 5)
@@ -691,16 +737,11 @@ def _parser():
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    try:
-        params = _parse_params(args.param)
-    except InputFormatError as exc:
-        print(f"framex: {exc}", file=sys.stderr)
-        return 3
     job = Job(
         command=args.command,
         input_path=args.input_path,
         output_path=args.output_path,
-        params=params,
+        params=tuple(args.param),
         seed=args.seed,
         csv=args.csv,
         timestamp=not args.no_timestamp,

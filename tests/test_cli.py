@@ -488,11 +488,44 @@ def test_bad_param_values(tmp_path):
     )
     assert code == 3
 
-    src = write_json(tmp_path / "fam.json", mercedes_payload())
-    code = cli.main(
-        ["analyze", "--in", src, "--out", str(tmp_path / "o.json"), "--param", "oops"]
-    )
+    # a malformed --param pair fails inside the run, so it still writes a report
+    code, report, _ = run_cli(tmp_path, "analyze", mercedes_payload(), "--param", "oops")
     assert code == 3
+    assert report["error"] == {
+        "type": "InputFormatError",
+        "message": "--param expects k=v, got 'oops'",
+    }
+    assert "results" not in report and "input" not in report
+
+
+@pytest.mark.parametrize(
+    "command,payload",
+    [("dual", mercedes_payload()), ("construct45", window_payload(8))],
+    ids=["dual", "construct45"],
+)
+def test_negative_seed_is_malformed_input(tmp_path, command, payload):
+    code, report, _ = run_cli(tmp_path, command, payload, "--seed", "-1")
+    assert code == 3
+    assert report["seed"] == -1
+    assert report["error"] == {
+        "type": "InputFormatError",
+        "message": "--seed must be a non-negative integer, got -1",
+    }
+    assert "results" not in report
+
+
+@pytest.mark.parametrize("probes", [0, -3])
+def test_dual_needs_at_least_one_probe(tmp_path, probes):
+    code, report, _ = run_cli(tmp_path, "dual", mercedes_payload(), "--param", f"probes={probes}")
+    assert code == 2
+    assert report["error"] == {
+        "type": "PreconditionError",
+        "message": f"probes must be at least 1, got {probes}",
+    }
+    assert "results" not in report
+    code, report, _ = run_cli(tmp_path, "dual", mercedes_payload(), "--param", "probes=1")
+    assert code == 0
+    assert report["results"]["probes"] == 1
 
 
 def test_csv_output(tmp_path):

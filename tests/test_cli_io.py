@@ -51,6 +51,30 @@ _arrays = hnp.arrays(
     st.sampled_from([np.float64, np.float32, np.complex128, np.int64, np.bool_]),
     hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
 )
+
+# rectangular blocks of plain numbers, which encode in one join of reprs
+_block_numbers = st.one_of(st.integers(), _huge_ints, st.floats(allow_nan=False, allow_infinity=False), _floats)
+
+
+@st.composite
+def _blocks(draw):
+    shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    leaves = iter(draw(st.lists(_block_numbers, min_size=math.prod(shape), max_size=math.prod(shape))))
+
+    def nest(dims):
+        if not dims:
+            return next(leaves)
+        kind = draw(st.sampled_from([list, tuple]))
+        return kind(nest(dims[1:]) for _ in range(dims[0]))
+
+    return nest(shape)
+
+
+# arrays whose memory order is not their row-major order
+_array_views = hnp.arrays(
+    st.sampled_from([np.float64, np.float32, np.complex128, np.complex64, np.int64]),
+    hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4),
+).map(lambda a: a.T[..., ::-1])
 _leaves = st.one_of(
     st.none(),
     st.booleans(),
@@ -63,6 +87,8 @@ _leaves = st.one_of(
     st.fractions(),
     _numpy_scalars,
     _arrays,
+    _array_views,
+    _blocks(),
     st.sets(st.integers()),
     st.frozensets(st.text(max_size=3)),
     st.sets(st.floats(allow_nan=False)),
@@ -95,6 +121,9 @@ def test_encoder_matches_two_pass_serializer(obj):
     assert _encoded(obj) == oracle_report_text(obj)
 
 
+_transposed = (np.arange(6).reshape(2, 3) * (1 - 0.5j)).T
+
+
 @pytest.mark.parametrize(
     "obj",
     [
@@ -116,6 +145,35 @@ def test_encoder_matches_two_pass_serializer(obj):
         [Fraction(3, 4), Fraction(-6, 4), Pair(1, [Empty()])],
         [[], {}, (), "", [[]], [{}]],
         [True, 1, 1.0, None, "1"],
+        # rectangular blocks, and lists that are almost blocks
+        [[1.0, 2.0], [3.0, math.nan]],
+        [[[1, 2], [3, 4]], [[5, 6], [7, -math.inf]]],
+        {"a": ((1.5,), (math.inf,))},
+        [[1.0, 2.0], [3.0]],
+        [[]],
+        [[1.0], []],
+        [[[]], [[]]],
+        [[1.0], [[2.0]]],
+        [[1, 2], (3, 4)],
+        ([1.0, -0.0], (2.0, 1e300)),
+        [[True, 1], [0, False]],
+        [[1.0, True]],
+        [True, False],
+        [[1.0, None]],
+        [[1.0, np.float64(2.0)]],
+        _transposed,
+        {"t": _transposed, "c": _transposed.astype(np.complex64)},
+        np.array([[1 + 2j, 3.5 - 0.25j]], dtype=np.complex64).T,
+        np.array(1 - 2j),
+        np.array(complex(math.nan, 1.0)),
+        np.zeros((0, 3), dtype=complex),
+        np.zeros((2, 0), dtype=complex).T,
+        np.zeros((2, 0), dtype=np.complex64),
+        np.array([[1 + 1j, complex(0.0, math.inf)]]).T,
+        np.arange(12, dtype=np.float32).reshape(3, 4)[:, ::2],
+        np.arange(4, dtype=np.uint8).reshape(2, 2),
+        np.array([[1.5, 2.5]], dtype=np.longdouble),
+        np.array([1 + 2j], dtype=np.clongdouble),
     ],
 )
 def test_encoder_edge_cases(obj):
