@@ -15,8 +15,8 @@ bytes; --no-timestamp drops the timestamp and wall time fields, which
 are the only run-dependent content.  --csv additionally writes the
 flattened result table next to the report.  Each command reads a fixed
 set of --param keys; any other key is malformed input.  Exit codes:
-0 success, 2 precondition violation, 3 malformed or unreadable input,
-4 budget exhausted.
+0 success, 2 precondition violation, 3 malformed or unreadable input
+(argparse usage errors included), 4 budget exhausted.
 """
 
 from __future__ import annotations
@@ -659,15 +659,7 @@ def run(job: Job) -> int:
     """Execute one job and write its report; returns the exit code."""
     started = time.perf_counter()
     stamp = datetime.now(timezone.utc).isoformat()
-    report = {
-        "command": job.command,
-        "seed": job.seed,
-        "versions": {
-            "framex": __version__,
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-        },
-    }
+    report = {"command": job.command, "seed": job.seed, "versions": _versions()}
     code = 0
     try:
         params = report["params"] = _parse_params(job.params)
@@ -690,11 +682,24 @@ def run(job: Job) -> int:
     if job.timestamp:
         report["timestamp"] = stamp
         report["wall_time_s"] = round(time.perf_counter() - started, 6)
+    return _write_report(report, code, job.output_path, job.csv)
+
+
+def _versions():
+    return {
+        "framex": __version__,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+    }
+
+
+def _write_report(report, code, path, csv=False) -> int:
+    """Write the report (and its CSV table on success); returns the exit code."""
     body = _encode(report) + "\n"
-    out = Path(job.output_path)
+    out = Path(path)
     try:
         out.write_text(body, encoding="utf-8")
-        if job.csv and code == 0:
+        if csv and code == 0:
             _write_csv(out.with_suffix(".csv"), json.loads(body)["results"])
     except OSError as exc:
         print(f"framex: cannot write report: {exc}", file=sys.stderr)
@@ -715,9 +720,16 @@ def _parse_params(pairs):
     return params
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors raise InputFormatError instead of exiting 2."""
+
+    def error(self, message):
+        raise InputFormatError(message)
+
+
 @functools.cache
 def _parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="framex",
         description="Frame analysis toolbox: one batch job per invocation.",
     )
@@ -735,8 +747,30 @@ def _parser():
     return parser
 
 
+@functools.cache
+def _out_parser():
+    """Reads only --out, so that a usage error can still be reported there."""
+    parser = _Parser(prog="framex", add_help=False)
+    parser.add_argument("--out", dest="output_path")
+    return parser
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    """Run one job; a usage error exits 3, with an error report when --out is readable."""
+    parser = _parser()
+    try:
+        args = parser.parse_args(argv)
+    except InputFormatError as exc:
+        parser.print_usage(sys.stderr)
+        try:
+            out = _out_parser().parse_known_args(argv)[0].output_path
+        except InputFormatError:
+            out = None
+        if out is None:
+            print(f"framex: InputFormatError: {exc}", file=sys.stderr)
+            raise SystemExit(3) from None
+        report = {"error": {"type": "InputFormatError", "message": str(exc)}, "versions": _versions()}
+        raise SystemExit(_write_report(report, 3, out)) from None
     job = Job(
         command=args.command,
         input_path=args.input_path,

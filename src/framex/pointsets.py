@@ -30,8 +30,11 @@ __all__ = [
 STEP_DIVISOR = 20
 
 _EDGE_TOL = 1e-12
-# (centre row, point) pairs expanded at once; bounds the scan's scratch memory
+# pairs expanded at once; bounds the scans' scratch memory
 _PAIR_BATCH = 1 << 16
+# the window scan's difference array must be addressable: its bytes fit in an intp
+_MAX_CENTRES = np.iinfo(np.intp).max // 8
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 class PointSet:
@@ -63,7 +66,7 @@ class PointSet:
         if not math.isfinite(extent) or extent <= 0:
             raise PreconditionError(f"declared extent must be positive and finite, got {extent}")
         if p.shape[0]:
-            worst = float(np.max(np.linalg.norm(p, axis=1)))
+            worst = float(np.max(_radii(p)))
             if worst > extent * (1.0 + _EDGE_TOL):
                 raise PreconditionError(
                     f"point at radius {worst:.6g} escapes the declared extent {extent:.6g}"
@@ -118,6 +121,17 @@ class DensityEstimate:
             raise PreconditionError("one curve entry per radius is required")
 
 
+def _radii(p: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, scaled by its largest entry so squares cannot overflow.
+
+    A norm above the float range reads inf.
+    """
+    scale = np.max(np.abs(p), axis=1)
+    unit = p / np.where(scale > 0.0, scale, 1.0)[:, None]
+    with np.errstate(over="ignore"):
+        return scale * np.linalg.norm(unit, axis=1)
+
+
 def ball_volume(dim: int, radius: float) -> float:
     """Euclidean ball volume pi^(k/2) r^k / Gamma(k/2 + 1)."""
     k = int(dim)
@@ -168,60 +182,81 @@ def _runs(axis, x, partial, cap):
     return lo, hi
 
 
-def _expand(lo, hi):
-    """(pair index, grid index) for every grid index of every run [lo, hi)."""
+def _batches(lo, hi):
+    """(run index, grid index) for every index of every run [lo, hi), in batches of about _PAIR_BATCH."""
     width = hi - lo
-    pick = np.repeat(np.arange(width.size), width)
-    j = np.arange(pick.size) - np.repeat(np.cumsum(width) - width - lo, width)
-    return pick, j
+    ends = np.cumsum(width)
+    start = 0
+    while start < ends.size:
+        prior = int(ends[start - 1]) if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, prior + _PAIR_BATCH, side="right")))
+        if ends[stop - 1] > prior:
+            w = width[start:stop]
+            offset = np.repeat(ends[start:stop] - w - lo[start:stop], w)
+            yield np.repeat(np.arange(start, stop), w), np.arange(prior, ends[stop - 1]) - offset
+        start = stop
 
 
-def _window_counts(points: np.ndarray, axis: np.ndarray, cap: float) -> np.ndarray:
-    """Point count of every window of squared radius cap centred on the grid axis^d.
+def _distinct(points: np.ndarray):
+    """(distinct rows, float multiplicities): rows equal as floats, so +0.0 and -0.0 alike, merge."""
+    rows = points[np.lexsort(points.T[::-1])]
+    new = np.ones(rows.shape[0], dtype=bool)
+    new[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    first = np.flatnonzero(new)
+    return rows[first], np.diff(np.r_[first, rows.shape[0]]).astype(float)
 
-    A point is counted when fl((c_0 - p_0)^2) + ... + fl((c_{d-1} - p_{d-1})^2),
-    added left to right in axis order, is at most cap; for d <= 7 this is
-    exactly the sum np.sum(..., axis=-1) forms.  Fixing the leading centre
-    coordinates one axis at a time keeps only the (row, point) pairs whose
-    partial sum stays within cap; along the last axis each pair then covers
-    one run of centres, added into a difference array.  Work is about
-    n * (2r / step)^(d-1) pairs and memory is O(n + centres).
+
+def _window_counts(points: np.ndarray, axis: np.ndarray, cap: float, weights) -> np.ndarray:
+    """Weighted point count of every window of squared radius cap centred on the grid axis^d.
+
+    Point i adds weights[i], an integer multiplicity.  It is counted when
+    fl((c_0 - p_0)^2) + ... + fl((c_{d-1} - p_{d-1})^2), added left to right
+    in axis order, is at most cap; for d <= 7 this is exactly the sum
+    np.sum(..., axis=-1) forms.  Fixing the leading centre coordinates one
+    axis at a time keeps only the (row, point) pairs whose partial sum stays
+    within cap; along the last axis each pair then covers one run of
+    centres, whose ends add and remove the weight in a difference array.
+    Every sum is an integer below 2^53, so the float accumulation is exact.
+    Work is about n * (2r / step)^(d-1) pairs and memory is O(n + centres).
     """
     m = axis.size
     dim = points.shape[1]
     size = m ** (dim - 1) * (m + 1)
-    diff = np.zeros(size, dtype=np.int64)
+    diff = np.zeros(size)
 
     def descend(k, row, owner, partial):
         x = points[owner, k]
         lo, hi = _runs(axis, x, partial, cap)
         if k == dim - 1:
             base = row * (m + 1)
-            diff[:] += np.bincount(base + lo, minlength=size)
-            diff[:] -= np.bincount(base + hi, minlength=size)
+            w = weights[owner]
+            diff[:] += np.bincount(base + lo, w, size)
+            diff[:] -= np.bincount(base + hi, w, size)
             return
-        ends = np.cumsum(hi - lo)
-        start = 0
-        while start < ends.size:
-            prior = int(ends[start - 1]) if start else 0
-            stop = max(start + 1, int(np.searchsorted(ends, prior + _PAIR_BATCH, side="right")))
-            pick, j = _expand(lo[start:stop], hi[start:stop])
-            pick += start
+        for pick, j in _batches(lo, hi):
             nxt = partial[pick] + (axis[j] - x[pick]) ** 2
             descend(k + 1, row[pick] * m + j, owner[pick], nxt)
-            start = stop
 
     n = points.shape[0]
     descend(0, np.zeros(n, dtype=np.intp), np.arange(n), np.zeros(n))
-    return np.cumsum(diff.reshape(-1, m + 1)[:, :m], axis=1)
+    return np.cumsum(diff.reshape(-1, m + 1)[:, :m], axis=1).astype(np.int64)
 
 
-def _window_extrema(ps: PointSet, radius: float, step: float):
-    vol = ball_volume(ps.ambient_dim, radius)
-    axis = _center_axis(ps.declared_extent - radius, step)
-    if len(ps) == 0:
+def _window_extrema(points, weights, extent: float, radius: float, step: float):
+    dim = points.shape[1]
+    vol = ball_volume(dim, radius)
+    half = extent - radius
+    per_axis = (half + step / 2.0 + half) / step  # np.arange's length before its ceil
+    m = math.ceil(min(per_axis, _MAX_CENTRES + 1.0))
+    if m ** (dim - 1) * (m + 1) > _MAX_CENTRES:
+        raise PreconditionError(
+            f"the centre grid of step {step:.6g} at radius {radius:.6g} has about "
+            f"{per_axis:.6g}^{dim} centres, more than an array can index"
+        )
+    axis = _center_axis(half, step)
+    if points.shape[0] == 0:
         return radius, 0.0, 0.0
-    counts = _window_counts(ps.points, axis, radius * radius * (1.0 + _EDGE_TOL))
+    counts = _window_counts(points, axis, radius * radius * (1.0 + _EDGE_TOL), weights)
     return radius, int(counts.min()) / vol, int(counts.max()) / vol
 
 
@@ -236,6 +271,8 @@ def density(
 
     Windows must fit twice into the declared extent so that the center grid
     retains room to move.  The default grid step is radius / step_divisor.
+    Coinciding points are counted once, with their multiplicity.  A centre
+    grid too large to index raises PreconditionError.
     """
     if step_divisor < 1:
         raise PreconditionError(f"step divisor must be at least 1, got {step_divisor}")
@@ -251,12 +288,13 @@ def density(
             f"radius {rads[-1]:.6g} exceeds half the declared extent "
             f"{ps.declared_extent:.6g}; the window escapes the faithful region"
         )
+    points, weights = _distinct(ps.points)
 
     def scan(r: float):
         step = center_grid_step if center_grid_step is not None else r / step_divisor
         if not (math.isfinite(step) and step > 0):
             raise PreconditionError(f"grid step must be finite and positive, got {step}")
-        return _window_extrema(ps, r, step)
+        return _window_extrema(points, weights, ps.declared_extent, r, step)
 
     curve = [scan(r) for r in rads]
     return DensityEstimate(
@@ -267,17 +305,81 @@ def density(
     )
 
 
+def _cells(x: np.ndarray, side: float) -> np.ndarray:
+    """Integer cell of each coordinate: floor(fl(x - x0) / side) within a run, runs 2 cells apart.
+
+    Sorted coordinates break into runs wherever the computed gap between
+    neighbours exceeds side; x0 is the first coordinate of a run.  Cells
+    stay O(n) however wide the span, and nothing overflows: a gap beyond the
+    float range reads inf, a break.
+    """
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    cut = np.flatnonzero(np.diff(xs) > side) + 1
+    run = np.zeros(xs.size, dtype=np.intp)
+    run[cut] = 1
+    run = np.cumsum(run)
+    first = np.r_[0, cut]
+    pos = np.floor((xs - xs[first][run]) / side).astype(np.int64)
+    width = pos[np.r_[cut, xs.size] - 1] + 2
+    cells = np.empty_like(pos)
+    cells[order] = pos + (np.cumsum(width) - width)[run]
+    return cells
+
+
+def _grid_min(pts: np.ndarray, best: float, dist2) -> float:
+    """min(best, dist2 over all pairs), from the pairs in equal or adjacent grid cells.
+
+    The cells are squares of side s over the two axes with the most
+    distinct coordinates (_cells); each point meets the rest of its own
+    cell, the cell above it, and the three cells of the next column, which
+    are contiguous in the sorted cell keys.
+
+    Rounding.  With u = 2^-53, a pair can lower best only if its computed
+    squared distance is below beta = min(best, float max).  A rounded sum
+    of non-negative terms is never below a term, so each axis term
+    fl(t^2), t = fl(a - b), is at most beta: t^2 <= beta / (1 - u) +
+    2^-1075 (the last for a square that underflows), and |a - b| <= |t| /
+    (1 - u).  With r = fl(sqrt(beta)), which is at least (1 - u)
+    sqrt(beta), every such pair has |a - b| <= rho = (r + 2^-537) /
+    (1 - u)^3 on each axis.  The side s = (r + 2^-537)(1 + (n + 1) 2^-49),
+    rounded three times, is at least rho (1 + 8 u (n + 1)).  A gap that
+    breaks a run is above s / (1 + u) >= rho, so the pair is in one run.
+    There a <= b lie at most (n - 1) s / (1 - u) above x0, and the two
+    computed quotients fl(fl(a - x0) / s), fl(fl(b - x0) / s) differ by at
+    most rho / s + (4 u + u^2)(n - 1) / (1 - u) + 2^-1074 < 1 for
+    n < 2^45, so their floors differ by at most 1.
+    """
+    n = pts.shape[0]
+    side = (math.sqrt(min(best, _FLOAT_MAX)) + 2.0**-537) * (1.0 + (n + 1) * 2.0**-49)
+    distinct = [np.unique(column).size for column in pts.T]
+    ax, ay = np.argsort(distinct, kind="stable")[::-1][:2]
+    cx, cy = _cells(pts[:, ax], side), _cells(pts[:, ay], side)
+    stride = int(cy.max()) + 3
+    key = cx * stride + cy
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    lo = np.r_[np.arange(1, n + 1), np.searchsorted(key, key + stride - 1)]
+    hi = np.r_[np.searchsorted(key, key + 1, "right"), np.searchsorted(key, key + stride + 1, "right")]
+    owner = np.r_[order, order]
+    for pick, j in _batches(lo, hi):
+        best = min(best, float(dist2(owner[pick], order[j]).min()))
+    return best
+
+
 def uniformly_discrete(ps: PointSet):
     """Minimum pairwise separation; zero or fewer than two points count as discrete.
 
     Returns (separated, delta) where delta is the minimum distance
     (infinite for at most one point) and separated says delta > 0.  A
-    duplicated point yields (False, 0.0).  Lexicographic neighbours give an
-    upper bound; a sweep over the points sorted along the axis with the
-    most distinct coordinates then evaluates only pairs whose term on that
-    axis alone stays within the bound.  A sum of non-negative floats is
-    never below one of its terms, so the pruning is exact and delta equals
-    the all-pairs minimum.
+    duplicated point yields (False, 0.0), and so does a pair whose squared
+    distance underflows.  Lexicographic neighbours give an upper bound,
+    which in one dimension is already the minimum: rounding is monotone.
+    Otherwise a grid of cells about as wide as the bound (_grid_min)
+    evaluates only pairs in equal or adjacent cells.  Squared distances
+    above the float range read inf; if every pair's does, no separation
+    can be reported and PreconditionError is raised.  The pruning is exact:
+    delta equals the all-pairs minimum.  Memory is O(n + _PAIR_BATCH).
     """
     n = len(ps)
     if n <= 1:
@@ -287,20 +389,14 @@ def uniformly_discrete(ps: PointSet):
     def dist2(a, b):
         return np.sum((pts[a] - pts[b]) ** 2, axis=-1)
 
-    lex = np.lexsort(pts.T[::-1])
-    best = float(dist2(lex[1:], lex[:-1]).min())
-    sweep = int(np.argmax([np.unique(column).size for column in pts.T]))
-    order = np.argsort(pts[:, sweep], kind="stable")
-    x = pts[order, sweep]
-    starts = np.arange(n)
-    k = 1
-    while best > 0.0 and starts.size:
-        starts = starts[: np.searchsorted(starts, n - k)]
-        starts = starts[(x[starts + k] - x[starts]) ** 2 <= best]
-        if starts.size:
-            best = min(best, float(dist2(order[starts + k], order[starts]).min()))
-        k += 1
-    delta = math.sqrt(max(best, 0.0))
+    with np.errstate(over="ignore"):
+        lex = np.lexsort(pts.T[::-1])
+        best = float(dist2(lex[1:], lex[:-1]).min())
+        if best > 0.0 and pts.shape[1] > 1:
+            best = _grid_min(pts, best, dist2)
+    if best == math.inf:
+        raise PreconditionError("every pairwise squared distance exceeds the float range")
+    delta = math.sqrt(best)
     return delta > 0.0, delta
 
 
@@ -323,7 +419,7 @@ def union_density(sets, radii, center_grid_step: float | None = None) -> Density
     extent = min(ps.declared_extent for ps in group)
     stacked = np.vstack([ps.points for ps in group]) if group else np.zeros((0, dim))
     if stacked.shape[0]:
-        keep = np.linalg.norm(stacked, axis=1) <= extent * (1.0 + _EDGE_TOL)
+        keep = _radii(stacked) <= extent * (1.0 + _EDGE_TOL)
         stacked = stacked[keep]
     merged = PointSet(stacked, extent, ambient_dim=dim)
     return density(merged, radii, center_grid_step)

@@ -98,10 +98,24 @@ def modulate(f, b):
     return CyclicSignal(f.samples * _character_table(length)[idx])
 
 
+def _integral_shift(value) -> int:
+    """value as an int; a bool, or a number int() would truncate, is no shift."""
+    if isinstance(value, (bool, np.bool_)):
+        raise PreconditionError(f"shift {value!r} is a bool, not an integer")
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise PreconditionError(f"shift {value!r} is not an integer") from exc
+    if whole != value:
+        raise PreconditionError(f"shift {value!r} is not an integer")
+    return whole
+
+
 class GaborSpec:
     """A window plus a list of (time, frequency) shift pairs.
 
-    Shift pairs are reduced mod L; duplicates are permitted and mean
+    Shift pairs are integers, reduced mod L; a bool or a non-integral
+    number raises PreconditionError.  Duplicates are permitted and mean
     repeated elements in the generated family.
     """
 
@@ -111,9 +125,10 @@ class GaborSpec:
         self._window = _as_signal(window)
         length = self._window.length
         pairs = []
-        for pair in shifts:
-            a, b = pair
-            pairs.append((int(a) % length, int(b) % length))
+        for a, b in shifts:
+            if type(a) is not int or type(b) is not int:
+                a, b = _integral_shift(a), _integral_shift(b)
+            pairs.append((a % length, b % length))
         if not pairs:
             raise PreconditionError("a Gabor spec needs at least one shift pair")
         self._shifts = tuple(pairs)

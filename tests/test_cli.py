@@ -411,6 +411,16 @@ def test_density_command(tmp_path):
     assert pointsets.STEP_DIVISOR == 20
 
 
+def test_density_rejects_a_centre_grid_too_large_to_index(tmp_path):
+    payload = {"ambient_dim": 1, "points": [[0.0], [1e150], [2e150]], "extent": 1e300}
+    code, report, _ = run_cli(tmp_path, "density", payload, "--param", "radii=1e160",
+                              "--param", "step=2.5e159")
+    assert code == 2
+    assert report["error"]["type"] == "PreconditionError"
+    assert "8e+140^1 centres" in report["error"]["message"]
+    assert "results" not in report
+
+
 def test_density_rejects_zero_step_divisor(tmp_path):
     payload = {"ambient_dim": 1, "points": [[0.0]], "extent": 4.0}
     code, report, _ = run_cli(tmp_path, "density", payload, "--param", "step_divisor=0")
@@ -551,5 +561,39 @@ def test_csv_skipped_on_failure(tmp_path):
 
 
 def test_unknown_command_rejected(tmp_path):
-    with pytest.raises(SystemExit):
-        cli.main(["frobnicate", "--in", "x", "--out", "y"])
+    with pytest.raises(SystemExit) as info:
+        cli.main(["frobnicate", "--in", "x", "--out", str(tmp_path / "y.json")])
+    assert info.value.code == 3
+    assert "invalid choice: 'frobnicate'" in json.loads((tmp_path / "y.json").read_text())["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--seed", "abc"], ["--seed"], ["--param"], ["--bogus", "1"], ["--csv=1"]],
+    ids=["non-int-seed", "seed-without-value", "param-without-value", "unknown-option", "flag-value"],
+)
+def test_usage_errors_are_malformed_input_with_a_report(tmp_path, capsys, argv):
+    src = write_json(tmp_path / "one.json", mercedes_payload())
+    dst = tmp_path / "o.json"
+    with pytest.raises(SystemExit) as info:
+        cli.main(["analyze", "--in", src, "--out", str(dst), *argv])
+    assert info.value.code == 3
+    report = json.loads(dst.read_text(encoding="utf-8"))
+    assert report["error"]["type"] == "InputFormatError"
+    assert set(report) == {"error", "versions"}
+    err = capsys.readouterr().err
+    assert err.startswith("usage: framex") and report["error"]["message"] in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "--in", "one.json", "--seed", "abc"], ["analyze", "--in", "one.json", "--out"], []],
+    ids=["no-out", "out-without-value", "no-arguments"],
+)
+def test_usage_errors_without_a_readable_out_only_print(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 3
+    assert list(tmp_path.iterdir()) == []
+    assert "framex: InputFormatError: " in capsys.readouterr().err

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from framex import PointSet, ball_volume, density, uniformly_discrete, union_density
+from framex import PointSet, ball_volume, density, pointsets, uniformly_discrete, union_density
 from framex.errors import DimensionMismatchError, PreconditionError
-from framex.pointsets import STEP_DIVISOR, _center_axis, _window_counts, _window_extrema
+from framex.pointsets import STEP_DIVISOR, _center_axis, _window_counts
 
 
 def lattice(spacing, extent):
@@ -154,7 +154,7 @@ def battery_set(rng, dim, kind, extent):
 
 
 def assert_scans_match_oracle(ps, radius, step):
-    assert _window_extrema(ps, radius, step) == helpers.brute_window_extrema(ps, radius, step)
+    assert density(ps, [radius], step).per_window == (helpers.brute_window_extrema(ps, radius, step),)
     assert uniformly_discrete(ps) == helpers.brute_uniformly_discrete(ps)
 
 
@@ -215,7 +215,7 @@ def test_window_counts_on_points_ulps_from_the_edge(dim):
     last += rng.integers(-4, 5, size=400) * np.spacing(last)
     offsets = np.column_stack([lead, last])
     points = rng.integers(-2, 3, size=(400, dim)) * step + offsets
-    counts = _window_counts(points, _center_axis(half, step), cap)
+    counts = _window_counts(points, _center_axis(half, step), cap, np.ones(len(points)))
     want = helpers.brute_window_counts(points, half, step, cap)
     assert np.array_equal(counts.ravel(), want)
 
@@ -234,7 +234,7 @@ def test_density_oracle_on_gabor_shift_set(monkeypatch):
     ps = gabor_shift_set()
     # smaller oracle chunks keep the brute force at a few tens of MB
     monkeypatch.setattr(helpers, "_CENTER_BATCH", 128)
-    assert _window_extrema(ps, 20.0, 1.0) == helpers.brute_window_extrema(ps, 20.0, 1.0)
+    assert density(ps, [20.0], 1.0).per_window == (helpers.brute_window_extrema(ps, 20.0, 1.0),)
     assert uniformly_discrete(ps) == (False, 0.0)
     distinct = PointSet(ps.points[: len(ps) // 2], 46.0)
     monkeypatch.setattr(helpers, "_CENTER_BATCH", 512)
@@ -266,3 +266,130 @@ def test_scans_match_oracle_property(dim, halves, jitter, radius, step):
     pts = np.array(halves[: count * dim], dtype=float).reshape(count, dim) / 2.0 + jitter
     pts = pts[np.linalg.norm(pts, axis=1) <= 8.0] if count else np.zeros((0, dim))
     assert_scans_match_oracle(PointSet(pts, 8.0, ambient_dim=dim), radius, step)
+
+
+def spread_on_edges(h, x0, a, b):
+    """A pair (a, 5), (b, 5) closer than h whose quotients (x - x0) / h round more than one apart.
+
+    (x0, 0), (x0, h) set the lexicographic bound h^2, and filler points on
+    rows y = 10, 20, 30 keep the x coordinates one run from x0 on and put
+    a point between a and b, so the pair is no lexicographic neighbour.
+    """
+    fill = np.arange(x0 + h / 2, b, h / 2)
+    rows = np.column_stack([fill, 10.0 + 10.0 * (np.arange(fill.size) % 3)])
+    return PointSet(np.vstack([[[x0, 0.0], [x0, h], [a, 5.0], [b, 5.0]], rows]), 40.0)
+
+
+@pytest.mark.parametrize(
+    "h,x0,a,b",
+    [
+        (0.1, -1.0, -0.3, -0.2),
+        (1 / 3, -1.0, 0.33333333333333315, 0.6666666666666664),
+        (1e-3, -0.1, -0.029000000000000012, -0.028000000000000014),
+    ],
+)
+def test_separation_grid_margin_covers_pairs_split_by_rounding(h, x0, a, b):
+    # fl((b - a)^2) < fl(h^2), yet floor(fl(fl(b - x0) / h)) and
+    # floor(fl(fl(a - x0) / h)) differ by 2: cells of side exactly h would
+    # never compare the closest pair
+    assert (b - a) ** 2 < h * h
+    assert math.floor((b - x0) / h) - math.floor((a - x0) / h) == 2
+    ps = spread_on_edges(h, x0, a, b)
+    assert uniformly_discrete(ps) == helpers.brute_uniformly_discrete(ps) == (True, b - a)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 8])
+@pytest.mark.parametrize("spacing", [0.1, 1 / 3, 1e-3])
+def test_scans_on_awkward_lattices(dim, spacing):
+    # lattice points sit on cell edges: the lexicographic bound is the
+    # spacing, so every coordinate is a multiple of the cell side
+    rng = np.random.default_rng(dim)
+    count = 200 if dim < 4 else 60
+    steps = rng.integers(-3, 4, size=(count, dim))
+    distinct = np.unique(steps, axis=0) * spacing
+    extent = 4.0 * spacing * math.sqrt(dim)
+    ps = PointSet(distinct, extent)
+    assert uniformly_discrete(ps) == helpers.brute_uniformly_discrete(ps)
+    jittered = distinct + rng.normal(size=distinct.shape) * spacing * 1e-6
+    jps = PointSet(jittered[np.linalg.norm(jittered, axis=1) <= extent], extent)
+    assert uniformly_discrete(jps) == helpers.brute_uniformly_discrete(jps)
+    # a step that does not divide the centre range; window counts stay exact
+    # for integer lattices in every dim, whatever order the squares add in
+    radius, step = 1.5 * spacing * math.sqrt(dim), 1.3 * spacing
+    if dim <= 3:
+        assert_scans_match_oracle(ps, radius, step)
+    near = steps[np.linalg.norm(steps, axis=1) <= 4.0].astype(float)
+    assert_scans_match_oracle(PointSet(near, 4.0, ambient_dim=dim), 2.0, 1.0)
+
+
+def test_separation_with_every_point_in_one_cell():
+    # the first two axes (those the grid uses) spread over 1e-9 while the
+    # lexicographic bound is about 1, so all points share one cell and
+    # every pair is compared, in several batches
+    rng = np.random.default_rng(11)
+    n = 600
+    pts = np.column_stack([rng.random(n) * 1e-9, rng.random(n) * 1e-9, rng.permutation(n) * 1.0])
+    pts[-1, 2] = pts[0, 2] + 0.5  # the one pair closer than 1
+    ps = PointSet(pts, float(n))
+    assert n * (n - 1) // 2 > 2 * pointsets._PAIR_BATCH
+    assert uniformly_discrete(ps) == helpers.brute_uniformly_discrete(ps)
+    assert uniformly_discrete(ps)[1] == pytest.approx(0.5)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_separation_over_huge_spans():
+    far = [[1e300, 0.0], [-1e300, 5.0], [0.0, -1e300]]
+    # a pair 1e-300 apart: its squared distance underflows to 0
+    ps = PointSet(far + [[0.0, 0.0], [1e-300, 0.0]], 1e300)
+    assert uniformly_discrete(ps) == (False, 0.0)
+    # a pair 1e-150 apart with a point between them in lexicographic order:
+    # the grid's cells are 1e-150 wide over a span of 2e300
+    ps = PointSet(far + [[0.0, 0.0], [0.5e-150, 1.0], [1e-150, 0.0]], 1e300)
+    with np.errstate(over="ignore"):  # the brute force squares 2e300
+        want = helpers.brute_uniformly_discrete(ps)
+    assert uniformly_discrete(ps) == want == (True, 1e-150)
+    # nothing closer than the float range can square
+    with pytest.raises(PreconditionError, match="exceeds the float range"):
+        uniformly_discrete(PointSet([[1e200, 0.0], [-1e200, 0.0], [0.0, 1e200]], 1e300))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_pointset_radius_check_does_not_overflow():
+    ps = PointSet([[1e200, 0.0], [0.0, 0.0]], 1e300)
+    assert len(ps) == 2
+    with pytest.raises(PreconditionError, match="radius 1.41421e\\+200 escapes"):
+        PointSet([[1e200, 1e200]], 1e200)
+    with pytest.raises(PreconditionError, match="radius inf escapes"):
+        PointSet([[1.5e308, 1.5e308]], 1.7e308)
+    # the union drops the point beyond the smaller extent without squaring it
+    est = union_density([ps, PointSet([[1.0, 0.0]], 4.0)], radii=[2.0], center_grid_step=1.0)
+    assert est == density(PointSet([[0.0, 0.0], [1.0, 0.0]], 4.0), radii=[2.0], center_grid_step=1.0)
+
+
+def test_multiset_window_counts_equal_the_expanded_set():
+    # repeated points, with +0.0 and -0.0 for the same coordinate, count
+    # with their multiplicity
+    rng = np.random.default_rng(5)
+    base = rng.integers(-4, 5, size=(40, 2)) / 2.0
+    base[:8, 0] = 0.0
+    signed = base.copy()
+    signed[:8, 0] = -0.0
+    expanded = np.vstack([base, signed, base[::3], signed[::5]])
+    points, weights = pointsets._distinct(expanded)
+    assert weights.sum() == len(expanded)
+    assert len(points) == len(np.unique(base, axis=0))
+    half, step, cap = 3.0, 0.5, 2.0 * (1.0 + 1e-12)
+    counts = _window_counts(points, _center_axis(half, step), cap, weights)
+    assert np.array_equal(counts.ravel(), helpers.brute_window_counts(expanded, half, step, cap))
+    ps = PointSet(expanded, 6.0)
+    for radius, step in ((1.0, 0.25), (2.5, 0.3), (3.0, 0.7)):
+        assert_scans_match_oracle(ps, radius, step)
+    assert uniformly_discrete(ps) == (False, 0.0)
+
+
+def test_density_rejects_a_centre_grid_too_large_to_index():
+    ps = PointSet([0.0, 1e150, 2e150], 1e300)
+    with pytest.raises(PreconditionError, match="8e\\+140\\^1 centres"):
+        density(ps, [1e160], 2.5e159)
+    with pytest.raises(PreconditionError, match="more than an array can index"):
+        density(PointSet([[0.0] * 40], 10.0), [1.0], 1.0)

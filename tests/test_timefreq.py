@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -107,6 +108,18 @@ def test_gabor_spec_reduces_shifts():
         GaborSpec(gaussian_window(8), [])
     with pytest.raises(PreconditionError):
         gabor_family(GaborSpec(np.zeros(8), [(0, 0)]))
+
+
+def test_gabor_spec_takes_integral_shifts_only():
+    window = gaussian_window(8)
+    spec = GaborSpec(window, [(np.int64(9), 2.0), (Fraction(3), np.float64(-1.0)), (-(10**30), 1)])
+    assert spec.shifts == ((1, 2), (3, 7), (0, 1))
+    assert all(type(v) is int for pair in spec.shifts for v in pair)
+    for bad in [2.7, 0.5, True, np.bool_(False), "3", math.nan, math.inf, 1 + 0j, Fraction(5, 2), None]:
+        with pytest.raises(PreconditionError, match="not an integer"):
+            GaborSpec(window, [(0, 0), (bad, 1)])
+        with pytest.raises(PreconditionError, match="not an integer"):
+            GaborSpec(window, [(1, bad)])
 
 
 @pytest.mark.parametrize("length", [1, 2, 7, 16, 33, 64])
