@@ -45,6 +45,7 @@ from .extraction import extract
 from .frames import (
     VectorFamily,
     _canonical_dual,
+    _frame_bounds,
     classify,
     frame_bounds,
     frame_operator,
@@ -388,8 +389,9 @@ def _encode_family(family):
 def _cmd_analyze(payload, params, seed):
     family = parse_family(payload)
     use_scalars = _use_scalars(family, params)
-    report = frame_bounds(family, use_scalars)
-    op = frame_operator(family, use_scalars)
+    report, op = _frame_bounds(family, use_scalars)
+    if op is None:
+        op = frame_operator(family, use_scalars)
     return {
         "count": len(family),
         "dim": family.dim,
@@ -415,8 +417,8 @@ def _cmd_classify(payload, params, seed):
 def _cmd_dual(payload, params, seed):
     family = parse_family(payload)
     use_scalars = _use_scalars(family, params)
-    report = frame_bounds(family, use_scalars)
-    duals = _canonical_dual(family, use_scalars, report)
+    report, op = _frame_bounds(family, use_scalars)
+    duals = _canonical_dual(family, use_scalars, report, op)
     probes = _param_int(params, "probes", 25)
     if probes < 1:
         raise PreconditionError(f"probes must be at least 1, got {probes}")
@@ -441,10 +443,12 @@ def _cmd_dual(payload, params, seed):
 def _cmd_extract(payload, params, seed):
     family = parse_family(payload)
     result = extract(family)
+    multiplicity = result.sigma.multiplicity
     plan = result.plan
     return {
-        "multiplicity": {str(n): c for n, c in result.sigma.multiplicity.items()},
-        "total": len(result.sigma),
+        "multiplicity": {str(n): c for n, c in multiplicity.items()},
+        # len() cannot return a total past sys.maxsize
+        "total": sum(multiplicity.values()),
         "normalized": _encode_family(result.normalized),
         "frame": result.report,
         "mult_bound": result.mult_bound_L,
@@ -589,7 +593,7 @@ def _cmd_construct45(payload, params, seed):
     lead_set = set(leads)
     rest = [p for p in lattice if p not in lead_set]
     spec = GaborSpec(window, leads + rest + lattice * (copies - 1))
-    _, base_report = _base_frame(spec)  # densify_gabor_frame reuses it
+    base_report = _base_frame(spec)[1]  # densify_gabor_frame reuses it
     family, report = densify_gabor_frame(spec, counts, seed=seed)
     return {
         "length": length,

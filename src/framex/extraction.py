@@ -26,7 +26,14 @@ from .errors import (
     NotAFrameError,
     PreconditionError,
 )
-from .frames import VectorFamily, FrameReport, _canonical_dual, _unit_probes, frame_bounds
+from .frames import (
+    VectorFamily,
+    FrameReport,
+    _canonical_dual,
+    _frame_bounds,
+    _unit_probes,
+    frame_bounds,
+)
 from .linalg import NUMERIC_TOL, RANK_DROP_TOL, Projection, _extend_span, rank_one
 from .sampling import SANDWICH_TOL, SamplingFunction, sample
 from .selectors import (
@@ -339,7 +346,7 @@ def extract(family) -> ExtractionResult:
         certificates.append(cert)
 
     sigma = SamplingFunction(mult, source_count=count)
-    if len(sigma) == 0:
+    if not sigma.multiplicity:
         raise NotAFrameError("sampling selected nothing; the input cannot span")
     support = sorted(sigma.multiplicity)
     normalized = VectorFamily(
@@ -399,8 +406,8 @@ def equivalence_b_to_a(family, scalars=None):
     fam = family if isinstance(family, VectorFamily) else VectorFamily(family)
     if scalars is not None:
         fam = VectorFamily(fam.vectors, scalars=scalars, labels=fam.labels)
-    report = frame_bounds(fam, use_scalars=True)
-    duals = _canonical_dual(fam, True, report)
+    report, op = _frame_bounds(fam, True)
+    duals = _canonical_dual(fam, True, report, op)
     if fam.scalars is None:
         scal = np.ones(len(fam), dtype=fam.vectors.dtype)
     else:

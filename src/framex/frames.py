@@ -74,7 +74,7 @@ class VectorFamily:
         else:
             self._scalars = None
         if labels is not None:
-            labels = tuple(str(x) for x in labels)
+            labels = tuple(map(str, labels))
             if len(labels) != v.shape[0]:
                 raise DimensionMismatchError(
                     f"{len(labels)} labels for {v.shape[0]} vectors"
@@ -225,16 +225,28 @@ def frame_bounds(family, use_scalars: bool = False) -> FrameReport:
     Runs a seeded probe self-check: for random unit x the analysis energy
     sum |<x, x_n>|^2 must fall inside [A - tol, B + tol].
     """
+    return _frame_bounds(family, use_scalars)[0]
+
+
+def _frame_bounds(family, use_scalars: bool) -> tuple[FrameReport, PsdOperator | None]:
+    """frame_bounds and the frame operator it formed along the way.
+
+    The operator is frame_operator(family, use_scalars), built from the
+    same Gram product; it is None when the family had to be scaled first,
+    and then only frame_operator can say whether it overflows.
+    """
     w = _family_matrix(family, use_scalars)
     count, dim = w.shape
     s, e = _gram(w), 0
     top = float(np.max(s.diagonal().real))
-    if not 1.0 / _SQUARES_RANGE <= top <= _SQUARES_RANGE and w.any():
+    scaled = not 1.0 / _SQUARES_RANGE <= top <= _SQUARES_RANGE and w.any()
+    if scaled:
         w, e = _normalized(w)
         s = _gram(w)
         top = float(np.max(s.diagonal().real))
     if not np.isfinite(s).all():
         raise PreconditionError("frame operator is not finite: the vectors are not finite")
+    operator = None if scaled else PsdOperator(s, _prevalidated=True)
     k = (math.frexp(top)[1] + 1) // 2
     ev = PsdOperator(s * 4.0**-k, _prevalidated=True).eigenvalues
     e += k
@@ -242,7 +254,8 @@ def frame_bounds(family, use_scalars: bool = False) -> FrameReport:
     upper = float(max(ev[-1], 0.0))
     tol = NUMERIC_TOL * max(upper, 1.0)
     probes = _unit_probes(_SELF_CHECK_PROBES, dim, np.iscomplexobj(w))
-    energies = np.sum(np.abs(probes @ w.conj().T) ** 2, axis=1) * 4.0**-k
+    # |<x, x_n>| as |<x_n, x>|: w is conjugated once, for the Gram product
+    energies = np.sum(np.abs(w @ probes.conj().T) ** 2, axis=0) * 4.0**-k
     if np.any(energies < lower - tol) or np.any(energies > upper + tol):
         raise PreconditionError(
             "internal probe check failed: analysis energy escaped the eigenvalue range"
@@ -251,7 +264,7 @@ def frame_bounds(family, use_scalars: bool = False) -> FrameReport:
     is_tight = is_frame and (upper - lower) <= NUMERIC_TOL * max(upper, 1.0)
     upper = _rescaled(upper, e)
     lower = _rescaled(lower, e) if is_frame else math.ldexp(lower, 2 * e)
-    return FrameReport(
+    report = FrameReport(
         lower=lower,
         upper=upper,
         is_frame=is_frame,
@@ -259,6 +272,7 @@ def frame_bounds(family, use_scalars: bool = False) -> FrameReport:
         is_tight=is_tight,
         is_riesz_basis=is_frame and count == dim,
     )
+    return report, operator
 
 
 def canonical_dual(family: VectorFamily, use_scalars: bool = False) -> VectorFamily:
@@ -266,20 +280,32 @@ def canonical_dual(family: VectorFamily, use_scalars: bool = False) -> VectorFam
 
     With use_scalars the dual of the rescaled family {c_n x_n} is returned.
     """
-    return _canonical_dual(family, use_scalars, frame_bounds(family, use_scalars))
+    return _canonical_dual(family, use_scalars, *_frame_bounds(family, use_scalars))
 
 
-def _canonical_dual(family, use_scalars: bool, report: FrameReport) -> VectorFamily:
-    """canonical_dual for a caller already holding frame_bounds(family, use_scalars)."""
+def _canonical_dual(family, use_scalars: bool, report: FrameReport, operator) -> VectorFamily:
+    """canonical_dual for a caller already holding _frame_bounds(family, use_scalars)."""
+    w = _family_matrix(family, use_scalars)
+    duals = _solve_frame_operator(w, report, operator, w.T).T
+    labels = family.labels if isinstance(family, VectorFamily) else None
+    return VectorFamily(duals, labels=labels)
+
+
+def _solve_frame_operator(w, report: FrameReport, operator, rhs) -> np.ndarray:
+    """S^-1 rhs for the frame operator S of the rows of w.
+
+    report and operator are _frame_bounds(w); S is formed again only when
+    operator is None.  LAPACK solves each column of rhs on its own, so a
+    column's solution does not depend on the other columns.
+    """
     if not report.is_frame:
         raise NotAFrameError(
             f"canonical dual needs a frame; lower bound {report.lower:.3e} "
             f"is below {FRAME_TOL_FACTOR:.0e} * {report.upper:.3e}"
         )
-    w = _family_matrix(family, use_scalars)
-    duals = np.linalg.solve(frame_operator(w).matrix, w.T).T
-    labels = family.labels if isinstance(family, VectorFamily) else None
-    return VectorFamily(duals, labels=labels)
+    if operator is None:
+        operator = frame_operator(w)
+    return np.linalg.solve(operator.matrix, rhs)
 
 
 def classify(family: VectorFamily, use_scalars: bool = False) -> Classification:

@@ -133,14 +133,22 @@ def _radii(p: np.ndarray) -> np.ndarray:
 
 
 def ball_volume(dim: int, radius: float) -> float:
-    """Euclidean ball volume pi^(k/2) r^k / Gamma(k/2 + 1)."""
+    """Euclidean ball volume pi^(k/2) r^k / Gamma(k/2 + 1); PreconditionError if not finite."""
     k = int(dim)
     if k < 1:
         raise PreconditionError(f"dimension must be at least 1, got {k}")
     r = float(radius)
     if r < 0:
         raise PreconditionError(f"negative radius {r}")
-    return math.pi ** (k / 2.0) / math.gamma(k / 2.0 + 1.0) * r**k
+    try:
+        volume = math.pi ** (k / 2.0) / math.gamma(k / 2.0 + 1.0) * r**k
+    except OverflowError:
+        volume = math.inf
+    if not math.isfinite(volume):
+        raise PreconditionError(
+            f"the volume of the {k}-ball of radius {r:.6g} is beyond the float range"
+        )
+    return volume
 
 
 def _center_axis(half: float, step: float) -> np.ndarray:
@@ -253,10 +261,13 @@ def _window_extrema(points, weights, extent: float, radius: float, step: float):
             f"the centre grid of step {step:.6g} at radius {radius:.6g} has about "
             f"{per_axis:.6g}^{dim} centres, more than an array can index"
         )
+    cap = radius * radius * (1.0 + _EDGE_TOL)
+    if not math.isfinite(cap):
+        raise PreconditionError(f"radius {radius:.6g} squares beyond the float range")
     axis = _center_axis(half, step)
     if points.shape[0] == 0:
         return radius, 0.0, 0.0
-    counts = _window_counts(points, axis, radius * radius * (1.0 + _EDGE_TOL), weights)
+    counts = _window_counts(points, axis, cap, weights)
     return radius, int(counts.min()) / vol, int(counts.max()) / vol
 
 

@@ -138,7 +138,9 @@ class SamplingFunction:
     """Finite multiset of selected indices, held as exact multiplicities.
 
     sigma maps a domain of len(sigma) points onto the indices, index n hit
-    multiplicity[n] times; the counts are the whole representation.
+    multiplicity[n] times; the counts are the whole representation.  A
+    total past sys.maxsize makes len() raise OverflowError, so callers that
+    may meet one sum the multiplicities instead.
     """
 
     def __init__(self, multiplicity: dict[int, int], source_count: int | None = None):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridTooCoarseError, NotAFrameError, PreconditionError
-from .frames import VectorFamily, _canonical_dual, frame_bounds
+from .frames import VectorFamily, _frame_bounds, _solve_frame_operator
 
 __all__ = [
     "CyclicSignal",
@@ -211,11 +211,30 @@ def gabor_family(spec):
 
 
 def _base_frame(spec):
-    """The Gabor family of spec and its frame bounds, built once per spec."""
+    """The Gabor family of spec, its frame bounds and frame operator, built once per spec.
+
+    The operator is None when frame_bounds had to scale the family first.
+    """
     if spec._frame is None:
         family = gabor_family(spec)
-        spec._frame = (family, frame_bounds(family))
+        spec._frame = (family, *_frame_bounds(family, False))
     return spec._frame
+
+
+def _distinct_duals(spec):
+    """Canonical duals of the Gabor family of spec, solved once per distinct shift pair.
+
+    Returns (solved, index): column index[n] of solved is the dual of
+    element n.  Equal pairs give bit-equal rows, and LAPACK solves each
+    right-hand side on its own, so every column equals the one a solve
+    over all rows gives, bit for bit.
+    """
+    family, bounds, operator = _base_frame(spec)
+    length = spec.length
+    codes = np.fromiter((a * length + b for a, b in spec.shifts), np.intp, len(spec))
+    _, firsts, index = np.unique(codes, return_index=True, return_inverse=True)
+    rows = family.vectors
+    return _solve_frame_operator(rows, bounds, operator, rows[firsts].T), index
 
 
 def exponential_family(spec):
@@ -308,7 +327,7 @@ def densify_gabor_frame(base, counts, *, seed=0):
     Returns the emitted family and a report with the worst distances
     actually realized.
     """
-    fam, bounds = _base_frame(base)
+    fam, bounds, _ = _base_frame(base)
     if not bounds.is_frame:
         raise NotAFrameError("the base Gabor system must be a frame")
     sizes = [int(k) for k in counts]
@@ -321,15 +340,16 @@ def densify_gabor_frame(base, counts, *, seed=0):
     if len(sizes) > len(base):
         raise PreconditionError("more cluster sizes than base elements")
 
-    duals = _canonical_dual(fam, False, bounds)
-    dual_norms = np.linalg.norm(duals.vectors, axis=1)
-    sup_dual = float(dual_norms.max())
     length = base.length
+    solved, index = _distinct_duals(base)
+    # a column's norm is summed in the order a full solve's row norm is
+    dual_norms = np.linalg.norm(solved, axis=0)
+    sup_dual = float(dual_norms.max())
     root_length = math.sqrt(length)
     window = base.window
 
     used = set()
-    emitted_rows = []
+    cluster_rows = []
     emitted_shifts = []
     emitted_weights = []
     param_caps = []
@@ -365,26 +385,27 @@ def densify_gabor_frame(base, counts, *, seed=0):
         worst_param.append(max(c[2] for c in chosen))
         worst_vector.append(max(c[3] for c in chosen))
         for pair, cand, _, _ in chosen:
-            emitted_rows.append(cand)
+            cluster_rows.append(cand)
             emitted_shifts.append(pair)
             emitted_weights.append(1.0 / k_n)
 
-    for m in range(len(sizes), len(base)):
-        emitted_rows.append(fam.vectors[m])
-        emitted_shifts.append(base.shifts[m])
-        emitted_weights.append(1.0)
-
-    rows = np.array(emitted_rows)
+    # the remaining base elements pass through as they are
+    lead = len(sizes)
+    labels = [f"{a},{b}" for a, b in emitted_shifts] + list(fam.labels[lead:])
+    emitted_shifts += base.shifts[lead:]
+    emitted_weights += [1.0] * (len(base) - lead)
+    rows = np.concatenate([np.array(cluster_rows), fam.vectors[lead:]])
     # S = sum over emitted copies of weight * copy (x) dual of its source
     mixed = np.zeros((length, length), dtype=complex)
     pos = 0
     for n, k_n in enumerate(sizes, start=1):
         block = rows[pos : pos + k_n]
-        mixed += block.sum(axis=0)[:, None] * np.conj(duals.vectors[n - 1])[None, :] / k_n
+        mixed += block.sum(axis=0)[:, None] * np.conj(solved[:, index[n - 1]])[None, :] / k_n
         pos += k_n
     tail = rows[pos:]
     if tail.size:
-        mixed += tail.T @ np.conj(duals.vectors[len(sizes) :])
+        # gathered as the F-ordered (rows, L) transpose that a full solve gives
+        mixed += tail.T @ np.take(np.conj(solved), index[lead:], axis=1).T
     deviation = float(np.linalg.norm(mixed - np.eye(length), ord=2))
     if deviation >= 1.0:
         raise PreconditionError(
@@ -392,7 +413,7 @@ def densify_gabor_frame(base, counts, *, seed=0):
             "the construction does not certify invertibility"
         )
 
-    family = VectorFamily(rows, labels=[f"{a},{b}" for a, b in emitted_shifts])
+    family = VectorFamily(rows, labels=labels)
     report = DensificationReport(
         operator_deviation=deviation,
         cluster_sizes=tuple(sizes),

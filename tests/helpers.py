@@ -171,6 +171,102 @@ def roll_gabor_rows(spec):
     return rows
 
 
+def reference_gabor_duals(spec):
+    """Canonical duals of the Gabor family of spec from one solve over all of its rows.
+
+    This is the dual step densify_gabor_frame took before it solved each
+    distinct shift pair once: the frame operator formed again and every row,
+    repeats included, a right-hand side.  The result is F-ordered, the
+    transpose of the solver's C-ordered output.
+    """
+    from framex.frames import _canonical_dual, frame_bounds
+    from framex.timefreq import gabor_family
+
+    family = gabor_family(spec)
+    return _canonical_dual(family, False, frame_bounds(family), None).vectors
+
+
+# densify_gabor_frame as it was before each distinct shift pair was solved
+# once: the duals of reference_gabor_duals, their row norms, the rows
+# appended one at a time.  Kept as the oracle of its report.
+def reference_densify_gabor_frame(base, counts, seed=0):
+    from framex.timefreq import (
+        DensificationReport,
+        _spiral_offsets,
+        gabor_family,
+        modulate,
+        translate,
+    )
+
+    fam = gabor_family(base)
+    sizes = [int(k) for k in counts]
+    duals = reference_gabor_duals(base)
+    dual_norms = np.linalg.norm(duals, axis=1)
+    sup_dual = float(dual_norms.max())
+    length = base.length
+    root_length = math.sqrt(length)
+    used = set()
+    emitted_rows, emitted_shifts, emitted_weights = [], [], []
+    param_caps, vector_caps, worst_param, worst_vector = [], [], [], []
+    for n, k_n in enumerate(sizes, start=1):
+        a0, b0 = base.shifts[n - 1]
+        base_vec = fam.vectors[n - 1]
+        cap_vec = 1.0 / (4**n * sup_dual)
+        param_caps.append(root_length / n)
+        vector_caps.append(cap_vec)
+        chosen = []
+        for da, db in _spiral_offsets(length, n * n, seed, n):
+            pair = ((a0 + da) % length, (b0 + db) % length)
+            if pair in used:
+                continue
+            cand = modulate(translate(base.window, pair[0]), pair[1]).samples
+            dist = float(np.linalg.norm(cand - base_vec))
+            if dist >= cap_vec:
+                continue
+            used.add(pair)
+            chosen.append((pair, cand, math.hypot(da, db) / root_length, dist))
+            if len(chosen) == k_n:
+                break
+        assert len(chosen) == k_n, "the reference run needs a fine enough grid"
+        worst_param.append(max(c[2] for c in chosen))
+        worst_vector.append(max(c[3] for c in chosen))
+        for pair, cand, _, _ in chosen:
+            emitted_rows.append(cand)
+            emitted_shifts.append(pair)
+            emitted_weights.append(1.0 / k_n)
+    for m in range(len(sizes), len(base)):
+        emitted_rows.append(fam.vectors[m])
+        emitted_shifts.append(base.shifts[m])
+        emitted_weights.append(1.0)
+    rows = np.array(emitted_rows)
+    mixed = np.zeros((length, length), dtype=complex)
+    pos = 0
+    for n, k_n in enumerate(sizes, start=1):
+        block = rows[pos : pos + k_n]
+        mixed += block.sum(axis=0)[:, None] * np.conj(duals[n - 1])[None, :] / k_n
+        pos += k_n
+    tail = rows[pos:]
+    if tail.size:
+        mixed += tail.T @ np.conj(duals[len(sizes) :])
+    deviation = float(np.linalg.norm(mixed - np.eye(length), ord=2))
+    family = VectorFamily(rows, labels=[f"{a},{b}" for a, b in emitted_shifts])
+    report = DensificationReport(
+        operator_deviation=deviation,
+        cluster_sizes=tuple(sizes),
+        parameter_caps=tuple(param_caps),
+        vector_caps=tuple(vector_caps),
+        parameter_distances=tuple(worst_param),
+        vector_distances=tuple(worst_vector),
+        dual_norm_sup=sup_dual,
+        weights_nonzero=bool(np.all(dual_norms > 0.0)),
+        base_count=len(base),
+        emitted_count=len(emitted_shifts),
+        shifts=tuple(emitted_shifts),
+        weights=tuple(emitted_weights),
+    )
+    return family, report
+
+
 # The block planner framex.extraction.plan used before each chain member was
 # orthogonalized once: every boundary step re-scans all earlier members, and
 # a final pass re-scans every member.  Kept as plan's oracle.

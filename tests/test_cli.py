@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -301,6 +302,19 @@ def test_extract_generic_weights(tmp_path):
     assert max(cert["levels"] for cert in results["certificates"] if cert) == 26
 
 
+def test_extract_reports_a_total_past_sys_maxsize(tmp_path):
+    vectors = np.random.default_rng(1596626).normal(size=(4, 4))
+    payload = {"dim": 4, "field": "real", "vectors": vectors.tolist(),
+               "scalars": [1.5, 1.0, 1.0, 1.0]}
+    code, report, _ = run_cli(tmp_path, "extract", payload)
+    assert code == 0
+    results = report["results"]
+    total = sum(results["multiplicity"].values())
+    assert total > sys.maxsize
+    assert type(results["total"]) is int and results["total"] == total
+    assert results["mult_ok"]
+
+
 def test_selector_rejects_zero_restarts(tmp_path):
     code, report, _ = run_cli(
         tmp_path,
@@ -418,6 +432,25 @@ def test_density_rejects_a_centre_grid_too_large_to_index(tmp_path):
     assert code == 2
     assert report["error"]["type"] == "PreconditionError"
     assert "8e+140^1 centres" in report["error"]["message"]
+    assert "results" not in report
+
+
+@pytest.mark.parametrize(
+    "payload,radius,message",
+    [
+        ({"ambient_dim": 1, "points": [[0.0], [1e299], [-1e299], [5e299]], "extent": 1e300},
+         "2e299", "radius 2e+299 squares beyond the float range"),
+        ({"ambient_dim": 2, "points": [[0.0, 0.0], [1e299, 0.0]], "extent": 1e300},
+         "2e299", "the volume of the 2-ball of radius 2e+299 is beyond the float range"),
+        ({"ambient_dim": 3, "points": [[0.0, 0.0, 0.0]], "extent": 1e300},
+         "1e120", "the volume of the 3-ball of radius 1e+120 is beyond the float range"),
+    ],
+    ids=["1d-square", "2d-volume", "3d-volume"],
+)
+def test_density_rejects_a_radius_beyond_the_float_range(tmp_path, payload, radius, message):
+    code, report, _ = run_cli(tmp_path, "density", payload, "--param", f"radii={radius}")
+    assert code == 2
+    assert report["error"] == {"type": "PreconditionError", "message": message}
     assert "results" not in report
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from framex import cli, gaussian_window, timefreq
+from framex import cli, frames, gaussian_window, timefreq
 from framex.errors import InputFormatError
 
 from test_cli import mercedes_payload, run_cli, scaled_basis_payload, window_payload, write_json
@@ -397,7 +397,7 @@ def test_analyze_rejects_complex_entry_beyond_float_range(tmp_path):
 
 
 def test_construct45_builds_the_base_family_once(tmp_path, monkeypatch):
-    calls = {"gabor_family": 0, "frame_bounds": 0}
+    calls = {"gabor_family": 0, "_frame_bounds": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -407,20 +407,64 @@ def test_construct45_builds_the_base_family_once(tmp_path, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(timefreq, "gabor_family", counted("gabor_family", timefreq.gabor_family))
-    monkeypatch.setattr(timefreq, "frame_bounds", counted("frame_bounds", timefreq.frame_bounds))
+    monkeypatch.setattr(
+        timefreq, "_frame_bounds", counted("_frame_bounds", timefreq._frame_bounds)
+    )
     code, report, _ = run_cli(tmp_path, "construct45", window_payload(8), "--param", "counts=1,2")
     assert code == 0
-    assert calls == {"gabor_family": 1, "frame_bounds": 1}
+    assert calls == {"gabor_family": 1, "_frame_bounds": 1}
     assert report["results"]["base_count"] == 128
+
+
+def count_calls(monkeypatch, owner, name):
+    """Patch owner.name to record the shapes of its arguments, call by call."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(tuple(np.shape(a) for a in args))
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_construct45_solves_each_distinct_shift_once_against_one_gram(tmp_path, monkeypatch):
+    solves = count_calls(monkeypatch, np.linalg, "solve")
+    grams = count_calls(monkeypatch, frames, "_gram")
+    params = ("--param", "counts=1,2", "--param", "copies=3")
+    code, report, _ = run_cli(tmp_path, "construct45", window_payload(8), *params)
+    assert code == 0
+    assert report["results"]["base_count"] == 3 * 64
+    # one right-hand side per distinct shift pair of Z_8^2, in one solve
+    assert solves == [((8, 8), (8, 64))]
+    # one Gram product for the base family and one for the emitted one
+    assert grams == [((3 * 64, 8),), ((3 * 64 + 1, 8),)]
+
+
+@pytest.mark.parametrize("command", ["analyze", "dual"])
+def test_analyze_and_dual_form_one_gram(tmp_path, monkeypatch, command):
+    grams = count_calls(monkeypatch, frames, "_gram")
+    code, report, _ = run_cli(tmp_path, command, mercedes_payload())
+    assert code == 0
+    assert grams == [((3, 2),)]
+    # a family frame_bounds has to scale first: the operator is formed as given
+    grams.clear()
+    tiny = {"dim": 2, "field": "real", "vectors": [[1e-150, 0.0], [0.0, 1e-150]]}
+    code, report, _ = run_cli(tmp_path, command, tiny)
+    assert code == 0
+    assert report["results"]["frame"]["lower"] == pytest.approx(1e-300)
+    assert grams == [((2, 2),)] * 3
 
 
 def test_densify_reuses_the_spec_base_frame():
     spec = timefreq.GaborSpec(gaussian_window(16), timefreq.full_lattice_shifts(16))
-    family, bounds = timefreq._base_frame(spec)
+    family, bounds, operator = timefreq._base_frame(spec)
     assert timefreq._base_frame(spec)[0] is family
     emitted, report = timefreq.densify_gabor_frame(spec, [1, 2])
     assert report.base_count == len(family) == 256
     assert timefreq._base_frame(spec)[1] is bounds
+    assert timefreq._base_frame(spec)[2] is operator
 
 
 def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):

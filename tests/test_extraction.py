@@ -1,6 +1,7 @@
 """Tests for frame extraction from rescalable families."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from framex import (
     rank_one,
 )
 import framex.extraction as extraction
+import framex.frames as frames
 from framex.errors import NotAFrameError, PreconditionError
 from framex.extraction import _SNAP_TOL, ENVELOPE_SLACK, _snap_weight, _threshold, _within_cap, plan
 
@@ -285,6 +287,20 @@ def test_extract_random_real_weights(dim, extra, seed, data):
     assert_certified(fam, extract(fam))
 
 
+def test_extract_multiplicity_total_past_sys_maxsize():
+    # a family test_extract_random_real_weights can draw: A is about 8.1e-7
+    # and B about 34, so beta is 60 and the total multiplicity is about 2^65
+    vectors = np.random.default_rng(1596626).normal(size=(4, 4))
+    fam = VectorFamily(vectors, scalars=[1.5, 1.0, 1.0, 1.0])
+    res = extract(fam)
+    assert_certified(fam, res)
+    assert res.plan.beta == 60
+    total = sum(res.sigma.multiplicity.values())
+    assert total > sys.maxsize
+    with pytest.raises(OverflowError):
+        len(res.sigma)
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=PreconditionError,
@@ -311,6 +327,15 @@ def test_equivalence_b_to_a_with_scalars():
     # scalars fold into the coefficient duals so reconstruction uses x_n itself
     out = equivalence_b_to_a(VectorFamily(np.eye(2)), scalars=[2.0, 1.0])
     assert np.allclose(out.vectors, np.eye(2))
+
+
+def test_equivalence_b_to_a_forms_one_gram(monkeypatch):
+    shapes = []
+    gram = frames._gram
+    monkeypatch.setattr(frames, "_gram", lambda w: (shapes.append(w.shape), gram(w))[1])
+    out = equivalence_b_to_a(VectorFamily(np.eye(2)), scalars=[2.0, 1.0])
+    assert np.allclose(out.vectors, np.eye(2))
+    assert shapes == [(2, 2)]
 
 
 def test_equivalence_c_check():

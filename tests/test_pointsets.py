@@ -33,6 +33,18 @@ def test_ball_volume_guards():
         ball_volume(2, -1.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ball_volume_beyond_the_float_range():
+    with pytest.raises(PreconditionError, match="2-ball of radius 1e\\+200"):
+        ball_volume(2, 1e200)
+    # r^2 is finite here, pi r^2 is not
+    with pytest.raises(PreconditionError, match="2-ball of radius"):
+        ball_volume(2, 1.3e154)
+    with pytest.raises(PreconditionError, match="3-ball of radius 1e\\+120"):
+        ball_volume(3, 1e120)
+    assert ball_volume(2, 1e150) == pytest.approx(math.pi * 1e300)
+
+
 def test_pointset_shapes():
     ps = PointSet([1.0, 2.0], 3.0)
     assert ps.ambient_dim == 1
@@ -385,6 +397,26 @@ def test_multiset_window_counts_equal_the_expanded_set():
     for radius, step in ((1.0, 0.25), (2.5, 0.3), (3.0, 0.7)):
         assert_scans_match_oracle(ps, radius, step)
     assert uniformly_discrete(ps) == (False, 0.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_density_rejects_a_radius_beyond_the_float_range():
+    # r^2 would be inf, and every window would count every point
+    ps = PointSet([[0.0], [1e299], [-1e299], [5e299]], 1e300)
+    with pytest.raises(PreconditionError, match="radius 2e\\+299 squares beyond"):
+        density(ps, [2e299], 1e299)
+    with pytest.raises(PreconditionError, match="2-ball of radius 2e\\+299"):
+        density(PointSet([[0.0, 0.0], [1e299, 0.0]], 1e300), [2e299])
+    # r^2 is finite, the window's cap r^2 (1 + 1e-12) is not
+    radius = math.sqrt(1.797693134862e308)
+    with pytest.raises(PreconditionError, match="radius 1.34078e\\+154 squares beyond"):
+        density(PointSet([[0.0]], 1e155), [radius], 1e153)
+    # r^2 is finite, r^3 is not
+    with pytest.raises(PreconditionError, match="3-ball of radius 1e\\+120"):
+        density(PointSet([[0.0, 0.0, 0.0]], 1e300), [1e120])
+    # the largest radius whose square is finite still scans
+    est = density(PointSet([[0.0], [1e150]], 4e150), [1e150], 1e149)
+    assert est.upper == pytest.approx(2.0 / 2e150)
 
 
 def test_density_rejects_a_centre_grid_too_large_to_index():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import roll_gabor_rows
+from helpers import reference_densify_gabor_frame, reference_gabor_duals, roll_gabor_rows
 
 from framex import (
     CyclicSignal,
@@ -19,6 +19,7 @@ from framex import (
     gabor_family,
     gaussian_window,
     modulate,
+    timefreq,
     translate,
 )
 from framex.errors import (
@@ -248,6 +249,82 @@ def test_densify_growing_clusters():
     # cluster shift pairs are pairwise distinct
     cluster = rep.shifts[:7]
     assert len(set(cluster)) == 7
+
+
+def construct45_spec(length, clusters, copies):
+    """The base system of the construct45 command: leads first, then the lattice."""
+    leads = [(length // 2, (k * length) // clusters) for k in range(clusters)]
+    lattice = list(full_lattice_shifts(length))
+    rest = [p for p in lattice if p not in set(leads)]
+    return GaborSpec(gaussian_window(length), leads + rest + lattice * (copies - 1))
+
+
+def shuffled_spec(length, copies, seed):
+    """copies shuffled lattices, then a random tail of repeated pairs."""
+    rng = np.random.default_rng(seed)
+    lattice = list(full_lattice_shifts(length)) * copies
+    shifts = [lattice[i] for i in rng.permutation(len(lattice))]
+    shifts += [lattice[i] for i in rng.integers(0, len(lattice), size=length)]
+    return GaborSpec(gaussian_window(length), shifts)
+
+
+def float_bits(a):
+    """The bit patterns of a float or complex array; a view, so strides are kept."""
+    a = np.asarray(a)
+    parts = (a.real, a.imag) if np.iscomplexobj(a) else (a,)
+    return [p.view(np.uint64) for p in parts]
+
+
+def assert_same_bits_and_layout(actual, expected):
+    assert actual.shape == expected.shape
+    assert actual.strides == expected.strides
+    assert actual.flags.c_contiguous == expected.flags.c_contiguous
+    assert actual.flags.f_contiguous == expected.flags.f_contiguous
+    for a, e in zip(float_bits(actual), float_bits(expected)):
+        assert np.array_equal(a, e)
+
+
+@pytest.mark.parametrize("copies", [1, 2, 3])
+@pytest.mark.parametrize("length", [8, 16, 32, 48, 64])
+def test_distinct_duals_equal_a_full_solve(length, copies):
+    for spec in (construct45_spec(length, 4, copies), shuffled_spec(length, copies, length + copies)):
+        solved, index = timefreq._distinct_duals(spec)
+        assert solved.shape == (length, len(set(spec.shifts)))
+        assert [spec.shifts[i] for i in np.unique(index, return_index=True)[1]] == sorted(
+            set(spec.shifts)
+        )
+        reference = reference_gabor_duals(spec)
+        # the gather densify_gabor_frame makes keeps a full solve's F order
+        assert_same_bits_and_layout(np.take(solved, index, axis=1).T, reference)
+        lead = 4
+        assert_same_bits_and_layout(
+            np.take(np.conj(solved), index[lead:], axis=1).T, np.conj(reference[lead:])
+        )
+        # the norms of the distinct columns are a full solve's row norms
+        norms = np.linalg.norm(solved, axis=0)[index]
+        assert_same_bits_and_layout(norms, np.linalg.norm(reference, axis=1))
+
+
+@pytest.mark.parametrize(
+    "spec,counts,seed",
+    [
+        (quadrupled_spec(), (1, 2, 4), 0),
+        (quadrupled_spec(), (1, 1, 1), 3),
+        (construct45_spec(32, 3, 2), (1, 2, 4), 7),
+        (construct45_spec(64, 4, 2), (1, 2, 4, 8), 8),
+        (shuffled_spec(16, 3, 1), (1, 2), 2),
+    ],
+    ids=["L16-x4", "L16-trivial", "L32-x2", "L64-x2", "L16-shuffled"],
+)
+def test_densify_equals_the_reference_run(spec, counts, seed):
+    family, report = densify_gabor_frame(spec, counts, seed=seed)
+    ref_family, ref_report = reference_densify_gabor_frame(spec, counts, seed=seed)
+    for field in dataclasses.fields(report):
+        value, expected = getattr(report, field.name), getattr(ref_report, field.name)
+        assert type(value) is type(expected), field.name
+        assert value == expected, field.name
+    assert_same_bits_and_layout(family.vectors, ref_family.vectors)
+    assert family.labels == ref_family.labels
 
 
 def test_densify_is_deterministic():
