@@ -42,14 +42,7 @@ import numpy as np
 from . import __version__, pointsets, sampling, selectors
 from .errors import BudgetExceededError, InputFormatError, PreconditionError
 from .extraction import extract
-from .frames import (
-    VectorFamily,
-    _canonical_dual,
-    _frame_bounds,
-    classify,
-    frame_bounds,
-    frame_operator,
-)
+from .frames import VectorFamily, canonical_dual, classify, frame_bounds, frame_operator
 from .linalg import Projection, rank_one
 from .pointsets import PointSet, density, uniformly_discrete
 from .sampling import sample
@@ -57,7 +50,6 @@ from .selectors import best_selector, natural_max_order
 from .timefreq import (
     CyclicSignal,
     GaborSpec,
-    _base_frame,
     densify_gabor_frame,
     full_lattice_shifts,
     gabor_family,
@@ -389,15 +381,12 @@ def _encode_family(family):
 def _cmd_analyze(payload, params, seed):
     family = parse_family(payload)
     use_scalars = _use_scalars(family, params)
-    report, op = _frame_bounds(family, use_scalars)
-    if op is None:
-        op = frame_operator(family, use_scalars)
     return {
         "count": len(family),
         "dim": family.dim,
         "use_scalars": use_scalars,
-        "frame": report,
-        "spectrum": op.eigenvalues,
+        "frame": frame_bounds(family, use_scalars),
+        "spectrum": frame_operator(family, use_scalars).eigenvalues,
     }
 
 
@@ -417,8 +406,8 @@ def _cmd_classify(payload, params, seed):
 def _cmd_dual(payload, params, seed):
     family = parse_family(payload)
     use_scalars = _use_scalars(family, params)
-    report, op = _frame_bounds(family, use_scalars)
-    duals = _canonical_dual(family, use_scalars, report, op)
+    report = frame_bounds(family, use_scalars)
+    duals = canonical_dual(family, use_scalars)
     probes = _param_int(params, "probes", 25)
     if probes < 1:
         raise PreconditionError(f"probes must be at least 1, got {probes}")
@@ -593,7 +582,7 @@ def _cmd_construct45(payload, params, seed):
     lead_set = set(leads)
     rest = [p for p in lattice if p not in lead_set]
     spec = GaborSpec(window, leads + rest + lattice * (copies - 1))
-    base_report = _base_frame(spec)[1]  # densify_gabor_frame reuses it
+    base_report = frame_bounds(gabor_family(spec))  # densify_gabor_frame reuses it
     family, report = densify_gabor_frame(spec, counts, seed=seed)
     return {
         "length": length,

@@ -26,14 +26,7 @@ from .errors import (
     NotAFrameError,
     PreconditionError,
 )
-from .frames import (
-    VectorFamily,
-    FrameReport,
-    _canonical_dual,
-    _frame_bounds,
-    _unit_probes,
-    frame_bounds,
-)
+from .frames import VectorFamily, FrameReport, _unit_probes, canonical_dual, frame_bounds
 from .linalg import NUMERIC_TOL, RANK_DROP_TOL, Projection, _extend_span, rank_one
 from .sampling import SANDWICH_TOL, SamplingFunction, sample
 from .selectors import (
@@ -406,8 +399,8 @@ def equivalence_b_to_a(family, scalars=None):
     fam = family if isinstance(family, VectorFamily) else VectorFamily(family)
     if scalars is not None:
         fam = VectorFamily(fam.vectors, scalars=scalars, labels=fam.labels)
-    report, op = _frame_bounds(fam, True)
-    duals = _canonical_dual(fam, True, report, op)
+    report = frame_bounds(fam, True)
+    duals = canonical_dual(fam, True)
     if fam.scalars is None:
         scal = np.ones(len(fam), dtype=fam.vectors.dtype)
     else:

@@ -39,10 +39,11 @@ class VectorFamily:
 
     Vectors are rows of a 2d array.  Scalars are per-vector weights used by
     rescaling routines; complex scalars are only permitted when the ambient
-    space is complex.
+    space is complex.  A family is immutable, so it forms its frame once per
+    use_scalars: frame_bounds, frame_operator and canonical_dual share it.
     """
 
-    __slots__ = ("_vectors", "_scalars", "_labels")
+    __slots__ = ("_vectors", "_scalars", "_labels", "_frames")
 
     def __init__(self, vectors, scalars=None, labels=None):
         v = np.asarray(vectors)
@@ -80,6 +81,7 @@ class VectorFamily:
                     f"{len(labels)} labels for {v.shape[0]} vectors"
                 )
         self._labels = labels
+        self._frames = {}
 
     @property
     def vectors(self) -> np.ndarray:
@@ -165,8 +167,13 @@ def _gram(w: np.ndarray) -> np.ndarray:
 def frame_operator(family, use_scalars: bool = False) -> PsdOperator:
     """S = sum of rank-one operators of the (optionally rescaled) vectors.
 
-    Raises PreconditionError when S overflows the float range.
+    A VectorFamily whose frame_bounds already formed S returns that
+    operator.  Raises PreconditionError when S overflows the float range.
     """
+    if isinstance(family, VectorFamily):
+        operator = family._frames.get(bool(use_scalars), (None, None))[1]
+        if operator is not None:
+            return operator
     s = _gram(_family_matrix(family, use_scalars))
     if not np.isfinite(s).all():
         raise PreconditionError("frame operator is not finite: entries overflow the float range")
@@ -225,7 +232,20 @@ def frame_bounds(family, use_scalars: bool = False) -> FrameReport:
     Runs a seeded probe self-check: for random unit x the analysis energy
     sum |<x, x_n>|^2 must fall inside [A - tol, B + tol].
     """
-    return _frame_bounds(family, use_scalars)[0]
+    return _frame(family, use_scalars)[0]
+
+
+def _frame(family, use_scalars: bool) -> tuple[FrameReport, PsdOperator | None]:
+    """_frame_bounds(family, use_scalars), formed once per VectorFamily and key.
+
+    Raw arrays are bounded on every call, and a call that raises stores nothing.
+    """
+    if not isinstance(family, VectorFamily):
+        return _frame_bounds(family, use_scalars)
+    key = bool(use_scalars)
+    if key not in family._frames:
+        family._frames[key] = _frame_bounds(family, key)
+    return family._frames[key]
 
 
 def _frame_bounds(family, use_scalars: bool) -> tuple[FrameReport, PsdOperator | None]:
@@ -280,32 +300,16 @@ def canonical_dual(family: VectorFamily, use_scalars: bool = False) -> VectorFam
 
     With use_scalars the dual of the rescaled family {c_n x_n} is returned.
     """
-    return _canonical_dual(family, use_scalars, *_frame_bounds(family, use_scalars))
-
-
-def _canonical_dual(family, use_scalars: bool, report: FrameReport, operator) -> VectorFamily:
-    """canonical_dual for a caller already holding _frame_bounds(family, use_scalars)."""
-    w = _family_matrix(family, use_scalars)
-    duals = _solve_frame_operator(w, report, operator, w.T).T
-    labels = family.labels if isinstance(family, VectorFamily) else None
-    return VectorFamily(duals, labels=labels)
-
-
-def _solve_frame_operator(w, report: FrameReport, operator, rhs) -> np.ndarray:
-    """S^-1 rhs for the frame operator S of the rows of w.
-
-    report and operator are _frame_bounds(w); S is formed again only when
-    operator is None.  LAPACK solves each column of rhs on its own, so a
-    column's solution does not depend on the other columns.
-    """
+    report = frame_bounds(family, use_scalars)
     if not report.is_frame:
         raise NotAFrameError(
             f"canonical dual needs a frame; lower bound {report.lower:.3e} "
             f"is below {FRAME_TOL_FACTOR:.0e} * {report.upper:.3e}"
         )
-    if operator is None:
-        operator = frame_operator(w)
-    return np.linalg.solve(operator.matrix, rhs)
+    w = _family_matrix(family, use_scalars)
+    duals = np.linalg.solve(frame_operator(family, use_scalars).matrix, w.T).T
+    labels = family.labels if isinstance(family, VectorFamily) else None
+    return VectorFamily(duals, labels=labels)
 
 
 def classify(family: VectorFamily, use_scalars: bool = False) -> Classification:
@@ -316,7 +320,7 @@ def classify(family: VectorFamily, use_scalars: bool = False) -> Classification:
     drowns below the frame tolerance is labeled rescalable and flagged.
     """
     w = _family_matrix(family, use_scalars)
-    report = frame_bounds(w)
+    report = frame_bounds(family, use_scalars)
     spanning = project_onto(list(w)).rank == w.shape[1]
     if report.is_riesz_basis:
         label = "riesz_basis"

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridTooCoarseError, NotAFrameError, PreconditionError
-from .frames import VectorFamily, _frame_bounds, _solve_frame_operator
+from .frames import VectorFamily, frame_bounds, frame_operator
 
 __all__ = [
     "CyclicSignal",
@@ -81,20 +81,24 @@ def _character_table(length):
 
 
 def translate(f, a):
-    """Cyclic time shift: (T_a f)(t) = f(t - a)."""
+    """Cyclic time shift: (T_a f)(t) = f(t - a).
+
+    a is an integer; a bool or a non-integral number raises PreconditionError.
+    """
     f = _as_signal(f)
-    return CyclicSignal(np.roll(f.samples, int(a) % f.length))
+    return CyclicSignal(np.roll(f.samples, _integral_shift(a) % f.length))
 
 
 def modulate(f, b):
     """Frequency shift: (M_b f)(t) = e^{2 pi i b t / L} f(t).
 
-    The character exponent is reduced mod L in integer arithmetic, so
-    equal frequencies always produce bit-identical phase factors.
+    b is an integer, as for translate.  The character exponent is reduced
+    mod L in integer arithmetic, so equal frequencies always produce
+    bit-identical phase factors.
     """
     f = _as_signal(f)
     length = f.length
-    idx = (np.arange(length) * (int(b) % length)) % length
+    idx = (np.arange(length) * (_integral_shift(b) % length)) % length
     return CyclicSignal(f.samples * _character_table(length)[idx])
 
 
@@ -119,7 +123,7 @@ class GaborSpec:
     repeated elements in the generated family.
     """
 
-    __slots__ = ("_window", "_shifts", "_frame")
+    __slots__ = ("_window", "_shifts", "_family")
 
     def __init__(self, window, shifts):
         self._window = _as_signal(window)
@@ -132,7 +136,7 @@ class GaborSpec:
         if not pairs:
             raise PreconditionError("a Gabor spec needs at least one shift pair")
         self._shifts = tuple(pairs)
-        self._frame = None
+        self._family = None
 
     @property
     def window(self):
@@ -195,7 +199,13 @@ def full_lattice_shifts(length):
 
 
 def gabor_family(spec):
-    """Realize M_b T_a window for every shift pair, in input order."""
+    """Realize M_b T_a window for every shift pair, in input order.
+
+    The family is built once per spec and returned on every later call, so
+    it forms its frame once too.
+    """
+    if spec._family is not None:
+        return spec._family
     window = spec.window
     if window.norm == 0.0:
         raise PreconditionError("the Gabor window must be nonzero")
@@ -207,18 +217,8 @@ def gabor_family(spec):
     rows = window.samples[(t - shifts[:, :1]) % length]
     rows *= _character_table(length)[(t * shifts[:, 1:]) % length]
     labels = [f"{a},{b}" for a, b in spec.shifts]
-    return VectorFamily(rows, labels=labels)
-
-
-def _base_frame(spec):
-    """The Gabor family of spec, its frame bounds and frame operator, built once per spec.
-
-    The operator is None when frame_bounds had to scale the family first.
-    """
-    if spec._frame is None:
-        family = gabor_family(spec)
-        spec._frame = (family, *_frame_bounds(family, False))
-    return spec._frame
+    spec._family = VectorFamily(rows, labels=labels)
+    return spec._family
 
 
 def _distinct_duals(spec):
@@ -229,12 +229,12 @@ def _distinct_duals(spec):
     right-hand side on its own, so every column equals the one a solve
     over all rows gives, bit for bit.
     """
-    family, bounds, operator = _base_frame(spec)
+    family = gabor_family(spec)
     length = spec.length
     codes = np.fromiter((a * length + b for a, b in spec.shifts), np.intp, len(spec))
     _, firsts, index = np.unique(codes, return_index=True, return_inverse=True)
     rows = family.vectors
-    return _solve_frame_operator(rows, bounds, operator, rows[firsts].T), index
+    return np.linalg.solve(frame_operator(family).matrix, rows[firsts].T), index
 
 
 def exponential_family(spec):
@@ -327,8 +327,8 @@ def densify_gabor_frame(base, counts, *, seed=0):
     Returns the emitted family and a report with the worst distances
     actually realized.
     """
-    fam, bounds, _ = _base_frame(base)
-    if not bounds.is_frame:
+    fam = gabor_family(base)
+    if not frame_bounds(fam).is_frame:
         raise NotAFrameError("the base Gabor system must be a frame")
     sizes = [int(k) for k in counts]
     if not sizes:

@@ -179,11 +179,11 @@ def reference_gabor_duals(spec):
     repeats included, a right-hand side.  The result is F-ordered, the
     transpose of the solver's C-ordered output.
     """
-    from framex.frames import _canonical_dual, frame_bounds
+    from framex.frames import frame_operator
     from framex.timefreq import gabor_family
 
-    family = gabor_family(spec)
-    return _canonical_dual(family, False, frame_bounds(family), None).vectors
+    rows = gabor_family(spec).vectors
+    return np.linalg.solve(frame_operator(rows).matrix, rows.T).T
 
 
 # densify_gabor_frame as it was before each distinct shift pair was solved

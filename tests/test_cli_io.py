@@ -397,23 +397,21 @@ def test_analyze_rejects_complex_entry_beyond_float_range(tmp_path):
 
 
 def test_construct45_builds_the_base_family_once(tmp_path, monkeypatch):
-    calls = {"gabor_family": 0, "_frame_bounds": 0}
+    built = count_calls(monkeypatch, timefreq, "VectorFamily")
+    bounded = []
+    bounds = frames._frame_bounds
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+    def counted(family, use_scalars):
+        bounded.append(len(family))
+        return bounds(family, use_scalars)
 
-        return wrapper
-
-    monkeypatch.setattr(timefreq, "gabor_family", counted("gabor_family", timefreq.gabor_family))
-    monkeypatch.setattr(
-        timefreq, "_frame_bounds", counted("_frame_bounds", timefreq._frame_bounds)
-    )
+    monkeypatch.setattr(frames, "_frame_bounds", counted)
     code, report, _ = run_cli(tmp_path, "construct45", window_payload(8), "--param", "counts=1,2")
     assert code == 0
-    assert calls == {"gabor_family": 1, "_frame_bounds": 1}
     assert report["results"]["base_count"] == 128
+    # the base family and the emitted one, each built and bounded once
+    assert [shapes[0] for shapes in built] == [(128, 8), (129, 8)]
+    assert bounded == [128, 129]
 
 
 def count_calls(monkeypatch, owner, name):
@@ -459,12 +457,15 @@ def test_analyze_and_dual_form_one_gram(tmp_path, monkeypatch, command):
 
 def test_densify_reuses_the_spec_base_frame():
     spec = timefreq.GaborSpec(gaussian_window(16), timefreq.full_lattice_shifts(16))
-    family, bounds, operator = timefreq._base_frame(spec)
-    assert timefreq._base_frame(spec)[0] is family
+    family = timefreq.gabor_family(spec)
+    assert timefreq.gabor_family(spec) is family
+    bounds = frames.frame_bounds(family)
+    operator = frames.frame_operator(family)
     emitted, report = timefreq.densify_gabor_frame(spec, [1, 2])
     assert report.base_count == len(family) == 256
-    assert timefreq._base_frame(spec)[1] is bounds
-    assert timefreq._base_frame(spec)[2] is operator
+    assert timefreq.gabor_family(spec) is family
+    assert frames.frame_bounds(family) is bounds
+    assert frames.frame_operator(family) is operator
 
 
 def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):

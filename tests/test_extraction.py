@@ -197,6 +197,27 @@ def test_extract_orthonormal_basis():
     assert res.plan.identity_defect <= 1e-12
 
 
+def test_extract_doubles_the_constant_for_a_large_upper_bound(monkeypatch):
+    # B = 10^6: the selector constant 38.01 leaves no admissible exponent
+    # until it has doubled twice
+    refused = []
+    exponent = extraction.scale_exponent
+
+    def counted(epsilon, constant, delta):
+        try:
+            return exponent(epsilon, constant, delta)
+        except extraction.NoAdmissibleExponentError:
+            refused.append(constant)
+            raise
+
+    monkeypatch.setattr(extraction, "scale_exponent", counted)
+    result = extract(VectorFamily(1000.0 * np.eye(2)))
+    base = extraction.selector_constant(1e-6, extraction.natural_max_order(1e-6))
+    assert base == pytest.approx(38.011, abs=1e-3)
+    assert refused == [base, 2.0 * base]
+    assert result.mult_ok
+
+
 def test_extract_rescalable_family(rng):
     fam = rescalable_fixture(rng, 5)
     res = extract(fam)

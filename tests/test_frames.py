@@ -16,6 +16,7 @@ from framex import (
     frame_bounds,
     frame_operator,
 )
+import framex.frames as frames
 from helpers import random_family
 
 MERCEDES = np.array(
@@ -149,6 +150,43 @@ def test_bounds_below_the_normal_range_are_rejected():
     for fn in (frame_bounds, classify, canonical_dual):
         with pytest.raises(PreconditionError, match="underflow"):
             fn(tiny)
+
+
+def test_frame_operator_of_an_underflowing_family_is_formed_without_raising():
+    tiny = VectorFamily(1e-200 * np.eye(2))
+    expected = tiny.vectors.T @ tiny.vectors
+    np.testing.assert_array_equal(frame_operator(tiny).matrix, expected)
+    # errors are not cached: every frame_bounds call raises again
+    for _ in range(2):
+        with pytest.raises(PreconditionError, match="underflow"):
+            frame_bounds(tiny)
+        np.testing.assert_array_equal(frame_operator(tiny).matrix, expected)
+
+
+def test_frame_is_cached_per_use_scalars():
+    fam = VectorFamily(MERCEDES, scalars=[1.0, 2.0, 3.0])
+    plain, weighted = frame_bounds(fam), frame_bounds(fam, use_scalars=True)
+    assert plain.is_tight and not weighted.is_tight
+    assert frame_bounds(fam) is plain
+    assert frame_bounds(fam, use_scalars=True) is weighted
+    w = fam.weighted_vectors()
+    np.testing.assert_allclose(frame_operator(fam).matrix, 1.5 * np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(frame_operator(fam, use_scalars=True).matrix, w.T @ w, atol=1e-12)
+    np.testing.assert_allclose(w.T @ canonical_dual(fam, use_scalars=True).vectors, np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(canonical_dual(fam).vectors, MERCEDES / 1.5, atol=1e-12)
+
+
+def test_bounds_dual_and_classify_form_one_gram(monkeypatch):
+    grams = []
+    gram = frames._gram
+    monkeypatch.setattr(frames, "_gram", lambda w: grams.append(w.shape) or gram(w))
+    fam = VectorFamily(MERCEDES)
+    rep = frame_bounds(fam)
+    duals = canonical_dual(fam)
+    assert classify(fam).report is rep
+    assert rep.is_tight
+    np.testing.assert_allclose(duals.vectors, MERCEDES / 1.5, atol=1e-12)
+    assert grams == [(3, 2)]
 
 
 def test_weighted_vectors():

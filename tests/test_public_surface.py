@@ -70,3 +70,16 @@ def test_every_export_is_used_in_src_or_named_in_readme():
     names = {name for names in exports.values() for name in names}
     unjustified = sorted(names - _references(exports) - _readme_code_names())
     assert unjustified == []
+
+
+def test_cli_imports_no_private_name_from_another_module():
+    """The command line reaches the library through public names only."""
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    private = [
+        f"{node.module or '.'}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("framex"))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+    assert private == []

@@ -123,6 +123,15 @@ def test_gabor_spec_takes_integral_shifts_only():
             GaborSpec(window, [(1, bad)])
 
 
+def test_translate_and_modulate_take_integral_shifts_only(rng):
+    f = rng.normal(size=8) + 1j * rng.normal(size=8)
+    for shift in (translate, modulate):
+        for bad in [2.7, 0.5, True]:
+            with pytest.raises(PreconditionError, match="not an integer"):
+                shift(f, bad)
+        assert np.array_equal(shift(f, np.float64(3.0)).samples, shift(f, 3).samples)
+
+
 @pytest.mark.parametrize("length", [1, 2, 7, 16, 33, 64])
 def test_gabor_family_equals_per_row_roll_oracle(rng, length):
     window = rng.normal(size=length) + 1j * rng.normal(size=length)
