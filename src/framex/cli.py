@@ -323,46 +323,42 @@ def parse_pointset(payload) -> PointSet:
     return PointSet(points, extent, ambient_dim=dim)
 
 
-def _param_bool(params, key, default):
-    if key not in params:
-        return default
-    text = params[key].strip().lower()
-    if text in ("1", "true", "yes", "on"):
+def _read_bool(text):
+    word = text.strip().lower()
+    if word in ("1", "true", "yes", "on"):
         return True
-    if text in ("0", "false", "no", "off"):
+    if word in ("0", "false", "no", "off"):
         return False
-    raise InputFormatError(f"param '{key}' must be a boolean, got {params[key]!r}")
+    raise ValueError(text)
 
 
-def _param_int(params, key, default):
+def _read_list(kind):
+    return lambda text: [kind(tok) for tok in text.split(",") if tok.strip()]
+
+
+# each kind of --param value: how it is read, and what a bad value must be
+_PARAM_KINDS = {
+    "bool": (_read_bool, "a boolean, got {!r}"),
+    "int": (int, "an integer"),
+    "float": (float, "a number"),
+    "ints": (_read_list(int), "a comma list"),
+    "floats": (_read_list(float), "a comma list"),
+}
+
+
+def _param(params, key, kind, default=None):
+    """The --param value of key read as kind (a key of _PARAM_KINDS), or default if absent."""
     if key not in params:
         return default
+    read, must_be = _PARAM_KINDS[kind]
     try:
-        return int(params[key])
+        return read(params[key])
     except ValueError as exc:
-        raise InputFormatError(f"param '{key}' must be an integer") from exc
-
-
-def _param_float(params, key, default):
-    if key not in params:
-        return default
-    try:
-        return float(params[key])
-    except ValueError as exc:
-        raise InputFormatError(f"param '{key}' must be a number") from exc
-
-
-def _param_list(params, key, default, kind=int):
-    if key not in params:
-        return default
-    try:
-        return [kind(tok) for tok in params[key].split(",") if tok.strip()]
-    except ValueError as exc:
-        raise InputFormatError(f"param '{key}' must be a comma list") from exc
+        raise InputFormatError(f"param '{key}' must be {must_be.format(params[key])}") from exc
 
 
 def _use_scalars(family, params):
-    return _param_bool(params, "use_scalars", family.scalars is not None)
+    return _param(params, "use_scalars", "bool", family.scalars is not None)
 
 
 def _encode_family(family):
@@ -408,7 +404,7 @@ def _cmd_dual(payload, params, seed):
     use_scalars = _use_scalars(family, params)
     report = frame_bounds(family, use_scalars)
     duals = canonical_dual(family, use_scalars)
-    probes = _param_int(params, "probes", 25)
+    probes = _param(params, "probes", "int", 25)
     if probes < 1:
         raise PreconditionError(f"probes must be at least 1, got {probes}")
     rng = np.random.default_rng(seed)
@@ -432,12 +428,10 @@ def _cmd_dual(payload, params, seed):
 def _cmd_extract(payload, params, seed):
     family = parse_family(payload)
     result = extract(family)
-    multiplicity = result.sigma.multiplicity
     plan = result.plan
     return {
-        "multiplicity": {str(n): c for n, c in multiplicity.items()},
-        # len() cannot return a total past sys.maxsize
-        "total": sum(multiplicity.values()),
+        "multiplicity": {str(n): c for n, c in result.sigma.multiplicity.items()},
+        "total": result.sigma.total,
         "normalized": _encode_family(result.normalized),
         "frame": result.report,
         "mult_bound": result.mult_bound_L,
@@ -471,8 +465,8 @@ def _cmd_sample(payload, params, seed):
     ops = [rank_one(v) for v in family.vectors]
     if "epsilon" not in params:
         raise PreconditionError("sample needs --param epsilon=...")
-    epsilon = _param_float(params, "epsilon", None)
-    cols = _param_list(params, "subspace_cols", None)
+    epsilon = _param(params, "epsilon", "float")
+    cols = _param(params, "subspace_cols", "ints")
     if cols is None:
         subspace = Projection.full(family.dim)
     else:
@@ -490,13 +484,13 @@ def _cmd_sample(payload, params, seed):
         weights,
         subspace,
         epsilon,
-        trace_cap=_param_float(params, "trace_cap", None),
-        total_cap=_param_float(params, "total_cap", 0.5),
-        depth=_param_int(params, "depth", sampling.MAX_DYADIC_DEPTH),
+        trace_cap=_param(params, "trace_cap", "float"),
+        total_cap=_param(params, "total_cap", "float", 0.5),
+        depth=_param(params, "depth", "int", sampling.MAX_DYADIC_DEPTH),
     )
     return {
         "multiplicity": {str(n): c for n, c in fn.multiplicity.items()},
-        "total": len(fn),
+        "total": fn.total,
         "certificate": cert,
         "weights": weights,
     }
@@ -505,17 +499,17 @@ def _cmd_sample(payload, params, seed):
 def _cmd_selector(payload, params, seed):
     family = parse_family(payload)
     ops = [rank_one(v) for v in family.vectors]
-    trace_cap = _param_float(params, "trace_cap", None)
+    trace_cap = _param(params, "trace_cap", "float")
     cap = trace_cap if trace_cap is not None else max(op.trace for op in ops)
-    order = _param_int(params, "order", min(3, max(natural_max_order(cap), 1)))
+    order = _param(params, "order", "int", min(3, max(natural_max_order(cap), 1)))
     tree, cert = best_selector(
         ops,
         order,
         trace_cap=trace_cap,
         strategy=params.get("strategy", "auto"),
         seed=seed,
-        restarts=_param_int(params, "restarts", selectors.RANDOM_RESTARTS),
-        exhaustive_limit=_param_int(params, "exhaustive_limit", selectors.EXHAUSTIVE_LIMIT),
+        restarts=_param(params, "restarts", "int", selectors.RANDOM_RESTARTS),
+        exhaustive_limit=_param(params, "exhaustive_limit", "int", selectors.EXHAUSTIVE_LIMIT),
     )
     return {
         "certificate": cert,
@@ -526,9 +520,9 @@ def _cmd_selector(payload, params, seed):
 
 def _cmd_density(payload, params, seed):
     ps = parse_pointset(payload)
-    radii = _param_list(params, "radii", [ps.declared_extent / 2.0], kind=float)
-    step = _param_float(params, "step", None)
-    divisor = _param_int(params, "step_divisor", pointsets.STEP_DIVISOR)
+    radii = _param(params, "radii", "floats", [ps.declared_extent / 2.0])
+    step = _param(params, "step", "float")
+    divisor = _param(params, "step_divisor", "int", pointsets.STEP_DIVISOR)
     est = density(ps, radii, center_grid_step=step, step_divisor=divisor)
     discrete, separation = uniformly_discrete(ps)
     return {
@@ -549,8 +543,8 @@ def _window_from(payload):
 def _cmd_gabor(payload, params, seed):
     window = _window_from(payload)
     length = window.length
-    a_step = _param_int(params, "a_step", 1)
-    b_step = _param_int(params, "b_step", 1)
+    a_step = _param(params, "a_step", "int", 1)
+    b_step = _param(params, "b_step", "int", 1)
     if a_step < 1 or b_step < 1:
         raise PreconditionError("lattice steps must be positive")
     shifts = [(a, b) for a in range(0, length, a_step) for b in range(0, length, b_step)]
@@ -570,8 +564,8 @@ def _cmd_gabor(payload, params, seed):
 def _cmd_construct45(payload, params, seed):
     window = _window_from(payload)
     length = window.length
-    counts = _param_list(params, "counts", [1, 2, 4, 8])
-    copies = _param_int(params, "copies", 2)
+    counts = _param(params, "counts", "ints", [1, 2, 4, 8])
+    copies = _param(params, "copies", "int", 2)
     if copies < 1:
         raise PreconditionError("copies must be positive")
     if not counts:

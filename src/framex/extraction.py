@@ -73,7 +73,7 @@ def _threshold(j: int, epsilon: float) -> float:
 
 
 def _resolve_constants(lower: float, upper: float):
-    """Pick (constant, epsilon, exponent) consistently for trace cap 1/B.
+    """Pick (epsilon, scale exponent with its constant) consistently for trace cap 1/B.
 
     epsilon = min(A/3B, sqrt(B)/2C) depends on C, and the admissible
     exponent window depends on both.  Doubling C shrinks the window ratio
@@ -84,7 +84,7 @@ def _resolve_constants(lower: float, upper: float):
     for _ in range(64):
         epsilon = min(lower / (3.0 * upper), math.sqrt(upper) / (2.0 * c))
         try:
-            return c, epsilon, scale_exponent(epsilon, c, delta)
+            return epsilon, scale_exponent(epsilon, c, delta)
         except NoAdmissibleExponentError:
             c *= 2.0
     raise PreconditionError("no self-consistent selector constant found")
@@ -221,7 +221,7 @@ def plan(family, lower: float, upper: float) -> ExtractionPlan:
     count, dim = len(fam), fam.dim
     dtype = units.dtype
 
-    constant, epsilon, se = _resolve_constants(a, b)
+    epsilon, scale = _resolve_constants(a, b)
 
     boundaries = [0, 1]
     cols: list = []
@@ -282,9 +282,9 @@ def plan(family, lower: float, upper: float) -> ExtractionPlan:
         thresholds=tuple(_threshold(j, epsilon) for j in range(len(blocks))),
         gammas=tuple(gammas),
         epsilon=epsilon,
-        beta=se.value,
-        window_empty=se.window_empty,
-        constant=constant,
+        beta=scale.value,
+        window_empty=scale.window_empty,
+        constant=scale.constant,
         trace_cap=1.0 / b,
         lower=a,
         upper=b,
@@ -325,8 +325,7 @@ def extract(family) -> ExtractionResult:
             layout.epsilon,
             trace_cap=layout.trace_cap,
             total_cap=1.0,
-            constant=layout.constant,
-            exponent=ScaleExponent(value=layout.beta, window_empty=layout.window_empty),
+            scale=ScaleExponent(value=layout.beta, window_empty=layout.window_empty, constant=layout.constant),
         )
         if not cert.sandwich_ok:
             raise PreconditionError(
@@ -338,13 +337,13 @@ def extract(family) -> ExtractionResult:
             mult[n] = mult.get(n, 0) + times
         certificates.append(cert)
 
-    sigma = SamplingFunction(mult, source_count=count)
-    if not sigma.multiplicity:
+    if not mult:
         raise NotAFrameError("sampling selected nothing; the input cannot span")
-    support = sorted(sigma.multiplicity)
+    sigma = SamplingFunction(mult, source_count=count)
+    support = sorted(mult)
     normalized = VectorFamily(
         np.stack([units[n] for n in support]),
-        scalars=np.sqrt([float(sigma.multiplicity[n]) for n in support]),
+        scalars=np.sqrt([float(mult[n]) for n in support]),
         labels=support,
     )
     out_report = frame_bounds(normalized, use_scalars=True)
@@ -374,7 +373,7 @@ def extract(family) -> ExtractionResult:
     c = layout.constant
     bound_l = max(144.0 * c * c * b / (a * a), 64.0 * c**4 / (b * b))
     mult_ok = all(
-        _within_cap(times, bound_l, float(weights[n])) for n, times in sigma.multiplicity.items()
+        _within_cap(times, bound_l, float(weights[n])) for n, times in mult.items()
     )
     return ExtractionResult(
         sigma=sigma,

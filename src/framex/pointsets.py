@@ -267,7 +267,13 @@ def _window_extrema(points, weights, extent: float, radius: float, step: float):
     axis = _center_axis(half, step)
     if points.shape[0] == 0:
         return radius, 0.0, 0.0
-    counts = _window_counts(points, axis, cap, weights)
+    try:
+        counts = _window_counts(points, axis, cap, weights)
+    except MemoryError as exc:
+        raise PreconditionError(
+            f"the centre grid of step {step:.6g} at radius {radius:.6g} has "
+            f"{m}^{dim} centres, more than memory can hold"
+        ) from exc
     return radius, int(counts.min()) / vol, int(counts.max()) / vol
 
 
@@ -283,7 +289,7 @@ def density(
     Windows must fit twice into the declared extent so that the center grid
     retains room to move.  The default grid step is radius / step_divisor.
     Coinciding points are counted once, with their multiplicity.  A centre
-    grid too large to index raises PreconditionError.
+    grid too large to index or allocate raises PreconditionError.
     """
     if step_divisor < 1:
         raise PreconditionError(f"step divisor must be at least 1, got {step_divisor}")

@@ -137,10 +137,9 @@ def make_paddings(ops, epsilon: float, beta: int):
 class SamplingFunction:
     """Finite multiset of selected indices, held as exact multiplicities.
 
-    sigma maps a domain of len(sigma) points onto the indices, index n hit
-    multiplicity[n] times; the counts are the whole representation.  A
-    total past sys.maxsize makes len() raise OverflowError, so callers that
-    may meet one sum the multiplicities instead.
+    sigma maps a domain of total points onto the indices, index n hit
+    multiplicity[n] times; the counts are the whole representation, and
+    total is an exact int of any size.
     """
 
     def __init__(self, multiplicity: dict[int, int], source_count: int | None = None):
@@ -160,7 +159,8 @@ class SamplingFunction:
     def multiplicity(self) -> dict[int, int]:
         return dict(self._multiplicity)
 
-    def __len__(self) -> int:
+    @property
+    def total(self) -> int:
         return self._total
 
     def __repr__(self):
@@ -245,12 +245,13 @@ def _split_choices(state: dict):
     return base, crosses
 
 
-def _child_state(base: dict, crosses, mask: int) -> tuple:
+def _child_state(base: dict, crosses, sides) -> dict:
+    """base plus, from each cross pair, the type its side (0 or 1) picks."""
     child = dict(base)
-    for i, (a, b) in enumerate(crosses):
-        pick = a if (mask >> i) & 1 == 0 else b
+    for pair, side in zip(crosses, sides):
+        pick = pair[side]
         child[pick] = child.get(pick, 0) + 1
-    return tuple(sorted(child.items()))
+    return child
 
 
 def sample(
@@ -261,8 +262,7 @@ def sample(
     *,
     trace_cap: float | None = None,
     total_cap: float = 0.5,
-    constant: float | None = None,
-    exponent: ScaleExponent | int | None = None,
+    scale: ScaleExponent | None = None,
     depth: int = MAX_DYADIC_DEPTH,
 ):
     """Run the full pipeline; returns (SamplingFunction, SamplingCertificate).
@@ -270,11 +270,11 @@ def sample(
     The weighted sum must stay below total_cap * I (1/2 by default; a cap
     that is not finite raises PreconditionError, as does a trace_cap that
     is not finite and positive) and the compressed trace
-    gamma on the subspace must not exceed 1.  Exponent and
-    constant may be pinned by callers coordinating several runs; otherwise
-    the selector-constant machinery picks them from the trace cap.  A pinned
-    exponent must be nonnegative, and each weight is expanded to its first
-    depth >= 1 binary digits.  Each of
+    gamma on the subspace must not exceed 1.  The scale exponent, with the
+    constant it was solved for, may be pinned by callers coordinating
+    several runs; otherwise the selector-constant machinery picks it from
+    the trace cap.  A pinned exponent must be nonnegative, and each weight
+    is expanded to its first depth >= 1 binary digits.  Each of
     the eta - beta split levels keeps one child, found by a greedy descent;
     PreconditionError is raised if the leaf fails the trace pigeonhole.
     """
@@ -320,17 +320,11 @@ def sample(
     if gamma > 1.0 + NUMERIC_TOL:
         raise PreconditionError(f"compressed trace {gamma:.6g} exceeds 1")
 
-    if constant is not None:
-        big_c = float(constant)
-    else:
-        big_c = selector_constant(delta, natural_max_order(delta))
-    if exponent is None:
-        se = scale_exponent(epsilon, big_c, delta)
-    elif isinstance(exponent, ScaleExponent):
-        se = exponent
-    else:
-        se = ScaleExponent(value=int(exponent), window_empty=(int(exponent) == 0))
-    beta = se.value
+    if scale is None:
+        scale = scale_exponent(epsilon, selector_constant(delta, natural_max_order(delta)), delta)
+    elif not isinstance(scale, ScaleExponent):
+        raise PreconditionError("a pinned scale must be a ScaleExponent")
+    beta = scale.value
     if beta < 0:
         raise PreconditionError(f"negative exponent {beta}")
     if depth < 1:
@@ -389,9 +383,9 @@ def sample(
     leaf_caps = [(c.numerator << (beta + 1)) // c.denominator for c in fracs]  # floor(2^(beta+1) c)
     chosen_ops, chosen_pads = op_counts, pad_counts
     if levels:
-        # one greedy descent per level over the cross sides, from mask 0; a
-        # child's key is (pigeonhole violated, count above the caps, sandwich
-        # excess) at the level's scale 2^-(eta - level)
+        # one greedy descent per level over the cross sides, from side 0 of
+        # every pair; a child's key is (pigeonhole violated, count above the
+        # caps, sandwich excess) at the level's scale 2^-(eta - level)
         n_ops = len(psd)
         state = {(k, n): c for k, counts in enumerate((op_counts, pad_counts)) for n, c in enumerate(counts)}
         stack = np.stack(mats + pad_mats)
@@ -399,7 +393,7 @@ def sample(
         half_perp = (epsilon / 2.0) * proj_perp
         for level in range(1, levels + 1):
             base, crosses = _split_choices(state)
-            scale = 2.0 ** -(eta - level)
+            unit = 2.0 ** -(eta - level)
             base_counts = np.array([float(base.get((k, n), 0)) for k in (0, 1) for n in range(n_ops)])
             # counts within 2^(levels - level) leaf caps keep the caps whatever
             # later levels pick; clipping the slack to [0, crosses] shifts
@@ -414,7 +408,7 @@ def sample(
                 hits = np.zeros((len(rows), 2 * n_ops), dtype=np.int64)
                 taken = np.where(rows, picks[:, 1], picks[:, 0])  # column of each cross's pick
                 np.add.at(hits, (np.arange(len(rows))[:, None], taken), 1)
-                coeff = scale * (base_counts + hits)
+                coeff = unit * (base_counts + hits)
                 dev = np.tensordot(coeff[:, :n_ops], stack[:n_ops], axes=1) - target
                 lo = np.linalg.eigvalsh(dev + half_perp)[:, 0]
                 hi = np.linalg.eigvalsh(dev - half_perp)[:, -1]
@@ -423,16 +417,16 @@ def sample(
                 return np.column_stack([coeff @ press > pig_cap, over_cap, excess])
 
             sides = _descend(np.zeros((1, len(crosses)), dtype=np.int64), np.ones((1, len(crosses)), dtype=bool), score)[0]
-            state = dict(_child_state(base, crosses, sum(1 << int(i) for i in np.flatnonzero(sides))))
+            state = _child_state(base, crosses, sides)
         chosen_ops, chosen_pads = ([state.get((k, n), 0) for n in range(n_ops)] for k in (0, 1))
 
-    scale = 2.0**-beta
+    unit = 2.0**-beta
     dev = -target
     for n, count in enumerate(chosen_ops):
         if count:
-            dev = dev + (scale * count) * mats[n]
+            dev = dev + (unit * count) * mats[n]
     pig_mat = dev + target + sum(
-        (scale * count) * pad_mats[n] for n, count in enumerate(chosen_pads) if count
+        (unit * count) * pad_mats[n] for n, count in enumerate(chosen_pads) if count
     )
     pig_trace = float(np.real(np.trace(proj @ pig_mat @ proj)))
     if levels and pig_trace > pig_cap:
@@ -450,11 +444,11 @@ def sample(
     )
     certificate = SamplingCertificate(
         beta=beta,
-        window_empty=se.window_empty,
+        window_empty=scale.window_empty,
         epsilon=float(epsilon),
         gamma=gamma,
         trace_cap=delta,
-        constant=big_c,
+        constant=scale.constant,
         sandwich_lo=lo,
         sandwich_hi=hi,
         sandwich_bound=bound,

@@ -108,15 +108,14 @@ def certificate_constant(trace_cap: float, order: int) -> float:
 class ScaleExponent:
     """Integer exponent beta with 1 < 2^beta * eps^2 / (4 C^2 delta) <= 2.
 
-    window_empty marks the convention case: the ratio already exceeds 1 at
-    beta = 0, so no positive exponent fits and beta = 0 is reported.
+    constant is the C the window was solved for.  window_empty marks the
+    convention case: the ratio already exceeds 1 at beta = 0, so no
+    positive exponent fits and beta = 0 is reported.
     """
 
     value: int
     window_empty: bool
-
-    def __int__(self) -> int:
-        return self.value
+    constant: float
 
 
 def scale_exponent(epsilon: float, constant: float, trace_cap: float) -> ScaleExponent:
@@ -140,7 +139,7 @@ def scale_exponent(epsilon: float, constant: float, trace_cap: float) -> ScaleEx
     for beta in range(_EXPONENT_SCAN + 1):
         scaled = 2**beta * ratio
         if 1.0 < scaled <= 2.0:
-            return ScaleExponent(value=beta, window_empty=(beta == 0))
+            return ScaleExponent(value=beta, window_empty=(beta == 0), constant=c)
         if scaled > 2.0:
             break
     raise NoAdmissibleExponentError(

@@ -282,7 +282,7 @@ def reference_plan(family, lower: float, upper: float) -> dict:
     fam, weights, units, active = _family_data(family)
     count, dim = len(fam), fam.dim
     dtype = units.dtype
-    _, epsilon, _ = _resolve_constants(float(lower), b)
+    epsilon, _ = _resolve_constants(float(lower), b)
     forced = {}
     for _ in range(max(16, 2 * count)):
         boundaries = [0, 1]

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,6 +129,17 @@ def test_sample_command(tmp_path):
     assert res["total"] > 0
     assert res["certificate"]["sandwich_ok"] is True
     assert res["certificate"]["mult_ok"] is True
+
+
+def test_sample_reports_a_total_past_sys_maxsize(tmp_path):
+    # beta is 64, so each of the three indices is picked 2^64 times
+    payload = {"dim": 2, "field": "real", "vectors": [[0.3, 0], [0, 0.3], [0.2, 0.2]],
+               "scalars": [1, 1, 1]}
+    code, report, _ = run_cli(tmp_path, "sample", payload, "--param", "epsilon=1e-9")
+    assert code == 0
+    total = report["results"]["total"]
+    assert total == 55340232221128654848 > sys.maxsize
+    assert total == sum(report["results"]["multiplicity"].values())
 
 
 def test_sample_requires_epsilon_and_scalars(tmp_path):
@@ -292,6 +304,13 @@ def test_param_table_names_the_keys_each_handler_reads():
         assert read == set(cli._PARAMS[command]), command
 
 
+def test_readme_command_table_lists_the_keys_each_command_reads():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+)` \| [^|]* \| ([^|]*) \|$", readme, flags=re.M)
+    table = {command: tuple(re.findall(r"`(\w+)`", keys)) for command, keys in rows}
+    assert table == cli._PARAMS
+
+
 def test_extract_generic_weights(tmp_path):
     payload = {"dim": 2, "field": "real", "vectors": [[1.0, 0.0], [0.0, 1.0]], "scalars": [1.0, 0.7]}
     code, report, _ = run_cli(tmp_path, "extract", payload)
@@ -433,6 +452,19 @@ def test_density_rejects_a_centre_grid_too_large_to_index(tmp_path):
     assert report["error"]["type"] == "PreconditionError"
     assert "8e+140^1 centres" in report["error"]["message"]
     assert "results" not in report
+
+
+def test_density_rejects_a_centre_grid_too_large_to_allocate(tmp_path):
+    # 1000^5 * 1001 float64 counts are about 8e18 bytes, far past 2^47: the
+    # allocation fails at once and touches no memory
+    payload = {"ambient_dim": 6, "points": [[0.0] * 6], "extent": 1000.0}
+    code, report, _ = run_cli(tmp_path, "density", payload, "--param", "radii=1",
+                              "--param", "step=2")
+    assert code == 2
+    assert report["error"] == {
+        "type": "PreconditionError",
+        "message": "the centre grid of step 2 at radius 1 has 1000^6 centres, more than memory can hold",
+    }
 
 
 @pytest.mark.parametrize(

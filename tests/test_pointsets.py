@@ -425,3 +425,10 @@ def test_density_rejects_a_centre_grid_too_large_to_index():
         density(ps, [1e160], 2.5e159)
     with pytest.raises(PreconditionError, match="more than an array can index"):
         density(PointSet([[0.0] * 40], 10.0), [1.0], 1.0)
+
+
+def test_density_rejects_a_centre_grid_too_large_to_allocate():
+    # indexable, but its 1000^5 * 1001 float64 counts take about 8e18 bytes,
+    # far past 2^47, so the allocation fails at once and touches no memory
+    with pytest.raises(PreconditionError, match="has 1000\\^6 centres, more than memory can hold"):
+        density(PointSet(np.zeros((1, 6)), 1000.0), [1.0], center_grid_step=2.0)

@@ -34,6 +34,10 @@ def scaled_basis_ops(dim, trace=0.2):
     return [rank_one(np.sqrt(trace) * v) for v in np.eye(dim)]
 
 
+def pinned(beta, constant=1.0):
+    return ScaleExponent(value=beta, window_empty=(beta == 0), constant=constant)
+
+
 def test_binary_expansion_exact_values():
     assert _binary_expansion(Fraction(3, 4), 48) == (1, 2)
     assert _binary_expansion(Fraction(5, 8), 48) == (1, 3)
@@ -121,8 +125,10 @@ def test_split_choices_halves_and_conserves_counts(state, data):
         conserved[a] = conserved.get(a, 0) + 1
         conserved[b] = conserved.get(b, 0) + 1
     assert conserved == {key: count for key, count in state.items() if count}
-    mask = data.draw(st.integers(0, 2 ** len(crosses) - 1))
-    assert sum(count for _, count in _child_state(base, crosses, mask)) * 2 == sum(state.values())
+    sides = data.draw(st.lists(st.integers(0, 1), min_size=len(crosses), max_size=len(crosses)))
+    child = _child_state(base, crosses, np.array(sides))
+    assert sum(child.values()) * 2 == sum(state.values())
+    assert all(child[key] >= count for key, count in base.items())
 
 
 def test_make_paddings_conditions():
@@ -213,8 +219,9 @@ def test_sample_pinned_exponent_runs_split_levels():
     ops = scaled_basis_ops(3)
     subspace = Projection(np.eye(3)[:, :1], dim=3)
     weights = [Fraction(3, 4), Fraction(5, 8), Fraction(1, 2)]
-    fn, cert = sample(ops, weights, subspace, 0.25, exponent=0)
+    fn, cert = sample(ops, weights, subspace, 0.25, scale=pinned(0, constant=0.75))
     assert cert.beta == 0
+    assert cert.constant == 0.75
     assert cert.window_empty
     assert cert.levels == 1
     assert cert.replica_total == 6
@@ -233,7 +240,7 @@ def test_sample_descent_keeps_the_multiplicity_cap():
     ops = [rank_one(0.3 * v / np.linalg.norm(v)) for v in rng.normal(size=(9, 4))]
     weights = [Fraction(float(w)) for w in rng.uniform(0.05, 0.2, size=9)]
     subspace = Projection(np.eye(4)[:, :2], dim=4)
-    fn, cert = sample(ops, weights, subspace, 1e-3, exponent=3)
+    fn, cert = sample(ops, weights, subspace, 1e-3, scale=pinned(3))
     assert (cert.levels, cert.replica_total) == (6, 4608)
     assert cert.sandwich_ok and cert.mult_ok
     for n, count in fn.multiplicity.items():
@@ -249,7 +256,7 @@ def test_sample_descent_drops_indices_the_leaf_cap_excludes():
     ops = [rank_one(0.25 * np.array([np.cos(t), np.sin(t)])) for t in angles]
     weights = [0.484, 0.429, 1.519, 2.298, 2.012, 1.965]
     subspace = Projection(np.array([[np.cos(2.733)], [np.sin(2.733)]]), dim=2)
-    fn, cert = sample(ops, weights, subspace, 0.05, exponent=0)
+    fn, cert = sample(ops, weights, subspace, 0.05, scale=pinned(0))
     assert cert.levels == 3
     assert cert.mult_ok and cert.sandwich_ok
     assert set(fn.multiplicity) == {2, 3, 4, 5}
@@ -290,12 +297,13 @@ def test_sample_rejects_zero_depth():
         sample(ops, [1, 1, 1], Projection.full(3), 0.25, depth=0)
 
 
-@pytest.mark.parametrize("exponent", [-1, ScaleExponent(value=-1, window_empty=False)])
-def test_sample_rejects_a_negative_exponent(exponent):
+def test_sample_rejects_a_negative_exponent():
     ops = scaled_basis_ops(3)
     subspace = Projection(np.eye(3)[:, :1], dim=3)
     with pytest.raises(PreconditionError, match="negative exponent -1"):
-        sample(ops, [0.25, 0.5, 1.0], subspace, 0.25, exponent=exponent)
+        sample(ops, [0.25, 0.5, 1.0], subspace, 0.25, scale=pinned(-1))
+    with pytest.raises(PreconditionError, match="a pinned scale must be a ScaleExponent"):
+        sample(ops, [0.25, 0.5, 1.0], subspace, 0.25, scale=2)
 
 
 def test_sample_rejects_unbounded_tail():
@@ -304,12 +312,12 @@ def test_sample_rejects_unbounded_tail():
     # expansion of 1/3 leaves a visible remainder at every cutoff
     subspace = Projection(np.eye(3)[:, 1:2], dim=3)
     with pytest.raises(PreconditionError):
-        sample([ops[0]], [Fraction(1, 3)], subspace, 0.25, exponent=0, depth=3)
+        sample([ops[0]], [Fraction(1, 3)], subspace, 0.25, scale=pinned(0), depth=3)
 
 
 def test_sampling_function_basics():
     fn = SamplingFunction({2: 1, 0: 2}, source_count=4)
-    assert len(fn) == 3
+    assert fn.total == 3
     assert fn.multiplicity == {0: 2, 2: 1}
     assert list(fn.multiplicity) == [0, 2]  # ascending indices
     fn.multiplicity[1] = 5  # a copy: the multiset stays as built
@@ -328,5 +336,5 @@ def test_sampling_function_guards():
 def test_sampling_function_counts_are_never_materialized():
     huge = 2**40
     fn = SamplingFunction({0: huge, 3: 1})
-    assert len(fn) == huge + 1
+    assert fn.total == huge + 1
     assert fn.multiplicity == {0: huge, 3: 1}

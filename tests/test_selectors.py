@@ -84,7 +84,7 @@ def test_scale_exponent_window():
 
     res = scale_exponent(eps_for(0.3), 0.5, 0.25)
     assert res.value == 2 and not res.window_empty
-    assert int(res) == 2
+    assert res.constant == 0.5
     # ratio already in (1, 2]: beta = 0 with the empty-window flag
     res = scale_exponent(eps_for(1.5), 0.5, 0.25)
     assert res.value == 0 and res.window_empty
