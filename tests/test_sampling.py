@@ -297,13 +297,17 @@ def test_sample_rejects_zero_depth():
         sample(ops, [1, 1, 1], Projection.full(3), 0.25, depth=0)
 
 
-def test_sample_rejects_a_negative_exponent():
+@pytest.mark.parametrize("exponent", [-1, pinned(-1)])
+def test_sample_rejects_a_negative_exponent(exponent):
+    # a bare int is refused as a pin before its sign is read
+    if isinstance(exponent, ScaleExponent):
+        message = "negative exponent -1"
+    else:
+        message = "a pinned scale must be a ScaleExponent"
     ops = scaled_basis_ops(3)
     subspace = Projection(np.eye(3)[:, :1], dim=3)
-    with pytest.raises(PreconditionError, match="negative exponent -1"):
-        sample(ops, [0.25, 0.5, 1.0], subspace, 0.25, scale=pinned(-1))
-    with pytest.raises(PreconditionError, match="a pinned scale must be a ScaleExponent"):
-        sample(ops, [0.25, 0.5, 1.0], subspace, 0.25, scale=2)
+    with pytest.raises(PreconditionError, match=message):
+        sample(ops, [0.25, 0.5, 1.0], subspace, 0.25, scale=exponent)
 
 
 def test_sample_rejects_unbounded_tail():
