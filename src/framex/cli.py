@@ -444,9 +444,9 @@ def _cmd_extract(payload, params, seed):
             "thresholds": list(plan.thresholds),
             "gammas": list(plan.gammas),
             "epsilon": plan.epsilon,
-            "beta": plan.beta,
-            "window_empty": plan.window_empty,
-            "constant": plan.constant,
+            "beta": plan.scale.value,
+            "window_empty": plan.scale.window_empty,
+            "constant": plan.scale.constant,
             "trace_cap": plan.trace_cap,
             "lower": plan.lower,
             "upper": plan.upper,

@@ -26,7 +26,7 @@ from .errors import (
     NotAFrameError,
     PreconditionError,
 )
-from .frames import VectorFamily, FrameReport, _unit_probes, canonical_dual, frame_bounds
+from .frames import VectorFamily, FrameReport, _as_family, _unit_probes, canonical_dual, frame_bounds
 from .linalg import NUMERIC_TOL, RANK_DROP_TOL, Projection, _extend_span, rank_one
 from .sampling import SANDWICH_TOL, SamplingFunction, sample
 from .selectors import (
@@ -104,6 +104,7 @@ class ExtractionPlan:
     the final block is empty and only closes the projection identity.
     subspaces holds the constructed chain (first entry the zero subspace),
     block_subspaces the per-block reference subspace each sampler avoids.
+    scale is the exponent beta, with its constant C, shared by every block.
     """
 
     blocks: tuple
@@ -112,9 +113,7 @@ class ExtractionPlan:
     thresholds: tuple
     gammas: tuple
     epsilon: float
-    beta: int
-    window_empty: bool
-    constant: float
+    scale: ScaleExponent
     trace_cap: float
     lower: float
     upper: float
@@ -134,8 +133,6 @@ class ExtractionPlan:
             prev = end
         if not 0 < self.epsilon < 1:
             raise PreconditionError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.beta < 0:
-            raise PreconditionError(f"negative exponent {self.beta}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,7 +152,7 @@ class ExtractionResult:
 
 
 def _family_data(family):
-    fam = family if isinstance(family, VectorFamily) else VectorFamily(family)
+    fam = _as_family(family)
     norms = fam.norms()
     if fam.scalars is None:
         scal = np.ones(len(fam))
@@ -282,9 +279,7 @@ def plan(family, lower: float, upper: float) -> ExtractionPlan:
         thresholds=tuple(_threshold(j, epsilon) for j in range(len(blocks))),
         gammas=tuple(gammas),
         epsilon=epsilon,
-        beta=scale.value,
-        window_empty=scale.window_empty,
-        constant=scale.constant,
+        scale=scale,
         trace_cap=1.0 / b,
         lower=a,
         upper=b,
@@ -320,12 +315,12 @@ def extract(family) -> ExtractionResult:
             continue
         chosen, cert = sample(
             [ops[n] for n in members],
-            [_snap_weight(float(weights[n]), layout.beta) for n in members],
+            [_snap_weight(float(weights[n]), layout.scale.value) for n in members],
             layout.block_subspaces[j],
             layout.epsilon,
             trace_cap=layout.trace_cap,
             total_cap=1.0,
-            scale=ScaleExponent(value=layout.beta, window_empty=layout.window_empty, constant=layout.constant),
+            scale=layout.scale,
         )
         if not cert.sandwich_ok:
             raise PreconditionError(
@@ -347,8 +342,8 @@ def extract(family) -> ExtractionResult:
         labels=support,
     )
     out_report = frame_bounds(normalized, use_scalars=True)
-    scale = 2.0**layout.beta
-    envelope = (scale * a / 3.0, 3.0 * scale * b)
+    two_beta = 2.0**layout.scale.value
+    envelope = (two_beta * a / 3.0, 3.0 * two_beta * b)
     if not out_report.is_frame:
         raise NotAFrameError("selected multiset does not span")
     if (
@@ -361,7 +356,7 @@ def extract(family) -> ExtractionResult:
         )
 
     target = sum(weights[n] * ops[n].matrix for n in ops)
-    achieved = sum((mult[n] / scale) * ops[n].matrix for n in mult) - target
+    achieved = sum((mult[n] / two_beta) * ops[n].matrix for n in mult) - target
     eig = np.linalg.eigvalsh((achieved + achieved.conj().T) / 2.0)
     total_deviation = float(np.max(np.abs(eig)))
     deviation_cap = 2.0 * layout.epsilon
@@ -370,7 +365,7 @@ def extract(family) -> ExtractionResult:
             f"stacked deviation {total_deviation:.6g} exceeds {deviation_cap:.6g}"
         )
 
-    c = layout.constant
+    c = layout.scale.constant
     bound_l = max(144.0 * c * c * b / (a * a), 64.0 * c**4 / (b * b))
     mult_ok = all(
         _within_cap(times, bound_l, float(weights[n])) for n, times in mult.items()
@@ -395,7 +390,7 @@ def equivalence_b_to_a(family, scalars=None):
     The returned family reproduces x = sum <x, out_n> x_n; the identity is
     verified on 25 seeded unit probes before returning.
     """
-    fam = family if isinstance(family, VectorFamily) else VectorFamily(family)
+    fam = _as_family(family)
     if scalars is not None:
         fam = VectorFamily(fam.vectors, scalars=scalars, labels=fam.labels)
     report = frame_bounds(fam, True)
@@ -417,8 +412,8 @@ def equivalence_b_to_a(family, scalars=None):
 
 def equivalence_c_check(family, duals) -> bool:
     """Check the transposed reconstruction x = sum <x, x_n> y_n on 25 seeded unit probes."""
-    fam = family if isinstance(family, VectorFamily) else VectorFamily(family)
-    other = duals if isinstance(duals, VectorFamily) else VectorFamily(duals)
+    fam = _as_family(family)
+    other = _as_family(duals)
     if len(fam) != len(other):
         raise DimensionMismatchError(f"{len(fam)} vectors against {len(other)} duals")
     if fam.dim != other.dim:
@@ -448,9 +443,14 @@ def equivalence_a_to_d(family) -> SpanDistinctSelection:
     """Reduce collinear rays to representatives, then extract among them.
 
     Members of one ray are rescaled to unit length, so a ray's combined
-    weight is its cardinality.
+    weight is its cardinality.  The chosen indices are representatives,
+    each admitted only because its overlap |<u_rep, u_n>| with every
+    earlier one, on the same unit vectors, fell below 1 - COLLINEARITY_TOL.
+    The overlap is symmetric bit for bit (the terms of vdot(a, b) and
+    vdot(b, a) are exact conjugates, summed in the same order), so the
+    selection is pairwise non-collinear and is not checked again.
     """
-    fam = family if isinstance(family, VectorFamily) else VectorFamily(family)
+    fam = _as_family(family)
     norms = fam.norms()
     alive = [n for n in range(len(fam)) if norms[n] > 0]
     if not alive:
@@ -482,13 +482,6 @@ def equivalence_a_to_d(family) -> SpanDistinctSelection:
     )
     result = extract(rep_family)
     chosen = tuple(representatives[k] for k in sorted(result.sigma.multiplicity))
-    for i, n in enumerate(chosen):
-        for m in chosen[:i]:
-            overlap = abs(complex(np.vdot(units[n], units[m])))
-            if overlap > 1.0 - COLLINEARITY_TOL:
-                raise PreconditionError(
-                    f"selected indices {m} and {n} are collinear (overlap {overlap:.12f})"
-                )
     return SpanDistinctSelection(
         indices=chosen,
         representatives=tuple(representatives),

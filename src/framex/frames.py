@@ -4,7 +4,9 @@ A family {x_n} in R^d or C^d is a frame when A ||x||^2 <= sum |<x, x_n>|^2
 <= B ||x||^2 for constants 0 < A <= B.  In finite dimensions a family is a
 frame exactly when it spans; the interesting content is quantitative, so
 bounds are computed as extreme eigenvalues of the frame operator
-S = sum of <., x_n> x_n.
+S = sum of <., x_n> x_n.  Every function here reads an array-like family
+as VectorFamily(x), so its entries are cast to float64 (or complex128) and
+must be finite.
 """
 
 from __future__ import annotations
@@ -150,13 +152,13 @@ class Classification:
     note: str
 
 
-def _family_matrix(family, use_scalars: bool) -> np.ndarray:
-    if isinstance(family, VectorFamily):
-        return family.weighted_vectors() if use_scalars else family.vectors
-    w = np.asarray(family)
-    if w.ndim != 2:
-        raise PreconditionError(f"expected a vector family, got shape {w.shape}")
-    return w
+def _as_family(family) -> VectorFamily:
+    """family itself, or VectorFamily(family): float64 or complex128 rows, all finite."""
+    return family if isinstance(family, VectorFamily) else VectorFamily(family)
+
+
+def _family_matrix(family: VectorFamily, use_scalars: bool) -> np.ndarray:
+    return family.weighted_vectors() if use_scalars else family.vectors
 
 
 def _gram(w: np.ndarray) -> np.ndarray:
@@ -167,13 +169,13 @@ def _gram(w: np.ndarray) -> np.ndarray:
 def frame_operator(family, use_scalars: bool = False) -> PsdOperator:
     """S = sum of rank-one operators of the (optionally rescaled) vectors.
 
-    A VectorFamily whose frame_bounds already formed S returns that
-    operator.  Raises PreconditionError when S overflows the float range.
+    A family whose frame_bounds already formed S returns that operator.
+    Raises PreconditionError when S overflows the float range.
     """
-    if isinstance(family, VectorFamily):
-        operator = family._frames.get(bool(use_scalars), (None, None))[1]
-        if operator is not None:
-            return operator
+    family = _as_family(family)
+    operator = family._frames.get(bool(use_scalars), (None, None))[1]
+    if operator is not None:
+        return operator
     s = _gram(_family_matrix(family, use_scalars))
     if not np.isfinite(s).all():
         raise PreconditionError("frame operator is not finite: entries overflow the float range")
@@ -230,25 +232,17 @@ def frame_bounds(family, use_scalars: bool = False) -> FrameReport:
     labels scale-invariant; the bounds are scaled back by 4^e, and a frame
     bound that leaves the normal float range raises PreconditionError.
     Runs a seeded probe self-check: for random unit x the analysis energy
-    sum |<x, x_n>|^2 must fall inside [A - tol, B + tol].
+    sum |<x, x_n>|^2 must fall inside [A - tol, B + tol].  A family forms
+    its bounds once per use_scalars; a call that raises stores nothing.
     """
-    return _frame(family, use_scalars)[0]
-
-
-def _frame(family, use_scalars: bool) -> tuple[FrameReport, PsdOperator | None]:
-    """_frame_bounds(family, use_scalars), formed once per VectorFamily and key.
-
-    Raw arrays are bounded on every call, and a call that raises stores nothing.
-    """
-    if not isinstance(family, VectorFamily):
-        return _frame_bounds(family, use_scalars)
+    family = _as_family(family)
     key = bool(use_scalars)
     if key not in family._frames:
         family._frames[key] = _frame_bounds(family, key)
-    return family._frames[key]
+    return family._frames[key][0]
 
 
-def _frame_bounds(family, use_scalars: bool) -> tuple[FrameReport, PsdOperator | None]:
+def _frame_bounds(family: VectorFamily, use_scalars: bool) -> tuple[FrameReport, PsdOperator | None]:
     """frame_bounds and the frame operator it formed along the way.
 
     The operator is frame_operator(family, use_scalars), built from the
@@ -300,6 +294,7 @@ def canonical_dual(family: VectorFamily, use_scalars: bool = False) -> VectorFam
 
     With use_scalars the dual of the rescaled family {c_n x_n} is returned.
     """
+    family = _as_family(family)
     report = frame_bounds(family, use_scalars)
     if not report.is_frame:
         raise NotAFrameError(
@@ -308,8 +303,7 @@ def canonical_dual(family: VectorFamily, use_scalars: bool = False) -> VectorFam
         )
     w = _family_matrix(family, use_scalars)
     duals = np.linalg.solve(frame_operator(family, use_scalars).matrix, w.T).T
-    labels = family.labels if isinstance(family, VectorFamily) else None
-    return VectorFamily(duals, labels=labels)
+    return VectorFamily(duals, labels=family.labels)
 
 
 def classify(family: VectorFamily, use_scalars: bool = False) -> Classification:
@@ -319,6 +313,7 @@ def classify(family: VectorFamily, use_scalars: bool = False) -> Classification:
     a frame (normalizing works).  A spanning family whose raw lower bound
     drowns below the frame tolerance is labeled rescalable and flagged.
     """
+    family = _as_family(family)
     w = _family_matrix(family, use_scalars)
     report = frame_bounds(family, use_scalars)
     spanning = project_onto(list(w)).rank == w.shape[1]

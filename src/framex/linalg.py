@@ -152,6 +152,16 @@ def _psd_operators(stack: np.ndarray) -> list:
     return ops
 
 
+def _operator_list(ops) -> list:
+    """ops as PsdOperators of one dimension; an empty list or mixed dimensions raise."""
+    psd = [op if isinstance(op, PsdOperator) else PsdOperator(op) for op in ops]
+    if not psd:
+        raise PreconditionError("need at least one operator")
+    if any(p.dim != psd[0].dim for p in psd):
+        raise PreconditionError("operators live in different dimensions")
+    return psd
+
+
 def rank_one(vector) -> PsdOperator:
     """The operator x -> <x, v> v; its trace is ||v||^2."""
     v = np.asarray(vector)

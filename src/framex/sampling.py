@@ -32,8 +32,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PreconditionError
-from .linalg import NUMERIC_TOL, RANK_DROP_TOL, Projection, PsdOperator, _psd_operators
-from .selectors import ScaleExponent, _descend, natural_max_order, scale_exponent, selector_constant
+from .linalg import NUMERIC_TOL, RANK_DROP_TOL, Projection, PsdOperator, _operator_list, _psd_operators
+from .selectors import ScaleExponent, _descend, _trace_cap, natural_max_order, scale_exponent, selector_constant
 
 __all__ = [
     "MAX_DYADIC_DEPTH",
@@ -108,9 +108,10 @@ def make_paddings(ops, epsilon: float, beta: int):
     The operators are eigensolved, and the pads validated, as one stack;
     a list mixing real and complex operators is handled as complex.
     """
-    psd = [op if isinstance(op, PsdOperator) else PsdOperator(op) for op in ops]
-    if not psd:
+    ops = list(ops)
+    if not ops:
         return []
+    psd = _operator_list(ops)
     if not 0 < epsilon < 1:
         raise PreconditionError(f"epsilon must lie in (0, 1), got {epsilon}")
     max_trace = max(p.trace for p in psd)
@@ -273,17 +274,13 @@ def sample(
     gamma on the subspace must not exceed 1.  The scale exponent, with the
     constant it was solved for, may be pinned by callers coordinating
     several runs; otherwise the selector-constant machinery picks it from
-    the trace cap.  A pinned exponent must be nonnegative, and each weight
-    is expanded to its first depth >= 1 binary digits.  Each of
-    the eta - beta split levels keeps one child, found by a greedy descent;
-    PreconditionError is raised if the leaf fails the trace pigeonhole.
+    the trace cap.  Each weight is expanded to its first depth >= 1 binary
+    digits.  Each of the eta - beta split levels keeps one child, found by
+    a greedy descent; PreconditionError is raised if the leaf fails the
+    trace pigeonhole.
     """
-    psd = [op if isinstance(op, PsdOperator) else PsdOperator(op) for op in ops]
-    if not psd:
-        raise PreconditionError("need at least one operator")
+    psd = _operator_list(ops)
     dim = psd[0].dim
-    if any(p.dim != dim for p in psd):
-        raise PreconditionError("operators live in different dimensions")
     fracs = [_as_fraction(c) for c in weights]
     if len(fracs) != len(psd):
         raise PreconditionError("one weight per operator is required")
@@ -297,12 +294,10 @@ def sample(
         raise PreconditionError(f"epsilon must lie in (0, 1), got {epsilon}")
     if not math.isfinite(total_cap):
         raise PreconditionError(f"total cap must be finite, got {total_cap}")
-    if trace_cap is not None and not (math.isfinite(trace_cap) and trace_cap > 0):
-        raise PreconditionError(f"trace cap must be finite and positive, got {trace_cap}")
 
     mats = [p.matrix for p in psd]
     traces = [p.trace for p in psd]
-    delta = float(trace_cap) if trace_cap is not None else max(traces)
+    delta = max(traces) if trace_cap is None else _trace_cap(trace_cap)
     tol = NUMERIC_TOL * max(1.0, delta)
     if any(t > delta + tol for t in traces):
         raise PreconditionError(f"operator trace exceeds the cap {delta:.6g}")
@@ -325,8 +320,6 @@ def sample(
     elif not isinstance(scale, ScaleExponent):
         raise PreconditionError("a pinned scale must be a ScaleExponent")
     beta = scale.value
-    if beta < 0:
-        raise PreconditionError(f"negative exponent {beta}")
     if depth < 1:
         raise PreconditionError(f"depth must be at least 1, got {depth}")
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExceededError, NoAdmissibleExponentError, PreconditionError
-from .linalg import NUMERIC_TOL, PsdOperator
+from .linalg import NUMERIC_TOL, _operator_list
 
 __all__ = [
     "EXHAUSTIVE_LIMIT",
@@ -55,15 +55,21 @@ _EXPONENT_SCAN = 64
 _GRID = np.arange(5, 10) / 10
 
 
+def _trace_cap(value) -> float:
+    """value as a float trace cap; NaN, inf, zero and negatives raise."""
+    delta = float(value)
+    if not (math.isfinite(delta) and delta > 0):
+        raise PreconditionError(f"trace cap must be finite and positive, got {value}")
+    return delta
+
+
 def selector_constant(trace_cap: float, max_order: int) -> float:
     """C = max over 1 <= N <= max_order of [sum_{j<N} (B_j - 1)] / sqrt(2^N * delta).
 
     Requires 2^max_order * trace_cap < 1 when max_order >= 1.  With
     max_order <= 0 the maximum is empty and 0.0 is returned.
     """
-    delta = float(trace_cap)
-    if delta <= 0:
-        raise PreconditionError(f"trace cap must be positive, got {delta}")
+    delta = _trace_cap(trace_cap)
     if max_order <= 0:
         return 0.0
     if 2**max_order * delta >= 1:
@@ -84,9 +90,7 @@ def selector_constant(trace_cap: float, max_order: int) -> float:
 
 def natural_max_order(trace_cap: float) -> int:
     """Largest N >= 1 with 2^N * trace_cap < 1, or 0 when none exists."""
-    delta = float(trace_cap)
-    if delta <= 0:
-        raise PreconditionError(f"trace cap must be positive, got {delta}")
+    delta = _trace_cap(trace_cap)
     n = 0
     while 2 ** (n + 1) * delta < 1 and n + 1 <= _EXPONENT_SCAN:
         n += 1
@@ -108,25 +112,31 @@ def certificate_constant(trace_cap: float, order: int) -> float:
 class ScaleExponent:
     """Integer exponent beta with 1 < 2^beta * eps^2 / (4 C^2 delta) <= 2.
 
-    constant is the C the window was solved for.  window_empty marks the
-    convention case: the ratio already exceeds 1 at beta = 0, so no
-    positive exponent fits and beta = 0 is reported.
+    constant is the C the window was solved for, and a negative value
+    raises PreconditionError.  window_empty (value 0) marks the convention
+    case: the ratio already exceeds 1 at beta = 0, so no positive exponent
+    fits and beta = 0 is reported.
     """
 
     value: int
-    window_empty: bool
     constant: float
+
+    def __post_init__(self):
+        if self.value < 0:
+            raise PreconditionError(f"negative exponent {self.value}")
+
+    @property
+    def window_empty(self) -> bool:
+        return self.value == 0
 
 
 def scale_exponent(epsilon: float, constant: float, trace_cap: float) -> ScaleExponent:
     """Scan beta in {0..64} for the defining double inequality."""
     eps = float(epsilon)
     c = float(constant)
-    delta = float(trace_cap)
     if not 0 < eps < 1:
         raise PreconditionError(f"epsilon must lie in (0, 1), got {eps}")
-    if delta <= 0:
-        raise PreconditionError(f"trace cap must be positive, got {delta}")
+    delta = _trace_cap(trace_cap)
     if c <= 0:
         raise NoAdmissibleExponentError(
             "selector constant is zero: the exponent window is empty at every scale"
@@ -139,7 +149,7 @@ def scale_exponent(epsilon: float, constant: float, trace_cap: float) -> ScaleEx
     for beta in range(_EXPONENT_SCAN + 1):
         scaled = 2**beta * ratio
         if 1.0 < scaled <= 2.0:
-            return ScaleExponent(value=beta, window_empty=(beta == 0), constant=c)
+            return ScaleExponent(value=beta, constant=c)
         if scaled > 2.0:
             break
     raise NoAdmissibleExponentError(
@@ -789,12 +799,8 @@ def best_selector(
     `restarts` (at least 1) seeded descents from random starting sides and
     keeps the first tree with the lowest worst leaf deviation.
     """
-    psd = [op if isinstance(op, PsdOperator) else PsdOperator(op) for op in ops]
-    if not psd:
-        raise PreconditionError("need at least one operator")
+    psd = _operator_list(ops)
     dim = psd[0].dim
-    if any(p.dim != dim for p in psd):
-        raise PreconditionError("operators live in different dimensions")
     if dim == 0:
         raise PreconditionError("operators must act on a space of positive dimension")
     # bool is an int, but True is no order, restart count or budget
@@ -807,10 +813,7 @@ def best_selector(
     stack = np.stack(mats)
     traces = [p.trace for p in psd]
     total = sum(mats)
-    if trace_cap is None:
-        trace_cap = max(traces)
-    if not (math.isfinite(trace_cap) and trace_cap > 0):
-        raise PreconditionError(f"trace cap must be finite and positive, got {trace_cap}")
+    trace_cap = _trace_cap(max(traces) if trace_cap is None else trace_cap)
     tol = NUMERIC_TOL * max(1.0, max(traces))
     bad = [i for i, t in enumerate(traces) if t > trace_cap + tol]
     if bad:
@@ -875,8 +878,7 @@ def verify_certificate(certificate: SelectorCertificate, tree: SelectorTree, ops
     Raises on an inconsistent tree; returns whether the recomputed worst
     deviation stays within the certified bound and matches the stored values.
     """
-    psd = [op if isinstance(op, PsdOperator) else PsdOperator(op) for op in ops]
-    mats = [p.matrix for p in psd]
+    mats = [p.matrix for p in _operator_list(ops)]
     total = sum(mats)
     if not tree.check_partitions():
         raise PreconditionError("selector tree partitions are inconsistent")

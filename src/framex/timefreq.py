@@ -86,7 +86,7 @@ def translate(f, a):
     a is an integer; a bool or a non-integral number raises PreconditionError.
     """
     f = _as_signal(f)
-    return CyclicSignal(np.roll(f.samples, _integral_shift(a) % f.length))
+    return CyclicSignal(np.roll(f.samples, _integer(a, "shift") % f.length))
 
 
 def modulate(f, b):
@@ -98,20 +98,20 @@ def modulate(f, b):
     """
     f = _as_signal(f)
     length = f.length
-    idx = (np.arange(length) * (_integral_shift(b) % length)) % length
+    idx = (np.arange(length) * (_integer(b, "shift") % length)) % length
     return CyclicSignal(f.samples * _character_table(length)[idx])
 
 
-def _integral_shift(value) -> int:
-    """value as an int; a bool, or a number int() would truncate, is no shift."""
+def _integer(value, what: str) -> int:
+    """value as an int; a bool, or a number int() would truncate, raises naming what."""
     if isinstance(value, (bool, np.bool_)):
-        raise PreconditionError(f"shift {value!r} is a bool, not an integer")
+        raise PreconditionError(f"{what} {value!r} is a bool, not an integer")
     try:
         whole = int(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise PreconditionError(f"shift {value!r} is not an integer") from exc
+        raise PreconditionError(f"{what} {value!r} is not an integer") from exc
     if whole != value:
-        raise PreconditionError(f"shift {value!r} is not an integer")
+        raise PreconditionError(f"{what} {value!r} is not an integer")
     return whole
 
 
@@ -131,7 +131,7 @@ class GaborSpec:
         pairs = []
         for a, b in shifts:
             if type(a) is not int or type(b) is not int:
-                a, b = _integral_shift(a), _integral_shift(b)
+                a, b = _integer(a, "shift"), _integer(b, "shift")
             pairs.append((a % length, b % length))
         if not pairs:
             raise PreconditionError("a Gabor spec needs at least one shift pair")
@@ -159,16 +159,17 @@ class ExponentialSpec:
 
     The mask is a nonempty subset of {0..L-1} listing which sample
     points survive; vectors live on the masked coordinates in sorted
-    order.  Frequencies may be any reals.
+    order.  L and the mask points are integers, as shifts are;
+    frequencies may be any reals.
     """
 
     __slots__ = ("_length", "_mask", "_frequencies")
 
     def __init__(self, length, domain_mask, frequencies):
-        self._length = int(length)
+        self._length = _integer(length, "length")
         if self._length < 1:
             raise PreconditionError("length must be at least 1")
-        mask = sorted({int(t) for t in domain_mask})
+        mask = sorted({_integer(t, "mask point") for t in domain_mask})
         if not mask:
             raise PreconditionError("the domain mask must be nonempty")
         if mask[0] < 0 or mask[-1] >= self._length:
@@ -193,8 +194,8 @@ class ExponentialSpec:
 
 
 def full_lattice_shifts(length):
-    """All L^2 shift pairs (a, b) in row-major order."""
-    length = int(length)
+    """All L^2 shift pairs (a, b) in row-major order; L is an integer."""
+    length = _integer(length, "length")
     return tuple((a, b) for a in range(length) for b in range(length))
 
 
@@ -252,9 +253,9 @@ def gaussian_window(length, spread=None):
 
     The default spread sqrt(L) balances the time and frequency step
     sizes, so one grid step in either direction moves the window by
-    about the same amount.
+    about the same amount.  length is an integer, as for translate.
     """
-    length = int(length)
+    length = _integer(length, "length")
     if length < 1:
         raise PreconditionError("length must be at least 1")
     sigma = math.sqrt(length) if spread is None else float(spread)

@@ -194,13 +194,13 @@ def test_extraction_battery():
         rep_in = frame_bounds(fam, use_scalars=True)
 
         assert res.report.is_frame and res.report.lower > 0
-        scale = 2.0**res.plan.beta
+        scale = 2.0**res.plan.scale.value
         lo_env = scale * rep_in.lower / 3.0
         hi_env = 3.0 * scale * rep_in.upper
         assert res.report.lower >= lo_env * (1.0 - 1e-6)
         assert res.report.upper <= hi_env * (1.0 + 1e-6)
 
-        c = res.plan.constant
+        c = res.plan.scale.constant
         bound = max(
             144.0 * c * c * rep_in.upper / rep_in.lower**2,
             64.0 * c**4 / rep_in.upper**2,

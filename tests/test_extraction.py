@@ -80,7 +80,7 @@ def test_integer_comparisons_match_the_fraction_oracle(value, beta, j, times):
 def test_plan_orthonormal_basis():
     layout = plan(VectorFamily(np.eye(4)), 1.0, 1.0)
     assert layout.blocks == ((0, 1), (1, 2), (2, 3), (3, 4), (4, 4))
-    assert layout.beta == 2
+    assert layout.scale.value == 2
     assert layout.epsilon == pytest.approx(1.0 / 3.0)
     assert layout.trace_cap == 1.0
     assert layout.thresholds[0] == 0.0
@@ -225,7 +225,7 @@ def test_extract_rescalable_family(rng):
 
     out = res.report
     assert out.is_frame and out.lower > 0
-    scale = 2.0**res.plan.beta
+    scale = 2.0**res.plan.scale.value
     assert out.lower >= scale * rep_in.lower / 3.0 * (1 - ENVELOPE_SLACK)
     assert out.upper <= 3.0 * scale * rep_in.upper * (1 + ENVELOPE_SLACK)
 
@@ -244,7 +244,7 @@ def test_extract_rescalable_family(rng):
     assert dev <= 2.0 * res.plan.epsilon + 1e-8
 
     # multiplicity bound, checked in exact rationals
-    c = res.plan.constant
+    c = res.plan.scale.constant
     bound = max(144.0 * c * c * b / rep_in.lower**2, 64.0 * c**4 / (b * b))
     assert res.mult_bound_L == pytest.approx(bound)
     for n, times in res.sigma.multiplicity.items():
@@ -278,7 +278,7 @@ def assert_certified(fam, res):
     assert res.report.upper <= hi * (1 + ENVELOPE_SLACK)
     assert res.total_deviation <= res.deviation_cap + 1e-8
     rep_in = frame_bounds(fam, use_scalars=True)
-    scale = 2.0**res.plan.beta
+    scale = 2.0**res.plan.scale.value
     assert res.envelope == pytest.approx((scale * rep_in.lower / 3.0, 3.0 * scale * rep_in.upper))
 
 
@@ -315,7 +315,7 @@ def test_extract_multiplicity_total_past_sys_maxsize():
     fam = VectorFamily(vectors, scalars=[1.5, 1.0, 1.0, 1.0])
     res = extract(fam)
     assert_certified(fam, res)
-    assert res.plan.beta == 60
+    assert res.plan.scale.value == 60
     assert res.sigma.total == sum(res.sigma.multiplicity.values())
     assert res.sigma.total > sys.maxsize
 
@@ -443,6 +443,20 @@ def test_equivalence_a_to_d_collinear_classes():
     u = fam.vectors[list(sel.indices)]
     gram = np.abs(u @ u.T)
     assert np.all(gram - np.eye(len(u)) < 1.0 - 1e-8)
+
+
+def test_collinearity_overlap_is_symmetric_bit_for_bit():
+    """|vdot(a, b)| == |vdot(b, a)| exactly, so the representatives, admitted by
+    their overlap with each earlier one, need no re-check in the other order."""
+    rng = np.random.default_rng(0)
+    for dim in (1, 2, 3, 7, 16, 33, 100, 257, 1000):
+        for complex_field in (False, True):
+            pairs = rng.normal(size=(40, 2, dim))
+            if complex_field:
+                pairs = pairs + 1j * rng.normal(size=(40, 2, dim))
+            units = pairs / np.linalg.norm(pairs, axis=2)[:, :, None]
+            for a, b in units:
+                assert abs(complex(np.vdot(a, b))) == abs(complex(np.vdot(b, a)))
 
 
 def test_equivalence_a_to_d_rejects_non_spanning():

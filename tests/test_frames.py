@@ -55,6 +55,22 @@ def test_bounds_accept_raw_arrays(rng):
     assert frame_bounds(vecs).upper == pytest.approx(frame_bounds(VectorFamily(vecs)).upper)
 
 
+def test_raw_integer_arrays_are_read_as_float_families():
+    """An int64 Gram product of 2^32 wraps to 0; VectorFamily casts to float64 first."""
+    raw = np.array([[2**32, 0], [0, 1]])
+    fam = VectorFamily(raw.astype(np.float64))
+    assert np.array_equal(frame_operator(raw).matrix, frame_operator(fam).matrix)
+    assert frame_operator(raw).matrix[0, 0] == 2.0**64
+    assert frame_bounds(raw) == frame_bounds(fam)
+    assert classify(raw) == classify(fam)
+
+
+@pytest.mark.parametrize("read", [frame_operator, frame_bounds, canonical_dual, classify])
+def test_raw_arrays_with_a_nan_entry_are_refused(read):
+    with pytest.raises(PreconditionError, match="vectors must have finite entries"):
+        read(np.array([[1.0, 0.0], [0.0, math.nan]]))
+
+
 def test_scalars_change_bounds():
     fam = VectorFamily(np.eye(2), scalars=[2.0, 1.0])
     rep = frame_bounds(fam, use_scalars=True)

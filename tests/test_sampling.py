@@ -1,5 +1,6 @@
 """Tests for the dyadic replication and subfamily sampling pipeline."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -35,7 +36,7 @@ def scaled_basis_ops(dim, trace=0.2):
 
 
 def pinned(beta, constant=1.0):
-    return ScaleExponent(value=beta, window_empty=(beta == 0), constant=constant)
+    return ScaleExponent(value=beta, constant=constant)
 
 
 def test_binary_expansion_exact_values():
@@ -297,17 +298,18 @@ def test_sample_rejects_zero_depth():
         sample(ops, [1, 1, 1], Projection.full(3), 0.25, depth=0)
 
 
-@pytest.mark.parametrize("exponent", [-1, pinned(-1)])
+@pytest.mark.parametrize("exponent", [-1, functools.partial(pinned, -1)])
 def test_sample_rejects_a_negative_exponent(exponent):
-    # a bare int is refused as a pin before its sign is read
-    if isinstance(exponent, ScaleExponent):
+    # a bare int is refused as a pin before its sign is read; a ScaleExponent
+    # refuses a negative value itself, so the pin is built inside the check
+    if callable(exponent):
         message = "negative exponent -1"
     else:
         message = "a pinned scale must be a ScaleExponent"
     ops = scaled_basis_ops(3)
     subspace = Projection(np.eye(3)[:, :1], dim=3)
     with pytest.raises(PreconditionError, match=message):
-        sample(ops, [0.25, 0.5, 1.0], subspace, 0.25, scale=exponent)
+        sample(ops, [0.25, 0.5, 1.0], subspace, 0.25, scale=exponent() if callable(exponent) else exponent)
 
 
 def test_sample_rejects_unbounded_tail():

@@ -16,13 +16,16 @@ from framex import (
     NoAdmissibleExponentError,
     PreconditionError,
     PairPartition,
+    Projection,
     PsdOperator,
     ScaleExponent,
     best_selector,
     certificate_constant,
     descending_trace_pairs,
+    make_paddings,
     natural_max_order,
     rank_one,
+    sample,
     scale_exponent,
     selector_constant,
     verify_certificate,
@@ -95,6 +98,55 @@ def test_scale_exponent_window():
         scale_exponent(eps_for(2.5), 0.5, 0.25)  # ratio > 2: no window
     with pytest.raises(NoAdmissibleExponentError):
         scale_exponent(0.5, 0.0, 0.25)
+
+
+def test_scale_exponent_refuses_a_negative_value():
+    with pytest.raises(PreconditionError, match="negative exponent -1"):
+        ScaleExponent(value=-1, constant=1.0)
+    assert [f.name for f in dataclasses.fields(ScaleExponent)] == ["value", "constant"]
+    assert ScaleExponent(value=0, constant=1.0).window_empty
+    assert not ScaleExponent(value=2, constant=1.0).window_empty
+
+
+# each public reader of a trace cap, called with otherwise valid arguments
+_CAP_READERS = {
+    "selector_constant": lambda cap: selector_constant(cap, 1),
+    "natural_max_order": natural_max_order,
+    "scale_exponent": lambda cap: scale_exponent(0.5, 1.0, cap),
+    "best_selector": lambda cap: best_selector([rank_one([0.3, 0.0]), rank_one([0.0, 0.3])], 1, trace_cap=cap),
+    "sample": lambda cap: sample([rank_one([0.3, 0.0])], [1], Projection.full(2), 0.25, trace_cap=cap),
+}
+
+
+@pytest.mark.parametrize("cap", [math.nan, math.inf, 0.0, -1])
+@pytest.mark.parametrize("reader", sorted(_CAP_READERS))
+def test_trace_caps_must_be_finite_and_positive(reader, cap):
+    message = f"trace cap must be finite and positive, got {cap}"
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        _CAP_READERS[reader](cap)
+
+
+def test_operator_lists_are_read_alike():
+    """One reader: an empty list and mixed dimensions raise the same messages everywhere."""
+    ops = [rank_one([0.3, 0.0]), rank_one([0.0, 0.3])]
+    tree, cert = best_selector(ops, 1)
+    readers = [
+        lambda o: best_selector(o, 1),
+        lambda o: verify_certificate(cert, tree, o),
+        lambda o: sample(o, [1] * len(o), Projection.full(2), 0.25),
+        lambda o: make_paddings(o, 0.25, 0),
+    ]
+    mixed = [ops[0], np.eye(3) / 10]
+    for read in readers:
+        with pytest.raises(PreconditionError, match="operators live in different dimensions"):
+            read(mixed)
+    for read in readers[:3]:
+        with pytest.raises(PreconditionError, match="need at least one operator"):
+            read([])
+    assert make_paddings([], 0.25, 0) == []
+    # arrays are validated as PsdOperators
+    with pytest.raises(PreconditionError, match="not positive semidefinite"):
+        make_paddings([-np.eye(2)], 0.25, 0)
 
 
 def test_descending_trace_pairs():
@@ -829,4 +881,4 @@ def test_scale_exponent_lands_in_window(seed):
         return
     scaled = 2.0**res.value * ratio
     assert 1.0 < scaled * (1 + 1e-12) and scaled <= 2.0 * (1 + 1e-12)
-    assert res.window_empty == (res.value == 0)
+    assert res.constant == c

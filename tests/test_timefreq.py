@@ -132,6 +132,34 @@ def test_translate_and_modulate_take_integral_shifts_only(rng):
         assert np.array_equal(shift(f, np.float64(3.0)).samples, shift(f, 3).samples)
 
 
+@pytest.mark.parametrize(
+    "read,args,message",
+    [
+        (ExponentialSpec, (8.9, [0, 1], [1.0]), "length 8.9 is not an integer"),
+        (ExponentialSpec, (8, [0.5, 2], [1.0]), "mask point 0.5 is not an integer"),
+        (ExponentialSpec, (8, [2.7], [1.0]), "mask point 2.7 is not an integer"),
+        (ExponentialSpec, (8, [0, True], [1.0]), "mask point True is a bool, not an integer"),
+        (ExponentialSpec, (True, [0], [1.0]), "length True is a bool, not an integer"),
+        (gaussian_window, (4.7,), "length 4.7 is not an integer"),
+        (gaussian_window, ("8",), "length '8' is not an integer"),
+        (full_lattice_shifts, (2.5,), "length 2.5 is not an integer"),
+        (full_lattice_shifts, (math.nan,), "length nan is not an integer"),
+    ],
+)
+def test_lengths_and_mask_points_are_read_as_integers(read, args, message):
+    """int() would truncate each of these; the integer reader refuses them."""
+    with pytest.raises(PreconditionError, match=message):
+        read(*args)
+
+
+def test_integral_floats_are_read_as_lengths_and_mask_points():
+    spec = ExponentialSpec(np.float64(8.0), [Fraction(6), 2.0, np.int64(2)], [1.0])
+    assert (spec.length, spec.mask) == (8, (2, 6))
+    assert all(type(v) is int for v in (spec.length, *spec.mask))
+    assert np.array_equal(gaussian_window(8.0).samples, gaussian_window(8).samples)
+    assert full_lattice_shifts(np.int64(2)) == full_lattice_shifts(2) == ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
 @pytest.mark.parametrize("length", [1, 2, 7, 16, 33, 64])
 def test_gabor_family_equals_per_row_roll_oracle(rng, length):
     window = rng.normal(size=length) + 1j * rng.normal(size=length)
