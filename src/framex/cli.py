@@ -51,7 +51,6 @@ from .timefreq import (
     CyclicSignal,
     GaborSpec,
     densify_gabor_frame,
-    full_lattice_shifts,
     gabor_family,
 )
 
@@ -547,8 +546,8 @@ def _cmd_gabor(payload, params, seed):
     b_step = _param(params, "b_step", "int", 1)
     if a_step < 1 or b_step < 1:
         raise PreconditionError("lattice steps must be positive")
-    shifts = [(a, b) for a in range(0, length, a_step) for b in range(0, length, b_step)]
-    spec = GaborSpec(window, shifts)
+    a, b = np.meshgrid(np.arange(0, length, a_step), np.arange(0, length, b_step), indexing="ij")
+    spec = GaborSpec(window, np.column_stack([a.ravel(), b.ravel()]))
     family = gabor_family(spec)
     report = frame_bounds(family)
     return {
@@ -570,14 +569,16 @@ def _cmd_construct45(payload, params, seed):
         raise PreconditionError("copies must be positive")
     if not counts:
         raise PreconditionError("counts must be nonempty")
-    # clusters sit on the a = L/2 column where modulation steps are cheap
-    leads = [(length // 2, (k * length) // len(counts)) for k in range(len(counts))]
-    lattice = list(full_lattice_shifts(length))
-    lead_set = set(leads)
-    rest = [p for p in lattice if p not in lead_set]
-    spec = GaborSpec(window, leads + rest + lattice * (copies - 1))
+    # shift pairs as codes a * L + b; the lattice in row-major order, and
+    # the clusters on the a = L/2 column where modulation steps are cheap
+    lattice = np.arange(length * length)
+    leads = (length // 2) * length + np.arange(len(counts)) * length // len(counts)
+    rest = lattice[~np.isin(lattice, leads)]
+    codes = np.concatenate([leads, rest, np.tile(lattice, copies - 1)])
+    spec = GaborSpec(window, np.column_stack(np.divmod(codes, length)))
     base_report = frame_bounds(gabor_family(spec))  # densify_gabor_frame reuses it
     family, report = densify_gabor_frame(spec, counts, seed=seed)
+    del spec  # and with it the base family, before the emitted one is bounded
     return {
         "length": length,
         "copies": copies,

@@ -43,18 +43,21 @@ class VectorFamily:
     rescaling routines; complex scalars are only permitted when the ambient
     space is complex.  A family is immutable, so it forms its frame once per
     use_scalars: frame_bounds, frame_operator and canonical_dual share it.
+    The vectors are copied; only framex's own builders pass _adopt=True, for
+    an array they have just built and hold nowhere else, which is then
+    checked and made read-only in place.
     """
 
     __slots__ = ("_vectors", "_scalars", "_labels", "_frames")
 
-    def __init__(self, vectors, scalars=None, labels=None):
+    def __init__(self, vectors, scalars=None, labels=None, *, _adopt=False):
         v = np.asarray(vectors)
         if v.ndim != 2:
             raise PreconditionError(f"expected a (count, dim) array, got shape {v.shape}")
         if v.shape[0] == 0 or v.shape[1] == 0:
             raise PreconditionError("a vector family must hold at least one vector in dim >= 1")
         dtype = np.complex128 if np.iscomplexobj(v) else np.float64
-        v = v.astype(dtype, copy=True)
+        v = v.astype(dtype, copy=not _adopt)
         if not np.isfinite(v).all():
             raise PreconditionError("vectors must have finite entries")
         v.setflags(write=False)

@@ -116,26 +116,22 @@ def _integer(value, what: str) -> int:
 
 
 class GaborSpec:
-    """A window plus a list of (time, frequency) shift pairs.
+    """A window plus an (m, 2) array of (time, frequency) shift pairs.
 
-    Shift pairs are integers, reduced mod L; a bool or a non-integral
-    number raises PreconditionError.  Duplicates are permitted and mean
-    repeated elements in the generated family.
+    Shift pairs are integers, reduced mod L and kept as one int64 array; an
+    integer array is checked and reduced as a whole, anything else pair by
+    pair, where a bool or a non-integral number raises PreconditionError.
+    Duplicates are permitted and mean repeated elements in the generated
+    family.  shifts gives the pairs as a tuple of int pairs.
     """
 
-    __slots__ = ("_window", "_shifts", "_family")
+    __slots__ = ("_window", "_shifts", "_pairs", "_family")
 
     def __init__(self, window, shifts):
         self._window = _as_signal(window)
-        length = self._window.length
-        pairs = []
-        for a, b in shifts:
-            if type(a) is not int or type(b) is not int:
-                a, b = _integer(a, "shift"), _integer(b, "shift")
-            pairs.append((a % length, b % length))
-        if not pairs:
-            raise PreconditionError("a Gabor spec needs at least one shift pair")
-        self._shifts = tuple(pairs)
+        self._shifts = _shift_array(shifts, self._window.length)
+        self._shifts.setflags(write=False)
+        self._pairs = None
         self._family = None
 
     @property
@@ -144,14 +140,30 @@ class GaborSpec:
 
     @property
     def shifts(self):
-        return self._shifts
+        if self._pairs is None:
+            self._pairs = tuple(map(tuple, self._shifts.tolist()))
+        return self._pairs
 
     @property
     def length(self):
         return self._window.length
 
     def __len__(self):
-        return len(self._shifts)
+        return self._shifts.shape[0]
+
+
+def _shift_array(shifts, length):
+    """shifts as an (m, 2) int64 array reduced mod length, m >= 1."""
+    arr = shifts if isinstance(shifts, np.ndarray) else np.asarray(list(shifts), dtype=object)
+    if arr.size == 0:
+        raise PreconditionError("a Gabor spec needs at least one shift pair")
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise PreconditionError(f"shift pairs must form an (m, 2) array, got shape {arr.shape}")
+    if arr.dtype.kind in "iu":
+        # unsigned values are reduced before the cast, so none wraps
+        wide = np.uint64 if arr.dtype.kind == "u" else np.int64
+        return (arr.astype(wide) % length).astype(np.int64)
+    return np.array([_integer(v, "shift") % length for v in arr.flat], np.int64).reshape(arr.shape)
 
 
 class ExponentialSpec:
@@ -160,7 +172,7 @@ class ExponentialSpec:
     The mask is a nonempty subset of {0..L-1} listing which sample
     points survive; vectors live on the masked coordinates in sorted
     order.  L and the mask points are integers, as shifts are;
-    frequencies may be any reals.
+    frequencies may be any finite reals.
     """
 
     __slots__ = ("_length", "_mask", "_frequencies")
@@ -177,6 +189,9 @@ class ExponentialSpec:
         freqs = tuple(float(x) for x in frequencies)
         if not freqs:
             raise PreconditionError("at least one frequency is required")
+        for lam in freqs:
+            if not math.isfinite(lam):
+                raise PreconditionError(f"frequency {lam!r} is not finite")
         self._mask = tuple(mask)
         self._frequencies = freqs
 
@@ -199,6 +214,10 @@ def full_lattice_shifts(length):
     return tuple((a, b) for a in range(length) for b in range(length))
 
 
+# entries of each block of Gabor rows gabor_family multiplies at once
+_BLOCK_ENTRIES = 1 << 16
+
+
 def gabor_family(spec):
     """Realize M_b T_a window for every shift pair, in input order.
 
@@ -211,15 +230,29 @@ def gabor_family(spec):
     if window.norm == 0.0:
         raise PreconditionError("the Gabor window must be nonzero")
     length = window.length
-    shifts = np.array(spec.shifts)
     t = np.arange(length)
-    # row k is base[(t - a_k) % L] * table[(t * b_k) % L], i.e. np.roll(base, a_k)
-    # times the characters, with all shift pairs gathered at once
-    rows = window.samples[(t - shifts[:, :1]) % length]
-    rows *= _character_table(length)[(t * shifts[:, 1:]) % length]
-    labels = [f"{a},{b}" for a, b in spec.shifts]
-    spec._family = VectorFamily(rows, labels=labels)
+    a_values, a_index = np.unique(spec._shifts[:, 0], return_inverse=True)
+    b_values, b_index = np.unique(spec._shifts[:, 1], return_inverse=True)
+    # one row per distinct a, np.roll(window, a), and per distinct b, its characters
+    translates = window.samples[(t - a_values[:, None]) % length]
+    characters = _character_table(length)[(t * b_values[:, None]) % length]
+    # the rows are written in blocks, so no temporary grows with the family
+    rows = np.empty((len(spec), length), dtype=complex)
+    step = max(1, _BLOCK_ENTRIES // length)
+    for lo in range(0, len(spec), step):
+        block = slice(lo, lo + step)
+        np.multiply(translates[a_index[block]], characters[b_index[block]], out=rows[block])
+    codes, _, index = _distinct_codes(spec)
+    names = [f"{c // length},{c % length}" for c in codes.tolist()]
+    spec._family = VectorFamily(rows, labels=[names[i] for i in index.tolist()], _adopt=True)
     return spec._family
+
+
+def _distinct_codes(spec):
+    """np.unique of the codes a * L + b of the shift pairs of spec, with firsts and inverse."""
+    return np.unique(
+        spec._shifts[:, 0] * spec.length + spec._shifts[:, 1], return_index=True, return_inverse=True
+    )
 
 
 def _distinct_duals(spec):
@@ -231,9 +264,7 @@ def _distinct_duals(spec):
     over all rows gives, bit for bit.
     """
     family = gabor_family(spec)
-    length = spec.length
-    codes = np.fromiter((a * length + b for a, b in spec.shifts), np.intp, len(spec))
-    _, firsts, index = np.unique(codes, return_index=True, return_inverse=True)
+    _, firsts, index = _distinct_codes(spec)
     rows = family.vectors
     return np.linalg.solve(frame_operator(family).matrix, rows[firsts].T), index
 
@@ -253,14 +284,15 @@ def gaussian_window(length, spread=None):
 
     The default spread sqrt(L) balances the time and frequency step
     sizes, so one grid step in either direction moves the window by
-    about the same amount.  length is an integer, as for translate.
+    about the same amount.  length is an integer, as for translate; spread
+    must be finite and positive.
     """
     length = _integer(length, "length")
     if length < 1:
         raise PreconditionError("length must be at least 1")
     sigma = math.sqrt(length) if spread is None else float(spread)
-    if sigma <= 0:
-        raise PreconditionError("spread must be positive")
+    if not 0 < sigma < math.inf:
+        raise PreconditionError(f"spread must be finite and positive, got {sigma!r}")
     t = np.arange(length, dtype=float)
     g = np.exp(-np.pi * (t - length / 2.0) ** 2 / sigma**2)
     return CyclicSignal(g / np.linalg.norm(g))
@@ -325,13 +357,14 @@ def densify_gabor_frame(base, counts, *, seed=0):
     distance 1 of the identity, which the caps guarantee whenever the
     grid is fine enough to honor them.
 
-    Returns the emitted family and a report with the worst distances
-    actually realized.
+    Cluster sizes and the seed are integers, as shifts are, and the seed
+    is non-negative; both are read before any work.  Returns the emitted
+    family and a report with the worst distances actually realized.
     """
-    fam = gabor_family(base)
-    if not frame_bounds(fam).is_frame:
-        raise NotAFrameError("the base Gabor system must be a frame")
-    sizes = [int(k) for k in counts]
+    sizes = [_integer(k, "cluster size") for k in counts]
+    seed = _integer(seed, "seed")
+    if seed < 0:
+        raise PreconditionError(f"seed must be non-negative, got {seed}")
     if not sizes:
         raise PreconditionError("at least one cluster size is required")
     if any(k < 1 for k in sizes):
@@ -340,6 +373,9 @@ def densify_gabor_frame(base, counts, *, seed=0):
         raise PreconditionError("cluster sizes must be non-decreasing")
     if len(sizes) > len(base):
         raise PreconditionError("more cluster sizes than base elements")
+    fam = gabor_family(base)
+    if not frame_bounds(fam).is_frame:
+        raise NotAFrameError("the base Gabor system must be a frame")
 
     length = base.length
     solved, index = _distinct_duals(base)
@@ -348,6 +384,7 @@ def densify_gabor_frame(base, counts, *, seed=0):
     sup_dual = float(dual_norms.max())
     root_length = math.sqrt(length)
     window = base.window
+    shifts = base.shifts
 
     used = set()
     cluster_rows = []
@@ -359,7 +396,7 @@ def densify_gabor_frame(base, counts, *, seed=0):
     worst_vector = []
 
     for n, k_n in enumerate(sizes, start=1):
-        a0, b0 = base.shifts[n - 1]
+        a0, b0 = shifts[n - 1]
         base_vec = fam.vectors[n - 1]
         cap_vec = 1.0 / (4**n * sup_dual)
         param_caps.append(root_length / n)
@@ -393,20 +430,24 @@ def densify_gabor_frame(base, counts, *, seed=0):
     # the remaining base elements pass through as they are
     lead = len(sizes)
     labels = [f"{a},{b}" for a, b in emitted_shifts] + list(fam.labels[lead:])
-    emitted_shifts += base.shifts[lead:]
+    emitted_shifts += shifts[lead:]
     emitted_weights += [1.0] * (len(base) - lead)
-    rows = np.concatenate([np.array(cluster_rows), fam.vectors[lead:]])
+    clusters = np.array(cluster_rows)
+    tail = fam.vectors[lead:]
     # S = sum over emitted copies of weight * copy (x) dual of its source
     mixed = np.zeros((length, length), dtype=complex)
     pos = 0
     for n, k_n in enumerate(sizes, start=1):
-        block = rows[pos : pos + k_n]
+        block = clusters[pos : pos + k_n]
         mixed += block.sum(axis=0)[:, None] * np.conj(solved[:, index[n - 1]])[None, :] / k_n
         pos += k_n
-    tail = rows[pos:]
     if tail.size:
-        # gathered as the F-ordered (rows, L) transpose that a full solve gives
-        mixed += tail.T @ np.take(np.conj(solved), index[lead:], axis=1).T
+        # gathered as the F-ordered (rows, L) transpose that a full solve gives,
+        # and conjugated in place
+        duals = np.take(solved, index[lead:], axis=1)
+        mixed += tail.T @ np.conj(duals, out=duals).T
+        del duals
+    del solved  # the duals go before the emitted rows are built
     deviation = float(np.linalg.norm(mixed - np.eye(length), ord=2))
     if deviation >= 1.0:
         raise PreconditionError(
@@ -414,7 +455,7 @@ def densify_gabor_frame(base, counts, *, seed=0):
             "the construction does not certify invertibility"
         )
 
-    family = VectorFamily(rows, labels=labels)
+    family = VectorFamily(np.concatenate([clusters, tail]), labels=labels, _adopt=True)
     report = DensificationReport(
         operator_deviation=deviation,
         cluster_sizes=tuple(sizes),

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -412,6 +413,27 @@ def test_construct45_builds_the_base_family_once(tmp_path, monkeypatch):
     # the base family and the emitted one, each built and bounded once
     assert [shapes[0] for shapes in built] == [(128, 8), (129, 8)]
     assert bounded == [128, 129]
+
+
+def test_construct45_peaks_under_three_family_arrays():
+    """The benchmark's construct45 job never holds three 8,192 x 64 complex arrays at once.
+
+    The base family, its distinct duals and the gathered pass-through duals
+    peak at about 2.7 of them; the emitted family is bounded after the base
+    one is released.
+    """
+    payload = window_payload(64)
+    params = {"counts": "1,2,4,8", "copies": "2"}
+    cli._cmd_construct45(payload, params, 0)  # lazy imports and caches are not counted
+    tracemalloc.start()
+    try:
+        results = cli._cmd_construct45(payload, params, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert results["base_count"] == 8192
+    family_bytes = 8192 * 64 * np.dtype(complex).itemsize
+    assert peak < 3 * family_bytes, f"peak {peak / 2**20:.1f} MiB"
 
 
 def count_calls(monkeypatch, owner, name):

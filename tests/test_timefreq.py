@@ -123,6 +123,44 @@ def test_gabor_spec_takes_integral_shifts_only():
             GaborSpec(window, [(1, bad)])
 
 
+@pytest.mark.parametrize(
+    "dtype,pairs",
+    [
+        (np.int32, [(9, -1), (0, 0), (0, 0), (-17, 2**31 - 1)]),
+        (np.int64, [(9, -1), (0, 0), (0, 0), (-(2**63), 2**63 - 1)]),
+        (np.uint8, [(9, 255), (0, 0), (0, 0), (200, 7)]),
+        (np.uint64, [(9, 2**64 - 1), (0, 0), (2**63, 0)]),
+        (np.float64, [(9.0, -1.0), (3.0, 16.0)]),
+    ],
+)
+def test_gabor_spec_reads_shift_arrays_as_the_pair_list(dtype, pairs):
+    """An integer array is reduced as a whole, a float array pair by pair; both give the list's spec."""
+    window = gaussian_window(8)
+    from_array = GaborSpec(window, np.array(pairs, dtype=dtype))
+    from_pairs = GaborSpec(window, pairs)
+    assert from_array.shifts == from_pairs.shifts == tuple((a % 8, b % 8) for a, b in pairs)
+    assert all(type(v) is int for pair in from_array.shifts for v in pair)
+    assert len(from_array) == len(pairs)
+    family, oracle = gabor_family(from_array), gabor_family(from_pairs)
+    assert family.vectors.tobytes() == oracle.vectors.tobytes()
+    assert family.labels == oracle.labels
+
+
+@pytest.mark.parametrize(
+    "shifts,message",
+    [
+        (np.array([[True, False]]), r"shift np.True_ is a bool, not an integer"),
+        (np.array([[0.0, 1.0], [2.5, 3.0]]), r"shift np.float64\(2.5\) is not an integer"),
+        (np.zeros((3, 3), dtype=np.int64), r"shift pairs must form an \(m, 2\) array, got shape \(3, 3\)"),
+        (np.zeros((0, 2), dtype=np.int64), "a Gabor spec needs at least one shift pair"),
+    ],
+    ids=["bool", "non-integral-float", "wrong-shape", "empty"],
+)
+def test_gabor_spec_refuses_shift_arrays_that_are_not_integer_pairs(shifts, message):
+    with pytest.raises(PreconditionError, match=message):
+        GaborSpec(gaussian_window(8), shifts)
+
+
 def test_translate_and_modulate_take_integral_shifts_only(rng):
     f = rng.normal(size=8) + 1j * rng.normal(size=8)
     for shift in (translate, modulate):
@@ -239,6 +277,14 @@ def test_exponential_spec_guards():
         ExponentialSpec(8, [8], [0])
     with pytest.raises(PreconditionError):
         ExponentialSpec(8, [0], [])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_spread_and_frequencies_must_be_finite(bad):
+    with pytest.raises(PreconditionError, match=f"spread must be finite and positive, got {bad!r}"):
+        gaussian_window(8, spread=bad)
+    with pytest.raises(PreconditionError, match=f"frequency {bad!r} is not finite"):
+        ExponentialSpec(8, range(8), [1.0, bad])
 
 
 def test_gaussian_window_shape():
@@ -390,6 +436,31 @@ def test_densify_validation():
     small = GaborSpec(gaussian_window(4), [(0, 0), (1, 1)])
     with pytest.raises(PreconditionError):
         densify_gabor_frame(small, (1, 1, 1))
+
+
+def test_densify_refuses_non_integral_cluster_sizes():
+    # int() would run these as cluster sizes (1, 2)
+    spec = quadrupled_spec()
+    with pytest.raises(PreconditionError, match="cluster size 1.7 is not an integer"):
+        densify_gabor_frame(spec, [1.7, 2.2])
+    # read before any work: the base family is not built
+    assert spec._family is None
+
+
+def test_densify_refuses_bool_cluster_sizes_and_seeds():
+    spec = quadrupled_spec()
+    with pytest.raises(PreconditionError, match="cluster size True is a bool, not an integer"):
+        densify_gabor_frame(spec, [True, 2])
+    with pytest.raises(PreconditionError, match="seed True is a bool, not an integer"):
+        densify_gabor_frame(spec, [1, 2], seed=True)
+    assert spec._family is None
+
+
+def test_densify_refuses_a_negative_seed():
+    spec = quadrupled_spec()
+    with pytest.raises(PreconditionError, match="seed must be non-negative, got -1"):
+        densify_gabor_frame(spec, [1, 2], seed=-1)
+    assert spec._family is None
 
 
 @pytest.mark.parametrize(
