@@ -215,23 +215,24 @@ def _entry(value, complex_field, what):
         raise InputFormatError(f"{what}: an integer entry exceeds the float range") from exc
 
 
-def _bulk_array(raw, entries, complex_field):
-    """np.array(raw) when every entry is a plain JSON number, else None.
+def _bulk_array(entries, shape, complex_field):
+    """The list `entries` as one array of `shape` when each is a plain JSON number, else None.
 
     For a complex field every entry must be a [re, im] list of plain
     numbers; the (..., 2) float array is viewed as complex128, which keeps
-    the bits complex(re, im) gives, -0.0 real parts included.  None sends
-    the caller to the entry-by-entry path, which names the first bad entry.
+    the bits complex(re, im) gives, -0.0 real parts included.  The leaves
+    are read in one np.fromiter pass.  None sends the caller to the
+    entry-by-entry path, which names the first bad entry.
     """
     if complex_field:
-        entries = list(entries)
         if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
             return None
-        entries = chain.from_iterable(entries)
+        entries = list(chain.from_iterable(entries))
+        shape += (2,)
     if not set(map(type, entries)) <= _PLAIN_NUMBERS:
         return None
     try:
-        arr = np.array(raw, dtype=float)
+        arr = np.fromiter(entries, dtype=float, count=len(entries)).reshape(shape)
     except OverflowError:  # an integer beyond the float range
         return None
     return arr.view(np.complex128)[..., 0] if complex_field else arr
@@ -245,7 +246,7 @@ def _number_rows(raw, width, complex_field, noun, units, unit):
     """
     arr = None
     if set(map(type, raw)) == {list} and set(map(len, raw)) == {width}:
-        arr = _bulk_array(raw, chain.from_iterable(raw), complex_field)
+        arr = _bulk_array(list(chain.from_iterable(raw)), (len(raw), width), complex_field)
     if arr is not None:
         bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
         if bad.size:
@@ -284,7 +285,7 @@ def parse_family(payload) -> VectorFamily:
         raw_s = payload["scalars"]
         if not isinstance(raw_s, list) or len(raw_s) != len(raw):
             raise InputFormatError("'scalars' must list one entry per vector")
-        scalars = _bulk_array(raw_s, raw_s, complex_field)
+        scalars = _bulk_array(raw_s, (len(raw_s),), complex_field)
         if scalars is None:
             scalars = np.array([_entry(v, complex_field, "scalars") for v in raw_s])
         if not np.isfinite(scalars).all():

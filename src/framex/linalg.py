@@ -243,11 +243,14 @@ def _extend_span(cols: list, candidates, dtype, threshold: float) -> list:
 
     Repeated Gram-Schmidt: two orthogonalization passes per vector, in
     order; a residual whose norm is at or below threshold is dropped.
-    Returns the vectors appended.
+    Once cols spans the space every residual is rounding, so the rest are
+    skipped.  Returns the vectors appended.
     """
     added = []
     for v in candidates:
         w = np.array(v, dtype=dtype)
+        if len(cols) == w.size:
+            break
         for _ in range(2):
             for q in cols:
                 w = w - q * np.vdot(q, w)

@@ -30,8 +30,10 @@ __all__ = [
 STEP_DIVISOR = 20
 
 _EDGE_TOL = 1e-12
-# pairs expanded at once; bounds the scans' scratch memory
-_PAIR_BATCH = 1 << 16
+# pairs expanded at once; bounds the scans' scratch memory.  Each temporary
+# (32 KiB) stays below glibc's 128 KiB mmap threshold, so the scans reuse heap
+# pages: at 2^16 pairs every 512 KiB array faulted in fresh pages
+_PAIR_BATCH = 1 << 12
 # the window scan's difference array must be addressable: its bytes fit in an intp
 _MAX_CENTRES = np.iinfo(np.intp).max // 8
 _FLOAT_MAX = float(np.finfo(float).max)
@@ -157,36 +159,48 @@ def _center_axis(half: float, step: float) -> np.ndarray:
     return axis if axis.size else np.zeros(1)
 
 
-def _walk(end, bound, offset, want, delta, inside):
-    """Step end[i] by delta while end[i] != bound[i] and inside(end[i] + offset, i) == want."""
-    sel = np.flatnonzero(end != bound)
-    while sel.size:
-        sel = sel[inside(end[sel] + offset, sel) == want]
-        end[sel] += delta
-        sel = sel[end[sel] != bound[sel]]
+def _first(end, m, holds):
+    """Step each end[i] to the least j in [0, m] with holds(j, i); holds stays true from there on.
+
+    Each direction's first test covers the whole arrays, so only the ends
+    that move are gathered.  An index past the axis reads its nearest end,
+    whose test is then ignored.
+    """
+    for edge, offset, want, delta in ((0, -1, True, -1), (m, 0, False, 1)):
+        sel = np.flatnonzero((end != edge) & (holds(end + offset, slice(None)) == want))
+        while sel.size:
+            end[sel] += delta
+            sel = sel[end[sel] != edge]
+            sel = sel[holds(end[sel] + offset, sel) == want]
 
 
 def _runs(axis, x, partial, cap):
     """Per pair, the index run [lo, hi) of grid points a with partial + (a - x)**2 <= cap.
 
-    Every rounded operation is monotone, so along the sorted axis the sum
-    falls up to the first grid point >= x (the split) and rises after it:
-    below the split the predicate turns true once, above it turns false
-    once.  searchsorted on the square root guesses both ends and each end
-    then steps with the exact predicate until it is fixed.  partial <= cap.
+    Every rounded operation is monotone, so t = fl(a - x) rises along the
+    sorted axis and the sum depends on |t| alone: lo is the first grid
+    point with t >= 0 or inside the window, hi the first with t >= 0 and
+    outside it, and each test holds from there on.  The grid's arithmetic,
+    axis[0] and its step, guesses both ends; each then steps with the exact
+    test until it is fixed.  partial <= cap.
     """
-    split = np.searchsorted(axis, x)
-    reach = np.sqrt(cap - partial)
-    lo = np.minimum(np.searchsorted(axis, x - reach), split)
-    hi = np.maximum(np.searchsorted(axis, x + reach, side="right"), split)
+    m = axis.size
+    step = axis[1] - axis[0] if m > 1 else 1.0
+    at = (x - axis[0]) / step
+    reach = np.sqrt(cap - partial) / step
 
-    def inside(j, sel):
-        return partial[sel] + (axis[j] - x[sel]) ** 2 <= cap
+    def start(j, i):
+        t = axis.take(j, mode="clip") - x[i]
+        return (t >= 0.0) | (partial[i] + t * t <= cap)
 
-    _walk(lo, np.zeros_like(lo), -1, True, -1, inside)
-    _walk(lo, split, 0, False, 1, inside)
-    _walk(hi, np.full_like(hi, axis.size), 0, True, 1, inside)
-    _walk(hi, split, -1, False, -1, inside)
+    def stop(j, i):
+        t = axis.take(j, mode="clip") - x[i]
+        return (t >= 0.0) & (partial[i] + t * t > cap)
+
+    lo = np.ceil(at - reach).clip(0, m).astype(np.intp)
+    hi = (at + reach + 1.0).clip(0, m).astype(np.intp)  # floor(at + reach) + 1
+    _first(lo, m, start)
+    _first(hi, m, stop)
     return lo, hi
 
 

@@ -69,10 +69,12 @@ _CENTER_BATCH = 2048
 _EDGE_TOL = 1e-12
 
 
-def _center_grid(half: float, step: float, dim: int) -> np.ndarray:
+def _center_axis(half: float, step: float) -> np.ndarray:
     axis = np.arange(-half, half + step / 2.0, step)
-    if axis.size == 0:
-        axis = np.zeros(1)
+    return axis if axis.size else np.zeros(1)
+
+
+def _center_grid(axis: np.ndarray, dim: int) -> np.ndarray:
     grids = np.meshgrid(*([axis] * dim), indexing="ij")
     return np.stack(grids, axis=-1).reshape(-1, dim)
 
@@ -81,7 +83,7 @@ def brute_window_extrema(ps, radius: float, step: float):
     from framex import ball_volume
 
     vol = ball_volume(ps.ambient_dim, radius)
-    centers = _center_grid(ps.declared_extent - radius, step, ps.ambient_dim)
+    centers = _center_grid(_center_axis(ps.declared_extent - radius, step), ps.ambient_dim)
     if len(ps) == 0:
         return radius, 0.0, 0.0
     pts = ps.points
@@ -115,7 +117,12 @@ def brute_uniformly_discrete(ps):
 
 def brute_window_counts(points, half: float, step: float, cap: float) -> np.ndarray:
     """Count of every window of the centre grid, in the grid's flat (ij) order."""
-    centers = _center_grid(half, step, points.shape[1])
+    return brute_axis_counts(points, _center_axis(half, step), cap)
+
+
+def brute_axis_counts(points, axis: np.ndarray, cap: float) -> np.ndarray:
+    """Count of every window centred on the grid axis^d, in its flat (ij) order."""
+    centers = _center_grid(axis, points.shape[1])
     d2 = np.sum((centers[:, None, :] - points[None, :, :]) ** 2, axis=-1)
     return np.count_nonzero(d2 <= cap, axis=1)
 

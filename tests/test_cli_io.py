@@ -289,6 +289,27 @@ def test_bulk_parse_equals_entry_by_entry(case):
     assert _same_bits(fast_points.points, slow_points.points)
 
 
+_EDGE_NUMBERS = [0.0, -0.0, 1.5, -2, 2**53 + 1, -(2**63) - 1, 2**80 + 3, 10**300, 1e308, -1e308,
+                 5e-324, math.inf, math.nan]
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_bulk_array_reads_the_bits_np_array_read(complex_field):
+    # the one-pass reader against the np.array(raw, dtype=float) it replaced
+    numbers = (_EDGE_NUMBERS * 3)[:36]
+    entries = [list(p) for p in zip(numbers[:18], numbers[18:])] if complex_field else numbers[:18]
+    rows = [entries[k : k + 3] for k in range(0, 18, 3)]
+    for raw, got in (
+        (rows, cli._bulk_array([e for row in rows for e in row], (6, 3), complex_field)),
+        (entries, cli._bulk_array(entries, (18,), complex_field)),
+    ):
+        want = np.array(raw, dtype=float)
+        assert _same_bits(got, want.view(np.complex128)[..., 0] if complex_field else want)
+    assert cli._bulk_array([1.0, True], (2,), False) is None
+    assert cli._bulk_array([1.0, "2"], (2,), False) is None
+    assert cli._bulk_array([[1.0, 0.0], [_HUGE, 0.0]], (2,), True) is None
+
+
 def test_bulk_parse_takes_json_payloads_without_the_entry_loop(monkeypatch):
     seen = []
     entry = cli._entry
@@ -343,6 +364,8 @@ _HUGE = 10**400
          "vector 1 has a non-finite entry"),
         ({"dim": 1, "field": "real", "vectors": [[1.0]], "scalars": [-math.inf]},
          "scalars: entries must be finite numbers"),
+        ({"dim": 2, "field": "real", "vectors": [[1.0, 2.0, 3.0], [1.0]]},
+         "vector 0 does not have 2 entries"),
     ],
 )
 def test_family_parse_errors_name_the_first_bad_entry(payload, message):
@@ -359,6 +382,7 @@ def test_family_parse_errors_name_the_first_bad_entry(payload, message):
         ([[0.0], [1.0, 2.0]], "point 1 does not have 1 coordinates"),
         ([[0.0], [-_HUGE]], "point 1: an integer entry exceeds the float range"),
         ([[0.0], [math.inf]], "point 1 has a non-finite coordinate"),
+        ([[0.0], [False]], "point 1: entries must be real numbers"),
     ],
 )
 def test_pointset_parse_errors_name_the_first_bad_entry(points, message):

@@ -13,6 +13,7 @@ from framex import (
     project_onto,
     rank_one,
 )
+from framex.linalg import RANK_DROP_TOL, _extend_span
 
 
 def test_psd_diag_oracle():
@@ -97,6 +98,45 @@ def test_projection_drops_dependent_vectors():
     v = np.array([1.0, 1.0])
     p = project_onto([v, 2.0 * v, -v])
     assert p.rank == 1
+
+
+def _full_pass_span(cols, candidates, dtype, threshold):
+    # the Gram-Schmidt pass before it stopped at full rank: every candidate
+    # is orthogonalized and tested
+    added = []
+    for v in candidates:
+        w = np.array(v, dtype=dtype)
+        for _ in range(2):
+            for q in cols:
+                w = w - q * np.vdot(q, w)
+        size = float(np.linalg.norm(w))
+        if size > threshold:
+            w = w / size
+            cols.append(w)
+            added.append(w)
+    return added
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_span_stops_at_full_rank_with_the_full_pass_bits(complex_field):
+    rng = np.random.default_rng(7)
+    dtype = np.complex128 if complex_field else np.float64
+    for dim in (1, 2, 5, 12):
+        for count in (dim + 1, 2 * dim, 4 * dim + 3):
+            vs = rng.normal(size=(count, dim))
+            if complex_field:
+                vs = vs + 1j * rng.normal(size=(count, dim))
+            vs[dim // 2] = 0.5 * vs[0] + 1e-12 * vs[dim // 2]  # dropped before full rank
+            for seed_cols in (0, dim // 2):
+                start = list(np.linalg.qr(rng.normal(size=(dim, dim)))[0].T[:seed_cols].astype(dtype))
+                fast_cols, full_cols = list(start), list(start)
+                fast = _extend_span(fast_cols, vs, dtype, RANK_DROP_TOL)
+                full = _full_pass_span(full_cols, vs, dtype, RANK_DROP_TOL)
+                assert len(fast) == len(full) and len(fast_cols) == dim
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(fast, full))
+            tol = RANK_DROP_TOL * max(float(np.linalg.norm(v)) for v in vs)
+            full_basis = np.stack(_full_pass_span([], vs, dtype, tol), axis=1)
+            assert project_onto(list(vs)).basis.tobytes() == full_basis.tobytes()
 
 
 def test_projection_rejects_skew_basis():

@@ -232,6 +232,48 @@ def test_window_counts_on_points_ulps_from_the_edge(dim):
     assert np.array_equal(counts.ravel(), want)
 
 
+@pytest.mark.parametrize("step", [0.1, 1 / 3])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_window_counts_where_the_grid_guess_misses(monkeypatch, dim, step):
+    # each run end is guessed from axis[0] and the axis step, then settled
+    # by the exact test; record how far the settling moves the ends
+    moves = []
+    first = pointsets._first
+
+    def recorded(end, m, holds):
+        before = end.copy()
+        first(end, m, holds)
+        moves.append(int(np.abs(end - before).max(initial=0)))
+
+    monkeypatch.setattr(pointsets, "_first", recorded)
+    rng = np.random.default_rng(dim)
+    big = 2.0**40
+
+    def check(points, axis, cap):
+        counts = _window_counts(points, axis, cap, np.ones(len(points)))
+        assert np.array_equal(counts.ravel(), helpers.brute_axis_counts(points, axis, cap))
+
+    # an axis near 2^40, points on a run end and a few ulps to either side
+    axis = np.arange(big - 1.0, big + 1.0, step) if dim < 3 else np.arange(big - 0.7, big + 0.7, step)
+    points = axis[rng.integers(0, axis.size, size=(60, dim))]
+    points[:, -1] += 0.5 * rng.choice([-1.0, 1.0], 60)
+    points[:, -1] += rng.integers(-3, 4, 60) * np.spacing(points[:, -1])
+    check(points, axis, 0.25)
+    # one-centre axes
+    for axis in (np.zeros(1), np.arange(big, big + step / 2.0, step)):
+        check(axis[0] + rng.integers(-4, 5, size=(30, dim)) * step / 2.0, axis, 0.6)
+    # leading coordinates near 2^40 over an axis near 0: where a partial sum
+    # lands on cap, the square-root reach is 0 but the rounded sum stays
+    # within cap far along the last axis
+    axis = _center_axis(1.5 if dim < 3 else 0.7, step)
+    lead = big + rng.integers(-8, 9, size=(80, dim - 1)) * step
+    points = np.column_stack([lead, axis[rng.integers(0, axis.size, 80)] + rng.integers(-2, 3, 80) * step / 2.0])
+    moves.clear()
+    check(points, axis, float(np.sum((axis[0] - points[0, :-1]) ** 2)) if dim > 1 else 0.3)
+    if dim > 1:
+        assert max(moves) > 1
+
+
 def test_density_oracle_on_tiny_sets():
     for dim in (1, 2, 3):
         assert_scans_match_oracle(PointSet([], 6.0, ambient_dim=dim), 2.0, 0.5)
