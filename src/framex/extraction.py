@@ -26,7 +26,7 @@ from .errors import (
     NotAFrameError,
     PreconditionError,
 )
-from .frames import VectorFamily, FrameReport, _as_family, _unit_probes, canonical_dual, frame_bounds
+from .frames import VectorFamily, FrameReport, _as_family, _span_rank, _unit_probes, canonical_dual, frame_bounds
 from .linalg import NUMERIC_TOL, RANK_DROP_TOL, Projection, _extend_span, rank_one
 from .sampling import SANDWICH_TOL, SamplingFunction, sample
 from .selectors import (
@@ -456,7 +456,7 @@ def equivalence_a_to_d(family) -> SpanDistinctSelection:
     if not alive:
         raise NotAFrameError("all vectors vanish; the family cannot span")
     units = {n: fam.vectors[n] / norms[n] for n in alive}
-    span_rank = len(_extend_span([], [units[n] for n in alive], fam.vectors.dtype, RANK_DROP_TOL))
+    span_rank = _span_rank(fam.vectors)
     if span_rank < fam.dim:
         raise NotAFrameError(
             f"family spans only {span_rank} of {fam.dim} dimensions; no rescaling helps"

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NotAFrameError, PreconditionError
-from .linalg import NUMERIC_TOL, PsdOperator, project_onto
+from .linalg import NUMERIC_TOL, RANK_DROP_TOL, PsdOperator, _extend_span
 
 __all__ = [
     "FRAME_TOL_FACTOR",
@@ -33,7 +33,6 @@ __all__ = [
 
 # Lower frame bounds below FRAME_TOL_FACTOR * B are treated as zero.
 FRAME_TOL_FACTOR = 1e-10
-_SELF_CHECK_PROBES = 50
 
 
 class VectorFamily:
@@ -234,9 +233,26 @@ def frame_bounds(family, use_scalars: bool = False) -> FrameReport:
     Power-of-two scaling is exact, so bounds are scale-equivariant and
     labels scale-invariant; the bounds are scaled back by 4^e, and a frame
     bound that leaves the normal float range raises PreconditionError.
-    Runs a seeded probe self-check: for random unit x the analysis energy
-    sum |<x, x_n>|^2 must fall inside [A - tol, B + tol].  A family forms
-    its bounds once per use_scalars; a call that raises stores nothing.
+    Two Cholesky factorizations check the eigenvalues; PreconditionError
+    if either fails.  At scale 4^-e, with tol = NUMERIC_TOL * max(B, 1) and
+    M the symmetrized operator eigensolved, they factor H = M - (A - tol) I
+    and H = (B + tol) I - M.  One that runs to completion gives R* R = H + E
+    with |E| <= g |R*| |R| in any summation order: for real M, g =
+    gamma_{n+2} with n = d (Higham, Accuracy and Stability of Numerical
+    Algorithms, Thm 10.3, and one rounding for LAPACK's reciprocal
+    scaling); for complex M each real and imaginary part is a real inner
+    product of twice the length, so n = 2d and g gains a factor sqrt 2.
+    As ||r_i||^2 <= h_ii / (1 - g), lambda_min(H) >= -g tr(H) / (1 - g)
+    (the criterion of Rump, "Verification of positive definiteness", BIT
+    46 (2006)).  With the shift's rounding (M's diagonal lies in [0, 1))
+    and underflow (2^-1075 per product or quotient), success proves M's
+    spectrum in [A - tol - c_d, B + tol + c_d], c_d = 3 n gamma_{n+1} (B + 1)
+    + n (n + 1) 2^-1074.  The shift is tol alone, so no size fails it.  M
+    is within gamma_{m+1} sum ||x_n||^2 of the exact operator of the m
+    (scaled) vectors in the 2-norm: gamma_{m+3} if complex, plus
+    d (m + 1) 2^-1074 for underflow (Higham, sections 3.1 and 3.6).  A
+    family forms its bounds once per use_scalars; a call that raises
+    stores nothing.
     """
     family = _as_family(family)
     key = bool(use_scalars)
@@ -265,18 +281,20 @@ def _frame_bounds(family: VectorFamily, use_scalars: bool) -> tuple[FrameReport,
         raise PreconditionError("frame operator is not finite: the vectors are not finite")
     operator = None if scaled else PsdOperator(s, _prevalidated=True)
     k = (math.frexp(top)[1] + 1) // 2
-    ev = PsdOperator(s * 4.0**-k, _prevalidated=True).eigenvalues
+    scaled_operator = PsdOperator(s * 4.0**-k, _prevalidated=True)
+    ev = scaled_operator.eigenvalues
     e += k
     lower = float(max(ev[0], 0.0))
     upper = float(max(ev[-1], 0.0))
     tol = NUMERIC_TOL * max(upper, 1.0)
-    probes = _unit_probes(_SELF_CHECK_PROBES, dim, np.iscomplexobj(w))
-    # |<x, x_n>| as |<x_n, x>|: w is conjugated once, for the Gram product
-    energies = np.sum(np.abs(w @ probes.conj().T) ** 2, axis=0) * 4.0**-k
-    if np.any(energies < lower - tol) or np.any(energies > upper + tol):
+    m, eye = scaled_operator.matrix, np.eye(dim)
+    try:
+        np.linalg.cholesky(m - (lower - tol) * eye)
+        np.linalg.cholesky((upper + tol) * eye - m)
+    except np.linalg.LinAlgError:
         raise PreconditionError(
-            "internal probe check failed: analysis energy escaped the eigenvalue range"
-        )
+            "internal check failed: a Cholesky factorization put the spectrum outside [A - tol, B + tol]"
+        ) from None
     is_frame = lower > FRAME_TOL_FACTOR * upper
     is_tight = is_frame and (upper - lower) <= NUMERIC_TOL * max(upper, 1.0)
     upper = _rescaled(upper, e)
@@ -309,6 +327,18 @@ def canonical_dual(family: VectorFamily, use_scalars: bool = False) -> VectorFam
     return VectorFamily(duals, labels=family.labels)
 
 
+def _span_rank(rows: np.ndarray) -> int:
+    """Rank of the unit vectors of the nonzero rows; a residual at or below RANK_DROP_TOL drops.
+
+    Each row is divided by its largest real or imaginary part before its
+    norm, so no scale overflows or decides the rank.
+    """
+    top = np.maximum(np.abs(rows.real), np.abs(rows.imag)).max(axis=1)
+    rows = rows[top > 0] / top[top > 0, None]
+    units = rows / np.linalg.norm(rows, axis=1)[:, None]
+    return len(_extend_span([], units, rows.dtype, RANK_DROP_TOL))
+
+
 def classify(family: VectorFamily, use_scalars: bool = False) -> Classification:
     """Place a family in the hierarchy riesz_basis > frame > rescalable > non_spanning.
 
@@ -319,7 +349,7 @@ def classify(family: VectorFamily, use_scalars: bool = False) -> Classification:
     family = _as_family(family)
     w = _family_matrix(family, use_scalars)
     report = frame_bounds(family, use_scalars)
-    spanning = project_onto(list(w)).rank == w.shape[1]
+    spanning = _span_rank(w) == w.shape[1]
     if report.is_riesz_basis:
         label = "riesz_basis"
         note = "spanning with exactly dim vectors and positive lower bound"

@@ -256,17 +256,16 @@ def _distinct_codes(spec):
 
 
 def _distinct_duals(spec):
-    """Canonical duals of the Gabor family of spec, solved once per distinct shift pair.
+    """Canonical duals of the Gabor family of spec, once per distinct shift pair.
 
-    Returns (solved, index): column index[n] of solved is the dual of
-    element n.  Equal pairs give bit-equal rows, and LAPACK solves each
-    right-hand side on its own, so every column equals the one a solve
-    over all rows gives, bit for bit.
+    Returns (solved, index, inverse): inverse is S^-1 of the family's frame
+    operator S, and column index[n] of solved = inverse @ rows.T is the
+    dual of element n; equal pairs give bit-equal rows, so one column each.
     """
     family = gabor_family(spec)
     _, firsts, index = _distinct_codes(spec)
-    rows = family.vectors
-    return np.linalg.solve(frame_operator(family).matrix, rows[firsts].T), index
+    inverse = np.linalg.inv(frame_operator(family).matrix)
+    return inverse @ family.vectors[firsts].T, index, inverse
 
 
 def exponential_family(spec):
@@ -378,8 +377,7 @@ def densify_gabor_frame(base, counts, *, seed=0):
         raise NotAFrameError("the base Gabor system must be a frame")
 
     length = base.length
-    solved, index = _distinct_duals(base)
-    # a column's norm is summed in the order a full solve's row norm is
+    solved, index, inverse = _distinct_duals(base)
     dual_norms = np.linalg.norm(solved, axis=0)
     sup_dual = float(dual_norms.max())
     root_length = math.sqrt(length)
@@ -442,11 +440,10 @@ def densify_gabor_frame(base, counts, *, seed=0):
         mixed += block.sum(axis=0)[:, None] * np.conj(solved[:, index[n - 1]])[None, :] / k_n
         pos += k_n
     if tail.size:
-        # gathered as the F-ordered (rows, L) transpose that a full solve gives,
-        # and conjugated in place
-        duals = np.take(solved, index[lead:], axis=1)
-        mixed += tail.T @ np.conj(duals, out=duals).T
-        del duals
+        # sum over the pass-through elements of x_n (S^-1 x_n)^*, as (S - S_lead) S^-1;
+        # I - S_lead S^-1 would hide the error of the inverse from the deviation
+        head = fam.vectors[:lead]
+        mixed += (frame_operator(fam).matrix - head.T @ head.conj()) @ inverse.conj().T
     del solved  # the duals go before the emitted rows are built
     deviation = float(np.linalg.norm(mixed - np.eye(length), ord=2))
     if deviation >= 1.0:

@@ -181,10 +181,11 @@ def roll_gabor_rows(spec):
 def reference_gabor_duals(spec):
     """Canonical duals of the Gabor family of spec from one solve over all of its rows.
 
-    This is the dual step densify_gabor_frame took before it solved each
-    distinct shift pair once: the frame operator formed again and every row,
-    repeats included, a right-hand side.  The result is F-ordered, the
-    transpose of the solver's C-ordered output.
+    This is densify_gabor_frame's dual step from before it took one dual
+    per distinct shift pair (now from one inverse of the frame operator):
+    the frame operator formed again and every row, repeats included, a
+    right-hand side.  The result is F-ordered, the transpose of the
+    solver's C-ordered output.
     """
     from framex.frames import frame_operator
     from framex.timefreq import gabor_family
@@ -195,7 +196,8 @@ def reference_gabor_duals(spec):
 
 # densify_gabor_frame as it was before each distinct shift pair was solved
 # once: the duals of reference_gabor_duals, their row norms, the rows
-# appended one at a time.  Kept as the oracle of its report.
+# appended one at a time, the mixed operator summed over every dual.  Kept
+# as the oracle of its report, exact where no dual enters.
 def reference_densify_gabor_frame(base, counts, seed=0):
     from framex.timefreq import (
         DensificationReport,

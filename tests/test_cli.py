@@ -73,6 +73,15 @@ def test_classify_and_dual(tmp_path):
     assert report["results"]["max_relative_residual"] < 1e-9
 
 
+def test_classify_spanning_does_not_depend_on_member_lengths(tmp_path):
+    payload = {"dim": 2, "field": "real", "vectors": [[1e150, 0.0], [0.0, 1e-150]]}
+    code, report, _ = run_cli(tmp_path, "classify", payload)
+    assert code == 0
+    assert report["results"]["label"] == "rescalable"
+    assert report["results"]["spanning"] is True
+    assert report["results"]["rescaling_recommended"] is True
+
+
 @pytest.mark.parametrize("command", ["analyze", "classify"])
 def test_overflowing_frame_operator_writes_an_error_report(tmp_path, command):
     payload = {"dim": 2, "field": "real", "vectors": [[1e308, 0.0], [0.0, 1e308]]}

@@ -1,6 +1,7 @@
 """Frame bounds, duals, reconstruction, and the spanning hierarchy."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -272,3 +273,153 @@ def test_complex_dual_property(seed):
     x = rng.normal(size=3) + 1j * rng.normal(size=3)
     value = fam.vectors.T @ (duals.vectors.conj() @ x)
     assert np.linalg.norm(value - x) < 1e-8 * np.linalg.norm(x)
+
+
+def test_classify_spanning_test_is_scale_free():
+    """A basis with members 1e150 and 1e-150 spans, so it is rescalable.
+
+    The spanning test runs on the unit vectors of the nonzero members, so
+    no member's length decides it; normalizing gives the identity.
+    """
+    verdict = classify(VectorFamily([[1e150, 0.0], [0.0, 1e-150]]))
+    assert verdict.label == "rescalable"
+    assert verdict.spanning and verdict.rescaling_recommended
+    assert classify(VectorFamily([[1e150, 0.0], [0.0, 1e-150], [0.0, 0.0]])).spanning
+    # a zero member and an all-zero family do not span
+    assert not classify(VectorFamily([[1.0, 0.0], [0.0, 0.0]])).spanning
+    assert classify(VectorFamily(np.zeros((3, 2)))).label == "non_spanning"
+    # a residual of 1e-9 on a unit vector is below RANK_DROP_TOL at any scale
+    for scale in (1e-150, 1.0, 1e150):
+        assert not classify(VectorFamily(scale * np.array([[1.0, 0.0], [1.0, 1e-9]]))).spanning
+
+
+def _inertia(matrix):
+    """(positive, negative, zero) eigenvalue counts of a symmetric Fraction matrix.
+
+    Congruence by 1x1 pivots, or by a 2x2 pivot [[0, b], [b, 0]] (one
+    positive and one negative eigenvalue) when the remaining diagonal is
+    zero; Sylvester's law of inertia makes the counts exact.
+    """
+    a = [list(row) for row in matrix]
+    live = list(range(len(a)))
+    pos = neg = 0
+    while live:
+        p = next((i for i in live if a[i][i] != 0), None)
+        if p is not None:
+            pos, neg = (pos + 1, neg) if a[p][p] > 0 else (pos, neg + 1)
+            live.remove(p)
+            for i in live:
+                f = a[i][p] / a[p][p]
+                for j in live:
+                    a[i][j] -= f * a[p][j]
+            continue
+        pair = next(((i, j) for i in live for j in live if i < j and a[i][j] != 0), None)
+        if pair is None:
+            break
+        i, j = pair
+        b = a[i][j]
+        pos, neg = pos + 1, neg + 1
+        live = [r for r in live if r not in pair]
+        for r in live:
+            for c in live:
+                a[r][c] -= (a[r][i] * a[j][c] + a[r][j] * a[i][c]) / b
+    return pos, neg, len(a) - pos - neg
+
+
+def test_inertia_oracle():
+    F = Fraction
+    assert _inertia([[F(1), F(0), F(0)], [F(0), F(-2), F(0)], [F(0), F(0), F(0)]]) == (1, 1, 1)
+    assert _inertia([[F(0), F(1)], [F(1), F(0)]]) == (1, 1, 0)
+    assert _inertia([[F(0), F(1), F(0)], [F(1), F(0), F(0)], [F(0), F(0), F(3)]]) == (2, 1, 0)
+    assert _inertia([[F(2), F(1)], [F(1), F(2)]]) == (2, 0, 0)
+
+
+def _gamma(k):
+    u = 2.0**-53
+    return k * u / (1 - k * u)
+
+
+def _integer_families():
+    rng = np.random.default_rng(2024)
+    families = []
+    for d in (1, 2, 3, 5, 8, 12, 16):
+        count = d + int(rng.integers(0, 2 * d + 1))
+        families.append(rng.integers(-3, 4, size=(count, d)))
+        families.append(rng.integers(-3, 4, size=(count, d)) + 1j * rng.integers(-3, 4, size=(count, d)))
+    families.append(np.vstack([np.eye(4, dtype=int)] * 3))  # tight
+    hadamard = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
+    families.append(hadamard * (1 + 1j))  # tight, complex
+    deficient = rng.integers(-2, 3, size=(9, 6))
+    deficient[:, 4] = deficient[:, 0] + deficient[:, 1]  # rank-deficient
+    families.append(deficient)
+    families.append(np.zeros((3, 4), dtype=int))
+    return families
+
+
+@pytest.mark.parametrize("vectors", _integer_families(), ids=lambda v: f"{v.dtype.kind}{v.shape}")
+def test_certified_bounds_hold_for_the_exact_operator(vectors):
+    """No exact eigenvalue of S lies outside [A - w, B + w] for the certificate's w.
+
+    w = tol + c_d + the Gram rounding width, as frame_bounds documents, at
+    the scale 4^-k it works at.  S of an integer family is an integer (or
+    Gaussian-integer) matrix, so the inertia of S - xI at the rational
+    points x = A - w and x = B + w is exact; a complex S is checked through
+    its real form [[Re, -Im], [Im, Re]], whose eigenvalues are those of S,
+    each twice.
+    """
+    report = frame_bounds(VectorFamily(vectors))
+    count, dim = vectors.shape
+    complex_field = np.iscomplexobj(vectors)
+    exact = [[sum((complex(x[i]) * complex(x[j]).conjugate() for x in vectors.tolist()), 0j)
+              for j in range(dim)] for i in range(dim)]
+    if complex_field:
+        exact = [[z.real for z in row] + [-z.imag for z in row] for row in exact] + [
+            [z.imag for z in row] + [z.real for z in row] for row in exact
+        ]
+    else:
+        exact = [[z.real for z in row] for row in exact]
+    exact = [[Fraction(int(v)) for v in row] for row in exact]
+    n = len(exact)
+    top = max(float(exact[i][i]) for i in range(n))
+    k = (math.frexp(top)[1] + 1) // 2
+    upper = report.upper * 4.0**-k
+    tol = frames.NUMERIC_TOL * max(upper, 1.0)
+    c_d = 3 * n * _gamma(n + 1) * (upper + 1) + n * (n + 1) * 2.0**-1074
+    gram = _gamma(count + (3 if complex_field else 1)) * float(np.sum(np.abs(vectors) ** 2)) * 4.0**-k
+    width = Fraction(tol + c_d + gram) * Fraction(4) ** k
+    for x, sign in ((Fraction(report.lower) - width, 1), (Fraction(report.upper) + width, -1)):
+        shifted = [[sign * (v - (x if i == j else 0)) for j, v in enumerate(row)] for i, row in enumerate(exact)]
+        assert _inertia(shifted)[1] == 0, (x, sign)
+
+
+@pytest.mark.parametrize("end", [0, -1], ids=["lowest", "highest"])
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_certificate_refuses_eigenvalues_moved_by_ten_tol(monkeypatch, end, field):
+    """An extreme eigenvalue moved inward by 10 tol fails its Cholesky check."""
+    rng = np.random.default_rng(5)
+    vectors = rng.normal(size=(9, 4))
+    if field == "complex":
+        vectors = vectors + 1j * rng.normal(size=(9, 4))
+    frame_bounds(VectorFamily(vectors))  # the unmoved values pass
+    eigvalsh = np.linalg.eigvalsh
+
+    def moved(matrix):
+        values = eigvalsh(matrix).copy()
+        tol = frames.NUMERIC_TOL * max(values[-1], 1.0)
+        values[end] += 10 * tol if end == 0 else -10 * tol
+        return values
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", moved)
+    with pytest.raises(PreconditionError, match="internal check failed"):
+        frame_bounds(VectorFamily(vectors))
+
+
+def test_bounds_classify_and_dual_draw_no_probe(monkeypatch, rng):
+    def refuse(*args):
+        raise AssertionError("a probe was drawn")
+
+    monkeypatch.setattr(frames, "_unit_probes", refuse)
+    for vectors in (rng.normal(size=(7, 3)), rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))):
+        assert frame_bounds(VectorFamily(vectors)).is_frame
+        assert classify(VectorFamily(vectors)).label in ("frame", "riesz_basis")
+        assert len(canonical_dual(VectorFamily(vectors))) == len(vectors)

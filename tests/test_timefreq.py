@@ -15,6 +15,7 @@ from framex import (
     densify_gabor_frame,
     exponential_family,
     frame_bounds,
+    frame_operator,
     full_lattice_shifts,
     gabor_family,
     gaussian_window,
@@ -367,25 +368,35 @@ def assert_same_bits_and_layout(actual, expected):
         assert np.array_equal(a, e)
 
 
+def dual_tolerance(spec):
+    """Relative bound on the gap between S^-1 b through inv and through solve.
+
+    A backward-stable solve has relative forward error at most about
+    L cond(S) u, and a product with a computed inverse at most about
+    L cond(S)^2 u (Higham, Accuracy and Stability of Numerical Algorithms,
+    chapters 7 and 14); 4 L cond(S)^2 u covers both and their constants.
+    """
+    operator = frame_operator(gabor_family(spec)).matrix
+    return 4 * spec.length * np.linalg.cond(operator) ** 2 * np.finfo(float).eps
+
+
 @pytest.mark.parametrize("copies", [1, 2, 3])
 @pytest.mark.parametrize("length", [8, 16, 32, 48, 64])
 def test_distinct_duals_equal_a_full_solve(length, copies):
     for spec in (construct45_spec(length, 4, copies), shuffled_spec(length, copies, length + copies)):
-        solved, index = timefreq._distinct_duals(spec)
+        solved, index, inverse = timefreq._distinct_duals(spec)
         assert solved.shape == (length, len(set(spec.shifts)))
         assert [spec.shifts[i] for i in np.unique(index, return_index=True)[1]] == sorted(
             set(spec.shifts)
         )
+        assert_same_bits_and_layout(inverse, np.linalg.inv(frame_operator(gabor_family(spec)).matrix))
+        # within the bound of a full solve over all rows, column by column
         reference = reference_gabor_duals(spec)
-        # the gather densify_gabor_frame makes keeps a full solve's F order
-        assert_same_bits_and_layout(np.take(solved, index, axis=1).T, reference)
-        lead = 4
-        assert_same_bits_and_layout(
-            np.take(np.conj(solved), index[lead:], axis=1).T, np.conj(reference[lead:])
-        )
-        # the norms of the distinct columns are a full solve's row norms
-        norms = np.linalg.norm(solved, axis=0)[index]
-        assert_same_bits_and_layout(norms, np.linalg.norm(reference, axis=1))
+        reference_norms = np.linalg.norm(reference, axis=1)
+        bound = dual_tolerance(spec) * reference_norms
+        assert np.all(np.linalg.norm(solved[:, index].T - reference, axis=1) <= bound)
+        # the norms of the distinct columns are the full solve's row norms
+        assert np.all(np.abs(np.linalg.norm(solved, axis=0)[index] - reference_norms) <= bound)
 
 
 @pytest.mark.parametrize(
@@ -400,12 +411,29 @@ def test_distinct_duals_equal_a_full_solve(length, copies):
     ids=["L16-x4", "L16-trivial", "L32-x2", "L64-x2", "L16-shuffled"],
 )
 def test_densify_equals_the_reference_run(spec, counts, seed):
+    """Equal to the run with a full solve, within dual_tolerance where S^-1 enters.
+
+    The dual norms, and through them the vector caps, differ from the
+    reference by at most dual_tolerance relative.  The mixed operator, an
+    O(1) matrix, sums about as many products as the family has rows, so
+    its distance to the identity moves by at most dual_tolerance times the
+    family size over L, absolutely.
+    """
     family, report = densify_gabor_frame(spec, counts, seed=seed)
     ref_family, ref_report = reference_densify_gabor_frame(spec, counts, seed=seed)
+    bound = dual_tolerance(spec)
+    close = {
+        "dual_norm_sup": bound * ref_report.dual_norm_sup,
+        "vector_caps": bound * np.array(ref_report.vector_caps),
+        "operator_deviation": bound * len(spec) / spec.length,
+    }
     for field in dataclasses.fields(report):
         value, expected = getattr(report, field.name), getattr(ref_report, field.name)
         assert type(value) is type(expected), field.name
-        assert value == expected, field.name
+        if field.name in close:
+            assert np.all(np.abs(np.subtract(value, expected)) <= close[field.name]), field.name
+        else:
+            assert value == expected, field.name
     assert_same_bits_and_layout(family.vectors, ref_family.vectors)
     assert family.labels == ref_family.labels
 
