@@ -10,13 +10,16 @@ gabor, construct45.  Families arrive as JSON objects with fields "dim",
 "labels"; complex entries are [re, im] pairs.  Point sets use
 {"ambient_dim", "points", "extent"}.
 
-Reports are JSON with sorted keys so identical jobs produce identical
-bytes; --no-timestamp drops the timestamp and wall time fields, which
-are the only run-dependent content.  --csv additionally writes the
-flattened result table next to the report.  Each command reads a fixed
-set of --param keys; any other key is malformed input.  Exit codes:
-0 success, 2 precondition violation, 3 malformed or unreadable input
-(argparse usage errors included), 4 budget exhausted.
+Reports are compact JSON with sorted keys, written by json's C encoder,
+so identical jobs produce identical bytes; non-finite floats appear as
+the strings "nan", "inf" and "-inf".  A report names its input by digest,
+{"sha256", "bytes"} of the file, not by echoing it.  --no-timestamp drops
+the timestamp and wall time fields, which are the only run-dependent
+content.  --csv additionally writes the flattened result table next to
+the report.  Each command reads a fixed set of --param keys; any other
+key is malformed input.  Exit codes: 0 success, 2 precondition
+violation, 3 malformed, unreadable or non-UTF-8 input (argparse usage
+errors included), 4 budget exhausted.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
+import hashlib
 import json
 import math
 import platform
@@ -33,8 +37,7 @@ import traceback
 from dataclasses import dataclass, fields, is_dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
-from itertools import chain, cycle
-from json.encoder import encode_basestring_ascii
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -67,135 +70,92 @@ class Job:
 
 _PLAIN_NUMBERS = {int, float}
 _SEQUENCES = {list, tuple}
+# the types json's encoder writes as they are, which hold no dict
+_LEAF_TYPES = {str, int, float, bool, type(None)}
+# json's spellings of the non-finite floats, and the strings reports use
+_NON_FINITE = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf"}
 
 
-def _encode(obj, level=0):
-    """Report content as the text json.dumps(..., sort_keys=True, indent=2) gives.
+def _default(obj):
+    """obj, of a type json's encoder does not know, as content that it does.
 
-    Non-finite floats become the strings "nan", "inf" and "-inf"; complex
-    numbers become [re, im], Fractions "n/d", dataclasses objects of their
-    fields, sets sorted lists and tuples lists; numpy scalars and arrays
-    encode as their Python values.  Keys go through str() and are sorted.
+    Arrays become nested lists (complex ones of [re, im] pairs), numpy
+    scalars Python numbers, complex numbers [re, im], Fractions "n/d",
+    dataclasses objects of their fields and sets sorted lists.
     """
-    cls = type(obj)
-    # plain containers first: they are most of a report, and no branch
-    # below them could claim an object of exactly these types
-    if cls is list or cls is tuple:
-        return _encode_list(obj, level)
-    if cls is dict:
-        return _encode_dict(obj, level)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if isinstance(obj, float):
-        # float.__repr__, not repr: np.float64 is a float whose repr is
-        # "np.float64(nan)"
-        if math.isfinite(obj):
-            return float.__repr__(obj)
-        return encode_basestring_ascii(float.__repr__(obj))
-    if isinstance(obj, complex):
-        return _encode_list([obj.real, obj.imag], level)
-    if isinstance(obj, Fraction):
-        return encode_basestring_ascii(f"{obj.numerator}/{obj.denominator}")
-    if isinstance(obj, np.bool_):
-        return "true" if obj else "false"
-    if isinstance(obj, np.integer):
-        return int.__repr__(int(obj))
-    if isinstance(obj, np.floating):
-        return _encode(float(obj), level)
-    if isinstance(obj, np.complexfloating):
-        return _encode_list([float(obj.real), float(obj.imag)], level)
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind == "c":
-            # [re, im] float rows, which encode as one block; a .view
-            # would need a contiguous last axis
             obj = np.stack((obj.real, obj.imag), axis=-1)
-        return _encode(obj.tolist(), level)
+        return obj.tolist()
+    if isinstance(obj, (complex, np.complexfloating)):
+        return [float(obj.real), float(obj.imag)]
+    if isinstance(obj, (np.bool_, np.integer)):
+        return obj.item()
+    if isinstance(obj, np.floating):
+        return float(obj)  # a longdouble's item() is itself
+    if isinstance(obj, Fraction):
+        return f"{obj.numerator}/{obj.denominator}"
     if is_dataclass(obj) and not isinstance(obj, type):
-        return _encode_dict({f.name: getattr(obj, f.name) for f in fields(obj)}, level)
-    if isinstance(obj, dict):
-        return _encode_dict(obj, level)
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
     if isinstance(obj, (set, frozenset)):
-        return _encode_list(sorted(obj), level)
-    if isinstance(obj, (list, tuple)):
-        return _encode_list(obj, level)
+        return sorted(obj)
     raise InputFormatError(f"cannot serialize {type(obj).__name__} into a report")
 
 
-def _encode_dict(obj, level):
-    if not obj:
-        return "{}"
-    obj = {str(k): v for k, v in obj.items()}
-    pad = "\n" + "  " * (level + 1)
-    items = [f"{encode_basestring_ascii(k)}: {_encode(obj[k], level + 1)}" for k in sorted(obj)]
-    return "{" + pad + ("," + pad).join(items) + "\n" + "  " * level + "}"
+def _require_str_keys(obj):
+    """Raise InputFormatError if a dict anywhere in obj has a key that is not a str.
 
-
-def _encode_list(seq, level):
-    if not seq:
-        return "[]"
-    text = _encode_block(seq, level)
-    if text is not None:
-        return text
-    pad = "\n" + "  " * (level + 1)
-    text = ("," + pad).join([_encode(v, level + 1) for v in seq])
-    return "[" + pad + text + "\n" + "  " * level + "]"
-
-
-def _encode_block(seq, level):
-    """The nonempty seq as one block of plain numbers, or None if it is not one.
-
-    A block is a list or tuple whose leaves are all ints and floats at one
-    depth, every row at a depth of one nonzero length.  Its leaf reprs are
-    joined in one pass, with the separators that follow the leaves of one
-    outermost row built once and repeated for every row.  Only "nan" and
-    "inf" spell an n; a block holding one is left to _encode, which makes
-    those leaves strings.
+    json would write an int, float, bool or None key in its own spelling,
+    sorted among its own kind.  A sequence of sequences is searched as one
+    flattened list, so long lists of pairs cost a few passes in C.
     """
-    shape = [len(seq)]
-    leaves = seq
-    while True:
-        kinds = set(map(type, leaves))
-        if kinds <= _PLAIN_NUMBERS:
-            break
-        if not kinds <= _SEQUENCES:
-            return None
-        widths = set(map(len, leaves))
-        if len(widths) != 1 or 0 in widths:
-            return None
-        shape.append(widths.pop())
-        leaves = list(chain.from_iterable(leaves))
-    depth = len(shape)
-    pads = ["\n" + "  " * (level + t) for t in range(depth + 1)]
-    opens = ["[" + pads[t + 1] for t in range(depth)]  # outermost first
-    closes = [pads[t] + "]" for t in reversed(range(depth))]  # innermost first
-    # after a leaf that ends r innermost rows: close them, then open r anew
-    breaks = ["".join(closes[:r]) + "," + pads[depth - r] + "".join(opens[depth - r :]) for r in range(depth)]
-    ends = [0]  # rows each leaf of one outermost row ends
-    for width in reversed(shape[1:]):
-        ends *= width
-        ends[-1] += 1
-    seps = [breaks[r] for r in ends]
-    text = "".join(chain.from_iterable(zip(map(repr, leaves), cycle(seps))))
-    if "n" in text:
-        return None
-    return "".join(opens) + text[: -len(seps[-1])] + "".join(closes)
+    todo = [obj]
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, dict):
+            if not set(map(type, obj)) <= {str}:
+                raise InputFormatError("report keys must be strings")
+            todo.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            kinds = set(map(type, obj))
+            if not kinds <= _LEAF_TYPES:
+                todo.extend([list(chain.from_iterable(obj))] if kinds <= _SEQUENCES else obj)
+        elif is_dataclass(obj) or isinstance(obj, np.ndarray) and obj.dtype.hasobject:
+            todo.append(_default(obj))
+
+
+_dumps = functools.partial(json.dumps, default=_default, sort_keys=True, separators=(",", ":"))
+
+
+def _report_text(report):
+    """The report as compact sorted-key JSON from json's C encoder, with a newline.
+
+    Keys must be strings.  Non-finite floats, numpy's included, become the
+    strings "nan", "inf" and "-inf": a report holding one is written, read
+    back with those strings for json's constants and written again, which
+    changes nothing else, as floats round-trip through their repr.
+    """
+    _require_str_keys(report)
+    try:
+        text = _dumps(report, allow_nan=False)
+    except ValueError:  # a non-finite float
+        text = _dumps(json.loads(_dumps(report), parse_constant=_NON_FINITE.__getitem__))
+    return text + "\n"
 
 
 def _load_json(path):
+    """The parsed input file and its digest, {"sha256": hex digest of its bytes, "bytes": size}."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise InputFormatError(f"cannot read input file: {exc}") from exc
     try:
-        return json.loads(text)
+        payload = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"input is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"input is not valid JSON: {exc}") from exc
+    return payload, {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
 
 
 def _entry(value, complex_field, what):
@@ -654,8 +614,7 @@ def run(job: Job) -> int:
         params = report["params"] = _parse_params(job.params)
         if job.seed < 0:
             raise InputFormatError(f"--seed must be a non-negative integer, got {job.seed}")
-        payload = _load_json(job.input_path)
-        report["input"] = payload
+        payload, report["input"] = _load_json(job.input_path)
         unknown = sorted(set(params) - set(_PARAMS[job.command]))
         if unknown:
             known = ", ".join(_PARAMS[job.command]) or "none"
@@ -684,7 +643,7 @@ def _versions():
 
 def _write_report(report, code, path, csv=False) -> int:
     """Write the report (and its CSV table on success); returns the exit code."""
-    body = _encode(report) + "\n"
+    body = _report_text(report)
     out = Path(path)
     try:
         out.write_text(body, encoding="utf-8")

@@ -283,6 +283,9 @@ def _frame_bounds(family: VectorFamily, use_scalars: bool) -> tuple[FrameReport,
     k = (math.frexp(top)[1] + 1) // 2
     scaled_operator = PsdOperator(s * 4.0**-k, _prevalidated=True)
     ev = scaled_operator.eigenvalues
+    if operator is not None:  # S's spectrum: scaling by a power of four is exact
+        operator._eigenvalues = ev * 4.0**k
+        operator._eigenvalues.setflags(write=False)
     e += k
     lower = float(max(ev[0], 0.0))
     upper = float(max(ev[-1], 0.0))

@@ -127,8 +127,9 @@ def brute_axis_counts(points, axis: np.ndarray, cap: float) -> np.ndarray:
     return np.count_nonzero(d2 <= cap, axis=1)
 
 
-# The report serializer framex.cli used before its one-pass encoder: convert
-# to JSON-safe structures, then json.dumps.  Kept as the encoder's oracle.
+# The report serializer framex.cli once used: convert to JSON-safe
+# structures (keys through str(), non-finite floats as "nan", "inf" and
+# "-inf"), then json.dumps.  Kept as the encoder's oracle.
 def jsonable(obj):
     """Recursively convert report content to JSON-safe structures."""
     if obj is None or isinstance(obj, (bool, int, str)):
@@ -162,8 +163,8 @@ def jsonable(obj):
 
 
 def oracle_report_text(obj):
-    """The report body the two-pass serializer wrote for obj."""
-    return json.dumps(jsonable(obj), sort_keys=True, indent=2) + "\n"
+    """The report body for obj: compact JSON with sorted keys, from the two-pass serializer."""
+    return json.dumps(jsonable(obj), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def roll_gabor_rows(spec):

@@ -237,6 +237,32 @@ def test_dual_bounds_its_frame_once(tmp_path, monkeypatch):
     assert calls == [(2, 2)]
 
 
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_analyze_eigensolves_its_operator_once(tmp_path, monkeypatch, complex_field):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    rng = np.random.default_rng(5)
+    vectors = rng.normal(size=(7, 4)) * 1e3
+    payload = {"dim": 4, "field": "real", "vectors": vectors.tolist()}
+    if complex_field:
+        vectors = vectors + 1j * rng.normal(size=(7, 4))
+        payload = {"dim": 4, "field": "complex",
+                   "vectors": np.stack((vectors.real, vectors.imag), axis=-1).tolist()}
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    code, report, _ = run_cli(tmp_path, "analyze", payload)
+    assert code == 0
+    assert calls == [(4, 4)]
+    # the spectrum of S is the scaled operator's times 4^k, bit for bit
+    s = vectors.T @ vectors.conj()
+    want = eigvalsh((s + s.conj().T) / 2.0)
+    assert np.array(report["results"]["spectrum"]).tobytes() == want.tobytes()
+
+
 def test_selector_command_and_budget_override(tmp_path):
     code, report, _ = run_cli(tmp_path, "selector", scaled_basis_payload())
     assert code == 0
@@ -542,6 +568,18 @@ def test_invalid_json_input(tmp_path):
     assert code == 3
     report = json.loads(dst.read_text(encoding="utf-8"))
     assert report["error"]["type"] == "InputFormatError"
+
+
+def test_input_that_is_not_utf8(tmp_path):
+    src = tmp_path / "bad.json"
+    src.write_bytes(b'{"dim": 1, "field": "real", "vectors": [[1.0]], "labels": ["\xff"]}')
+    dst = tmp_path / "out.json"
+    code = cli.main(["analyze", "--in", str(src), "--out", str(dst)])
+    assert code == 3
+    report = json.loads(dst.read_text(encoding="utf-8"))
+    assert report["error"]["type"] == "InputFormatError"
+    assert report["error"]["message"].startswith("input is not UTF-8:")
+    assert "input" not in report and "results" not in report
 
 
 def test_missing_input_file(tmp_path):

@@ -1,9 +1,10 @@
 """The CLI boundary: report encoder, bulk payload parse, CSV table, parser reuse."""
 
+import hashlib
 import json
 import math
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -30,8 +31,24 @@ class Empty:
     pass
 
 
-def _encoded(obj):
-    return cli._encode(obj) + "\n"
+def _has_non_str_key(obj):
+    """Whether a dict anywhere in obj has a key that is not a str: the reports' key rule."""
+    if isinstance(obj, dict):
+        return any(type(k) is not str or _has_non_str_key(v) for k, v in obj.items())
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        return any(map(_has_non_str_key, obj))
+    if is_dataclass(obj):
+        return any(_has_non_str_key(getattr(obj, f.name)) for f in fields(obj))
+    return False
+
+
+def _check_encoder(obj):
+    """The encoder writes the oracle's bytes, or raises InputFormatError on a non-str key."""
+    if _has_non_str_key(obj):
+        with pytest.raises(InputFormatError, match="report keys must be strings"):
+            cli._report_text(obj)
+    else:
+        assert cli._report_text(obj) == oracle_report_text(obj)
 
 
 # --- report encoder -------------------------------------------------------
@@ -104,22 +121,44 @@ _keys = st.one_of(
     st.fractions(),
     st.integers(-5, 5).map(np.int64),
 )
-_reports = st.recursive(
-    _leaves,
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=5),
-        st.lists(inner, max_size=4).map(tuple),
-        st.dictionaries(_keys, inner, max_size=5),
-        st.builds(Pair, inner, inner),
-    ),
-    max_leaves=40,
-)
+
+
+def _report_trees(keys):
+    return st.recursive(
+        _leaves,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=5),
+            st.lists(inner, max_size=4).map(tuple),
+            st.dictionaries(keys, inner, max_size=5),
+            st.builds(Pair, inner, inner),
+        ),
+        max_leaves=40,
+    )
 
 
 @settings(max_examples=200, deadline=None)
-@given(_reports)
+@given(_report_trees(_keys))
 def test_encoder_matches_two_pass_serializer(obj):
-    assert _encoded(obj) == oracle_report_text(obj)
+    _check_encoder(obj)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_report_trees(st.text()))
+def test_encoder_matches_two_pass_serializer_on_str_keys(obj):
+    # every dict key a str, so every draw must give the oracle's bytes
+    assert cli._report_text(obj) == oracle_report_text(obj)
+
+
+@pytest.mark.parametrize(
+    "key",
+    ["k", "", 7, 10**30, 2.5, math.nan, True, False, None, Fraction(1, 3), np.int64(3)],
+    ids=repr,
+)
+def test_report_keys_must_be_strings(key):
+    # json would write True as "true", None as "null" and sort ints as ints,
+    # where the oracle writes str(key); so a key that is not a str is refused
+    for obj in ({key: 1}, [{"a": {key: 1}}], Pair(1, {key: 1}), ((1, 2), ({key: 1},))):
+        _check_encoder(obj)
 
 
 _transposed = (np.arange(6).reshape(2, 3) * (1 - 0.5j)).T
@@ -178,13 +217,31 @@ _transposed = (np.arange(6).reshape(2, 3) * (1 - 0.5j)).T
     ],
 )
 def test_encoder_edge_cases(obj):
-    assert _encoded(obj) == oracle_report_text(obj)
+    _check_encoder(obj)
 
 
 def test_encoder_writes_non_finite_numpy_floats_as_plain_floats():
     values = [np.float64(math.nan), np.float64(math.inf), np.float64(-math.inf)]
-    assert cli._encode(values) == cli._encode([math.nan, math.inf, -math.inf])
-    assert json.loads(cli._encode(values)) == ["nan", "inf", "-inf"]
+    assert cli._report_text(values) == cli._report_text([math.nan, math.inf, -math.inf])
+    assert json.loads(cli._report_text(values)) == ["nan", "inf", "-inf"]
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        Pair(math.nan, Pair([math.inf, -0.0], {"x": -math.inf})),
+        {"a": np.array([[math.nan, -0.0], [1e-310, math.inf]]), "b": np.array([complex(-0.0, math.nan)])},
+        [math.nan, -0.0, 0.0, 5e-324, 1.7976931348623157e308, 0.1],
+        [math.inf, 2**63, -(2**63) - 1, 2**64 + 1, 10**400, np.uint64(2**64 - 1)],
+        {"é": math.nan, "naïve ☃ \U0001f600": ["\x00\n\t\"\\", "nan", "inf", "-inf", "NaN"]},
+        {"nan": [np.float32(math.nan), Fraction(-1, 3), complex(math.inf, -0.0)], "s": {1.5, -0.0}},
+    ],
+)
+def test_non_finite_fallback_writes_the_oracle_bytes(obj):
+    # json's encoder refuses non-finite floats, so these reports take the fallback pass
+    with pytest.raises(ValueError):
+        cli._dumps(obj, allow_nan=False)
+    assert cli._report_text(obj) == oracle_report_text(obj)
 
 
 def test_encoder_rejects_what_the_serializer_rejected():
@@ -192,7 +249,7 @@ def test_encoder_rejects_what_the_serializer_rejected():
         with pytest.raises(InputFormatError):
             jsonable(obj)
         with pytest.raises(InputFormatError):
-            cli._encode(obj)
+            cli._report_text(obj)
 
 
 def _density_payload():
@@ -232,7 +289,7 @@ def test_reports_and_csv_match_the_two_pass_path(tmp_path, monkeypatch, command,
 
     # the report body: the encoder against the two-pass serializer
     with monkeypatch.context() as m:
-        m.setattr(cli, "_encode", lambda obj: oracle_report_text(obj)[:-1])
+        m.setattr(cli, "_report_text", oracle_report_text)
         old = tmp_path / "old.json"
         assert cli.main([command, "--in", src, "--out", str(old), *argv]) == 0
     assert new.read_bytes() == old.read_bytes()
@@ -241,6 +298,43 @@ def test_reports_and_csv_match_the_two_pass_path(tmp_path, monkeypatch, command,
     results = cli._HANDLERS[command](json.loads(json.dumps(payload)), cli._parse_params(params), 3)
     cli._write_csv(tmp_path / "old.csv", jsonable(results))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def _digest(data):
+    return {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+
+
+@pytest.mark.parametrize("command,payload,params", _JOBS, ids=[j[0] for j in _JOBS])
+def test_report_input_is_a_digest_of_the_file(tmp_path, command, payload, params):
+    argv = [a for p in params for a in ("--param", p)]
+    code, report, _ = run_cli(tmp_path, command, payload, *argv)
+    assert code == 0
+    assert report["input"] == _digest((tmp_path / "in.json").read_bytes())
+
+
+def test_density_report_of_8192_points_stays_small(tmp_path):
+    points = [[x - 31.5, y - 63.5] for x in range(64) for y in range(128)]
+    payload = {"ambient_dim": 2, "extent": 72.0, "points": points}
+    code, report, dst = run_cli(tmp_path, "density", payload, "--param", "radii=8",
+                                "--param", "step=8", "--no-timestamp")
+    assert code == 0
+    assert report["results"]["count"] == 8192
+    data = (tmp_path / "in.json").read_bytes()
+    assert report["input"] == _digest(data)
+    assert len(data) > 100_000
+    assert len(dst.read_bytes()) < 4096
+    assert b"points" not in dst.read_bytes()
+
+
+def test_input_digest_is_of_the_bytes_as_read(tmp_path):
+    # spacing, key order and a non-ASCII UTF-8 label: the digest is of the file's bytes
+    src = tmp_path / "in.json"
+    src.write_bytes(b'{ "vectors": [[1, 0], [0, 1]], "dim": 2, "field": "real",\n "labels": ["\xc3\xa9", "b"] }')
+    dst = tmp_path / "out.json"
+    assert cli.main(["analyze", "--in", str(src), "--out", str(dst), "--no-timestamp"]) == 0
+    report = json.loads(dst.read_bytes())
+    assert report["input"] == _digest(src.read_bytes())
+    assert set(report) == {"command", "input", "params", "results", "seed", "versions"}
 
 
 # --- bulk payload parse ---------------------------------------------------
