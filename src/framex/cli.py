@@ -45,7 +45,7 @@ import numpy as np
 from . import __version__, pointsets, sampling, selectors
 from .errors import BudgetExceededError, InputFormatError, PreconditionError
 from .extraction import extract
-from .frames import VectorFamily, canonical_dual, classify, frame_bounds, frame_operator
+from .frames import VectorFamily, canonical_dual, classify, frame_bounds, frame_operator, reconstruction_residual
 from .linalg import Projection, rank_one
 from .pointsets import PointSet, density, uniformly_discrete
 from .sampling import sample
@@ -364,25 +364,9 @@ def _cmd_dual(payload, params, seed):
     use_scalars = _use_scalars(family, params)
     report = frame_bounds(family, use_scalars)
     duals = canonical_dual(family, use_scalars)
-    probes = _param(params, "probes", "int", 25)
-    if probes < 1:
-        raise PreconditionError(f"probes must be at least 1, got {probes}")
-    rng = np.random.default_rng(seed)
-    fam_m = family.weighted_vectors() if use_scalars else family.vectors
-    dual_m = duals.weighted_vectors() if use_scalars else duals.vectors
-    worst = 0.0
-    for _ in range(probes):
-        x = rng.normal(size=family.dim)
-        if family.field == "complex":
-            x = x + 1j * rng.normal(size=family.dim)
-        back = fam_m.T @ (np.conj(dual_m) @ x)
-        worst = max(worst, float(np.linalg.norm(back - x) / np.linalg.norm(x)))
-    return {
-        "frame": report,
-        "dual_vectors": duals.vectors,
-        "probes": probes,
-        "max_relative_residual": worst,
-    }
+    rows = family.weighted_vectors() if use_scalars else family.vectors
+    residual = reconstruction_residual(rows, duals.vectors)  # sup over x of ||x - sum <x, y_n> w_n|| / ||x||
+    return {"frame": report, "dual_vectors": duals.vectors, "max_relative_residual": residual}
 
 
 def _cmd_extract(payload, params, seed):
@@ -566,7 +550,7 @@ _HANDLERS = {
 _PARAMS = {
     "analyze": ("use_scalars",),
     "classify": ("use_scalars",),
-    "dual": ("use_scalars", "probes"),
+    "dual": ("use_scalars",),
     "extract": (),
     "sample": ("epsilon", "subspace_cols", "trace_cap", "total_cap", "depth"),
     "selector": ("order", "trace_cap", "strategy", "restarts", "exhaustive_limit"),

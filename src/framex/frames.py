@@ -28,6 +28,7 @@ __all__ = [
     "frame_operator",
     "frame_bounds",
     "canonical_dual",
+    "reconstruction_residual",
     "classify",
 ]
 
@@ -216,13 +217,23 @@ def _rescaled(bound: float, e: int) -> float:
     return out
 
 
-def _unit_probes(count: int, dim: int, complex_field: bool) -> np.ndarray:
-    """count random unit vectors of R^dim or C^dim, the same on every call (seed 0)."""
-    rng = np.random.default_rng(0)
-    p = rng.standard_normal((count, dim))
-    if complex_field:
-        p = p + 1j * rng.standard_normal((count, dim))
-    return p / np.linalg.norm(p, axis=1)[:, None]
+def reconstruction_residual(w: np.ndarray, y: np.ndarray) -> float:
+    """An upper bound on ||E||_2, E = W^T conj(Y) - I, for (n, d) rows W and Y.
+
+    E is the defect of x = sum <x, y_n> w_n.  The computed E^ is within
+    g |W|^T |Y| + 2 u |E^| + m 2^-1074 entrywise, g = gamma_m, with m = n
+    for real rows and m = 2n, g = sqrt(2) gamma_m for complex ones (each
+    part a real inner product of length 2n; Higham, Accuracy and Stability
+    of Numerical Algorithms, sections 3.5 and 3.6).  So ||E||_2 <= ||E^||_F
+    + ||that||_F; 1 + 8 (d^2 + n) u covers the rounding of norms and sums.
+    """
+    count, dim = w.shape
+    u = np.finfo(float).eps / 2
+    m = 2 * count if np.iscomplexobj(w) or np.iscomplexobj(y) else count
+    g = (math.sqrt(2.0) if m > count else 1.0) * m * u / (1 - m * u)
+    defect = w.T @ y.conj() - np.eye(dim)
+    slack = g * (np.abs(w).T @ np.abs(y)) + 2 * u * np.abs(defect) + m * 2.0**-1074
+    return (float(np.linalg.norm(defect)) + float(np.linalg.norm(slack))) * (1 + 8 * (dim * dim + count) * u)
 
 
 def frame_bounds(family, use_scalars: bool = False) -> FrameReport:

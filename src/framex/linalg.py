@@ -80,10 +80,11 @@ class PsdOperator:
     Construction symmetrizes the input after checking that it is finite and
     Hermitian, and rejects matrices whose smallest eigenvalue is below
     -PSD_TOL relative to the operator norm.  Trace and operator norm are
-    cached.
+    cached.  One built from factor rows F (rank_one, make_paddings) is PSD
+    by construction; its matrix, fl(F^T conj(F)) symmetrized, is formed when first read.
     """
 
-    __slots__ = ("_matrix", "_eigenvalues", "_trace", "_opnorm")
+    __slots__ = ("_matrix", "_eigenvalues", "_trace", "_opnorm", "_factor", "_from_rows")
 
     def __init__(self, matrix, *, _prevalidated: bool = False):
         a = _as_square_matrix(matrix)
@@ -99,14 +100,48 @@ class PsdOperator:
         self._eigenvalues = vals
         self._trace = float(np.real(np.trace(a)))
         self._opnorm = None
+        self._factor = None
+        self._from_rows = False
+
+    @classmethod
+    def _of_rows(cls, rows) -> "PsdOperator":
+        """The operator sum_k f_k f_k* of the rows f_k of an (r, d) array."""
+        f = np.array(rows, dtype=np.result_type(rows, np.float64))
+        f.setflags(write=False)
+        op = cls.__new__(cls)
+        op._matrix = op._eigenvalues = op._opnorm = None
+        op._factor, op._from_rows = f, True
+        op._trace = float(np.sum(f * f.conj()).real)
+        return op
 
     @property
     def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            f = self._factor
+            a = (f[:, :, None] * f[:, None, :].conj()).sum(axis=0)
+            a = (a + a.conj().T) / 2.0
+            a.setflags(write=False)
+            self._matrix = a
         return self._matrix
 
     @property
+    def factor(self) -> np.ndarray:
+        """Rows F, (rank, d), with T = F^T conj(F), kept by an operator built from them.
+
+        Any other T gets them once, from one eigh: each eigenvector with a
+        positive eigenvalue times that eigenvalue's square root, in
+        ascending order, so F^T conj(F) is T up to the eigensolver's rounding.
+        """
+        if self._factor is None:
+            vals, vecs = np.linalg.eigh(self._matrix)
+            f = (vecs[:, vals > 0] * np.sqrt(vals[vals > 0])).T
+            f.setflags(write=False)
+            self._factor = f
+        return self._factor
+
+    @property
     def dim(self) -> int:
-        return self._matrix.shape[0]
+        return self._factor.shape[1] if self._matrix is None else self._matrix.shape[0]
 
     @property
     def trace(self) -> float:
@@ -116,7 +151,7 @@ class PsdOperator:
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues in ascending order (ties keep the ascending layout)."""
         if self._eigenvalues is None:
-            vals = np.linalg.eigvalsh(self._matrix) if self.dim else np.empty(0)
+            vals = np.linalg.eigvalsh(self.matrix) if self.dim else np.empty(0)
             vals.setflags(write=False)
             self._eigenvalues = vals
         return self._eigenvalues
@@ -136,22 +171,6 @@ class PsdOperator:
         return cls(np.zeros((dim, dim)), _prevalidated=True)
 
 
-def _psd_operators(stack: np.ndarray) -> list:
-    """PsdOperators of the members of an (n, d, d) stack, validated at once.
-
-    The checks and messages are PsdOperator's, and each operator holds the
-    matrix and eigenvalues its own construction would.
-    """
-    sym, vals = _checked_stack(stack)
-    vals.setflags(write=False)
-    ops = []
-    for a, ev in zip(sym, vals):
-        op = PsdOperator(a, _prevalidated=True)
-        op._eigenvalues = ev
-        ops.append(op)
-    return ops
-
-
 def _operator_list(ops) -> list:
     """ops as PsdOperators of one dimension; an empty list or mixed dimensions raise."""
     psd = [op if isinstance(op, PsdOperator) else PsdOperator(op) for op in ops]
@@ -162,12 +181,24 @@ def _operator_list(ops) -> list:
     return psd
 
 
+def _factor_rows(psd) -> tuple[np.ndarray, np.ndarray]:
+    """(every operator's factor rows stacked, the index of the operator owning each row)."""
+    factors = [p.factor for p in psd]
+    owner = np.repeat(np.arange(len(factors)), [len(f) for f in factors])
+    return np.concatenate(factors), owner
+
+
+def _weighted_sum(rows: np.ndarray, coeffs) -> np.ndarray:
+    """sum_k c_k f_k f_k* over the rows f_k: the one product F^T diag(c) conj(F)."""
+    return rows.T @ (np.asarray(coeffs)[:, None] * rows.conj())
+
+
 def rank_one(vector) -> PsdOperator:
-    """The operator x -> <x, v> v; its trace is ||v||^2."""
+    """The operator x -> <x, v> v; its trace is ||v||^2 and its factor the row v."""
     v = np.asarray(vector)
     if v.ndim != 1:
         raise PreconditionError(f"expected a vector, got shape {v.shape}")
-    return PsdOperator(np.outer(v, v.conj()), _prevalidated=True)
+    return PsdOperator._of_rows(v[None])
 
 
 class Projection:
@@ -241,22 +272,28 @@ class Projection:
 def _extend_span(cols: list, candidates, dtype, threshold: float) -> list:
     """Orthonormal residuals of candidates against cols, appended in place.
 
-    Repeated Gram-Schmidt: two orthogonalization passes per vector, in
-    order; a residual whose norm is at or below threshold is dropped.
-    Once cols spans the space every residual is rounding, so the rest are
-    skipped.  Returns the vectors appended.
+    Classical Gram-Schmidt, twice: each vector in order takes two passes
+    w <- w - Q (Q* w) against the columns Q kept so far, enough for Q to
+    stay orthonormal to working precision (Giraud, Langou and Rozloznik,
+    Comput. Math. Appl. 50, 2005).  A residual whose norm is at or below
+    threshold is dropped; once cols spans the space the rest are skipped.
+    Returns the vectors appended.
     """
-    added = []
+    added, basis = [], None
     for v in candidates:
         w = np.array(v, dtype=dtype)
         if len(cols) == w.size:
             break
+        if basis is None:
+            basis = np.empty((w.size, w.size), dtype=dtype)
+            basis[:, : len(cols)] = np.reshape(cols, (len(cols), w.size)).T
+        q = basis[:, : len(cols)]
         for _ in range(2):
-            for q in cols:
-                w = w - q * np.vdot(q, w)
+            w -= q @ (w.conj() @ q).conj()
         size = float(np.linalg.norm(w))
         if size > threshold:
-            w = w / size
+            w /= size
+            basis[:, len(cols)] = w
             cols.append(w)
             added.append(w)
     return added
@@ -265,7 +302,7 @@ def _extend_span(cols: list, candidates, dtype, threshold: float) -> list:
 def project_onto(vectors, dim: int | None = None) -> Projection:
     """Orthonormalize a spanning list into a Projection onto its span.
 
-    Uses repeated Gram-Schmidt (two orthogonalization passes per vector) and
+    Uses repeated Gram-Schmidt (two block passes per vector) and
     drops vectors whose residual falls below RANK_DROP_TOL times the largest
     input norm.  Deterministic: input order decides which vectors survive.
     """

@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PreconditionError
-from .linalg import NUMERIC_TOL, RANK_DROP_TOL, Projection, PsdOperator, _operator_list, _psd_operators
+from .linalg import NUMERIC_TOL, RANK_DROP_TOL, Projection, PsdOperator, _factor_rows, _operator_list, _weighted_sum
 from .selectors import ScaleExponent, _descend, _trace_cap, natural_max_order, scale_exponent, selector_constant
 
 __all__ = [
@@ -105,8 +105,11 @@ def make_paddings(ops, epsilon: float, beta: int):
     the family is rescaled uniformly so its plain sum stays below I/2.  The
     caps have no lower bounds, so shrinking (even to zero) is always safe;
     the caller may rescale further against its compressed-trace budget.
-    The operators are eigensolved, and the pads validated, as one stack;
-    a list mixing real and complex operators is handled as complex.
+    A pad is sum (cap / r) u u* over the r rows of T_n's factor whose
+    squared norm exceeds RANK_DROP_TOL times the largest, normalized; the
+    rows are orthogonal, so no eigensolve or PSD check is needed, and a
+    zero factor gives a zero pad.  A list mixing real and complex
+    operators is handled as complex.
     """
     ops = list(ops)
     if not ops:
@@ -114,25 +117,20 @@ def make_paddings(ops, epsilon: float, beta: int):
     psd = _operator_list(ops)
     if not 0 < epsilon < 1:
         raise PreconditionError(f"epsilon must lie in (0, 1), got {epsilon}")
-    max_trace = max(p.trace for p in psd)
-    target = min(2.0 ** (-beta + 2) * epsilon, max_trace)
-    if target <= 0:
-        return [PsdOperator.zero(psd[0].dim) for _ in psd]
-    mats = []
-    for vals, vecs in zip(*np.linalg.eigh(np.stack([p.matrix for p in psd]))):
-        keep = vals > RANK_DROP_TOL * max(float(vals[-1]) if vals.size else 0.0, 1e-300)
-        rank = int(np.count_nonzero(keep))
-        if rank == 0:
-            mats.append(np.zeros_like(vecs))
-            continue
-        basis = vecs[:, keep]
-        mats.append((target / rank) * (basis @ basis.conj().T))
-    total = sum(mats)
-    top = float(np.max(np.linalg.eigvalsh((total + total.conj().T) / 2.0)))
-    factor = 1.0
+    target = max(min(2.0 ** (-beta + 2) * epsilon, max(p.trace for p in psd)), 0.0)
+    rows, owner = _factor_rows(psd)
+    norms = np.linalg.norm(rows, axis=1)
+    top = np.zeros(len(psd))
+    np.maximum.at(top, owner, norms**2)
+    live = norms**2 > RANK_DROP_TOL * np.maximum(top[owner], 1e-300)
+    ranks = np.bincount(owner[live], minlength=len(psd))
+    scale = np.zeros(len(rows))
+    scale[live] = np.sqrt(target / ranks[owner[live]]) / norms[live]
+    pads = rows * scale[:, None]
+    _, top = _eig_range(_weighted_sum(pads, np.ones(len(pads))))
     if top > 0.5:
-        factor = 0.5 / top * (1.0 - 1e-12)
-    return _psd_operators(factor * np.stack(mats))
+        pads *= math.sqrt(0.5 / top * (1.0 - 1e-12))
+    return [PsdOperator._of_rows(f) for f in np.split(pads, np.searchsorted(owner, range(1, len(psd))))]
 
 
 class SamplingFunction:
@@ -295,14 +293,14 @@ def sample(
     if not math.isfinite(total_cap):
         raise PreconditionError(f"total cap must be finite, got {total_cap}")
 
-    mats = [p.matrix for p in psd]
+    factors, owner = _factor_rows(psd)
     traces = [p.trace for p in psd]
     delta = max(traces) if trace_cap is None else _trace_cap(trace_cap)
     tol = NUMERIC_TOL * max(1.0, delta)
     if any(t > delta + tol for t in traces):
         raise PreconditionError(f"operator trace exceeds the cap {delta:.6g}")
 
-    target = sum(float(c) * m for c, m in zip(fracs, mats))
+    target = _weighted_sum(factors, np.array([float(c) for c in fracs])[owner])
     _, hi_t = _eig_range(target)
     if hi_t > total_cap + NUMERIC_TOL * max(1.0, hi_t):
         raise PreconditionError(
@@ -310,8 +308,7 @@ def sample(
         )
     proj = subspace.matrix
     proj_perp = subspace.complement().matrix
-    gamma = float(np.real(np.trace(proj @ target @ proj)))
-    gamma = max(gamma, 0.0)
+    gamma = max(float(np.real(np.trace(proj @ target @ proj))), 0.0)
     if gamma > 1.0 + NUMERIC_TOL:
         raise PreconditionError(f"compressed trace {gamma:.6g} exceeds 1")
 
@@ -339,7 +336,7 @@ def sample(
             / (c.denominator << fine)
             for c, exps, k in zip(fracs, expansions, kept)
         ]
-        residual = sum(r * m for r, m in zip(remainders, mats))
+        residual = _weighted_sum(factors, np.array(remainders)[owner])
         _, worst = _eig_range(residual)
         if worst <= tail_cap + NUMERIC_TOL:
             tail_norm = max(worst, 0.0)
@@ -361,16 +358,15 @@ def sample(
     worst_pad_trace = max((p.trace for p in pad_ops), default=0.0)
     if worst_pad_trace > delta:
         factor = min(factor, delta / worst_pad_trace * (1.0 - 1e-12))
-    gaps = [count / 2**eta for count in pad_counts]  # rounds as float(Fraction) does
-    weighted_pad = sum(g * p.matrix for g, p in zip(gaps, pad_ops))
-    if len(pad_ops):
-        _, pad_top = _eig_range(weighted_pad)
-        if pad_top > 0.5:
-            factor = min(factor, 0.5 / pad_top * (1.0 - 1e-12))
-        compressed = float(np.real(np.trace(proj @ weighted_pad @ proj)))
-        if compressed > gamma:
-            factor = 0.0 if gamma <= 0 else min(factor, gamma / compressed * (1.0 - 1e-12))
-    pad_mats = [factor * p.matrix for p in pad_ops]
+    pad_factors, pad_owner = _factor_rows(pad_ops)
+    gaps = np.array([count / 2**eta for count in pad_counts])  # rounds as float(Fraction) does
+    weighted_pad = _weighted_sum(pad_factors, gaps[pad_owner])
+    _, pad_top = _eig_range(weighted_pad)
+    if pad_top > 0.5:
+        factor = min(factor, 0.5 / pad_top * (1.0 - 1e-12))
+    compressed = float(np.real(np.trace(proj @ weighted_pad @ proj)))
+    if compressed > gamma:
+        factor = 0.0 if gamma <= 0 else min(factor, gamma / compressed * (1.0 - 1e-12))
 
     pig_cap = 2.0 * gamma + NUMERIC_TOL * max(1.0, 2.0 * gamma)
     leaf_caps = [(c.numerator << (beta + 1)) // c.denominator for c in fracs]  # floor(2^(beta+1) c)
@@ -381,7 +377,7 @@ def sample(
         # caps, sandwich excess) at the level's scale 2^-(eta - level)
         n_ops = len(psd)
         state = {(k, n): c for k, counts in enumerate((op_counts, pad_counts)) for n, c in enumerate(counts)}
-        stack = np.stack(mats + pad_mats)
+        stack = np.stack([p.matrix for p in psd] + [factor * p.matrix for p in pad_ops])
         press = np.real(np.einsum("ij,kji->k", proj, stack))  # trace(P X P) per column
         half_perp = (epsilon / 2.0) * proj_perp
         for level in range(1, levels + 1):
@@ -414,13 +410,9 @@ def sample(
         chosen_ops, chosen_pads = ([state.get((k, n), 0) for n in range(n_ops)] for k in (0, 1))
 
     unit = 2.0**-beta
-    dev = -target
-    for n, count in enumerate(chosen_ops):
-        if count:
-            dev = dev + (unit * count) * mats[n]
-    pig_mat = dev + target + sum(
-        (unit * count) * pad_mats[n] for n, count in enumerate(chosen_pads) if count
-    )
+    chosen = _weighted_sum(factors, (unit * np.array(chosen_ops, dtype=float))[owner])
+    dev = chosen - target
+    pig_mat = chosen + _weighted_sum(pad_factors, (factor * unit * np.array(chosen_pads, dtype=float))[pad_owner])
     pig_trace = float(np.real(np.trace(proj @ pig_mat @ proj)))
     if levels and pig_trace > pig_cap:
         raise PreconditionError(

@@ -375,22 +375,10 @@ def _descend(sides: np.ndarray, flips: np.ndarray, score) -> np.ndarray:
     return sides
 
 
-def _rank_one_factors(mats) -> np.ndarray | None:
-    """Rows f with f f* = T for an (m, d, d) stack, or None if some T fails.
-
-    f is T's column at its largest diagonal entry over that entry's square
-    root, and T passes when every entry of T - f f* is within 16 eps tr T
-    (an outer product stays within 2 eps tr T).  A zero T gives a zero row.
-    """
-    diag = np.real(np.diagonal(mats, axis1=-2, axis2=-1))
-    top = diag.argmax(axis=1)[:, None]
-    root = np.sqrt(np.maximum(np.take_along_axis(diag, top, axis=1), 0.0))
-    cols = np.take_along_axis(mats, top[:, None], axis=2)[..., 0]
-    factors = np.divide(cols, root, out=np.zeros_like(cols), where=root > 0)
-    resid = np.abs(mats - factors[:, :, None] * factors[:, None, :].conj()).max(axis=(1, 2))
-    if np.all(resid <= 16 * np.finfo(float).eps * diag.sum(axis=1)):
-        return factors
-    return None
+def _outer_rows(psd) -> np.ndarray | None:
+    """(n, d) rows f_n with T_n = fl(f_n f_n*), or None unless each operator is built from one row."""
+    exact = all(p._from_rows and len(p.factor) == 1 for p in psd)
+    return np.concatenate([p.factor for p in psd]) if exact else None
 
 
 def _inertia_pass(lam, terms, cell, scale, bars) -> np.ndarray:
@@ -418,7 +406,9 @@ def _inertia_pass(lam, terms, cell, scale, bars) -> np.ndarray:
     computed eigenvalues and projections.  D is unitarily similar to a
     matrix within a small multiple of u d^1.5 (|C| + scale sum tr T_n) of
     the exact trial child: the fold of C and eigh are backward stable, each
-    factor has |T - f f*| <= 16 d eps tr T (_rank_one_factors), and
+    operator is the rounded outer product T = fl(f f*) of its factor, so
+    |T - f f*| <= sqrt(2) gamma_2 |f| |f|* entrywise and
+    ||T - f f*||_2 <= sqrt(2) gamma_2 tr T (_outer_rows), and
     P^ = V^* f + O(d u)|f|.  NUMERIC_TOL is about 10^7 u, so that distance
     plus the trial's own fold error stays below 2 eps: a trial dropped at x
     has an exact fold deviation >= x - 2 eps.  pi(C - x) is exact for D,
@@ -474,27 +464,24 @@ class _TreeBuilder:
     """Shared state for building selector trees over a fixed operator stack.
 
     padded, built on first use, is the stack with a zero matrix appended at
-    index n, the operator of every pad; factors is its (n + 1, d) rank-one
-    factor stack, or None when some member has rank > 1.  traces[i] is the
-    trace of operator i, and total is the operator sum T that every leaf's
-    rescaled sum is compared with.
+    index n, the operator of every pad.  rows are the operators' factors
+    (_outer_rows), or None; factors is then the (n + 1, d) factor stack of
+    padded, or None.  traces[i] is the trace of operator i, and total is
+    the operator sum T that every leaf's rescaled sum is compared with.
     """
 
-    def __init__(self, stack, traces, total, order):
+    def __init__(self, stack, traces, total, order, rows):
         self.stack = stack
         self.traces = traces
         self.total = total
         self.order = order
         self.total_trace = float(np.real(np.trace(total)))
         self.trace_sum = sum(traces)
+        self.factors = None if rows is None else np.concatenate([rows, np.zeros_like(rows[:1])])
 
     @functools.cached_property
     def padded(self) -> np.ndarray:
         return np.concatenate([self.stack, np.zeros_like(self.stack[:1])])
-
-    @functools.cached_property
-    def factors(self) -> np.ndarray | None:
-        return _rank_one_factors(self.padded)
 
     def pairing(self, ids, pads_before=0) -> PairPartition:
         """The cell's pairing; a fresh pad is labelled -1 - pads_before."""
@@ -578,7 +565,7 @@ class _TreeBuilder:
         survivor has no grid, as that survivor is folded at any bar.  One
         eigh of current serves every cell and both passes.
 
-        Rank-one stacks: _inertia_pass at bar on every trial, then at the
+        Stacks with factors: _inertia_pass at bar on every trial, then at the
         grid on the survivors, from the eigensystem of the trial's current
         children and the projections of the factors it moves.  The Rayleigh
         bounds (_rayleigh_bounds) only place the grid; soundness does not
@@ -830,7 +817,7 @@ def best_selector(
     chosen = strategy
     if strategy == "auto":
         chosen = "exhaustive" if count <= exhaustive_limit else "randomized"
-    builder = _TreeBuilder(stack, traces, total, order)
+    builder = _TreeBuilder(stack, traces, total, order, _outer_rows(psd))
     choose, groups, rng = functools.partial(_greedy_sides, builder), [1], None
     if chosen == "exhaustive":
         if count > exhaustive_limit:

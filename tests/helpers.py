@@ -10,7 +10,7 @@ import numpy as np
 
 from framex import PsdOperator, VectorFamily
 from framex.errors import InputFormatError, PreconditionError
-from framex.linalg import RANK_DROP_TOL, Projection, _extend_span
+from framex.linalg import RANK_DROP_TOL, Projection
 from framex.selectors import PairPartition, SelectorCell, SelectorTree, _deviation
 
 
@@ -59,7 +59,7 @@ def bounded_rank_ones(rng, dim, count, trace_cap):
     top = float(np.max(np.linalg.eigvalsh(total)))
     if top >= 1.0:
         scale = 0.99 / top
-        ops = [PsdOperator(scale * op.matrix) for op in ops]
+        ops = [rank_one(np.sqrt(scale * t) * u) for t, u in zip(traces, units)]
     return ops
 
 
@@ -277,9 +277,33 @@ def reference_densify_gabor_frame(base, counts, seed=0):
     return family, report
 
 
+# The Gram-Schmidt framex.linalg._extend_span made before its two passes
+# were blocked: each pass subtracts one kept column at a time.  Kept as the
+# oracle of the blocked passes; kept_norms, when given, collects the norm of
+# every residual kept.
+def reference_extend_span(cols, candidates, dtype, threshold, kept_norms=None):
+    added = []
+    for v in candidates:
+        w = np.array(v, dtype=dtype)
+        if len(cols) == w.size:
+            break
+        for _ in range(2):
+            for q in cols:
+                w = w - q * np.vdot(q, w)
+        size = float(np.linalg.norm(w))
+        if size > threshold:
+            if kept_norms is not None:
+                kept_norms.append(size)
+            w = w / size
+            cols.append(w)
+            added.append(w)
+    return added
+
+
 # The block planner framex.extraction.plan used before each chain member was
 # orthogonalized once: every boundary step re-scans all earlier members, and
-# a final pass re-scans every member.  Kept as plan's oracle.
+# a final pass re-scans every member, with the column-by-column Gram-Schmidt.
+# Kept as plan's oracle; "min_residual" is the smallest residual norm kept.
 def reference_plan(family, lower: float, upper: float) -> dict:
     from framex.extraction import (
         _as_projection,
@@ -296,12 +320,12 @@ def reference_plan(family, lower: float, upper: float) -> dict:
     forced = {}
     for _ in range(max(16, 2 * count)):
         boundaries = [0, 1]
-        cols = []
+        cols, norms = [], []
         chain = [Projection.zero(dim)]
         while True:
             top = boundaries[-1]
             members = [units[n] for n in range(top) if active[n]]
-            chain.append(_as_projection(_extend_span(cols, members, dtype, RANK_DROP_TOL), dim, dtype))
+            chain.append(_as_projection(reference_extend_span(cols, members, dtype, RANK_DROP_TOL, norms), dim, dtype))
             if top >= count:
                 break
             level = len(boundaries)
@@ -314,7 +338,7 @@ def reference_plan(family, lower: float, upper: float) -> dict:
                     nxt = k
                     break
             boundaries.append(min(max(nxt, forced.get(level, 0)), count))
-        leftovers = _extend_span(cols, [units[n] for n in range(count) if active[n]], dtype, RANK_DROP_TOL)
+        leftovers = reference_extend_span(cols, [units[n] for n in range(count) if active[n]], dtype, RANK_DROP_TOL, norms)
         chain.append(_as_projection(leftovers, dim, dtype))
         boundaries.append(count)
         blocks = [(boundaries[j], boundaries[j + 1]) for j in range(len(boundaries) - 1)]
@@ -347,6 +371,7 @@ def reference_plan(family, lower: float, upper: float) -> dict:
             "gammas": tuple(gammas),
             "subspaces": tuple(chain),
             "block_subspaces": tuple(references),
+            "min_residual": min(norms, default=1.0),
         }
     raise AssertionError("reference planner kept failing")
 

@@ -309,7 +309,7 @@ _POINTS = {"ambient_dim": 1, "points": [[0.0], [1.0]], "extent": 4.0}
 _UNKNOWN_PARAMS = [
     ("analyze", mercedes_payload(), ["--param", "probes=3"]),
     ("classify", mercedes_payload(), ["--param", "use_scalar=1"]),
-    ("dual", mercedes_payload(), ["--param", "probes=3", "--param", "seed=2"]),
+    ("dual", mercedes_payload(), ["--param", "use_scalars=1", "--param", "probes=3"]),
     ("extract", scaled_basis_payload(), ["--param", "replica_budget=abc"]),
     ("sample", scaled_basis_payload(), ["--param", "epsilon=0.25", "--param", "replica_budget=9"]),
     ("selector", scaled_basis_payload(), ["--param", "order=1", "--param", "limit=5"]),
@@ -636,18 +636,25 @@ def test_negative_seed_is_malformed_input(tmp_path, command, payload):
     assert "results" not in report
 
 
-@pytest.mark.parametrize("probes", [0, -3])
-def test_dual_needs_at_least_one_probe(tmp_path, probes):
-    code, report, _ = run_cli(tmp_path, "dual", mercedes_payload(), "--param", f"probes={probes}")
-    assert code == 2
-    assert report["error"] == {
-        "type": "PreconditionError",
-        "message": f"probes must be at least 1, got {probes}",
-    }
-    assert "results" not in report
-    code, report, _ = run_cli(tmp_path, "dual", mercedes_payload(), "--param", "probes=1")
-    assert code == 0
-    assert report["results"]["probes"] == 1
+def test_dual_reports_a_proven_residual_and_draws_nothing(tmp_path, monkeypatch):
+    """dual bounds ||W^T conj(Y) - I||_2 from above with its rounding; no seed or probe enters."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dual drew a random number")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    rng = np.random.RandomState(4)
+    for rows in (rng.normal(size=(7, 4)), rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))):
+        payload = {"dim": rows.shape[1], "field": "complex" if np.iscomplexobj(rows) else "real",
+                   "vectors": [[[z.real, z.imag] for z in row] if np.iscomplexobj(rows) else list(row) for row in rows]}
+        reports = [run_cli(tmp_path, "dual", payload, "--seed", str(seed))[1]["results"] for seed in (0, 5)]
+        assert reports[0] == reports[1]
+        assert set(reports[0]) == {"frame", "dual_vectors", "max_relative_residual"}
+        duals = np.array(reports[0]["dual_vectors"], dtype=float)
+        if np.iscomplexobj(rows):
+            duals = duals[..., 0] + 1j * duals[..., 1]
+        exact = np.linalg.norm(rows.T @ duals.conj() - np.eye(rows.shape[1]), 2)
+        assert exact <= reports[0]["max_relative_residual"] < 1e-9
 
 
 def test_csv_output(tmp_path):

@@ -113,12 +113,6 @@ def near_duplicate_family(rng, dim, extras, complex_field, offsets):
     return VectorFamily(vecs, scalars=np.sqrt(ks) / np.linalg.norm(vecs, axis=1))
 
 
-def assert_same_bits(got, want):
-    assert got.basis.dtype == want.basis.dtype
-    assert got.basis.shape == want.basis.shape
-    assert got.basis.tobytes() == want.basis.tobytes()
-
-
 @given(
     dim=st.integers(2, 8),
     extras=st.integers(0, 4),
@@ -139,12 +133,18 @@ def test_plan_equals_the_rescanning_planner(dim, extras, complex_field, offsets,
     got = plan(fam, rep.lower, rep.upper)
     assert got.blocks == want["blocks"]
     assert got.thresholds == want["thresholds"]
-    assert got.gammas == want["gammas"]
-    for mine, theirs in zip(got.block_subspaces, want["block_subspaces"]):
-        assert_same_bits(mine, theirs)
+    # the blocked and the column-by-column passes round differently: a kept
+    # column of residual norm rho moves by about d u / rho, and so does each
+    # projection built on it; a gamma sums sum_n w_n / B <= d such moves.
+    # Measured at most 2 d u / rho and 0.04 d^2 u / rho over 1,500 families.
+    tol = 16 * fam.dim * np.finfo(float).eps / 2 / want["min_residual"]
+    assert len(got.gammas) == len(want["gammas"])
+    for mine, theirs in zip(got.gammas, want["gammas"]):
+        assert abs(mine - theirs) <= tol * fam.dim
     assert len(got.subspaces) == len(want["subspaces"])
-    for mine, theirs in zip(got.subspaces, want["subspaces"]):
-        assert_same_bits(mine, theirs)
+    for mine, theirs in zip(got.subspaces + got.block_subspaces, want["subspaces"] + want["block_subspaces"]):
+        assert mine.basis.dtype == theirs.basis.dtype and mine.rank == theirs.rank
+        assert np.abs(mine.matrix - theirs.matrix).max() <= tol
 
 
 def test_plan_orthogonalizes_each_member_once(rng, monkeypatch):

@@ -14,6 +14,8 @@ from framex import (
     VectorFamily,
     canonical_dual,
     classify,
+    equivalence_b_to_a,
+    equivalence_c_check,
     frame_bounds,
     frame_operator,
 )
@@ -415,11 +417,58 @@ def test_certificate_refuses_eigenvalues_moved_by_ten_tol(monkeypatch, end, fiel
 
 
 def test_bounds_classify_and_dual_draw_no_probe(monkeypatch, rng):
-    def refuse(*args):
+    """Bounds, labels, duals and both reconstruction checks draw no random vector."""
+    cases = [rng.normal(size=(7, 3)), rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))]
+
+    def refuse(*args, **kwargs):
         raise AssertionError("a probe was drawn")
 
-    monkeypatch.setattr(frames, "_unit_probes", refuse)
-    for vectors in (rng.normal(size=(7, 3)), rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))):
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    for vectors in cases:
         assert frame_bounds(VectorFamily(vectors)).is_frame
         assert classify(VectorFamily(vectors)).label in ("frame", "riesz_basis")
-        assert len(canonical_dual(VectorFamily(vectors))) == len(vectors)
+        duals = canonical_dual(VectorFamily(vectors))
+        assert len(duals) == len(vectors)
+        assert equivalence_c_check(VectorFamily(vectors), duals)
+        assert len(equivalence_b_to_a(VectorFamily(vectors))) == len(vectors)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    extra=st.integers(0, 8),
+    dim=st.integers(1, 6),
+    complex_field=st.booleans(),
+    scale=st.sampled_from([1e-150, 1e-8, 1.0, 1e8, 1e150]),
+    perturb=st.sampled_from([0.0, 1e-14, 1e-6, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def testreconstruction_residual_bounds_the_exact_defect(extra, dim, complex_field, scale, perturb, seed):
+    """The bound is at least ||W^T conj(Y) - I||_2 of the exact defect.
+
+    Y is the computed canonical dual of W, perturbed, so the defect ranges
+    from rounding alone to order one.  ||E||_2 is at least the norm of each
+    column of E, and those are taken exactly in Fraction arithmetic."""
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=(dim + extra, dim))
+    if complex_field:
+        w = w + 1j * rng.normal(size=w.shape)
+    w = scale * w
+    y = np.linalg.solve(w.T @ w.conj(), w.T).T.conj()
+    y = y + perturb * np.abs(y).max() * rng.normal(size=y.shape)
+    bound = frames.reconstruction_residual(w, y)
+
+    def parts(z):
+        return Fraction(float(z.real)), Fraction(float(z.imag))
+
+    for j in range(dim):
+        column = Fraction(0)
+        for i in range(dim):
+            re, im = Fraction(-1 if i == j else 0), Fraction(0)
+            for k in range(len(w)):
+                (ar, ai), (br, bi) = parts(complex(w[k, i])), parts(complex(y[k, j]))
+                re += ar * br + ai * bi  # w conj(y)
+                im += ai * br - ar * bi
+            column += re * re + im * im
+        assert column <= Fraction(bound) ** 2
+    # a computed 2-norm, up to its own rounding, never exceeds the bound
+    assert np.linalg.norm(w.T @ y.conj() - np.eye(dim), 2) <= bound * (1 + 1e-12)

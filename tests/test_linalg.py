@@ -14,6 +14,7 @@ from framex import (
     rank_one,
 )
 from framex.linalg import RANK_DROP_TOL, _extend_span
+from helpers import reference_extend_span
 
 
 def test_psd_diag_oracle():
@@ -101,17 +102,21 @@ def test_projection_drops_dependent_vectors():
 
 
 def _full_pass_span(cols, candidates, dtype, threshold):
-    # the Gram-Schmidt pass before it stopped at full rank: every candidate
+    # the block Gram-Schmidt without its stop at full rank: every candidate
     # is orthogonalized and tested
     added = []
+    dim = len(candidates[0])
+    basis = np.empty((dim, dim + len(candidates)), dtype=dtype)
+    basis[:, : len(cols)] = np.reshape(cols, (len(cols), dim)).T
     for v in candidates:
         w = np.array(v, dtype=dtype)
+        q = basis[:, : len(cols)]
         for _ in range(2):
-            for q in cols:
-                w = w - q * np.vdot(q, w)
+            w -= q @ (w.conj() @ q).conj()
         size = float(np.linalg.norm(w))
         if size > threshold:
-            w = w / size
+            w /= size
+            basis[:, len(cols)] = w
             cols.append(w)
             added.append(w)
     return added
@@ -137,6 +142,42 @@ def test_span_stops_at_full_rank_with_the_full_pass_bits(complex_field):
             tol = RANK_DROP_TOL * max(float(np.linalg.norm(v)) for v in vs)
             full_basis = np.stack(_full_pass_span([], vs, dtype, tol), axis=1)
             assert project_onto(list(vs)).basis.tobytes() == full_basis.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dim=st.integers(1, 16),
+    extra=st.integers(0, 12),
+    complex_field=st.booleans(),
+    offsets=st.lists(st.sampled_from([0.0, 1e-4, 1e-6, 1e-7, 1e-9, 1e-10]), max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocked_span_decides_as_the_sequential_passes(dim, extra, complex_field, offsets, seed):
+    """Block passes keep the candidates the column-by-column passes keep, orthonormal within 8 d u.
+
+    Candidates are random, plus near-copies of earlier ones at the given
+    offsets (relative to a unit candidate; the drop threshold is 1e-8), so
+    residuals land on both sides of it.  Each candidate is fed alone, so
+    every decision is seen."""
+    rng = np.random.default_rng(seed)
+    dtype = np.complex128 if complex_field else np.float64
+    vs = rng.normal(size=(dim + extra, dim))
+    if complex_field:
+        vs = vs + 1j * rng.normal(size=vs.shape)
+    vs = list(vs / np.linalg.norm(vs, axis=1)[:, None])
+    for k, offset in enumerate(offsets):
+        noise = rng.normal(size=dim) + (1j * rng.normal(size=dim) if complex_field else 0)
+        vs.insert(int(rng.integers(1, len(vs) + 1)), vs[k % len(vs)] + offset * noise / np.linalg.norm(noise))
+    blocked, sequential, decisions = [], [], []
+    for v in vs:
+        kept = bool(_extend_span(blocked, [v], dtype, RANK_DROP_TOL))
+        decisions.append((kept, bool(reference_extend_span(sequential, [v], dtype, RANK_DROP_TOL))))
+    assert all(a == b for a, b in decisions)
+    assert [w.tobytes() for w in _extend_span([], vs, dtype, RANK_DROP_TOL)] == [w.tobytes() for w in blocked]
+    if blocked:
+        q = np.stack(blocked, axis=1)
+        u = np.finfo(float).eps / 2
+        assert np.abs(q.conj().T @ q - np.eye(q.shape[1])).max() <= 8 * dim * u
 
 
 def test_projection_rejects_skew_basis():

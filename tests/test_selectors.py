@@ -450,7 +450,14 @@ def adversarial_ops(rng, shape, dim, count, complex_field):
     elif shape == "rank_two":
         ops[0] = PsdOperator((ops[0].matrix + ops[1].matrix) / 2.0)
     total = np.linalg.eigvalsh(sum(op.matrix for op in ops))[-1]
-    return [PsdOperator(op.matrix * min(1.0, 0.9 / total)) for op in ops]
+    return [scaled(op, min(1.0, 0.9 / total)) for op in ops]
+
+
+def scaled(op, c):
+    """c T: a rank-one operator stays the outer product of its factor row, so the sweeps screen it by inertia."""
+    if op._from_rows:
+        return rank_one(math.sqrt(c) * op.factor[0])
+    return PsdOperator(c * op.matrix)
 
 
 @settings(max_examples=60, deadline=None)
@@ -476,9 +483,8 @@ def test_rank_update_sweeps_decide_as_the_exact_fold(
     ops = adversarial_ops(rng, shape, int(rng.integers(2, 5)), count, complex_field)
     for a, b in rng.integers((1, 0), count, size=(duplicates, 2)):  # ops[0] keeps its rank
         ops[a] = ops[b]
-    ops = [PsdOperator(scale * op.matrix) for op in ops]
-    stack = np.stack([op.matrix for op in ops])
-    assert (selectors._rank_one_factors(stack) is None) == (shape == "rank_two")
+    ops = [scaled(op, scale) for op in ops]
+    assert (selectors._outer_rows(ops) is None) == (shape == "rank_two")
     for strategy, kwargs in (("greedy", {}), ("randomized", {"seed": seed, "restarts": 3})):
         tree, cert = best_selector(ops, order, strategy=strategy, **kwargs)
         leaves, achieved = reference_search(ops, order, **kwargs)
@@ -496,10 +502,11 @@ def screened_cell(seed, complex_field, shape, size, level):
     """
     rng = np.random.default_rng(seed)
     count = int(rng.integers(4, 13))
-    ops = adversarial_ops(rng, shape, int(rng.integers(2, 6)), count, complex_field)
-    stack = size * np.stack([op.matrix for op in ops])
+    ops = [scaled(op, size) for op in adversarial_ops(rng, shape, int(rng.integers(2, 6)), count, complex_field)]
+    stack = np.stack([op.matrix for op in ops])
     target = stack.sum(axis=0)
-    builder = selectors._TreeBuilder(stack, np.trace(stack, axis1=1, axis2=2).real.tolist(), target, level)
+    traces = np.trace(stack, axis1=1, axis2=2).real.tolist()
+    builder = selectors._TreeBuilder(stack, traces, target, level, selectors._outer_rows(ops))
     scale = float(2**level)  # the cell's level scale
     pairs = np.array(builder.pairing(range(count)).pairs)
     padded = np.where(pairs < 0, count, pairs)
