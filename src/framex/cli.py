@@ -365,7 +365,7 @@ def _cmd_dual(payload, params, seed):
     report = frame_bounds(family, use_scalars)
     duals = canonical_dual(family, use_scalars)
     rows = family.weighted_vectors() if use_scalars else family.vectors
-    residual = reconstruction_residual(rows, duals.vectors)  # sup over x of ||x - sum <x, y_n> w_n|| / ||x||
+    residual, _ = reconstruction_residual(rows, duals.vectors)  # sup over x of ||x - sum <x, y_n> w_n|| / ||x||
     return {"frame": report, "dual_vectors": duals.vectors, "max_relative_residual": residual}
 
 

@@ -152,7 +152,10 @@ class ExtractionResult:
 def _family_data(family):
     fam = _as_family(family)
     norms = fam.norms()
-    scal = np.ones(len(fam)) if fam.scalars is None else fam.scalars
+    if fam.scalars is None:
+        scal = np.ones(len(fam))
+    else:
+        scal = fam.scalars
     weights = (np.abs(scal) ** 2) * norms**2
     units = np.array(fam.vectors, copy=True)
     active = weights > 0
@@ -379,26 +382,33 @@ def equivalence_b_to_a(family, scalars=None):
 
     The returned family reproduces x = sum <x, out_n> x_n; the identity is
     verified before returning: a proven bound on the norm of its defect
-    (frames.reconstruction_residual) must stay within NUMERIC_TOL (1 + B/A).
+    (frames.reconstruction_residual) must stay within NUMERIC_TOL times
+    the larger of 1 + B/A and the size of the terms summed.
     """
     fam = _as_family(family)
     if scalars is not None:
         fam = VectorFamily(fam.vectors, scalars=scalars, labels=fam.labels)
     report = frame_bounds(fam, True)
     duals = canonical_dual(fam, True)
-    scal = np.ones(len(fam), dtype=fam.vectors.dtype) if fam.scalars is None else fam.scalars
+    if fam.scalars is None:
+        scal = np.ones(len(fam), dtype=fam.vectors.dtype)
+    else:
+        scal = fam.scalars
     out = VectorFamily(np.conj(scal)[:, None] * duals.vectors, labels=fam.labels)
 
-    if reconstruction_residual(fam.vectors, out.vectors) > NUMERIC_TOL * (1.0 + report.upper / report.lower):
+    bound, size = reconstruction_residual(fam.vectors, out.vectors)
+    if bound > NUMERIC_TOL * max(1.0 + report.upper / report.lower, size):
         raise PreconditionError("coefficient duals failed reconstruction")
     return out
 
 
 def equivalence_c_check(family, duals) -> bool:
-    """Whether the transposed reconstruction x = sum <x, x_n> y_n holds within NUMERIC_TOL.
+    """Whether the transposed reconstruction x = sum <x, x_n> y_n holds to NUMERIC_TOL.
 
     The defect Y^T conj(X) - I is bounded from above, with its rounding
-    (frames.reconstruction_residual), so a True is proven.
+    (frames.reconstruction_residual), and must stay below NUMERIC_TOL
+    times max(1, ||abs(Y)^T abs(X)||_F), the size of the terms summed.
+    So a True is proven, and exact duals pass while n u < NUMERIC_TOL.
     """
     fam = _as_family(family)
     other = _as_family(duals)
@@ -406,7 +416,8 @@ def equivalence_c_check(family, duals) -> bool:
         raise DimensionMismatchError(f"{len(fam)} vectors against {len(other)} duals")
     if fam.dim != other.dim:
         raise DimensionMismatchError(f"dim {fam.dim} against dual dim {other.dim}")
-    return reconstruction_residual(other.vectors, fam.vectors) < NUMERIC_TOL
+    bound, size = reconstruction_residual(other.vectors, fam.vectors)
+    return bound < NUMERIC_TOL * max(1.0, size)
 
 
 @dataclass(frozen=True, eq=False)

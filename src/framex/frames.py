@@ -28,7 +28,6 @@ __all__ = [
     "frame_operator",
     "frame_bounds",
     "canonical_dual",
-    "reconstruction_residual",
     "classify",
 ]
 
@@ -217,23 +216,26 @@ def _rescaled(bound: float, e: int) -> float:
     return out
 
 
-def reconstruction_residual(w: np.ndarray, y: np.ndarray) -> float:
-    """An upper bound on ||E||_2, E = W^T conj(Y) - I, for (n, d) rows W and Y.
+def reconstruction_residual(w: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """(An upper bound on ||E||_2, E = W^T conj(Y) - I, and ||abs(W)^T abs(Y)||_F).
 
-    E is the defect of x = sum <x, y_n> w_n.  The computed E^ is within
-    g |W|^T |Y| + 2 u |E^| + m 2^-1074 entrywise, g = gamma_m, with m = n
-    for real rows and m = 2n, g = sqrt(2) gamma_m for complex ones (each
-    part a real inner product of length 2n; Higham, Accuracy and Stability
-    of Numerical Algorithms, sections 3.5 and 3.6).  So ||E||_2 <= ||E^||_F
-    + ||that||_F; 1 + 8 (d^2 + n) u covers the rounding of norms and sums.
+    E is the defect of x = sum <x, y_n> w_n for (n, d) rows W and Y.  The
+    computed E^ is within g |W|^T |Y| + 2 u |E^| + m 2^-1074 entrywise, with
+    g = gamma_n for real rows, sqrt(2) gamma_2n for complex ones (Higham,
+    Accuracy and Stability of Numerical Algorithms, 3.5-3.6), so ||E||_2 <=
+    ||E^||_F + ||that||_F, times 1 + 8 (d^2 + n) u for the norms' rounding.
+    The second value, the size of the terms summed, scales a tolerance: the
+    bound's rounding part is about n u times it.  Not exported.
     """
     count, dim = w.shape
     u = np.finfo(float).eps / 2
     m = 2 * count if np.iscomplexobj(w) or np.iscomplexobj(y) else count
     g = (math.sqrt(2.0) if m > count else 1.0) * m * u / (1 - m * u)
     defect = w.T @ y.conj() - np.eye(dim)
-    slack = g * (np.abs(w).T @ np.abs(y)) + 2 * u * np.abs(defect) + m * 2.0**-1074
-    return (float(np.linalg.norm(defect)) + float(np.linalg.norm(slack))) * (1 + 8 * (dim * dim + count) * u)
+    terms = np.abs(w).T @ np.abs(y)
+    slack = g * terms + 2 * u * np.abs(defect) + m * 2.0**-1074
+    bound = (float(np.linalg.norm(defect)) + float(np.linalg.norm(slack))) * (1 + 8 * (dim * dim + count) * u)
+    return float(bound), float(np.linalg.norm(terms))
 
 
 def frame_bounds(family, use_scalars: bool = False) -> FrameReport:

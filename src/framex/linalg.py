@@ -80,11 +80,10 @@ class PsdOperator:
     Construction symmetrizes the input after checking that it is finite and
     Hermitian, and rejects matrices whose smallest eigenvalue is below
     -PSD_TOL relative to the operator norm.  Trace and operator norm are
-    cached.  One built from factor rows F (rank_one, make_paddings) is PSD
-    by construction; its matrix, fl(F^T conj(F)) symmetrized, is formed when first read.
+    cached.  One built from factor rows (rank_one, make_paddings) is not checked.
     """
 
-    __slots__ = ("_matrix", "_eigenvalues", "_trace", "_opnorm", "_factor", "_from_rows")
+    __slots__ = ("_matrix", "_eigenvalues", "_trace", "_opnorm", "_factor", "_from_rows", "_spectrum")
 
     def __init__(self, matrix, *, _prevalidated: bool = False):
         a = _as_square_matrix(matrix)
@@ -100,18 +99,25 @@ class PsdOperator:
         self._eigenvalues = vals
         self._trace = float(np.real(np.trace(a)))
         self._opnorm = None
-        self._factor = None
+        self._factor = self._spectrum = None
         self._from_rows = False
 
     @classmethod
-    def _of_rows(cls, rows) -> "PsdOperator":
-        """The operator sum_k f_k f_k* of the rows f_k of an (r, d) array."""
-        f = np.array(rows, dtype=np.result_type(rows, np.float64))
-        f.setflags(write=False)
+    def _of_rows(cls, rows, matrix=None) -> "PsdOperator":
+        """sum_k f_k f_k* over the orthogonal rows of an (r, d) array, PSD by construction.
+
+        Its matrix is fl(F^T conj(F)) symmetrized, formed when first read,
+        unless the caller passes the sum as it formed it, symmetrized.
+        """
         op = cls.__new__(cls)
-        op._matrix = op._eigenvalues = op._opnorm = None
-        op._factor, op._from_rows = f, True
-        op._trace = float(np.sum(f * f.conj()).real)
+        op._factor = f = np.array(rows, dtype=np.result_type(rows, np.float64))
+        f.setflags(write=False)
+        op._matrix, op._eigenvalues, op._opnorm, op._spectrum, op._from_rows = matrix, None, None, None, matrix is None
+        if matrix is None:
+            op._trace = float(np.sum(f * f.conj()).real)
+        else:
+            matrix.setflags(write=False)
+            op._trace = float(matrix.trace().real)
         return op
 
     @property
@@ -128,16 +134,30 @@ class PsdOperator:
     def factor(self) -> np.ndarray:
         """Rows F, (rank, d), with T = F^T conj(F), kept by an operator built from them.
 
-        Any other T gets them once, from one eigh: each eigenvector with a
-        positive eigenvalue times that eigenvalue's square root, in
-        ascending order, so F^T conj(F) is T up to the eigensolver's rounding.
+        Any other T takes the eigenvectors of its one eigh with positive
+        eigenvalues, times their roots: F^T conj(F) is T's positive part,
+        without the eigenvalues down to -PSD_TOL ||T|| construction accepts.
         """
         if self._factor is None:
-            vals, vecs = np.linalg.eigh(self._matrix)
+            vals, vecs = self._spectrum = self._spectrum or np.linalg.eigh(self._matrix)
             f = (vecs[:, vals > 0] * np.sqrt(vals[vals > 0])).T
             f.setflags(write=False)
             self._factor = f
         return self._factor
+
+    def _range(self) -> np.ndarray:
+        """An orthonormal basis (d, r) of T's range, as columns.
+
+        Rows, normalized, or eigenvectors of one eigh, whose squared norms
+        or eigenvalues exceed RANK_DROP_TOL times the largest.
+        """
+        f = self._factor
+        if self._spectrum is None and f is not None:
+            squares = (f * f.conj()).real.sum(axis=1)
+            keep = squares > RANK_DROP_TOL * max(float(squares.max(initial=0.0)), 1e-300)
+            return (f[keep] / np.sqrt(squares[keep])[:, None]).T
+        vals, vecs = self._spectrum = self._spectrum or np.linalg.eigh(self._matrix)
+        return vecs[:, vals > RANK_DROP_TOL * max(float(vals[-1]) if vals.size else 0.0, 1e-300)]
 
     @property
     def dim(self) -> int:
@@ -168,7 +188,7 @@ class PsdOperator:
 
     @classmethod
     def zero(cls, dim: int) -> "PsdOperator":
-        return cls(np.zeros((dim, dim)), _prevalidated=True)
+        return cls._of_rows(np.zeros((0, dim)))
 
 
 def _operator_list(ops) -> list:

@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PreconditionError
-from .linalg import NUMERIC_TOL, RANK_DROP_TOL, Projection, PsdOperator, _factor_rows, _operator_list, _weighted_sum
+from .linalg import NUMERIC_TOL, Projection, PsdOperator, _factor_rows, _operator_list, _weighted_sum
 from .selectors import ScaleExponent, _descend, _trace_cap, natural_max_order, scale_exponent, selector_constant
 
 __all__ = [
@@ -105,11 +105,10 @@ def make_paddings(ops, epsilon: float, beta: int):
     the family is rescaled uniformly so its plain sum stays below I/2.  The
     caps have no lower bounds, so shrinking (even to zero) is always safe;
     the caller may rescale further against its compressed-trace budget.
-    A pad is sum (cap / r) u u* over the r rows of T_n's factor whose
-    squared norm exceeds RANK_DROP_TOL times the largest, normalized; the
-    rows are orthogonal, so no eigensolve or PSD check is needed, and a
-    zero factor gives a zero pad.  A list mixing real and complex
-    operators is handled as complex.
+    A pad is (cap / r) B B* for an orthonormal basis B of T_n's range, of
+    rank r (PsdOperator._range), with the rows of B* scaled to match as its
+    factor: PSD by construction, with no eigensolve of a rank-one T_n and
+    no check.  A list mixing real and complex operators is handled as complex.
     """
     ops = list(ops)
     if not ops:
@@ -117,20 +116,26 @@ def make_paddings(ops, epsilon: float, beta: int):
     psd = _operator_list(ops)
     if not 0 < epsilon < 1:
         raise PreconditionError(f"epsilon must lie in (0, 1), got {epsilon}")
-    target = max(min(2.0 ** (-beta + 2) * epsilon, max(p.trace for p in psd)), 0.0)
-    rows, owner = _factor_rows(psd)
-    norms = np.linalg.norm(rows, axis=1)
-    top = np.zeros(len(psd))
-    np.maximum.at(top, owner, norms**2)
-    live = norms**2 > RANK_DROP_TOL * np.maximum(top[owner], 1e-300)
-    ranks = np.bincount(owner[live], minlength=len(psd))
-    scale = np.zeros(len(rows))
-    scale[live] = np.sqrt(target / ranks[owner[live]]) / norms[live]
-    pads = rows * scale[:, None]
-    _, top = _eig_range(_weighted_sum(pads, np.ones(len(pads))))
+    max_trace = max(p.trace for p in psd)
+    target = min(2.0 ** (-beta + 2) * epsilon, max_trace)
+    if target <= 0:
+        return [PsdOperator.zero(psd[0].dim) for _ in psd]
+    bases = [p._range() for p in psd]
+    dtype = np.result_type(*bases)
+    bases = [basis.astype(dtype, copy=False) for basis in bases]
+    # a zero T_n has rank 0, and its pad is the zero product
+    mats = [(target / max(basis.shape[1], 1)) * (basis @ basis.conj().T) for basis in bases]
+    total = sum(mats)
+    top = float(np.max(np.linalg.eigvalsh((total + total.conj().T) / 2.0)))
+    factor = 1.0
     if top > 0.5:
-        pads *= math.sqrt(0.5 / top * (1.0 - 1e-12))
-    return [PsdOperator._of_rows(f) for f in np.split(pads, np.searchsorted(owner, range(1, len(psd))))]
+        factor = 0.5 / top * (1.0 - 1e-12)
+    pads = factor * np.stack(mats)
+    pads = (pads + pads.conj().swapaxes(1, 2)) / 2.0  # as PsdOperator's construction symmetrizes
+    return [
+        PsdOperator._of_rows(math.sqrt(factor * target / max(basis.shape[1], 1)) * basis.T, pad)
+        for basis, pad in zip(bases, pads)
+    ]
 
 
 class SamplingFunction:
@@ -308,7 +313,8 @@ def sample(
         )
     proj = subspace.matrix
     proj_perp = subspace.complement().matrix
-    gamma = max(float(np.real(np.trace(proj @ target @ proj))), 0.0)
+    gamma = float(np.real(np.trace(proj @ target @ proj)))
+    gamma = max(gamma, 0.0)
     if gamma > 1.0 + NUMERIC_TOL:
         raise PreconditionError(f"compressed trace {gamma:.6g} exceeds 1")
 
@@ -377,7 +383,9 @@ def sample(
         # caps, sandwich excess) at the level's scale 2^-(eta - level)
         n_ops = len(psd)
         state = {(k, n): c for k, counts in enumerate((op_counts, pad_counts)) for n, c in enumerate(counts)}
-        stack = np.stack([p.matrix for p in psd] + [factor * p.matrix for p in pad_ops])
+        # from the factors, as every sum above: a dense T_n enters as its positive part
+        parts = [(p.factor, 1.0) for p in psd] + [(p.factor, factor) for p in pad_ops]
+        stack = np.stack([_weighted_sum(f, np.full(len(f), c)) for f, c in parts])
         press = np.real(np.einsum("ij,kji->k", proj, stack))  # trace(P X P) per column
         half_perp = (epsilon / 2.0) * proj_perp
         for level in range(1, levels + 1):

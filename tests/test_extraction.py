@@ -366,6 +366,23 @@ def test_equivalence_c_check():
         equivalence_c_check(fam, VectorFamily(np.eye(3)))
 
 
+def test_equivalence_checks_pass_exact_duals_of_a_large_ill_conditioned_family():
+    """n d = 800,000 and B/A near 10^5: the proven bound's rounding part, about
+    n u ||abs(Y)^T abs(X)||_F, exceeds NUMERIC_TOL here, so a fixed tolerance would
+    refuse the canonical duals; scaled by that size the checks pass them and still
+    refuse duals off by 10^-6."""
+    rng = np.random.default_rng(5)
+    fam = VectorFamily(rng.normal(size=(20000, 40)) * np.geomspace(1.0, 300.0, 40))
+    report = frame_bounds(fam)
+    assert report.upper / report.lower > 5e4
+    duals = canonical_dual(fam)
+    bound, _ = frames.reconstruction_residual(duals.vectors, fam.vectors)
+    assert bound > extraction.NUMERIC_TOL
+    assert equivalence_c_check(fam, duals)
+    assert not equivalence_c_check(fam, VectorFamily((1 - 1e-6) * duals.vectors))
+    assert len(equivalence_b_to_a(fam)) == 20000
+
+
 @given(
     dim=st.integers(1, 5),
     extra=st.integers(0, 4),

@@ -442,7 +442,7 @@ def test_bounds_classify_and_dual_draw_no_probe(monkeypatch, rng):
     perturb=st.sampled_from([0.0, 1e-14, 1e-6, 1.0]),
     seed=st.integers(0, 2**32 - 1),
 )
-def testreconstruction_residual_bounds_the_exact_defect(extra, dim, complex_field, scale, perturb, seed):
+def test_reconstruction_residual_bounds_the_exact_defect(extra, dim, complex_field, scale, perturb, seed):
     """The bound is at least ||W^T conj(Y) - I||_2 of the exact defect.
 
     Y is the computed canonical dual of W, perturbed, so the defect ranges
@@ -455,7 +455,8 @@ def testreconstruction_residual_bounds_the_exact_defect(extra, dim, complex_fiel
     w = scale * w
     y = np.linalg.solve(w.T @ w.conj(), w.T).T.conj()
     y = y + perturb * np.abs(y).max() * rng.normal(size=y.shape)
-    bound = frames.reconstruction_residual(w, y)
+    bound, size = frames.reconstruction_residual(w, y)
+    assert size == np.linalg.norm(np.abs(w).T @ np.abs(y))
 
     def parts(z):
         return Fraction(float(z.real)), Fraction(float(z.imag))
