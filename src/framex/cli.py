@@ -321,19 +321,6 @@ def _use_scalars(family, params):
     return _param(params, "use_scalars", "bool", family.scalars is not None)
 
 
-def _encode_family(family):
-    out = {
-        "dim": family.dim,
-        "field": family.field,
-        "vectors": family.vectors,
-    }
-    if family.scalars is not None:
-        out["scalars"] = family.scalars
-    if family.labels is not None:
-        out["labels"] = list(family.labels)
-    return out
-
-
 def _cmd_analyze(payload, params, seed):
     family = parse_family(payload)
     use_scalars = _use_scalars(family, params)
@@ -376,7 +363,6 @@ def _cmd_extract(payload, params, seed):
     return {
         "multiplicity": {str(n): c for n, c in result.sigma.multiplicity.items()},
         "total": result.sigma.total,
-        "normalized": _encode_family(result.normalized),
         "frame": result.report,
         "mult_bound": result.mult_bound_L,
         "mult_ok": result.mult_ok,
@@ -395,7 +381,6 @@ def _cmd_extract(payload, params, seed):
             "lower": plan.lower,
             "upper": plan.upper,
             "identity_defect": plan.identity_defect,
-            "block_subspaces": [p.basis for p in plan.block_subspaces],
         },
         "certificates": list(result.certificates),
     }
@@ -405,7 +390,6 @@ def _cmd_sample(payload, params, seed):
     family = parse_family(payload)
     if family.scalars is None:
         raise PreconditionError("sample needs 'scalars' as the weight sequence")
-    weights = [float(abs(c)) for c in family.scalars]
     ops = [rank_one(v) for v in family.vectors]
     if "epsilon" not in params:
         raise PreconditionError("sample needs --param epsilon=...")
@@ -425,7 +409,7 @@ def _cmd_sample(payload, params, seed):
         subspace = Projection(basis, dim=family.dim)
     fn, cert = sample(
         ops,
-        weights,
+        [float(abs(c)) for c in family.scalars],
         subspace,
         epsilon,
         trace_cap=_param(params, "trace_cap", "float"),
@@ -436,7 +420,6 @@ def _cmd_sample(payload, params, seed):
         "multiplicity": {str(n): c for n, c in fn.multiplicity.items()},
         "total": fn.total,
         "certificate": cert,
-        "weights": weights,
     }
 
 

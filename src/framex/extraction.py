@@ -26,7 +26,7 @@ from .errors import (
     NotAFrameError,
     PreconditionError,
 )
-from .frames import VectorFamily, FrameReport, _as_family, _span_rank, canonical_dual, frame_bounds, reconstruction_residual
+from .frames import VectorFamily, FrameReport, _as_family, _span_rank, _units, canonical_dual, frame_bounds, reconstruction_residual
 from .linalg import NUMERIC_TOL, RANK_DROP_TOL, Projection, _extend_span, _weighted_sum, rank_one
 from .sampling import SANDWICH_TOL, SamplingFunction, sample
 from .selectors import (
@@ -443,11 +443,10 @@ def equivalence_a_to_d(family) -> SpanDistinctSelection:
     selection is pairwise non-collinear and is not checked again.
     """
     fam = _as_family(family)
-    norms = fam.norms()
-    alive = [n for n in range(len(fam)) if norms[n] > 0]
-    if not alive:
+    alive, unit_rows = _units(fam.vectors)
+    units = dict(zip(alive.tolist(), unit_rows))
+    if not units:
         raise NotAFrameError("all vectors vanish; the family cannot span")
-    units = {n: fam.vectors[n] / norms[n] for n in alive}
     span_rank = _span_rank(fam.vectors)
     if span_rank < fam.dim:
         raise NotAFrameError(
@@ -456,7 +455,7 @@ def equivalence_a_to_d(family) -> SpanDistinctSelection:
 
     representatives: list = []
     classes: list = []
-    for n in alive:
+    for n in units:
         for k, rep in enumerate(representatives):
             if abs(complex(np.vdot(units[rep], units[n]))) >= 1.0 - COLLINEARITY_TOL:
                 classes[k].append(n)
@@ -468,8 +467,8 @@ def equivalence_a_to_d(family) -> SpanDistinctSelection:
     class_weights = [float(len(cls)) for cls in classes]
 
     rep_family = VectorFamily(
-        np.stack([fam.vectors[n] for n in representatives]),
-        scalars=[math.sqrt(g) / norms[n] for g, n in zip(class_weights, representatives)],
+        np.stack([units[n] for n in representatives]),
+        scalars=[math.sqrt(g) for g in class_weights],
         labels=representatives,
     )
     result = extract(rep_family)

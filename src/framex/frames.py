@@ -343,16 +343,21 @@ def canonical_dual(family: VectorFamily, use_scalars: bool = False) -> VectorFam
     return VectorFamily(duals, labels=family.labels)
 
 
-def _span_rank(rows: np.ndarray) -> int:
-    """Rank of the unit vectors of the nonzero rows; a residual at or below RANK_DROP_TOL drops.
+def _units(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Indices of the nonzero rows, their unit vectors).
 
     Each row is divided by its largest real or imaginary part before its
-    norm, so no scale overflows or decides the rank.
+    norm, so no entry scale overflows or underflows the norm.
     """
     top = np.maximum(np.abs(rows.real), np.abs(rows.imag)).max(axis=1)
-    rows = rows[top > 0] / top[top > 0, None]
-    units = rows / np.linalg.norm(rows, axis=1)[:, None]
-    return len(_extend_span([], units, rows.dtype, RANK_DROP_TOL))
+    alive = np.flatnonzero(top > 0)
+    rows = rows[alive] / top[alive, None]
+    return alive, rows / np.linalg.norm(rows, axis=1)[:, None]
+
+
+def _span_rank(rows: np.ndarray) -> int:
+    """Rank of the unit vectors of the nonzero rows; a residual at or below RANK_DROP_TOL drops."""
+    return len(_extend_span([], _units(rows)[1], rows.dtype, RANK_DROP_TOL))
 
 
 def classify(family: VectorFamily, use_scalars: bool = False) -> Classification:

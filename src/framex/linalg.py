@@ -19,14 +19,13 @@ __all__ = [
     "PsdOperator",
     "Projection",
     "rank_one",
-    "project_onto",
 ]
 
 # Validation thresholds, relative to the operator norm of the input.
 HERMITIAN_TOL = 1e-9
 PSD_TOL = 1e-9
 NUMERIC_TOL = 1e-9
-# Rank decisions during orthonormalization, relative to the largest input norm.
+# Rank decisions, on unit vectors or relative to the largest squared norm or eigenvalue.
 RANK_DROP_TOL = 1e-8
 
 
@@ -39,37 +38,34 @@ def _as_square_matrix(matrix) -> np.ndarray:
     return a.astype(np.float64, copy=False)
 
 
-def _checked_stack(stack: np.ndarray):
-    """(Symmetrized stack, ascending eigenvalues) of validated PSD matrices.
+def _checked(a: np.ndarray):
+    """(Symmetrized a, its ascending eigenvalues) of a validated PSD matrix.
 
-    Every member of the (n, d, d) stack must be finite, Hermitian within
-    HERMITIAN_TOL times max(max |entry|, 1) and have smallest eigenvalue at
-    least -PSD_TOL * max(opnorm, 1).  Each check runs on the
-    whole stack in that order and the first member failing it raises
-    PreconditionError, so a stack of one is one matrix's validation.
+    a must be finite, Hermitian within HERMITIAN_TOL times
+    max(max |entry|, 1) and have smallest eigenvalue at least
+    -PSD_TOL * max(opnorm, 1); the first check failing, in that order,
+    raises PreconditionError.
     """
-    adjoint = stack.conj().swapaxes(1, 2)
-    if not stack.shape[1]:
-        return (stack + adjoint) / 2.0, np.empty((len(stack), 0))
+    adjoint = a.conj().T
+    if not a.size:
+        return (a + adjoint) / 2.0, np.empty(0)
     # NaN fails every comparison below, so it must be caught first
-    if not np.isfinite(stack).all():
+    if not np.isfinite(a).all():
         raise PreconditionError("matrix has non-finite entries")
-    scale = np.maximum(np.abs(stack).max(axis=(1, 2)), 1.0)
-    skew = np.abs(stack - adjoint).max(axis=(1, 2))
-    bad = np.flatnonzero(skew > HERMITIAN_TOL * scale)
-    if bad.size:
+    scale = max(float(np.abs(a).max()), 1.0)
+    skew = float(np.abs(a - adjoint).max())
+    if skew > HERMITIAN_TOL * scale:
         raise PreconditionError(
-            f"matrix is not Hermitian: max asymmetry {skew[bad[0]]:.3e} exceeds "
-            f"{HERMITIAN_TOL:.1e} * {scale[bad[0]]:.3e}"
+            f"matrix is not Hermitian: max asymmetry {skew:.3e} exceeds "
+            f"{HERMITIAN_TOL:.1e} * {scale:.3e}"
         )
-    sym = (stack + adjoint) / 2.0
+    sym = (a + adjoint) / 2.0
     vals = np.linalg.eigvalsh(sym)
-    floor = -PSD_TOL * np.maximum(np.abs(vals).max(axis=1), 1.0)
-    bad = np.flatnonzero(vals[:, 0] < floor)
-    if bad.size:
+    floor = -PSD_TOL * max(float(np.abs(vals).max()), 1.0)
+    if vals[0] < floor:
         raise PreconditionError(
             "matrix is not positive semidefinite: "
-            f"min eigenvalue {vals[bad[0], 0]:.3e} < {floor[bad[0]]:.3e}"
+            f"min eigenvalue {vals[0]:.3e} < {floor:.3e}"
         )
     return sym, vals
 
@@ -91,8 +87,7 @@ class PsdOperator:
         if _prevalidated:
             a = (a + a.conj().T) / 2.0
         else:
-            sym, vals = _checked_stack(a[None])
-            a, vals = sym[0], vals[0]
+            a, vals = _checked(a)
             vals.setflags(write=False)
         a.setflags(write=False)
         self._matrix = a
@@ -317,31 +312,3 @@ def _extend_span(cols: list, candidates, dtype, threshold: float) -> list:
             cols.append(w)
             added.append(w)
     return added
-
-
-def project_onto(vectors, dim: int | None = None) -> Projection:
-    """Orthonormalize a spanning list into a Projection onto its span.
-
-    Uses repeated Gram-Schmidt (two block passes per vector) and
-    drops vectors whose residual falls below RANK_DROP_TOL times the largest
-    input norm.  Deterministic: input order decides which vectors survive.
-    """
-    if hasattr(vectors, "vectors"):
-        vectors = vectors.vectors
-    vs = [np.asarray(v) for v in vectors]
-    if dim is None:
-        if not vs:
-            raise PreconditionError("cannot infer dimension from an empty list")
-        dim = vs[0].shape[0]
-    complex_input = any(np.iscomplexobj(v) for v in vs)
-    dtype = np.complex128 if complex_input else np.float64
-    if not vs:
-        return Projection(np.zeros((dim, 0), dtype=dtype))
-    for v in vs:
-        if v.shape != (dim,):
-            raise DimensionMismatchError(f"vector of shape {v.shape} in dim {dim}")
-    norms = [float(np.linalg.norm(v)) for v in vs]
-    cols: list[np.ndarray] = []
-    _extend_span(cols, vs, dtype, RANK_DROP_TOL * max(max(norms), 1e-300))
-    basis = np.stack(cols, axis=1) if cols else np.zeros((dim, 0), dtype=dtype)
-    return Projection(basis)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from framex import cli, gaussian_window, pointsets, selectors
+from framex import VectorFamily, cli, extract, gaussian_window, pointsets, selectors
 
 ROOT5 = math.sqrt(0.2)
 
@@ -127,6 +127,27 @@ def test_extract_reports_are_byte_identical(tmp_path):
     report = json.loads(bodies[0])
     assert "timestamp" not in report and "wall_time_s" not in report
     assert report["results"]["mult_ok"] is True
+
+
+def test_reports_carry_no_input_echo(tmp_path):
+    # extract's normalized family is the input's unit vectors at the indices
+    # of its multiplicity, scaled by sqrt(count), so the report leaves it out
+    vectors = np.random.default_rng(5).normal(size=(7, 3))
+    payload = {"dim": 3, "field": "real", "vectors": vectors.tolist(),
+               "scalars": [1.0, 0.5, 2.0, 1.0, 0.75, 1.0, 1.25]}
+    code, report, _ = run_cli(tmp_path, "extract", payload)
+    assert code == 0
+    results = report["results"]
+    assert "normalized" not in results and "block_subspaces" not in results["plan"]
+    support = sorted(int(n) for n in results["multiplicity"])
+    units = vectors / np.linalg.norm(vectors, axis=1)[:, None]
+    want = extract(VectorFamily(vectors, scalars=payload["scalars"])).normalized
+    assert units[support].tobytes() == want.vectors.tobytes()
+    counts = [float(results["multiplicity"][str(n)]) for n in support]
+    assert np.sqrt(counts).tobytes() == want.scalars.tobytes()
+    assert list(want.labels) == [str(n) for n in support]
+    code, report, _ = run_cli(tmp_path, "sample", scaled_basis_payload(), "--param", "epsilon=0.25")
+    assert code == 0 and "weights" not in report["results"]
 
 
 def test_sample_command(tmp_path):

@@ -462,6 +462,20 @@ def test_equivalence_a_to_d_collinear_classes():
     assert np.all(gram - np.eye(len(u)) < 1.0 - 1e-8)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_equivalence_a_to_d_keeps_members_at_any_entry_scale():
+    # each member's unit vector is taken after dividing by its largest entry,
+    # so no norm overflows to inf or underflows to 0 and drops the member
+    want = equivalence_a_to_d(VectorFamily([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+    assert want.representatives == (0, 1, 2) and want.classes == ((0,), (1,), (2,))
+    for vectors in ([[1e200, 0], [0, 1], [1, 1]], [[1e-170, 0], [0, 1], [1, 1]],
+                    [[1e-200, 0], [0, 1], [1, 1]], [[1e-300, 0], [0, 1e300], [1, 1]]):
+        sel = equivalence_a_to_d(VectorFamily(vectors))
+        assert sel.representatives == want.representatives and sel.classes == want.classes
+        assert sel.indices == want.indices
+        assert sel.extraction.report.lower == want.extraction.report.lower
+
+
 def test_collinearity_overlap_is_symmetric_bit_for_bit():
     """|vdot(a, b)| == |vdot(b, a)| exactly, so the representatives, admitted by
     their overlap with each earlier one, need no re-check in the other order."""

@@ -10,10 +10,10 @@ from framex import (
     PreconditionError,
     Projection,
     PsdOperator,
-    project_onto,
     rank_one,
 )
-from framex.linalg import RANK_DROP_TOL, _extend_span
+from framex.frames import _span_rank
+from framex.linalg import HERMITIAN_TOL, PSD_TOL, RANK_DROP_TOL, _extend_span
 from helpers import reference_extend_span
 
 
@@ -41,6 +41,33 @@ def test_psd_rejects_non_finite(bad):
 def test_psd_rejects_negative():
     with pytest.raises(PreconditionError):
         PsdOperator(np.diag([1.0, -0.5]))
+
+
+@pytest.mark.parametrize("size", [1.0, 1e6, 1e-6])
+def test_validation_edges_sit_at_the_tolerances(size):
+    """HERMITIAN_TOL * max(max |a|, 1) bounds the asymmetry, -PSD_TOL * max(||a||, 1) the spectrum."""
+    scale = max(size, 1.0)
+    for factor, accepted in ((0.99, True), (1.01, False)):
+        # a[0, 1] alone is the asymmetry and stays below size, so max |a| is size
+        skew = factor * HERMITIAN_TOL * scale
+        a = size * np.eye(3)
+        a[0, 1] = skew
+        if accepted:
+            PsdOperator(a)
+        else:
+            message = f"matrix is not Hermitian: max asymmetry {skew:.3e} exceeds {HERMITIAN_TOL:.1e} * {scale:.3e}"
+            with pytest.raises(PreconditionError) as err:
+                PsdOperator(a)
+            assert str(err.value) == message
+        low = -factor * PSD_TOL * scale
+        a = np.diag([size, 0.5 * size, low])
+        if accepted:
+            assert PsdOperator(a).eigenvalues[0] == low
+        else:
+            message = f"matrix is not positive semidefinite: min eigenvalue {low:.3e} < {-PSD_TOL * scale:.3e}"
+            with pytest.raises(PreconditionError) as err:
+                PsdOperator(a)
+            assert str(err.value) == message
 
 
 def test_psd_rejects_rectangular():
@@ -86,7 +113,7 @@ def test_eigenvalues_sorted(rng):
 
 
 def test_projection_basics():
-    p = project_onto([np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])])
+    p = Projection(np.eye(3)[:, :2])
     assert p.rank == 2
     m = p.matrix
     np.testing.assert_allclose(m @ m, m, atol=1e-12)
@@ -95,10 +122,9 @@ def test_projection_basics():
     np.testing.assert_allclose(m + q.matrix, np.eye(3), atol=1e-12)
 
 
-def test_projection_drops_dependent_vectors():
+def test_span_rank_drops_dependent_vectors():
     v = np.array([1.0, 1.0])
-    p = project_onto([v, 2.0 * v, -v])
-    assert p.rank == 1
+    assert _span_rank(np.stack([v, 2.0 * v, -v])) == 1
 
 
 def _full_pass_span(cols, candidates, dtype, threshold):
@@ -139,9 +165,6 @@ def test_span_stops_at_full_rank_with_the_full_pass_bits(complex_field):
                 full = _full_pass_span(full_cols, vs, dtype, RANK_DROP_TOL)
                 assert len(fast) == len(full) and len(fast_cols) == dim
                 assert all(a.tobytes() == b.tobytes() for a, b in zip(fast, full))
-            tol = RANK_DROP_TOL * max(float(np.linalg.norm(v)) for v in vs)
-            full_basis = np.stack(_full_pass_span([], vs, dtype, tol), axis=1)
-            assert project_onto(list(vs)).basis.tobytes() == full_basis.tobytes()
 
 
 @settings(max_examples=80, deadline=None)
@@ -198,7 +221,7 @@ def test_projection_dim_mismatch():
 
 def test_compress():
     op = PsdOperator(np.diag([2.0, 3.0]))
-    p = project_onto([np.array([1.0, 0.0])])
+    p = Projection(np.array([[1.0], [0.0]]))
     small = PsdOperator(p.matrix @ op.matrix @ p.matrix)
     assert small.trace == pytest.approx(2.0)
 
@@ -220,7 +243,7 @@ def test_psd_properties(seed, dim):
 def test_projection_idempotent_property(seed):
     rng = np.random.default_rng(seed)
     vecs = [rng.normal(size=5) for _ in range(3)]
-    p = project_onto(vecs)
+    p = Projection(np.linalg.qr(np.stack(vecs, axis=1))[0])
     m = p.matrix
     np.testing.assert_allclose(m @ m, m, atol=1e-10)
     np.testing.assert_allclose(m, m.T.conj(), atol=1e-10)

@@ -20,7 +20,6 @@ from framex import (
     sample,
 )
 from framex.errors import PreconditionError
-from framex.linalg import _checked_stack
 from framex.sampling import (
     _as_fraction,
     _binary_expansion,
@@ -214,21 +213,6 @@ def test_rank_one_input_is_never_eigensolved(monkeypatch):
     assert calls == []
     PsdOperator(ops[0].matrix).factor  # a dense operator gets its factor from one eigh
     assert calls == [(3, 3)]
-
-
-@pytest.mark.parametrize("kind", ["nan", "non-hermitian", "indefinite"])
-def test_stack_validation_rejects_like_psd_operator(kind):
-    bad = np.diag([1.0, 0.5, -1e-3]) if kind == "indefinite" else np.eye(3)
-    if kind == "nan":
-        bad[1, 2] = np.nan
-    if kind == "non-hermitian":
-        bad[0, 2] = 1e-3
-    with pytest.raises(PreconditionError) as single:
-        PsdOperator(bad)
-    good = 0.5 * np.eye(3)
-    with pytest.raises(PreconditionError) as stacked:
-        _checked_stack(np.stack([good, bad, good]))
-    assert str(stacked.value) == str(single.value)
 
 
 def test_make_paddings_zero_for_zero_ops():
