@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import csv
 import functools
 import hashlib
 import json
@@ -551,19 +552,14 @@ def _flatten(prefix, obj, rows):
         for i, item in enumerate(obj):
             _flatten(f"{prefix}[{i}]", item, rows)
     else:
-        rows.append((prefix, "" if obj is None else obj))
+        rows.append((prefix, obj))
 
 
 def _write_csv(path, results):
-    rows = []
+    rows = [("key", "value")]
     _flatten("", results, rows)
-    lines = ["key,value"]
-    for key, value in rows:
-        text = str(value)
-        if "," in text or '"' in text:
-            text = '"' + text.replace('"', '""') + '"'
-        lines.append(f"{key},{text}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8", newline="") as out:
+        csv.writer(out, lineterminator="\n").writerows(rows)
 
 
 # exit codes of framex's own errors; any other exception (numpy's

@@ -117,21 +117,6 @@ class ExtractionPlan:
     upper: float
     identity_defect: float
 
-    def __post_init__(self):
-        if len(self.subspaces) != len(self.blocks) + 1:
-            raise PreconditionError("need one more chain subspace than blocks")
-        if len(self.block_subspaces) != len(self.blocks):
-            raise PreconditionError("one reference subspace per block is required")
-        if len(self.thresholds) != len(self.blocks) or len(self.gammas) != len(self.blocks):
-            raise PreconditionError("thresholds and gammas must align with blocks")
-        prev = 0
-        for start, end in self.blocks:
-            if start != prev or end < start:
-                raise PreconditionError("blocks must tile the index range in order")
-            prev = end
-        if not 0 < self.epsilon < 1:
-            raise PreconditionError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-
 
 @dataclass(frozen=True, eq=False)
 class ExtractionResult:

@@ -111,10 +111,14 @@ class VectorFamily:
         return self._vectors.shape[0]
 
     def weighted_vectors(self) -> np.ndarray:
-        """Rows c_n * x_n; identity weights when no scalars are attached."""
+        """Rows c_n * x_n; identity weights when no scalars are attached.
+
+        A product beyond the float range reads inf (or nan), without a warning.
+        """
         if self._scalars is None:
             return self._vectors
-        return self._vectors * self._scalars[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._vectors * self._scalars[:, None]
 
     def norms(self) -> np.ndarray:
         return np.linalg.norm(self._vectors, axis=1)
@@ -290,8 +294,9 @@ def _frame_bounds(family: VectorFamily, use_scalars: bool) -> tuple[FrameReport,
         w, e = _normalized(w)
         s = _gram(w)
         top = float(np.max(s.diagonal().real))
+    # a family's own vectors are finite and scaled rows are below 1, so only c_n x_n can overflow
     if not np.isfinite(s).all():
-        raise PreconditionError("frame operator is not finite: the vectors are not finite")
+        raise PreconditionError("frame operator is not finite: the rescaled vectors overflow the float range")
     operator = None if scaled else PsdOperator(s, _prevalidated=True)
     k = (math.frexp(top)[1] + 1) // 2
     scaled_operator = PsdOperator(s * 4.0**-k, _prevalidated=True)

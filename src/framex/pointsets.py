@@ -112,16 +112,6 @@ class DensityEstimate:
     window_radii: tuple
     per_window: tuple
 
-    def __post_init__(self):
-        if self.lower < 0 or self.upper < 0:
-            raise PreconditionError("densities cannot be negative")
-        if self.lower > self.upper:
-            raise PreconditionError(
-                f"lower estimate {self.lower} exceeds upper {self.upper}"
-            )
-        if len(self.window_radii) != len(self.per_window):
-            raise PreconditionError("one curve entry per radius is required")
-
 
 def _radii(p: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row, scaled by its largest entry so squares cannot overflow.

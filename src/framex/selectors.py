@@ -101,8 +101,9 @@ def certificate_constant(trace_cap: float, order: int) -> float:
     """Constant used when certifying an order-N tree.
 
     Outside the recursion's range (2^N * delta >= 1) the max over admissible
-    orders is used instead; with no admissible order at all the constant is 0
-    and the bound is vacuous, which only exact-deviation instances meet.
+    orders is used instead; with no admissible order at all the constant is 0,
+    so the bound is 0, the strictest there is: only trees whose every leaf
+    deviation is 0 meet it.
     """
     usable = min(order, natural_max_order(trace_cap))
     return selector_constant(trace_cap, usable)
@@ -150,8 +151,6 @@ def scale_exponent(epsilon: float, constant: float, trace_cap: float) -> ScaleEx
         scaled = 2**beta * ratio
         if 1.0 < scaled <= 2.0:
             return ScaleExponent(value=beta, constant=c)
-        if scaled > 2.0:
-            break
     raise NoAdmissibleExponentError(
         f"no exponent in 0..{_EXPONENT_SCAN} satisfies the window for ratio {ratio:.6g}"
     )
@@ -170,9 +169,6 @@ class PairPartition:
             raise PreconditionError("pairs overlap")
         if set(seen) != set(self.indices) or len(self.indices) != len(seen):
             raise PreconditionError("pairs do not cover the cell exactly")
-        for a, b in self.pairs:
-            if a == b:
-                raise PreconditionError(f"degenerate pair ({a}, {b})")
 
 
 def _cell_pairs(reals, pads, traces) -> list[tuple[int, int]]:
@@ -463,11 +459,10 @@ def _draw_count(real, remaining) -> int:
 class _TreeBuilder:
     """Shared state for building selector trees over a fixed operator stack.
 
-    padded, built on first use, is the stack with a zero matrix appended at
-    index n, the operator of every pad.  rows are the operators' factors
-    (_outer_rows), or None; factors is then the (n + 1, d) factor stack of
-    padded, or None.  traces[i] is the trace of operator i, and total is
-    the operator sum T that every leaf's rescaled sum is compared with.
+    rows are the operators' factors (_outer_rows), or None; factors is then
+    rows with a zero row appended at index n, the factor of every pad, or
+    None.  traces[i] is the trace of operator i, and total is the operator
+    sum T that every leaf's rescaled sum is compared with.
     """
 
     def __init__(self, stack, traces, total, order, rows):
@@ -478,10 +473,6 @@ class _TreeBuilder:
         self.total_trace = float(np.real(np.trace(total)))
         self.trace_sum = sum(traces)
         self.factors = None if rows is None else np.concatenate([rows, np.zeros_like(rows[:1])])
-
-    @functools.cached_property
-    def padded(self) -> np.ndarray:
-        return np.concatenate([self.stack, np.zeros_like(self.stack[:1])])
 
     def pairing(self, ids, pads_before=0) -> PairPartition:
         """The cell's pairing; a fresh pad is labelled -1 - pads_before."""
@@ -555,34 +546,27 @@ class _TreeBuilder:
 
         current is the (cells, 2, d, d) stack of each cell's exact folds of
         its current sides; trial t, of cell cell[t], moves gain[t] into
-        child 0 and lose[t] out of it (padded indices), and is held to that
-        cell's bar.  A trial dropped at a bar x has an exact fold deviation
-        >= x - 2 eps, eps = tolerance(scale); at bar = value + 2 eps that is
-        the current value, and such a trial's floor is inf.  The others have
-        floor bar, or the lowest bar of their cell's grid that they pass:
-        the bars at the fractions _GRID of the way from the best Rayleigh
-        lower bound of the cell's survivors to bar.  A cell with one
-        survivor has no grid, as that survivor is folded at any bar.  One
-        eigh of current serves every cell and both passes.
+        child 0 and lose[t] out of it (indices into factors, n for a pad),
+        and is held to that cell's bar.  A trial dropped at a bar x has an
+        exact fold deviation >= x - 2 eps, eps = tolerance(scale); at
+        bar = value + 2 eps that is the current value, and such a trial's
+        floor is inf.  The others have floor bar, or the lowest bar of their
+        cell's grid that they pass: the bars at the fractions _GRID of the
+        way from the best Rayleigh lower bound of the cell's survivors to
+        bar.  A cell with one survivor has no grid, as that survivor is
+        folded at any bar.
 
-        Stacks with factors: _inertia_pass at bar on every trial, then at the
-        grid on the survivors, from the eigensystem of the trial's current
-        children and the projections of the factors it moves.  The Rayleigh
-        bounds (_rayleigh_bounds) only place the grid; soundness does not
-        rest on them.
-
-        Other stacks: the Rayleigh bound |lam_j +- v_j* step v_j| < bar on
-        each child's eigenvectors, within a Rayleigh quotient's error; every
-        survivor's floor is bar.
+        Stacks with factors: one eigh of current serves every cell and both
+        passes, _inertia_pass at bar on every trial, then at the grid on the
+        survivors, from the eigensystem of the trial's current children and
+        the projections of the factors it moves.  The Rayleigh bounds
+        (_rayleigh_bounds) only place the grid; soundness does not rest on
+        them.  Other stacks drop nothing: every trial's floor is its cell's
+        bar, so every trial is folded exactly.
         """
-        lam, vecs = np.linalg.eigh(current)
         if self.factors is None:
-            # each trial's cell's eigensystem, as (child, trial, ...)
-            lam, vecs, top = lam[cell].swapaxes(0, 1), vecs[cell].swapaxes(0, 1), bar[cell]
-            step = scale * (self.padded[gain] - self.padded[lose])
-            quad = (vecs.conj() * (step @ vecs)).sum(axis=-2).real
-            quad[1] *= -1.0
-            return np.where(np.abs(lam + quad).max(axis=(0, 2)) < top, top, np.inf)
+            return bar[cell]
+        lam, vecs = np.linalg.eigh(current)
         # each child's (f_+, f_-), as (factor, trial, child): child 0 gains
         # `gain`, child 1 gains `lose`.  einsum keeps these small products
         # off BLAS: a BLAS call here, in a small early job, raised a later

@@ -314,14 +314,6 @@ class DensificationReport:
     shifts: tuple
     weights: tuple
 
-    def __post_init__(self):
-        if len(self.shifts) != self.emitted_count:
-            raise PreconditionError("one shift pair per emitted vector")
-        if len(self.weights) != self.emitted_count:
-            raise PreconditionError("one weight per emitted vector")
-        if self.operator_deviation < 0:
-            raise PreconditionError("operator deviation cannot be negative")
-
 
 def _spiral_offsets(limit_sq_num, limit_sq_den, seed, tag):
     """Integer grid offsets with |off|^2 < limit, ordered spiral-wise.

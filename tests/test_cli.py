@@ -92,6 +92,18 @@ def test_overflowing_frame_operator_writes_an_error_report(tmp_path, command):
     assert "results" not in report
 
 
+@pytest.mark.parametrize("command", ["analyze", "classify", "dual"])
+def test_rescaled_vectors_that_overflow_are_named_as_the_cause(tmp_path, command):
+    """c_n x_n passes the float range though x_n and c_n do not: no numpy warning, exit 2."""
+    payload = {"dim": 2, "field": "real", "vectors": [[1e200, 0.0], [0.0, 1.0]], "scalars": [1e200, 1.0]}
+    code, report, _ = run_cli(tmp_path, command, payload)
+    assert code == 2
+    assert report["error"] == {
+        "type": "PreconditionError",
+        "message": "frame operator is not finite: the rescaled vectors overflow the float range",
+    }
+
+
 def test_any_other_failure_writes_an_error_report(tmp_path, monkeypatch, capsys):
     def fails(payload, params, seed):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -616,6 +628,10 @@ def test_schema_violations(tmp_path):
         {"dim": 2, "field": "real", "vectors": [[1.0]]},  # wrong arity
         {"dim": 1, "field": "complex", "vectors": [[1.0]]},  # not [re, im]
         {"dim": 1, "field": "real", "vectors": [[1.0]], "scalars": [1.0, 2.0]},
+        [[1.0]],  # not an object
+        {"dim": True, "field": "real", "vectors": [[1.0]]},
+        {"dim": 1, "field": "real", "vectors": []},
+        {"dim": 1, "field": "real", "vectors": [[1.0]], "labels": ["a", "b"]},
     ]
     for k, payload in enumerate(cases):
         code, report, _ = run_cli(
@@ -625,11 +641,57 @@ def test_schema_violations(tmp_path):
         assert report["error"]["type"] == "InputFormatError"
 
 
+_BAD_POINT_SETS = {
+    "not-an-object": ([[0.0]], "point set input must be a JSON object"),
+    "no-extent": ({"ambient_dim": 1, "points": [[0.0]]}, "point set input lacks the 'extent' field"),
+    "zero-dim": ({"ambient_dim": 0, "points": [], "extent": 4.0}, "'ambient_dim' must be a positive integer"),
+    "text-extent": ({"ambient_dim": 1, "points": [[0.0]], "extent": "4"}, "'extent' must be a number"),
+    "points-object": ({"ambient_dim": 1, "points": {"0": 0.0}, "extent": 4.0}, "'points' must be a list"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_POINT_SETS))
+def test_point_set_schema_violations(tmp_path, case):
+    payload, message = _BAD_POINT_SETS[case]
+    code, report, _ = run_cli(tmp_path, "density", payload)
+    assert code == 3
+    assert report["error"] == {"type": "InputFormatError", "message": message}
+
+
+def test_density_of_an_empty_point_set(tmp_path):
+    code, report, _ = run_cli(tmp_path, "density", {"ambient_dim": 2, "points": [], "extent": 3.0},
+                              "--param", "radii=1")
+    assert code == 0
+    res = report["results"]
+    assert (res["count"], res["ambient_dim"], res["separation"]) == (0, 2, "inf")
+    assert res["estimate"]["lower"] == res["estimate"]["upper"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "command,param,message",
+    [
+        ("gabor", "a_step=0", "lattice steps must be positive"),
+        ("construct45", "copies=0", "copies must be positive"),
+        ("construct45", "counts=", "counts must be nonempty"),
+    ],
+)
+def test_lattice_and_cluster_params_must_be_positive(tmp_path, command, param, message):
+    code, report, _ = run_cli(tmp_path, command, window_payload(8), "--param", param)
+    assert code == 2
+    assert report["error"] == {"type": "PreconditionError", "message": message}
+
+
 def test_bad_param_values(tmp_path):
     code, report, _ = run_cli(
         tmp_path, "sample", scaled_basis_payload(), "--param", "epsilon=abc"
     )
     assert code == 3
+
+    code, report, _ = run_cli(tmp_path, "analyze", mercedes_payload(), "--param", "use_scalars=maybe")
+    assert code == 3
+    assert report["error"]["message"] == "param 'use_scalars' must be a boolean, got 'maybe'"
+    code, report, _ = run_cli(tmp_path, "analyze", scaled_basis_payload(scalars=False), "--param", "use_scalars=yes")
+    assert code == 0 and report["results"]["use_scalars"] is True
 
     # a malformed --param pair fails inside the run, so it still writes a report
     code, report, _ = run_cli(tmp_path, "analyze", mercedes_payload(), "--param", "oops")
@@ -689,6 +751,24 @@ def test_csv_output(tmp_path):
     keys = {line.split(",", 1)[0] for line in table[1:]}
     assert "frame.lower" in keys
     assert "spectrum.top" in keys or any(k.startswith("spectrum") for k in keys)
+
+
+def test_csv_quotes_only_what_needs_quoting(tmp_path, monkeypatch):
+    results = {"text": 'say "hi", then go', "none": None, "flag": True, "ratio": 0.5, "bad": math.nan, "ids": [1, 2]}
+    monkeypatch.setitem(cli._HANDLERS, "analyze", lambda payload, params, seed: results)
+    code = cli.main(["analyze", "--in", write_json(tmp_path / "in.json", mercedes_payload()),
+                     "--out", str(tmp_path / "report.json"), "--csv"])
+    assert code == 0
+    assert (tmp_path / "report.csv").read_bytes() == (
+        b'key,value\nbad,nan\nflag,True\nids[0],1\nids[1],2\nnone,\nratio,0.5\ntext,"say ""hi"", then go"\n'
+    )
+
+
+def test_a_report_that_cannot_be_written_exits_3(tmp_path, capsys):
+    code = cli.main(["analyze", "--in", write_json(tmp_path / "in.json", mercedes_payload()),
+                     "--out", str(tmp_path / "absent" / "out.json")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("framex: cannot write report: ")
 
 
 def test_csv_skipped_on_failure(tmp_path):

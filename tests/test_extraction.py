@@ -1,5 +1,6 @@
 """Tests for frame extraction from rescalable families."""
 
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -21,7 +22,7 @@ from framex import (
 )
 import framex.extraction as extraction
 import framex.frames as frames
-from framex.errors import NotAFrameError, PreconditionError
+from framex.errors import DimensionMismatchError, NotAFrameError, PreconditionError
 from framex.extraction import _SNAP_TOL, ENVELOPE_SLACK, _snap_weight, _threshold, _within_cap, plan
 
 from helpers import (
@@ -332,6 +333,39 @@ def test_extract_order_one_block_certificate():
     assert_certified(fam, extract(fam))
 
 
+def test_extract_refuses_a_frame_whose_exponent_window_is_past_the_scan():
+    """B/A near 8e9: epsilon^2 / (4 C^2 delta) starts below 2^-64, and doubling C only lowers it."""
+    fam = VectorFamily([[1.0, 0.0], [0.0, 1.1e-5]])
+    assert frame_bounds(fam).is_frame
+    with pytest.raises(PreconditionError, match="no self-consistent selector constant found"):
+        extract(fam)
+
+
+# each forged selection of extract(eye(4)), whose blocks each select their
+# one member 4 times at beta = 2, and the check that must refuse it
+_FORGED_SELECTIONS = {
+    "nothing": (lambda block, mult: {}, NotAFrameError, "sampling selected nothing"),
+    "one-index": (lambda block, mult: mult if block == 0 else {}, NotAFrameError, "selected multiset does not span"),
+    "hundredfold": (lambda block, mult: {n: 100 * t for n, t in mult.items()}, PreconditionError, "escape the envelope"),
+    # bounds [4, 7] stay inside [4/3, 12], but |7/4 - 1| exceeds 2 epsilon = 2/3
+    "seven-of-one": (lambda block, mult: {n: 7 if block == 0 else t for n, t in mult.items()}, PreconditionError, "stacked deviation 0.75 exceeds"),
+}
+
+
+@pytest.mark.parametrize("forge", sorted(_FORGED_SELECTIONS))
+def test_extract_refuses_a_forged_selection(monkeypatch, forge):
+    change, error, message = _FORGED_SELECTIONS[forge]
+    blocks, sampled = itertools.count(), extraction.sample
+
+    def forged(*args, **kwargs):
+        sigma, cert = sampled(*args, **kwargs)
+        return extraction.SamplingFunction(change(next(blocks), sigma.multiplicity)), cert
+
+    monkeypatch.setattr(extraction, "sample", forged)
+    with pytest.raises(error, match=message):
+        extract(VectorFamily(np.eye(4)))
+
+
 def test_extract_rejects_non_spanning():
     with pytest.raises(NotAFrameError):
         extract(VectorFamily(np.eye(3)[:2]))
@@ -357,13 +391,22 @@ def test_equivalence_b_to_a_forms_one_gram(monkeypatch):
     assert shapes == [(2, 2)]
 
 
+def test_equivalence_b_to_a_refuses_duals_that_fail_reconstruction(monkeypatch):
+    dual = extraction.canonical_dual
+    monkeypatch.setattr(extraction, "canonical_dual", lambda fam, use: VectorFamily(2.0 * dual(fam, use).vectors))
+    with pytest.raises(PreconditionError, match="coefficient duals failed reconstruction"):
+        equivalence_b_to_a(VectorFamily(np.eye(2)))
+
+
 def test_equivalence_c_check():
     fam = VectorFamily(np.eye(2))
     duals = canonical_dual(fam)
     assert equivalence_c_check(fam, duals)
     assert not equivalence_c_check(fam, VectorFamily([[1.0, 0.0], [1.0, 0.0]]))
-    with pytest.raises(Exception):
+    with pytest.raises(DimensionMismatchError, match="2 vectors against 3 duals"):
         equivalence_c_check(fam, VectorFamily(np.eye(3)))
+    with pytest.raises(DimensionMismatchError, match="dim 2 against dual dim 3"):
+        equivalence_c_check(fam, VectorFamily(np.eye(3)[:2]))
 
 
 def test_equivalence_checks_pass_exact_duals_of_a_large_ill_conditioned_family():

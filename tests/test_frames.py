@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framex import (
+    DimensionMismatchError,
     NotAFrameError,
     PreconditionError,
     VectorFamily,
@@ -88,6 +89,14 @@ def test_family_guards():
         VectorFamily(np.eye(2), scalars=[1.0 + 1j, 1.0])  # complex over real
     with pytest.raises(PreconditionError):
         VectorFamily(np.eye(2), scalars=[1.0])
+    with pytest.raises(PreconditionError, match=r"expected a \(count, dim\) array, got shape \(3,\)"):
+        VectorFamily(np.ones(3))
+    with pytest.raises(PreconditionError, match="at least one vector in dim >= 1"):
+        VectorFamily(np.zeros((0, 2)))
+    with pytest.raises(DimensionMismatchError, match="1 labels for 2 vectors"):
+        VectorFamily(np.eye(2), labels=["a"])
+    real = VectorFamily(np.eye(2), scalars=[2.0 + 0j, 1.0 + 0j])  # complex scalars with no imaginary part
+    assert real.scalars.dtype == np.float64 and real.scalars.tolist() == [2.0, 1.0]
     fam = VectorFamily(np.eye(2), labels=[10, 20])
     assert fam.labels == ("10", "20")
     sub = fam.subfamily([1])

@@ -91,6 +91,7 @@ def test_rank_one():
     op = rank_one(v)
     assert op.trace == pytest.approx(9.0)
     np.testing.assert_allclose(op.matrix, np.outer(v, v))
+    assert repr(op) == "PsdOperator(dim=3, trace=9, opnorm=9)"
     with pytest.raises(PreconditionError):
         rank_one(np.eye(2))
 
@@ -119,6 +120,7 @@ def test_projection_basics():
     np.testing.assert_allclose(m @ m, m, atol=1e-12)
     q = p.complement()
     assert q.rank == 1
+    assert repr(q) == "Projection(dim=3, rank=1)"
     np.testing.assert_allclose(m + q.matrix, np.eye(3), atol=1e-12)
 
 
@@ -217,6 +219,8 @@ def test_projection_zero_full():
 def test_projection_dim_mismatch():
     with pytest.raises(DimensionMismatchError):
         Projection(np.eye(3)[:, :1], dim=2)
+    with pytest.raises(PreconditionError, match=r"expected a \(dim, rank\) basis, got shape \(3,\)"):
+        Projection(np.ones(3))
 
 
 def test_compress():

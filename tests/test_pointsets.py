@@ -52,6 +52,10 @@ def test_pointset_shapes():
     empty = PointSet([], 1.0, ambient_dim=2)
     assert empty.ambient_dim == 2
     assert len(empty) == 0
+    # with no declared dimension, an empty sample keeps the one its shape gives
+    assert PointSet([], 1.0).ambient_dim == 1
+    assert PointSet(np.zeros((0, 3)), 1.0).ambient_dim == 3
+    assert repr(PointSet([[1.0, 0.0]], 2.5)) == "PointSet(count=1, dim=2, extent=2.5)"
 
 
 def test_pointset_guards():
@@ -61,6 +65,8 @@ def test_pointset_guards():
         PointSet([5.0], 2.0)  # point escapes the declared extent
     with pytest.raises(DimensionMismatchError):
         PointSet([[1.0, 0.0]], 2.0, ambient_dim=3)
+    with pytest.raises(PreconditionError, match=r"expected \(count, dim\) coordinates, got shape \(1, 1, 2\)"):
+        PointSet([[[1.0, 0.0]]], 2.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -3,6 +3,7 @@
 import functools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from framex import (
     rank_one,
     sample,
 )
+from framex import sampling
 from framex.errors import PreconditionError
 from framex.sampling import (
     _as_fraction,
@@ -148,6 +150,8 @@ def test_make_paddings_conditions():
             assert pad.trace <= 2.0 ** (-beta + 2) * epsilon * (1 + 1e-12)
         total = sum(pad.matrix for pad in pads)
         assert np.linalg.eigvalsh(total)[-1] <= 0.5 + 1e-12
+    with pytest.raises(PreconditionError, match=r"epsilon must lie in \(0, 1\), got 1.0"):
+        make_paddings(ops, epsilon=1.0, beta=0)
 
 
 @pytest.mark.parametrize("complex_field", [False, True])
@@ -245,6 +249,9 @@ def test_sample_truncates_fine_tails():
     assert fn.multiplicity == {0: 64, 1: 64, 2: 64}
     assert cert.tail_norm <= 0.25 / 2
     assert cert.sandwich_ok and cert.mult_ok
+    # weights may be given as fraction strings
+    by_text, cert_by_text = sample(ops, ["3/4", "5/8", "1/2"], subspace, 0.25)
+    assert (by_text.multiplicity, cert_by_text) == (fn.multiplicity, cert)
 
 
 def test_sample_pinned_exponent_runs_split_levels():
@@ -263,6 +270,51 @@ def test_sample_pinned_exponent_runs_split_levels():
     # exact multiplicity bound: one copy against 2^(0+1) * 1/2
     for n, count in fn.multiplicity.items():
         assert Fraction(count) <= 2 * weights[n]
+
+
+def test_sample_shrinks_inflated_pads_back():
+    """Pads inflated 100 and 1000 times, within the trace cap, are scaled back alike.
+
+    Only the weight 3/4 leaves pads, on e_0, outside the subspace: their
+    compressed trace stays 0, and the I/2 clamp alone shrinks their
+    weighted sum.  The pads the leaf then uses, inflation times pad_scale,
+    are the same, and the leaf certifies.
+    """
+    ops = scaled_basis_ops(3)
+    subspace = Projection(np.eye(3)[:, 2:], dim=3)
+    weights = [Fraction(3, 4), Fraction(1), Fraction(1)]
+    paddings = sampling.make_paddings
+    used = []
+    for inflation in (100, 1000):
+        with mock.patch.object(sampling, "make_paddings", lambda *args: [
+            PsdOperator._of_rows(math.sqrt(inflation) * pad.factor, inflation * pad.matrix) for pad in paddings(*args)
+        ]):
+            fn, cert = sample(ops, weights, subspace, 0.25, trace_cap=1000.0, scale=pinned(0))
+        assert cert.pad_scale < 1.0
+        assert cert.sandwich_ok and cert.pigeonhole_trace <= cert.pigeonhole_cap
+        used.append((fn.multiplicity, inflation * cert.pad_scale))
+    assert used[0][0] == used[1][0]
+    assert used[0][1] == pytest.approx(used[1][1], rel=1e-9)
+
+
+def test_sample_shrinks_pads_under_a_trace_cap_just_below_the_traces():
+    """Traces 0.2 pass a cap 2e-11 below them, within the tolerance; the pads, of trace 0.2, are shrunk under it."""
+    cap = 0.2 * (1 - 1e-10)
+    fn, cert = sample(scaled_basis_ops(3), [Fraction(3, 4), Fraction(1), Fraction(1)], Projection.full(3), 0.25,
+                      trace_cap=cap, scale=pinned(0))
+    assert cert.trace_cap == cap
+    assert cert.pad_scale < 1.0 and 0.2 * cert.pad_scale <= cap
+    assert cert.sandwich_ok and cert.pigeonhole_trace <= cert.pigeonhole_cap
+
+
+def test_sample_refuses_a_leaf_past_the_pigeonhole(monkeypatch):
+    """A leaf forged to four times the counts its split picked escapes the pigeonhole cap 2 gamma."""
+    ops = scaled_basis_ops(3)
+    subspace = Projection(np.eye(3)[:, :1], dim=3)
+    child = sampling._child_state
+    monkeypatch.setattr(sampling, "_child_state", lambda *args: {key: 4 * c for key, c in child(*args).items()})
+    with pytest.raises(PreconditionError, match="no leaf satisfies the trace pigeonhole"):
+        sample(ops, [Fraction(3, 4), Fraction(5, 8), Fraction(1, 2)], subspace, 0.25, scale=pinned(0))
 
 
 def test_sample_descent_keeps_the_multiplicity_cap():
@@ -321,6 +373,13 @@ def test_sample_rejects_bad_inputs():
     # weighted sum above I/2 violates the plain-sum cap
     with pytest.raises(PreconditionError):
         sample(ops, [3, 3, 3], subspace, 0.25)
+    with pytest.raises(PreconditionError, match="subspace dimension mismatch"):
+        sample(ops, [1, 1, 1], Projection.full(2), 0.25)
+    with pytest.raises(PreconditionError, match="operator trace exceeds the cap 0.1"):
+        sample(ops, [1, 1, 1], subspace, 0.25, trace_cap=0.1)
+    # 0.4 I stays below the total cap, but its trace on the whole space is 1.2
+    with pytest.raises(PreconditionError, match="compressed trace 1.2 exceeds 1"):
+        sample(ops, [2, 2, 2], subspace, 0.25)
 
 
 def test_sample_rejects_zero_depth():
@@ -359,6 +418,7 @@ def test_sampling_function_basics():
     assert list(fn.multiplicity) == [0, 2]  # ascending indices
     fn.multiplicity[1] = 5  # a copy: the multiset stays as built
     assert fn.multiplicity == {0: 2, 2: 1}
+    assert repr(fn) == "SamplingFunction(total=3, indices=2)"
 
 
 def test_sampling_function_guards():

@@ -1,5 +1,6 @@
 """Selector constants, exponent windows, pair partitions, tree search."""
 
+import copy
 import dataclasses
 import itertools
 import math
@@ -98,6 +99,11 @@ def test_scale_exponent_window():
         scale_exponent(eps_for(2.5), 0.5, 0.25)  # ratio > 2: no window
     with pytest.raises(NoAdmissibleExponentError):
         scale_exponent(0.5, 0.0, 0.25)
+    # ratio 2.5e-25 <= 2^-64: no exponent of the scan lifts it above 1
+    with pytest.raises(NoAdmissibleExponentError, match="no exponent in 0..64 satisfies the window"):
+        scale_exponent(1e-12, 1.0, 1.0)
+    with pytest.raises(PreconditionError, match=r"epsilon must lie in \(0, 1\), got 1.0"):
+        scale_exponent(1.0, 0.5, 0.25)
 
 
 def test_scale_exponent_refuses_a_negative_value():
@@ -157,7 +163,7 @@ def test_descending_trace_pairs():
 
 
 def test_pair_partition_guards():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="pairs overlap"):  # a degenerate pair lists its id twice
         PairPartition(indices=(0, 1), pairs=((0, 0),))
     with pytest.raises(PreconditionError):
         PairPartition(indices=(0, 1, 2), pairs=((0, 1),))
@@ -285,6 +291,59 @@ def test_verify_rejects_tampered_bound(rng):
     assert not verify_certificate(fake, tree, ops)
 
 
+# each forgery of a root split that check_partitions must refuse, made in place
+_FORGED_SPLITS = {
+    "sides-short": lambda root: setattr(root, "sides", root.sides[:-1]),
+    "cell-beyond-partition": lambda root: setattr(root, "indices", root.indices + (99,)),
+    "partition-beyond-cell": lambda root: setattr(root, "indices", root.indices[1:]),
+    "side-flipped": lambda root: setattr(root, "sides", (1 - root.sides[0],) + root.sides[1:]),
+    "child-oversized": lambda root: setattr(
+        root.children[0], "indices", root.children[0].indices + root.children[1].indices[:1]
+    ),
+}
+
+
+@pytest.mark.parametrize("forge", sorted(_FORGED_SPLITS))
+def test_check_partitions_refuses_a_forged_split(rng, forge):
+    # order 1: the root's children are leaves, so only the root's own checks can refuse
+    ops = bounded_rank_ones(rng, 3, 6, trace_cap=0.1)
+    tree, cert = best_selector(ops, 1, strategy="exhaustive")
+    assert tree.check_partitions()
+    forged = copy.deepcopy(tree)
+    _FORGED_SPLITS[forge](forged.root)
+    assert not forged.check_partitions()
+    with pytest.raises(PreconditionError, match="selector tree partitions are inconsistent"):
+        verify_certificate(cert, forged, ops)
+
+
+def test_verify_refuses_a_certificate_of_another_tree(rng):
+    ops = bounded_rank_ones(rng, 3, 6, trace_cap=0.1)
+    tree, cert = best_selector(ops, 2, strategy="exhaustive")
+    assert verify_certificate(cert, tree, ops)
+    with pytest.raises(PreconditionError, match="tree order does not match the certificate"):
+        verify_certificate(dataclasses.replace(cert, order=3), tree, ops)
+    path = min(cert.achieved)
+    missing = {key: val for key, val in cert.achieved.items() if key != path}
+    assert not verify_certificate(dataclasses.replace(cert, achieved=missing), tree, ops)
+    moved = dict(cert.achieved, **{path: cert.achieved[path] + 1e-3})
+    assert not verify_certificate(dataclasses.replace(cert, achieved=moved, bound=10.0), tree, ops)
+
+
+def test_best_selector_rejects_a_trace_past_its_cap_and_an_unknown_strategy(rng):
+    ops = bounded_rank_ones(rng, 3, 6, trace_cap=0.1)
+    with pytest.raises(PreconditionError, match=r"operators \[.*\] exceed the trace cap 1e-05"):
+        best_selector(ops, 1, trace_cap=1e-5)
+    with pytest.raises(PreconditionError, match="unknown strategy 'annealing'"):
+        best_selector(ops, 1, strategy="annealing")
+
+
+def test_auto_search_of_64_pairs_is_randomized():
+    """Past 63 pairs at a level, auto never counts the selectors: 2^64 exceeds any budget."""
+    ops = [rank_one(0.05 * np.eye(2)[i % 2]) for i in range(128)]
+    _, cert = best_selector(ops, 1, restarts=1, exhaustive_limit=2**62)
+    assert cert.strategy == "randomized"
+
+
 def test_randomized_rejects_no_restarts(rng):
     ops = bounded_rank_ones(rng, 3, 6, trace_cap=0.1)
     for bad in (0, -3, 2.0):
@@ -405,6 +464,26 @@ def test_batched_descent_matches_scalar_reference(rng, make, dim, count, order):
         assert cert.achieved == achieved
 
 
+def test_dense_stacks_fold_every_flip_without_an_eigh(rng, monkeypatch):
+    """A rank-two member leaves the stack without factor rows: the screen runs
+    no eigh and passes every flip to the exact fold, which decides as the
+    scalar reference does."""
+    ops = bounded_rank_ones(rng, 4, 9, trace_cap=0.1)
+    ops[0] = PsdOperator((ops[0].matrix + ops[1].matrix) / 2.0)
+    assert selectors._outer_rows(ops) is None
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense stack was eigensolved for its screen")
+
+    for strategy, kwargs in (("greedy", {}), ("randomized", {"seed": 7, "restarts": 3})):
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", refuse)
+            tree, cert = best_selector(ops, 3, strategy=strategy, **kwargs)
+        leaves, achieved = reference_search(ops, 3, **kwargs)
+        assert tree.raw_leaves() == leaves
+        assert cert.achieved == achieved
+
+
 @pytest.mark.parametrize("count", [64, 63])
 def test_grouped_restarts_match_scalar_reference(count):
     """At d 16 and order 3 the restarts build in groups (4 at n 64, the last
@@ -478,7 +557,8 @@ def test_rank_update_sweeps_decide_as_the_exact_fold(
     Near-parallel factors, repeated top eigenvalues of the children and a
     scale of 1e-9, where deviations differ by about eps (_TreeBuilder.tolerance)
     and trials land within eps of the screen's bar, each decide as the exact
-    fold; a rank-two member sends every sweep through the Rayleigh screen."""
+    fold; a rank-two member leaves the stack without factors, so every
+    sweep folds every trial."""
     rng = np.random.default_rng(seed)
     ops = adversarial_ops(rng, shape, int(rng.integers(2, 5)), count, complex_field)
     for a, b in rng.integers((1, 0), count, size=(duplicates, 2)):  # ops[0] keeps its rank
@@ -638,7 +718,8 @@ def test_fallback_folds_the_trials_a_pinned_bar_leaves_out(monkeypatch, rng, mak
 
     def pinned(self, current, cell, gain, lose, scale, bar):
         floor = screen(self, current, cell, gain, lose, scale, bar)
-        step = scale * (self.padded[gain] - self.padded[lose])
+        padded = np.concatenate([self.stack, np.zeros_like(self.stack[:1])])  # a pad's operator is zero
+        step = scale * (padded[gain] - padded[lose])
         children = current[cell] + np.stack([step, -step], axis=1)
         near = np.abs(np.linalg.eigvalsh(children)).max(axis=(1, 2))  # each trial's key, to rounding
         for c in np.unique(cell):
