@@ -12,14 +12,16 @@ gabor, construct45.  Families arrive as JSON objects with fields "dim",
 
 Reports are compact JSON with sorted keys, written by json's C encoder,
 so identical jobs produce identical bytes; non-finite floats appear as
-the strings "nan", "inf" and "-inf".  A report names its input by digest,
-{"sha256", "bytes"} of the file, not by echoing it.  --no-timestamp drops
-the timestamp and wall time fields, which are the only run-dependent
+the strings "nan", "inf" and "-inf".  Every handler builds its results
+with str keys, which json writes as they are (the CLI tests check each
+command's keys).  A report names its input by digest, {"sha256",
+"bytes"} of the file, not by echoing it.  --no-timestamp drops the
+timestamp and wall time fields, which are the only run-dependent
 content.  --csv additionally writes the flattened result table next to
-the report.  Each command reads a fixed set of --param keys; any other
-key is malformed input.  Exit codes: 0 success, 2 precondition
-violation, 3 malformed, unreadable or non-UTF-8 input (argparse usage
-errors included), 4 budget exhausted.
+the report.  One table, _COMMANDS, gives each command its handler and
+the --param keys it reads; any other key is malformed input.  Exit
+codes: 0 success, 2 precondition violation, 3 malformed, unreadable or
+non-UTF-8 input (argparse usage errors included), 4 budget exhausted.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import platform
 import sys
 import time
 import traceback
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import fields, is_dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 from itertools import chain
@@ -58,21 +60,7 @@ from .timefreq import (
     gabor_family,
 )
 
-@dataclass(frozen=True)
-class Job:
-    command: str
-    input_path: str
-    output_path: str
-    params: tuple  # the raw "k=v" strings of --param
-    seed: int = 0
-    csv: bool = False
-    timestamp: bool = True
-
-
 _PLAIN_NUMBERS = {int, float}
-_SEQUENCES = {list, tuple}
-# the types json's encoder writes as they are, which hold no dict
-_LEAF_TYPES = {str, int, float, bool, type(None)}
 # json's spellings of the non-finite floats, and the strings reports use
 _NON_FINITE = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf"}
 
@@ -103,40 +91,17 @@ def _default(obj):
     raise InputFormatError(f"cannot serialize {type(obj).__name__} into a report")
 
 
-def _require_str_keys(obj):
-    """Raise InputFormatError if a dict anywhere in obj has a key that is not a str.
-
-    json would write an int, float, bool or None key in its own spelling,
-    sorted among its own kind.  A sequence of sequences is searched as one
-    flattened list, so long lists of pairs cost a few passes in C.
-    """
-    todo = [obj]
-    while todo:
-        obj = todo.pop()
-        if isinstance(obj, dict):
-            if not set(map(type, obj)) <= {str}:
-                raise InputFormatError("report keys must be strings")
-            todo.extend(obj.values())
-        elif isinstance(obj, (list, tuple, set, frozenset)):
-            kinds = set(map(type, obj))
-            if not kinds <= _LEAF_TYPES:
-                todo.extend([list(chain.from_iterable(obj))] if kinds <= _SEQUENCES else obj)
-        elif is_dataclass(obj) or isinstance(obj, np.ndarray) and obj.dtype.hasobject:
-            todo.append(_default(obj))
-
-
 _dumps = functools.partial(json.dumps, default=_default, sort_keys=True, separators=(",", ":"))
 
 
 def _report_text(report):
     """The report as compact sorted-key JSON from json's C encoder, with a newline.
 
-    Keys must be strings.  Non-finite floats, numpy's included, become the
-    strings "nan", "inf" and "-inf": a report holding one is written, read
-    back with those strings for json's constants and written again, which
-    changes nothing else, as floats round-trip through their repr.
+    Non-finite floats, numpy's included, become the strings "nan", "inf"
+    and "-inf": a report holding one is written, read back with those
+    strings for json's constants and written again, which changes nothing
+    else, as floats round-trip through their repr.
     """
-    _require_str_keys(report)
     try:
         text = _dumps(report, allow_nan=False)
     except ValueError:  # a non-finite float
@@ -163,10 +128,7 @@ def _entry(value, complex_field, what):
     if complex_field:
         if not isinstance(value, (list, tuple)) or len(value) != 2:
             raise InputFormatError(f"{what}: complex entries must be [re, im] pairs")
-        re, im = value
-        if isinstance(re, bool) or isinstance(im, bool):
-            raise InputFormatError(f"{what}: complex entries must be numbers")
-        if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
+        if any(isinstance(part, bool) or not isinstance(part, (int, float)) for part in value):
             raise InputFormatError(f"{what}: complex entries must be numbers")
     elif isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InputFormatError(f"{what}: entries must be real numbers")
@@ -224,15 +186,21 @@ def _number_rows(raw, width, complex_field, noun, units, unit):
     return np.array(rows, dtype=complex if complex_field else float)
 
 
-def parse_family(payload) -> VectorFamily:
+def _dimension(payload, noun, keys):
+    """The positive integer in the first of keys, once payload is an object holding all of them."""
     if not isinstance(payload, dict):
-        raise InputFormatError("family input must be a JSON object")
-    for key in ("dim", "field", "vectors"):
+        raise InputFormatError(f"{noun} input must be a JSON object")
+    for key in keys:
         if key not in payload:
-            raise InputFormatError(f"family input lacks the '{key}' field")
-    dim = payload["dim"]
+            raise InputFormatError(f"{noun} input lacks the '{key}' field")
+    dim = payload[keys[0]]
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-        raise InputFormatError("'dim' must be a positive integer")
+        raise InputFormatError(f"'{keys[0]}' must be a positive integer")
+    return dim
+
+
+def parse_family(payload) -> VectorFamily:
+    dim = _dimension(payload, "family", ("dim", "field", "vectors"))
     field_name = payload["field"]
     if field_name not in ("real", "complex"):
         raise InputFormatError("'field' must be 'real' or 'complex'")
@@ -260,14 +228,7 @@ def parse_family(payload) -> VectorFamily:
 
 
 def parse_pointset(payload) -> PointSet:
-    if not isinstance(payload, dict):
-        raise InputFormatError("point set input must be a JSON object")
-    for key in ("ambient_dim", "points", "extent"):
-        if key not in payload:
-            raise InputFormatError(f"point set input lacks the '{key}' field")
-    dim = payload["ambient_dim"]
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-        raise InputFormatError("'ambient_dim' must be a positive integer")
+    dim = _dimension(payload, "point set", ("ambient_dim", "points", "extent"))
     extent = payload["extent"]
     if isinstance(extent, bool) or not isinstance(extent, (int, float)):
         raise InputFormatError("'extent' must be a number")
@@ -463,13 +424,8 @@ def _cmd_density(payload, params, seed):
     }
 
 
-def _window_from(payload):
-    family = parse_family(payload)
-    return CyclicSignal(family.vectors[0])
-
-
 def _cmd_gabor(payload, params, seed):
-    window = _window_from(payload)
+    window = CyclicSignal(parse_family(payload).vectors[0])
     length = window.length
     a_step = _param(params, "a_step", "int", 1)
     b_step = _param(params, "b_step", "int", 1)
@@ -490,7 +446,7 @@ def _cmd_gabor(payload, params, seed):
 
 
 def _cmd_construct45(payload, params, seed):
-    window = _window_from(payload)
+    window = CyclicSignal(parse_family(payload).vectors[0])
     length = window.length
     counts = _param(params, "counts", "ints", [1, 2, 4, 8])
     copies = _param(params, "copies", "int", 2)
@@ -518,29 +474,17 @@ def _cmd_construct45(payload, params, seed):
     }
 
 
-_HANDLERS = {
-    "analyze": _cmd_analyze,
-    "classify": _cmd_classify,
-    "dual": _cmd_dual,
-    "extract": _cmd_extract,
-    "sample": _cmd_sample,
-    "selector": _cmd_selector,
-    "density": _cmd_density,
-    "gabor": _cmd_gabor,
-    "construct45": _cmd_construct45,
-}
-
-# the --param keys each command reads; any other key is malformed input
-_PARAMS = {
-    "analyze": ("use_scalars",),
-    "classify": ("use_scalars",),
-    "dual": ("use_scalars",),
-    "extract": (),
-    "sample": ("epsilon", "subspace_cols", "trace_cap", "total_cap", "depth"),
-    "selector": ("order", "trace_cap", "strategy", "restarts", "exhaustive_limit"),
-    "density": ("radii", "step", "step_divisor"),
-    "gabor": ("a_step", "b_step"),
-    "construct45": ("counts", "copies"),
+# each command's handler and the --param keys it reads; any other key is malformed input
+_COMMANDS = {
+    "analyze": (_cmd_analyze, ("use_scalars",)),
+    "classify": (_cmd_classify, ("use_scalars",)),
+    "dual": (_cmd_dual, ("use_scalars",)),
+    "extract": (_cmd_extract, ()),
+    "sample": (_cmd_sample, ("epsilon", "subspace_cols", "trace_cap", "total_cap", "depth")),
+    "selector": (_cmd_selector, ("order", "trace_cap", "strategy", "restarts", "exhaustive_limit")),
+    "density": (_cmd_density, ("radii", "step", "step_divisor")),
+    "gabor": (_cmd_gabor, ("a_step", "b_step")),
+    "construct45": (_cmd_construct45, ("counts", "copies")),
 }
 
 
@@ -567,33 +511,34 @@ def _write_csv(path, results):
 _EXIT_CODES = ((InputFormatError, 3), (BudgetExceededError, 4), (PreconditionError, 2))
 
 
-def run(job: Job) -> int:
-    """Execute one job and write its report; returns the exit code."""
+def run(args) -> int:
+    """Execute the job of main's parsed arguments and write its report; returns the exit code."""
     started = time.perf_counter()
     stamp = datetime.now(timezone.utc).isoformat()
-    report = {"command": job.command, "seed": job.seed, "versions": _versions()}
+    report = {"command": args.command, "seed": args.seed, "versions": _versions()}
+    handler, known = _COMMANDS[args.command]
     code = 0
     try:
-        params = report["params"] = _parse_params(job.params)
-        if job.seed < 0:
-            raise InputFormatError(f"--seed must be a non-negative integer, got {job.seed}")
-        payload, report["input"] = _load_json(job.input_path)
-        unknown = sorted(set(params) - set(_PARAMS[job.command]))
+        params = report["params"] = _parse_params(args.param)
+        if args.seed < 0:
+            raise InputFormatError(f"--seed must be a non-negative integer, got {args.seed}")
+        payload, report["input"] = _load_json(args.input_path)
+        unknown = sorted(set(params) - set(known))
         if unknown:
-            known = ", ".join(_PARAMS[job.command]) or "none"
             raise InputFormatError(
-                f"{job.command} reads no param {', '.join(map(repr, unknown))}; it reads: {known}"
+                f"{args.command} reads no param {', '.join(map(repr, unknown))}; "
+                f"it reads: {', '.join(known) or 'none'}"
             )
-        report["results"] = _HANDLERS[job.command](payload, params, job.seed)
+        report["results"] = handler(payload, params, args.seed)
     except Exception as exc:  # any failure still writes a report
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         code = next((c for kind, c in _EXIT_CODES if isinstance(exc, kind)), 5)
         if code == 5:
             traceback.print_exc()
-    if job.timestamp:
+    if not args.no_timestamp:
         report["timestamp"] = stamp
         report["wall_time_s"] = round(time.perf_counter() - started, 6)
-    return _write_report(report, code, job.output_path, job.csv)
+    return _write_report(report, code, args.output_path, args.csv)
 
 
 def _versions():
@@ -644,7 +589,7 @@ def _parser():
         prog="framex",
         description="Frame analysis toolbox: one batch job per invocation.",
     )
-    parser.add_argument("command", choices=sorted(_HANDLERS))
+    parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--in", dest="input_path", required=True, help="input JSON path")
     parser.add_argument("--out", dest="output_path", required=True, help="report JSON path")
     parser.add_argument("--seed", type=int, default=0)
@@ -682,16 +627,7 @@ def main(argv=None) -> int:
             raise SystemExit(3) from None
         report = {"error": {"type": "InputFormatError", "message": str(exc)}, "versions": _versions()}
         raise SystemExit(_write_report(report, 3, out)) from None
-    job = Job(
-        command=args.command,
-        input_path=args.input_path,
-        output_path=args.output_path,
-        params=tuple(args.param),
-        seed=args.seed,
-        csv=args.csv,
-        timestamp=not args.no_timestamp,
-    )
-    return run(job)
+    return run(args)
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from .errors import (
     PreconditionError,
 )
 from .frames import VectorFamily, FrameReport, _as_family, _span_rank, _units, canonical_dual, frame_bounds, reconstruction_residual
-from .linalg import NUMERIC_TOL, RANK_DROP_TOL, Projection, _extend_span, _weighted_sum, rank_one
+from .linalg import NUMERIC_TOL, RANK_DROP_TOL, Projection, _extend_span, _times_pow2, _top_exponents, _weighted_sum, rank_one
 from .sampling import SANDWICH_TOL, SamplingFunction, sample
 from .selectors import (
     ScaleExponent,
@@ -74,8 +74,8 @@ def _resolve_constants(lower: float, upper: float):
     """Pick (epsilon, scale exponent with its constant) consistently for trace cap 1/B.
 
     epsilon = min(A/3B, sqrt(B)/2C) depends on C, and the admissible
-    exponent window depends on both.  Doubling C shrinks the window ratio
-    on either branch of the min, so the loop terminates.
+    exponent window depends on both.  Doubling C only lowers the window
+    ratio, A^2 / (36 B C^2) or B^2 / (16 C^4), so only a ratio above 2 is retried.
     """
     delta = 1.0 / upper
     c = max(selector_constant(delta, natural_max_order(delta)), _CONSTANT_FLOOR)
@@ -84,6 +84,8 @@ def _resolve_constants(lower: float, upper: float):
         try:
             return epsilon, scale_exponent(epsilon, c, delta)
         except NoAdmissibleExponentError:
+            if epsilon * epsilon / (4.0 * c * c * delta) <= 2.0:  # a larger C lowers it further
+                raise PreconditionError("the exponent window lies past the 64-step exponent scan") from None
             c *= 2.0
     raise PreconditionError("no self-consistent selector constant found")
 
@@ -135,17 +137,26 @@ class ExtractionResult:
 
 
 def _family_data(family):
+    """(family, energies |c_n|^2 ||x_n||^2, unit vectors (zero where the energy is), energy > 0).
+
+    Each x_n and c_n is squared at the power-of-two scale that puts its
+    largest part in [0.5, 1), so no square leaves the float range and an
+    energy depends on c_n x_n alone, bit for bit.
+    """
     fam = _as_family(family)
-    norms = fam.norms()
-    if fam.scalars is None:
-        scal = np.ones(len(fam))
-    else:
-        scal = fam.scalars
-    weights = (np.abs(scal) ** 2) * norms**2
-    units = np.array(fam.vectors, copy=True)
+    e = _top_exponents(fam.vectors)
+    rows = _times_pow2(fam.vectors, -e[:, None])
+    norms = np.linalg.norm(rows, axis=1)
+    energies = norms**2
+    if fam.scalars is not None:
+        f = _top_exponents(fam.scalars[:, None])
+        energies = np.abs(_times_pow2(fam.scalars, -f)) ** 2 * energies
+        e += f
+    with np.errstate(over="ignore"):  # frame_bounds names the overflow of c_n x_n
+        weights = _times_pow2(energies, 2 * e)
     active = weights > 0
-    units[~active] = 0.0
-    units[active] = units[active] / norms[active, None]
+    units = np.zeros_like(rows)
+    units[active] = rows[active] / norms[active, None]
     return fam, weights, units, active
 
 

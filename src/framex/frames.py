@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NotAFrameError, PreconditionError
-from .linalg import NUMERIC_TOL, RANK_DROP_TOL, PsdOperator, _extend_span
+from .linalg import NUMERIC_TOL, RANK_DROP_TOL, PsdOperator, _extend_span, _times_pow2, _top_exponents
 
 __all__ = [
     "FRAME_TOL_FACTOR",
@@ -195,14 +195,9 @@ _SQUARES_RANGE = 2.0**900
 
 
 def _normalized(w: np.ndarray) -> tuple[np.ndarray, int]:
-    """(w * 2^-e, e) for the e that puts the largest |entry| in [0.5, 1).
-
-    Complex entries count by their larger part.
-    """
-    top = max(float(np.max(np.abs(w.real))), float(np.max(np.abs(w.imag))))
-    e = math.frexp(top)[1]
-    # two steps, since 2^-e alone leaves the float range for subnormal tops
-    return w * 2.0 ** (-e // 2) * 2.0 ** (-e - (-e // 2)), e
+    """(w * 2^-e, e) for the e that puts the largest real or imaginary part in [0.5, 1)."""
+    e = int(_top_exponents(w).max())
+    return _times_pow2(w, -e), e
 
 
 def _rescaled(bound: float, e: int) -> float:
@@ -351,12 +346,13 @@ def canonical_dual(family: VectorFamily, use_scalars: bool = False) -> VectorFam
 def _units(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Indices of the nonzero rows, their unit vectors).
 
-    Each row is divided by its largest real or imaginary part before its
-    norm, so no entry scale overflows or underflows the norm.
+    Each row is scaled by the power of two that puts its largest real or
+    imaginary part in [0.5, 1) before its norm, so no entry scale
+    overflows or underflows the norm.
     """
-    top = np.maximum(np.abs(rows.real), np.abs(rows.imag)).max(axis=1)
-    alive = np.flatnonzero(top > 0)
-    rows = rows[alive] / top[alive, None]
+    alive = np.flatnonzero(rows.any(axis=1))
+    rows = rows[alive]
+    rows = _times_pow2(rows, -_top_exponents(rows)[:, None])
     return alive, rows / np.linalg.norm(rows, axis=1)[:, None]
 
 

@@ -38,6 +38,17 @@ def _as_square_matrix(matrix) -> np.ndarray:
     return a.astype(np.float64, copy=False)
 
 
+def _top_exponents(rows: np.ndarray) -> np.ndarray:
+    """Per row, the e that puts its largest real or imaginary part in [2^(e-1), 2^e); 0 for a zero row."""
+    return np.frexp(np.maximum(np.abs(rows.real), np.abs(rows.imag)).max(axis=1))[1]
+
+
+def _times_pow2(x, e):
+    """x * 2^e in two factors, as 2^e alone can leave the float range; exact where the result is normal."""
+    half = e // 2
+    return x * np.ldexp(1.0, half) * np.ldexp(1.0, e - half)
+
+
 def _checked(a: np.ndarray):
     """(Symmetrized a, its ascending eigenvalues) of a validated PSD matrix.
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, PreconditionError
+from .linalg import _times_pow2, _top_exponents
 
 __all__ = [
     "PointSet",
@@ -114,14 +115,13 @@ class DensityEstimate:
 
 
 def _radii(p: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, scaled by its largest entry so squares cannot overflow.
+    """Euclidean norm of each row, sized by a power of two so squares cannot overflow.
 
     A norm above the float range reads inf.
     """
-    scale = np.max(np.abs(p), axis=1)
-    unit = p / np.where(scale > 0.0, scale, 1.0)[:, None]
+    e = _top_exponents(p)
     with np.errstate(over="ignore"):
-        return scale * np.linalg.norm(unit, axis=1)
+        return _times_pow2(np.linalg.norm(_times_pow2(p, -e[:, None]), axis=1), e)
 
 
 def ball_volume(dim: int, radius: float) -> float:

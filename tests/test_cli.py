@@ -5,6 +5,7 @@ import json
 import math
 import re
 import sys
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -108,7 +109,7 @@ def test_any_other_failure_writes_an_error_report(tmp_path, monkeypatch, capsys)
     def fails(payload, params, seed):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setitem(cli._HANDLERS, "analyze", fails)
+    monkeypatch.setitem(cli._COMMANDS, "analyze", (fails, ()))
     code, report, _ = run_cli(tmp_path, "analyze", mercedes_payload(), "--no-timestamp")
     assert code == 5
     assert report["error"] == {"type": "LinAlgError", "message": "Eigenvalues did not converge"}
@@ -363,20 +364,89 @@ def test_unknown_param_key_writes_an_error_report(tmp_path, command, payload, ex
 
 
 def test_param_table_names_the_keys_each_handler_reads():
-    assert set(cli._PARAMS) == set(cli._HANDLERS)
-    for command, handler in cli._HANDLERS.items():
+    for command, (handler, keys) in cli._COMMANDS.items():
         source = inspect.getsource(handler)
         read = set(re.findall(r'params(?:, |\.get\()"(\w+)"', source))
         if "_use_scalars(family, params)" in source:
             read.add("use_scalars")
-        assert read == set(cli._PARAMS[command]), command
+        assert read == set(keys), command
 
 
 def test_readme_command_table_lists_the_keys_each_command_reads():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     rows = re.findall(r"^\| `(\w+)` \| [^|]* \| ([^|]*) \|$", readme, flags=re.M)
     table = {command: tuple(re.findall(r"`(\w+)`", keys)) for command, keys in rows}
-    assert table == cli._PARAMS
+    assert table == {command: keys for command, (_, keys) in cli._COMMANDS.items()}
+
+
+def _key_paths(obj, path=""):
+    """The dotted path of every dict key and dataclass field in obj, list indices dropped.
+
+    Fails on a key that is not a str: json's encoder writes only str keys
+    as they are, and no report key is checked while a job runs.
+    """
+    if is_dataclass(obj) and not isinstance(obj, type):
+        obj = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    if isinstance(obj, dict):
+        paths = set()
+        for key, value in obj.items():
+            assert type(key) is str, f"{path}: key {key!r}"
+            sub = f"{path}.{key}" if path else key
+            paths |= {sub} | _key_paths(value, sub)
+        return paths
+    if isinstance(obj, (list, tuple)):
+        return set().union(*(_key_paths(value, path) for value in obj))
+    return set()
+
+
+def _nested(key, subkeys):
+    return (key, *(f"{key}.{sub}" for sub in subkeys))
+
+
+_FRAME = ("is_bessel", "is_frame", "is_riesz_basis", "is_tight", "lower", "upper")
+_CERTIFICATE = ("beta", "constant", "epsilon", "gamma", "levels", "mult_ok", "pad_scale",
+                "pigeonhole_cap", "pigeonhole_trace", "replica_total", "sandwich_bound",
+                "sandwich_hi", "sandwich_lo", "sandwich_ok", "tail_norm", "trace_cap", "window_empty")
+_CELLS = ("00", "01", "10", "11")
+
+# each command on a payload of the tests above, and the key paths of its
+# results; a change to a report's keys changes this table
+_REPORT_KEYS = [
+    ("analyze", mercedes_payload(), [],
+     ("count", "dim", *_nested("frame", _FRAME), "spectrum", "use_scalars")),
+    ("classify", mercedes_payload(), [],
+     (*_nested("frame", _FRAME), "label", "note", "rescaling_recommended", "spanning")),
+    ("dual", mercedes_payload(), [],
+     ("dual_vectors", *_nested("frame", _FRAME), "max_relative_residual")),
+    ("extract", mercedes_payload(), [],
+     (*_nested("certificates", _CERTIFICATE), "deviation_cap", "envelope", *_nested("frame", _FRAME),
+      "mult_bound", "mult_ok", *_nested("multiplicity", ("0", "1", "2")),
+      *_nested("plan", ("beta", "blocks", "constant", "epsilon", "gammas", "identity_defect", "lower",
+                        "thresholds", "trace_cap", "upper", "window_empty")),
+      "total", "total_deviation")),
+    ("sample", scaled_basis_payload(), ["epsilon=0.25"],
+     (*_nested("certificate", _CERTIFICATE), *_nested("multiplicity", ("0", "1", "2")), "total")),
+    ("selector", scaled_basis_payload(), [],
+     (*_nested("certificate", ("bound", "constant", "order", "satisfied", "strategy", "trace_cap")),
+      *_nested("certificate.achieved", _CELLS), *_nested("leaves", _CELLS), "order")),
+    ("density", _POINTS, [],
+     ("ambient_dim", "count", *_nested("estimate", ("lower", "per_window", "upper", "window_radii")),
+      "extent", "separation", "uniformly_discrete")),
+    ("gabor", window_payload(8), [],
+     ("a_step", "b_step", "count", *_nested("frame", _FRAME), "length", "window_norm")),
+    ("construct45", window_payload(16), ["counts=1,2,4", "copies=4"],
+     ("base_count", *_nested("base_frame", _FRAME), "copies", *_nested("emitted_frame", _FRAME), "length",
+      *_nested("report", ("base_count", "cluster_sizes", "dual_norm_sup", "emitted_count",
+                          "operator_deviation", "parameter_caps", "parameter_distances", "shifts",
+                          "vector_caps", "vector_distances", "weights", "weights_nonzero")))),
+]
+
+
+@pytest.mark.parametrize("command,payload,params,keys", _REPORT_KEYS, ids=[case[0] for case in _REPORT_KEYS])
+def test_each_command_reports_str_keys_at_pinned_paths(command, payload, params, keys):
+    handler, _ = cli._COMMANDS[command]
+    results = handler(json.loads(json.dumps(payload)), cli._parse_params(params), 0)
+    assert sorted(_key_paths(results)) == sorted(keys)
 
 
 def test_extract_generic_weights(tmp_path):
@@ -387,6 +457,19 @@ def test_extract_generic_weights(tmp_path):
     assert results["mult_ok"]
     assert all(cert is None or cert["sandwich_ok"] for cert in results["certificates"])
     assert max(cert["levels"] for cert in results["certificates"] if cert) == 26
+
+
+def test_extract_sizes_members_whose_squares_leave_the_float_range(tmp_path):
+    # each x_n is 10^160 v_n and c_n 10^-160: |x_n|^2 overflows, c_n x_n does not
+    payload = {"dim": 2, "field": "real", "vectors": [[1e160, 0.0], [0.0, 1e160], [1e160, 1e160]],
+               "scalars": [1e-160] * 3}
+    code, report, _ = run_cli(tmp_path, "extract", payload)
+    assert code == 0
+    results = report["results"]
+    assert results["multiplicity"] == {"0": 8, "1": 8, "2": 16}
+    assert results["frame"]["lower"] == pytest.approx(8.0)
+    assert results["frame"]["upper"] == pytest.approx(24.0)
+    assert results["mult_ok"] is True
 
 
 def test_extract_reports_a_total_past_sys_maxsize(tmp_path):
@@ -755,7 +838,7 @@ def test_csv_output(tmp_path):
 
 def test_csv_quotes_only_what_needs_quoting(tmp_path, monkeypatch):
     results = {"text": 'say "hi", then go', "none": None, "flag": True, "ratio": 0.5, "bad": math.nan, "ids": [1, 2]}
-    monkeypatch.setitem(cli._HANDLERS, "analyze", lambda payload, params, seed: results)
+    monkeypatch.setitem(cli._COMMANDS, "analyze", (lambda payload, params, seed: results, ()))
     code = cli.main(["analyze", "--in", write_json(tmp_path / "in.json", mercedes_payload()),
                      "--out", str(tmp_path / "report.json"), "--csv"])
     assert code == 0

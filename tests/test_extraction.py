@@ -3,6 +3,7 @@
 import itertools
 import math
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,7 @@ from framex import (
 )
 import framex.extraction as extraction
 import framex.frames as frames
-from framex.errors import DimensionMismatchError, NotAFrameError, PreconditionError
+from framex.errors import DimensionMismatchError, FramexError, NotAFrameError, PreconditionError
 from framex.extraction import _SNAP_TOL, ENVELOPE_SLACK, _snap_weight, _threshold, _within_cap, plan
 
 from helpers import (
@@ -333,12 +334,64 @@ def test_extract_order_one_block_certificate():
     assert_certified(fam, extract(fam))
 
 
-def test_extract_refuses_a_frame_whose_exponent_window_is_past_the_scan():
+def test_extract_refuses_a_frame_whose_exponent_window_is_past_the_scan(monkeypatch):
     """B/A near 8e9: epsilon^2 / (4 C^2 delta) starts below 2^-64, and doubling C only lowers it."""
+    calls = []
+    exponent = extraction.scale_exponent
+
+    def counted(epsilon, constant, delta):
+        calls.append(constant)
+        return exponent(epsilon, constant, delta)
+
+    monkeypatch.setattr(extraction, "scale_exponent", counted)
     fam = VectorFamily([[1.0, 0.0], [0.0, 1.1e-5]])
     assert frame_bounds(fam).is_frame
-    with pytest.raises(PreconditionError, match="no self-consistent selector constant found"):
+    with pytest.raises(PreconditionError, match="the exponent window lies past the 64-step exponent scan"):
         extract(fam)
+    assert len(calls) == 1
+
+
+def test_extract_stops_doubling_the_constant_after_64_steps():
+    # A = B = 2^200: the window ratio A^2 / (36 B C^2) starts near 2^195 and
+    # falls fourfold per doubling, so 64 doublings leave it above 2
+    with pytest.raises(PreconditionError, match="no self-consistent selector constant found"):
+        extract(VectorFamily(2.0**100 * np.eye(2)))
+
+
+def _sized(rng, shape, complex_field):
+    """Entries of magnitude 1/2 to 2 in each part, so that 2^-1000 times one is a normal float."""
+    def part():
+        return rng.uniform(0.5, 2.0, size=shape) * rng.choice([-1.0, 1.0], size=shape)
+
+    return part() + 1j * part() if complex_field else part()
+
+
+@given(
+    dim=st.integers(1, 3),
+    extra=st.integers(0, 3),
+    complex_field=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(-1000, 1000),
+)
+@settings(max_examples=30, deadline=None)
+@example(dim=2, extra=1, complex_field=False, seed=0, k=532)  # 10^160 is about 2^531.5
+def test_extract_depends_only_on_the_rescaled_vectors(dim, extra, complex_field, seed, k):
+    """2^k x_n with scalars 2^-k c_n: the same c_n x_n, so the same selection, bit for bit."""
+    rng = np.random.default_rng(seed)
+    vectors = _sized(rng, (dim + extra, dim), complex_field)
+    scalars = _sized(rng, dim + extra, complex_field)
+
+    def outcome(fam):
+        try:
+            res = extract(fam)
+        except FramexError as exc:
+            return type(exc), str(exc)
+        return res.sigma.multiplicity, res.plan.scale.value, res.report.lower, res.report.upper
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        scaled = outcome(VectorFamily(2.0**k * vectors, scalars=2.0**-k * scalars))
+    assert scaled == outcome(VectorFamily(vectors, scalars=scalars))
 
 
 # each forged selection of extract(eye(4)), whose blocks each select their
