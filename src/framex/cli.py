@@ -7,8 +7,10 @@ Usage:
 Commands: analyze, classify, dual, extract, sample, selector, density,
 gabor, construct45.  Families arrive as JSON objects with fields "dim",
 "field" ("real" or "complex"), "vectors", optional "scalars" and
-"labels"; complex entries are [re, im] pairs.  Point sets use
-{"ambient_dim", "points", "extent"}.
+"labels"; complex entries are [re, im] pairs.  A family with scalars is
+the family {c_n x_n} to analyze, classify, dual and extract (analyze's
+use_scalars key says whether it had them); sample reads its scalars as
+weights.  Point sets use {"ambient_dim", "points", "extent"}.
 
 Reports are compact JSON with sorted keys, written by json's C encoder,
 so identical jobs produce identical bytes; non-finite floats appear as
@@ -245,22 +247,12 @@ def parse_pointset(payload) -> PointSet:
     return PointSet(points, extent, ambient_dim=dim)
 
 
-def _read_bool(text):
-    word = text.strip().lower()
-    if word in ("1", "true", "yes", "on"):
-        return True
-    if word in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(text)
-
-
 def _read_list(kind):
     return lambda text: [kind(tok) for tok in text.split(",") if tok.strip()]
 
 
 # each kind of --param value: how it is read, and what a bad value must be
 _PARAM_KINDS = {
-    "bool": (_read_bool, "a boolean, got {!r}"),
     "int": (int, "an integer"),
     "float": (float, "a number"),
     "ints": (_read_list(int), "a comma list"),
@@ -276,29 +268,22 @@ def _param(params, key, kind, default=None):
     try:
         return read(params[key])
     except ValueError as exc:
-        raise InputFormatError(f"param '{key}' must be {must_be.format(params[key])}") from exc
-
-
-def _use_scalars(family, params):
-    return _param(params, "use_scalars", "bool", family.scalars is not None)
+        raise InputFormatError(f"param '{key}' must be {must_be}") from exc
 
 
 def _cmd_analyze(payload, params, seed):
     family = parse_family(payload)
-    use_scalars = _use_scalars(family, params)
     return {
         "count": len(family),
         "dim": family.dim,
-        "use_scalars": use_scalars,
-        "frame": frame_bounds(family, use_scalars),
-        "spectrum": frame_operator(family, use_scalars).eigenvalues,
+        "use_scalars": family.scalars is not None,
+        "frame": frame_bounds(family),
+        "spectrum": frame_operator(family).eigenvalues,
     }
 
 
 def _cmd_classify(payload, params, seed):
-    family = parse_family(payload)
-    use_scalars = _use_scalars(family, params)
-    verdict = classify(family, use_scalars)
+    verdict = classify(parse_family(payload))
     return {
         "label": verdict.label,
         "spanning": verdict.spanning,
@@ -310,11 +295,9 @@ def _cmd_classify(payload, params, seed):
 
 def _cmd_dual(payload, params, seed):
     family = parse_family(payload)
-    use_scalars = _use_scalars(family, params)
-    report = frame_bounds(family, use_scalars)
-    duals = canonical_dual(family, use_scalars)
-    rows = family.weighted_vectors() if use_scalars else family.vectors
-    residual, _ = reconstruction_residual(rows, duals.vectors)  # sup over x of ||x - sum <x, y_n> w_n|| / ||x||
+    report = frame_bounds(family)
+    duals = canonical_dual(family)
+    residual, _ = reconstruction_residual(family.weighted_vectors(), duals.vectors)  # sup over x of ||x - sum <x, y_n> w_n|| / ||x||
     return {"frame": report, "dual_vectors": duals.vectors, "max_relative_residual": residual}
 
 
@@ -476,9 +459,9 @@ def _cmd_construct45(payload, params, seed):
 
 # each command's handler and the --param keys it reads; any other key is malformed input
 _COMMANDS = {
-    "analyze": (_cmd_analyze, ("use_scalars",)),
-    "classify": (_cmd_classify, ("use_scalars",)),
-    "dual": (_cmd_dual, ("use_scalars",)),
+    "analyze": (_cmd_analyze, ()),
+    "classify": (_cmd_classify, ()),
+    "dual": (_cmd_dual, ()),
     "extract": (_cmd_extract, ()),
     "sample": (_cmd_sample, ("epsilon", "subspace_cols", "trace_cap", "total_cap", "depth")),
     "selector": (_cmd_selector, ("order", "trace_cap", "strategy", "restarts", "exhaustive_limit")),

@@ -75,11 +75,12 @@ def _resolve_constants(lower: float, upper: float):
 
     epsilon = min(A/3B, sqrt(B)/2C) depends on C, and the admissible
     exponent window depends on both.  Doubling C only lowers the window
-    ratio, A^2 / (36 B C^2) or B^2 / (16 C^4), so only a ratio above 2 is retried.
+    ratio, A^2 / (36 B C^2) or B^2 / (16 C^4), so only a ratio above 2 is
+    retried; each retry divides it by 4 or more, so the loop ends.
     """
     delta = 1.0 / upper
     c = max(selector_constant(delta, natural_max_order(delta)), _CONSTANT_FLOOR)
-    for _ in range(64):
+    while True:
         epsilon = min(lower / (3.0 * upper), math.sqrt(upper) / (2.0 * c))
         try:
             return epsilon, scale_exponent(epsilon, c, delta)
@@ -87,7 +88,6 @@ def _resolve_constants(lower: float, upper: float):
             if epsilon * epsilon / (4.0 * c * c * delta) <= 2.0:  # a larger C lowers it further
                 raise PreconditionError("the exponent window lies past the 64-step exponent scan") from None
             c *= 2.0
-    raise PreconditionError("no self-consistent selector constant found")
 
 
 def _as_projection(cols: list, dim: int, dtype) -> Projection:
@@ -284,8 +284,7 @@ def extract(family) -> ExtractionResult:
     is exact in rational arithmetic.
     """
     fam, weights, units, active = _family_data(family)
-    use_scalars = fam.scalars is not None
-    report_in = frame_bounds(fam, use_scalars=use_scalars)
+    report_in = frame_bounds(fam)
     if not report_in.is_frame:
         raise NotAFrameError("extraction needs the rescaled family to be a frame")
     a, b = report_in.lower, report_in.upper
@@ -329,7 +328,7 @@ def extract(family) -> ExtractionResult:
         scalars=np.sqrt([float(mult[n]) for n in support]),
         labels=support,
     )
-    out_report = frame_bounds(normalized, use_scalars=True)
+    out_report = frame_bounds(normalized)
     two_beta = 2.0**layout.scale.value
     envelope = (two_beta * a / 3.0, 3.0 * two_beta * b)
     if not out_report.is_frame:
@@ -355,7 +354,14 @@ def extract(family) -> ExtractionResult:
         )
 
     c = layout.scale.constant
-    bound_l = max(144.0 * c * c * b / (a * a), 64.0 * c**4 / (b * b))
+    try:
+        bound_l = max(144.0 * c * c * b / (a * a), 64.0 * c**4 / (b * b))
+    except OverflowError:  # c**4
+        bound_l = math.inf
+    if not math.isfinite(bound_l):
+        raise PreconditionError(
+            f"the multiplicity bound max(144 C^2 B/A^2, 64 C^4/B^2) is not finite at C = {c:.6g}"
+        )
     mult_ok = all(
         _within_cap(times, bound_l, float(weights[n])) for n, times in mult.items()
     )
@@ -373,8 +379,8 @@ def extract(family) -> ExtractionResult:
     )
 
 
-def equivalence_b_to_a(family, scalars=None):
-    """Coefficient duals of a rescaled frame: conj(c_n) times the dual of c_n x_n.
+def equivalence_b_to_a(family):
+    """Coefficient duals of a family with scalars: conj(c_n) times the dual of c_n x_n.
 
     The returned family reproduces x = sum <x, out_n> x_n; the identity is
     verified before returning: a proven bound on the norm of its defect
@@ -382,15 +388,10 @@ def equivalence_b_to_a(family, scalars=None):
     the larger of 1 + B/A and the size of the terms summed.
     """
     fam = _as_family(family)
-    if scalars is not None:
-        fam = VectorFamily(fam.vectors, scalars=scalars, labels=fam.labels)
-    report = frame_bounds(fam, True)
-    duals = canonical_dual(fam, True)
-    if fam.scalars is None:
-        scal = np.ones(len(fam), dtype=fam.vectors.dtype)
-    else:
-        scal = fam.scalars
-    out = VectorFamily(np.conj(scal)[:, None] * duals.vectors, labels=fam.labels)
+    report = frame_bounds(fam)
+    duals = canonical_dual(fam)
+    scaled = duals.vectors if fam.scalars is None else np.conj(fam.scalars)[:, None] * duals.vectors
+    out = VectorFamily(scaled, labels=fam.labels)
 
     bound, size = reconstruction_residual(fam.vectors, out.vectors)
     if bound > NUMERIC_TOL * max(1.0 + report.upper / report.lower, size):

@@ -6,7 +6,8 @@ frame exactly when it spans; the interesting content is quantitative, so
 bounds are computed as extreme eigenvalues of the frame operator
 S = sum of <., x_n> x_n.  Every function here reads an array-like family
 as VectorFamily(x), so its entries are cast to float64 (or complex128) and
-must be finite.
+must be finite.  A family with scalars c_n is the family {c_n x_n} to every
+function here; VectorFamily(fam.vectors) is its raw vectors.
 """
 
 from __future__ import annotations
@@ -38,16 +39,17 @@ FRAME_TOL_FACTOR = 1e-10
 class VectorFamily:
     """An ordered finite family of vectors with optional scalars and labels.
 
-    Vectors are rows of a 2d array.  Scalars are per-vector weights used by
-    rescaling routines; complex scalars are only permitted when the ambient
-    space is complex.  A family is immutable, so it forms its frame once per
-    use_scalars: frame_bounds, frame_operator and canonical_dual share it.
+    Vectors are rows of a 2d array.  Scalars are per-vector weights, and
+    the family they make is {c_n x_n}, its weighted_vectors(); complex
+    scalars are only permitted when the ambient space is complex.  A family
+    is immutable, so it forms its frame once: frame_bounds, frame_operator,
+    canonical_dual and classify share it.
     The vectors are copied; only framex's own builders pass _adopt=True, for
     an array they have just built and hold nowhere else, which is then
     checked and made read-only in place.
     """
 
-    __slots__ = ("_vectors", "_scalars", "_labels", "_frames")
+    __slots__ = ("_vectors", "_scalars", "_labels", "_frame")
 
     def __init__(self, vectors, scalars=None, labels=None, *, _adopt=False):
         v = np.asarray(vectors)
@@ -85,7 +87,7 @@ class VectorFamily:
                     f"{len(labels)} labels for {v.shape[0]} vectors"
                 )
         self._labels = labels
-        self._frames = {}
+        self._frame = None  # (FrameReport, PsdOperator or None) once frame_bounds has run
 
     @property
     def vectors(self) -> np.ndarray:
@@ -163,26 +165,21 @@ def _as_family(family) -> VectorFamily:
     return family if isinstance(family, VectorFamily) else VectorFamily(family)
 
 
-def _family_matrix(family: VectorFamily, use_scalars: bool) -> np.ndarray:
-    return family.weighted_vectors() if use_scalars else family.vectors
-
-
 def _gram(w: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         return w.T @ w.conj()
 
 
-def frame_operator(family, use_scalars: bool = False) -> PsdOperator:
-    """S = sum of rank-one operators of the (optionally rescaled) vectors.
+def frame_operator(family) -> PsdOperator:
+    """S = sum of rank-one operators of the rescaled vectors c_n x_n.
 
     A family whose frame_bounds already formed S returns that operator.
     Raises PreconditionError when S overflows the float range.
     """
     family = _as_family(family)
-    operator = family._frames.get(bool(use_scalars), (None, None))[1]
-    if operator is not None:
-        return operator
-    s = _gram(_family_matrix(family, use_scalars))
+    if family._frame is not None and family._frame[1] is not None:
+        return family._frame[1]
+    s = _gram(family.weighted_vectors())
     if not np.isfinite(s).all():
         raise PreconditionError("frame operator is not finite: entries overflow the float range")
     return PsdOperator(s, _prevalidated=True)
@@ -237,7 +234,7 @@ def reconstruction_residual(w: np.ndarray, y: np.ndarray) -> tuple[float, float]
     return float(bound), float(np.linalg.norm(terms))
 
 
-def frame_bounds(family, use_scalars: bool = False) -> FrameReport:
+def frame_bounds(family) -> FrameReport:
     """Frame bounds as extreme eigenvalues of the frame operator.
 
     Bounds and predicates come from S / 4^e, the frame operator scaled by
@@ -263,24 +260,22 @@ def frame_bounds(family, use_scalars: bool = False) -> FrameReport:
     is within gamma_{m+1} sum ||x_n||^2 of the exact operator of the m
     (scaled) vectors in the 2-norm: gamma_{m+3} if complex, plus
     d (m + 1) 2^-1074 for underflow (Higham, sections 3.1 and 3.6).  A
-    family forms its bounds once per use_scalars; a call that raises
-    stores nothing.
+    family forms its bounds once; a call that raises stores nothing.
     """
     family = _as_family(family)
-    key = bool(use_scalars)
-    if key not in family._frames:
-        family._frames[key] = _frame_bounds(family, key)
-    return family._frames[key][0]
+    if family._frame is None:
+        family._frame = _frame_bounds(family)
+    return family._frame[0]
 
 
-def _frame_bounds(family: VectorFamily, use_scalars: bool) -> tuple[FrameReport, PsdOperator | None]:
+def _frame_bounds(family: VectorFamily) -> tuple[FrameReport, PsdOperator | None]:
     """frame_bounds and the frame operator it formed along the way.
 
-    The operator is frame_operator(family, use_scalars), built from the
-    same Gram product; it is None when the family had to be scaled first,
-    and then only frame_operator can say whether it overflows.
+    The operator is frame_operator(family), built from the same Gram
+    product; it is None when the family had to be scaled first, and then
+    only frame_operator can say whether it overflows.
     """
-    w = _family_matrix(family, use_scalars)
+    w = family.weighted_vectors()
     count, dim = w.shape
     s, e = _gram(w), 0
     top = float(np.max(s.diagonal().real))
@@ -326,20 +321,16 @@ def _frame_bounds(family: VectorFamily, use_scalars: bool) -> tuple[FrameReport,
     return report, operator
 
 
-def canonical_dual(family: VectorFamily, use_scalars: bool = False) -> VectorFamily:
-    """The dual family {S^-1 x_n}; reconstruction against it is exact.
-
-    With use_scalars the dual of the rescaled family {c_n x_n} is returned.
-    """
+def canonical_dual(family: VectorFamily) -> VectorFamily:
+    """The dual family {S^-1 c_n x_n}; reconstruction against it is exact."""
     family = _as_family(family)
-    report = frame_bounds(family, use_scalars)
+    report = frame_bounds(family)
     if not report.is_frame:
         raise NotAFrameError(
             f"canonical dual needs a frame; lower bound {report.lower:.3e} "
             f"is below {FRAME_TOL_FACTOR:.0e} * {report.upper:.3e}"
         )
-    w = _family_matrix(family, use_scalars)
-    duals = np.linalg.solve(frame_operator(family, use_scalars).matrix, w.T).T
+    duals = np.linalg.solve(frame_operator(family).matrix, family.weighted_vectors().T).T
     return VectorFamily(duals, labels=family.labels)
 
 
@@ -361,7 +352,7 @@ def _span_rank(rows: np.ndarray) -> int:
     return len(_extend_span([], _units(rows)[1], rows.dtype, RANK_DROP_TOL))
 
 
-def classify(family: VectorFamily, use_scalars: bool = False) -> Classification:
+def classify(family: VectorFamily) -> Classification:
     """Place a family in the hierarchy riesz_basis > frame > rescalable > non_spanning.
 
     rescalable means spanning: some choice of scalars turns the family into
@@ -369,8 +360,8 @@ def classify(family: VectorFamily, use_scalars: bool = False) -> Classification:
     drowns below the frame tolerance is labeled rescalable and flagged.
     """
     family = _as_family(family)
-    w = _family_matrix(family, use_scalars)
-    report = frame_bounds(family, use_scalars)
+    w = family.weighted_vectors()
+    report = frame_bounds(family)
     spanning = _span_rank(w) == w.shape[1]
     if report.is_riesz_basis:
         label = "riesz_basis"

@@ -89,12 +89,9 @@ def selector_constant(trace_cap: float, max_order: int) -> float:
 
 
 def natural_max_order(trace_cap: float) -> int:
-    """Largest N >= 1 with 2^N * trace_cap < 1, or 0 when none exists."""
-    delta = _trace_cap(trace_cap)
-    n = 0
-    while 2 ** (n + 1) * delta < 1 and n + 1 <= _EXPONENT_SCAN:
-        n += 1
-    return n
+    """Largest N in 1..64 with 2^N * trace_cap < 1, or 0 when none exists."""
+    k = math.frexp(_trace_cap(trace_cap))[1]  # trace_cap = m 2^k, 0.5 <= m < 1, so N = -k
+    return min(max(-k, 0), _EXPONENT_SCAN)
 
 
 def certificate_constant(trace_cap: float, order: int) -> float:
@@ -132,7 +129,7 @@ class ScaleExponent:
 
 
 def scale_exponent(epsilon: float, constant: float, trace_cap: float) -> ScaleExponent:
-    """Scan beta in {0..64} for the defining double inequality."""
+    """The beta in {0..64} that meets the defining double inequality, read off the ratio's exponent."""
     eps = float(epsilon)
     c = float(constant)
     if not 0 < eps < 1:
@@ -147,13 +144,13 @@ def scale_exponent(epsilon: float, constant: float, trace_cap: float) -> ScaleEx
         raise NoAdmissibleExponentError(
             f"epsilon^2 / (4 C^2 delta) = {ratio:.6g} > 2: no admissible exponent exists"
         )
-    for beta in range(_EXPONENT_SCAN + 1):
-        scaled = 2**beta * ratio
-        if 1.0 < scaled <= 2.0:
-            return ScaleExponent(value=beta, constant=c)
-    raise NoAdmissibleExponentError(
-        f"no exponent in 0..{_EXPONENT_SCAN} satisfies the window for ratio {ratio:.6g}"
-    )
+    m, k = math.frexp(ratio)  # ratio = m 2^k, 0.5 <= m < 1: 2^beta ratio is in (1, 2] for this beta alone
+    beta = 1 - k + (m == 0.5)
+    if not (ratio > 0 and beta <= _EXPONENT_SCAN):  # frexp(0) has exponent 0
+        raise NoAdmissibleExponentError(
+            f"no exponent in 0..{_EXPONENT_SCAN} satisfies the window for ratio {ratio:.6g}"
+        )
+    return ScaleExponent(value=beta, constant=c)
 
 
 @dataclass(frozen=True)

@@ -569,3 +569,43 @@ def reference_exhaustive_tree(mats, traces, target, order) -> SelectorTree:
         )
 
     return SelectorTree(order=order, root=materialize(full_mask, 0, (), order))
+
+
+# selectors.natural_max_order and selectors.scale_exponent as they were before
+# each read its exponent off the float with math.frexp: scans over 0..64.
+# Kept as their oracles.
+def reference_natural_max_order(trace_cap: float) -> int:
+    from framex.selectors import _EXPONENT_SCAN, _trace_cap
+
+    delta = _trace_cap(trace_cap)
+    n = 0
+    while 2 ** (n + 1) * delta < 1 and n + 1 <= _EXPONENT_SCAN:
+        n += 1
+    return n
+
+
+def reference_scale_exponent(epsilon: float, constant: float, trace_cap: float):
+    from framex.errors import NoAdmissibleExponentError
+    from framex.selectors import _EXPONENT_SCAN, ScaleExponent, _trace_cap
+
+    eps = float(epsilon)
+    c = float(constant)
+    if not 0 < eps < 1:
+        raise PreconditionError(f"epsilon must lie in (0, 1), got {eps}")
+    delta = _trace_cap(trace_cap)
+    if c <= 0:
+        raise NoAdmissibleExponentError(
+            "selector constant is zero: the exponent window is empty at every scale"
+        )
+    ratio = eps * eps / (4.0 * c * c * delta)
+    if ratio > 2.0:
+        raise NoAdmissibleExponentError(
+            f"epsilon^2 / (4 C^2 delta) = {ratio:.6g} > 2: no admissible exponent exists"
+        )
+    for beta in range(_EXPONENT_SCAN + 1):
+        scaled = 2**beta * ratio
+        if 1.0 < scaled <= 2.0:
+            return ScaleExponent(value=beta, constant=c)
+    raise NoAdmissibleExponentError(
+        f"no exponent in 0..{_EXPONENT_SCAN} satisfies the window for ratio {ratio:.6g}"
+    )

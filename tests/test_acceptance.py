@@ -79,20 +79,18 @@ def test_dual_reconstruction_battery():
     for trial in range(50):
         dim = int(rng.integers(2, 17))
         complex_field = bool(rng.integers(2))
-        use_scalars = bool(rng.integers(2))
+        scaled = bool(rng.integers(2))
         while True:
             count = int(rng.integers(dim + 2, 4 * dim + 1))
             vecs = random_vectors(rng, count, dim, complex_field)
-            scalars = rng.uniform(0.5, 2.0, size=count) if use_scalars else None
+            scalars = rng.uniform(0.5, 2.0, size=count) if scaled else None
             fam = VectorFamily(vecs, scalars=scalars)
-            rep = frame_bounds(fam, use_scalars=use_scalars)
+            rep = frame_bounds(fam)
             if rep.is_frame and rep.upper < 1e6 * rep.lower:
                 break
-        duals = canonical_dual(fam, use_scalars=use_scalars)
-        w = fam.weighted_vectors() if use_scalars else fam.vectors
-        dual_w = duals.weighted_vectors() if use_scalars else duals.vectors
+        duals = canonical_dual(fam)
         probes = unit_probes(rng, 100, dim, complex_field)
-        back = (np.conj(dual_w) @ probes.T).T @ w
+        back = (np.conj(duals.vectors) @ probes.T).T @ fam.weighted_vectors()
         residual = np.linalg.norm(back - probes, axis=1)
         assert np.all(residual < 1e-9)
 
@@ -191,7 +189,7 @@ def test_extraction_battery():
         extras = int(rng.integers(1, 4))
         fam = rescalable_fixture(rng, dim, extras=extras)
         res = extract(fam)
-        rep_in = frame_bounds(fam, use_scalars=True)
+        rep_in = frame_bounds(fam)
 
         assert res.report.is_frame and res.report.lower > 0
         scale = 2.0**res.plan.scale.value

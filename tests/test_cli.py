@@ -367,8 +367,6 @@ def test_param_table_names_the_keys_each_handler_reads():
     for command, (handler, keys) in cli._COMMANDS.items():
         source = inspect.getsource(handler)
         read = set(re.findall(r'params(?:, |\.get\()"(\w+)"', source))
-        if "_use_scalars(family, params)" in source:
-            read.add("use_scalars")
         assert read == set(keys), command
 
 
@@ -770,11 +768,10 @@ def test_bad_param_values(tmp_path):
     )
     assert code == 3
 
-    code, report, _ = run_cli(tmp_path, "analyze", mercedes_payload(), "--param", "use_scalars=maybe")
+    # a family's scalars are part of it: no param switches them off or on
+    code, report, _ = run_cli(tmp_path, "analyze", scaled_basis_payload(), "--param", "use_scalars=1")
     assert code == 3
-    assert report["error"]["message"] == "param 'use_scalars' must be a boolean, got 'maybe'"
-    code, report, _ = run_cli(tmp_path, "analyze", scaled_basis_payload(scalars=False), "--param", "use_scalars=yes")
-    assert code == 0 and report["results"]["use_scalars"] is True
+    assert report["error"]["message"].startswith("analyze reads no param 'use_scalars'")
 
     # a malformed --param pair fails inside the run, so it still writes a report
     code, report, _ = run_cli(tmp_path, "analyze", mercedes_payload(), "--param", "oops")

@@ -471,9 +471,9 @@ def test_construct45_builds_the_base_family_once(tmp_path, monkeypatch):
     bounded = []
     bounds = frames._frame_bounds
 
-    def counted(family, use_scalars):
+    def counted(family):
         bounded.append(len(family))
-        return bounds(family, use_scalars)
+        return bounds(family)
 
     monkeypatch.setattr(frames, "_frame_bounds", counted)
     code, report, _ = run_cli(tmp_path, "construct45", window_payload(8), "--param", "counts=1,2")
@@ -567,7 +567,7 @@ def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
     assert cli._parser() is cli._parser()
     src = write_json(tmp_path / "in.json", mercedes_payload())
     first, second = tmp_path / "a.json", tmp_path / "b.json"
-    assert cli.main(["analyze", "--in", src, "--out", str(first), "--param", "use_scalars=0"]) == 0
+    assert cli.main(["analyze", "--in", src, "--out", str(first), "--param", "use_scalars=0"]) == 3
     assert cli.main(["analyze", "--in", src, "--out", str(second)]) == 0
     assert json.loads(first.read_text())["params"] == {"use_scalars": "0"}
     assert json.loads(second.read_text())["params"] == {}

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from framex import (
+    COLLINEARITY_TOL,
     VectorFamily,
     canonical_dual,
     equivalence_a_to_d,
@@ -125,7 +126,7 @@ def near_duplicate_family(rng, dim, extras, complex_field, offsets):
 @settings(max_examples=60, deadline=None)
 def test_plan_equals_the_rescanning_planner(dim, extras, complex_field, offsets, seed):
     fam = near_duplicate_family(np.random.default_rng(seed), dim, extras, complex_field, offsets)
-    rep = frame_bounds(fam, use_scalars=True)
+    rep = frame_bounds(fam)
     try:
         want = reference_plan(fam, rep.lower, rep.upper)
     except PreconditionError:
@@ -164,7 +165,7 @@ def test_plan_orthogonalizes_each_member_once(rng, monkeypatch):
         VectorFamily(np.vstack([np.eye(3), np.zeros((1, 3)), np.ones((1, 3))])),
     ):
         fed.clear()
-        rep = frame_bounds(fam, use_scalars=fam.scalars is not None)
+        rep = frame_bounds(fam)
         plan(fam, rep.lower, rep.upper)
         active = int(np.count_nonzero(fam.norms()))
         assert fed and all(count == active for _, count in fed.values())
@@ -223,7 +224,7 @@ def test_extract_doubles_the_constant_for_a_large_upper_bound(monkeypatch):
 def test_extract_rescalable_family(rng):
     fam = rescalable_fixture(rng, 5)
     res = extract(fam)
-    rep_in = frame_bounds(fam, use_scalars=True)
+    rep_in = frame_bounds(fam)
 
     out = res.report
     assert out.is_frame and out.lower > 0
@@ -279,7 +280,7 @@ def assert_certified(fam, res):
     assert res.report.lower >= lo * (1 - ENVELOPE_SLACK)
     assert res.report.upper <= hi * (1 + ENVELOPE_SLACK)
     assert res.total_deviation <= res.deviation_cap + 1e-8
-    rep_in = frame_bounds(fam, use_scalars=True)
+    rep_in = frame_bounds(fam)
     scale = 2.0**res.plan.scale.value
     assert res.envelope == pytest.approx((scale * rep_in.lower / 3.0, 3.0 * scale * rep_in.upper))
 
@@ -351,11 +352,27 @@ def test_extract_refuses_a_frame_whose_exponent_window_is_past_the_scan(monkeypa
     assert len(calls) == 1
 
 
-def test_extract_stops_doubling_the_constant_after_64_steps():
+def test_extract_keeps_doubling_the_constant_past_64_steps():
     # A = B = 2^200: the window ratio A^2 / (36 B C^2) starts near 2^195 and
-    # falls fourfold per doubling, so 64 doublings leave it above 2
-    with pytest.raises(PreconditionError, match="no self-consistent selector constant found"):
-        extract(VectorFamily(2.0**100 * np.eye(2)))
+    # falls fourfold per doubling, so it takes more than 64 doublings to reach 2
+    result = extract(VectorFamily(2.0**100 * np.eye(2)))
+    assert result.mult_ok and result.report.is_frame
+    assert result.plan.scale.constant > 2.0**64 * extraction._CONSTANT_FLOOR
+
+
+@pytest.mark.parametrize("k", [72, 100, 200, 254, 256, 300, 500])
+def test_extract_at_large_scales_selects_or_raises_a_precondition_error(k):
+    # past k = 254 the multiplicity bound 64 C^4 / B^2 leaves the float range
+    rng = np.random.default_rng(0)
+    for base in (np.eye(3), rng.standard_normal((12, 4))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                result = extract(VectorFamily(2.0**k * base))
+            except PreconditionError as exc:
+                assert k >= 256 and "multiplicity bound" in str(exc)
+            else:
+                assert result.mult_ok and math.isfinite(result.mult_bound_L)
 
 
 def _sized(rng, shape, complex_field):
@@ -431,7 +448,7 @@ def test_equivalence_b_to_a_plain():
 
 def test_equivalence_b_to_a_with_scalars():
     # scalars fold into the coefficient duals so reconstruction uses x_n itself
-    out = equivalence_b_to_a(VectorFamily(np.eye(2)), scalars=[2.0, 1.0])
+    out = equivalence_b_to_a(VectorFamily(np.eye(2), scalars=[2.0, 1.0]))
     assert np.allclose(out.vectors, np.eye(2))
 
 
@@ -439,14 +456,14 @@ def test_equivalence_b_to_a_forms_one_gram(monkeypatch):
     shapes = []
     gram = frames._gram
     monkeypatch.setattr(frames, "_gram", lambda w: (shapes.append(w.shape), gram(w))[1])
-    out = equivalence_b_to_a(VectorFamily(np.eye(2)), scalars=[2.0, 1.0])
+    out = equivalence_b_to_a(VectorFamily(np.eye(2), scalars=[2.0, 1.0]))
     assert np.allclose(out.vectors, np.eye(2))
     assert shapes == [(2, 2)]
 
 
 def test_equivalence_b_to_a_refuses_duals_that_fail_reconstruction(monkeypatch):
     dual = extraction.canonical_dual
-    monkeypatch.setattr(extraction, "canonical_dual", lambda fam, use: VectorFamily(2.0 * dual(fam, use).vectors))
+    monkeypatch.setattr(extraction, "canonical_dual", lambda fam: VectorFamily(2.0 * dual(fam).vectors))
     with pytest.raises(PreconditionError, match="coefficient duals failed reconstruction"):
         equivalence_b_to_a(VectorFamily(np.eye(2)))
 
@@ -506,9 +523,19 @@ def test_equivalence_b_to_a_and_c_oracle(dim, extra, complex_field, seed):
         np.testing.assert_allclose(vecs.T @ (out.vectors.conj() @ x), x, atol=1e-9)
         np.testing.assert_allclose(out.vectors.T @ (vecs.conj() @ x), x, atol=1e-9)
     assert equivalence_c_check(fam, out)
-    assert equivalence_c_check(fam, canonical_dual(fam))
+    assert equivalence_c_check(fam, canonical_dual(VectorFamily(vecs)))
     # a dual family that misses one direction fails the transposed reconstruction
     assert not equivalence_c_check(fam, VectorFamily(0.5 * out.vectors))
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_collinearity_tolerance_decides_the_rays(side):
+    """Unit vectors with 1 - cos(theta) = COLLINEARITY_TOL (1 -+ 10^-3) are one ray just inside it, two outside."""
+    cos = 1.0 - COLLINEARITY_TOL * (1.0 - side * 1e-3)
+    fam = VectorFamily([[1.0, 0.0], [cos, math.sqrt(1.0 - cos * cos)], [0.0, 1.0]])
+    selection = equivalence_a_to_d(fam)
+    assert selection.classes == (((0, 1), (2,)) if side > 0 else ((0,), (1,), (2,)))
+    assert selection.extraction.mult_ok
 
 
 @given(

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framex import (
+    FRAME_TOL_FACTOR,
     DimensionMismatchError,
     NotAFrameError,
     PreconditionError,
@@ -77,11 +78,22 @@ def test_raw_arrays_with_a_nan_entry_are_refused(read):
 
 def test_scalars_change_bounds():
     fam = VectorFamily(np.eye(2), scalars=[2.0, 1.0])
-    rep = frame_bounds(fam, use_scalars=True)
+    rep = frame_bounds(fam)
     assert rep.lower == pytest.approx(1.0)
     assert rep.upper == pytest.approx(4.0)
-    plain = frame_bounds(fam, use_scalars=False)
+    plain = frame_bounds(VectorFamily(fam.vectors))
     assert plain.upper == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_frame_tolerance_factor_decides_is_frame(side):
+    """A lower bound of FRAME_TOL_FACTOR * B (1 +- 10^-6) is a frame just above it, not just below."""
+    t = math.sqrt(FRAME_TOL_FACTOR * (1.0 + side * 1e-6))
+    fam = VectorFamily([[1.0, 0.0], [0.0, t]])
+    report = frame_bounds(fam)
+    assert report.upper == 1.0 and report.lower == pytest.approx(t * t, rel=1e-12)
+    assert report.is_frame == (side > 0)
+    assert classify(fam).label == ("riesz_basis" if side > 0 else "rescalable")
 
 
 def test_family_guards():
@@ -121,7 +133,7 @@ def test_overflowing_frame_operator_is_rejected():
             fn(huge)
     # scalars alone can carry the overflow
     with pytest.raises(PreconditionError, match="overflow"):
-        frame_bounds(VectorFamily(np.eye(2), scalars=[1e200, 1.0]), use_scalars=True)
+        frame_bounds(VectorFamily(np.eye(2), scalars=[1e200, 1.0]))
 
 
 def _family_of_kind(rng, kind):
@@ -191,17 +203,48 @@ def test_frame_operator_of_an_underflowing_family_is_formed_without_raising():
         np.testing.assert_array_equal(frame_operator(tiny).matrix, expected)
 
 
-def test_frame_is_cached_per_use_scalars():
+def test_frame_is_cached_once_for_the_scaled_family(monkeypatch):
+    grams = []
+    gram = frames._gram
+    monkeypatch.setattr(frames, "_gram", lambda w: grams.append(w.shape) or gram(w))
     fam = VectorFamily(MERCEDES, scalars=[1.0, 2.0, 3.0])
-    plain, weighted = frame_bounds(fam), frame_bounds(fam, use_scalars=True)
-    assert plain.is_tight and not weighted.is_tight
-    assert frame_bounds(fam) is plain
-    assert frame_bounds(fam, use_scalars=True) is weighted
+    weighted = frame_bounds(fam)
+    assert not weighted.is_tight
     w = fam.weighted_vectors()
-    np.testing.assert_allclose(frame_operator(fam).matrix, 1.5 * np.eye(2), atol=1e-12)
-    np.testing.assert_allclose(frame_operator(fam, use_scalars=True).matrix, w.T @ w, atol=1e-12)
-    np.testing.assert_allclose(w.T @ canonical_dual(fam, use_scalars=True).vectors, np.eye(2), atol=1e-12)
-    np.testing.assert_allclose(canonical_dual(fam).vectors, MERCEDES / 1.5, atol=1e-12)
+    np.testing.assert_allclose(frame_operator(fam).matrix, w.T @ w, atol=1e-12)
+    np.testing.assert_allclose(w.T @ canonical_dual(fam).vectors, np.eye(2), atol=1e-12)
+    assert classify(fam).report is weighted and frame_bounds(fam) is weighted
+    # one Gram product served all four
+    assert grams == [(3, 2)]
+    # the raw vectors are a family of their own
+    raw = VectorFamily(fam.vectors)
+    assert frame_bounds(raw).is_tight
+    np.testing.assert_allclose(canonical_dual(raw).vectors, MERCEDES / 1.5, atol=1e-12)
+    assert grams == [(3, 2), (3, 2)]
+
+
+@given(
+    count=st.integers(1, 6),
+    dim=st.integers(1, 4),
+    complex_field=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_a_family_with_scalars_is_its_rescaled_vectors(count, dim, complex_field, seed):
+    """VectorFamily(v, scalars=c) and VectorFamily(c v) agree bit for bit in every frames function."""
+    rng = np.random.default_rng(seed)
+    count += dim  # enough members to span, most draws
+    v = rng.normal(size=(count, dim))
+    c = rng.uniform(0.25, 4.0, size=count) * rng.choice([-1.0, 1.0], size=count)
+    if complex_field:
+        v = v + 1j * rng.normal(size=v.shape)
+        c = c * np.exp(2j * np.pi * rng.uniform(size=count))
+    scaled, product = VectorFamily(v, scalars=c), VectorFamily(v * c[:, None])
+    assert frame_bounds(scaled) == frame_bounds(product)
+    assert np.array_equal(frame_operator(scaled).matrix, frame_operator(product).matrix)
+    assert classify(scaled) == classify(product)
+    if frame_bounds(product).is_frame:
+        assert np.array_equal(canonical_dual(scaled).vectors, canonical_dual(product).vectors)
 
 
 def test_bounds_dual_and_classify_form_one_gram(monkeypatch):

@@ -33,7 +33,7 @@ from framex import (
 )
 from framex import selectors
 from framex.selectors import _descend, _deviation, _fold, _radii
-from helpers import bounded_rank_ones, reference_exhaustive_tree
+from helpers import bounded_rank_ones, reference_exhaustive_tree, reference_natural_max_order, reference_scale_exponent
 
 
 def recursion_oracle(delta, max_order):
@@ -73,6 +73,53 @@ def test_natural_max_order():
     assert natural_max_order(0.01) == 6
     assert natural_max_order(0.6) == 0
     assert natural_max_order(0.5) == 0
+
+
+def _powers_of_two_and_neighbours():
+    """Every power of two from 2^-1074 to 2^1023 and the floats one ulp either side, all positive and finite."""
+    out = []
+    for k in range(-1074, 1024):
+        x = math.ldexp(1.0, k)
+        out += [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+    return [x for x in out if 0 < x < math.inf]
+
+
+def _random_floats(seed, count=2000):
+    """Positive floats with uniform mantissas and exponents across the float range."""
+    rng = np.random.default_rng(seed)
+    mantissas = rng.uniform(0.5, 1.0, size=count)
+    exponents = rng.integers(-1073, 1025, size=count)
+    return [math.ldexp(float(m), int(k)) for m, k in zip(mantissas, exponents)]
+
+
+def _exponent_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # a raise must match in type and message
+        return type(exc), str(exc)
+
+
+def test_natural_max_order_equals_the_scan():
+    for delta in _powers_of_two_and_neighbours() + _random_floats(1):
+        assert natural_max_order(delta) == reference_natural_max_order(delta), delta
+
+
+def test_scale_exponent_equals_the_scan():
+    """The ratio eps^2 / (4 C^2 delta) over every power of two and its neighbours, then random draws.
+
+    With eps = 1/2 and C = 1/4 the ratio is 1/delta; with delta = 1/2 it is
+    1/(8 C^2), which underflows to 0 for the largest C.
+    """
+    values = _powers_of_two_and_neighbours() + _random_floats(2)
+    for x in values:
+        for args in ((0.5, 0.25, x), (0.5, x, 0.5)):
+            assert _exponent_outcome(scale_exponent, *args) == _exponent_outcome(reference_scale_exponent, *args), args
+    # random inputs whose ratio lies near 2^-70..4, where most betas are found
+    rng = np.random.default_rng(3)
+    for _ in range(4000):
+        eps, c = float(rng.uniform(1e-9, 1.0)), float(rng.lognormal(0.0, 5.0))
+        args = (eps, c, eps * eps / (4.0 * c * c * 2.0 ** float(rng.uniform(-70.0, 2.0))))
+        assert _exponent_outcome(scale_exponent, *args) == _exponent_outcome(reference_scale_exponent, *args), args
 
 
 def test_certificate_constant_clamps():
