@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import ctypes
 import functools
 import hashlib
 import json
@@ -47,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, pointsets, sampling, selectors
+from . import __version__, selectors
 from .errors import BudgetExceededError, InputFormatError, PreconditionError
 from .extraction import extract
 from .frames import VectorFamily, canonical_dual, classify, frame_bounds, frame_operator, reconstruction_residual
@@ -61,6 +62,15 @@ from .timefreq import (
     densify_gabor_frame,
     gabor_family,
 )
+
+# glibc raises its mmap threshold to the largest block freed so far, which put
+# construct45's 4 and 8 MiB arrays in heap holes that differ from run to run
+# (peak RSS 74 or 89 MB).  Fixed thresholds turn that off: blocks of 4 MiB and
+# more are mapped on their own, and 32 MiB of freed heap is kept for reuse.
+_mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+if _mallopt is not None:
+    _mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD
+    _mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD
 
 _PLAIN_NUMBERS = {int, float}
 # json's spellings of the non-finite floats, and the strings reports use
@@ -352,15 +362,7 @@ def _cmd_sample(payload, params, seed):
                 raise InputFormatError(f"param 'subspace_cols': column {col} is repeated")
         basis = np.eye(family.dim)[:, cols]
         subspace = Projection(basis, dim=family.dim)
-    fn, cert = sample(
-        ops,
-        [float(abs(c)) for c in family.scalars],
-        subspace,
-        epsilon,
-        trace_cap=_param(params, "trace_cap", "float"),
-        total_cap=_param(params, "total_cap", "float", 0.5),
-        depth=_param(params, "depth", "int", sampling.MAX_DYADIC_DEPTH),
-    )
+    fn, cert = sample(ops, [float(abs(c)) for c in family.scalars], subspace, epsilon)
     return {
         "multiplicity": {str(n): c for n, c in fn.multiplicity.items()},
         "total": fn.total,
@@ -381,7 +383,6 @@ def _cmd_selector(payload, params, seed):
         strategy=params.get("strategy", "auto"),
         seed=seed,
         restarts=_param(params, "restarts", "int", selectors.RANDOM_RESTARTS),
-        exhaustive_limit=_param(params, "exhaustive_limit", "int", selectors.EXHAUSTIVE_LIMIT),
     )
     return {
         "certificate": cert,
@@ -393,9 +394,7 @@ def _cmd_selector(payload, params, seed):
 def _cmd_density(payload, params, seed):
     ps = parse_pointset(payload)
     radii = _param(params, "radii", "floats", [ps.declared_extent / 2.0])
-    step = _param(params, "step", "float")
-    divisor = _param(params, "step_divisor", "int", pointsets.STEP_DIVISOR)
-    est = density(ps, radii, center_grid_step=step, step_divisor=divisor)
+    est = density(ps, radii, center_grid_step=_param(params, "step", "float"))
     discrete, separation = uniformly_discrete(ps)
     return {
         "estimate": est,
@@ -463,9 +462,9 @@ _COMMANDS = {
     "classify": (_cmd_classify, ()),
     "dual": (_cmd_dual, ()),
     "extract": (_cmd_extract, ()),
-    "sample": (_cmd_sample, ("epsilon", "subspace_cols", "trace_cap", "total_cap", "depth")),
-    "selector": (_cmd_selector, ("order", "trace_cap", "strategy", "restarts", "exhaustive_limit")),
-    "density": (_cmd_density, ("radii", "step", "step_divisor")),
+    "sample": (_cmd_sample, ("epsilon", "subspace_cols")),
+    "selector": (_cmd_selector, ("order", "trace_cap", "strategy", "restarts")),
+    "density": (_cmd_density, ("radii", "step")),
     "gabor": (_cmd_gabor, ("a_step", "b_step")),
     "construct45": (_cmd_construct45, ("counts", "copies")),
 }

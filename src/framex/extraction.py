@@ -63,6 +63,22 @@ _CONSTANT_FLOOR = 0.25
 _SNAP_TOL = 1e-12
 
 
+def _multiplicity_bound(a: float, b: float, c: float) -> float:
+    """max(144 C^2 B/A^2, 64 C^4/B^2) from frexp mantissas, scaled by their power of two at the end.
+
+    C^2 B, A^2 and C^4 leave the float range long before the bound does.  C^4
+    is c**4 while that is normal (C in [2^-255, 2^256)), so the bound is the
+    plain formula's wherever its intermediates are normal.  extract's is below
+    2^130 (eps <= A/3B, beta <= 64); one past the float range raises OverflowError.
+    """
+    (ma, ea), (mb, eb), (mc, ec) = math.frexp(a), math.frexp(b), math.frexp(c)
+    m4, e4 = math.frexp(c**4) if -255 < ec <= 256 else (mc**4, 4 * ec)
+    return max(
+        math.ldexp(144.0 * mc * mc * mb / (ma * ma), 2 * ec + eb - 2 * ea),
+        math.ldexp(64.0 * m4 / (mb * mb), e4 - 2 * eb),
+    )
+
+
 def _threshold(j: int, epsilon: float) -> float:
     """Block threshold: 0 at j = 0, then (epsilon^2 / 36) 4^-j."""
     if j <= 0:
@@ -353,15 +369,7 @@ def extract(family) -> ExtractionResult:
             f"stacked deviation {total_deviation:.6g} exceeds {deviation_cap:.6g}"
         )
 
-    c = layout.scale.constant
-    try:
-        bound_l = max(144.0 * c * c * b / (a * a), 64.0 * c**4 / (b * b))
-    except OverflowError:  # c**4
-        bound_l = math.inf
-    if not math.isfinite(bound_l):
-        raise PreconditionError(
-            f"the multiplicity bound max(144 C^2 B/A^2, 64 C^4/B^2) is not finite at C = {c:.6g}"
-        )
+    bound_l = _multiplicity_bound(a, b, layout.scale.constant)
     mult_ok = all(
         _within_cap(times, bound_l, float(weights[n])) for n, times in mult.items()
     )

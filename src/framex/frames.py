@@ -122,17 +122,6 @@ class VectorFamily:
         with np.errstate(over="ignore", invalid="ignore"):
             return self._vectors * self._scalars[:, None]
 
-    def norms(self) -> np.ndarray:
-        return np.linalg.norm(self._vectors, axis=1)
-
-    def subfamily(self, indices) -> "VectorFamily":
-        idx = list(indices)
-        return VectorFamily(
-            self._vectors[idx],
-            None if self._scalars is None else self._scalars[idx],
-            None if self._labels is None else [self._labels[i] for i in idx],
-        )
-
     def __repr__(self):
         return f"VectorFamily(count={len(self)}, dim={self.dim}, field={self.field})"
 

@@ -86,11 +86,11 @@ class PsdOperator:
 
     Construction symmetrizes the input after checking that it is finite and
     Hermitian, and rejects matrices whose smallest eigenvalue is below
-    -PSD_TOL relative to the operator norm.  Trace and operator norm are
-    cached.  One built from factor rows (rank_one, make_paddings) is not checked.
+    -PSD_TOL relative to the operator norm.  One built from factor rows
+    (rank_one, make_paddings) is not checked.
     """
 
-    __slots__ = ("_matrix", "_eigenvalues", "_trace", "_opnorm", "_factor", "_from_rows", "_spectrum")
+    __slots__ = ("_matrix", "_eigenvalues", "_trace", "_factor", "_from_rows", "_spectrum")
 
     def __init__(self, matrix, *, _prevalidated: bool = False):
         a = _as_square_matrix(matrix)
@@ -104,7 +104,6 @@ class PsdOperator:
         self._matrix = a
         self._eigenvalues = vals
         self._trace = float(np.real(np.trace(a)))
-        self._opnorm = None
         self._factor = self._spectrum = None
         self._from_rows = False
 
@@ -118,7 +117,7 @@ class PsdOperator:
         op = cls.__new__(cls)
         op._factor = f = np.array(rows, dtype=np.result_type(rows, np.float64))
         f.setflags(write=False)
-        op._matrix, op._eigenvalues, op._opnorm, op._spectrum, op._from_rows = matrix, None, None, None, matrix is None
+        op._matrix, op._eigenvalues, op._spectrum, op._from_rows = matrix, None, None, matrix is None
         if matrix is None:
             op._trace = float(np.sum(f * f.conj()).real)
         else:
@@ -182,15 +181,8 @@ class PsdOperator:
             self._eigenvalues = vals
         return self._eigenvalues
 
-    @property
-    def opnorm(self) -> float:
-        if self._opnorm is None:
-            ev = self.eigenvalues
-            self._opnorm = float(np.max(np.abs(ev))) if ev.size else 0.0
-        return self._opnorm
-
     def __repr__(self):
-        return f"PsdOperator(dim={self.dim}, trace={self.trace:.6g}, opnorm={self.opnorm:.6g})"
+        return f"PsdOperator(dim={self.dim}, trace={self.trace:.6g})"
 
     @classmethod
     def zero(cls, dim: int) -> "PsdOperator":

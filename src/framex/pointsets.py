@@ -281,22 +281,14 @@ def _window_extrema(points, weights, extent: float, radius: float, step: float):
     return radius, int(counts.min()) / vol, int(counts.max()) / vol
 
 
-def density(
-    ps: PointSet,
-    radii,
-    center_grid_step: float | None = None,
-    *,
-    step_divisor: int = STEP_DIVISOR,
-) -> DensityEstimate:
+def density(ps: PointSet, radii, center_grid_step: float | None = None) -> DensityEstimate:
     """Scan window centers inside the faithful region at each radius.
 
     Windows must fit twice into the declared extent so that the center grid
-    retains room to move.  The default grid step is radius / step_divisor.
+    retains room to move.  The default grid step is radius / STEP_DIVISOR.
     Coinciding points are counted once, with their multiplicity.  A centre
     grid too large to index or allocate raises PreconditionError.
     """
-    if step_divisor < 1:
-        raise PreconditionError(f"step divisor must be at least 1, got {step_divisor}")
     rads = sorted(float(r) for r in radii)
     if not rads:
         raise PreconditionError("need at least one window radius")
@@ -312,7 +304,7 @@ def density(
     points, weights = _distinct(ps.points)
 
     def scan(r: float):
-        step = center_grid_step if center_grid_step is not None else r / step_divisor
+        step = center_grid_step if center_grid_step is not None else r / STEP_DIVISOR
         if not (math.isfinite(step) and step > 0):
             raise PreconditionError(f"grid step must be finite and positive, got {step}")
         return _window_extrema(points, weights, ps.declared_extent, r, step)

@@ -267,7 +267,6 @@ def sample(
     trace_cap: float | None = None,
     total_cap: float = 0.5,
     scale: ScaleExponent | None = None,
-    depth: int = MAX_DYADIC_DEPTH,
 ):
     """Run the full pipeline; returns (SamplingFunction, SamplingCertificate).
 
@@ -277,10 +276,10 @@ def sample(
     gamma on the subspace must not exceed 1.  The scale exponent, with the
     constant it was solved for, may be pinned by callers coordinating
     several runs; otherwise the selector-constant machinery picks it from
-    the trace cap.  Each weight is expanded to its first depth >= 1 binary
-    digits.  Each of the eta - beta split levels keeps one child, found by
-    a greedy descent; PreconditionError is raised if the leaf fails the
-    trace pigeonhole.
+    the trace cap.  Each weight is expanded to its first MAX_DYADIC_DEPTH
+    binary digits.  Each of the eta - beta split levels keeps one child,
+    found by a greedy descent; PreconditionError is raised if the leaf
+    fails the trace pigeonhole.
     """
     psd = _operator_list(ops)
     dim = psd[0].dim
@@ -323,15 +322,13 @@ def sample(
     elif not isinstance(scale, ScaleExponent):
         raise PreconditionError("a pinned scale must be a ScaleExponent")
     beta = scale.value
-    if depth < 1:
-        raise PreconditionError(f"depth must be at least 1, got {depth}")
 
     # truncation: coarsest uniform exponent cutoff whose discarded tail
     # stays below min(eps/2, gamma); cost scales with the finest kept level.
     # The remainder c - K 2^-L of c = p/q at a cut is the integer ratio
     # (p 2^L - q K) / (q 2^L), and int division rounds it exactly as
     # float(Fraction) does
-    expansions = [_binary_expansion(c, depth) for c in fracs]
+    expansions = [_binary_expansion(c, MAX_DYADIC_DEPTH) for c in fracs]
     tail_cap = min(epsilon / 2.0, gamma)
     cuts = sorted({e for exps in expansions for e in exps})
     fine = max(cuts[-1], 0)

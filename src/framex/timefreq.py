@@ -278,22 +278,19 @@ def exponential_family(spec):
     return VectorFamily(rows, labels=labels)
 
 
-def gaussian_window(length, spread=None):
-    """Unit-normalized samples of e^{-pi (t - L/2)^2 / spread^2}.
+def gaussian_window(length):
+    """Unit-normalized samples of e^{-pi (t - L/2)^2 / L}.
 
-    The default spread sqrt(L) balances the time and frequency step
-    sizes, so one grid step in either direction moves the window by
-    about the same amount.  length is an integer, as for translate; spread
-    must be finite and positive.
+    The spread sqrt(L) balances the time and frequency step sizes, so one
+    grid step in either direction moves the window by about the same
+    amount.  length is an integer, as for translate.
     """
     length = _integer(length, "length")
     if length < 1:
         raise PreconditionError("length must be at least 1")
-    sigma = math.sqrt(length) if spread is None else float(spread)
-    if not 0 < sigma < math.inf:
-        raise PreconditionError(f"spread must be finite and positive, got {sigma!r}")
     t = np.arange(length, dtype=float)
-    g = np.exp(-np.pi * (t - length / 2.0) ** 2 / sigma**2)
+    spread = math.sqrt(length)  # squared as a float below, which is not always L
+    g = np.exp(-np.pi * (t - length / 2.0) ** 2 / spread**2)
     return CyclicSignal(g / np.linalg.norm(g))
 
 

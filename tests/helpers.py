@@ -597,7 +597,8 @@ def reference_scale_exponent(epsilon: float, constant: float, trace_cap: float):
         raise NoAdmissibleExponentError(
             "selector constant is zero: the exponent window is empty at every scale"
         )
-    ratio = eps * eps / (4.0 * c * c * delta)
+    denominator = 4.0 * c * c * delta
+    ratio = eps * eps / denominator if denominator else math.inf
     if ratio > 2.0:
         raise NoAdmissibleExponentError(
             f"epsilon^2 / (4 C^2 delta) = {ratio:.6g} > 2: no admissible exponent exists"

@@ -204,7 +204,7 @@ def test_extraction_battery():
             64.0 * c**4 / rep_in.upper**2,
         )
         assert res.mult_bound_L == pytest.approx(bound)
-        norms = fam.norms()
+        norms = np.linalg.norm(fam.vectors, axis=1)
         weights = np.abs(fam.scalars) ** 2 * norms**2
         for n, times in res.sigma.multiplicity.items():
             assert Fraction(times) <= Fraction(bound) * Fraction(float(weights[n]))

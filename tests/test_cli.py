@@ -245,18 +245,6 @@ def test_sample_rejects_bad_subspace_columns(tmp_path, cols, message):
     assert "results" not in report
 
 
-def test_sample_rejects_zero_depth(tmp_path):
-    code, report, _ = run_cli(
-        tmp_path, "sample", scaled_basis_payload(), "--param", "epsilon=0.25", "--param", "depth=0"
-    )
-    assert code == 2
-    assert report["error"] == {
-        "type": "PreconditionError",
-        "message": "depth must be at least 1, got 0",
-    }
-    assert "results" not in report
-
-
 def test_dual_bounds_its_frame_once(tmp_path, monkeypatch):
     calls = []
     eigvalsh = np.linalg.eigvalsh
@@ -303,30 +291,26 @@ def test_selector_command_and_budget_override(tmp_path):
     assert report["results"]["certificate"]["satisfied"] is True
     assert report["results"]["leaves"]
 
+    # 44 rank-ones at order 1 have more selectors than the library's
+    # exhaustive budget, so an exhaustive search refuses them with exit 4
     before = selectors.EXHAUSTIVE_LIMIT
-    code, report, _ = run_cli(
-        tmp_path,
-        "selector",
-        scaled_basis_payload(),
-        "--param",
-        "strategy=exhaustive",
-        "--param",
-        "exhaustive_limit=1",
-    )
+    t = np.linspace(0.0, 3.0, 44)
+    payload = {"dim": 2, "field": "real", "vectors": (0.1 * np.column_stack([np.cos(t), np.sin(t)])).tolist()}
+    code, report, _ = run_cli(tmp_path, "selector", payload, "--param", "strategy=exhaustive", "--param", "order=1")
     assert code == 4
     assert report["error"]["type"] == "BudgetExceededError"
-    assert "exhaustive budget 1;" in report["error"]["message"]
-    # the limit is an argument of this job; no module global is touched
+    assert f"exceeds the exhaustive budget {before}" in report["error"]["message"]
+    # the limit is an argument of best_selector; no module global is touched
     assert selectors.EXHAUSTIVE_LIMIT == before
 
 
 @pytest.mark.parametrize(
     "command,payload,extra",
     [
-        ("selector", scaled_basis_payload(), ["--param", "exhaustive_limit=abc"]),
-        ("density", {"ambient_dim": 1, "points": [[0.0]], "extent": 4.0}, ["--param", "step_divisor=abc"]),
+        ("selector", scaled_basis_payload(), ["--param", "restarts=abc"]),
+        ("gabor", window_payload(8), ["--param", "a_step=abc"]),
     ],
-    ids=["exhaustive_limit", "step_divisor"],
+    ids=["restarts", "a_step"],
 )
 def test_malformed_tunable_writes_an_error_report(tmp_path, command, payload, extra):
     code, report, _ = run_cli(tmp_path, command, payload, *extra)
@@ -499,14 +483,6 @@ def test_selector_rejects_zero_restarts(tmp_path):
     assert "results" not in report
 
 
-def test_selector_rejects_a_negative_exhaustive_limit(tmp_path):
-    code, report, _ = run_cli(tmp_path, "selector", scaled_basis_payload(), "--param", "exhaustive_limit=-5")
-    assert code == 2
-    assert report["error"]["type"] == "PreconditionError"
-    assert "exhaustive_limit" in report["error"]["message"]
-    assert "results" not in report
-
-
 @pytest.mark.parametrize("cap", ["nan", "inf", "-inf"])
 def test_selector_rejects_a_non_finite_trace_cap(tmp_path, cap):
     code, report, _ = run_cli(tmp_path, "selector", scaled_basis_payload(), "--param", f"trace_cap={cap}")
@@ -514,31 +490,6 @@ def test_selector_rejects_a_non_finite_trace_cap(tmp_path, cap):
     assert report["error"]["type"] == "PreconditionError"
     assert "trace cap must be" in report["error"]["message"]
     assert "results" not in report
-
-
-@pytest.mark.parametrize("cap", ["nan", "inf"])
-def test_sample_rejects_a_non_finite_total_cap(tmp_path, cap):
-    code, report, _ = run_cli(
-        tmp_path, "sample", scaled_basis_payload(), "--param", "epsilon=0.25", "--param", f"total_cap={cap}"
-    )
-    assert code == 2
-    assert report["error"] == {
-        "type": "PreconditionError",
-        "message": f"total cap must be finite, got {cap}",
-    }
-
-
-@pytest.mark.parametrize("cap", ["nan", "inf"])
-def test_sample_rejects_a_non_finite_trace_cap(tmp_path, cap):
-    """Not the selector constant's "zero" error, which names the wrong cause."""
-    code, report, _ = run_cli(
-        tmp_path, "sample", scaled_basis_payload(), "--param", "epsilon=0.25", "--param", f"trace_cap={cap}"
-    )
-    assert code == 2
-    assert report["error"] == {
-        "type": "PreconditionError",
-        "message": f"trace cap must be finite and positive, got {cap}",
-    }
 
 
 @pytest.mark.parametrize(
@@ -633,16 +584,6 @@ def test_density_rejects_a_radius_beyond_the_float_range(tmp_path, payload, radi
     assert code == 2
     assert report["error"] == {"type": "PreconditionError", "message": message}
     assert "results" not in report
-
-
-def test_density_rejects_zero_step_divisor(tmp_path):
-    payload = {"ambient_dim": 1, "points": [[0.0]], "extent": 4.0}
-    code, report, _ = run_cli(tmp_path, "density", payload, "--param", "step_divisor=0")
-    assert code == 2
-    assert report["error"] == {
-        "type": "PreconditionError",
-        "message": "step divisor must be at least 1, got 0",
-    }
 
 
 def test_gabor_command(tmp_path):

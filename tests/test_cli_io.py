@@ -1,8 +1,12 @@
 """The CLI boundary: report encoder, bulk payload parse, CSV table, parser reuse."""
 
+import ctypes
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
@@ -504,6 +508,42 @@ def test_construct45_peaks_under_three_family_arrays():
     assert results["base_count"] == 8192
     family_bytes = 8192 * 64 * np.dtype(complex).itemsize
     assert peak < 2.5 * family_bytes, f"peak {peak / 2**20:.1f} MiB"
+
+
+# a fresh interpreter: glibc's adjustment would raise the mmap threshold to
+# 9 MiB on the first free, so the 8 MiB array would go to the heap
+_MAPPED_AFTER_A_FREE = """
+import ctypes
+import numpy as np
+import framex.cli
+
+class Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd",
+        "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+mallinfo2 = ctypes.CDLL(None).mallinfo2
+mallinfo2.restype = Mallinfo2
+del_me = np.ones(9 << 17)
+del del_me
+before = mallinfo2().hblkhd
+kept = np.ones(1 << 20)
+print(mallinfo2().hblkhd - before)
+"""
+
+
+def test_family_sized_arrays_are_mapped_after_a_larger_one_is_freed():
+    """Once the CLI is loaded, an 8 MiB array is mapped on its own, whatever was freed before.
+
+    So construct45's peak RSS does not depend on which holes its arrays
+    meet in the heap.
+    """
+    if getattr(ctypes.CDLL(None), "mallinfo2", None) is None:
+        pytest.skip("the C library has no mallinfo2")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", _MAPPED_AFTER_A_FREE], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert int(out) >= 8 << 20
 
 
 def count_calls(monkeypatch, owner, name):

@@ -25,7 +25,15 @@ from framex import (
 import framex.extraction as extraction
 import framex.frames as frames
 from framex.errors import DimensionMismatchError, FramexError, NotAFrameError, PreconditionError
-from framex.extraction import _SNAP_TOL, ENVELOPE_SLACK, _snap_weight, _threshold, _within_cap, plan
+from framex.extraction import (
+    _SNAP_TOL,
+    ENVELOPE_SLACK,
+    _multiplicity_bound,
+    _snap_weight,
+    _threshold,
+    _within_cap,
+    plan,
+)
 
 from helpers import (
     reference_plan,
@@ -167,7 +175,7 @@ def test_plan_orthogonalizes_each_member_once(rng, monkeypatch):
         fed.clear()
         rep = frame_bounds(fam)
         plan(fam, rep.lower, rep.upper)
-        active = int(np.count_nonzero(fam.norms()))
+        active = int(np.count_nonzero(np.linalg.norm(fam.vectors, axis=1)))
         assert fed and all(count == active for _, count in fed.values())
 
 
@@ -233,7 +241,7 @@ def test_extract_rescalable_family(rng):
     assert out.upper <= 3.0 * scale * rep_in.upper * (1 + ENVELOPE_SLACK)
 
     # recompute the stacked deviation from sigma alone
-    norms = fam.norms()
+    norms = np.linalg.norm(fam.vectors, axis=1)
     weights = np.abs(fam.scalars) ** 2 * norms**2
     units = fam.vectors / norms[:, None]
     b = rep_in.upper
@@ -360,9 +368,11 @@ def test_extract_keeps_doubling_the_constant_past_64_steps():
     assert result.plan.scale.constant > 2.0**64 * extraction._CONSTANT_FLOOR
 
 
-@pytest.mark.parametrize("k", [72, 100, 200, 254, 256, 300, 500])
+@pytest.mark.parametrize("k", [72, 100, 200, 254, 256, 300, 500, 508, 510])
 def test_extract_at_large_scales_selects_or_raises_a_precondition_error(k):
-    # past k = 254 the multiplicity bound 64 C^4 / B^2 leaves the float range
+    # past k = 254, C^4 and A^2 leave the float range while the multiplicity
+    # bound does not; only a frame bound past it is refused (the Gaussian
+    # family's B exceeds 4^510)
     rng = np.random.default_rng(0)
     for base in (np.eye(3), rng.standard_normal((12, 4))):
         with warnings.catch_warnings():
@@ -370,9 +380,40 @@ def test_extract_at_large_scales_selects_or_raises_a_precondition_error(k):
             try:
                 result = extract(VectorFamily(2.0**k * base))
             except PreconditionError as exc:
-                assert k >= 256 and "multiplicity bound" in str(exc)
+                assert k == 510 and base.shape == (12, 4), exc
+                assert "overflows the float range" in str(exc)
             else:
                 assert result.mult_ok and math.isfinite(result.mult_bound_L)
+                if k >= 100 and base.shape == (3, 3):
+                    assert result.mult_bound_L == 2.25  # 144 C^2 B / A^2 with A = B = 4^k, C = 2^(k-3)
+
+
+def test_multiplicity_bound_equals_the_plain_formula():
+    """Bit for bit where the plain formula's intermediates are normal floats; else the exact value."""
+    rng = np.random.default_rng(11)
+    normal = sys.float_info.min
+    compared = 0
+    for _ in range(8000):
+        a, b = sorted(math.ldexp(rng.uniform(0.5, 1.0), int(e)) for e in rng.integers(-600, 600, 2))
+        c = math.ldexp(rng.uniform(0.5, 1.0), int(rng.integers(-300, 300)))
+        exact = max(Fraction(144) * Fraction(c) ** 2 * Fraction(b) / Fraction(a) ** 2,
+                    Fraction(64) * Fraction(c) ** 4 / Fraction(b) ** 2)
+        if exact > sys.float_info.max:
+            with pytest.raises(OverflowError):
+                _multiplicity_bound(a, b, c)
+            continue
+        got = _multiplicity_bound(a, b, c)
+        assert abs(Fraction(got) - exact) <= exact * 2.0**-50 + Fraction(2.0**-1074), (a, b, c)  # subnormals lose bits
+        if not 2.0**-255 <= c < 2.0**256:  # C^4 from C's mantissa, not c**4
+            continue
+        c4 = c**4
+        steps = [144.0 * c, 144.0 * c * c, 144.0 * c * c * b, a * a, c4, 64.0 * c4, b * b]
+        if all(normal <= x < math.inf for x in steps) and exact >= normal:
+            compared += 1
+            assert got == max(144.0 * c * c * b / (a * a), 64.0 * c4 / (b * b)), (a, b, c)
+    assert compared > 3000
+    # 2^256 I_3: A = B = 2^512 and C = 2^253, where A^2 and C^4 overflow
+    assert _multiplicity_bound(2.0**512, 2.0**512, 2.0**253) == 2.25
 
 
 def _sized(rng, shape, complex_field):

@@ -111,9 +111,6 @@ def test_family_guards():
     assert real.scalars.dtype == np.float64 and real.scalars.tolist() == [2.0, 1.0]
     fam = VectorFamily(np.eye(2), labels=[10, 20])
     assert fam.labels == ("10", "20")
-    sub = fam.subfamily([1])
-    np.testing.assert_allclose(sub.vectors, [[0.0, 1.0]])
-    assert sub.labels == ("20",)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

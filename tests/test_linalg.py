@@ -21,7 +21,6 @@ def test_psd_diag_oracle():
     op = PsdOperator(np.diag([3.0, 1.0, 0.0]))
     assert op.dim == 3
     assert op.trace == pytest.approx(4.0)
-    assert op.opnorm == pytest.approx(3.0)
     np.testing.assert_allclose(np.sort(op.eigenvalues), [0.0, 1.0, 3.0], atol=1e-12)
     np.testing.assert_allclose(op.matrix @ [1.0, 1.0, 1.0], [3.0, 1.0, 0.0])
 
@@ -91,9 +90,20 @@ def test_rank_one():
     op = rank_one(v)
     assert op.trace == pytest.approx(9.0)
     np.testing.assert_allclose(op.matrix, np.outer(v, v))
-    assert repr(op) == "PsdOperator(dim=3, trace=9, opnorm=9)"
+    assert repr(op) == "PsdOperator(dim=3, trace=9)"
     with pytest.raises(PreconditionError):
         rank_one(np.eye(2))
+
+
+def test_repr_runs_no_eigensolve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("repr ran an eigensolve")
+
+    op = PsdOperator(np.diag([3.0, 1.0]))  # construction's check eigensolves once
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    assert repr(op) == "PsdOperator(dim=2, trace=4)"
+    assert repr(rank_one([1.0, 1.0])) == "PsdOperator(dim=2, trace=2)"
 
 
 def test_rank_one_complex():
@@ -110,7 +120,7 @@ def test_eigenvalues_sorted(rng):
     op = PsdOperator(a @ a.T)
     vals = op.eigenvalues
     assert np.all(np.diff(vals) >= 0)
-    assert vals[-1] == pytest.approx(op.opnorm)
+    assert vals[-1] == pytest.approx(np.linalg.norm(a @ a.T, 2))
 
 
 def test_projection_basics():
@@ -233,13 +243,14 @@ def test_compress():
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 6))
 def test_psd_properties(seed, dim):
-    """Every A A^T is accepted; opnorm matches the top eigenvalue."""
+    """Every A A^T is accepted; its largest eigenvalue in magnitude matches eigvalsh's."""
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(dim, dim))
     op = PsdOperator(a @ a.T)
     vals = np.linalg.eigvalsh(op.matrix)
-    assert op.opnorm == pytest.approx(float(np.max(np.abs(vals))), rel=1e-9, abs=1e-12)
-    assert np.min(op.eigenvalues) >= -1e-9 * max(1.0, op.opnorm)
+    top = float(np.max(np.abs(op.eigenvalues)))
+    assert top == pytest.approx(float(np.max(np.abs(vals))), rel=1e-9, abs=1e-12)
+    assert np.min(op.eigenvalues) >= -1e-9 * max(1.0, top)
 
 
 @settings(max_examples=30, deadline=None)

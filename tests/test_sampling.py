@@ -382,10 +382,10 @@ def test_sample_rejects_bad_inputs():
         sample(ops, [2, 2, 2], subspace, 0.25)
 
 
-def test_sample_rejects_zero_depth():
-    ops = scaled_basis_ops(3)
-    with pytest.raises(PreconditionError, match="depth must be at least 1, got 0"):
-        sample(ops, [1, 1, 1], Projection.full(3), 0.25, depth=0)
+@pytest.mark.parametrize("cap", [math.nan, math.inf])
+def test_sample_rejects_a_non_finite_total_cap(cap):
+    with pytest.raises(PreconditionError, match=f"^total cap must be finite, got {cap}$"):
+        sample(scaled_basis_ops(3), [1, 1, 1], Projection.full(3), 0.25, total_cap=cap)
 
 
 @pytest.mark.parametrize("exponent", [-1, functools.partial(pinned, -1)])
@@ -403,12 +403,13 @@ def test_sample_rejects_a_negative_exponent(exponent):
 
 
 def test_sample_rejects_unbounded_tail():
-    ops = scaled_basis_ops(3)
-    # subspace orthogonal to the operator makes gamma zero, and a depth-3
-    # expansion of 1/3 leaves a visible remainder at every cutoff
+    # a subspace orthogonal to the operator makes gamma zero, and 2^60 - 1 has
+    # 60 one-bits, of which MAX_DYADIC_DEPTH = 48 are kept: the remainder
+    # 2^12 - 1 is visible at every cutoff
     subspace = Projection(np.eye(3)[:, 1:2], dim=3)
-    with pytest.raises(PreconditionError):
-        sample([ops[0]], [Fraction(1, 3)], subspace, 0.25, scale=pinned(0), depth=3)
+    message = "discarded dyadic tail exceeds min\\(epsilon/2, gamma\\) at every depth"
+    with pytest.raises(PreconditionError, match=message):
+        sample([rank_one([1.0, 0.0, 0.0])], [2**60 - 1], subspace, 0.25, total_cap=2.0**61, scale=pinned(0))
 
 
 def test_sampling_function_basics():

@@ -114,6 +114,11 @@ def test_scale_exponent_equals_the_scan():
     for x in values:
         for args in ((0.5, 0.25, x), (0.5, x, 0.5)):
             assert _exponent_outcome(scale_exponent, *args) == _exponent_outcome(reference_scale_exponent, *args), args
+    # 4 C^2 delta underflows to 0: an infinite ratio, refused as above 2
+    args = (0.5, 2.0**-600, 0.5)
+    outcome = _exponent_outcome(scale_exponent, *args)
+    assert outcome == _exponent_outcome(reference_scale_exponent, *args)
+    assert outcome == (NoAdmissibleExponentError, "epsilon^2 / (4 C^2 delta) = inf > 2: no admissible exponent exists")
     # random inputs whose ratio lies near 2^-70..4, where most betas are found
     rng = np.random.default_rng(3)
     for _ in range(4000):

@@ -283,9 +283,7 @@ def test_exponential_spec_guards():
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_spread_and_frequencies_must_be_finite(bad):
-    with pytest.raises(PreconditionError, match=f"spread must be finite and positive, got {bad!r}"):
-        gaussian_window(8, spread=bad)
+def test_frequencies_must_be_finite(bad):
     with pytest.raises(PreconditionError, match=f"frequency {bad!r} is not finite"):
         ExponentialSpec(8, range(8), [1.0, bad])
 
@@ -298,8 +296,6 @@ def test_gaussian_window_shape():
     assert g.samples[L // 2 - 3] == pytest.approx(g.samples[L // 2 + 3])
     with pytest.raises(PreconditionError):
         gaussian_window(0)
-    with pytest.raises(PreconditionError):
-        gaussian_window(8, spread=0.0)
 
 
 def test_densify_trivial_clusters():
