@@ -43,13 +43,15 @@ class VectorFamily:
     the family they make is {c_n x_n}, its weighted_vectors(); complex
     scalars are only permitted when the ambient space is complex.  A family
     is immutable, so it forms its frame once: frame_bounds, frame_operator,
-    canonical_dual and classify share it.
+    canonical_dual and classify share it.  A builder that has a formula for
+    the frame operator sets _operator_of, a function of e giving the
+    operator of the vectors times 2^-e; it then replaces the Gram product.
     The vectors are copied; only framex's own builders pass _adopt=True, for
     an array they have just built and hold nowhere else, which is then
     checked and made read-only in place.
     """
 
-    __slots__ = ("_vectors", "_scalars", "_labels", "_frame")
+    __slots__ = ("_vectors", "_scalars", "_labels", "_frame", "_operator_of")
 
     def __init__(self, vectors, scalars=None, labels=None, *, _adopt=False):
         v = np.asarray(vectors)
@@ -88,6 +90,7 @@ class VectorFamily:
                 )
         self._labels = labels
         self._frame = None  # (FrameReport, PsdOperator or None) once frame_bounds has run
+        self._operator_of = None
 
     @property
     def vectors(self) -> np.ndarray:
@@ -159,6 +162,14 @@ def _gram(w: np.ndarray) -> np.ndarray:
         return w.T @ w.conj()
 
 
+def _formed(family: VectorFamily, w: np.ndarray, e: int = 0) -> np.ndarray:
+    """The frame operator of family's rows w times 2^-e: its own formula's, or the Gram product of w."""
+    if family._operator_of is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return family._operator_of(e)
+    return _gram(_times_pow2(w, -e) if e else w)
+
+
 def frame_operator(family) -> PsdOperator:
     """S = sum of rank-one operators of the rescaled vectors c_n x_n.
 
@@ -168,7 +179,7 @@ def frame_operator(family) -> PsdOperator:
     family = _as_family(family)
     if family._frame is not None and family._frame[1] is not None:
         return family._frame[1]
-    s = _gram(family.weighted_vectors())
+    s = _formed(family, family.weighted_vectors())
     if not np.isfinite(s).all():
         raise PreconditionError("frame operator is not finite: entries overflow the float range")
     return PsdOperator(s, _prevalidated=True)
@@ -178,12 +189,6 @@ def frame_operator(family) -> PsdOperator:
 # formed from the vectors as given; the squares of other families overflow
 # or leave the normal float range, so those are scaled first.
 _SQUARES_RANGE = 2.0**900
-
-
-def _normalized(w: np.ndarray) -> tuple[np.ndarray, int]:
-    """(w * 2^-e, e) for the e that puts the largest real or imaginary part in [0.5, 1)."""
-    e = int(_top_exponents(w).max())
-    return _times_pow2(w, -e), e
 
 
 def _rescaled(bound: float, e: int) -> float:
@@ -249,7 +254,13 @@ def frame_bounds(family) -> FrameReport:
     is within gamma_{m+1} sum ||x_n||^2 of the exact operator of the m
     (scaled) vectors in the 2-norm: gamma_{m+3} if complex, plus
     d (m + 1) 2^-1074 for underflow (Higham, sections 3.1 and 3.6).  A
-    family forms its bounds once; a call that raises stores nothing.
+    Gabor family forms S from its window and shift histogram instead, by
+    FFTs of length L (timefreq._walnut); with each FFT within
+    8 ceil(log2 L) u relative in the 2-norm (Higham, Thm 24.2 for radix 2,
+    taken to hold for numpy's other lengths), M is within
+    sqrt(L) (32 ceil(log2 L) + 8) u sum ||x_n||^2 of the exact operator of
+    the Gabor vectors, plus 8 L^2 2^-1074 for underflow.  A family forms
+    its bounds once; a call that raises stores nothing.
     """
     family = _as_family(family)
     if family._frame is None:
@@ -260,18 +271,19 @@ def frame_bounds(family) -> FrameReport:
 def _frame_bounds(family: VectorFamily) -> tuple[FrameReport, PsdOperator | None]:
     """frame_bounds and the frame operator it formed along the way.
 
-    The operator is frame_operator(family), built from the same Gram
-    product; it is None when the family had to be scaled first, and then
+    The operator is frame_operator(family), formed the same way; it is
+    None when the family had to be scaled first, by the 2^-e that puts the
+    largest real or imaginary part of its vectors in [0.5, 1), and then
     only frame_operator can say whether it overflows.
     """
     w = family.weighted_vectors()
     count, dim = w.shape
-    s, e = _gram(w), 0
+    s, e = _formed(family, w), 0
     top = float(np.max(s.diagonal().real))
     scaled = not 1.0 / _SQUARES_RANGE <= top <= _SQUARES_RANGE and w.any()
     if scaled:
-        w, e = _normalized(w)
-        s = _gram(w)
+        e = int(_top_exponents(w).max())
+        s = _formed(family, w, e)
         top = float(np.max(s.diagonal().real))
     # a family's own vectors are finite and scaled rows are below 1, so only c_n x_n can overflow
     if not np.isfinite(s).all():

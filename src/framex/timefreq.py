@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import GridTooCoarseError, NotAFrameError, PreconditionError
 from .frames import VectorFamily, frame_bounds, frame_operator
+from .linalg import _times_pow2
 
 __all__ = [
     "CyclicSignal",
@@ -222,12 +223,12 @@ def gabor_family(spec):
     """Realize M_b T_a window for every shift pair, in input order.
 
     The family is built once per spec and returned on every later call, so
-    it forms its frame once too.
+    it forms its frame once too, from the window and the shift histogram.
     """
     if spec._family is not None:
         return spec._family
     window = spec.window
-    if window.norm == 0.0:
+    if not window.samples.any():  # its norm can underflow to 0 or overflow
         raise PreconditionError("the Gabor window must be nonzero")
     length = window.length
     t = np.arange(length)
@@ -242,30 +243,54 @@ def gabor_family(spec):
     for lo in range(0, len(spec), step):
         block = slice(lo, lo + step)
         np.multiply(translates[a_index[block]], characters[b_index[block]], out=rows[block])
-    codes, _, index = _distinct_codes(spec)
+    codes, index = np.unique(spec._shifts @ [length, 1], return_inverse=True)
     names = [f"{c // length},{c % length}" for c in codes.tolist()]
     spec._family = VectorFamily(rows, labels=[names[i] for i in index.tolist()], _adopt=True)
+    _with_walnut(spec._family, window, spec._shifts)
     return spec._family
 
 
-def _distinct_codes(spec):
-    """np.unique of the codes a * L + b of the shift pairs of spec, with firsts and inverse."""
-    return np.unique(
-        spec._shifts[:, 0] * spec.length + spec._shifts[:, 1], return_index=True, return_inverse=True
-    )
+def _with_walnut(family, window, shifts):
+    """Give family, the Gabor rows of window over shifts, the frame operator of _walnut."""
+    length = window.length
+    counts = np.bincount(shifts @ [length, 1], minlength=length * length).reshape(length, length)
+    family._operator_of = lambda e: _walnut(_times_pow2(window.samples, -e), counts)
 
 
-def _distinct_duals(spec):
-    """Canonical duals of the Gabor family of spec, once per distinct shift pair.
+def _walnut(g, counts):
+    """S = sum over pairs (a, b) of counts[a, b] (M_b T_a g)(M_b T_a g)^*, without its rows.
 
-    Returns (solved, index, inverse): inverse is S^-1 of the family's frame
-    operator S, and column index[n] of solved = inverse @ rows.T is the
-    dual of element n; equal pairs give bit-equal rows, so one column each.
+    Walnut's representation: S[t, t - tau] = sum_a K[a, tau] q(t - a, tau),
+    with K[a, tau] = sum_b counts[a, b] e^{2 pi i b tau / L} and
+    q(u, tau) = g(u) conj g(u - tau), a cyclic convolution over a for each
+    tau, formed by FFTs in O(L^2 log L).
     """
-    family = gabor_family(spec)
-    _, firsts, index = _distinct_codes(spec)
-    inverse = np.linalg.inv(frame_operator(family).matrix)
-    return inverse @ family.vectors[firsts].T, index, inverse
+    length = g.size
+    t = np.arange(length)
+    lag = (t[:, None] - t) % length  # lag[t, s] = t - s
+    kernel = np.fft.fft(counts, axis=1).conj()
+    q = g[:, None] * g.conj()[lag]
+    bands = np.fft.ifft(np.fft.fft(kernel, axis=0) * np.fft.fft(q, axis=0), axis=0)
+    return bands[t[:, None], lag]
+
+
+def _dual_norms(spec):
+    """(||S^-1 x|| for the distinct shift pairs of spec in increasing a L + b, S^-1).
+
+    S is the frame operator of the Gabor family of spec.  With P = S^-* S^-1,
+    ||S^-1 M_b T_a g||^2 = sum_tau e^{2 pi i b tau / L} sum_t conj g(t - a)
+    g(t + tau - a) P[t, t + tau]: a correlation over a, then a DFT over tau,
+    so two L x L FFT passes give every pair's norm and no dual is formed.
+    """
+    inverse = np.linalg.inv(frame_operator(gabor_family(spec)).matrix)
+    g, length = spec.window.samples, spec.length
+    t = np.arange(length)
+    ahead = (t[:, None] + t) % length  # ahead[t, tau] = t + tau
+    band = (inverse.conj().T @ inverse)[t[:, None], ahead]
+    pairs = g[:, None] * g.conj()[ahead]
+    corr = np.fft.ifft(np.fft.fft(band, axis=0) * np.fft.fft(pairs, axis=0).conj(), axis=0)
+    squares = length * np.fft.ifft(corr, axis=1).real
+    return np.sqrt(squares.ravel()[np.unique(spec._shifts @ [length, 1])].clip(0.0)), inverse
 
 
 def exponential_family(spec):
@@ -366,8 +391,7 @@ def densify_gabor_frame(base, counts, *, seed=0):
         raise NotAFrameError("the base Gabor system must be a frame")
 
     length = base.length
-    solved, index, inverse = _distinct_duals(base)
-    dual_norms = np.linalg.norm(solved, axis=0)
+    dual_norms, inverse = _dual_norms(base)
     sup_dual = float(dual_norms.max())
     root_length = math.sqrt(length)
     window = base.window
@@ -426,14 +450,13 @@ def densify_gabor_frame(base, counts, *, seed=0):
     pos = 0
     for n, k_n in enumerate(sizes, start=1):
         block = clusters[pos : pos + k_n]
-        mixed += block.sum(axis=0)[:, None] * np.conj(solved[:, index[n - 1]])[None, :] / k_n
+        mixed += block.sum(axis=0)[:, None] * np.conj(inverse @ fam.vectors[n - 1])[None, :] / k_n
         pos += k_n
     if tail.size:
         # sum over the pass-through elements of x_n (S^-1 x_n)^*, as (S - S_lead) S^-1;
         # I - S_lead S^-1 would hide the error of the inverse from the deviation
         head = fam.vectors[:lead]
         mixed += (frame_operator(fam).matrix - head.T @ head.conj()) @ inverse.conj().T
-    del solved  # the duals go before the emitted rows are built
     deviation = float(np.linalg.norm(mixed - np.eye(length), ord=2))
     if deviation >= 1.0:
         raise PreconditionError(
@@ -442,6 +465,8 @@ def densify_gabor_frame(base, counts, *, seed=0):
         )
 
     family = VectorFamily(np.concatenate([clusters, tail]), labels=labels, _adopt=True)
+    # its operator from its own shift list: the cluster pairs, then the base pairs passed through
+    _with_walnut(family, window, np.concatenate([np.array(emitted_shifts[: len(clusters)]), base._shifts[lead:]]))
     report = DensificationReport(
         operator_deviation=deviation,
         cluster_sizes=tuple(sizes),

@@ -472,6 +472,7 @@ def test_analyze_rejects_complex_entry_beyond_float_range(tmp_path):
 
 def test_construct45_builds_the_base_family_once(tmp_path, monkeypatch):
     built = count_calls(monkeypatch, timefreq, "VectorFamily")
+    formed = count_calls(monkeypatch, timefreq, "_walnut")
     bounded = []
     bounds = frames._frame_bounds
 
@@ -486,15 +487,17 @@ def test_construct45_builds_the_base_family_once(tmp_path, monkeypatch):
     # the base family and the emitted one, each built and bounded once
     assert [shapes[0] for shapes in built] == [(128, 8), (129, 8)]
     assert bounded == [128, 129]
+    # each bounded through its operator, formed once from the window and the 8 x 8 shift histogram
+    assert formed == [((8,), (8, 8))] * 2
 
 
 def test_construct45_peaks_under_three_family_arrays():
     """The benchmark's construct45 job holds at most 2.5 8,192 x 64 complex arrays at once.
 
     The base family and the emitted rows, with their labels and shift
-    tuples, peak at about 2.2 of them: the distinct duals (half a family)
-    are released before the emitted rows exist, and the emitted family is
-    bounded after the base one is released.
+    tuples, peak at about 2.2 of them: both families' operators come from
+    their shift histograms, no dual is formed beyond the lead ones, and
+    the emitted family is bounded after the base one is released.
     """
     payload = window_payload(64)
     params = {"counts": "1,2,4,8", "copies": "2"}
@@ -559,20 +562,27 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
-def test_construct45_solves_each_distinct_shift_once_against_one_gram(tmp_path, monkeypatch):
+def test_construct45_takes_its_duals_from_one_inverse(tmp_path, monkeypatch):
     solves = count_calls(monkeypatch, np.linalg, "solve")
     inverses = count_calls(monkeypatch, np.linalg, "inv")
-    grams = count_calls(monkeypatch, frames, "_gram")
     params = ("--param", "counts=1,2", "--param", "copies=3")
     code, report, _ = run_cli(tmp_path, "construct45", window_payload(8), *params)
     assert code == 0
     assert report["results"]["base_count"] == 3 * 64
-    # the duals of the distinct shift pairs of Z_8^2 and the mixed operator
-    # both come from one inverse of the 8 x 8 frame operator, with no solve
+    # the dual norms of the distinct shift pairs of Z_8^2, the lead duals and
+    # the mixed operator all come from one inverse of the 8 x 8 frame operator
     assert inverses == [((8, 8),)]
     assert solves == []
-    # one Gram product for the base family and one for the emitted one
-    assert grams == [((3 * 64, 8),), ((3 * 64 + 1, 8),)]
+
+
+def test_gabor_commands_form_no_gram_of_their_rows(monkeypatch):
+    """construct45 at the benchmark's size and gabor bound their families from the shift histogram."""
+    grams = count_calls(monkeypatch, frames, "_gram")
+    results = cli._cmd_construct45(window_payload(64), {"counts": "1,2,4,8", "copies": "2"}, 0)
+    assert results["base_count"] == 8192 and results["emitted_frame"].is_frame
+    results = cli._cmd_gabor(window_payload(32), {"a_step": "2", "b_step": "4"}, 0)
+    assert results["count"] == 128 and results["frame"].is_frame
+    assert grams == []
 
 
 @pytest.mark.parametrize("command", ["analyze", "dual"])

@@ -2,16 +2,20 @@
 
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from helpers import reference_densify_gabor_frame, reference_gabor_duals, roll_gabor_rows
 
 from framex import (
     CyclicSignal,
     ExponentialSpec,
     GaborSpec,
+    VectorFamily,
     densify_gabor_frame,
     exponential_family,
     frame_bounds,
@@ -235,10 +239,93 @@ def test_coarse_sublattice_bounds():
     assert rep.upper - rep.lower > 1e-3  # redundancy 4 but not tight
 
 
-def test_critical_lattice_degenerates():
-    pairs = [(a, b) for a in range(0, L, 4) for b in range(0, L, 4)]
-    rep = frame_bounds(gabor_family(GaborSpec(gaussian_window(L), pairs)))
+def lattice_shifts(length, step):
+    a, b = np.meshgrid(np.arange(0, length, step), np.arange(0, length, step), indexing="ij")
+    return np.column_stack([a.ravel(), b.ravel()])
+
+
+@pytest.mark.parametrize("n", range(2, 21, 2))
+def test_critical_even_step_lattice_degenerates(n):
+    """At critical density with an even step, a = b = n on L = n^2, the Gaussian lattice is no frame."""
+    rep = frame_bounds(gabor_family(GaborSpec(gaussian_window(n * n), lattice_shifts(n * n, n))))
     assert not rep.is_frame
+
+
+@pytest.mark.parametrize("n", range(3, 22, 2))
+def test_critical_gaussian_lattice_degrades_like_one_over_l(n):
+    """At critical density, a = b = n on L = n^2, A / B falls like 1 / L for odd n.
+
+    The finite sections of the paper's corollary: no Gabor system of
+    critical density with a window in the Feichtinger algebra is an
+    unconditional Schauder frame, so none is a frame, and the condition
+    number of these finite frames grows with L (A / B L lies in
+    [1.7128, 1.7188] for n = 3..21).
+    """
+    rep = frame_bounds(gabor_family(GaborSpec(gaussian_window(n * n), lattice_shifts(n * n, n))))
+    assert rep.is_frame
+    assert 1.70 <= rep.lower / rep.upper * n * n <= 1.73
+
+
+@pytest.mark.parametrize("n", range(4, 23, 2))
+def test_fourfold_dense_gaussian_lattice_stays_well_conditioned(n):
+    """At four times the critical density, a = b = n / 2, A / B stays near 1 (0.9852..0.9889)."""
+    rep = frame_bounds(gabor_family(GaborSpec(gaussian_window(n * n), lattice_shifts(n * n, n // 2))))
+    assert rep.lower / rep.upper >= 0.98
+
+
+def walnut_bound(length, total):
+    """The frame_bounds docstring's bound on a Gabor family's operator, total = sum ||x_n||^2."""
+    u = np.finfo(float).eps / 2
+    log = math.ceil(math.log2(length))
+    return math.sqrt(length) * (32 * log + 8) * u * total + 8 * length**2 * 2.0**-1074
+
+
+def gram_bound(count, dim, total):
+    """The frame_bounds docstring's bound on the Gram product of count complex vectors."""
+    u = np.finfo(float).eps / 2
+    return (count + 3) * u / (1 - (count + 3) * u) * total + dim * (count + 1) * 2.0**-1074
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    length=st.integers(1, 97) | st.sampled_from([2, 3, 5, 7, 31, 61, 89, 97]),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.integers(470, 600) | st.integers(-600, -470),
+)
+def test_walnut_operator_equals_the_gram_property(length, seed, scale):
+    """A Gabor family's operator, from its shift histogram, against the Gram of its rows.
+
+    Windows are complex, with zeros, of entries in (1/8) Z; shift lists are
+    random, with repeats.  The two operators differ by at most the sum of
+    the frame_bounds docstring's bounds for the two paths, plus the rows'
+    own rounding against the exact Gabor vectors (characters within 21 u,
+    products within 3 u, so their operator within 50 u sum ||x_n||^2).  The
+    window times 2^scale is bounded through the scaling branch, so its
+    bounds are exactly 4^scale times the window's, or a bound leaves the
+    float range and PreconditionError says so.
+    """
+    rng = np.random.default_rng(seed)
+    window = rng.integers(-8, 9, size=(length, 2)) @ [1.0, 1j] / 8
+    window[rng.random(length) < 0.3] = 0.0
+    window[rng.integers(length)] += 1.0
+    count = int(rng.integers(1, 3 * length + 1))
+    shifts = rng.integers(0, length, size=(count, 2))
+    shifts = np.concatenate([shifts, shifts[: rng.integers(0, count + 1)]])
+    family = gabor_family(GaborSpec(window, shifts))
+    total = len(shifts) * np.linalg.norm(window) ** 2
+    u = np.finfo(float).eps / 2
+    bound = walnut_bound(length, total) + gram_bound(len(shifts), length, total) + 50 * u * total
+    gap = frame_operator(family).matrix - frame_operator(VectorFamily(family.vectors)).matrix
+    assert np.linalg.norm(gap, ord=2) <= bound
+    base = frame_bounds(family)
+    try:
+        scaled = frame_bounds(gabor_family(GaborSpec(window * 2.0**scale, shifts)))
+    except PreconditionError as exc:
+        assert re.fullmatch(r"frame bound .* \* 4\^-?\d+ (overflows the|underflows the normal) float range", str(exc))
+        return
+    assert scaled.upper == math.ldexp(base.upper, 2 * scale)
+    assert scaled.lower == math.ldexp(base.lower, 2 * scale)
+    assert (scaled.is_frame, scaled.is_tight) == (base.is_frame, base.is_tight)
 
 
 def test_exponential_family_full_and_half_mask():
@@ -382,19 +469,19 @@ def dual_tolerance(spec):
 @pytest.mark.parametrize("length", [8, 16, 32, 48, 64])
 def test_distinct_duals_equal_a_full_solve(length, copies):
     for spec in (construct45_spec(length, 4, copies), shuffled_spec(length, copies, length + copies)):
-        solved, index, inverse = timefreq._distinct_duals(spec)
-        assert solved.shape == (length, len(set(spec.shifts)))
-        assert [spec.shifts[i] for i in np.unique(index, return_index=True)[1]] == sorted(
-            set(spec.shifts)
-        )
+        norms, inverse = timefreq._dual_norms(spec)
+        # the distinct pairs in increasing a L + b, and each element's place among them
+        codes, index = np.unique(np.array(spec.shifts) @ [length, 1], return_inverse=True)
+        assert norms.shape == codes.shape
         assert_same_bits_and_layout(inverse, np.linalg.inv(frame_operator(gabor_family(spec)).matrix))
-        # within the bound of a full solve over all rows, column by column
+        # the duals densify_gabor_frame forms, inverse @ x_n, within the bound of a full solve over all rows
         reference = reference_gabor_duals(spec)
         reference_norms = np.linalg.norm(reference, axis=1)
         bound = dual_tolerance(spec) * reference_norms
-        assert np.all(np.linalg.norm(solved[:, index].T - reference, axis=1) <= bound)
-        # the norms of the distinct columns are the full solve's row norms
-        assert np.all(np.abs(np.linalg.norm(solved, axis=0)[index] - reference_norms) <= bound)
+        duals = (inverse @ gabor_family(spec).vectors.T).T
+        assert np.all(np.linalg.norm(duals - reference, axis=1) <= bound)
+        # the norms of the distinct pairs are the full solve's row norms
+        assert np.all(np.abs(norms[index] - reference_norms) <= bound)
 
 
 @pytest.mark.parametrize(
@@ -457,13 +544,13 @@ def test_densify_skips_a_shift_an_earlier_cluster_took():
 
 def test_densify_refuses_a_mixed_operator_far_from_the_identity(monkeypatch):
     """A forged S^-1, three times too large, puts the mixed operator near 3 I."""
-    duals = timefreq._distinct_duals
+    dual_norms = timefreq._dual_norms
 
     def tripled(spec):
-        solved, index, inverse = duals(spec)
-        return solved, index, 3.0 * inverse
+        norms, inverse = dual_norms(spec)
+        return norms, 3.0 * inverse
 
-    monkeypatch.setattr(timefreq, "_distinct_duals", tripled)
+    monkeypatch.setattr(timefreq, "_dual_norms", tripled)
     with pytest.raises(PreconditionError, match="mixed operator strays .* from the identity"):
         densify_gabor_frame(quadrupled_spec(), (1, 1, 1))
 
