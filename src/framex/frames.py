@@ -43,24 +43,22 @@ class VectorFamily:
     the family they make is {c_n x_n}, its weighted_vectors(); complex
     scalars are only permitted when the ambient space is complex.  A family
     is immutable, so it forms its frame once: frame_bounds, frame_operator,
-    canonical_dual and classify share it.  A builder that has a formula for
-    the frame operator sets _operator_of, a function of e giving the
-    operator of the vectors times 2^-e; it then replaces the Gram product.
-    The vectors are copied; only framex's own builders pass _adopt=True, for
-    an array they have just built and hold nowhere else, which is then
-    checked and made read-only in place.
+    canonical_dual and classify share it.  A subclass that has a formula for
+    the frame operator overrides _operator; frame_bounds and frame_operator
+    then read its rows only to scale a family whose squares leave the float
+    range.  The vectors are copied.
     """
 
-    __slots__ = ("_vectors", "_scalars", "_labels", "_frame", "_operator_of")
+    __slots__ = ("_vectors", "_scalars", "_labels", "_frame")
 
-    def __init__(self, vectors, scalars=None, labels=None, *, _adopt=False):
+    def __init__(self, vectors, scalars=None, labels=None):
         v = np.asarray(vectors)
         if v.ndim != 2:
             raise PreconditionError(f"expected a (count, dim) array, got shape {v.shape}")
         if v.shape[0] == 0 or v.shape[1] == 0:
             raise PreconditionError("a vector family must hold at least one vector in dim >= 1")
         dtype = np.complex128 if np.iscomplexobj(v) else np.float64
-        v = v.astype(dtype, copy=not _adopt)
+        v = v.astype(dtype)
         if not np.isfinite(v).all():
             raise PreconditionError("vectors must have finite entries")
         v.setflags(write=False)
@@ -90,7 +88,6 @@ class VectorFamily:
                 )
         self._labels = labels
         self._frame = None  # (FrameReport, PsdOperator or None) once frame_bounds has run
-        self._operator_of = None
 
     @property
     def vectors(self) -> np.ndarray:
@@ -121,12 +118,17 @@ class VectorFamily:
         A product beyond the float range reads inf (or nan), without a warning.
         """
         if self._scalars is None:
-            return self._vectors
+            return self.vectors
         with np.errstate(over="ignore", invalid="ignore"):
             return self._vectors * self._scalars[:, None]
 
     def __repr__(self):
         return f"VectorFamily(count={len(self)}, dim={self.dim}, field={self.field})"
+
+    def _operator(self, e: int = 0) -> np.ndarray:
+        """The frame operator of the weighted vectors times 2^-e, as their Gram product."""
+        w = self.weighted_vectors()
+        return _gram(_times_pow2(w, -e) if e else w)
 
 
 @dataclass(frozen=True)
@@ -162,14 +164,6 @@ def _gram(w: np.ndarray) -> np.ndarray:
         return w.T @ w.conj()
 
 
-def _formed(family: VectorFamily, w: np.ndarray, e: int = 0) -> np.ndarray:
-    """The frame operator of family's rows w times 2^-e: its own formula's, or the Gram product of w."""
-    if family._operator_of is not None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return family._operator_of(e)
-    return _gram(_times_pow2(w, -e) if e else w)
-
-
 def frame_operator(family) -> PsdOperator:
     """S = sum of rank-one operators of the rescaled vectors c_n x_n.
 
@@ -179,7 +173,7 @@ def frame_operator(family) -> PsdOperator:
     family = _as_family(family)
     if family._frame is not None and family._frame[1] is not None:
         return family._frame[1]
-    s = _formed(family, family.weighted_vectors())
+    s = family._operator()
     if not np.isfinite(s).all():
         raise PreconditionError("frame operator is not finite: entries overflow the float range")
     return PsdOperator(s, _prevalidated=True)
@@ -276,14 +270,12 @@ def _frame_bounds(family: VectorFamily) -> tuple[FrameReport, PsdOperator | None
     largest real or imaginary part of its vectors in [0.5, 1), and then
     only frame_operator can say whether it overflows.
     """
-    w = family.weighted_vectors()
-    count, dim = w.shape
-    s, e = _formed(family, w), 0
+    s, e = family._operator(), 0
     top = float(np.max(s.diagonal().real))
-    scaled = not 1.0 / _SQUARES_RANGE <= top <= _SQUARES_RANGE and w.any()
+    scaled = not 1.0 / _SQUARES_RANGE <= top <= _SQUARES_RANGE and (w := family.weighted_vectors()).any()
     if scaled:
         e = int(_top_exponents(w).max())
-        s = _formed(family, w, e)
+        s = family._operator(e)
         top = float(np.max(s.diagonal().real))
     # a family's own vectors are finite and scaled rows are below 1, so only c_n x_n can overflow
     if not np.isfinite(s).all():
@@ -299,7 +291,7 @@ def _frame_bounds(family: VectorFamily) -> tuple[FrameReport, PsdOperator | None
     lower = float(max(ev[0], 0.0))
     upper = float(max(ev[-1], 0.0))
     tol = NUMERIC_TOL * max(upper, 1.0)
-    m, eye = scaled_operator.matrix, np.eye(dim)
+    m, eye = scaled_operator.matrix, np.eye(family.dim)
     try:
         np.linalg.cholesky(m - (lower - tol) * eye)
         np.linalg.cholesky((upper + tol) * eye - m)
@@ -317,7 +309,7 @@ def _frame_bounds(family: VectorFamily) -> tuple[FrameReport, PsdOperator | None
         is_frame=is_frame,
         is_bessel=np.isfinite(upper),
         is_tight=is_tight,
-        is_riesz_basis=is_frame and count == dim,
+        is_riesz_basis=is_frame and len(family) == family.dim,
     )
     return report, operator
 

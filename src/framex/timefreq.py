@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import GridTooCoarseError, NotAFrameError, PreconditionError
 from .frames import VectorFamily, frame_bounds, frame_operator
-from .linalg import _times_pow2
+from .linalg import _times_pow2, _top_exponents
 
 __all__ = [
     "CyclicSignal",
@@ -64,7 +64,10 @@ class CyclicSignal:
 
     @property
     def norm(self):
-        return float(np.linalg.norm(self._samples))
+        # the samples are sized by a power of two first, so their squares neither overflow nor underflow
+        e = int(_top_exponents(self._samples[None])[0])
+        with np.errstate(over="ignore"):
+            return float(_times_pow2(np.linalg.norm(_times_pow2(self._samples, -e)), e))
 
     def __len__(self):
         return self.length
@@ -142,7 +145,7 @@ class GaborSpec:
     @property
     def shifts(self):
         if self._pairs is None:
-            self._pairs = tuple(map(tuple, self._shifts.tolist()))
+            self._pairs = tuple(zip(*self._shifts.T.tolist()))
         return self._pairs
 
     @property
@@ -220,52 +223,84 @@ _BLOCK_ENTRIES = 1 << 16
 
 
 def gabor_family(spec):
-    """Realize M_b T_a window for every shift pair, in input order.
+    """The family of M_b T_a window for every shift pair, in input order.
 
     The family is built once per spec and returned on every later call, so
     it forms its frame once too, from the window and the shift histogram.
+    Its rows and labels are formed when first read.
     """
-    if spec._family is not None:
-        return spec._family
-    window = spec.window
-    if not window.samples.any():  # its norm can underflow to 0 or overflow
-        raise PreconditionError("the Gabor window must be nonzero")
-    length = window.length
-    t = np.arange(length)
-    a_values, a_index = np.unique(spec._shifts[:, 0], return_inverse=True)
-    b_values, b_index = np.unique(spec._shifts[:, 1], return_inverse=True)
-    # one row per distinct a, np.roll(window, a), and per distinct b, its characters
-    translates = window.samples[(t - a_values[:, None]) % length]
-    characters = _character_table(length)[(t * b_values[:, None]) % length]
-    # the rows are written in blocks, so no temporary grows with the family
-    rows = np.empty((len(spec), length), dtype=complex)
-    step = max(1, _BLOCK_ENTRIES // length)
-    for lo in range(0, len(spec), step):
-        block = slice(lo, lo + step)
-        np.multiply(translates[a_index[block]], characters[b_index[block]], out=rows[block])
-    codes, index = np.unique(spec._shifts @ [length, 1], return_inverse=True)
-    names = [f"{c // length},{c % length}" for c in codes.tolist()]
-    spec._family = VectorFamily(rows, labels=[names[i] for i in index.tolist()], _adopt=True)
-    _with_walnut(spec._family, window, spec._shifts)
+    if spec._family is None:
+        if not spec.window.samples.any():
+            raise PreconditionError("the Gabor window must be nonzero")
+        spec._family = _GaborFamily(spec.window.samples, spec._shifts)
     return spec._family
 
 
-def _with_walnut(family, window, shifts):
-    """Give family, the Gabor rows of window over shifts, the frame operator of _walnut."""
-    length = window.length
-    counts = np.bincount(shifts @ [length, 1], minlength=length * length).reshape(length, length)
-    family._operator_of = lambda e: _walnut(_times_pow2(window.samples, -e), counts)
+class _GaborFamily(VectorFamily):
+    """The Gabor family of window samples over an (m, 2) shift array, kept as the two."""
+
+    __slots__ = ("_window", "_shifts")
+
+    def __init__(self, window, shifts):
+        self._window, self._shifts = window, shifts
+        self._vectors = self._labels = self._scalars = self._frame = None
+
+    @property
+    def vectors(self):
+        if self._vectors is None:  # checked and made read-only as any family's rows
+            self._vectors = VectorFamily(_gabor_rows(self._window, self._shifts)).vectors
+        return self._vectors
+
+    @property
+    def labels(self):
+        if self._labels is None:
+            self._labels = tuple(f"{a},{b}" for a, b in self._shifts.tolist())
+        return self._labels
+
+    @property
+    def dim(self):
+        return self._window.size
+
+    @property
+    def field(self):
+        return "complex"
+
+    def __len__(self):
+        return self._shifts.shape[0]
+
+    def _operator(self, e=0):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _walnut(_times_pow2(self._window, -e), self._shifts)
 
 
-def _walnut(g, counts):
-    """S = sum over pairs (a, b) of counts[a, b] (M_b T_a g)(M_b T_a g)^*, without its rows.
+def _gabor_rows(window, shifts):
+    """The rows M_b T_a window of window's samples, one per (a, b) row of shifts."""
+    length = window.size
+    t = np.arange(length)
+    a_values, a_index = np.unique(shifts[:, 0], return_inverse=True)
+    b_values, b_index = np.unique(shifts[:, 1], return_inverse=True)
+    # one row per distinct a, np.roll(window, a), and per distinct b, its characters
+    translates = window[(t - a_values[:, None]) % length]
+    characters = _character_table(length)[(t * b_values[:, None]) % length]
+    # the rows are written in blocks, so no temporary grows with the family
+    rows = np.empty((shifts.shape[0], length), dtype=complex)
+    step = max(1, _BLOCK_ENTRIES // length)
+    for lo in range(0, shifts.shape[0], step):
+        block = slice(lo, lo + step)
+        np.multiply(translates[a_index[block]], characters[b_index[block]], out=rows[block])
+    return rows
+
+
+def _walnut(g, shifts):
+    """S = sum over the rows (a, b) of shifts of (M_b T_a g)(M_b T_a g)^*, without its rows.
 
     Walnut's representation: S[t, t - tau] = sum_a K[a, tau] q(t - a, tau),
-    with K[a, tau] = sum_b counts[a, b] e^{2 pi i b tau / L} and
-    q(u, tau) = g(u) conj g(u - tau), a cyclic convolution over a for each
-    tau, formed by FFTs in O(L^2 log L).
+    with K[a, tau] = sum_b counts[a, b] e^{2 pi i b tau / L}, counts the
+    histogram of shifts, and q(u, tau) = g(u) conj g(u - tau), a cyclic
+    convolution over a for each tau, formed by FFTs in O(L^2 log L).
     """
     length = g.size
+    counts = np.bincount(shifts @ [length, 1], minlength=length * length).reshape(length, length)
     t = np.arange(length)
     lag = (t[:, None] - t) % length  # lag[t, s] = t - s
     kernel = np.fft.fft(counts, axis=1).conj()
@@ -395,20 +430,14 @@ def densify_gabor_frame(base, counts, *, seed=0):
     sup_dual = float(dual_norms.max())
     root_length = math.sqrt(length)
     window = base.window
-    shifts = base.shifts
+    lead = len(sizes)
+    head = _gabor_rows(window.samples, base._shifts[:lead])
 
-    used = set()
-    cluster_rows = []
-    emitted_shifts = []
-    emitted_weights = []
-    param_caps = []
-    vector_caps = []
-    worst_param = []
-    worst_vector = []
+    used, cluster_shifts = set(), []
+    param_caps, vector_caps, worst_param, worst_vector = [], [], [], []
 
     for n, k_n in enumerate(sizes, start=1):
-        a0, b0 = shifts[n - 1]
-        base_vec = fam.vectors[n - 1]
+        a0, b0 = base._shifts[n - 1].tolist()
         cap_vec = 1.0 / (4**n * sup_dual)
         param_caps.append(root_length / n)
         vector_caps.append(cap_vec)
@@ -419,11 +448,11 @@ def densify_gabor_frame(base, counts, *, seed=0):
             if pair in used:
                 continue
             cand = modulate(translate(window, pair[0]), pair[1]).samples
-            dist = float(np.linalg.norm(cand - base_vec))
+            dist = float(np.linalg.norm(cand - head[n - 1]))
             if dist >= cap_vec:
                 continue
             used.add(pair)
-            chosen.append((pair, cand, math.hypot(da, db) / root_length, dist))
+            chosen.append((pair, math.hypot(da, db) / root_length, dist))
             if len(chosen) == k_n:
                 break
         if len(chosen) < k_n:
@@ -431,31 +460,23 @@ def densify_gabor_frame(base, counts, *, seed=0):
                 f"cluster {n} admits only {len(chosen)} of {k_n} copies; "
                 "the shift grid is too coarse for the requested caps"
             )
-        worst_param.append(max(c[2] for c in chosen))
-        worst_vector.append(max(c[3] for c in chosen))
-        for pair, cand, _, _ in chosen:
-            cluster_rows.append(cand)
-            emitted_shifts.append(pair)
-            emitted_weights.append(1.0 / k_n)
+        worst_param.append(max(c[1] for c in chosen))
+        worst_vector.append(max(c[2] for c in chosen))
+        cluster_shifts += [c[0] for c in chosen]
 
-    # the remaining base elements pass through as they are
-    lead = len(sizes)
-    labels = [f"{a},{b}" for a, b in emitted_shifts] + list(fam.labels[lead:])
-    emitted_shifts += shifts[lead:]
-    emitted_weights += [1.0] * (len(base) - lead)
-    clusters = np.array(cluster_rows)
-    tail = fam.vectors[lead:]
+    # the cluster pairs, then the base pairs passed through as they are
+    spec = GaborSpec(window, np.concatenate([np.array(cluster_shifts), base._shifts[lead:]]))
+    clusters = _gabor_rows(window.samples, spec._shifts[: len(cluster_shifts)])  # each bit-equal to its cand
     # S = sum over emitted copies of weight * copy (x) dual of its source
     mixed = np.zeros((length, length), dtype=complex)
     pos = 0
     for n, k_n in enumerate(sizes, start=1):
         block = clusters[pos : pos + k_n]
-        mixed += block.sum(axis=0)[:, None] * np.conj(inverse @ fam.vectors[n - 1])[None, :] / k_n
+        mixed += block.sum(axis=0)[:, None] * np.conj(inverse @ head[n - 1])[None, :] / k_n
         pos += k_n
-    if tail.size:
+    if lead < len(base):
         # sum over the pass-through elements of x_n (S^-1 x_n)^*, as (S - S_lead) S^-1;
         # I - S_lead S^-1 would hide the error of the inverse from the deviation
-        head = fam.vectors[:lead]
         mixed += (frame_operator(fam).matrix - head.T @ head.conj()) @ inverse.conj().T
     deviation = float(np.linalg.norm(mixed - np.eye(length), ord=2))
     if deviation >= 1.0:
@@ -464,9 +485,6 @@ def densify_gabor_frame(base, counts, *, seed=0):
             "the construction does not certify invertibility"
         )
 
-    family = VectorFamily(np.concatenate([clusters, tail]), labels=labels, _adopt=True)
-    # its operator from its own shift list: the cluster pairs, then the base pairs passed through
-    _with_walnut(family, window, np.concatenate([np.array(emitted_shifts[: len(clusters)]), base._shifts[lead:]]))
     report = DensificationReport(
         operator_deviation=deviation,
         cluster_sizes=tuple(sizes),
@@ -477,8 +495,8 @@ def densify_gabor_frame(base, counts, *, seed=0):
         dual_norm_sup=sup_dual,
         weights_nonzero=bool(np.all(dual_norms > 0.0)),
         base_count=len(base),
-        emitted_count=len(emitted_shifts),
-        shifts=tuple(emitted_shifts),
-        weights=tuple(emitted_weights),
+        emitted_count=len(spec),
+        shifts=spec.shifts,
+        weights=tuple(1.0 / k for k in sizes for _ in range(k)) + (1.0,) * (len(base) - lead),
     )
-    return family, report
+    return gabor_family(spec), report

@@ -471,7 +471,8 @@ def test_analyze_rejects_complex_entry_beyond_float_range(tmp_path):
 
 
 def test_construct45_builds_the_base_family_once(tmp_path, monkeypatch):
-    built = count_calls(monkeypatch, timefreq, "VectorFamily")
+    built = count_calls(monkeypatch, timefreq, "_GaborFamily")
+    realized = count_calls(monkeypatch, timefreq, "_gabor_rows")
     formed = count_calls(monkeypatch, timefreq, "_walnut")
     bounded = []
     bounds = frames._frame_bounds
@@ -484,20 +485,22 @@ def test_construct45_builds_the_base_family_once(tmp_path, monkeypatch):
     code, report, _ = run_cli(tmp_path, "construct45", window_payload(8), "--param", "counts=1,2")
     assert code == 0
     assert report["results"]["base_count"] == 128
-    # the base family and the emitted one, each built and bounded once
-    assert [shapes[0] for shapes in built] == [(128, 8), (129, 8)]
+    # the base family and the emitted one, each built from the window and its shifts and bounded once
+    assert built == [((8,), (128, 2)), ((8,), (129, 2))]
     assert bounded == [128, 129]
-    # each bounded through its operator, formed once from the window and the 8 x 8 shift histogram
-    assert formed == [((8,), (8, 8))] * 2
+    # each bounded through its operator, formed once from the window and the shift histogram
+    assert formed == built
+    # the only rows formed: the two lead rows and the three cluster rows that replace them
+    assert realized == [((8,), (2, 2)), ((8,), (3, 2))]
 
 
-def test_construct45_peaks_under_three_family_arrays():
-    """The benchmark's construct45 job holds at most 2.5 8,192 x 64 complex arrays at once.
+def test_construct45_peaks_under_a_quarter_family_array():
+    """The benchmark's construct45 job holds at most a quarter of an 8,192 x 64 complex array at once.
 
-    The base family and the emitted rows, with their labels and shift
-    tuples, peak at about 2.2 of them: both families' operators come from
-    their shift histograms, no dual is formed beyond the lead ones, and
-    the emitted family is bounded after the base one is released.
+    Neither family forms its rows or labels: both operators come from the
+    window and the shift histograms.  The lead and cluster rows, the shift
+    arrays, the report's tuple of 8,203 shift pairs and the 64 x 64
+    operators and FFTs peak at about 1.2 MiB of the 2 MiB bound.
     """
     payload = window_payload(64)
     params = {"counts": "1,2,4,8", "copies": "2"}
@@ -510,7 +513,7 @@ def test_construct45_peaks_under_three_family_arrays():
         tracemalloc.stop()
     assert results["base_count"] == 8192
     family_bytes = 8192 * 64 * np.dtype(complex).itemsize
-    assert peak < 2.5 * family_bytes, f"peak {peak / 2**20:.1f} MiB"
+    assert peak < 0.25 * family_bytes, f"peak {peak / 2**20:.2f} MiB"
 
 
 # a fresh interpreter: glibc's adjustment would raise the mmap threshold to
@@ -583,6 +586,18 @@ def test_gabor_commands_form_no_gram_of_their_rows(monkeypatch):
     results = cli._cmd_gabor(window_payload(32), {"a_step": "2", "b_step": "4"}, 0)
     assert results["count"] == 128 and results["frame"].is_frame
     assert grams == []
+
+
+def test_gabor_commands_form_no_family_rows(monkeypatch):
+    """At L = 64, construct45 forms only its 4 lead rows and 15 cluster rows; gabor forms none."""
+    realized = count_calls(monkeypatch, timefreq, "_gabor_rows")
+    results = cli._cmd_construct45(window_payload(64), {"counts": "1,2,4,8", "copies": "2"}, 0)
+    assert results["base_count"] == 8192 and results["report"].emitted_count == 8203
+    assert realized == [((64,), (4, 2)), ((64,), (15, 2))]
+    realized.clear()
+    results = cli._cmd_gabor(window_payload(64), {"a_step": "2", "b_step": "2"}, 0)
+    assert results["count"] == 1024 and results["frame"].is_frame
+    assert realized == []
 
 
 @pytest.mark.parametrize("command", ["analyze", "dual"])

@@ -61,6 +61,20 @@ def test_cyclic_signal_basics():
         CyclicSignal([[1.0, 2.0]])
 
 
+@pytest.mark.parametrize("scale", [*range(470, 601, 13), 600, *range(-600, -469, 13), -470])
+def test_cyclic_signal_norm_is_scale_equivariant(rng, scale):
+    """The norm of a window times 2^scale is the window's norm times 2^scale, exactly.
+
+    Its samples are sized by a power of two before they are squared, so the
+    squares near 2^-1200 do not underflow to 0 and those near 2^1200 do not
+    overflow (with a RuntimeWarning, which fails the test).
+    """
+    for _ in range(20):
+        window = rng.integers(-8, 9, size=(int(rng.integers(1, 65)), 2)) @ [1.0, 1j] / 8
+        window[rng.integers(window.size)] += 1.0
+        assert CyclicSignal(window * 2.0**scale).norm == math.ldexp(CyclicSignal(window).norm, scale)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
 def test_cyclic_signal_rejects_non_finite(bad):
     with pytest.raises(PreconditionError, match="finite"):
@@ -215,6 +229,40 @@ def test_gabor_family_equals_per_row_roll_oracle(rng, length):
     assert fam.vectors.shape == oracle.shape
     assert fam.vectors.tobytes() == oracle.tobytes()
     assert fam.labels == tuple(f"{a},{b}" for a, b in spec.shifts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(length=st.integers(1, 97), seed=st.integers(0, 2**32 - 1))
+def test_gabor_rows_equal_the_roll_oracle_property(length, seed):
+    """A Gabor family's rows, formed on first read, are the per-row np.roll oracle's bits.
+
+    Windows are complex with zeros, shift lists random with repeats.  The
+    rows are read-only and the same array on every read; the labels are
+    the pairs as "a,b".
+    """
+    rng = np.random.default_rng(seed)
+    window = rng.normal(size=length) + 1j * rng.normal(size=length)
+    window[rng.random(length) < 0.3] = 0.0
+    window[rng.integers(length)] += 1.0
+    shifts = rng.integers(0, length, size=(int(rng.integers(1, 3 * length + 1)), 2))
+    spec = GaborSpec(window, np.concatenate([shifts, shifts[: rng.integers(0, len(shifts) + 1)]]))
+    family = gabor_family(spec)
+    rows = family.vectors
+    assert family.vectors is rows and not rows.flags.writeable
+    assert_same_bits_and_layout(rows, roll_gabor_rows(spec))
+    assert family.labels == tuple(f"{a},{b}" for a, b in spec.shifts)
+
+
+def test_gabor_family_forms_no_rows_for_its_shape_and_frame(monkeypatch):
+    """len, dim, field, repr, frame_bounds and frame_operator come from the window and the shifts."""
+    realized = []
+    monkeypatch.setattr(timefreq, "_gabor_rows", lambda *args: realized.append(args))
+    family = gabor_family(GaborSpec(gaussian_window(16), lattice_shifts(16, 2)))
+    assert (len(family), family.dim, family.field) == (64, 16, "complex")
+    assert repr(family) == "VectorFamily(count=64, dim=16, field=complex)"
+    assert frame_bounds(family).is_frame
+    assert frame_operator(family).matrix.shape == (16, 16)
+    assert realized == [] and family._vectors is None and family._labels is None
 
 
 def test_full_lattice_is_tight(rng):
@@ -521,6 +569,10 @@ def test_densify_equals_the_reference_run(spec, counts, seed):
             assert value == expected, field.name
     assert_same_bits_and_layout(family.vectors, ref_family.vectors)
     assert family.labels == ref_family.labels
+    # the emitted family is the Gabor family of the window over the report's shift pairs
+    oracle = gabor_family(GaborSpec(spec.window, report.shifts))
+    assert_same_bits_and_layout(family.vectors, oracle.vectors)
+    assert family.labels == oracle.labels
 
 
 def test_densify_is_deterministic():
