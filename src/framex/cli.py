@@ -2,7 +2,7 @@
 
 Usage:
     framex <command> --in <path> --out <path> [--seed N] [--param k=v]...
-                     [--csv] [--no-timestamp]
+                     [--no-timestamp]
 
 Commands: analyze, classify, dual, extract, sample, selector, density,
 gabor, construct45.  Families arrive as JSON objects with fields "dim",
@@ -19,19 +19,17 @@ with str keys, which json writes as they are (the CLI tests check each
 command's keys).  A report names its input by digest, {"sha256",
 "bytes"} of the file, not by echoing it.  --no-timestamp drops the
 timestamp and wall time fields, which are the only run-dependent
-content.  --csv additionally writes the flattened result table next to
-the report.  One table, _COMMANDS, gives each command its handler and
-the --param keys it reads; any other key is malformed input.  Exit
-codes: 0 success, 2 precondition violation, 3 malformed, unreadable or
-non-UTF-8 input (argparse usage errors included), 4 budget exhausted.
+content.  The report is the one file a job writes.  One table,
+_COMMANDS, gives each command its handler and the --param keys it
+reads; any other key is malformed input.  Exit codes: 0 success, 2
+precondition violation, 3 malformed, unreadable or non-UTF-8 input
+(argparse usage errors included), 4 budget exhausted.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
-import csv
-import ctypes
 import functools
 import hashlib
 import json
@@ -62,15 +60,6 @@ from .timefreq import (
     densify_gabor_frame,
     gabor_family,
 )
-
-# Fixed thresholds: blocks of 4 MiB and more are mapped on their own, and 32 MiB
-# of freed heap is kept for reuse, where glibc would follow the largest block
-# freed so far.  Without them density_gabor's peak RSS stays at 58 MB, but its
-# wall_s rises 1-2% and job_p50_ms up to 4% (40 alternating pairs, 2 CPUs).
-_mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-if _mallopt is not None:
-    _mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD
-    _mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD
 
 _PLAIN_NUMBERS = {int, float}
 # json's spellings of the non-finite floats, and the strings reports use
@@ -470,24 +459,6 @@ _COMMANDS = {
 }
 
 
-def _flatten(prefix, obj, rows):
-    if isinstance(obj, dict):
-        for key in sorted(obj):
-            _flatten(f"{prefix}.{key}" if prefix else str(key), obj[key], rows)
-    elif isinstance(obj, list):
-        for i, item in enumerate(obj):
-            _flatten(f"{prefix}[{i}]", item, rows)
-    else:
-        rows.append((prefix, obj))
-
-
-def _write_csv(path, results):
-    rows = [("key", "value")]
-    _flatten("", results, rows)
-    with open(path, "w", encoding="utf-8", newline="") as out:
-        csv.writer(out, lineterminator="\n").writerows(rows)
-
-
 # exit codes of framex's own errors; any other exception (numpy's
 # LinAlgError, a bug) exits 5
 _EXIT_CODES = ((InputFormatError, 3), (BudgetExceededError, 4), (PreconditionError, 2))
@@ -520,7 +491,7 @@ def run(args) -> int:
     if not args.no_timestamp:
         report["timestamp"] = stamp
         report["wall_time_s"] = round(time.perf_counter() - started, 6)
-    return _write_report(report, code, args.output_path, args.csv)
+    return _write_report(report, code, args.output_path)
 
 
 def _versions():
@@ -531,14 +502,10 @@ def _versions():
     }
 
 
-def _write_report(report, code, path, csv=False) -> int:
-    """Write the report (and its CSV table on success); returns the exit code."""
-    body = _report_text(report)
-    out = Path(path)
+def _write_report(report, code, path) -> int:
+    """Write the report; returns the exit code."""
     try:
-        out.write_text(body, encoding="utf-8")
-        if csv and code == 0:
-            _write_csv(out.with_suffix(".csv"), json.loads(body)["results"])
+        Path(path).write_text(_report_text(report), encoding="utf-8")
     except OSError as exc:
         print(f"framex: cannot write report: {exc}", file=sys.stderr)
         return 3
@@ -576,7 +543,6 @@ def _parser():
     parser.add_argument("--out", dest="output_path", required=True, help="report JSON path")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--param", action="append", default=[], metavar="K=V")
-    parser.add_argument("--csv", action="store_true", help="also write a flat CSV table")
     parser.add_argument(
         "--no-timestamp",
         action="store_true",

@@ -48,6 +48,9 @@ __all__ = [
 # caller falls back to seeded randomized restarts.
 EXHAUSTIVE_LIMIT = 2**20
 RANDOM_RESTARTS = 1024
+# a tree has 2^order leaves whatever the family size, and its time and
+# memory double per order; orders with more leaves than this are refused
+_LEAF_BUDGET = 2**16
 _EXPONENT_SCAN = 64
 # the sweeps' second inertia count puts a cell's bars at these fractions of
 # the way from its survivors' best Rayleigh bound to its bar, chosen by
@@ -487,8 +490,9 @@ class _TreeBuilder:
         left to right.
 
         A seed gives the trees a depth-first build would: the draws of all
-        count trees are taken up front, and each cell reads its own at its
-        depth-first offset.  A cell with r real ids draws ceil(r/2), and its
+        count trees are taken up front in one call (the stream of as many
+        scalar draws), and each cell reads its own at its depth-first
+        offset.  A cell with r real ids draws ceil(r/2), and its
         children hold floor(r/2) and ceil(r/2) of them, so a subtree's draw
         count depends only on (r, levels left).  Fresh pad labels -1, -2, ...
         follow the same order: every cell of a level has the same size, and
@@ -502,7 +506,7 @@ class _TreeBuilder:
         for j in reversed(range(order)):
             pads_below[j] = sizes[j] % 2 + 2 * pads_below[j + 1]
         per_tree = _draw_count(n, order) if rng is not None else 0
-        draws = np.array([rng.integers(0, 2) for _ in range(count * per_tree)], dtype=np.int64)
+        draws = rng.integers(0, 2, size=count * per_tree) if rng is not None else None
         roots = [SelectorCell(indices=tuple(range(n))) for _ in range(count)]
         level = [(root, t * per_tree, 0) for t, root in enumerate(roots)]  # (cell, draws before, pads before)
         for j, size in enumerate(sizes[:-1]):
@@ -766,7 +770,8 @@ def best_selector(
     randomized restarts; "exhaustive" raises a budget error above the
     limit; "greedy" is a single deterministic descent; "randomized" runs
     `restarts` (at least 1) seeded descents from random starting sides and
-    keeps the first tree with the lowest worst leaf deviation.
+    keeps the first tree with the lowest worst leaf deviation.  An order
+    past 16 (over 2^16 leaves a tree) raises a budget error up front.
     """
     psd = _operator_list(ops)
     dim = psd[0].dim
@@ -778,6 +783,10 @@ def best_selector(
         if not isinstance(value, int) or isinstance(value, bool) or value < least:
             kind = "nonnegative" if least == 0 else "positive"
             raise PreconditionError(f"{name} must be a {kind} integer, got {value!r}")
+    if order >= _LEAF_BUDGET.bit_length():  # 2^order > _LEAF_BUDGET, without forming 2^order
+        raise BudgetExceededError(
+            f"order {order} gives a tree 2^{order} leaves, over the leaf budget {_LEAF_BUDGET}"
+        )
     mats = [p.matrix for p in psd]
     stack = np.stack(mats)
     traces = [p.trace for p in psd]

@@ -304,6 +304,17 @@ def test_selector_command_and_budget_override(tmp_path):
     assert selectors.EXHAUSTIVE_LIMIT == before
 
 
+def test_selector_order_past_the_leaf_budget_exits_4(tmp_path):
+    """Order 24 on four vectors in R^2 would build 2^24 leaves; it is refused up front."""
+    payload = {"dim": 2, "field": "real", "vectors": [[0.3, 0.0], [0.0, 0.3], [0.2, 0.2], [0.2, -0.2]]}
+    code, report, _ = run_cli(tmp_path, "selector", payload, "--param", "order=24")
+    assert code == 4
+    assert report["error"] == {
+        "type": "BudgetExceededError",
+        "message": "order 24 gives a tree 2^24 leaves, over the leaf budget 65536",
+    }
+
+
 @pytest.mark.parametrize(
     "command,payload,extra",
     [
@@ -761,44 +772,11 @@ def test_dual_reports_a_proven_residual_and_draws_nothing(tmp_path, monkeypatch)
         assert exact <= reports[0]["max_relative_residual"] < 1e-9
 
 
-def test_csv_output(tmp_path):
-    payload = mercedes_payload()
-    src = write_json(tmp_path / "in.json", payload)
-    dst = tmp_path / "report.json"
-    code = cli.main(["analyze", "--in", src, "--out", str(dst), "--csv"])
-    assert code == 0
-    table = (tmp_path / "report.csv").read_text(encoding="utf-8").splitlines()
-    assert table[0] == "key,value"
-    keys = {line.split(",", 1)[0] for line in table[1:]}
-    assert "frame.lower" in keys
-    assert "spectrum.top" in keys or any(k.startswith("spectrum") for k in keys)
-
-
-def test_csv_quotes_only_what_needs_quoting(tmp_path, monkeypatch):
-    results = {"text": 'say "hi", then go', "none": None, "flag": True, "ratio": 0.5, "bad": math.nan, "ids": [1, 2]}
-    monkeypatch.setitem(cli._COMMANDS, "analyze", (lambda payload, params, seed: results, ()))
-    code = cli.main(["analyze", "--in", write_json(tmp_path / "in.json", mercedes_payload()),
-                     "--out", str(tmp_path / "report.json"), "--csv"])
-    assert code == 0
-    assert (tmp_path / "report.csv").read_bytes() == (
-        b'key,value\nbad,nan\nflag,True\nids[0],1\nids[1],2\nnone,\nratio,0.5\ntext,"say ""hi"", then go"\n'
-    )
-
-
 def test_a_report_that_cannot_be_written_exits_3(tmp_path, capsys):
     code = cli.main(["analyze", "--in", write_json(tmp_path / "in.json", mercedes_payload()),
                      "--out", str(tmp_path / "absent" / "out.json")])
     assert code == 3
     assert capsys.readouterr().err.startswith("framex: cannot write report: ")
-
-
-def test_csv_skipped_on_failure(tmp_path):
-    src = tmp_path / "bad.json"
-    src.write_text("{", encoding="utf-8")
-    dst = tmp_path / "report.json"
-    code = cli.main(["analyze", "--in", str(src), "--out", str(dst), "--csv"])
-    assert code == 3
-    assert not (tmp_path / "report.csv").exists()
 
 
 def test_unknown_command_rejected(tmp_path):
@@ -810,8 +788,8 @@ def test_unknown_command_rejected(tmp_path):
 
 @pytest.mark.parametrize(
     "argv",
-    [["--seed", "abc"], ["--seed"], ["--param"], ["--bogus", "1"], ["--csv=1"]],
-    ids=["non-int-seed", "seed-without-value", "param-without-value", "unknown-option", "flag-value"],
+    [["--seed", "abc"], ["--seed"], ["--param"], ["--bogus", "1"], ["--csv"], ["--no-timestamp=1"]],
+    ids=["non-int-seed", "seed-without-value", "param-without-value", "unknown-option", "csv", "flag-value"],
 )
 def test_usage_errors_are_malformed_input_with_a_report(tmp_path, capsys, argv):
     src = write_json(tmp_path / "one.json", mercedes_payload())
@@ -824,6 +802,7 @@ def test_usage_errors_are_malformed_input_with_a_report(tmp_path, capsys, argv):
     assert set(report) == {"error", "versions"}
     err = capsys.readouterr().err
     assert err.startswith("usage: framex") and report["error"]["message"] in err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["o.json", "one.json"]
 
 
 @pytest.mark.parametrize(

@@ -955,6 +955,30 @@ def test_exhaustive_budget_message_names_the_limit(rng):
         best_selector(ops, 1, strategy="exhaustive", exhaustive_limit=1)
 
 
+def test_order_beyond_the_leaf_budget_is_refused_before_any_search(rng, monkeypatch):
+    """Order 17 gives a tree 2^17 leaves, one order past the budget of 2^16."""
+    ops = bounded_rank_ones(rng, 2, 4, trace_cap=0.1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a tree was built past the leaf budget")
+
+    monkeypatch.setattr(selectors, "_TreeBuilder", refuse)
+    for strategy in ("auto", "exhaustive", "greedy", "randomized"):
+        with pytest.raises(BudgetExceededError, match=r"order 17 gives a tree 2\^17 leaves, over the leaf budget 65536"):
+            best_selector(ops, 17, strategy=strategy)
+
+
+@pytest.mark.parametrize("budget", [8, 12])
+def test_order_within_a_patched_leaf_budget_runs(rng, monkeypatch, budget):
+    """With the budget at 8 or 12 leaves, order 3 (8 leaves) runs and order 4 (16) is refused."""
+    ops = bounded_rank_ones(rng, 2, 4, trace_cap=0.1)
+    monkeypatch.setattr(selectors, "_LEAF_BUDGET", budget)
+    tree, cert = best_selector(ops, 3, strategy="greedy")
+    assert len(tree.raw_leaves()) == len(cert.achieved) == 8
+    with pytest.raises(BudgetExceededError, match=f"over the leaf budget {budget}$"):
+        best_selector(ops, 4, strategy="greedy")
+
+
 def test_pads_hidden_from_leaves(rng):
     ops = bounded_rank_ones(rng, 3, 5, trace_cap=0.1)  # odd count forces a pad
     tree, _ = best_selector(ops, 2, strategy="exhaustive")
