@@ -27,8 +27,8 @@ from .errors import (
     PreconditionError,
 )
 from .frames import VectorFamily, FrameReport, _as_family, _span_rank, _units, canonical_dual, frame_bounds, reconstruction_residual
-from .linalg import NUMERIC_TOL, RANK_DROP_TOL, Projection, _extend_span, _times_pow2, _top_exponents, _weighted_sum, rank_one
-from .sampling import SANDWICH_TOL, SamplingFunction, sample
+from .linalg import NUMERIC_TOL, RANK_DROP_TOL, Projection, _extend_span, _range_rows, _times_pow2, _top_exponents, _weighted_sum
+from .sampling import SANDWICH_TOL, SamplingFunction, _sample
 from .selectors import (
     ScaleExponent,
     natural_max_order,
@@ -219,12 +219,20 @@ def plan(family, lower: float, upper: float) -> ExtractionPlan:
     energy outside chain[j] + chain[j+1] lies on the span of the members
     before boundary j - 1, and boundary j was chosen to cap that energy at
     the block threshold.  A block whose computed energy still exceeds its
-    threshold raises PreconditionError naming the block.
+    threshold raises PreconditionError naming the block.  The plan reads
+    the family through its energies and unit vectors (_family_data); extract
+    computes those once and plans on them, so that a plan it makes equals
+    plan(family, A, B) bit for bit.
     """
     a, b = float(lower), float(upper)
     if not 0 < a <= b:
         raise NotAFrameError(f"need frame bounds 0 < A <= B, got A={a:.6g}, B={b:.6g}")
-    fam, weights, units, active = _family_data(family)
+    return _plan(_family_data(family), a, b)
+
+
+def _plan(data, a: float, b: float) -> ExtractionPlan:
+    """plan on the family data of _family_data, for bounds already checked."""
+    fam, weights, units, active = data
     count, dim = len(fam), fam.dim
     dtype = units.dtype
 
@@ -262,12 +270,14 @@ def plan(family, lower: float, upper: float) -> ExtractionPlan:
 
     gammas = []
     for j, (start, end) in enumerate(blocks):
-        ref = references[j].matrix
+        members = start + np.flatnonzero(active[start:end])
+        rows = units[members][:, :, None]
+        # <u_n, R u_n> for the block's members: one matrix-vector product and
+        # one dot product each, stacked, as vdot(u_n, R @ u_n) forms them
+        press = np.matmul(rows.conj().swapaxes(1, 2), references[j].matrix @ rows)[:, 0, 0].real
         total = 0.0
-        for n in range(start, end):
-            if active[n]:
-                press = float(np.real(np.vdot(units[n], ref @ units[n])))
-                total += weights[n] * max(press, 0.0) / b
+        for weight, pressed in zip(weights[members].tolist(), np.maximum(press, 0.0).tolist()):
+            total += weight * pressed / b
         gammas.append(total)
         cap = _threshold(j, epsilon)
         if total > cap * (1.0 + 1e-9) + 1e-12:
@@ -299,25 +309,34 @@ def extract(family) -> ExtractionResult:
     max(144 C^2 B/A^2, 64 C^4/B^2) |c_n|^2 ||x_n||^2 times; the comparison
     is exact in rational arithmetic.
     """
-    fam, weights, units, active = _family_data(family)
+    data = _family_data(family)
+    fam, weights, units, active = data
     report_in = frame_bounds(fam)
     if not report_in.is_frame:
         raise NotAFrameError("extraction needs the rescaled family to be a frame")
     a, b = report_in.lower, report_in.upper
-    layout = plan(fam, a, b)
+    layout = _plan(data, a, b)
     count = len(fam)
-    root_b = math.sqrt(b)
-    ops = {n: rank_one(units[n] / root_b) for n in range(count) if active[n]}
+    # the rank-one operators u_n u_n* / B of the active members, as one array
+    # of factor rows: row k belongs to member actives[k]
+    actives = np.flatnonzero(active)
+    rows = units[actives] / math.sqrt(b)
+    traces = np.sum(rows * rows.conj(), axis=1).real.tolist()
 
     mult: dict[int, int] = {}
     certificates: list = []
     for j, (start, end) in enumerate(layout.blocks):
-        members = [n for n in range(start, end) if active[n]]
-        if not members:
+        lo, hi = np.searchsorted(actives, (start, end)).tolist()
+        if lo == hi:
             certificates.append(None)
             continue
-        chosen, cert = sample(
-            [ops[n] for n in members],
+        members = actives[lo:hi].tolist()
+        owner = np.arange(hi - lo)
+        chosen, cert = _sample(
+            rows[lo:hi],
+            owner,
+            traces[lo:hi],
+            _range_rows(rows[lo:hi], owner),
             [_snap_weight(float(weights[n]), layout.scale.value) for n in members],
             layout.block_subspaces[j],
             layout.epsilon,
@@ -340,7 +359,7 @@ def extract(family) -> ExtractionResult:
     sigma = SamplingFunction(mult, source_count=count)
     support = sorted(mult)
     normalized = VectorFamily(
-        np.stack([units[n] for n in support]),
+        units[support],
         scalars=np.sqrt([float(mult[n]) for n in support]),
         labels=support,
     )
@@ -359,8 +378,8 @@ def extract(family) -> ExtractionResult:
         )
 
     # the selection's operator sum minus the target sum_n w_n T_n, as one product
-    coeffs = [mult.get(n, 0) / two_beta - weights[n] for n in ops]
-    achieved = _weighted_sum(np.concatenate([op.factor for op in ops.values()]), coeffs)
+    coeffs = [mult.get(n, 0) / two_beta - weights[n] for n in actives.tolist()]
+    achieved = _weighted_sum(rows, coeffs)
     eig = np.linalg.eigvalsh((achieved + achieved.conj().T) / 2.0)
     total_deviation = float(np.max(np.abs(eig)))
     deviation_cap = 2.0 * layout.epsilon

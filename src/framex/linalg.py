@@ -150,20 +150,6 @@ class PsdOperator:
             self._factor = f
         return self._factor
 
-    def _range(self) -> np.ndarray:
-        """An orthonormal basis (d, r) of T's range, as columns.
-
-        Rows, normalized, or eigenvectors of one eigh, whose squared norms
-        or eigenvalues exceed RANK_DROP_TOL times the largest.
-        """
-        f = self._factor
-        if self._spectrum is None and f is not None:
-            squares = (f * f.conj()).real.sum(axis=1)
-            keep = squares > RANK_DROP_TOL * max(float(squares.max(initial=0.0)), 1e-300)
-            return (f[keep] / np.sqrt(squares[keep])[:, None]).T
-        vals, vecs = self._spectrum = self._spectrum or np.linalg.eigh(self._matrix)
-        return vecs[:, vals > RANK_DROP_TOL * max(float(vals[-1]) if vals.size else 0.0, 1e-300)]
-
     @property
     def dim(self) -> int:
         return self._factor.shape[1] if self._matrix is None else self._matrix.shape[0]
@@ -204,6 +190,33 @@ def _factor_rows(psd) -> tuple[np.ndarray, np.ndarray]:
     factors = [p.factor for p in psd]
     owner = np.repeat(np.arange(len(factors)), [len(f) for f in factors])
     return np.concatenate(factors), owner
+
+
+def _range_rows(factors: np.ndarray, owner: np.ndarray, psd=()) -> tuple[np.ndarray, np.ndarray]:
+    """(orthonormal rows spanning each operator's range, in operator order, the operator owning each).
+
+    From the stacked factor rows and owners of _factor_rows: an operator
+    keeps, normalized, its rows whose squared norms exceed RANK_DROP_TOL
+    times its largest, or, if it has a spectrum (one of psd not built from
+    rows), the eigenvectors of that eigh whose eigenvalues exceed
+    RANK_DROP_TOL times the largest.
+    """
+    squares = (factors * factors.conj()).real.sum(axis=1)
+    top = np.zeros(int(owner.max(initial=-1)) + 1)
+    np.maximum.at(top, owner, squares)
+    keep = squares > RANK_DROP_TOL * np.maximum(top, 1e-300)[owner]
+    spectral = [k for k, p in enumerate(psd) if p._spectrum is not None]
+    if not spectral:
+        return factors[keep] / np.sqrt(squares[keep])[:, None], owner[keep]
+    keep &= ~np.isin(owner, spectral)
+    rows, owners = [factors[keep] / np.sqrt(squares[keep])[:, None]], [owner[keep]]
+    for k in spectral:
+        vals, vecs = psd[k]._spectrum
+        rows.append(vecs[:, vals > RANK_DROP_TOL * max(float(vals[-1]) if vals.size else 0.0, 1e-300)].T)
+        owners.append(np.full(len(rows[-1]), k))
+    owners = np.concatenate(owners)
+    order = np.argsort(owners, kind="stable")
+    return np.concatenate(rows)[order], owners[order]
 
 
 def _weighted_sum(rows: np.ndarray, coeffs) -> np.ndarray:

@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PreconditionError
-from .linalg import NUMERIC_TOL, Projection, PsdOperator, _factor_rows, _operator_list, _weighted_sum
+from .linalg import NUMERIC_TOL, Projection, PsdOperator, _factor_rows, _operator_list, _range_rows, _weighted_sum
 from .selectors import ScaleExponent, _descend, _trace_cap, natural_max_order, scale_exponent, selector_constant
 
 __all__ = [
@@ -56,7 +56,7 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     # binary floats convert exactly, so no precision is lost here
-    return Fraction(float(value))
+    return Fraction(*float(value).as_integer_ratio())
 
 
 def _binary_expansion(value: Fraction, depth: int) -> tuple[int, ...]:
@@ -98,6 +98,40 @@ def _replica_counts(exponents, cut: int, beta: int):
     return eta, op_counts, pad_counts
 
 
+def _pads(ranges: np.ndarray, owner: np.ndarray, count: int, max_trace: float, epsilon: float, beta: int):
+    """(pad matrices (count, d, d), their factor rows, the pad owning each row) of count operators.
+
+    ranges holds each operator's orthonormal range rows, in operator order,
+    with owner naming each row's operator (_range_rows).  Pad n is
+    (cap / r) B B* over the r rows B* of operator n, cap = min(2^(-beta+2)
+    epsilon, max_trace), one stacked product per rank (an operator without
+    rows gets a zero pad); the pads are then rescaled alike so that their plain sum, in operator order, stays below
+    I/2, and each pad's factor is its rows times the root of its scale.
+    The matrices are not symmetrized, which keeps the diagonals sample reads.
+    """
+    target = min(2.0 ** (-beta + 2) * epsilon, max_trace)
+    dim = ranges.shape[1]
+    if target <= 0:  # every pad zero, and real as PsdOperator.zero's
+        ranges, owner = np.zeros((0, dim)), owner[:0]
+    ranks = np.bincount(owner, minlength=count)
+    starts = np.cumsum(ranks) - ranks
+    mats = np.zeros((count, dim, dim), dtype=ranges.dtype)
+    for rank in np.unique(ranks[ranks > 0]).tolist():
+        ids = np.flatnonzero(ranks == rank)
+        # each operator's rows as the columns of one C-ordered (d, r) basis,
+        # laid out as the per-operator loop laid out each dense basis
+        basis = np.ascontiguousarray(ranges[starts[ids][:, None] + np.arange(rank)].swapaxes(1, 2))
+        mats[ids] = (target / rank) * (basis @ basis.conj().swapaxes(1, 2))
+    total = sum(mats)
+    top = float(np.max(np.linalg.eigvalsh((total + total.conj().T) / 2.0)))
+    factor = 1.0
+    if top > 0.5:
+        factor = 0.5 / top * (1.0 - 1e-12)
+        mats *= factor
+    rows = np.sqrt(factor * target / np.maximum(ranks, 1))[owner][:, None] * ranges
+    return mats, rows, owner
+
+
 def make_paddings(ops, epsilon: float, beta: int):
     """Default padding operators: scaled projections onto each span(T_n).
 
@@ -106,9 +140,13 @@ def make_paddings(ops, epsilon: float, beta: int):
     caps have no lower bounds, so shrinking (even to zero) is always safe;
     the caller may rescale further against its compressed-trace budget.
     A pad is (cap / r) B B* for an orthonormal basis B of T_n's range, of
-    rank r (PsdOperator._range), with the rows of B* scaled to match as its
-    factor: PSD by construction, with no eigensolve of a rank-one T_n and
-    no check.  A list mixing real and complex operators is handled as complex.
+    rank r, with the rows of B* scaled to match as its factor: PSD by
+    construction, with no eigensolve of a rank-one T_n and no check.  The
+    range bases of all operators are stacked as rows (linalg._range_rows)
+    and every pad is formed in one pass over them (_pads), one stacked
+    product per rank, so a list of rank-one operators takes one product;
+    sample runs the same pass on the rows it has stacked.  A list mixing
+    real and complex operators is handled as complex.
     """
     ops = list(ops)
     if not ops:
@@ -116,26 +154,12 @@ def make_paddings(ops, epsilon: float, beta: int):
     psd = _operator_list(ops)
     if not 0 < epsilon < 1:
         raise PreconditionError(f"epsilon must lie in (0, 1), got {epsilon}")
-    max_trace = max(p.trace for p in psd)
-    target = min(2.0 ** (-beta + 2) * epsilon, max_trace)
-    if target <= 0:
-        return [PsdOperator.zero(psd[0].dim) for _ in psd]
-    bases = [p._range() for p in psd]
-    dtype = np.result_type(*bases)
-    bases = [basis.astype(dtype, copy=False) for basis in bases]
-    # a zero T_n has rank 0, and its pad is the zero product
-    mats = [(target / max(basis.shape[1], 1)) * (basis @ basis.conj().T) for basis in bases]
-    total = sum(mats)
-    top = float(np.max(np.linalg.eigvalsh((total + total.conj().T) / 2.0)))
-    factor = 1.0
-    if top > 0.5:
-        factor = 0.5 / top * (1.0 - 1e-12)
-    pads = factor * np.stack(mats)
+    factors, owner = _factor_rows(psd)
+    ranges, range_owner = _range_rows(factors, owner, psd)
+    pads, rows, row_owner = _pads(ranges, range_owner, len(psd), max(p.trace for p in psd), epsilon, beta)
     pads = (pads + pads.conj().swapaxes(1, 2)) / 2.0  # as PsdOperator's construction symmetrizes
-    return [
-        PsdOperator._of_rows(math.sqrt(factor * target / max(basis.shape[1], 1)) * basis.T, pad)
-        for basis, pad in zip(bases, pads)
-    ]
+    split = np.split(rows, np.searchsorted(row_owner, np.arange(1, len(psd))))
+    return [PsdOperator._of_rows(f, pad) for f, pad in zip(split, pads)]
 
 
 class SamplingFunction:
@@ -282,11 +306,21 @@ def sample(
     fails the trace pigeonhole.
     """
     psd = _operator_list(ops)
-    dim = psd[0].dim
+    factors, owner = _factor_rows(psd)
+    return _sample(
+        factors, owner, [p.trace for p in psd], _range_rows(factors, owner, psd), weights, subspace, epsilon,
+        trace_cap=trace_cap, total_cap=total_cap, scale=scale,
+    )
+
+
+def _sample(factors, owner, traces, ranges, weights, subspace, epsilon, *, trace_cap, total_cap, scale):
+    """sample on stacked operators: their factor rows with the owner of each,
+    their traces and their range rows with owners (linalg._range_rows)."""
+    dim, n_ops = factors.shape[1], len(traces)
     fracs = [_as_fraction(c) for c in weights]
-    if len(fracs) != len(psd):
+    if len(fracs) != n_ops:
         raise PreconditionError("one weight per operator is required")
-    if any(c <= 0 for c in fracs):
+    if any(c.numerator <= 0 for c in fracs):  # a Fraction keeps its sign on the numerator
         raise PreconditionError("weights must be positive")
     if not isinstance(subspace, Projection):
         raise PreconditionError("subspace must be a Projection")
@@ -297,8 +331,6 @@ def sample(
     if not math.isfinite(total_cap):
         raise PreconditionError(f"total cap must be finite, got {total_cap}")
 
-    factors, owner = _factor_rows(psd)
-    traces = [p.trace for p in psd]
     delta = max(traces) if trace_cap is None else _trace_cap(trace_cap)
     tol = NUMERIC_TOL * max(1.0, delta)
     if any(t > delta + tol for t in traces):
@@ -353,15 +385,14 @@ def sample(
     levels = eta - beta
     q0 = sum(op_counts) + sum(pad_counts)
 
-    pad_ops = make_paddings(psd, epsilon, beta)
+    pads, pad_factors, pad_owner = _pads(*ranges, n_ops, max(traces), epsilon, beta)
 
     # uniform shrink so pads respect the trace cap, the I/2 sum condition,
     # and a compressed-trace budget of gamma (keeps the pigeonhole honest)
     factor = 1.0
-    worst_pad_trace = max((p.trace for p in pad_ops), default=0.0)
+    worst_pad_trace = float(np.trace(pads, axis1=1, axis2=2).real.max())
     if worst_pad_trace > delta:
         factor = min(factor, delta / worst_pad_trace * (1.0 - 1e-12))
-    pad_factors, pad_owner = _factor_rows(pad_ops)
     gaps = np.array([count / 2**eta for count in pad_counts])  # rounds as float(Fraction) does
     weighted_pad = _weighted_sum(pad_factors, gaps[pad_owner])
     _, pad_top = _eig_range(weighted_pad)
@@ -378,10 +409,10 @@ def sample(
         # one greedy descent per level over the cross sides, from side 0 of
         # every pair; a child's key is (pigeonhole violated, count above the
         # caps, sandwich excess) at the level's scale 2^-(eta - level)
-        n_ops = len(psd)
         state = {(k, n): c for k, counts in enumerate((op_counts, pad_counts)) for n, c in enumerate(counts)}
         # from the factors, as every sum above: a dense T_n enters as its positive part
-        parts = [(p.factor, 1.0) for p in psd] + [(p.factor, factor) for p in pad_ops]
+        parts = [(f, c) for rows, rows_owner, c in ((factors, owner, 1.0), (pad_factors, pad_owner, factor))
+                 for f in np.split(rows, np.searchsorted(rows_owner, np.arange(1, n_ops)))]
         stack = np.stack([_weighted_sum(f, np.full(len(f), c)) for f, c in parts])
         press = np.real(np.einsum("ij,kji->k", proj, stack))  # trace(P X P) per column
         half_perp = (epsilon / 2.0) * proj_perp
@@ -430,7 +461,7 @@ def sample(
     ok_tol = SANDWICH_TOL + NUMERIC_TOL * max(1.0, bound)
     sigma = SamplingFunction(
         {n: count for n, count in enumerate(chosen_ops) if count},
-        source_count=len(psd),
+        source_count=n_ops,
     )
     certificate = SamplingCertificate(
         beta=beta,

@@ -771,7 +771,9 @@ def best_selector(
     limit; "greedy" is a single deterministic descent; "randomized" runs
     `restarts` (at least 1) seeded descents from random starting sides and
     keeps the first tree with the lowest worst leaf deviation.  An order
-    past 16 (over 2^16 leaves a tree) raises a budget error up front.
+    past 16 (over 2^16 leaves a tree) raises a budget error up front, and
+    so does a randomized search, chosen or resolved from "auto", whose
+    restarts x 2^order leaves pass the same 2^16 budget.
     """
     psd = _operator_list(ops)
     dim = psd[0].dim
@@ -808,6 +810,10 @@ def best_selector(
     chosen = strategy
     if strategy == "auto":
         chosen = "exhaustive" if count <= exhaustive_limit else "randomized"
+    if chosen == "randomized" and restarts << order > _LEAF_BUDGET:  # one tree of 2^order leaves a restart
+        raise BudgetExceededError(
+            f"{restarts} restarts of order {order} build {restarts << order} leaves, over the leaf budget {_LEAF_BUDGET}"
+        )
     builder = _TreeBuilder(stack, traces, total, order, _outer_rows(psd))
     choose, groups, rng = functools.partial(_greedy_sides, builder), [1], None
     if chosen == "exhaustive":

@@ -443,6 +443,39 @@ def reference_paddings(psd, epsilon: float, beta: int):
     return [PsdOperator(factor * m) for m in mats]
 
 
+# framex.sampling.make_paddings as it ran before the stacked construction:
+# a loop over the operators, each pad the product of its own range basis
+# (its rows normalized, or the eigenvectors of its one eigh).  Kept as the
+# bit-for-bit oracle of the stacked pass.
+def _reference_range(p) -> np.ndarray:
+    f = p._factor
+    if p._spectrum is None and f is not None:
+        squares = (f * f.conj()).real.sum(axis=1)
+        keep = squares > RANK_DROP_TOL * max(float(squares.max(initial=0.0)), 1e-300)
+        return (f[keep] / np.sqrt(squares[keep])[:, None]).T
+    vals, vecs = p._spectrum or np.linalg.eigh(p.matrix)
+    return vecs[:, vals > RANK_DROP_TOL * max(float(vals[-1]) if vals.size else 0.0, 1e-300)]
+
+
+def reference_paddings_loop(psd, epsilon: float, beta: int):
+    target = min(2.0 ** (-beta + 2) * epsilon, max(p.trace for p in psd))
+    if target <= 0:
+        return [PsdOperator.zero(psd[0].dim) for _ in psd]
+    bases = [_reference_range(p) for p in psd]
+    dtype = np.result_type(*bases)
+    bases = [basis.astype(dtype, copy=False) for basis in bases]
+    mats = [(target / max(basis.shape[1], 1)) * (basis @ basis.conj().T) for basis in bases]
+    total = sum(mats)
+    top = float(np.max(np.linalg.eigvalsh((total + total.conj().T) / 2.0)))
+    factor = 0.5 / top * (1.0 - 1e-12) if top > 0.5 else 1.0
+    pads = factor * np.stack(mats)
+    pads = (pads + pads.conj().swapaxes(1, 2)) / 2.0
+    return [
+        PsdOperator._of_rows(math.sqrt(factor * target / max(basis.shape[1], 1)) * basis.T, pad)
+        for basis, pad in zip(bases, pads)
+    ]
+
+
 # The Fraction arithmetic framex.extraction used for its weight snapping,
 # block thresholds and multiplicity check before it compared integers over
 # powers of two.  Kept as the oracle.

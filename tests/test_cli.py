@@ -5,6 +5,7 @@ import json
 import math
 import re
 import sys
+import time
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
@@ -312,6 +313,19 @@ def test_selector_order_past_the_leaf_budget_exits_4(tmp_path):
     assert report["error"] == {
         "type": "BudgetExceededError",
         "message": "order 24 gives a tree 2^24 leaves, over the leaf budget 65536",
+    }
+
+
+def test_selector_restarts_past_the_leaf_budget_exit_4_at_once(tmp_path):
+    """1,024 randomized restarts of order 10 would build 2^20 leaves (about 26 s); they are refused up front."""
+    payload = {"dim": 2, "field": "real", "vectors": [[0.3, 0.0], [0.0, 0.3], [0.2, 0.2], [0.2, -0.2]]}
+    start = time.perf_counter()
+    code, report, _ = run_cli(tmp_path, "selector", payload, "--param", "strategy=randomized", "--param", "order=10")
+    assert time.perf_counter() - start < 1.0
+    assert code == 4
+    assert report["error"] == {
+        "type": "BudgetExceededError",
+        "message": "1024 restarts of order 10 build 1048576 leaves, over the leaf budget 65536",
     }
 
 

@@ -61,6 +61,16 @@ def test_snap_weight():
     assert _snap_weight(1e-20, beta=5) == Fraction(1e-20)
 
 
+@pytest.mark.parametrize("grid_value,beta", [(0.25, 2), (3.0, 2), (1000.5, 1), (5 * 2.0**-20, 20)])
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_snap_weight_on_both_sides_of_its_tolerance(grid_value, beta, side):
+    """Half the tolerance _SNAP_TOL max(1, v) from the 2^-beta grid snaps; twice it passes through."""
+    width = _SNAP_TOL * max(1.0, grid_value)
+    inside, outside = grid_value + side * 0.5 * width, grid_value + side * 2.0 * width
+    assert _snap_weight(inside, beta) == grid_value
+    assert _snap_weight(outside, beta) == outside != grid_value
+
+
 # positive weights, some on or within rounding of a coarse dyadic grid
 _weights = st.one_of(
     st.floats(min_value=1e-30, max_value=1e30, allow_nan=False, allow_infinity=False),
@@ -156,6 +166,50 @@ def test_plan_equals_the_rescanning_planner(dim, extras, complex_field, offsets,
     for mine, theirs in zip(got.subspaces + got.block_subspaces, want["subspaces"] + want["block_subspaces"]):
         assert mine.basis.dtype == theirs.basis.dtype and mine.rank == theirs.rank
         assert np.abs(mine.matrix - theirs.matrix).max() <= tol
+
+
+@given(
+    dim=st.integers(2, 8),
+    extras=st.integers(0, 4),
+    complex_field=st.booleans(),
+    offsets=st.lists(st.sampled_from([0.0, 1e-6, 1e-9]), max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_plan_gammas_are_the_per_member_vdot_sums(dim, extras, complex_field, offsets, seed):
+    """Each block's gamma is sum_n w_n max(<u_n, R_j u_n>, 0) / B, a vdot of R_j @ u_n per member, bit for bit."""
+    fam = near_duplicate_family(np.random.default_rng(seed), dim, extras, complex_field, offsets)
+    rep = frame_bounds(fam)
+    try:
+        got = plan(fam, rep.lower, rep.upper)
+    except PreconditionError:
+        return
+    _, weights, units, active = extraction._family_data(fam)
+    for (start, end), ref, gamma in zip(got.blocks, got.block_subspaces, got.gammas):
+        total = 0.0
+        for n in range(start, end):
+            if active[n]:
+                total += weights[n] * max(float(np.real(np.vdot(units[n], ref.matrix @ units[n]))), 0.0) / rep.upper
+        assert gamma == total
+
+
+def test_extract_reads_the_family_data_once(rng, monkeypatch):
+    """extract plans on the energies and unit vectors it computed; the plan equals plan()'s."""
+    fam = rescalable_fixture(rng, 5)
+    calls = []
+    family_data = extraction._family_data
+
+    def counted(family):
+        calls.append(family)
+        return family_data(family)
+
+    monkeypatch.setattr(extraction, "_family_data", counted)
+    result = extract(fam)
+    assert len(calls) == 1
+    rep = frame_bounds(fam)
+    again = plan(fam, rep.lower, rep.upper)
+    assert result.plan.blocks == again.blocks and result.plan.gammas == again.gammas
+    assert result.plan.identity_defect == again.identity_defect
 
 
 def test_plan_orthogonalizes_each_member_once(rng, monkeypatch):
@@ -466,13 +520,13 @@ _FORGED_SELECTIONS = {
 @pytest.mark.parametrize("forge", sorted(_FORGED_SELECTIONS))
 def test_extract_refuses_a_forged_selection(monkeypatch, forge):
     change, error, message = _FORGED_SELECTIONS[forge]
-    blocks, sampled = itertools.count(), extraction.sample
+    blocks, sampled = itertools.count(), extraction._sample
 
     def forged(*args, **kwargs):
         sigma, cert = sampled(*args, **kwargs)
         return extraction.SamplingFunction(change(next(blocks), sigma.multiplicity)), cert
 
-    monkeypatch.setattr(extraction, "sample", forged)
+    monkeypatch.setattr(extraction, "_sample", forged)
     with pytest.raises(error, match=message):
         extract(VectorFamily(np.eye(4)))
 

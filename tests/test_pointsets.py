@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import helpers
 from framex import PointSet, ball_volume, density, pointsets, uniformly_discrete, union_density
 from framex.errors import DimensionMismatchError, PreconditionError
-from framex.pointsets import STEP_DIVISOR, _center_axis, _window_counts
+from framex.pointsets import _EDGE_TOL, STEP_DIVISOR, _center_axis, _window_counts
 
 
 def lattice(spacing, extent):
@@ -480,3 +480,35 @@ def test_density_rejects_a_centre_grid_too_large_to_allocate():
     # far past 2^47, so the allocation fails at once and touches no memory
     with pytest.raises(PreconditionError, match="has 1000\\^6 centres, more than memory can hold"):
         density(PointSet(np.zeros((1, 6)), 1000.0), [1.0], center_grid_step=2.0)
+
+
+def test_a_point_escapes_the_extent_only_past_its_edge_tolerance():
+    """A point at radius E (1 + _EDGE_TOL / 2) lies inside extent E; at E (1 + 2 _EDGE_TOL) it escapes."""
+    for extent in (4.0, 1e-3, 1e200):
+        assert PointSet([[0.0], [-extent * (1.0 + 0.5 * _EDGE_TOL)]], extent).points.shape == (2, 1)
+        with pytest.raises(PreconditionError, match="escapes the declared extent"):
+            PointSet([[0.0], [-extent * (1.0 + 2.0 * _EDGE_TOL)]], extent)
+        square = extent * (1.0 + 2.0 * _EDGE_TOL) / math.sqrt(2.0)
+        with pytest.raises(PreconditionError, match="escapes the declared extent"):
+            PointSet([[square, square]], extent)
+
+
+def test_a_radius_exceeds_half_the_extent_only_past_its_edge_tolerance():
+    """Radius (E / 2)(1 + _EDGE_TOL / 2) scans; (E / 2)(1 + 2 _EDGE_TOL) is refused."""
+    ps = PointSet([[0.0], [1.0]], 4.0)
+    est = density(ps, [2.0 * (1.0 + 0.5 * _EDGE_TOL)], 0.5)
+    assert est.window_radii == (2.0 * (1.0 + 0.5 * _EDGE_TOL),)
+    with pytest.raises(PreconditionError, match="exceeds half the declared extent"):
+        density(ps, [2.0 * (1.0 + 2.0 * _EDGE_TOL)], 0.5)
+
+
+@pytest.mark.parametrize("side,count", [(0.5, 2), (2.0, 1)])
+def test_a_window_holds_a_point_only_within_its_edge_tolerance(side, count):
+    """Points at +-r sqrt(1 + t _EDGE_TOL) about the centre 0 share its window of radius r for t = 1/2, not t = 2.
+
+    The centres of extent 3 and radius 1 at step 1/2 are -2, -1.5, ..., 2,
+    so 0 is one; every other centre is farther from one of the two points.
+    """
+    x = math.sqrt(1.0 + side * _EDGE_TOL)
+    est = density(PointSet([[-x], [x]], 3.0), [1.0], 0.5)
+    assert est.upper == count / ball_volume(1, 1.0)

