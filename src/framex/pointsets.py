@@ -31,12 +31,16 @@ __all__ = [
 STEP_DIVISOR = 20
 
 _EDGE_TOL = 1e-12
-# pairs expanded at once; bounds the scans' scratch memory.  Larger batches scan
-# faster (2^15: density_gabor wall_s about 8% lower on 2 CPUs), but the heap then
-# holds their 256 KiB temporaries and peak RSS rises (58.0 to 61.2 MB)
+# pairs expanded at once, and about the groups of one column-scan block; bounds
+# the scans' scratch memory.  The per-pair window scan of 8,192 uniform random
+# points (d = 2, r = 20, step 1, 2 CPUs) takes 15.5 ms at this size and 20.1 ms
+# at 2^15, whose temporaries peak at 5.3 MiB instead of 1.1 MiB
 _PAIR_BATCH = 1 << 12
 # the window scan's difference array must be addressable: its bytes fit in an intp
 _MAX_CENTRES = np.iinfo(np.intp).max // 8
+# the column scan's tables each hold at most this many times (distinct
+# points + centres) entries; past that the per-pair scan runs
+_TABLE_FACTOR = 16
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
@@ -47,17 +51,14 @@ class PointSet:
     which the sample is complete; density windows must stay inside it.
     """
 
-    __slots__ = ("_points", "_extent")
+    __slots__ = ("_points", "_extent", "_order")
 
     def __init__(self, points, declared_extent: float, ambient_dim: int | None = None):
         p = np.asarray(points, dtype=np.float64)
-        if p.size == 0:
-            if ambient_dim is None:
-                ambient_dim = p.shape[1] if p.ndim == 2 else 1
-            p = np.zeros((0, int(ambient_dim)))
         if p.ndim == 1:
-            p = p[:, None]
-        if p.ndim != 2:
+            # one coordinate per point; an empty list takes the declared dimension
+            p = p.reshape(0, int(ambient_dim)) if p.size == 0 and ambient_dim is not None else p[:, None]
+        if p.ndim != 2 or p.shape[1] == 0:
             raise PreconditionError(f"expected (count, dim) coordinates, got shape {p.shape}")
         if not np.all(np.isfinite(p)):
             raise PreconditionError("point coordinates must be finite")
@@ -77,6 +78,7 @@ class PointSet:
         p.setflags(write=False)
         self._points = p
         self._extent = extent
+        self._order = None
 
     @property
     def points(self) -> np.ndarray:
@@ -92,6 +94,12 @@ class PointSet:
 
     def __len__(self) -> int:
         return self._points.shape[0]
+
+    def _lex_order(self) -> np.ndarray:
+        """Stable lexicographic order of the rows, sorted once: density and uniformly_discrete share it."""
+        if self._order is None:
+            self._order = np.lexsort(self._points.T[::-1])
+        return self._order
 
     def __repr__(self):
         return (
@@ -209,13 +217,104 @@ def _batches(lo, hi):
         start = stop
 
 
-def _distinct(points: np.ndarray):
-    """(distinct rows, float multiplicities): rows equal as floats, so +0.0 and -0.0 alike, merge."""
-    rows = points[np.lexsort(points.T[::-1])]
+def _distinct(ps: PointSet):
+    """(distinct rows in lexicographic order, float multiplicities): rows equal as floats, so +0.0 and -0.0 alike, merge."""
+    rows = ps.points[ps._lex_order()]
     new = np.ones(rows.shape[0], dtype=bool)
     new[1:] = np.any(rows[1:] != rows[:-1], axis=1)
     first = np.flatnonzero(new)
     return rows[first], np.diff(np.r_[first, rows.shape[0]]).astype(float)
+
+
+def _leading(lead, axis, cap):
+    """Batches of (row, owner, partial): each leading centre row within cap of lead[owner].
+
+    The centre coordinates are fixed one axis at a time.  row is the flat
+    index of the leading coordinates on the grid axis^k, k = lead.shape[1],
+    and partial their fl((c_0 - x_0)^2) + ... added left to right.  With no
+    leading axis there is one batch: row 0 and partial 0 for every owner.
+    """
+    m = axis.size
+
+    def descend(k, row, owner, partial):
+        if k == lead.shape[1]:
+            yield row, owner, partial
+            return
+        x = lead[owner, k]
+        lo, hi = _runs(axis, x, partial, cap)
+        for pick, j in _batches(lo, hi):
+            yield from descend(k + 1, row[pick] * m + j, owner[pick], partial[pick] + (axis[j] - x[pick]) ** 2)
+
+    n = lead.shape[0]
+    yield from descend(0, np.zeros(n, dtype=np.intp), np.arange(n), np.zeros(n))
+
+
+def _pair_diff(points, axis, cap, weights, size):
+    """Per (centre row, point) pair, the weight at both ends of its last-axis run, in a difference array."""
+    diff = np.zeros(size)
+    for row, owner, partial in _leading(points[:, :-1], axis, cap):
+        lo, hi = _runs(axis, points[owner, -1], partial, cap)
+        base = row * (axis.size + 1)
+        w = weights[owner]
+        diff += np.bincount(base + lo, w, size)
+        diff -= np.bincount(base + hi, w, size)
+    return diff
+
+
+def _column_diff(points, axis, cap, weights, size, limit):
+    """_pair_diff's difference array from the columns, or None if one of its tables passes limit entries.
+
+    A column is a run of consecutive points with equal leading coordinates,
+    so lexicographically sorted points give one column per distinct tuple.
+    The leading scan (_leading) runs once per column.  A pair's run along
+    the last axis depends only on its partial sum and the point's last
+    coordinate, so both are coded by their distinct values and each
+    (partial, coordinate) run is settled once, by the same exact test.
+    The weight of each (row, partial, coordinate) group is the product of
+    the 0/1 (row * partial, column) incidence and the (column, coordinate)
+    weight table, formed for a block of centre rows at a time; every sum
+    is an integer below 2^53, so the product is exact in any order.
+    """
+    lead = points[:, :-1]
+    new = np.ones(points.shape[0], dtype=bool)
+    new[1:] = np.any(lead[1:] != lead[:-1], axis=1)
+    starts = np.flatnonzero(new)
+    ys, ycode = np.unique(points[:, -1], return_inverse=True)
+    ncol, ny = starts.size, ys.size
+    if ncol * ny > limit:
+        return None
+    table = np.bincount((np.cumsum(new) - 1) * ny + ycode, weights, ncol * ny).reshape(ncol, ny)
+    batches, total = [], 0
+    for batch in _leading(lead[starts], axis, cap):
+        total += batch[0].size
+        if total > limit:
+            return None
+        batches.append(batch)
+    if not batches:
+        return np.zeros(size)
+    row, col, partial = (np.concatenate(arrays) for arrays in zip(*batches))
+    sums, pcode = np.unique(partial, return_inverse=True)
+    stride = axis.size + 1
+    rows = size // stride
+    if rows * sums.size * max(ncol, ny) > limit:
+        return None
+    lo, hi = _runs(axis, np.tile(ys, sums.size), sums.repeat(ny), cap)
+    order = np.argsort(row, kind="stable")
+    row, col, pcode = row[order], col[order], pcode[order]
+    # centre rows per block, whose incidence and groups hold about _PAIR_BATCH entries
+    per = max(1, _PAIR_BATCH // (sums.size * max(ncol, ny)))
+    cut = np.searchsorted(row, np.arange(0, rows + per, per))
+    diff = np.zeros(size)
+    for first, i, j in zip(range(0, rows, per), cut[:-1], cut[1:]):
+        k = min(per, rows - first)
+        incidence = np.zeros((k * sums.size, ncol))
+        incidence[(row[i:j] - first) * sums.size + pcode[i:j], col[i:j]] = 1.0
+        weight = (incidence @ table).ravel()
+        base = np.arange(0, k * stride, stride)[:, None]
+        block = diff[first * stride : (first + k) * stride]
+        block += np.bincount((base + lo).ravel(), weight, k * stride)
+        block -= np.bincount((base + hi).ravel(), weight, k * stride)
+    return diff
 
 
 def _window_counts(points: np.ndarray, axis: np.ndarray, cap: float, weights) -> np.ndarray:
@@ -225,32 +324,30 @@ def _window_counts(points: np.ndarray, axis: np.ndarray, cap: float, weights) ->
     fl((c_0 - p_0)^2) + ... + fl((c_{d-1} - p_{d-1})^2), added left to right
     in axis order, is at most cap; for d <= 7 this is exactly the sum
     np.sum(..., axis=-1) forms.  Fixing the leading centre coordinates one
-    axis at a time keeps only the (row, point) pairs whose partial sum stays
-    within cap; along the last axis each pair then covers one run of
-    centres, whose ends add and remove the weight in a difference array.
-    Every sum is an integer below 2^53, so the float accumulation is exact.
-    Work is about n * (2r / step)^(d-1) pairs and memory is O(n + centres).
+    axis at a time (_leading) keeps only the (row, point) pairs whose
+    partial sum stays within cap; along the last axis each pair then covers
+    one run of centres, whose ends add and remove the weight in a
+    difference array.  Every sum is an integer below 2^53, so the float
+    accumulation is exact and the two paths below count alike.
+
+    For d >= 2 the column scan (_column_diff) runs when each of its tables
+    has at most _TABLE_FACTOR * (n + centres) entries, which holds for
+    lattices and their subsets at centre steps that keep partial sums
+    repeating.  Its work is about columns * (2r / step)^(d-1) entries, one
+    run per distinct (partial sum, last coordinate) key, and a product and
+    two bincounts over its (row, partial sum, last coordinate) groups.
+    Otherwise, as for points whose coordinates do not repeat, the per-pair
+    scan (_pair_diff) does about n * (2r / step)^(d-1) pairs, expanded
+    _PAIR_BATCH at a time.  Memory is O(n + centres) on either path.
     """
     m = axis.size
     dim = points.shape[1]
     size = m ** (dim - 1) * (m + 1)
-    diff = np.zeros(size)
-
-    def descend(k, row, owner, partial):
-        x = points[owner, k]
-        lo, hi = _runs(axis, x, partial, cap)
-        if k == dim - 1:
-            base = row * (m + 1)
-            w = weights[owner]
-            diff[:] += np.bincount(base + lo, w, size)
-            diff[:] -= np.bincount(base + hi, w, size)
-            return
-        for pick, j in _batches(lo, hi):
-            nxt = partial[pick] + (axis[j] - x[pick]) ** 2
-            descend(k + 1, row[pick] * m + j, owner[pick], nxt)
-
-    n = points.shape[0]
-    descend(0, np.zeros(n, dtype=np.intp), np.arange(n), np.zeros(n))
+    diff = None
+    if dim > 1:
+        diff = _column_diff(points, axis, cap, weights, size, _TABLE_FACTOR * (points.shape[0] + size))
+    if diff is None:
+        diff = _pair_diff(points, axis, cap, weights, size)
     return np.cumsum(diff.reshape(-1, m + 1)[:, :m], axis=1).astype(np.int64)
 
 
@@ -301,7 +398,7 @@ def density(ps: PointSet, radii, center_grid_step: float | None = None) -> Densi
             f"radius {rads[-1]:.6g} exceeds half the declared extent "
             f"{ps.declared_extent:.6g}; the window escapes the faithful region"
         )
-    points, weights = _distinct(ps.points)
+    points, weights = _distinct(ps)
 
     def scan(r: float):
         step = center_grid_step if center_grid_step is not None else r / STEP_DIVISOR
@@ -403,7 +500,7 @@ def uniformly_discrete(ps: PointSet):
         return np.sum((pts[a] - pts[b]) ** 2, axis=-1)
 
     with np.errstate(over="ignore"):
-        lex = np.lexsort(pts.T[::-1])
+        lex = ps._lex_order()
         best = float(dist2(lex[1:], lex[:-1]).min())
         if best > 0.0 and pts.shape[1] > 1:
             best = _grid_min(pts, best, dist2)

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -67,6 +68,13 @@ def test_pointset_guards():
         PointSet([[1.0, 0.0]], 2.0, ambient_dim=3)
     with pytest.raises(PreconditionError, match=r"expected \(count, dim\) coordinates, got shape \(1, 1, 2\)"):
         PointSet([[[1.0, 0.0]]], 2.0)
+    # an empty array is held to its shape like a nonempty one
+    with pytest.raises(DimensionMismatchError, match="points live in dim 3, declared 2"):
+        PointSet(np.zeros((0, 3)), 1.0, ambient_dim=2)
+    with pytest.raises(PreconditionError, match=r"expected \(count, dim\) coordinates, got shape \(0, 3, 4\)"):
+        PointSet(np.zeros((0, 3, 4)), 1.0)
+    with pytest.raises(PreconditionError, match=r"expected \(count, dim\) coordinates, got shape \(3, 0\)"):
+        PointSet(np.zeros((3, 0)), 1.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -313,6 +321,119 @@ def test_density_memory_is_bounded():
     assert peak < 32 * 2**20
 
 
+def uniform_set():
+    """8,192 uniform random points: no coordinate repeats, so no column scan table fits."""
+    return PointSet(np.random.default_rng(7).uniform(-32.0, 32.0, size=(8192, 2)), 46.0)
+
+
+def column_set():
+    """64 columns of 64 points each, with 4,096 distinct last coordinates."""
+    x = np.repeat(np.arange(64) - 32.0, 64)
+    return PointSet(np.column_stack([x, np.arange(4096) / 64.0 - 32.0]), 46.0)
+
+
+@pytest.mark.parametrize("make", [uniform_set, column_set])
+def test_density_memory_is_bounded_where_coordinates_do_not_repeat(make):
+    ps = make()
+    tracemalloc.start()
+    try:
+        density(ps, radii=[20.0], center_grid_step=1.0)
+        uniformly_discrete(ps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+def test_the_shift_set_scan_settles_each_run_once(monkeypatch):
+    # 124,672 (distinct point, centre row) pairs, but 64 columns, 21 distinct
+    # partial sums and 64 distinct last coordinates: one leading run per
+    # column, then one last-axis run per (partial sum, last coordinate) key
+    sizes = []
+    runs = pointsets._runs
+
+    def recorded(axis, x, partial, cap):
+        sizes.append(x.size)
+        return runs(axis, x, partial, cap)
+
+    def refused(*args):
+        raise AssertionError("the per-pair scan ran")
+
+    monkeypatch.setattr(pointsets, "_runs", recorded)
+    monkeypatch.setattr(pointsets, "_pair_diff", refused)
+    density(gabor_shift_set(), [20.0], 1.0)
+    assert sizes == [64, 21 * 64]
+
+
+def window_counts(diff, axis):
+    return np.cumsum(diff.reshape(-1, axis.size + 1)[:, : axis.size], axis=1).ravel()
+
+
+def least_table_limit(points, axis, cap, weights, size):
+    """The least limit under which the column scan runs: every one of its tables fits."""
+
+    def fits(limit):
+        return pointsets._column_diff(points, axis, cap, weights, size, limit) is not None
+
+    lo, hi = 0, 1
+    while not fits(hi):
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if fits(mid) else (mid + 1, hi)
+    return hi
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(2, 3),
+    halves=st.lists(st.lists(st.integers(-10, 10), min_size=3, max_size=3), min_size=1, max_size=60),
+    kind=st.sampled_from(["lattice", "halves", "jittered"]),
+    repeats=st.integers(0, 30),
+    seed=st.integers(0, 2**16),
+    radius=st.sampled_from([1.0, 1.5, 2.0, 2.5]),
+    step=st.sampled_from([0.5, 0.7, 1.0]),
+)
+def test_column_scan_equals_the_pair_scan_property(dim, halves, kind, repeats, seed, radius, step):
+    # lattices, half-integer sets and lattices with a few points moved off
+    # them; the first points repeat (multiplicities) and form the second set
+    # of a union
+    extent = 5.0
+    pts = np.array(halves, dtype=float)[:, :dim] / 2.0
+    if kind == "lattice":
+        pts = np.round(pts)
+    elif kind == "jittered":
+        rng = np.random.default_rng(seed)
+        pts += (rng.random(pts.shape) < 0.2) * rng.normal(size=pts.shape) * 1e-3
+    pts = pts[np.linalg.norm(pts, axis=1) <= extent]
+    again = pts[:repeats]
+    ps = PointSet(np.vstack([pts, again]), extent, ambient_dim=dim)
+    union = union_density([PointSet(pts, extent, ambient_dim=dim), PointSet(again, extent, ambient_dim=dim)], [radius], step)
+    assert union.per_window == (helpers.brute_window_extrema(ps, radius, step),)
+
+    points, weights = pointsets._distinct(ps)
+    axis, cap = _center_axis(extent - radius, step), radius * radius * (1.0 + _EDGE_TOL)
+    size = axis.size ** (dim - 1) * (axis.size + 1)
+    want = helpers.brute_window_counts(ps.points, extent - radius, step, cap)
+    assert np.array_equal(window_counts(pointsets._pair_diff(points, axis, cap, weights, size), axis), want)
+    if not len(points):
+        return
+    # just inside the limit the column scan runs and counts alike; one
+    # entry less and it refuses
+    need = least_table_limit(points, axis, cap, weights, size)
+    column = pointsets._column_diff(points, axis, cap, weights, size, need)
+    assert np.array_equal(window_counts(column, axis), want)
+    # and the scan takes the column path exactly when its limit allows
+    for limit, column_path in ((need, True), (need - 1, False)):
+        ran = []
+        pair_diff = pointsets._pair_diff
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pointsets, "_TABLE_FACTOR", Fraction(limit, len(points) + size))
+            mp.setattr(pointsets, "_pair_diff", lambda *args: ran.append(1) or pair_diff(*args))
+            assert np.array_equal(_window_counts(points, axis, cap, weights).ravel(), want)
+        assert ran == ([] if column_path else [1])
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     dim=st.integers(1, 3),
@@ -435,7 +556,7 @@ def test_multiset_window_counts_equal_the_expanded_set():
     signed = base.copy()
     signed[:8, 0] = -0.0
     expanded = np.vstack([base, signed, base[::3], signed[::5]])
-    points, weights = pointsets._distinct(expanded)
+    points, weights = pointsets._distinct(PointSet(expanded, 6.0))
     assert weights.sum() == len(expanded)
     assert len(points) == len(np.unique(base, axis=0))
     half, step, cap = 3.0, 0.5, 2.0 * (1.0 + 1e-12)
