@@ -107,9 +107,9 @@ def _resolve_constants(lower: float, upper: float):
 
 
 def _as_projection(cols: list, dim: int, dtype) -> Projection:
-    if not cols:
-        return Projection(np.zeros((dim, 0), dtype=dtype))
-    return Projection(np.stack(cols, axis=1))
+    """The projection onto cols, columns of the plan's one orthonormal span (_extend_span), not checked again."""
+    basis = np.stack(cols, axis=1) if cols else np.zeros((dim, 0), dtype=dtype)
+    return Projection(basis, _orthonormal=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,7 +265,7 @@ def _plan(data, a: float, b: float) -> ExtractionPlan:
     boundaries.append(count)
 
     blocks = [(boundaries[j], boundaries[j + 1]) for j in range(len(boundaries) - 1)]
-    pair_projs = [Projection(np.hstack([chain[j].basis, chain[j + 1].basis]).astype(dtype)) for j in range(len(blocks))]
+    pair_projs = [_as_projection([*chain[j].basis.T, *chain[j + 1].basis.T], dim, dtype) for j in range(len(blocks))]
     references = [pair.complement() for pair in pair_projs]
 
     gammas = []

@@ -128,11 +128,8 @@ class PsdOperator:
     @property
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
-            f = self._factor
-            a = (f[:, :, None] * f[:, None, :].conj()).sum(axis=0)
-            a = (a + a.conj().T) / 2.0
-            a.setflags(write=False)
-            self._matrix = a
+            self._matrix = _outer_sums(self._factor)
+            self._matrix.setflags(write=False)
         return self._matrix
 
     @property
@@ -173,6 +170,12 @@ class PsdOperator:
     @classmethod
     def zero(cls, dim: int) -> "PsdOperator":
         return cls._of_rows(np.zeros((0, dim)))
+
+
+def _outer_sums(rows: np.ndarray) -> np.ndarray:
+    """fl(F^T conj(F)) symmetrized for the (..., r, d) rows F, one (d, d) matrix per leading index."""
+    a = (rows[..., :, :, None] * rows[..., :, None, :].conj()).sum(axis=-3)
+    return (a + a.conj().swapaxes(-1, -2)) / 2.0
 
 
 def _operator_list(ops) -> list:
@@ -233,17 +236,17 @@ def rank_one(vector) -> PsdOperator:
 
 
 class Projection:
-    """Orthogonal projection stored through an orthonormal basis of its range."""
+    """Orthogonal projection through an orthonormal basis of its range, checked to 1e-8 unless framex formed it."""
 
     __slots__ = ("_basis", "_matrix")
 
-    def __init__(self, basis, dim: int | None = None):
+    def __init__(self, basis, dim: int | None = None, *, _orthonormal: bool = False):
         q = np.asarray(basis)
         if q.ndim != 2:
             raise PreconditionError(f"expected a (dim, rank) basis, got shape {q.shape}")
         if dim is not None and q.shape[0] != dim:
             raise DimensionMismatchError(f"basis lives in dim {q.shape[0]}, expected {dim}")
-        if q.shape[1]:
+        if q.shape[1] and not _orthonormal:
             g = q.conj().T @ q
             defect = float(np.max(np.abs(g - np.eye(q.shape[1]))))
             if defect > 1e-8:
@@ -276,17 +279,9 @@ class Projection:
         return self._matrix
 
     def complement(self) -> "Projection":
-        """Projection onto the orthogonal complement of the range."""
-        d, r = self.dim, self.rank
-        if r == 0:
-            basis = np.eye(d, dtype=self._basis.dtype)
-        elif r == d:
-            basis = np.zeros((d, 0), dtype=self._basis.dtype)
-        else:
-            # complete the basis via a full QR factorization
-            q_full, _ = np.linalg.qr(self._basis, mode="complete")
-            basis = q_full[:, r:]
-        return Projection(basis)
+        """Projection onto the orthogonal complement of the range: the last columns of a complete QR of the basis."""
+        q_full, _ = np.linalg.qr(self._basis, mode="complete")  # the identity at rank 0
+        return Projection(q_full[:, self.rank :], _orthonormal=True)
 
     def __repr__(self):
         return f"Projection(dim={self.dim}, rank={self.rank})"

@@ -343,7 +343,7 @@ def _sample(factors, owner, traces, ranges, weights, subspace, epsilon, *, trace
             f"weighted sum has top eigenvalue {hi_t:.6g} > {total_cap}"
         )
     proj = subspace.matrix
-    proj_perp = subspace.complement().matrix
+    half_perp = (epsilon / 2.0) * subspace.complement().matrix
     gamma = float(np.real(np.trace(proj @ target @ proj)))
     gamma = max(gamma, 0.0)
     if gamma > 1.0 + NUMERIC_TOL:
@@ -415,7 +415,6 @@ def _sample(factors, owner, traces, ranges, weights, subspace, epsilon, *, trace
                  for f in np.split(rows, np.searchsorted(rows_owner, np.arange(1, n_ops)))]
         stack = np.stack([_weighted_sum(f, np.full(len(f), c)) for f, c in parts])
         press = np.real(np.einsum("ij,kji->k", proj, stack))  # trace(P X P) per column
-        half_perp = (epsilon / 2.0) * proj_perp
         for level in range(1, levels + 1):
             base, crosses = _split_choices(state)
             unit = 2.0 ** -(eta - level)
@@ -455,8 +454,8 @@ def _sample(factors, owner, traces, ranges, weights, subspace, epsilon, *, trace
             "no leaf satisfies the trace pigeonhole; inputs violate the "
             "average-trace argument"
         )
-    lo, _ = _eig_range(dev + (epsilon / 2.0) * proj_perp)
-    _, hi = _eig_range(dev - (epsilon / 2.0) * proj_perp)
+    ends = np.stack([dev + half_perp, dev - half_perp])  # the sandwich's ends, eigensolved in one call
+    lo, hi = np.linalg.eigvalsh((ends + ends.conj().swapaxes(1, 2)) / 2.0)[[0, 1], [0, -1]].tolist()
     bound = 6.0 * math.sqrt(gamma)
     ok_tol = SANDWICH_TOL + NUMERIC_TOL * max(1.0, bound)
     sigma = SamplingFunction(

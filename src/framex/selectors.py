@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExceededError, NoAdmissibleExponentError, PreconditionError
-from .linalg import NUMERIC_TOL, _operator_list
+from .linalg import NUMERIC_TOL, _operator_list, _outer_sums
 
 __all__ = [
     "EXHAUSTIVE_LIMIT",
@@ -306,17 +306,16 @@ def _deviation(mats, ids, total, scale) -> float:
     return float(np.max(np.abs(vals))) if vals.size else 0.0
 
 
-def _fold(stack, rows, total, scale) -> np.ndarray:
-    """The Hermitian parts of -total + scale * (sum of each row's ids).
+def _fold(scaled, rows, total) -> np.ndarray:
+    """The Hermitian parts of -total + (sum of each row's ids in scaled, the stack times the scale).
 
     rows is an integer (m, width) array; negative entries are pads.  Each
     row adds its real ids in ascending order onto -total, exactly the
     additions _deviation makes; returns the (m, d, d) stack.
     """
-    n = len(stack)
+    n = len(scaled)
     ids = np.sort(np.where(rows < 0, n, rows), axis=1)  # pads sort last
-    scaled = scale * stack
-    acc = np.empty((len(ids),) + total.shape, dtype=np.result_type(total, stack))
+    acc = np.empty((len(ids),) + total.shape, dtype=np.result_type(total, scaled))
     acc[:] = -total
     for col, whole in zip(ids.T, (ids < n).all(axis=0)):
         if whole:
@@ -360,7 +359,7 @@ def _descend(sides: np.ndarray, flips: np.ndarray, score) -> np.ndarray:
         keys = score(cells, trial)
         # each cell's first minimal key: trials sorted by cell, then by key
         order = np.lexsort(tuple(keys.T[::-1]) + (cells,))
-        first = order[np.r_[True, np.diff(cells[order]) != 0]]
+        first = order[np.concatenate(([True], np.diff(cells[order]) != 0))]
         less, tied = np.zeros(len(first), dtype=bool), np.ones(len(first), dtype=bool)
         for new, old in zip(keys[first].T, current[cells[first]].T):
             less |= tied & (new < old)
@@ -406,7 +405,8 @@ def _inertia_pass(lam, terms, cell, scale, bars) -> np.ndarray:
     operator is the rounded outer product T = fl(f f*) of its factor, so
     |T - f f*| <= sqrt(2) gamma_2 |f| |f|* entrywise and
     ||T - f f*||_2 <= sqrt(2) gamma_2 tr T (_outer_rows), and
-    P^ = V^* f + O(d u)|f|.  NUMERIC_TOL is about 10^7 u, so that distance
+    P^ = V^* f + O(d u)|f| in any summation order, fused or not, so any
+    matmul may form P^.  NUMERIC_TOL is about 10^7 u, so that distance
     plus the trial's own fold error stays below 2 eps: a trial dropped at x
     has an exact fold deviation >= x - 2 eps.  pi(C - x) is exact for D,
     and x - Lam^_j is exact wherever it is small (Sterbenz).  The 2x2 sums
@@ -569,12 +569,10 @@ class _TreeBuilder:
         if self.factors is None:
             return bar[cell]
         lam, vecs = np.linalg.eigh(current)
-        # each child's (f_+, f_-), as (factor, trial, child): child 0 gains
-        # `gain`, child 1 gains `lose`.  einsum keeps these small products
-        # off BLAS: a BLAS call here, in a small early job, raised a later
-        # large job's peak RSS by up to 10 MB
-        ends = np.array([[gain, lose], [lose, gain]]).swapaxes(1, 2)
-        p = np.einsum("ftck,tckj->ftcj", self.factors[ends], vecs[cell].conj())
+        # each child's rows (f_+, f_-) as (trial, child, factor), child 0
+        # gaining `gain` and child 1 `lose`, projected in one batched product
+        ends = np.array([[gain, lose], [lose, gain]]).T
+        p = np.moveaxis(self.factors[ends] @ vecs.conj()[cell], 2, 0)
         terms = p[[0, 1, 0]].conj() * p[[0, 1, 1]]  # |p_+|^2, |p_-|^2, conj(p_+) p_-
         if np.iscomplexobj(terms):
             terms = np.concatenate([terms.real, terms[2:].imag])
@@ -605,6 +603,7 @@ def _greedy_sides(builder: _TreeBuilder, pairs, remaining, starts) -> np.ndarray
     slots = np.arange(width)
     level_scale = float(2 ** (builder.order - remaining + 1))
     eps = builder.tolerance(level_scale)
+    scaled = level_scale * builder.stack
     padded_pairs = np.where(pairs < 0, len(builder.stack), pairs)
     sides = starts.copy()
 
@@ -613,7 +612,7 @@ def _greedy_sides(builder: _TreeBuilder, pairs, remaining, starts) -> np.ndarray
         # and their deviations
         own = owner[:, None]
         rows = np.concatenate([pairs[own, slots, side_rows], pairs[own, slots, 1 - side_rows]])
-        sums = _fold(builder.stack, rows, builder.total, level_scale)
+        sums = _fold(scaled, rows, builder.total)
         sums = sums.reshape((2, len(side_rows)) + sums.shape[1:]).swapaxes(0, 1)
         return sums, _radii(sums)
 
@@ -634,7 +633,7 @@ def _greedy_sides(builder: _TreeBuilder, pairs, remaining, starts) -> np.ndarray
         # fallback folds them too.  Unfolded trials keep the cell's value as
         # their (losing) key, so _descend decides as it would on exact keys
         # alone.
-        live = np.unique(owner)
+        live = np.flatnonzero(np.bincount(owner, minlength=cells))  # the distinct owners, ascending
         stale = live[(held[live] != sides[live]).any(axis=1)]
         if len(stale):
             held[stale] = sides[stale]
@@ -670,7 +669,7 @@ def _greedy_sides(builder: _TreeBuilder, pairs, remaining, starts) -> np.ndarray
             # each cell's first exact minimum
             c = owner[sel]
             order = np.lexsort((sel, keys[sel], c))
-            first = order[np.r_[True, np.diff(c[order]) != 0]]
+            first = order[np.concatenate(([True], np.diff(c[order]) != 0))]
             held[c[first]] = side_rows[sel[first]]
             held_sums[c[first]], held_devs[c[first]] = sums[first], exact[first]
         return keys[:, None]
@@ -693,7 +692,7 @@ def _optimal_sides(builder: _TreeBuilder):
     in one batch.
     """
     n = len(builder.stack)
-    scale = float(2**builder.order)
+    scaled = float(2**builder.order) * builder.stack
     leaf: dict[int, float] = {}
     memo: dict[tuple[int, int, int], tuple[float, list[int]]] = {}
 
@@ -718,7 +717,7 @@ def _optimal_sides(builder: _TreeBuilder):
                 for row, child in zip(rows, fresh):
                     ids = [i for i in range(n) if child >> i & 1]
                     row[: len(ids)] = ids
-                leaf.update(zip(fresh, _radii(_fold(builder.stack, rows, builder.total, scale)).tolist()))
+                leaf.update(zip(fresh, _radii(_fold(scaled, rows, builder.total)).tolist()))
             value = leaf.__getitem__
         else:
             def value(child):
@@ -748,7 +747,7 @@ def _leaf_deviations(trees: list[SelectorTree], stack, total) -> list[dict[str, 
     rows = np.full((len(leaves), max(map(len, leaves))), -1, dtype=np.int64)
     for row, ids in zip(rows, leaves):
         row[: len(ids)] = ids
-    devs = iter(_radii(_fold(stack, rows, total, float(2 ** trees[0].order))).tolist())
+    devs = iter(_radii(_fold(float(2 ** trees[0].order) * stack, rows, total)).tolist())
     return [{path: next(devs) for path in raw} for raw in raws]
 
 
@@ -789,10 +788,11 @@ def best_selector(
         raise BudgetExceededError(
             f"order {order} gives a tree 2^{order} leaves, over the leaf budget {_LEAF_BUDGET}"
         )
-    mats = [p.matrix for p in psd]
-    stack = np.stack(mats)
+    rows = _outer_rows(psd)
+    # rank-one rows give every matrix in one product, each as its operator forms it
+    stack = np.stack([p.matrix for p in psd]) if rows is None else _outer_sums(rows[:, None])
     traces = [p.trace for p in psd]
-    total = sum(mats)
+    total = sum(stack)  # from 0, left to right, as the matrices' sum adds them
     trace_cap = _trace_cap(max(traces) if trace_cap is None else trace_cap)
     tol = NUMERIC_TOL * max(1.0, max(traces))
     bad = [i for i, t in enumerate(traces) if t > trace_cap + tol]
@@ -806,7 +806,7 @@ def best_selector(
     if top_eig > 1.0 + NUMERIC_TOL * max(top, 1.0):
         raise PreconditionError(f"operator sum has top eigenvalue {top_eig:.6g} > 1")
 
-    count = _selector_count(len(mats), order, exhaustive_limit)
+    count = _selector_count(len(psd), order, exhaustive_limit)
     chosen = strategy
     if strategy == "auto":
         chosen = "exhaustive" if count <= exhaustive_limit else "randomized"
@@ -814,7 +814,7 @@ def best_selector(
         raise BudgetExceededError(
             f"{restarts} restarts of order {order} build {restarts << order} leaves, over the leaf budget {_LEAF_BUDGET}"
         )
-    builder = _TreeBuilder(stack, traces, total, order, _outer_rows(psd))
+    builder = _TreeBuilder(stack, traces, total, order, rows)
     choose, groups, rng = functools.partial(_greedy_sides, builder), [1], None
     if chosen == "exhaustive":
         if count > exhaustive_limit:
@@ -826,7 +826,7 @@ def best_selector(
     elif chosen == "randomized":
         # restarts build in groups whose lockstep arrays, 2^order d^2 + 2 n d
         # entries a restart, stay within about the stack's n d^2
-        n = len(mats)
+        n = len(psd)
         group = max(1, n * dim * dim // (2**order * dim * dim + 2 * n * dim))
         groups = [min(group, restarts - done) for done in range(0, restarts, group)]
         rng = np.random.default_rng(seed)

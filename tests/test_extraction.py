@@ -193,6 +193,34 @@ def test_plan_gammas_are_the_per_member_vdot_sums(dim, extras, complex_field, of
         assert gamma == total
 
 
+@given(
+    dim=st.integers(2, 8),
+    extras=st.integers(0, 4),
+    complex_field=st.booleans(),
+    offsets=st.lists(st.sampled_from([0.0, 1e-6, 1e-9]), max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_plan_subspaces_are_orthonormal(dim, extras, complex_field, offsets, seed):
+    """A plan's bases are orthonormal within the 1e-8 the public Projection checks, a check plans skip.
+
+    The chain, which spans the space, each pair of consecutive chain
+    entries, the references and the references' complements, which sample
+    takes."""
+    fam = near_duplicate_family(np.random.default_rng(seed), dim, extras, complex_field, offsets)
+    rep = frame_bounds(fam)
+    try:
+        got = plan(fam, rep.lower, rep.upper)
+    except PreconditionError:
+        return
+    chain, refs = got.subspaces, got.block_subspaces
+    bases = [p.basis for p in chain + refs] + [r.complement().basis for r in refs]
+    bases += [np.hstack([a.basis, b.basis]) for a, b in zip(chain, chain[1:])]
+    assert sum(p.rank for p in chain) == dim
+    for q in bases:
+        assert np.abs(q.conj().T @ q - np.eye(q.shape[1])).max(initial=0.0) <= 1e-8
+
+
 def test_extract_reads_the_family_data_once(rng, monkeypatch):
     """extract plans on the energies and unit vectors it computed; the plan equals plan()'s."""
     fam = rescalable_fixture(rng, 5)

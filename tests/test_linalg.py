@@ -134,6 +134,15 @@ def test_projection_basics():
     np.testing.assert_allclose(m + q.matrix, np.eye(3), atol=1e-12)
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_projection_complement_at_rank_zero_and_full_rank(dtype):
+    """The complete QR gives the exact identity at rank 0 and no columns at full rank, in the basis dtype."""
+    for p, rank in ((Projection(np.zeros((3, 0), dtype=dtype)), 3), (Projection(np.eye(3, dtype=dtype)), 0)):
+        q = p.complement()
+        assert q.rank == rank and q.basis.dtype == np.dtype(dtype)
+        assert q.matrix.tobytes() == (np.eye(3, dtype=dtype) if rank else np.zeros((3, 3), dtype=dtype)).tobytes()
+
+
 def test_span_rank_drops_dependent_vectors():
     v = np.array([1.0, 1.0])
     assert _span_rank(np.stack([v, 2.0 * v, -v])) == 1

@@ -440,8 +440,39 @@ def test_batched_deviations_match_scalar(rng):
         rows = np.array([rng.permutation(count + 1)[: (count + 1) // 2] for _ in range(6)]) - 1
         rows[0] = -1  # a row of pads alone leaves -target
         for scale in (2.0, 8.0):
-            batched = _radii(_fold(np.stack(mats), rows, target, scale))
+            batched = _radii(_fold(scale * np.stack(mats), rows, target))
             assert batched.tolist() == [_deviation(mats, row, target, scale) for row in rows]
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_stacked_operators_equal_the_per_operator_matrices_bit_for_bit(monkeypatch, complex_field):
+    """best_selector forms a rank-one stack in one product from the factor
+    rows; its operators and sum equal [p.matrix for p in psd] and sum(mats)
+    to the last bit, -0.0 entries and zero rows included."""
+    rng = np.random.default_rng(5)
+    rows = 0.2 * rng.normal(size=(9, 4))
+    if complex_field:
+        rows = rows + 0.2j * rng.normal(size=(9, 4))
+    rows[2] = 0.0  # a zero row
+    rows[4] = -0.0
+    rows[5, ::2] = -0.0
+    rows[6, 1] = complex(-0.0, -0.0) if complex_field else -0.0
+    rows[7, 3] = complex(0.1, -0.0) if complex_field else 0.1
+    seen = {}
+    builder = selectors._TreeBuilder
+
+    def spy(stack, traces, total, order, factors):
+        seen["stack"], seen["total"], seen["factors"] = stack, total, factors
+        return builder(stack, traces, total, order, factors)
+
+    monkeypatch.setattr(selectors, "_TreeBuilder", spy)
+    best_selector([rank_one(v) for v in rows], 1, strategy="greedy")
+    mats = [p.matrix for p in [rank_one(v) for v in rows]]
+    assert seen["factors"] is not None
+    assert seen["stack"].dtype == mats[0].dtype and seen["stack"].tobytes() == np.stack(mats).tobytes()
+    assert seen["total"].tobytes() == sum(mats).tobytes()
+    raw = (rows[:, :, None] * rows[:, None, :].conj()).view(float)
+    assert (np.signbit(raw) & (raw == 0)).any()  # products of -0.0 that each matrix's one-row sum clears
 
 
 def reference_search(ops, order, seed=None, restarts=1):
@@ -647,9 +678,9 @@ def screened_cell(seed, complex_field, shape, size, level):
     rows[np.arange(1, len(pairs) + 1), np.arange(len(pairs))] ^= 1  # row 0: the current sides
     slots = np.arange(len(pairs))
     children = np.concatenate([pairs[slots, rows], pairs[slots, 1 - rows]])
-    devs = selectors._radii(selectors._fold(stack, children, target, scale))
+    devs = selectors._radii(selectors._fold(scale * stack, children, target))
     exact = devs.reshape(2, -1).max(axis=0)
-    current = selectors._fold(stack, children[[0, len(rows)]], target, scale)
+    current = selectors._fold(scale * stack, children[[0, len(rows)]], target)
     eps = builder.tolerance(scale)
     gain, lose = padded[slots, 1 - sides], padded[slots, sides]
 
