@@ -87,7 +87,7 @@ class PsdOperator:
     Construction symmetrizes the input after checking that it is finite and
     Hermitian, and rejects matrices whose smallest eigenvalue is below
     -PSD_TOL relative to the operator norm.  One built from factor rows
-    (rank_one, make_paddings) is not checked.
+    (rank_one) is not checked.
     """
 
     __slots__ = ("_matrix", "_eigenvalues", "_trace", "_factor", "_from_rows", "_spectrum")
@@ -108,21 +108,16 @@ class PsdOperator:
         self._from_rows = False
 
     @classmethod
-    def _of_rows(cls, rows, matrix=None) -> "PsdOperator":
+    def _of_rows(cls, rows) -> "PsdOperator":
         """sum_k f_k f_k* over the orthogonal rows of an (r, d) array, PSD by construction.
 
-        Its matrix is fl(F^T conj(F)) symmetrized, formed when first read,
-        unless the caller passes the sum as it formed it, symmetrized.
+        Its matrix is fl(F^T conj(F)) symmetrized, formed when first read.
         """
         op = cls.__new__(cls)
         op._factor = f = np.array(rows, dtype=np.result_type(rows, np.float64))
         f.setflags(write=False)
-        op._matrix, op._eigenvalues, op._spectrum, op._from_rows = matrix, None, None, matrix is None
-        if matrix is None:
-            op._trace = float(np.sum(f * f.conj()).real)
-        else:
-            matrix.setflags(write=False)
-            op._trace = float(matrix.trace().real)
+        op._matrix, op._eigenvalues, op._spectrum, op._from_rows = None, None, None, True
+        op._trace = float(np.sum(f * f.conj()).real)
         return op
 
     @property

@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PreconditionError
-from .linalg import NUMERIC_TOL, Projection, PsdOperator, _factor_rows, _operator_list, _range_rows, _weighted_sum
+from .linalg import NUMERIC_TOL, Projection, _factor_rows, _operator_list, _range_rows, _weighted_sum
 from .selectors import ScaleExponent, _descend, _trace_cap, natural_max_order, scale_exponent, selector_constant
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "SANDWICH_TOL",
     "SamplingFunction",
     "SamplingCertificate",
-    "make_paddings",
     "sample",
 ]
 
@@ -53,10 +52,11 @@ def _as_fraction(value) -> Fraction:
         return value
     if isinstance(value, (int, np.integer)):
         return Fraction(int(value))
-    if isinstance(value, str):
-        return Fraction(value)
-    # binary floats convert exactly, so no precision is lost here
-    return Fraction(*float(value).as_integer_ratio())
+    try:
+        # binary floats convert exactly, so no precision is lost here
+        return Fraction(value) if isinstance(value, str) else Fraction(*float(value).as_integer_ratio())
+    except (ValueError, OverflowError, ZeroDivisionError):  # nan, inf, "nan", "1/0"
+        raise PreconditionError(f"weights must be finite numbers, got {value!r}") from None
 
 
 def _binary_expansion(value: Fraction, depth: int) -> tuple[int, ...]:
@@ -99,67 +99,26 @@ def _replica_counts(exponents, cut: int, beta: int):
 
 
 def _pads(ranges: np.ndarray, owner: np.ndarray, count: int, max_trace: float, epsilon: float, beta: int):
-    """(pad matrices (count, d, d), their factor rows, the pad owning each row) of count operators.
+    """(factor rows, the pad owning each row, each pad's trace) of count operators' pads.
 
     ranges holds each operator's orthonormal range rows, in operator order,
     with owner naming each row's operator (_range_rows).  Pad n is
     (cap / r) B B* over the r rows B* of operator n, cap = min(2^(-beta+2)
-    epsilon, max_trace), one stacked product per rank (an operator without
-    rows gets a zero pad); the pads are then rescaled alike so that their plain sum, in operator order, stays below
-    I/2, and each pad's factor is its rows times the root of its scale.
-    The matrices are not symmetrized, which keeps the diagonals sample reads.
+    epsilon, max_trace) clamped at 0, so its factor is those rows times
+    sqrt(cap / r); an operator without rows gets a zero pad.  The pads are rescaled alike
+    so that their sum, one product over all the rows, stays below I/2.
+    No pad is formed as a matrix.
     """
-    target = min(2.0 ** (-beta + 2) * epsilon, max_trace)
-    dim = ranges.shape[1]
-    if target <= 0:  # every pad zero, and real as PsdOperator.zero's
-        ranges, owner = np.zeros((0, dim)), owner[:0]
-    ranks = np.bincount(owner, minlength=count)
-    starts = np.cumsum(ranks) - ranks
-    mats = np.zeros((count, dim, dim), dtype=ranges.dtype)
-    for rank in np.unique(ranks[ranks > 0]).tolist():
-        ids = np.flatnonzero(ranks == rank)
-        # each operator's rows as the columns of one C-ordered (d, r) basis,
-        # laid out as the per-operator loop laid out each dense basis
-        basis = np.ascontiguousarray(ranges[starts[ids][:, None] + np.arange(rank)].swapaxes(1, 2))
-        mats[ids] = (target / rank) * (basis @ basis.conj().swapaxes(1, 2))
-    total = sum(mats)
+    target = max(min(2.0 ** (-beta + 2) * epsilon, max_trace), 0.0)  # a trace may sit just below 0
+    ranks = np.maximum(np.bincount(owner, minlength=count), 1)
+    total = _weighted_sum(ranges, (target / ranks)[owner])
     top = float(np.max(np.linalg.eigvalsh((total + total.conj().T) / 2.0)))
     factor = 1.0
     if top > 0.5:
         factor = 0.5 / top * (1.0 - 1e-12)
-        mats *= factor
-    rows = np.sqrt(factor * target / np.maximum(ranks, 1))[owner][:, None] * ranges
-    return mats, rows, owner
-
-
-def make_paddings(ops, epsilon: float, beta: int):
-    """Default padding operators: scaled projections onto each span(T_n).
-
-    Traces are capped at min(2^(-beta+2) * epsilon, max operator trace) and
-    the family is rescaled uniformly so its plain sum stays below I/2.  The
-    caps have no lower bounds, so shrinking (even to zero) is always safe;
-    the caller may rescale further against its compressed-trace budget.
-    A pad is (cap / r) B B* for an orthonormal basis B of T_n's range, of
-    rank r, with the rows of B* scaled to match as its factor: PSD by
-    construction, with no eigensolve of a rank-one T_n and no check.  The
-    range bases of all operators are stacked as rows (linalg._range_rows)
-    and every pad is formed in one pass over them (_pads), one stacked
-    product per rank, so a list of rank-one operators takes one product;
-    sample runs the same pass on the rows it has stacked.  A list mixing
-    real and complex operators is handled as complex.
-    """
-    ops = list(ops)
-    if not ops:
-        return []
-    psd = _operator_list(ops)
-    if not 0 < epsilon < 1:
-        raise PreconditionError(f"epsilon must lie in (0, 1), got {epsilon}")
-    factors, owner = _factor_rows(psd)
-    ranges, range_owner = _range_rows(factors, owner, psd)
-    pads, rows, row_owner = _pads(ranges, range_owner, len(psd), max(p.trace for p in psd), epsilon, beta)
-    pads = (pads + pads.conj().swapaxes(1, 2)) / 2.0  # as PsdOperator's construction symmetrizes
-    split = np.split(rows, np.searchsorted(row_owner, np.arange(1, len(psd))))
-    return [PsdOperator._of_rows(f, pad) for f, pad in zip(split, pads)]
+    rows = np.sqrt(factor * target / ranks)[owner][:, None] * ranges
+    traces = np.bincount(owner, weights=(rows * rows.conj()).real.sum(axis=1), minlength=count)
+    return rows, owner, traces
 
 
 class SamplingFunction:
@@ -305,6 +264,7 @@ def sample(
     found by a greedy descent; PreconditionError is raised if the leaf
     fails the trace pigeonhole.
     """
+    weights = [_as_fraction(c) for c in weights]  # read first: a weight that is not finite raises here
     psd = _operator_list(ops)
     factors, owner = _factor_rows(psd)
     return _sample(
@@ -385,12 +345,12 @@ def _sample(factors, owner, traces, ranges, weights, subspace, epsilon, *, trace
     levels = eta - beta
     q0 = sum(op_counts) + sum(pad_counts)
 
-    pads, pad_factors, pad_owner = _pads(*ranges, n_ops, max(traces), epsilon, beta)
+    pad_factors, pad_owner, pad_traces = _pads(*ranges, n_ops, max(traces), epsilon, beta)
 
     # uniform shrink so pads respect the trace cap, the I/2 sum condition,
     # and a compressed-trace budget of gamma (keeps the pigeonhole honest)
     factor = 1.0
-    worst_pad_trace = float(np.trace(pads, axis1=1, axis2=2).real.max())
+    worst_pad_trace = float(pad_traces.max())
     if worst_pad_trace > delta:
         factor = min(factor, delta / worst_pad_trace * (1.0 - 1e-12))
     gaps = np.array([count / 2**eta for count in pad_counts])  # rounds as float(Fraction) does
@@ -411,10 +371,15 @@ def _sample(factors, owner, traces, ranges, weights, subspace, epsilon, *, trace
         # caps, sandwich excess) at the level's scale 2^-(eta - level)
         state = {(k, n): c for k, counts in enumerate((op_counts, pad_counts)) for n, c in enumerate(counts)}
         # from the factors, as every sum above: a dense T_n enters as its positive part
-        parts = [(f, c) for rows, rows_owner, c in ((factors, owner, 1.0), (pad_factors, pad_owner, factor))
-                 for f in np.split(rows, np.searchsorted(rows_owner, np.arange(1, n_ops)))]
-        stack = np.stack([_weighted_sum(f, np.full(len(f), c)) for f, c in parts])
-        press = np.real(np.einsum("ij,kji->k", proj, stack))  # trace(P X P) per column
+        stack = np.stack([_weighted_sum(f, np.ones(len(f)))
+                          for f in np.split(factors, np.searchsorted(owner, np.arange(1, n_ops)))])
+        # trace(P X P) per column: of the stacked operators, and for the
+        # pads the sum of ||P f||^2 over each pad's scaled factor rows f
+        pressed = (math.sqrt(factor) * pad_factors) @ subspace.basis.conj()
+        press = np.concatenate([
+            np.real(np.einsum("ij,kji->k", proj, stack)),
+            np.bincount(pad_owner, weights=(pressed * pressed.conj()).real.sum(axis=1), minlength=n_ops),
+        ])
         for level in range(1, levels + 1):
             base, crosses = _split_choices(state)
             unit = 2.0 ** -(eta - level)
@@ -433,7 +398,7 @@ def _sample(factors, owner, traces, ranges, weights, subspace, epsilon, *, trace
                 taken = np.where(rows, picks[:, 1], picks[:, 0])  # column of each cross's pick
                 np.add.at(hits, (np.arange(len(rows))[:, None], taken), 1)
                 coeff = unit * (base_counts + hits)
-                dev = np.tensordot(coeff[:, :n_ops], stack[:n_ops], axes=1) - target
+                dev = np.tensordot(coeff[:, :n_ops], stack, axes=1) - target
                 lo = np.linalg.eigvalsh(dev + half_perp)[:, 0]
                 hi = np.linalg.eigvalsh(dev - half_perp)[:, -1]
                 over_cap = np.maximum(hits[:, :n_ops] - slack, 0).sum(axis=1)

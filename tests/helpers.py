@@ -423,8 +423,9 @@ def reference_replica_counts(values, depth: int, beta: int) -> dict:
     return out
 
 
-# The padding operators framex.sampling.make_paddings built one at a time:
-# one eigh and one validated PsdOperator per operator.  Kept as the oracle.
+# The padding operators framex.sampling built one at a time, as dense
+# matrices: one eigh and one validated PsdOperator per operator.  Kept as
+# the oracle.
 def reference_paddings(psd, epsilon: float, beta: int):
     target = min(2.0 ** (-beta + 2) * epsilon, max(p.trace for p in psd))
     mats = []
@@ -443,10 +444,12 @@ def reference_paddings(psd, epsilon: float, beta: int):
     return [PsdOperator(factor * m) for m in mats]
 
 
-# framex.sampling.make_paddings as it ran before the stacked construction:
-# a loop over the operators, each pad the product of its own range basis
-# (its rows normalized, or the eigenvectors of its one eigh).  Kept as the
-# bit-for-bit oracle of the stacked pass.
+# framex.sampling's pads as they were built before the stacked pass: a loop
+# over the operators, each pad the product of its own range basis (its rows
+# normalized, or the eigenvectors of its one eigh), and the I/2 rescale read
+# from their plain sum.  Returns (the pads as a (count, d, d) array,
+# symmetrized, each pad's factor rows, each pad's trace).  Kept as the
+# oracle of the pass over factor rows.
 def _reference_range(p) -> np.ndarray:
     f = p._factor
     if p._spectrum is None and f is not None:
@@ -459,8 +462,9 @@ def _reference_range(p) -> np.ndarray:
 
 def reference_paddings_loop(psd, epsilon: float, beta: int):
     target = min(2.0 ** (-beta + 2) * epsilon, max(p.trace for p in psd))
+    dim = psd[0].dim
     if target <= 0:
-        return [PsdOperator.zero(psd[0].dim) for _ in psd]
+        return np.zeros((len(psd), dim, dim)), [np.zeros((0, dim)) for _ in psd], np.zeros(len(psd))
     bases = [_reference_range(p) for p in psd]
     dtype = np.result_type(*bases)
     bases = [basis.astype(dtype, copy=False) for basis in bases]
@@ -470,10 +474,8 @@ def reference_paddings_loop(psd, epsilon: float, beta: int):
     factor = 0.5 / top * (1.0 - 1e-12) if top > 0.5 else 1.0
     pads = factor * np.stack(mats)
     pads = (pads + pads.conj().swapaxes(1, 2)) / 2.0
-    return [
-        PsdOperator._of_rows(math.sqrt(factor * target / max(basis.shape[1], 1)) * basis.T, pad)
-        for basis, pad in zip(bases, pads)
-    ]
+    rows = [math.sqrt(factor * target / max(basis.shape[1], 1)) * basis.T for basis in bases]
+    return pads, rows, np.trace(pads, axis1=1, axis2=2).real
 
 
 # The Fraction arithmetic framex.extraction used for its weight snapping,

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -16,12 +17,12 @@ from framex import (
     SamplingFunction,
     VectorFamily,
     extract,
-    make_paddings,
     rank_one,
     sample,
 )
 from framex import sampling
 from framex.errors import PreconditionError
+from framex.linalg import _factor_rows, _operator_list, _range_rows, _weighted_sum
 from framex.sampling import (
     _as_fraction,
     _binary_expansion,
@@ -135,37 +136,46 @@ def test_split_choices_halves_and_conserves_counts(state, data):
     assert all(child[key] >= count for key, count in base.items())
 
 
-def test_make_paddings_conditions():
+def stacked_pads(ops, epsilon, beta):
+    """sampling._pads on a list of operators, read as sample reads them: (rows, owner, traces)."""
+    psd = _operator_list(ops)
+    factors, owner = _factor_rows(psd)
+    return sampling._pads(*_range_rows(factors, owner, psd), len(psd), max(p.trace for p in psd), epsilon, beta)
+
+
+def pad_matrices(rows, owner, count):
+    """Each pad's matrix, the outer sum of its factor rows."""
+    return np.stack([_weighted_sum(rows[owner == n], np.ones(np.count_nonzero(owner == n))) for n in range(count)])
+
+
+def test_pads_conditions():
     """Each pad's range lies in span(T_n), the sum stays below I/2, traces obey the cap."""
     rng = np.random.default_rng(5)
     vecs = [0.7 * rng.normal(size=4) for _ in range(3)]
     ops = [rank_one(v) for v in vecs]
     # at (0.9, 0) the trace cap exceeds the operator traces and the I/2 rescale binds
     for epsilon, beta in [(0.5, 2), (0.9, 0), (0.05, 3)]:
-        pads = make_paddings(ops, epsilon=epsilon, beta=beta)
-        assert len(pads) == len(ops)
-        for v, pad in zip(vecs, pads):
+        rows, owner, traces = stacked_pads(ops, epsilon, beta)
+        pads = pad_matrices(rows, owner, len(ops))
+        for v, pad, trace in zip(vecs, pads, traces):
             line = np.outer(v, v) / (v @ v)
-            np.testing.assert_allclose(line @ pad.matrix, pad.matrix, atol=1e-12)
-            assert pad.trace <= 2.0 ** (-beta + 2) * epsilon * (1 + 1e-12)
-        total = sum(pad.matrix for pad in pads)
-        assert np.linalg.eigvalsh(total)[-1] <= 0.5 + 1e-12
-    with pytest.raises(PreconditionError, match=r"epsilon must lie in \(0, 1\), got 1.0"):
-        make_paddings(ops, epsilon=1.0, beta=0)
+            np.testing.assert_allclose(line @ pad, pad, atol=1e-12)
+            assert trace == pytest.approx(np.trace(pad), rel=1e-12)
+            assert trace <= 2.0 ** (-beta + 2) * epsilon * (1 + 1e-12)
+        assert np.linalg.eigvalsh(pads.sum(axis=0))[-1] <= 0.5 + 1e-12
 
 
 @pytest.mark.parametrize("complex_field", [False, True])
-def test_make_paddings_equals_one_operator_at_a_time(complex_field):
+def test_pads_equal_one_operator_at_a_time(complex_field):
     """Pads match the one-eigh-per-operator oracle.
 
-    A dense operator's pad is formed as the oracle forms it, from the same
-    eigenvectors, so it is bit-equal whenever the I/2 rescale is: when
-    neither construction rescales, or when every operator is dense.  A
-    rank-one operator's pad spans its normalized row where the oracle
-    eigensolves v v*; the two projections differ by a few d u, and the pads'
-    sums, so the rescale factors, by a few d n u relative.  Hence the bound
-    4 cap d n u on every entry, eigenvalue and trace elsewhere (the largest
-    deviation measured over 1,500 random families was 1.75 cap d n u).
+    The oracle forms each pad as (cap / r) B B* from the eigenvectors B of
+    T_n; _pads holds it as its rows sqrt(cap / r) B* (a rank-one T_n's row
+    normalized), and its I/2 rescale reads the one product over all rows.
+    The projections differ by a few d u, and the sums, so the rescale
+    factors, by a few d n u relative.  Hence the bound 4 cap d n u on every
+    entry, eigenvalue and trace of a pad, on both sides of the rescale (the
+    largest deviation measured over 1,500 random families was 1.75 cap d n u).
     """
     rng = np.random.default_rng(11)
     vecs = rng.normal(size=(5, 4))
@@ -178,24 +188,19 @@ def test_make_paddings_equals_one_operator_at_a_time(complex_field):
     u = np.finfo(float).eps / 2
     for family in (mixed, dense):
         for epsilon, beta, rescaled in [(0.5, 2, True), (0.9, 0, True), (0.05, 3, False), (0.3, -2, True)]:
-            pads = make_paddings(family, epsilon=epsilon, beta=beta)
+            rows, owner, traces = stacked_pads(family, epsilon, beta)
             want = reference_paddings(family, epsilon, beta)
             cap = min(2.0 ** (-beta + 2) * epsilon, max(p.trace for p in family))
             assert (max(ref.trace for ref in want) < cap * (1 - 5e-13)) == rescaled
             tol = 4 * cap * 4 * len(family) * u
-            assert len(pads) == len(want)
-            for op, got, ref in zip(family, pads, want):
-                assert got.matrix.dtype == ref.matrix.dtype
-                if not op._from_rows and (family is dense or not rescaled):
-                    assert got.matrix.tobytes() == ref.matrix.tobytes()
-                    assert got.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
-                    assert got.trace == ref.trace
-                else:
-                    assert np.abs(got.matrix - ref.matrix).max() <= tol
-                    assert np.abs(got.eigenvalues - ref.eigenvalues).max() <= tol
-                    assert abs(got.trace - ref.trace) <= tol
-                if op.trace == 0:  # zero operators, dense and rank-one
-                    assert got.trace == 0.0 and not got.matrix.any()
+            assert rows.dtype == vecs.dtype and traces.shape == (len(want),)
+            for got, trace, ref in zip(pad_matrices(rows, owner, len(family)), traces, want):
+                assert np.abs(got - ref.matrix).max() <= tol
+                assert np.abs(np.linalg.eigvalsh(got) - ref.eigenvalues).max() <= tol
+                assert abs(trace - ref.trace) <= tol
+            for n, op in enumerate(family):
+                if op.trace == 0:  # zero operators, dense and rank-one, get no rows
+                    assert traces[n] == 0.0 and not np.any(owner == n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -207,43 +212,43 @@ def test_make_paddings_equals_one_operator_at_a_time(complex_field):
     rescaled=st.booleans(),
     epsilon=st.floats(0.05, 0.95),
 )
-def test_make_paddings_equals_the_per_operator_loop_property(dim, count, seed, complex_field, rescaled, epsilon):
-    """The stacked pads of a family's rank-one operators are the per-operator loop's bits.
+def test_pads_equal_the_per_operator_loop_property(dim, count, seed, complex_field, rescaled, epsilon):
+    """The pads of a family's rank-one operators, held as factor rows, are the per-operator loop's.
 
     Rows are Gaussian with about a quarter zero, of traces in (0.6, 1).  At
     beta -2 the cap min(16 epsilon, max trace) passes 1/2, so the I/2
     rescale binds; at beta 9 the pads sum to at most 40 (epsilon / 128) < 1/2
-    and it does not.  Matrices, factors and traces of real families equal
-    the loop's byte for byte; complex ones equal them or stay within
-    4 cap d n u, the bound of test_make_paddings_equals_one_operator_at_a_time
-    (none of 30,000 random pads, complex or real, has differed in a bit).
+    and it does not.  Without the rescale the factor rows equal the loop's
+    byte for byte.  The rows' outer sums and the traces stay within
+    4 cap d n u of the loop's matrices and traces on both sides: the sum
+    behind the rescale is one product over all rows here and a sum of
+    matrices in operator order there, so its factor may move in its last bits.
     """
     rng = np.random.default_rng(seed)
-    rows = rng.normal(size=(count, dim))
+    vecs = rng.normal(size=(count, dim))
     if complex_field:
-        rows = rows + 1j * rng.normal(size=(count, dim))
-    rows *= np.sqrt(rng.uniform(0.6, 1.0, size=count) / np.maximum(np.sum(np.abs(rows) ** 2, axis=1), 1e-300))[:, None]
-    rows[rng.random(count) < 0.25] = 0.0
-    ops = [rank_one(row) for row in rows]
+        vecs = vecs + 1j * rng.normal(size=(count, dim))
+    vecs *= np.sqrt(rng.uniform(0.6, 1.0, size=count) / np.maximum(np.sum(np.abs(vecs) ** 2, axis=1), 1e-300))[:, None]
+    vecs[rng.random(count) < 0.25] = 0.0
+    ops = [rank_one(v) for v in vecs]
     beta = -2 if rescaled else 9
-    pads = make_paddings(ops, epsilon=epsilon, beta=beta)
-    want = reference_paddings_loop(ops, epsilon, beta)
+    rows, owner, traces = stacked_pads(ops, epsilon, beta)
+    want, want_rows, want_traces = reference_paddings_loop(ops, epsilon, beta)
     cap = min(2.0 ** (-beta + 2) * epsilon, max(op.trace for op in ops))
     if cap > 0:
-        assert (max(ref.trace for ref in want) < cap * (1 - 5e-13)) == rescaled
+        assert (max(want_traces) < cap * (1 - 5e-13)) == rescaled
     tol = 4 * cap * dim * count * np.finfo(float).eps / 2
-    assert len(pads) == len(want) == count
-    for got, ref in zip(pads, want):
-        for a, b in ((got.matrix, ref.matrix), (got.factor, ref.factor), (np.float64(got.trace), np.float64(ref.trace))):
-            assert a.shape == b.shape
-            if complex_field:
-                assert np.abs(a - b).max(initial=0.0) <= tol
-            else:
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert traces.shape == want_traces.shape == (count,)
+    assert np.abs(pad_matrices(rows, owner, count) - want).max(initial=0.0) <= tol
+    assert np.abs(traces - want_traces).max() <= tol
+    if not rescaled:
+        got_rows = np.split(rows, np.searchsorted(owner, np.arange(1, count)))
+        for got, ref in zip(got_rows, want_rows):
+            assert got.shape == ref.shape and got.tobytes() == ref.astype(got.dtype).tobytes()
 
 
 def test_rank_one_input_is_never_eigensolved(monkeypatch):
-    """make_paddings, sample and extract read rank-one operators through their factors."""
+    """_pads, sample and extract read rank-one operators through their factors."""
     calls = []
     eigh = np.linalg.eigh
 
@@ -253,7 +258,7 @@ def test_rank_one_input_is_never_eigensolved(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     ops = scaled_basis_ops(3)
-    make_paddings(ops, epsilon=0.5, beta=2)
+    stacked_pads(ops, 0.5, 2)
     sample(ops, [1, Fraction(3, 4), Fraction(1, 2)], Projection(np.eye(3)[:, :1], dim=3), 0.25)
     rng = np.random.default_rng(3)
     rows = np.vstack([np.eye(5), rng.normal(size=(2, 5))])
@@ -263,10 +268,20 @@ def test_rank_one_input_is_never_eigensolved(monkeypatch):
     assert calls == [(3, 3)]
 
 
-def test_make_paddings_zero_for_zero_ops():
-    zero = PsdOperator.zero(3)
-    pads = make_paddings([zero], epsilon=0.5, beta=1)
-    assert pads[0].trace == 0.0
+def test_pads_zero_for_zero_ops():
+    rows, owner, traces = stacked_pads([PsdOperator.zero(3)], 0.5, 1)
+    assert rows.shape == (0, 3) and owner.shape == (0,)
+    assert traces.tolist() == [0.0]
+
+
+def test_pads_zero_for_a_trace_just_below_zero():
+    """An eigenvalue -1e-10, within PSD_TOL, leaves every trace below 0: the pads are zero, not NaN."""
+    op = PsdOperator(np.diag([-1e-10, 1e-11]))
+    rows, owner, traces = stacked_pads([op], 0.5, 0)
+    assert rows.shape == (1, 2) and not rows.any() and traces.tolist() == [0.0]
+    fn, cert = sample([op], [Fraction(3, 4)], Projection.full(2), 0.25, trace_cap=1.0, scale=pinned(0))
+    assert fn.multiplicity == {0: 1}
+    assert cert.pad_scale == 1.0 and cert.sandwich_ok and cert.mult_ok
 
 
 def test_sample_uniform_weights(rng):
@@ -330,8 +345,8 @@ def test_sample_shrinks_inflated_pads_back():
     paddings = sampling._pads
 
     def inflated(*args):
-        mats, rows, owner = paddings(*args)
-        return inflation * mats, math.sqrt(inflation) * rows, owner
+        rows, owner, traces = paddings(*args)
+        return math.sqrt(inflation) * rows, owner, inflation * traces
 
     used = []
     for inflation in (100, 1000):
@@ -413,7 +428,7 @@ def test_sample_rejects_bad_inputs():
         sample(ops, [1, 1], subspace, 0.25)
     with pytest.raises(PreconditionError):
         sample(ops, [1, -1, 1], subspace, 0.25)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=r"epsilon must lie in \(0, 1\), got 1.5"):
         sample(ops, [1, 1, 1], subspace, 1.5)
     with pytest.raises(PreconditionError):
         sample(ops, [1, 1, 1], np.eye(3), 0.25)
@@ -433,6 +448,16 @@ def test_sample_rejects_bad_inputs():
 def test_sample_rejects_a_non_finite_total_cap(cap):
     with pytest.raises(PreconditionError, match=f"^total cap must be finite, got {cap}$"):
         sample(scaled_basis_ops(3), [1, 1, 1], Projection.full(3), 0.25, total_cap=cap)
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf, "nan", np.float64("nan")], ids=repr)
+def test_sample_rejects_a_non_finite_weight(weight):
+    message = rf"^weights must be finite numbers, got {re.escape(repr(weight))}$"
+    with pytest.raises(PreconditionError, match=message):
+        sample(scaled_basis_ops(2), [weight, 1], Projection.full(2), 0.25)
+    # the weights are read before anything else: here before the empty operator list
+    with pytest.raises(PreconditionError, match=message):
+        sample([], [weight], Projection.full(2), 0.25)
 
 
 @pytest.mark.parametrize("exponent", [-1, functools.partial(pinned, -1)])

@@ -23,7 +23,6 @@ from framex import (
     best_selector,
     certificate_constant,
     descending_trace_pairs,
-    make_paddings,
     natural_max_order,
     rank_one,
     sample,
@@ -192,19 +191,17 @@ def test_operator_lists_are_read_alike():
         lambda o: best_selector(o, 1),
         lambda o: verify_certificate(cert, tree, o),
         lambda o: sample(o, [1] * len(o), Projection.full(2), 0.25),
-        lambda o: make_paddings(o, 0.25, 0),
     ]
     mixed = [ops[0], np.eye(3) / 10]
     for read in readers:
         with pytest.raises(PreconditionError, match="operators live in different dimensions"):
             read(mixed)
-    for read in readers[:3]:
+    for read in readers:
         with pytest.raises(PreconditionError, match="need at least one operator"):
             read([])
-    assert make_paddings([], 0.25, 0) == []
     # arrays are validated as PsdOperators
     with pytest.raises(PreconditionError, match="not positive semidefinite"):
-        make_paddings([-np.eye(2)], 0.25, 0)
+        sample([-np.eye(2)], [1], Projection.full(2), 0.25)
 
 
 def test_descending_trace_pairs():
